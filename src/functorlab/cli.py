@@ -9,6 +9,7 @@ verdict failure, 2 usage or parse error, 3 computation error.
 import argparse
 import os
 import sys
+import traceback
 
 from . import cache
 from .errors import ConfigurationError, ContractViolation
@@ -120,6 +121,16 @@ def main(argv=None):
         return 2
     except ContractViolation as exc:
         print("computation error: %s" % exc, file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # the CLI boundary: an unexpected failure is an engine error (exit 3),
+        # reported with the innermost frame, never as a raw traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            "computation error in %s: %s: %s (at %s:%d)"
+            % (args.command, type(exc).__name__, exc, os.path.basename(frame.filename), frame.lineno),
+            file=sys.stderr,
+        )
         return 3
     return 2
 

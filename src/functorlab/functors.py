@@ -255,7 +255,8 @@ def _push_through(u, alpha, width, ring):
                 continue
             for (r, mono), cf in slices[i].mul_poly(entry).terms.items():
                 key = (r + off, mono)
-                val = (acc.get(key, 0) + cf) % ring.char
+                prev = acc.get(key)
+                val = ring.add(prev, cf) if prev is not None else cf
                 if val:
                     acc[key] = val
                 else:

@@ -5,10 +5,12 @@ relations are adjoined as generators (relation times each basis vector), so
 normal forms and syzygies over R = P/I0 come out of the same Buchberger loop
 that serves the polynomial case.
 
-The engine is deliberately plain: normal-pair selection ordered by sugar
-degree (true degree, since all input is homogeneous), the coprime-lead
-criterion for ideals, full tail reduction, and a final interreduction that
-makes output canonical (monic, auto-reduced, sorted by lead). No F4/F5.
+The engine is deliberately plain: pair selection ordered by sugar degree
+(true degree, since all input is homogeneous) and the Gebauer-Moeller pair
+update (criteria B, M and F; the product criterion for ideals only, since it
+fails for modules). Inputs enter as given, made monic; one pass over the
+finished basis makes the output canonical (monic, minimal, tail-reduced,
+sorted by lead). No F4/F5.
 
 LiftSolver is the workhorse behind syzygies, kernels, preimages, and lifts:
 it tags each target with a fresh component that sorts below every main
@@ -18,7 +20,7 @@ relations, and division remainders spell out lifts.
 
 from __future__ import annotations
 
-from heapq import heappush, heappop
+from heapq import heapify, heappop
 
 from .poly import Poly, Vec
 from .rings import TermOrder
@@ -32,11 +34,12 @@ def base_relation_vectors(ring, rank):
     return out
 
 
-def monic(vec, bound, ring):
-    _, c = vec.lead(bound)
+def monic_lead(vec, bound, ring):
+    """(lead term, vec scaled to lead coefficient one)."""
+    lead, c = vec.lead(bound)
     if c == ring.one:
-        return vec
-    return vec.scale(ring.inv(c))
+        return lead, vec
+    return lead, vec.scale(ring.inv(c))
 
 
 def make_lead_index(vectors, bound):
@@ -101,26 +104,39 @@ def reduce_vec(v, basis, bound, lead_index=None, track=False):
 
 
 def interreduce(vectors, bound, ring):
-    """Monic auto-reduced canonical form of a generating set."""
-    vs = [monic(v, bound, ring) for v in vectors if v]
-    vs.sort(key=lambda v: bound.term_key(v.lead(bound)[0]))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vs)):
-            others = vs[:i] + vs[i + 1 :]
-            if not others:
-                continue
-            r, _ = reduce_vec(vs[i], others, bound)
-            if r != vs[i]:
-                changed = True
-                if r:
-                    vs[i] = monic(r, bound, ring)
-                else:
-                    del vs[i]
-                break
-    vs.sort(key=lambda v: bound.term_key(v.lead(bound)[0]))
-    return vs
+    """Reduced form of a Groebner basis: monic, minimal, tail-reduced, by lead.
+
+    The input must already be a Groebner basis of its span. The reduced
+    basis is then unique, so one pass gives it: drop every element whose
+    lead is a multiple of a smaller kept lead, then replace the tail of each
+    survivor by its normal form against the kept set.
+    """
+    term_key = bound.term_key
+    mono_divides = ring.mono_divides
+    vs = []
+    for v in vectors:
+        if v:
+            lead, v = monic_lead(v, bound, ring)
+            vs.append((term_key(lead), lead, v))
+    vs.sort(key=lambda kv: kv[0])
+    kept, leads, lead_index = [], [], {}
+    for _key, lead, v in vs:
+        c, m = lead
+        bucket = lead_index.setdefault(c, [])
+        if any(mono_divides(km, m) for km, _i in bucket):
+            continue
+        bucket.append((m, len(kept)))
+        kept.append(v)
+        leads.append(lead)
+    out = []
+    for v, lead in zip(kept, leads):
+        tail = dict(v.terms)
+        del tail[lead]
+        r, _ = reduce_vec(Vec(ring, tail), kept, bound, lead_index)
+        terms = {lead: ring.one}
+        terms.update(r.terms)
+        out.append(Vec(ring, terms))
+    return out
 
 
 def s_vector(f, g, bound, ring):
@@ -135,51 +151,70 @@ def s_vector(f, g, bound, ring):
 
 
 def buchberger(vectors, *, ring, rank, twists, bound):
-    """Canonical Groebner basis of span(vectors) + I0 * R^rank."""
-    G = interreduce(list(vectors) + base_relation_vectors(ring, rank), bound, ring)
-    if not G:
-        return []
-    leads = [g.lead(bound)[0] for g in G]
-    lead_index = make_lead_index(G, bound)
-    pairs = []
+    """Reduced Groebner basis of span(vectors) + I0 * R^rank.
 
-    def push_pairs(j):
-        cj, mj = leads[j]
-        for i in range(j):
-            ci, mi = leads[i]
-            if ci != cj:
+    Every new element (input or S-vector remainder) goes through the
+    Gebauer-Moeller update: queued pairs fall to criterion B, the new pairs
+    to criteria M and F, and for ideals coprime pairs to the product
+    criterion. Elements whose lead is a multiple of the new lead stop
+    forming pairs and stop serving as reducers.
+    """
+    mono_lcm, mono_divides, mono_degree = ring.mono_lcm, ring.mono_divides, ring.mono_degree
+    G = []
+    leads = []
+    lead_index = {}  # component -> [(lead monomial, index)] of the live elements
+    pairs = []  # heap of (sugar, i, j, component, lcm)
+
+    def add(v):
+        (c, mh), v = monic_lead(v, bound, ring)
+        h = len(G)
+        G.append(v)
+        leads.append(mh)
+        # criterion B: h divides the lcm of a queued pair and shares it with
+        # neither end, so the pairs (i, h) and (j, h) cover it
+        kept = [
+            p for p in pairs
+            if p[3] != c
+            or not mono_divides(mh, p[4])
+            or mono_lcm(leads[p[1]], mh) == p[4]
+            or mono_lcm(leads[p[2]], mh) == p[4]
+        ]
+        by_lcm, live = {}, []
+        for gm, g in lead_index.get(c, ()):
+            by_lcm.setdefault(mono_lcm(gm, mh), []).append((gm, g))
+            if not mono_divides(mh, gm):
+                live.append((gm, g))
+        live.append((mh, h))
+        lead_index[c] = live
+        # criterion M: drop an lcm with a proper divisor among the new lcms;
+        # criterion F: keep one pair per remaining lcm, none if any of them
+        # is coprime (the product criterion, valid for ideals only)
+        minimal = []
+        for lcm in sorted(by_lcm, key=mono_degree):
+            if any(mono_divides(m, lcm) for m in minimal):
                 continue
-            lcm = ring.mono_lcm(mi, mj)
-            sugar = ring.mono_degree(lcm) + twists[cj]
-            heappush(pairs, (sugar, i, j))
+            minimal.append(lcm)
+            group = by_lcm[lcm]
+            if rank == 1 and any(not any(a and b for a, b in zip(gm, mh)) for gm, _g in group):
+                continue
+            kept.append((mono_degree(lcm) + twists[c], group[0][1], h, c, lcm))
+        heapify(kept)
+        pairs[:] = kept
 
-    for j in range(len(G)):
-        push_pairs(j)
+    for v in list(vectors) + base_relation_vectors(ring, rank):
+        if v:
+            add(v)
 
     while pairs:
-        _, i, j = heappop(pairs)
-        ci, mi = leads[i]
-        _, mj = leads[j]
-        if rank == 1 and all(x == 0 for x in ring.mono_gcd(mi, mj)):
-            continue  # coprime leads: S-vector reduces to zero (ideal case)
+        _, i, j, _c, _lcm = heappop(pairs)
         s = s_vector(G[i], G[j], bound, ring)
         if not s:
             continue
         r, _ = reduce_vec(s, G, bound, lead_index)
-        if not r:
-            continue
-        r = monic(r, bound, ring)
-        G.append(r)
-        lead = r.lead(bound)[0]
-        leads.append(lead)
-        lead_index.setdefault(lead[0], []).append((lead[1], len(G) - 1))
-        push_pairs(len(G) - 1)
+        if r:
+            add(r)
 
-    return interreduce(G, bound, ring)
-
-
-def default_bound(ring, twists, order=None):
-    return (order or TermOrder()).bind(ring, twists)
+    return interreduce([G[g] for bucket in lead_index.values() for _m, g in bucket], bound, ring)
 
 
 class LiftSolver:

@@ -486,27 +486,6 @@ def inject_poly(poly, new_ring, var_map):
     return Poly(new_ring, terms)
 
 
-def project_poly(poly, new_ring, var_map):
-    """Inverse of inject_poly: var_map[i] gives the source index of new var i.
-
-    Exponents on variables absent from var_map must be zero.
-    """
-    lookup = {}
-    for new_i, old_i in enumerate(var_map):
-        lookup[old_i] = new_i
-    terms = {}
-    for m, c in poly.terms.items():
-        e = [0] * new_ring.nvars
-        for i, exp in enumerate(m):
-            if not exp:
-                continue
-            if i not in lookup:
-                raise ConfigurationError("cannot project monomial with residual variable index %d" % i)
-            e[lookup[i]] = exp
-        terms[tuple(e)] = new_ring.coeff(c)
-    return Poly(new_ring, terms)
-
-
 def inject_vec(vec, new_ring, var_map):
     terms = {}
     n = new_ring.nvars

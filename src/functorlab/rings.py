@@ -13,8 +13,10 @@ fractions.Fraction for characteristic zero. Monomials are exponent tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+# integer exponent arithmetic, distinct from the coefficient field's add/mul
+from operator import le as _le, mul as _mul, neg as _neg, sub as _sub
 
-from .errors import ConfigurationError, HomogeneityError
+from .errors import ConfigurationError
 
 DEFAULT_CHARACTERISTIC = 32003
 
@@ -112,25 +114,21 @@ class PolyRing:
     # -- monomials -----------------------------------------------------------
 
     def mono_degree(self, mono):
-        w = self.weights
-        return sum(e * w[i] for i, e in enumerate(mono))
-
-    def mono_mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return sum(map(_mul, mono, self.weights))
 
     def mono_divides(self, a, b):
         """True when x^a divides x^b."""
-        return all(x <= y for x, y in zip(a, b))
+        return all(map(_le, a, b))
 
     def mono_div(self, a, b):
         """Exponent tuple of x^a / x^b; caller guarantees divisibility."""
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(_sub, a, b))
 
     def mono_lcm(self, a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
+        return tuple(map(max, a, b))
 
     def mono_gcd(self, a, b):
-        return tuple(min(x, y) for x, y in zip(a, b))
+        return tuple(map(min, a, b))
 
     def unit_mono(self):
         return (0,) * self.nvars
@@ -168,14 +166,6 @@ class PolyRing:
 
     def __hash__(self):
         return hash(self.signature())
-
-    def same_base(self, other):
-        """Equal ignoring relations; used when relating a quotient to its cover."""
-        return (
-            self.char == other.char
-            and self.names == other.names
-            and self.weights == other.weights
-        )
 
 
 class TermOrder:
@@ -243,8 +233,7 @@ class BoundOrder:
     def _grevlex_key(self, mono, idxs=None):
         w = self.ring.weights
         if idxs is None:
-            deg = sum(e * w[i] for i, e in enumerate(mono))
-            return (deg, tuple(-mono[i] for i in range(len(mono) - 1, -1, -1)))
+            return (sum(map(_mul, mono, w)), tuple(map(_neg, reversed(mono))))
         deg = sum(mono[i] * w[i] for i in idxs)
         return (deg, tuple(-mono[i] for i in reversed(idxs)))
 
@@ -268,8 +257,3 @@ class BoundOrder:
 
 
 GREVLEX = TermOrder()
-
-
-def check_weights_match(ring, other):
-    if ring.weights != other.weights or ring.names != other.names:
-        raise HomogeneityError("rings differ: %s vs %s" % (ring.signature(), other.signature()))

@@ -136,7 +136,7 @@ def run_fit(scn, task, jobs):
         raise ConfigurationError("fit task needs a family block")
     box = _need_box(scn, "fit")
     table = _lambda_table(scn, task, jobs)
-    cap = task.get("degree_cap", _default_cap(scn))
+    cap = task["degree_cap"] if "degree_cap" in task else _default_cap(scn)
     fit = fit_polynomial(table, box, cap)
     result = {
         "degree_cap": cap,
@@ -208,7 +208,7 @@ def run_degree_bound(scn, task, jobs):
     box = _need_box(scn, "degree_bound")
     functor = _single_functor(scn, "degree_bound")
     table = _lambda_table(scn, task, jobs)
-    cap = task.get("degree_cap", _default_cap(scn))
+    cap = task["degree_cap"] if "degree_cap" in task else _default_cap(scn)
     fit = fit_polynomial(table, box, cap)
     if fit is None:
         return {"fit": _fit_payload(None)}, ["no polynomial fit to bound"]

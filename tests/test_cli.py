@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from functorlab import cache
+from functorlab import cache, cli, runner
 from functorlab.cli import main
 from functorlab.scenario import bundled_scenario_path
 
@@ -107,6 +107,60 @@ def test_engine_error_exits_three(tmp_path, capsys):
     report = json.loads((out / "infinite_fit.report.json").read_text())
     assert report["tasks"][0]["status"] == "ERROR"
     assert "infinite" in report["tasks"][0]["error"]
+
+
+def test_unexpected_exception_exits_three_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(scn, jobs):
+        raise ZeroDivisionError("integer modulo by zero")
+
+    monkeypatch.setattr(cli, "run_scenario_object", broken)
+    code, _ = _run(tmp_path, bundled_scenario_path("hilbert_samuel_xy"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "computation error in run: ZeroDivisionError: integer modulo by zero" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("functor", [
+    {"builder": "tensor", "module": "k"},
+    {"builder": "ext", "module": "k", "i": 1},
+])
+def test_component_track_over_q_exits_zero(tmp_path, functor):
+    # tensor and Ext push block vectors through the Hom pairing; over Q that
+    # arithmetic must stay in the field (no reduction modulo the characteristic)
+    doc = {
+        "format": "scn/1",
+        "label": "over q",
+        "ring": {"characteristic": 0, "variables": ["x", "y"]},
+        "ideals": {"m": ["x", "y"]},
+        "modules": {
+            "M": {"type": "free", "twists": [0]},
+            "k": {"type": "cyclic", "polys": ["x", "y"]},
+        },
+        "functor": functor,
+        "family": {"kind": "component", "module": "M", "ideals": ["m"]},
+        "box": {"lo": [0], "hi": [5], "shell": 1},
+        "tasks": [{"task": "component_track", "observables": ["lambda"]}],
+    }
+    path = tmp_path / "over_q.scn"
+    path.write_text(json.dumps(doc))
+    code, out = _run(tmp_path, str(path))
+    assert code == 0
+    report = json.loads((out / "over_q.report.json").read_text())
+    assert report["status"] == "PASS"
+
+
+def test_given_degree_cap_skips_the_default(tmp_path, monkeypatch):
+    # the default cap runs a functor evaluation and the Rees elimination;
+    # a scenario that names its cap must not pay for them
+    def refuse(scn):
+        raise AssertionError("default cap computed although degree_cap is given")
+
+    monkeypatch.setattr(runner, "_default_cap", refuse)
+    code, out = _run(tmp_path, bundled_scenario_path("two_ideal_fit"))
+    assert code == 0
+    report = json.loads((out / "two_ideal_fit.report.json").read_text())
+    assert report["tasks"][0]["degree_cap"] == 2
 
 
 def test_jobs_flag_changes_nothing(tmp_path):

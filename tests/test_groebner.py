@@ -1,11 +1,26 @@
 """Groebner kernel: bases, normal forms, syzygies, lifts, elimination.
 
 Expected bases here were worked out by hand (the examples are small enough to
-reduce on paper) and are frozen as canonical string forms.
+reduce on paper) and are frozen as canonical string forms. The oracle tests
+at the end compare buchberger with a plain reference Buchberger (every pair,
+no criteria, fixpoint interreduction) on seeded random homogeneous input.
 """
 
-from functorlab.groebner import LiftSolver, buchberger, eliminate_module, reduce_vec
-from functorlab.poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
+import heapq
+import random
+
+import pytest
+
+from functorlab.groebner import (
+    LiftSolver,
+    base_relation_vectors,
+    buchberger,
+    eliminate_module,
+    monic_lead,
+    reduce_vec,
+    s_vector,
+)
+from functorlab.poly import Poly, Vec, monomials_of_degree, parse_poly, parse_vec, quotient_ring
 from functorlab.rings import PolyRing, TermOrder
 
 
@@ -147,3 +162,142 @@ def test_sugar_queue_handles_inhomogeneous_input_too():
     vecs = [Vec.from_poly(parse_poly(R, s)) for s in ("x^2 + x", "x*y + 1")]
     basis = buchberger(vecs, ring=R, rank=1, twists=(0,), bound=bound)
     assert basis  # terminates with a nonempty basis
+
+
+# -- oracle: the reference algorithm --------------------------------------
+
+
+def _reference_interreduce(vectors, bound, ring):
+    """Fixpoint auto-reduction: reduce each element by all the others until
+    nothing changes."""
+    vs = [monic_lead(v, bound, ring)[1] for v in vectors if v]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(vs)):
+            others = vs[:i] + vs[i + 1:]
+            if not others:
+                continue
+            r, _ = reduce_vec(vs[i], others, bound)
+            if r != vs[i]:
+                changed = True
+                if r:
+                    vs[i] = monic_lead(r, bound, ring)[1]
+                else:
+                    del vs[i]
+                break
+    vs.sort(key=lambda v: bound.term_key(v.lead(bound)[0]))
+    return vs
+
+
+def reference_buchberger(vectors, *, ring, rank, twists, bound):
+    """Buchberger's algorithm with no pair criterion at all, pairs taken by
+    ascending lcm degree."""
+    G = _reference_interreduce(list(vectors) + base_relation_vectors(ring, rank), bound, ring)
+    pairs = []
+
+    def push_pairs(j):
+        cj, mj = G[j].lead(bound)[0]
+        for i in range(j):
+            ci, mi = G[i].lead(bound)[0]
+            if ci == cj:
+                heapq.heappush(pairs, (ring.mono_degree(ring.mono_lcm(mi, mj)) + twists[cj], i, j))
+
+    for j in range(len(G)):
+        push_pairs(j)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        r, _ = reduce_vec(s_vector(G[i], G[j], bound, ring), G, bound)
+        if r:
+            G.append(monic_lead(r, bound, ring)[1])
+            push_pairs(len(G) - 1)
+    return _reference_interreduce(G, bound, ring)
+
+
+def random_vectors(rng, ring, twists, count, degrees, terms=3):
+    """count homogeneous vectors of degrees drawn from degrees, each with up
+    to terms random terms per component."""
+    out = []
+    while len(out) < count:
+        d = rng.choice(degrees)
+        items = {}
+        for c, tw in enumerate(twists):
+            monos = monomials_of_degree(ring, d - tw) if d >= tw else []
+            if not monos or rng.random() < 0.3:
+                continue
+            for m in rng.sample(monos, min(terms, len(monos))):
+                items[(c, m)] = ring.coeff(rng.randint(-3, 3))
+        items = {t: cf for t, cf in items.items() if cf}
+        if items:
+            out.append(Vec(ring, items))
+    return out
+
+
+def assert_same_basis(got, want):
+    assert [g.terms for g in got] == [w.terms for w in want]
+
+
+def _grevlex(char=32003, weights=None, relations=()):
+    names = ("x", "y") if weights else ("x", "y", "z")
+    R = PolyRing(names, char=char, weights=weights)
+    return quotient_ring(R, list(relations)) if relations else R
+
+
+ORACLE_CASES = {
+    # name: (ring, twists, term order, generator count, degrees)
+    "rank1_gf": (lambda: _grevlex(), (0,), TermOrder(), 4, (2, 3)),
+    "rank1_q": (lambda: _grevlex(char=0), (0,), TermOrder(), 3, (2, 3)),
+    "rank1_weights_1_2": (lambda: _grevlex(weights=(1, 2)), (0,), TermOrder(), 4, (3, 4, 5)),
+    "rank1_quotient": (lambda: _grevlex(relations=["x*y - z^2", "y^3"]), (0,), TermOrder(), 3, (2, 3)),
+    "rank1_elim": (lambda: _grevlex(), (0,), TermOrder(kind="elim", elim=(0,), module_kind="top"),
+                   3, (2, 3)),
+    "rank2_pot": (lambda: _grevlex(), (0, 1), TermOrder(module_kind="pot"), 4, (2, 3)),
+    "rank2_top_q": (lambda: _grevlex(char=0), (0, 0), TermOrder(module_kind="top"), 3, (1, 2)),
+    "rank3_top": (lambda: _grevlex(), (0, 1, 1), TermOrder(module_kind="top"), 4, (2, 3)),
+    "rank3_pot_quotient": (lambda: _grevlex(relations=["x^2 - y*z"]), (1, 0, 0),
+                           TermOrder(module_kind="pot"), 4, (2, 3)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_buchberger_matches_reference(case, seed):
+    make_ring, twists, order, count, degrees = ORACLE_CASES[case]
+    R = make_ring()
+    rng = random.Random("%s/%d" % (case, seed))
+    vecs = random_vectors(rng, R, twists, count, degrees)
+    bound = order.bind(R, twists)
+    got = buchberger(vecs, ring=R, rank=len(twists), twists=twists, bound=bound)
+    want = reference_buchberger(vecs, ring=R, rank=len(twists), twists=twists, bound=bound)
+    assert_same_basis(got, want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("char", [0, 32003])
+def test_lift_solver_tagged_basis_matches_reference(char, seed):
+    R = _grevlex(char=char)
+    twists = (0, 1)
+    rng = random.Random("lift/%d/%d" % (char, seed))
+    targets = random_vectors(rng, R, twists, 3, (2, 3), terms=2)
+    modulo = random_vectors(rng, R, twists, 1, (3,), terms=2)
+    solver = LiftSolver(R, 2, twists, targets, modulo)
+    aug = [t + Vec(R, {(2 + i, R.unit_mono()): R.one}) for i, t in enumerate(targets)]
+    want = reference_buchberger(aug + modulo, ring=R, rank=2 + len(targets),
+                                twists=solver.aug_twists, bound=solver.bound)
+    assert_same_basis(solver.basis, want)
+
+
+@pytest.mark.parametrize("case", ["rank1_gf", "rank1_quotient", "rank2_pot", "rank3_top"])
+def test_shuffled_and_duplicated_generators_give_identical_basis(case):
+    make_ring, twists, order, count, degrees = ORACLE_CASES[case]
+    R = make_ring()
+    rng = random.Random("shuffle/%s" % case)
+    vecs = random_vectors(rng, R, twists, count, degrees)
+    bound = order.bind(R, twists)
+    rank = len(twists)
+    base = buchberger(vecs, ring=R, rank=rank, twists=twists, bound=bound)
+    for _ in range(3):
+        again = vecs + [v.scale(rng.randint(2, 9)) for v in rng.sample(vecs, 2)]
+        rng.shuffle(again)
+        got = buchberger(again, ring=R, rank=rank, twists=twists, bound=bound)
+        assert [g.terms for g in got] == [b.terms for b in base]
