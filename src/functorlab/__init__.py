@@ -22,12 +22,9 @@ from .errors import (
     CapExceeded,
     ConfigurationError,
     ContractViolation,
-    FitError,
     FunctorLabError,
     HomogeneityError,
-    ScenarioError,
     StrategyExhausted,
-    WindowExceeded,
 )
 from .fitting import FittedPolynomial, fit_polynomial
 from .fpmodule import FPModule, block_module, free_resolution, hom_ext_tor, quotient_by
@@ -69,7 +66,6 @@ __all__ = [
     "ContractViolation",
     "FPModule",
     "FamilySpec",
-    "FitError",
     "FittedPolynomial",
     "FunctorExpression",
     "FunctorLabError",
@@ -79,12 +75,10 @@ __all__ = [
     "IdealFamily",
     "Poly",
     "PolyRing",
-    "ScenarioError",
     "StrategyExhausted",
     "Submodule",
     "TermOrder",
     "Vec",
-    "WindowExceeded",
     "analytic_spread",
     "artin_rees_exponent",
     "associated_primes",

@@ -7,8 +7,10 @@ runs give identical results.
 
 Two tiers: an in-process dict, and an optional directory (FUNCTORLAB_CACHE_DIR
 or configure()). Disk writes go through a temp file and os.replace so a
-killed process never leaves a half-written entry; unreadable entries count as
-misses and are recomputed, never trusted.
+killed process never leaves a half-written entry. Each disk entry carries
+its own key and the SHA-256 of its canonical payload JSON; an entry that is
+unreadable, lacks a field, or whose key or digest does not match counts as
+corrupt and is recomputed, never trusted.
 """
 
 from __future__ import annotations
@@ -17,6 +19,24 @@ import hashlib
 import json
 import os
 import tempfile
+
+
+def _canonical_json(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _is_sealed(entry, key):
+    """entry is {"key", "sha256", "value"} with this key and a matching digest."""
+    return (
+        isinstance(entry, dict)
+        and entry.keys() == {"key", "sha256", "value"}
+        and entry["key"] == key
+        and entry["sha256"] == _digest(_canonical_json(entry["value"]))
+    )
 
 
 class Cache:
@@ -30,8 +50,7 @@ class Cache:
         self.corrupt = 0
 
     def key(self, *parts):
-        blob = json.dumps(parts, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _digest(_canonical_json(parts))
 
     def _path(self, key):
         return os.path.join(self.directory, key[:2], key + ".json")
@@ -46,13 +65,17 @@ class Cache:
             path = self._path(key)
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    value = json.load(fh)
-                self.memory[key] = value
-                self.hits += 1
-                return value
+                    entry = json.load(fh)
             except FileNotFoundError:
                 pass
             except (OSError, ValueError):
+                self.corrupt += 1
+            else:
+                if _is_sealed(entry, key):
+                    value = entry["value"]
+                    self.memory[key] = value
+                    self.hits += 1
+                    return value
                 self.corrupt += 1
         self.misses += 1
         return None
@@ -68,8 +91,9 @@ class Cache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
+            entry = {"key": key, "sha256": _digest(_canonical_json(value)), "value": value}
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(value, fh, sort_keys=True, separators=(",", ":"))
+                fh.write(_canonical_json(entry))
             os.replace(tmp, path)
         except OSError:
             try:

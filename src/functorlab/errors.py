@@ -27,15 +27,3 @@ class CapExceeded(FunctorLabError):
 
 class StrategyExhausted(FunctorLabError):
     """No implemented strategy applies; result would be a guess, so refuse."""
-
-
-class WindowExceeded(FunctorLabError):
-    """A requested graded component lies outside the computable window."""
-
-
-class FitError(FunctorLabError):
-    """Polynomial fitting failed (infinite value in box, no valid onset, ...)."""
-
-
-class ScenarioError(FunctorLabError):
-    """Malformed scenario document; message carries the offending block."""

@@ -5,6 +5,11 @@ import itertools
 from .errors import ContractViolation
 
 
+def box_points(lo, hi):
+    """All lattice points of the box [lo, hi], ascending lexicographically."""
+    return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
 class GridBox:
     """Componentwise interval [lo, hi] plus a shell width for validation."""
 
@@ -29,8 +34,7 @@ class GridBox:
 
     def points(self):
         """All lattice points, ascending lexicographically."""
-        axes = [range(a, b + 1) for a, b in zip(self.lo, self.hi)]
-        return [tuple(p) for p in itertools.product(*axes)]
+        return box_points(self.lo, self.hi)
 
     def shell_floor(self):
         return tuple(max(a, b - self.shell) for a, b in zip(self.lo, self.hi))

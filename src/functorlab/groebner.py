@@ -21,6 +21,7 @@ relations, and division remainders spell out lifts.
 from __future__ import annotations
 
 from heapq import heapify, heappop
+from operator import add
 
 from .poly import Poly, Vec
 from .rings import TermOrder
@@ -139,15 +140,25 @@ def interreduce(vectors, bound, ring):
     return out
 
 
-def s_vector(f, g, bound, ring):
-    (cf, mf), _ = f.lead(bound)
-    (cg, mg), _ = g.lead(bound)
-    if cf != cg:
-        return None
-    lcm = ring.mono_lcm(mf, mg)
-    return f.mul_term(ring.one, ring.mono_div(lcm, mf)) - g.mul_term(
-        ring.one, ring.mono_div(lcm, mg)
-    )
+def s_vector(f, g, mf, mg, lcm, ring):
+    """S-vector of monic f and g, whose leads mf and mg lie in one component
+    and have least common multiple lcm."""
+    sf = ring.mono_div(lcm, mf)
+    sg = ring.mono_div(lcm, mg)
+    terms = {(c, tuple(map(add, m, sf))): cf for (c, m), cf in f.terms.items()}
+    sub, neg = ring.sub, ring.neg
+    for (c, m), cf in g.terms.items():
+        key = (c, tuple(map(add, m, sg)))
+        cur = terms.get(key)
+        if cur is None:
+            terms[key] = neg(cf)
+        else:
+            val = sub(cur, cf)
+            if val:
+                terms[key] = val
+            else:
+                del terms[key]
+    return Vec(ring, terms)
 
 
 def buchberger(vectors, *, ring, rank, twists, bound):
@@ -206,8 +217,8 @@ def buchberger(vectors, *, ring, rank, twists, bound):
             add(v)
 
     while pairs:
-        _, i, j, _c, _lcm = heappop(pairs)
-        s = s_vector(G[i], G[j], bound, ring)
+        _, i, j, _c, lcm = heappop(pairs)
+        s = s_vector(G[i], G[j], leads[i], leads[j], lcm, ring)
         if not s:
             continue
         r, _ = reduce_vec(s, G, bound, lead_index)

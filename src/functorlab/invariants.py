@@ -159,7 +159,8 @@ def associated_primes(module):
 # -- grade and dimension invariants --------------------------------------------
 
 
-def _scan_cap(ring, length_cap):
+def scan_cap(ring, length_cap):
+    """Last homological stage a scan reads before it refuses."""
     if length_cap is not None:
         return length_cap
     return ring.nvars if not ring.relations else ring.nvars + 4
@@ -177,7 +178,7 @@ def grade(ideal_sub, module, length_cap=None):
     cyc = FPModule(
         ring, 1, (0,), [Vec.unit(ring, 0)], list(ideal_sub.gens), module.order, check=False
     )
-    cap = _scan_cap(ring, length_cap)
+    cap = scan_cap(ring, length_cap)
     res = free_resolution(cyc, cap + 1)
     for i in range(cap + 1):
         if not hom_ext_tor(cyc, module, i, "Ext", resolution=res).is_zero():
@@ -195,18 +196,27 @@ def grade(ideal_sub, module, length_cap=None):
     raise CapExceeded("no nonvanishing Ext up to %d over a singular base" % cap)
 
 
-def betti_number(module, i):
-    """beta_i as the rank of the i-th stage of the minimal resolution."""
+def betti_number(module, i, resolution=None):
+    """beta_i as the rank of the i-th stage of the minimal resolution.
+
+    resolution, when given, is free_resolution(module, L) for some L >= i.
+    """
     if i < 0:
         raise ContractViolation("homological index must be nonnegative")
-    res = free_resolution(module, i)
-    ranks = res.ranks()
+    if resolution is None:
+        resolution = free_resolution(module, i)
+    elif not resolution.exhausted and len(resolution.maps) < i:
+        raise CapExceeded("supplied resolution is too short for stage %d" % i)
+    ranks = resolution.ranks()
     return ranks[i] if i < len(ranks) else 0
 
 
-def bass_number(module, i):
+def bass_number(module, i, profile=None):
+    """mu^i; profile, when given, is a bass_profile of module longer than i."""
     if i < 0:
         raise ContractViolation("homological index must be nonnegative")
+    if profile is not None:
+        return profile[i]
     k = residue_field(module.ring, module.order)
     return hom_ext_tor(k, module, i, "Ext").length()
 
@@ -224,7 +234,7 @@ def depth(module, length_cap=None):
     """First nonvanishing Bass number; inf for the zero module."""
     if module.is_zero():
         return math.inf
-    cap = _scan_cap(module.ring, length_cap)
+    cap = scan_cap(module.ring, length_cap)
     profile = bass_profile(module, cap + 1)
     for i, mu in enumerate(profile):
         if mu:
@@ -232,24 +242,35 @@ def depth(module, length_cap=None):
     raise CapExceeded("no nonzero Bass number up to %d" % cap)
 
 
-def projective_dimension(module, length_cap=None):
+def projective_dimension(module, length_cap=None, resolution=None):
+    """Length of the minimal resolution, certified within cap + 1 stages.
+
+    resolution, when given, is free_resolution(module, L) for any L; stages
+    beyond cap + 1 are not read.
+    """
     if module.is_zero():
         return -math.inf
-    cap = _scan_cap(module.ring, length_cap)
-    res = free_resolution(module, cap + 1)
-    if not res.exhausted:
+    cap = scan_cap(module.ring, length_cap)
+    res = free_resolution(module, cap + 1) if resolution is None else resolution
+    pd = len(res.modules) - 1
+    if not res.exhausted or pd > cap + 1:
         raise CapExceeded("resolution still active at stage %d" % (cap + 1))
-    return len(res.modules) - 1
+    return pd
 
 
-def injective_dimension(module, length_cap=None):
-    """Largest nonvanishing Bass number; no internal zeros make it certified."""
+def injective_dimension(module, length_cap=None, profile=None):
+    """Largest nonvanishing Bass number; no internal zeros make it certified.
+
+    profile, when given, is a bass_profile of module of any length;
+    entries beyond cap + 1 are not read.
+    """
     if module.is_zero():
         return -math.inf
-    cap = _scan_cap(module.ring, length_cap)
-    profile = bass_profile(module, cap + 2)
+    cap = scan_cap(module.ring, length_cap)
+    if profile is None:
+        profile = bass_profile(module, cap + 2)
     last = None
-    for i, mu in enumerate(profile):
+    for i, mu in enumerate(profile[: cap + 2]):
         if mu:
             last = i
         elif last is not None:

@@ -25,6 +25,7 @@ import itertools
 
 from .errors import ConfigurationError, ContractViolation
 from .fpmodule import FPModule
+from .grid import box_points
 from .groebner import LiftSolver, eliminate_module
 from .poly import (
     Poly,
@@ -389,11 +390,6 @@ def intersection_strand(family, module, sub_vectors, nvec):
     return pow_u.intersect(n_side)
 
 
-def _box_points(lo, hi):
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return [tuple(p) for p in itertools.product(*ranges)]
-
-
 def artin_rees_exponent(family, module, sub_vectors, mode="certified", box=None):
     """Uniform d with I^n M cap N = I^(n-d) (I^d M cap N) for all n >= d.
 
@@ -466,10 +462,10 @@ def _empirical_ar(family, module, sub_vectors, box):
     r = len(family.ideals)
     if len(lo) != r or len(hi) != r:
         raise ContractViolation("box arity does not match the family")
-    points = _box_points(lo, hi)
+    points = box_points(lo, hi)
     strands = {n: intersection_strand(family, module, sub_vectors, n) for n in points}
     w = module.rels_sub()
-    for d in sorted(_box_points(tuple(0 for _ in lo), hi), key=lambda t: (sum(t), t)):
+    for d in sorted(box_points(tuple(0 for _ in lo), hi), key=lambda t: (sum(t), t)):
         base_strand = intersection_strand(family, module, sub_vectors, d)
         good = True
         for n in points:

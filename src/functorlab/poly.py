@@ -511,30 +511,3 @@ def project_vec(vec, new_ring, var_map):
             e[lookup[i]] = exp
         terms[(c, tuple(e))] = new_ring.coeff(cf)
     return Vec(new_ring, terms)
-
-
-def monomials_of_degree(ring, degree, var_subset=None):
-    """All exponent tuples of exact weighted degree, lexicographically ordered."""
-    idxs = list(range(ring.nvars)) if var_subset is None else list(var_subset)
-    out = []
-
-    def rec(pos, remaining, acc):
-        if pos == len(idxs):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        i = idxs[pos]
-        w = ring.weights[i]
-        if pos == len(idxs) - 1:
-            if remaining % w == 0:
-                e = list(acc)
-                e[i] = remaining // w
-                out.append(tuple(e))
-            return
-        for k in range(remaining // w + 1):
-            e = list(acc)
-            e[i] = k
-            rec(pos + 1, remaining - k * w, e)
-
-    rec(0, degree, [0] * ring.nvars)
-    return out

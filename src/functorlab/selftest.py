@@ -62,11 +62,13 @@ def suite_buchberger():
         bound = gb.bound
         basis = list(gb.gens)
         lead = make_lead_index(basis, bound)
+        leads = [g.lead(bound)[0] for g in basis]
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                s = s_vector(basis[i], basis[j], bound, ring)
-                if s is None:
+                (ci, mi), (cj, mj) = leads[i], leads[j]
+                if ci != cj:
                     continue
+                s = s_vector(basis[i], basis[j], mi, mj, ring.mono_lcm(mi, mj), ring)
                 remainder, _ = reduce_vec(s, basis, bound, lead)
                 if remainder:
                     return False, "S-vector (%d, %d) did not reduce to zero" % (i, j)
@@ -213,12 +215,14 @@ def suite_cache_robustness():
         cache.put(key, {"value": 42})
         cache.memory.clear()
         path = cache._path(key)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("{corrupted")
-        if cache.get(key) is not None:
-            return False, "corrupted entry was trusted"
-        if cache.corrupt != 1:
-            return False, "corruption not recorded"
+        # unreadable, and well-formed JSON that is not a sealed entry
+        for count, text in enumerate(("{corrupted", "[]"), 1):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            if cache.get(key) is not None:
+                return False, "corrupted entry %r was trusted" % text
+            if cache.corrupt != count:
+                return False, "corruption not recorded"
         cache.put(key, {"value": 42})
         cache.memory.clear()
         if cache.get(key) != {"value": 42}:

@@ -14,17 +14,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
-from .fpmodule import FPModule, block_module
+from .fpmodule import FPModule, block_module, free_resolution
 from .functors import _push_through, evaluate, evaluate_expression
 from .groebner import LiftSolver
 from .invariants import (
     associated_primes,
     bass_number,
+    bass_profile,
     betti_number,
     depth,
     grade,
     injective_dimension,
     projective_dimension,
+    scan_cap,
 )
 from .multigraded import analytic_spread, artin_rees_exponent, graded_component
 from .poly import Vec
@@ -111,20 +113,31 @@ def _observe(module, observables, grade_ideal, i_max):
         if grade_ideal is None:
             raise ConfigurationError("grade observable needs an ideal")
         out["grade"] = grade(grade_ideal, module)
+    # one resolution of the module serves every beta_i and pd, one Bass
+    # profile every mu^i and id; each is as long as its longest reader
+    cap = scan_cap(module.ring, None)
+    stages = [i_max] if "betti" in observables else []
+    if "pd" in observables:
+        stages.append(cap + 1)
+    res = free_resolution(module, max(stages)) if stages else None
+    counts = [i_max + 1] if "bass" in observables else []
+    if "id" in observables:
+        counts.append(cap + 2)
+    profile = bass_profile(module, max(counts)) if counts else None
     if "betti" in observables or "bass" in observables:
         for i in range(i_max + 1):
             if "betti" in observables:
-                out["betti_%d" % i] = betti_number(module, i)
+                out["betti_%d" % i] = betti_number(module, i, resolution=res)
             if "bass" in observables:
-                out["bass_%d" % i] = bass_number(module, i)
+                out["bass_%d" % i] = bass_number(module, i, profile=profile)
     if "pd" in observables:
         try:
-            out["pd"] = projective_dimension(module)
+            out["pd"] = projective_dimension(module, resolution=res)
         except CapExceeded:
             out["pd"] = "cap exceeded"
     if "id" in observables:
         try:
-            out["id"] = injective_dimension(module)
+            out["id"] = injective_dimension(module, profile=profile)
         except CapExceeded:
             out["id"] = "cap exceeded"
     return out

@@ -20,6 +20,11 @@ from .poly import Vec, parse_poly, parse_vec
 from .rings import GREVLEX, TermOrder
 
 
+def _into_block(v, offset):
+    """v with every component index moved up by offset."""
+    return Vec(v.ring, {(c + offset, m): cf for (c, m), cf in v.terms.items()})
+
+
 class Submodule:
     __slots__ = ("ring", "rank", "twists", "order", "gens", "is_groebner", "_bound", "_gb")
 
@@ -128,10 +133,15 @@ class Submodule:
         )
 
     def intersect(self, other):
+        """self cap other, read off one kernel.
+
+        The kernel of R^s -> F / other, e_i -> gens[i], holds the
+        coefficient vectors a with sum a_i gens[i] in other; those sums
+        generate the intersection.
+        """
         self._same_ambient(other)
         mine = list(self.gens)
-        theirs = list(other.gens)
-        solver = LiftSolver(self.ring, self.rank, self.twists, mine + theirs)
+        solver = LiftSolver(self.ring, self.rank, self.twists, mine, list(other.gens))
         out = []
         for k in solver.kernel_vectors():
             acc = Vec.zero(self.ring)
@@ -143,46 +153,62 @@ class Submodule:
                 out.append(acc)
         return Submodule(self.ring, self.rank, self.twists, out, self.order, check=False)
 
+    def _block_solver(self, degrees, targets):
+        """LiftSolver into len(degrees) copies of the ambient module, copy j
+        twisted down by degrees[j], with self in every copy as the modulus."""
+        rank = self.rank
+        twists = [t - d for d in degrees for t in self.twists]
+        modulo = [_into_block(g, j * rank) for j in range(len(degrees)) for g in self.gens]
+        return LiftSolver(self.ring, rank * len(degrees), twists, targets, modulo)
+
     def colon(self, vectors_or_sub):
-        """(self : V) = {r in R : r*V inside self}, an ideal."""
+        """(self : V) = {r in R : r*V inside self}, an ideal.
+
+        For V = v_1..v_k this is one kernel: the r with r*(v_1, ..., v_k)
+        in the sum of k copies of self, inside k copies of the ambient
+        module, copy i twisted down by deg v_i so the one target has
+        degree 0.
+        """
         if isinstance(vectors_or_sub, Submodule):
             self._same_ambient(vectors_or_sub)
             vectors = list(vectors_or_sub.gens)
         else:
             vectors = [v for v in vectors_or_sub if v]
-        result = None
-        for v in vectors:
-            solver = LiftSolver(self.ring, self.rank, self.twists, [v] + list(self.gens))
-            gens = [k.component(0) for k in solver.kernel_vectors()]
-            gens = [Vec.from_poly(p) for p in gens if p]
-            one = Submodule(self.ring, 1, (0,), gens, self.order, check=False)
-            result = one if result is None else result.intersect(one).canonical()
-        if result is None:
+        if not vectors:
             return unit_ideal(self.ring, self.order)
-        return result.canonical()
+        rank = self.rank
+        target = Vec(
+            self.ring,
+            {(c + i * rank, m): cf for i, v in enumerate(vectors) for (c, m), cf in v.terms.items()},
+        )
+        solver = self._block_solver([v.degree(self.twists) for v in vectors], [target])
+        gens = solver.kernel_vectors()
+        return Submodule(self.ring, 1, (0,), gens, self.order, check=False).canonical()
 
     def colon_module(self, polys):
-        """(self :_F J) = {v in the ambient : p*v inside self for all p in J}."""
+        """(self :_F J) = {v in the ambient : p*v inside self for all p in J}.
+
+        For J = (q_1..q_m) this is one kernel: the v with
+        (q_1 v, ..., q_m v) in the sum of m copies of self, read off one
+        target (q_1 e_c, ..., q_m e_c) per ambient component c, with copy j
+        of the ambient module twisted down by deg q_j.
+        """
         polys = [q for q in polys if q]
         if not polys:
             whole = [Vec.unit(self.ring, c) for c in range(self.rank)]
             return Submodule(self.ring, self.rank, self.twists, whole, self.order, check=False)
-        acc = None
-        for q in polys:
-            targets = [Vec.unit(self.ring, c).mul_poly(q) for c in range(self.rank)]
-            solver = LiftSolver(
-                self.ring, self.rank, self.twists, targets, list(self.gens)
-            )
-            part = Submodule(
+        rank = self.rank
+        targets = [
+            Vec(
                 self.ring,
-                self.rank,
-                self.twists,
-                solver.kernel_vectors(),
-                self.order,
-                check=False,
+                {(c + j * rank, m): cf for j, q in enumerate(polys) for m, cf in q.terms.items()},
             )
-            acc = part if acc is None else acc.intersect(part)
-        return acc
+            for c in range(rank)
+        ]
+        solver = self._block_solver([q.degree() for q in polys], targets)
+        return Submodule(
+            self.ring, self.rank, self.twists, solver.kernel_vectors(), self.order, check=False
+        )
 
     def syzygies(self):
         """Coefficient relations among gens: a submodule of R^len(gens)."""

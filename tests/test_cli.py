@@ -1,6 +1,11 @@
 """End-to-end CLI runs: exit codes, artifacts, determinism, selftest."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +193,68 @@ def test_cold_and_warm_cache_reports_identical(tmp_path, monkeypatch):
     cold = (cold_dir / "hilbert_samuel_xy.report.json").read_bytes()
     warm = (warm_dir / "hilbert_samuel_xy.report.json").read_bytes()
     assert cold == warm
+
+
+def test_wrong_but_parseable_cache_entries_are_recomputed(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cachedir"
+    monkeypatch.setenv("FUNCTORLAB_CACHE_DIR", str(cache_dir))
+    scenario = bundled_scenario_path("two_ideal_fit")
+    assert main(["run", scenario, "--out", str(tmp_path / "cold")]) == 0
+    entries = list(cache_dir.glob("*/*.json"))
+    assert entries
+    for path in entries:
+        path.write_text("[]")
+    assert main(["run", scenario, "--out", str(tmp_path / "again")]) == 0
+    stats = cache.active_cache().stats()
+    assert stats["corrupt"] > 0
+    # recomputed entries are written back sealed
+    assert all(json.loads(path.read_text())["key"] == path.stem for path in entries)
+    cold = (tmp_path / "cold" / "two_ideal_fit.report.json").read_bytes()
+    again = (tmp_path / "again" / "two_ideal_fit.report.json").read_bytes()
+    assert json.loads(again)["status"] == "PASS"
+    assert again == cold
+
+
+def test_cache_entry_with_foreign_key_or_bad_digest_is_corrupt(tmp_path):
+    store = cache.Cache(directory=str(tmp_path))
+    key, other = store.key("a"), store.key("b")
+    store.put(key, [["x"]])
+    store.put(other, [["y"]])
+    path = Path(store._path(key))
+    sealed = json.loads(path.read_text())
+    assert sealed["key"] == key and sealed["value"] == [["x"]]
+    fresh = cache.Cache(directory=str(tmp_path))
+    assert fresh.get(key) == [["x"]]
+    # the other entry, moved under this key
+    path.write_text(Path(store._path(other)).read_text())
+    assert cache.Cache(directory=str(tmp_path)).get(key) is None
+    # the right key with a tampered value
+    sealed["value"] = [["y"]]
+    path.write_text(json.dumps(sealed))
+    tampered = cache.Cache(directory=str(tmp_path))
+    assert tampered.get(key) is None
+    assert tampered.stats()["corrupt"] == 1
+
+
+def test_module_entry_point_runs_uninstalled(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "functorlab", "run", "hilbert_samuel_xy",
+         "--out", str(out), "--no-cache"],
+        cwd=str(tmp_path), env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "status: PASS (exit 0)" in proc.stdout
+    assert (out / "hilbert_samuel_xy.report.json").exists()
+
+
+def test_importing_the_module_entry_point_runs_nothing():
+    # tools that import every submodule (tracers, doc builders) must not
+    # start the command line
+    module = importlib.import_module("functorlab.__main__")
+    assert module.main is main
 
 
 def test_char_override_flag(tmp_path):

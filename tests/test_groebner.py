@@ -20,7 +20,8 @@ from functorlab.groebner import (
     reduce_vec,
     s_vector,
 )
-from functorlab.poly import Poly, Vec, monomials_of_degree, parse_poly, parse_vec, quotient_ring
+from functorlab.oracles import monomials_of_degree
+from functorlab.poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
 from functorlab.rings import PolyRing, TermOrder
 
 
@@ -207,7 +208,9 @@ def reference_buchberger(vectors, *, ring, rank, twists, bound):
         push_pairs(j)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        r, _ = reduce_vec(s_vector(G[i], G[j], bound, ring), G, bound)
+        mi, mj = G[i].lead(bound)[0][1], G[j].lead(bound)[0][1]
+        s = s_vector(G[i], G[j], mi, mj, ring.mono_lcm(mi, mj), ring)
+        r, _ = reduce_vec(s, G, bound)
         if r:
             G.append(monic_lead(r, bound, ring)[1])
             push_pairs(len(G) - 1)

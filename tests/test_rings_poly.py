@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from functorlab.errors import ConfigurationError, HomogeneityError
+from functorlab.oracles import monomials_of_degree
 from functorlab.poly import (
     Poly,
     Vec,
     format_poly,
-    monomials_of_degree,
     parse_poly,
     parse_vec,
     quotient_ring,

@@ -7,7 +7,8 @@ and beta_i(R/(x,y)^n) = (1, n+1, n) from the Hilbert-Burch resolution.
 
 import pytest
 
-from functorlab.errors import ConfigurationError, ContractViolation
+from functorlab import fpmodule, invariants, stability
+from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
 from functorlab.fpmodule import FPModule
 from functorlab.functors import (
     FunctorExpression,
@@ -17,8 +18,14 @@ from functorlab.functors import (
 )
 from functorlab.grid import GridBox
 from functorlab.multigraded import rees_module
+from functorlab.invariants import (
+    bass_number,
+    betti_number,
+    injective_dimension,
+    projective_dimension,
+)
 from functorlab.rings import PolyRing
-from functorlab.poly import Poly, Vec
+from functorlab.poly import Poly, Vec, quotient_ring
 from functorlab.stability import (
     FamilySpec,
     betti_bass_asymptotics,
@@ -281,3 +288,55 @@ def test_stability_report_serializes(ring):
     assert blob["box"] == {"lo": [1], "hi": [4], "shell": 1}
     assert blob["observations"]["2"]["lambda"] == 3
     assert blob["notes"] == ["n/a"]
+
+
+# -- one resolution per observed module ------------------------------------------
+
+
+def _standalone(fn, module):
+    try:
+        return fn(module)
+    except CapExceeded:
+        return "cap exceeded"
+
+
+def _observed_module(name):
+    R = PolyRing(("x", "y"))
+    if name == "cyclic":
+        return FPModule.cyclic(R, ["x^2", "x*y", "y^2"])
+    if name == "free":
+        return FPModule.free(R, (0, 1))
+    if name == "zero":
+        return FPModule.zero(R)
+    # R/(x) over k[x,y]/(x^2): infinite pd and id, both scans hit the cap
+    return FPModule.cyclic(quotient_ring(R, ["x^2"]), ["x"])
+
+
+@pytest.mark.parametrize("i_max", [1, 4])
+@pytest.mark.parametrize("name", ["cyclic", "free", "zero", "quotient_base"])
+def test_observe_resolves_each_module_once(monkeypatch, name, i_max):
+    module = _observed_module(name)
+    real = fpmodule.free_resolution
+    resolved = []
+
+    def counting(target, length_cap):
+        resolved.append(target)
+        return real(target, length_cap)
+
+    for owner in (fpmodule, invariants, stability):
+        monkeypatch.setattr(owner, "free_resolution", counting)
+    row = stability._observe(module, ("betti", "bass", "pd", "id"), None, i_max)
+    assert len(resolved) == 2, name
+    assert resolved[0] is module
+    k = resolved[1]
+    assert k.rank == 1 and k.rels_sub().equals(ideal(module.ring, ["x", "y"]))
+    monkeypatch.undo()
+    for i in range(i_max + 1):
+        assert row["betti_%d" % i] == betti_number(module, i), (name, i)
+        assert row["bass_%d" % i] == bass_number(module, i), (name, i)
+    assert row["pd"] == _standalone(projective_dimension, module)
+    assert row["id"] == _standalone(injective_dimension, module)
+    if name == "quotient_base":
+        assert row["pd"] == row["id"] == "cap exceeded"
+    if name == "zero":
+        assert row["pd"] == row["id"] == float("-inf")

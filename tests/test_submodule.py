@@ -1,9 +1,19 @@
-"""Submodule lattice operations, with hand-checked closed forms frozen in."""
+"""Submodule lattice operations, with hand-checked closed forms frozen in.
+
+The oracle tests at the end compare the one-kernel intersect, colon and
+colon_module with the constructions they replaced (one kernel per vector or
+polynomial, folded by intersections, every generator tagged) on seeded
+random homogeneous input.
+"""
+
+import random
 
 import pytest
 
 from functorlab.errors import ContractViolation, HomogeneityError
-from functorlab.poly import Vec, parse_poly, parse_vec, quotient_ring
+from functorlab.groebner import LiftSolver
+from functorlab.oracles import monomials_of_degree
+from functorlab.poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
 from functorlab.rings import PolyRing
 from functorlab.submodule import (
     IdealFamily,
@@ -123,3 +133,124 @@ def test_membership_over_quotient_uses_base_relations():
     J = ideal(R, ["x + y"])
     # (x+y)^2 = x^2 + y^2 in R, and x*(x+y) = x^2, y*(x+y) = y^2
     assert J.contains(Vec.from_poly(parse_poly(R, "x^2 + y^2")))
+
+
+# -- oracle: the per-vector constructions ---------------------------------------
+
+
+def reference_intersect(a, b):
+    """a cap b from the kernel of R^(s+t) -> F tagging both generator lists."""
+    mine = list(a.gens)
+    solver = LiftSolver(a.ring, a.rank, a.twists, mine + list(b.gens))
+    out = []
+    for k in solver.kernel_vectors():
+        acc = Vec.zero(a.ring)
+        for i, g in enumerate(mine):
+            acc = acc + g.mul_poly(k.component(i))
+        if acc:
+            out.append(acc)
+    return Submodule(a.ring, a.rank, a.twists, out, a.order, check=False)
+
+
+def reference_colon(sub, vectors):
+    """(sub : V) as the intersection of the ideals (sub : v), one kernel each."""
+    result = None
+    for v in vectors:
+        solver = LiftSolver(sub.ring, sub.rank, sub.twists, [v] + list(sub.gens))
+        polys = [k.component(0) for k in solver.kernel_vectors()]
+        one = Submodule(sub.ring, 1, (0,), [Vec.from_poly(p) for p in polys if p], check=False)
+        result = one if result is None else reference_intersect(result, one).canonical()
+    return unit_ideal(sub.ring) if result is None else result.canonical()
+
+
+def reference_colon_module(sub, polys):
+    """(sub :_F J) as the intersection of (sub :_F q), one kernel each."""
+    acc = None
+    for q in polys:
+        targets = [Vec.unit(sub.ring, c).mul_poly(q) for c in range(sub.rank)]
+        solver = LiftSolver(sub.ring, sub.rank, sub.twists, targets, list(sub.gens))
+        part = Submodule(sub.ring, sub.rank, sub.twists, solver.kernel_vectors(), check=False)
+        acc = part if acc is None else reference_intersect(acc, part)
+    return acc
+
+
+def random_poly(rng, ring, degree, terms=3):
+    monos = monomials_of_degree(ring, degree)
+    picked = {m: ring.coeff(rng.randint(-3, 3)) for m in rng.sample(monos, min(terms, len(monos)))}
+    poly = Poly(ring, {m: c for m, c in picked.items() if c})
+    return poly if poly else Poly(ring, {monos[0]: ring.one})
+
+
+def random_vectors(rng, ring, twists, count, degrees, terms=2):
+    """count nonzero homogeneous vectors with degrees drawn from degrees."""
+    out = []
+    while len(out) < count:
+        d = rng.choice(degrees)
+        items = {}
+        for c, tw in enumerate(twists):
+            if d < tw or rng.random() < 0.3:
+                continue
+            for m, cf in random_poly(rng, ring, d - tw, terms).terms.items():
+                items[(c, m)] = cf
+        if items:
+            out.append(Vec(ring, items))
+    return out
+
+
+def _xyz(char=32003, weights=None, relations=()):
+    R = PolyRing(("x", "y", "z"), char=char, weights=weights)
+    return quotient_ring(R, list(relations)) if relations else R
+
+
+KERNEL_CASES = {
+    # name: (ring, twists, degrees of generators, degrees of the colon polys)
+    "gf_rank1": (lambda: _xyz(), (0,), (2, 3), (1, 2)),
+    "q_rank1": (lambda: _xyz(char=0), (0,), (2, 3), (1, 2)),
+    "q_rank2": (lambda: _xyz(char=0), (0, 1), (2, 3), (1, 1)),
+    "weights_1_2_1": (lambda: _xyz(weights=(1, 2, 1)), (0,), (2, 3, 4), (1, 2)),
+    "weights_1_2_1_rank2": (lambda: _xyz(weights=(1, 2, 1)), (1, 0), (2, 3), (2, 1)),
+    "quotient_rank1": (lambda: _xyz(relations=["x*y - z^2"]), (0,), (2, 3), (1, 2)),
+    "quotient_rank2": (lambda: _xyz(relations=["x^2"]), (0, 1), (2, 3), (2, 1)),
+    "gf_rank3": (lambda: _xyz(), (0, 1, 1), (2,), (1, 2)),
+}
+
+
+def _kernel_inputs(case, seed):
+    make_ring, twists, degrees, poly_degrees = KERNEL_CASES[case]
+    R = make_ring()
+    rng = random.Random("kernel/%s/%d" % (case, seed))
+    rank = len(twists)
+    polys = [random_poly(rng, R, d) for d in poly_degrees]
+    # J*w inside sub for a random w, so (sub :_F J) is larger than sub
+    (w,) = random_vectors(rng, R, twists, 1, degrees[:1])
+    gens = random_vectors(rng, R, twists, rank, degrees) + [w.mul_poly(q) for q in polys]
+    sub = Submodule(R, rank, twists, gens)
+    other = Submodule(R, rank, twists, random_vectors(rng, R, twists, rank + 1, degrees))
+    # (sub : w) contains J, a random vector's colon is smaller
+    vectors = [w] + random_vectors(rng, R, twists, 1, degrees)
+    return sub, other, vectors, polys
+
+
+def _terms(sub):
+    return [g.terms for g in sub.canonical().gens]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_one_kernel_operations_match_reference(case, seed):
+    sub, other, vectors, polys = _kernel_inputs(case, seed)
+    assert _terms(sub.intersect(other)) == _terms(reference_intersect(sub, other))
+    assert _terms(sub.colon(vectors)) == _terms(reference_colon(sub, vectors))
+    assert _terms(sub.colon_module(polys)) == _terms(reference_colon_module(sub, polys))
+
+
+def test_weighted_colon_module_with_unequal_degrees():
+    # weights (1, 2, 1): y has degree 2, so the two blocks sit at different
+    # shifts and a wrong sign on the shift breaks homogeneity or the answer
+    R = _xyz(weights=(1, 2, 1))
+    sub = submodule(R, 1, (0,), [["x^3"], ["y^2"], ["x*y*z"]])
+    polys = [parse_poly(R, "x"), parse_poly(R, "y")]
+    got = sub.colon_module(polys)
+    assert _terms(got) == _terms(reference_colon_module(sub, polys))
+    # (I : x) = (x^2, y^2, y*z) and (I : y) = (x^3, y, x*z)
+    assert got.equals(ideal(R, ["x^3", "x^2*y", "x^2*z", "y^2", "y*z"]))
