@@ -34,7 +34,8 @@ def _build_parser():
     run_p.add_argument("--out", default=".", help="directory for report artifacts")
     run_p.add_argument("--char", type=int, default=None,
                        help="override the coefficient characteristic")
-    run_p.add_argument("--jobs", type=int, default=1, help="concurrent grid points")
+    run_p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and recorded in run_meta.json; no effect")
     run_p.add_argument("--no-cache", action="store_true", help="disable the computation cache")
 
     self_p = sub.add_parser("selftest", help="run the invariant corpus")

@@ -13,8 +13,6 @@ ker/im inside the ambient block modules. The two must agree degreewise on
 every input; the lab treats a mismatch as a hard failure.
 """
 
-import threading
-
 from .errors import ConfigurationError, ContractViolation
 from .fpmodule import (
     FPModule,
@@ -35,7 +33,7 @@ BUILDER_NAMES = ("hom", "tensor", "tor", "ext", "compose")
 class CoherentFunctor:
     """coker(h_L -> h_K) for a homogeneous map f: K -> L."""
 
-    __slots__ = ("k", "l", "f", "label", "_diagram", "_lock")
+    __slots__ = ("k", "l", "f", "label", "_diagram")
 
     def __init__(self, k, l, f, label=""):
         if f.source is not k or f.target is not l:
@@ -45,14 +43,10 @@ class CoherentFunctor:
         self.f = f
         self.label = label or "coker(h_L -> h_K)"
         self._diagram = None
-        self._lock = threading.Lock()
 
     def diagram(self):
-        # single-flight: concurrent evaluations share one lift
         if self._diagram is None:
-            with self._lock:
-                if self._diagram is None:
-                    self._diagram = _lift_diagram(self)
+            self._diagram = _lift_diagram(self)
         return self._diagram
 
     def evaluate(self, x):

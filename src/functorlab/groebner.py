@@ -5,12 +5,16 @@ relations are adjoined as generators (relation times each basis vector), so
 normal forms and syzygies over R = P/I0 come out of the same Buchberger loop
 that serves the polynomial case.
 
-The engine is deliberately plain: pair selection ordered by sugar degree
-(true degree, since all input is homogeneous) and the Gebauer-Moeller pair
-update (criteria B, M and F; the product criterion for ideals only, since it
-fails for modules). Inputs enter as given, made monic; one pass over the
-finished basis makes the output canonical (monic, minimal, tail-reduced,
-sorted by lead). No F4/F5.
+The engine is deliberately plain. One loop takes inputs and S-pairs together
+in degree order (Giovini et al., "One sugar cube, please", 1991): the inputs
+wait in a queue ordered by the degree of their lead, and each is reduced
+against the basis so far before it enters, so an input that the basis
+already covers forms no pairs. Every new element goes through the
+Gebauer-Moeller pair update (criteria B, M and F; the product criterion for
+ideals only, since it fails for modules), which marks the pairs it drops dead
+in the pair heap instead of rebuilding it. One pass over the finished basis
+makes the output canonical (monic, minimal, tail-reduced, sorted by lead).
+No F4/F5.
 
 LiftSolver is the workhorse behind syzygies, kernels, preimages, and lifts:
 it tags each target with a fresh component that sorts below every main
@@ -20,7 +24,7 @@ relations, and division remainders spell out lifts.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop
+from heapq import heappop, heappush
 from operator import add
 
 from .poly import Poly, Vec
@@ -104,36 +108,25 @@ def reduce_vec(v, basis, bound, lead_index=None, track=False):
     return remainder, None
 
 
-def interreduce(vectors, bound, ring):
-    """Reduced form of a Groebner basis: monic, minimal, tail-reduced, by lead.
+def interreduce(elements, bound, ring):
+    """Reduced form of a minimal Groebner basis: tail-reduced, sorted by lead.
 
-    The input must already be a Groebner basis of its span. The reduced
-    basis is then unique, so one pass gives it: drop every element whose
-    lead is a multiple of a smaller kept lead, then replace the tail of each
-    survivor by its normal form against the kept set.
+    elements are (lead term, monic vector) pairs of a Groebner basis of
+    their span, no lead dividing another. The reduced basis is then unique,
+    so one pass gives it: replace the tail of each element by its normal
+    form against the others.
     """
     term_key = bound.term_key
-    mono_divides = ring.mono_divides
-    vs = []
-    for v in vectors:
-        if v:
-            lead, v = monic_lead(v, bound, ring)
-            vs.append((term_key(lead), lead, v))
-    vs.sort(key=lambda kv: kv[0])
-    kept, leads, lead_index = [], [], {}
-    for _key, lead, v in vs:
-        c, m = lead
-        bucket = lead_index.setdefault(c, [])
-        if any(mono_divides(km, m) for km, _i in bucket):
-            continue
-        bucket.append((m, len(kept)))
-        kept.append(v)
-        leads.append(lead)
+    elements = sorted(elements, key=lambda e: term_key(e[0]))
+    basis = [v for _lead, v in elements]
+    lead_index = {}
+    for i, ((c, m), _v) in enumerate(elements):
+        lead_index.setdefault(c, []).append((m, i))
     out = []
-    for v, lead in zip(kept, leads):
+    for lead, v in elements:
         tail = dict(v.terms)
         del tail[lead]
-        r, _ = reduce_vec(Vec(ring, tail), kept, bound, lead_index)
+        r, _ = reduce_vec(Vec(ring, tail), basis, bound, lead_index)
         terms = {lead: ring.one}
         terms.update(r.terms)
         out.append(Vec(ring, terms))
@@ -164,32 +157,49 @@ def s_vector(f, g, mf, mg, lcm, ring):
 def buchberger(vectors, *, ring, rank, twists, bound):
     """Reduced Groebner basis of span(vectors) + I0 * R^rank.
 
-    Every new element (input or S-vector remainder) goes through the
-    Gebauer-Moeller update: queued pairs fall to criterion B, the new pairs
-    to criteria M and F, and for ideals coprime pairs to the product
-    criterion. Elements whose lead is a multiple of the new lead stop
-    forming pairs and stop serving as reducers.
+    The inputs and the base-relation vectors wait in one queue, ordered by
+    the degree of their lead (monomial degree plus the twist of its
+    component), then by position. The loop always takes the lowest item
+    next: the next input if its degree is at most the sugar of the lowest
+    queued pair, else that pair. An input is reduced against the live basis
+    before it enters; a zero remainder adds nothing.
+
+    Every new element (reduced input or S-vector remainder) goes through the
+    Gebauer-Moeller update. Criterion B scans only the queued pairs of the
+    new lead's component and marks the ones it drops dead in place; the new
+    pairs that survive criteria M and F (and, for ideals, the product
+    criterion) are pushed onto the heap. Popping skips dead entries. Elements
+    whose lead is a multiple of the new lead stop forming pairs and stop
+    serving as reducers.
     """
     mono_lcm, mono_divides, mono_degree = ring.mono_lcm, ring.mono_divides, ring.mono_degree
-    G = []
-    leads = []
+    G = []  # monic elements
+    leads = []  # their lead terms (component, monomial)
     lead_index = {}  # component -> [(lead monomial, index)] of the live elements
-    pairs = []  # heap of (sugar, i, j, component, lcm)
+    queued = {}  # component -> heap entries of its pairs, possibly dead
+    pairs = []  # heap of [sugar, i, j, lcm]; lcm None marks a dead or popped entry
 
     def add(v):
-        (c, mh), v = monic_lead(v, bound, ring)
+        lead, v = monic_lead(v, bound, ring)
+        c, mh = lead
         h = len(G)
         G.append(v)
-        leads.append(mh)
+        leads.append(lead)
         # criterion B: h divides the lcm of a queued pair and shares it with
         # neither end, so the pairs (i, h) and (j, h) cover it
-        kept = [
-            p for p in pairs
-            if p[3] != c
-            or not mono_divides(mh, p[4])
-            or mono_lcm(leads[p[1]], mh) == p[4]
-            or mono_lcm(leads[p[2]], mh) == p[4]
-        ]
+        kept = []
+        for p in queued.get(c, ()):
+            lcm = p[3]
+            if lcm is None:
+                continue
+            if (
+                mono_divides(mh, lcm)
+                and mono_lcm(leads[p[1]][1], mh) != lcm
+                and mono_lcm(leads[p[2]][1], mh) != lcm
+            ):
+                p[3] = None
+            else:
+                kept.append(p)
         by_lcm, live = {}, []
         for gm, g in lead_index.get(c, ()):
             by_lcm.setdefault(mono_lcm(gm, mh), []).append((gm, g))
@@ -208,24 +218,39 @@ def buchberger(vectors, *, ring, rank, twists, bound):
             group = by_lcm[lcm]
             if rank == 1 and any(not any(a and b for a, b in zip(gm, mh)) for gm, _g in group):
                 continue
-            kept.append((mono_degree(lcm) + twists[c], group[0][1], h, c, lcm))
-        heapify(kept)
-        pairs[:] = kept
+            p = [mono_degree(lcm) + twists[c], group[0][1], h, lcm]
+            heappush(pairs, p)
+            kept.append(p)
+        queued[c] = kept
 
-    for v in list(vectors) + base_relation_vectors(ring, rank):
+    inputs = []
+    for k, v in enumerate(list(vectors) + base_relation_vectors(ring, rank)):
         if v:
-            add(v)
+            (c, m), _ = v.lead(bound)
+            inputs.append((mono_degree(m) + twists[c], k, v))
+    inputs.sort(reverse=True)  # lowest (degree, position) last
 
-    while pairs:
-        _, i, j, _c, lcm = heappop(pairs)
-        s = s_vector(G[i], G[j], leads[i], leads[j], lcm, ring)
-        if not s:
-            continue
-        r, _ = reduce_vec(s, G, bound, lead_index)
+    while True:
+        while pairs and pairs[0][3] is None:
+            heappop(pairs)
+        if inputs and (not pairs or inputs[-1][0] <= pairs[0][0]):
+            v = inputs.pop()[2]
+        elif pairs:
+            p = heappop(pairs)
+            _, i, j, lcm = p
+            p[3] = None
+            v = s_vector(G[i], G[j], leads[i][1], leads[j][1], lcm, ring)
+            if not v:
+                continue
+        else:
+            break
+        r, _ = reduce_vec(v, G, bound, lead_index)
         if r:
             add(r)
 
-    return interreduce([G[g] for bucket in lead_index.values() for _m, g in bucket], bound, ring)
+    return interreduce(
+        [(leads[g], G[g]) for bucket in lead_index.values() for _m, g in bucket], bound, ring
+    )
 
 
 class LiftSolver:

@@ -108,9 +108,9 @@ def _default_cap(scn):
     return max(0, min(dims, room))
 
 
-def _lambda_table(scn, task, jobs):
+def _lambda_table(scn, task):
     expr = _task_expr(scn, task)
-    obs = grid_evaluate(expr, scn.family_spec, scn.box, ("lambda",), jobs=jobs)
+    obs = grid_evaluate(expr, scn.family_spec, scn.box, ("lambda",))
     return {p: row["lambda"] for p, row in obs.items()}
 
 
@@ -130,12 +130,12 @@ def _check_fit_asserts(task, fit):
     return failures
 
 
-def run_fit(scn, task, jobs):
+def run_fit(scn, task):
     spec = scn.family_spec
     if spec is None:
         raise ConfigurationError("fit task needs a family block")
     box = _need_box(scn, "fit")
-    table = _lambda_table(scn, task, jobs)
+    table = _lambda_table(scn, task)
     cap = task["degree_cap"] if "degree_cap" in task else _default_cap(scn)
     fit = fit_polynomial(table, box, cap)
     result = {
@@ -148,7 +148,7 @@ def run_fit(scn, task, jobs):
     return result, _check_fit_asserts(task, fit)
 
 
-def run_normal_form(scn, task, jobs):
+def run_normal_form(scn, task):
     spec = _need_quotient(scn, "normal_form")
     box = _need_box(scn, "normal_form")
     functor = _single_functor(scn, "normal_form")
@@ -175,7 +175,7 @@ def run_normal_form(scn, task, jobs):
     return result, []
 
 
-def run_stabilization(scn, task, jobs):
+def run_stabilization(scn, task):
     spec = scn.family_spec
     if spec is None:
         raise ConfigurationError("stabilization task needs a family block")
@@ -183,7 +183,7 @@ def run_stabilization(scn, task, jobs):
     name = task.get("observable", "ass")
     expr = _task_expr(scn, task)
     grade_ideal = scn.ideals.get(task["ideal"]) if "ideal" in task else None
-    obs = grid_evaluate(expr, spec, box, (name,), grade_ideal=grade_ideal, jobs=jobs)
+    obs = grid_evaluate(expr, spec, box, (name,), grade_ideal=grade_ideal)
     table = {p: row[name] for p, row in obs.items()}
     verdict = detect_stabilization(table, box)
     result = {"observable": name, "table": table, "verdict": verdict}
@@ -203,11 +203,11 @@ def run_stabilization(scn, task, jobs):
     return result, failures
 
 
-def run_degree_bound(scn, task, jobs):
+def run_degree_bound(scn, task):
     spec = _need_quotient(scn, "degree_bound")
     box = _need_box(scn, "degree_bound")
     functor = _single_functor(scn, "degree_bound")
-    table = _lambda_table(scn, task, jobs)
+    table = _lambda_table(scn, task)
     cap = task["degree_cap"] if "degree_cap" in task else _default_cap(scn)
     fit = fit_polynomial(table, box, cap)
     if fit is None:
@@ -228,14 +228,14 @@ def run_degree_bound(scn, task, jobs):
     return result, failures
 
 
-def run_grade(scn, task, jobs):
+def run_grade(scn, task):
     spec = scn.family_spec
     if spec is None:
         raise ConfigurationError("grade task needs a family block")
     box = _need_box(scn, "grade")
     grade_ideal = scn.ideals[task["ideal"]]
     expr = _task_expr(scn, task)
-    rep = grade_asymptotics(grade_ideal, expr, spec, box, jobs=jobs)
+    rep = grade_asymptotics(grade_ideal, expr, spec, box)
     result = {"table": rep["table"], "verdict": rep["verdict"], "ideal": task["ideal"]}
     failures = []
     if "expect_value" in task:
@@ -260,13 +260,13 @@ def run_grade(scn, task, jobs):
     return result, failures
 
 
-def run_betti_bass(scn, task, jobs):
+def run_betti_bass(scn, task):
     spec = scn.family_spec
     if spec is None:
         raise ConfigurationError("betti_bass task needs a family block")
     box = _need_box(scn, "betti_bass")
     i_max = task.get("i_max", 3)
-    rep = betti_bass_asymptotics(_task_expr(scn, task), spec, box, i_max, jobs=jobs)
+    rep = betti_bass_asymptotics(_task_expr(scn, task), spec, box, i_max)
     result = {
         "fits": {k: _fit_payload(f) for k, f in rep["fits"].items()},
         "bounds": rep["bounds"],
@@ -286,7 +286,7 @@ def run_betti_bass(scn, task, jobs):
     return result, failures
 
 
-def run_component_track(scn, task, jobs):
+def run_component_track(scn, task):
     spec = scn.family_spec
     if spec is None or spec.kind != "component":
         raise ConfigurationError("component_track task needs a component family")
@@ -295,7 +295,7 @@ def run_component_track(scn, task, jobs):
     grade_ideal = scn.ideals.get(task["ideal"]) if "ideal" in task else None
     rep = component_track(
         spec.mgmodule, _task_expr(scn, task), box, observables=observables,
-        grade_ideal=grade_ideal, jobs=jobs,
+        grade_ideal=grade_ideal,
     )
     fit = rep["fits"].get("lambda")
     result = {
@@ -326,7 +326,7 @@ def run_component_track(scn, task, jobs):
     return result, failures
 
 
-def run_artin_rees(scn, task, jobs):
+def run_artin_rees(scn, task):
     spec = _need_quotient(scn, "artin_rees")
     box = _need_box(scn, "artin_rees")
     host, vectors = scn.submodules[task["sub"]]
@@ -384,7 +384,7 @@ def run_scenario_object(scn, jobs=1):
         started = time.monotonic()
         entry = {"task": name, "options": _clean(dict(task))}
         try:
-            result, failures = TASK_RUNNERS[name](scn, task, jobs)
+            result, failures = TASK_RUNNERS[name](scn, task)
             entry.update(_clean(result))
             if failures:
                 entry["status"] = "FAIL"

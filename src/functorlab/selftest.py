@@ -1,12 +1,12 @@
 """Invariant corpus run by the selftest subcommand.
 
-Every suite checks an identity the engine has no freedom about: S-vectors
-of returned bases reduce to zero, syzygies annihilate their generators and
-absorb brute-force strand kernels, resolutions respect the Euler identity,
-Tor is balanced, the two evaluation routes agree on a seeded corpus,
-Artin-Rees certificates hold on a window, and the fitter is exact. The
-fault hook flips one length in the route-equivalence suite so the tripwire
-itself can be demonstrated.
+Every suite checks an identity the engine has no freedom about: returned
+bases are reduced, hold their generators and have S-vectors that reduce to
+zero, syzygies annihilate their generators and absorb brute-force strand
+kernels, resolutions respect the Euler identity, Tor is balanced, the two
+evaluation routes agree on a seeded corpus, Artin-Rees certificates hold on
+a window, and the fitter is exact. The fault hook flips one length in the
+route-equivalence suite so the tripwire itself can be demonstrated.
 """
 
 import random
@@ -24,27 +24,16 @@ from .functors import (
     functor_from_tor,
 )
 from .grid import GridBox
-from .groebner import make_lead_index, reduce_vec, s_vector
+from .groebner import buchberger, make_lead_index, reduce_vec, s_vector
 from .multigraded import artin_rees_exponent, intersection_strand
 from .oracles import brute_kernel
-from .poly import parse_poly, parse_vec
+from .poly import parse_poly, parse_vec, quotient_ring
 from .rings import PolyRing
 from .submodule import IdealFamily, Submodule, ideal
 
 
 def _ring():
     return PolyRing(("x", "y"))
-
-
-def _ideal_corpus(ring):
-    texts = [
-        ["x", "y"],
-        ["x^2", "x*y", "y^2"],
-        ["x^2", "x*y"],
-        ["x^3 - x*y^2", "y^3"],
-        ["x^2 + y^2", "x*y"],
-    ]
-    return [ideal(ring, [parse_poly(ring, t) for t in batch]) for batch in texts]
 
 
 def _module_corpus(ring):
@@ -55,14 +44,57 @@ def _module_corpus(ring):
     return out
 
 
+def _buchberger_corpus():
+    """(ring, ideal generators) over GF(32003), Q, weights (1, 2) and the
+    quotient base k[x,y,z]/(xy - z^2). Some lists give a generator before
+    a lower-degree one that divides it, so the input queue reorders them and
+    reduces the multiple away."""
+    plain = [
+        ["x", "y"],
+        ["x^2", "x*y", "y^2"],
+        ["x^3", "x^2", "x*y"],
+        ["x^3 - x*y^2", "y^3"],
+        ["x^2 + y^2", "x*y"],
+        ["x^3 + x*y^2", "y^3 + x^2*y", "x^2 + y^2"],
+    ]
+    weighted = PolyRing(("x", "y"), weights=(1, 2))
+    quotient = quotient_ring(PolyRing(("x", "y", "z")), ["x*y - z^2"])
+    out = [(_ring(), texts) for texts in plain]
+    out += [(PolyRing(("x", "y"), char=0), texts) for texts in plain]
+    out += [(weighted, texts) for texts in (
+        ["x^2 - y", "x*y"],
+        ["x^4 + y^2", "x^2*y", "x^3"],
+        ["x^3*y + x*y^2", "x^2 - y", "y^2"],
+    )]
+    out += [(quotient, texts) for texts in (
+        ["x", "z"],
+        ["x^2 + y^2", "x*z"],
+        ["y^3 - x*z^2", "x^2*z", "x*z", "y^2"],
+    )]
+    return out
+
+
 def suite_buchberger():
-    ring = _ring()
-    for sub in _ideal_corpus(ring):
-        gb = sub.canonical()
-        bound = gb.bound
-        basis = list(gb.gens)
+    """Each basis is reduced, holds its generators, and its S-vectors reduce
+    to zero."""
+    corpus = _buchberger_corpus()
+    for ring, texts in corpus:
+        sub = ideal(ring, texts)
+        bound = sub.bound
+        basis = buchberger(sub.gens, ring=ring, rank=1, twists=(0,), bound=bound)
         lead = make_lead_index(basis, bound)
+        for g in sub.gens:
+            if reduce_vec(g, basis, bound, lead)[0]:
+                return False, "generator %s escapes the basis of %s" % (g.component(0), texts)
         leads = [g.lead(bound)[0] for g in basis]
+        for g, lead_term in zip(basis, leads):
+            # reduced: monic, and no lead divides a term except its own lead
+            if g.terms[lead_term] != ring.one:
+                return False, "basis of %s is not monic" % (texts,)
+            for tc, tm in g.terms:
+                hits = sum(lc == tc and ring.mono_divides(lm, tm) for lc, lm in leads)
+                if hits != ((tc, tm) == lead_term):
+                    return False, "basis of %s is not reduced" % (texts,)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 (ci, mi), (cj, mj) = leads[i], leads[j]
@@ -71,8 +103,8 @@ def suite_buchberger():
                 s = s_vector(basis[i], basis[j], mi, mj, ring.mono_lcm(mi, mj), ring)
                 remainder, _ = reduce_vec(s, basis, bound, lead)
                 if remainder:
-                    return False, "S-vector (%d, %d) did not reduce to zero" % (i, j)
-    return True, "%d bases checked" % len(_ideal_corpus(ring))
+                    return False, "S-vector (%d, %d) of %s did not reduce to zero" % (i, j, texts)
+    return True, "%d bases checked over GF(p), Q, weights (1,2), a quotient base" % len(corpus)
 
 
 def suite_syzygy():

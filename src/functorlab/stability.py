@@ -10,7 +10,6 @@ nothing is ever refitted or patched to make a family look stable.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
@@ -144,30 +143,23 @@ def _observe(module, observables, grade_ideal, i_max):
 
 
 def grid_evaluate(expr, spec, box, observables, grade_ideal=None, i_max=2, jobs=1):
-    """Exact per-point observable table over the box.
+    """Exact per-point observable table over the box, in ascending point order.
 
     expr may be None for the identity (observe the member itself). Points
-    are independent; jobs > 1 fans them out to threads and the fold is by
-    ascending point order either way.
+    are evaluated one after another. jobs is accepted and has no effect:
+    the work is pure Python under the GIL, which threads do not speed up.
     """
     bad = [o for o in observables if o not in OBSERVABLE_NAMES]
     if bad:
         raise ConfigurationError("unknown observables: %s" % ", ".join(bad))
     if box.r != spec.r:
         raise ConfigurationError("box dimension does not match the family")
-    points = box.points()
-
-    def work(p):
+    out = {}
+    for p in sorted(box.points()):
         member = spec.member(p)
         module = member if expr is None else evaluate_expression(expr, member)
-        return p, _observe(module, observables, grade_ideal, i_max)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(work, points))
-    else:
-        results = dict(work(p) for p in points)
-    return {p: results[p] for p in sorted(points)}
+        out[p] = _observe(module, observables, grade_ideal, i_max)
+    return out
 
 
 def detect_stabilization(table, box):
@@ -205,18 +197,16 @@ def degree_bound_check(functor, module, family, fitted):
     }
 
 
-def grade_asymptotics(grade_ideal, expr, spec, box, jobs=1):
+def grade_asymptotics(grade_ideal, expr, spec, box):
     """Per-point grade through the functor plus the shell verdict."""
-    obs = grid_evaluate(expr, spec, box, ("grade",), grade_ideal=grade_ideal, jobs=jobs)
+    obs = grid_evaluate(expr, spec, box, ("grade",), grade_ideal=grade_ideal)
     table = {p: row["grade"] for p, row in obs.items()}
     return {"table": table, "verdict": detect_stabilization(table, box)}
 
 
-def betti_bass_asymptotics(expr, spec, box, i_max, jobs=1):
+def betti_bass_asymptotics(expr, spec, box, i_max):
     """Polynomial fits for each beta_i, mu^i plus pd/id shell verdicts."""
-    obs = grid_evaluate(
-        expr, spec, box, ("betti", "bass", "pd", "id"), i_max=i_max, jobs=jobs
-    )
+    obs = grid_evaluate(expr, spec, box, ("betti", "bass", "pd", "id"), i_max=i_max)
     if spec.kind == "quotient":
         spread = analytic_spread(spec.module, spec.family)
         bound = max(0, spread - spec.r)
@@ -253,10 +243,10 @@ def betti_bass_asymptotics(expr, spec, box, i_max, jobs=1):
     return {"observations": obs, "fits": fits, "bounds": bounds, "verdicts": verdicts}
 
 
-def component_track(mgmodule, expr, box, observables=("lambda", "ass"), grade_ideal=None, jobs=1):
+def component_track(mgmodule, expr, box, observables=("lambda", "ass"), grade_ideal=None):
     """Strand-family track: observables, shell verdicts, and a length fit."""
     spec = FamilySpec.component(mgmodule)
-    obs = grid_evaluate(expr, spec, box, observables, grade_ideal=grade_ideal, jobs=jobs)
+    obs = grid_evaluate(expr, spec, box, observables, grade_ideal=grade_ideal)
     verdicts = {}
     fits = {}
     notes = []

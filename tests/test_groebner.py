@@ -3,7 +3,9 @@
 Expected bases here were worked out by hand (the examples are small enough to
 reduce on paper) and are frozen as canonical string forms. The oracle tests
 at the end compare buchberger with a plain reference Buchberger (every pair,
-no criteria, fixpoint interreduction) on seeded random homogeneous input.
+no criteria, fixpoint interreduction) on seeded random homogeneous input,
+given as generated and given in descending degree with multiples of earlier
+generators mixed in, so the degree-ordered input queue has work to do.
 """
 
 import heapq
@@ -11,6 +13,7 @@ import random
 
 import pytest
 
+from functorlab import groebner
 from functorlab.groebner import (
     LiftSolver,
     base_relation_vectors,
@@ -165,6 +168,24 @@ def test_sugar_queue_handles_inhomogeneous_input_too():
     assert basis  # terminates with a nonempty basis
 
 
+def test_inputs_covered_by_earlier_leads_form_no_pairs(monkeypatch):
+    # x^3 and x^2*y reduce to zero against x^2 before they enter, and the
+    # coprime pair (x^2, y^2) falls to the product criterion
+    R = ring_xy()
+    bound = TermOrder().bind(R, (0,))
+    calls = []
+
+    def counting_s_vector(*args):
+        calls.append(args)
+        return s_vector(*args)
+
+    monkeypatch.setattr(groebner, "s_vector", counting_s_vector)
+    vecs = [Vec.from_poly(parse_poly(R, s)) for s in ("x^2", "x^3", "x^2*y", "y^2")]
+    basis = buchberger(vecs, ring=R, rank=1, twists=(0,), bound=bound)
+    assert gb_strings(basis, 1) == [["y^2"], ["x^2"]]
+    assert len(calls) == 0
+
+
 # -- oracle: the reference algorithm --------------------------------------
 
 
@@ -262,6 +283,21 @@ ORACLE_CASES = {
 }
 
 
+def descending_with_multiples(rng, ring, twists, vecs):
+    """vecs plus, for two of them, a variable times the vector and a variable
+    times its sum with another vector of its degree, all sorted by
+    descending degree (ties keep their order)."""
+    out = list(vecs)
+    for v in rng.sample(vecs, min(2, len(vecs))):
+        var = Poly.variable(ring, rng.choice(ring.names))
+        out.append(v.mul_poly(var))
+        same = [u for u in vecs if u is not v and u.degree(twists) == v.degree(twists)]
+        if same:
+            out.append((v + rng.choice(same).scale(ring.coeff(2))).mul_poly(var))
+    out.sort(key=lambda v: -v.degree(twists))
+    return out
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_buchberger_matches_reference(case, seed):
@@ -270,9 +306,20 @@ def test_buchberger_matches_reference(case, seed):
     rng = random.Random("%s/%d" % (case, seed))
     vecs = random_vectors(rng, R, twists, count, degrees)
     bound = order.bind(R, twists)
-    got = buchberger(vecs, ring=R, rank=len(twists), twists=twists, bound=bound)
-    want = reference_buchberger(vecs, ring=R, rank=len(twists), twists=twists, bound=bound)
-    assert_same_basis(got, want)
+    rank = len(twists)
+    want = reference_buchberger(vecs, ring=R, rank=rank, twists=twists, bound=bound)
+    for given in (vecs, descending_with_multiples(rng, R, twists, vecs)):
+        got = buchberger(given, ring=R, rank=rank, twists=twists, bound=bound)
+        assert_same_basis(got, want)
+
+
+def assert_lift_solver_matches_reference(R, twists, targets, modulo):
+    solver = LiftSolver(R, len(twists), twists, targets, modulo)
+    tags = [Vec(R, {(len(twists) + i, R.unit_mono()): R.one}) for i in range(len(targets))]
+    want = reference_buchberger([t + e for t, e in zip(targets, tags)] + modulo, ring=R,
+                                rank=len(twists) + len(targets), twists=solver.aug_twists,
+                                bound=solver.bound)
+    assert_same_basis(solver.basis, want)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -283,11 +330,12 @@ def test_lift_solver_tagged_basis_matches_reference(char, seed):
     rng = random.Random("lift/%d/%d" % (char, seed))
     targets = random_vectors(rng, R, twists, 3, (2, 3), terms=2)
     modulo = random_vectors(rng, R, twists, 1, (3,), terms=2)
-    solver = LiftSolver(R, 2, twists, targets, modulo)
-    aug = [t + Vec(R, {(2 + i, R.unit_mono()): R.one}) for i, t in enumerate(targets)]
-    want = reference_buchberger(aug + modulo, ring=R, rank=2 + len(targets),
-                                twists=solver.aug_twists, bound=solver.bound)
-    assert_same_basis(solver.basis, want)
+    assert_lift_solver_matches_reference(R, twists, targets, modulo)
+    # tagged multiples of earlier targets, and modulo vectors, in descending degree
+    assert_lift_solver_matches_reference(
+        R, twists, descending_with_multiples(rng, R, twists, targets),
+        descending_with_multiples(rng, R, twists, modulo + targets[:1]),
+    )
 
 
 @pytest.mark.parametrize("case", ["rank1_gf", "rank1_quotient", "rank2_pot", "rank3_top"])
