@@ -131,13 +131,6 @@ class FPModule:
     def is_zero(self):
         return not self.numerator()
 
-    def support_window(self):
-        """Degree interval outside which a finite-length module vanishes."""
-        numer = self.numerator()
-        if not numer:
-            return (0, 0)
-        return (min(numer), max(numer) + 1)
-
     def hilbert_equal(self, other):
         """Exact equality of Hilbert functions in every degree."""
         return self.numerator() == other.numerator()
@@ -162,9 +155,6 @@ class FPModule:
                 acc = acc + g.mul_poly(c)
         return acc
 
-    def contains_ambient(self, v):
-        return self._gens_sub.contains(v)
-
     def annihilates(self, v):
         """True when v is zero in the module (lies in the relation span)."""
         return self._rels_sub.contains(v)
@@ -175,19 +165,7 @@ class FPModule:
         """Minimal cokernel presentation (gens pruned, relations minimal)."""
         if self._presentation is not None:
             return self._presentation
-        pruned = sorted(
-            self.gens, key=lambda g: (g.degree(self.twists), str(g.to_strings(self.rank)))
-        )
-        i = 0
-        while i < len(pruned):
-            rest = pruned[:i] + pruned[i + 1 :]
-            other = Submodule(
-                self.ring, self.rank, self.twists, rest + list(self.rels), self.order, check=False
-            )
-            if other.contains(pruned[i]):
-                pruned = rest
-            else:
-                i += 1
+        pruned = list(self._gens_sub.minimal_generators(modulo=self.rels).gens)
         gen_twists = tuple(g.degree(self.twists) for g in pruned)
         solver = LiftSolver(self.ring, self.rank, self.twists, pruned, list(self.rels))
         columns = Submodule(
@@ -441,10 +419,6 @@ class GradedComplex:
 
     def twist_table(self):
         return [m.twists for m in self.modules]
-
-    def differential_columns(self, k):
-        """Columns of maps[k] as vectors in the free module modules[k]."""
-        return [Vec.from_polys(list(col)) for col in self.maps[k].columns]
 
 
 def free_resolution(module, length_cap):

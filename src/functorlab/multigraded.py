@@ -84,9 +84,6 @@ class MultigradedAlgebraPresentation:
         self.q_gens = q_gens
         self.j_gens = j_gens
 
-    def q_ideal(self):
-        return Submodule(self.aq, 1, (0,), [Vec.from_poly(q) for q in self.q_gens], check=False)
-
     def mdeg(self, mono):
         """Multidegree of a monomial of R[y] (x-variables count zero)."""
         out = [0] * self.r
@@ -214,15 +211,6 @@ class MultigradedModule:
         self.label = label
         for rel in self.rels:
             algebra.vec_mdeg(rel, self.gen_mdegs)  # multihomogeneity tripwire
-
-    def relation_submodule(self):
-        return Submodule(
-            self.algebra.aq,
-            len(self.gen_adegs),
-            self.gen_adegs,
-            list(self.rels),
-            check=False,
-        )
 
     def component(self, nvec):
         return graded_component(self, nvec)
@@ -438,19 +426,8 @@ def _certified_ar(family, module, sub_vectors):
     s = len(module.gens)
     adegs = module.gen_degrees()
     zero = tuple(0 for _ in range(alg.r))
-    candidates = sorted(
-        kernel_gens,
-        key=lambda v: (v.degree(adegs), sorted(str(t) for t in v.terms)),
-    )
-    kept = list(candidates)
-    i = 0
-    while i < len(kept):
-        rest = kept[:i] + kept[i + 1 :]
-        span = Submodule(alg.aq, s, adegs, rest + base_rels, check=False)
-        if span.contains(kept[i]):
-            kept = rest
-        else:
-            i += 1
+    kernel = Submodule(alg.aq, s, adegs, kernel_gens, check=False)
+    kept = kernel.minimal_generators(modulo=base_rels).gens
     mdegs = [alg.vec_mdeg(k, (zero,) * s) for k in kept]
     if not mdegs:
         return zero

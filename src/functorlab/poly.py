@@ -40,23 +40,6 @@ class Poly:
     def variable(cls, ring, name, power=1):
         return cls(ring, {ring.var_mono(ring.var_index(name), power): ring.one})
 
-    @classmethod
-    def from_terms(cls, ring, items):
-        """items: iterable of (mono, coeff); coefficients are normalized."""
-        terms = {}
-        for mono, c in items:
-            c = ring.coeff(c)
-            if not c:
-                continue
-            mono = tuple(mono)
-            acc = terms.get(mono)
-            c = ring.add(acc, c) if acc is not None else c
-            if c:
-                terms[mono] = c
-            else:
-                terms.pop(mono, None)
-        return cls(ring, terms)
-
     # -- arithmetic ------------------------------------------------------
 
     def __bool__(self):

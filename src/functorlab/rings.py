@@ -108,9 +108,6 @@ class PolyRing:
             raise ZeroDivisionError("inverse of 0 in Q")
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- monomials -----------------------------------------------------------
 
     def mono_degree(self, mono):

@@ -17,6 +17,7 @@ from .functors import evaluate, evaluate_expression
 from .multigraded import analytic_spread, artin_rees_exponent, intersection_strand
 from .oracles import grade_by_regular_sequence
 from .stability import (
+    _component_cap,
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
@@ -103,9 +104,7 @@ def _default_cap(scn):
     if spec.kind == "quotient":
         spread = analytic_spread(spec.module, spec.family)
         return max(0, spread - spec.r) + max(spec.module.dim(), 0) + 1
-    dims = spec.mgmodule.algebra.aq.nvars
-    room = min(h - scn.box.shell - a for h, a in zip(scn.box.hi, scn.box.lo))
-    return max(0, min(dims, room))
+    return _component_cap(spec.mgmodule, scn.box)
 
 
 def _lambda_table(scn, task):

@@ -9,8 +9,6 @@ form that fails validation raises immediately naming the offending point;
 nothing is ever refitted or patched to make a family look stable.
 """
 
-import math
-
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
 from .fpmodule import FPModule, block_module, free_resolution
@@ -31,8 +29,6 @@ from .multigraded import analytic_spread, artin_rees_exponent, graded_component
 from .poly import Vec
 from .submodule import Submodule
 
-
-INF = float("inf")
 
 OBSERVABLE_NAMES = ("lambda", "ass", "grade", "betti", "bass", "pd", "id")
 
@@ -142,12 +138,11 @@ def _observe(module, observables, grade_ideal, i_max):
     return out
 
 
-def grid_evaluate(expr, spec, box, observables, grade_ideal=None, i_max=2, jobs=1):
+def grid_evaluate(expr, spec, box, observables, grade_ideal=None, i_max=2):
     """Exact per-point observable table over the box, in ascending point order.
 
     expr may be None for the identity (observe the member itself). Points
-    are evaluated one after another. jobs is accepted and has no effect:
-    the work is pure Python under the GIL, which threads do not speed up.
+    are evaluated one after another.
     """
     bad = [o for o in observables if o not in OBSERVABLE_NAMES]
     if bad:
@@ -489,57 +484,3 @@ def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
         checked.append(p)
     nf.validated = tuple(checked)
     return nf
-
-
-# -- reports -------------------------------------------------------------------------
-
-
-class StabilityReport:
-    """Machine-readable bundle of observations, verdicts, fits and bounds."""
-
-    __slots__ = ("label", "box", "observations", "verdicts", "fits", "bounds", "notes")
-
-    def __init__(self, label, box, observations=None, verdicts=None, fits=None,
-                 bounds=None, notes=()):
-        self.label = label
-        self.box = box
-        self.observations = observations or {}
-        self.verdicts = verdicts or {}
-        self.fits = fits or {}
-        self.bounds = bounds or {}
-        self.notes = list(notes)
-
-    def as_dict(self):
-        def clean(v):
-            if v == INF:
-                return "inf"
-            if v == -INF:
-                return "-inf"
-            if isinstance(v, float) and math.isnan(v):
-                return "nan"
-            if isinstance(v, dict):
-                return {str(k): clean(val) for k, val in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
-
-        fits = {}
-        for name, fit in self.fits.items():
-            if fit is None:
-                fits[name] = {"status": "no polynomial fit on box"}
-            elif isinstance(fit, dict):
-                fits[name] = fit
-            else:
-                fits[name] = fit.as_dict()
-        return {
-            "label": self.label,
-            "box": {"lo": list(self.box.lo), "hi": list(self.box.hi), "shell": self.box.shell},
-            "observations": {
-                ",".join(str(x) for x in p): clean(row)
-                for p, row in sorted(self.observations.items())
-            },
-            "verdicts": {k: clean(v) for k, v in self.verdicts.items()},
-            "fits": fits,
-            "bounds": {k: clean(v) for k, v in self.bounds.items()},
-            "notes": list(self.notes),
-        }

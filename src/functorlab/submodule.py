@@ -229,18 +229,31 @@ class Submodule:
                 gens.append(g.mul_poly(poly))
         return Submodule(self.ring, self.rank, self.twists, gens, self.order, check=False)
 
-    def minimal_generators(self):
-        """Inclusion-minimal generating subset (graded Nakayama pruning)."""
-        gens = sorted(self.gens, key=lambda g: (g.degree(self.twists), str(g.to_strings(self.rank))))
-        i = 0
-        while i < len(gens):
-            rest = gens[:i] + gens[i + 1 :]
-            other = Submodule(self.ring, self.rank, self.twists, rest, self.order, check=False)
-            if other.contains(gens[i]):
-                gens = rest
-            else:
-                i += 1
-        return Submodule(self.ring, self.rank, self.twists, gens, self.order, check=False)
+    def minimal_generators(self, modulo=()):
+        """A subset of gens minimally generating (self + span(modulo)) / span(modulo).
+
+        modulo lists vectors of the same ambient module that count as zero:
+        a generator they span, alone or with other generators, is dropped.
+        With modulo empty the result minimally generates self.
+
+        Graded Nakayama pruning: walk gens once in (degree, text) order and
+        keep a generator only when the kept ones plus modulo do not span it.
+        The kept ones plus modulo span self + span(modulo), and since every
+        ring here has positive weights (R_0 is the field), none of them lies
+        in the span of the others plus modulo. The span is rebuilt only when
+        a generator is kept: one Groebner basis per kept generator, plus one
+        of modulo alone.
+        """
+        modulo = list(modulo)
+        kept = []
+        span = Submodule(self.ring, self.rank, self.twists, modulo, self.order, check=False)
+        for g in sorted(self.gens, key=lambda g: (g.degree(self.twists), str(g.to_strings(self.rank)))):
+            if not span.contains(g):
+                kept.append(g)
+                span = Submodule(
+                    self.ring, self.rank, self.twists, kept + modulo, self.order, check=False
+                )
+        return Submodule(self.ring, self.rank, self.twists, kept, self.order, check=False)
 
     def __repr__(self):
         body = "; ".join(",".join(g.to_strings(self.rank)) for g in self.gens)

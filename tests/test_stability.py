@@ -90,14 +90,6 @@ def test_grid_evaluate_lengths_and_ass(ring):
     assert obs[(2,)]["ass"] == [("x", "y")]
 
 
-def test_grid_evaluate_threads_match_serial(ring):
-    spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], _mxy(ring))
-    box = GridBox((1,), (5,), shell=1)
-    serial = grid_evaluate(None, spec, box, ("lambda",))
-    threaded = grid_evaluate(None, spec, box, ("lambda",), jobs=3)
-    assert serial == threaded
-
-
 def test_grid_evaluate_rejects_unknown_observable(ring):
     spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], _mxy(ring))
     with pytest.raises(ConfigurationError):
@@ -275,19 +267,6 @@ def test_component_track_infinite_lengths_refused(ring):
     rep = component_track(mg, None, box, observables=("lambda",))
     assert isinstance(rep["fits"]["lambda"], dict)
     assert "error" in rep["fits"]["lambda"]
-
-
-def test_stability_report_serializes(ring):
-    from functorlab.stability import StabilityReport
-
-    box = GridBox((1,), (4,), shell=1)
-    spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], _mxy(ring))
-    obs = grid_evaluate(None, spec, box, ("lambda",))
-    report = StabilityReport("demo", box, observations=obs, notes=["n/a"])
-    blob = report.as_dict()
-    assert blob["box"] == {"lo": [1], "hi": [4], "shell": 1}
-    assert blob["observations"]["2"]["lambda"] == 3
-    assert blob["notes"] == ["n/a"]
 
 
 # -- one resolution per observed module ------------------------------------------

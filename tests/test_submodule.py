@@ -2,15 +2,19 @@
 
 The oracle tests at the end compare the one-kernel intersect, colon and
 colon_module with the constructions they replaced (one kernel per vector or
-polynomial, folded by intersections, every generator tagged) on seeded
-random homogeneous input.
+polynomial, folded by intersections, every generator tagged), and the
+one-pass minimal_generators with the drop-one-at-a-time loop it replaced, on
+seeded random homogeneous input.
 """
 
+import importlib
 import random
 
 import pytest
 
+from functorlab import cache
 from functorlab.errors import ContractViolation, HomogeneityError
+from functorlab.fpmodule import FPModule
 from functorlab.groebner import LiftSolver
 from functorlab.oracles import monomials_of_degree
 from functorlab.poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
@@ -24,6 +28,9 @@ from functorlab.submodule import (
     unit_ideal,
     zero_submodule,
 )
+
+# the package re-exports the function submodule under the module's name
+submodule_mod = importlib.import_module("functorlab.submodule")
 
 
 def R2(char=32003):
@@ -254,3 +261,119 @@ def test_weighted_colon_module_with_unequal_degrees():
     assert _terms(got) == _terms(reference_colon_module(sub, polys))
     # (I : x) = (x^2, y^2, y*z) and (I : y) = (x^3, y, x*z)
     assert got.equals(ideal(R, ["x^3", "x^2*y", "x^2*z", "y^2", "y*z"]))
+
+
+# -- oracle: minimal generators, one candidate at a time ---------------------------
+
+
+def reference_minimal_generators(sub, modulo=()):
+    """Drop each generator, in (degree, text) order, that the rest plus modulo span."""
+    gens = sorted(sub.gens, key=lambda g: (g.degree(sub.twists), str(g.to_strings(sub.rank))))
+    i = 0
+    while i < len(gens):
+        rest = gens[:i] + gens[i + 1 :]
+        other = Submodule(sub.ring, sub.rank, sub.twists, rest + list(modulo), check=False)
+        if other.contains(gens[i]):
+            gens = rest
+        else:
+            i += 1
+    return gens
+
+
+MINGEN_CASES = {
+    # name: (ring, twists, degrees of the independent generators)
+    "gf_rank1": (lambda: _xyz(), (0,), (2, 3)),
+    "q_rank1": (lambda: _xyz(char=0), (0,), (2, 3)),
+    "weights_1_2_1": (lambda: _xyz(weights=(1, 2, 1)), (0,), (2, 3)),
+    "quotient_rank1": (lambda: _xyz(relations=["x*y - z^2"]), (0,), (2, 3)),
+    "gf_rank2_twisted": (lambda: _xyz(), (1, 2), (2, 3)),
+}
+
+
+def _mingen_inputs(case, seed, with_modulo):
+    """Random generators with planted redundancy, shuffled, and a modulo list.
+
+    The planted generators are duplicates, scalar multiples, sums of two
+    generators of one degree, variable multiples of generators and (with
+    modulo) a modulo vector of a generator's degree and its difference with
+    that generator.
+    """
+    make_ring, twists, degrees = MINGEN_CASES[case]
+    R = make_ring()
+    rng = random.Random("mingen/%s/%d/%d" % (case, seed, with_modulo))
+    base = random_vectors(rng, R, twists, 4, degrees)
+    planted = [base[0], base[1].scale(R.coeff(-3))]
+    for a in base:
+        for b in base:
+            if a is not b and a.degree(twists) == b.degree(twists):
+                planted.append(a + b.scale(R.coeff(2)))
+                break
+    for g in base[:2]:
+        planted.append(g.mul_term(R.one, R.var_mono(rng.randrange(R.nvars), 1)))
+    modulo = []
+    if with_modulo:
+        modulo = random_vectors(rng, R, twists, 1, degrees[-1:])
+        (m,) = random_vectors(rng, R, twists, 1, [base[0].degree(twists)])
+        modulo.append(m)
+        planted.extend([base[0] - m, m])
+    gens = base + planted
+    rng.shuffle(gens)
+    return Submodule(R, len(twists), twists, gens), modulo
+
+
+def _span_terms(sub, vectors):
+    return _terms(Submodule(sub.ring, sub.rank, sub.twists, list(vectors), check=False))
+
+
+@pytest.fixture
+def no_cache(monkeypatch):
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+
+
+@pytest.mark.parametrize("with_modulo", [False, True])
+@pytest.mark.parametrize("case", sorted(MINGEN_CASES))
+def test_minimal_generators_match_reference(case, with_modulo, no_cache):
+    sub, modulo = _mingen_inputs(case, 1, with_modulo)
+    kept = list(sub.minimal_generators(modulo=modulo).gens)
+    ref = reference_minimal_generators(sub, modulo)
+    assert _span_terms(sub, kept + modulo) == _span_terms(sub, ref + modulo)
+    assert _span_terms(sub, kept + modulo) == _span_terms(sub, list(sub.gens) + modulo)
+    assert sorted(g.degree(sub.twists) for g in kept) == sorted(g.degree(sub.twists) for g in ref)
+    assert len(kept) < len(sub.gens)
+    for i, g in enumerate(kept):
+        others = Submodule(sub.ring, sub.rank, sub.twists, kept[:i] + kept[i + 1 :] + modulo)
+        assert not others.contains(g)
+
+
+@pytest.mark.parametrize("with_modulo", [False, True])
+@pytest.mark.parametrize("case", sorted(MINGEN_CASES))
+def test_minimal_generators_build_one_basis_per_kept_generator(
+    case, with_modulo, no_cache, monkeypatch
+):
+    sub, modulo = _mingen_inputs(case, 2, with_modulo)
+    calls = []
+    real = submodule_mod.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(submodule_mod, "buchberger", counting)
+    kept = sub.minimal_generators(modulo=modulo).gens if with_modulo else sub.minimal_generators().gens
+    assert len(calls) <= len(kept) + 1
+
+
+def test_presentation_drops_a_generator_spanned_with_the_relations():
+    # U = (x, y, z^2 + x*y), W = (x^2, z^2): z^2 + x*y = y*x + z^2 needs both
+    # another generator and a relation, so U/W is minimally generated by x, y
+    R = _xyz()
+    gens = [parse_vec(R, [s]) for s in ("z^2 + x*y", "y", "x")]
+    rels = [parse_vec(R, [s]) for s in ("x^2", "z^2")]
+    m = FPModule(R, 1, (0,), gens, rels)
+    assert not Submodule(R, 1, (0,), gens[1:]).contains(gens[0])
+    assert not Submodule(R, 1, (0,), rels).contains(gens[0])
+    pres = m.presentation()
+    assert sorted(g.to_strings(1)[0] for g in pres.gens) == ["x", "y"]
+    assert pres.gen_twists == (1, 1)
+    coker = FPModule.from_cokernel(R, pres.gen_twists, pres.columns)
+    assert coker.hilbert_equal(m)
