@@ -58,7 +58,7 @@ from .stability import (
     grade_asymptotics,
     grid_evaluate,
 )
-from .submodule import IdealFamily, Submodule, ideal, submodule, unit_ideal, zero_submodule
+from .submodule import IdealFamily, Submodule, ideal, unit_ideal, zero_submodule
 
 __all__ = [
     "CapExceeded",
@@ -115,7 +115,6 @@ __all__ = [
     "quotient_by",
     "quotient_ring",
     "rees_module",
-    "submodule",
     "syzygies",
     "unit_ideal",
     "zero_submodule",

@@ -1,12 +1,22 @@
 """Associated primes, grade, depth, Betti and Bass numbers.
 
-Associated primes are never guessed: a candidate prime p is accepted only
-when the exact criterion holds, namely (0 :_M p) != 0 and the annihilator of
-(0 :_M p) is p on the nose. Candidate generation is a ladder: fine-graded
-modules draw candidates from variable-subset primes; otherwise, over a
-polynomial base, minimal primes of the annihilators of Ext^i(M, R) of height
-i are tried. When no complete candidate scheme applies the computation
+Associated primes are never guessed. Candidates come from a complete
+scheme: for fine-graded modules, the variable-subset primes that contain a
+minimal prime of ann(M) (one colon, then a monomial cover); otherwise, over
+a polynomial base, the minimal primes of height i of the annihilators of
+Ext^i(M, R) (Eisenbud-Huneke-Vasconcelos). Every candidate lies in Supp M,
+and the candidates minimal by inclusion are exactly the minimal primes of
+Supp M, which are always associated (Matsumura, Thm 6.5): they are accepted
+without a test. Each embedded candidate p is accepted only when the exact
+criterion holds, namely (0 :_M p) != 0 and the annihilator of (0 :_M p) is
+p on the nose. When no complete candidate scheme applies the computation
 refuses with StrategyExhausted rather than return a possibly partial list.
+
+Over a polynomial base in n variables, Koszul self-duality gives
+Ext^i(k, M) = Tor_(n-i)(k, M) as vector spaces, so the Bass numbers are the
+Betti numbers read backwards, mu^i = beta_(n-i), and vanish past n: one
+minimal resolution of M serves Betti numbers, Bass numbers, pd, id and
+depth. Over a quotient base mu^i is the length of Ext^i(k, M).
 
 grade(J, M) is the first nonvanishing Ext^i(R/J, M). Bass numbers have no
 internal zeros between depth and the injective dimension, and Betti numbers
@@ -85,11 +95,14 @@ def _variable_subset_candidates(ring):
 
 
 def _monomial_minimal_primes(ideal_sub):
-    """Minimal variable subsets covering a monomial ideal, or None."""
+    """Minimal variable subsets covering a monomial ideal, or None.
+
+    Reads the reduced Groebner basis, which is monomial exactly when the
+    ideal is; redundant generators do not change the minimal covers.
+    """
     ring = ideal_sub.ring
-    gens = ideal_sub.minimal_generators().gens
     covers = []
-    for g in gens:
+    for g in ideal_sub.groebner():
         if len(g.terms) != 1:
             return None
         ((_c, mono),) = g.terms
@@ -105,14 +118,16 @@ def _monomial_minimal_primes(ideal_sub):
     return hits
 
 
-def _ext_support_candidates(module):
+def _ext_support_candidates(module, resolution=None):
     if module.ring.relations:
         raise StrategyExhausted(
             "Ext-support candidates are only complete over a polynomial base"
         )
     ring = module.ring
     free = FPModule.free(ring, (0,), module.order)
-    res = free_resolution(module, ring.nvars + 1)
+    res = resolution
+    if res is None or not (res.exhausted or len(res.maps) > ring.nvars):
+        res = free_resolution(module, ring.nvars + 1)
     subsets = set()
     for i in range(ring.nvars + 1):
         e = hom_ext_tor(module, free, i, "Ext", resolution=res)
@@ -139,19 +154,30 @@ def is_associated(module, prime_ideal):
     return rels.colon(list(killed.gens)).equals(prime_ideal)
 
 
-def associated_primes(module):
-    """Ass(M) as a sorted list of prime ideals; exact or refuses."""
+def associated_primes(module, resolution=None):
+    """Ass(M) as a sorted list of prime ideals; exact or refuses.
+
+    resolution, when given, is free_resolution(module, L) for any L; the
+    Ext-support route reads it when it is exhausted or L > nvars.
+    """
     ring = module.ring
     if module.is_zero():
         return []
     if _is_fine(module):
-        subsets = _variable_subset_candidates(ring)
+        support = _monomial_minimal_primes(annihilator(module))
+        if support is None:
+            raise ContractViolation("annihilator of a fine module is not monomial")
+        subsets = [
+            s for s in _variable_subset_candidates(ring) if any(m <= s for m in support)
+        ]
     else:
-        subsets = _ext_support_candidates(module)
+        subsets = _ext_support_candidates(module, resolution)
+    # both schemes list distinct subsets by size, then lexicographically
     out = []
-    for subset in sorted(set(subsets), key=lambda s: (len(s), sorted(s))):
+    for subset in subsets:
         p = _subset_ideal(ring, subset, module.order)
-        if is_associated(module, p):
+        # a candidate minimal by inclusion is a minimal prime of Supp M
+        if not any(s < subset for s in subsets) or is_associated(module, p):
             out.append(p)
     return out
 
@@ -215,19 +241,40 @@ def bass_number(module, i, profile=None):
     """mu^i; profile, when given, is a bass_profile of module longer than i."""
     if i < 0:
         raise ContractViolation("homological index must be nonnegative")
-    if profile is not None:
-        return profile[i]
-    k = residue_field(module.ring, module.order)
-    return hom_ext_tor(k, module, i, "Ext").length()
+    if profile is None:
+        profile = bass_profile(module, i + 1)
+    return profile[i]
 
 
-def bass_profile(module, count):
-    """mu^0 .. mu^(count-1), sharing one Koszul resolution."""
+def ext_bass_profile(module, count):
+    """mu^0 .. mu^(count-1) as lengths of Ext^i(k, M), sharing one resolution
+    of k: the route over a quotient base, and the reference for the Koszul
+    reading over a polynomial base."""
     k = residue_field(module.ring, module.order)
     res = free_resolution(k, count + 1)
     return [
         hom_ext_tor(k, module, i, "Ext", resolution=res).length() for i in range(count)
     ]
+
+
+def bass_profile(module, count, resolution=None):
+    """mu^0 .. mu^(count-1).
+
+    Over a polynomial base in n variables mu^i = beta_(n-i), read off the
+    minimal resolution: resolution when given (free_resolution(module, L),
+    exhausted or L >= n), else free_resolution(module, n). Over a quotient
+    base the profile is ext_bass_profile and resolution is not read.
+    """
+    ring = module.ring
+    if ring.relations:
+        return ext_bass_profile(module, count)
+    n = ring.nvars
+    if resolution is None:
+        resolution = free_resolution(module, n)
+    elif not resolution.exhausted and len(resolution.maps) < n:
+        raise CapExceeded("supplied resolution is too short for stage %d" % n)
+    ranks = resolution.ranks()
+    return [ranks[n - i] if 0 <= n - i < len(ranks) else 0 for i in range(count)]
 
 
 def depth(module, length_cap=None):

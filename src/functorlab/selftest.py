@@ -3,9 +3,10 @@
 Every suite checks an identity the engine has no freedom about: returned
 bases are reduced, hold their generators and have S-vectors that reduce to
 zero, syzygies annihilate their generators and absorb brute-force strand
-kernels, resolutions respect the Euler identity, Tor is balanced, the two
-evaluation routes agree on a seeded corpus, Artin-Rees certificates hold on
-a window, and the fitter is exact. The fault hook flips one length in the
+kernels, resolutions respect the Euler identity, Tor is balanced, Bass
+numbers read off the minimal resolution equal the lengths of Ext^i(k, M)
+(Koszul self-duality), the two evaluation routes agree on a seeded corpus,
+Artin-Rees certificates hold on a window, and the fitter is exact. The fault hook flips one length in the
 route-equivalence suite so the tripwire itself can be demonstrated.
 """
 
@@ -25,6 +26,7 @@ from .functors import (
 )
 from .grid import GridBox
 from .groebner import buchberger, make_lead_index, reduce_vec, s_vector
+from .invariants import bass_profile, ext_bass_profile
 from .multigraded import artin_rees_exponent, intersection_strand
 from .oracles import brute_kernel
 from .poly import parse_poly, parse_vec, quotient_ring
@@ -172,6 +174,20 @@ def suite_tor_balance():
     return True, "%d pairs balanced" % len(pairs)
 
 
+def suite_bass_koszul_duality():
+    """mu^i = beta_(n-i) off the minimal resolution agrees with the length
+    of Ext^i(k, M) over GF(p), Q and weights (1, 2)."""
+    rings = (_ring(), PolyRing(("x", "y"), char=0), PolyRing(("x", "y"), weights=(1, 2)))
+    checked = 0
+    for ring in rings:
+        count = ring.nvars + 2
+        for module in _module_corpus(ring):
+            if bass_profile(module, count) != ext_bass_profile(module, count):
+                return False, "Bass profiles disagree for %r" % (module,)
+            checked += 1
+    return True, "%d profiles agree over GF(p), Q, weights (1,2)" % checked
+
+
 def route_corpus(ring, count=25, seed=20260401):
     """Seeded (functor, argument) pairs; deterministic across runs."""
     rng = random.Random(seed)
@@ -267,6 +283,7 @@ SUITES = (
     ("syzygy_vs_brute_kernels", suite_syzygy),
     ("euler_characteristic", suite_euler),
     ("tor_balance", suite_tor_balance),
+    ("bass_koszul_duality", suite_bass_koszul_duality),
     ("route_equivalence", suite_route_equivalence),
     ("artin_rees_certificates", suite_artin_rees),
     ("fit_exactness", suite_fit_exactness),

@@ -96,29 +96,34 @@ def _prime_key(sub):
 
 
 def _observe(module, observables, grade_ideal, i_max):
+    # one minimal resolution of the module serves every beta_i and pd and,
+    # over a polynomial base, every mu^i = beta_(n-i), id and the Ext-support
+    # candidates of Ass; it is as long as its longest reader
+    ring = module.ring
+    cap = scan_cap(ring, None)
+    stages = [i_max] if "betti" in observables else []
+    if "pd" in observables:
+        stages.append(cap + 1)
+    if not ring.relations and ("bass" in observables or "id" in observables):
+        stages.append(ring.nvars)
+    res = free_resolution(module, max(stages)) if stages else None
     out = {}
     if "lambda" in observables:
         out["lambda"] = module.length()
     if "ass" in observables:
         try:
-            out["ass"] = sorted(_prime_key(p) for p in associated_primes(module))
+            primes = associated_primes(module, resolution=res)
+            out["ass"] = sorted(_prime_key(p) for p in primes)
         except StrategyExhausted as exc:
             out["ass"] = {"error": "strategy exhausted: %s" % exc}
     if "grade" in observables:
         if grade_ideal is None:
             raise ConfigurationError("grade observable needs an ideal")
         out["grade"] = grade(grade_ideal, module)
-    # one resolution of the module serves every beta_i and pd, one Bass
-    # profile every mu^i and id; each is as long as its longest reader
-    cap = scan_cap(module.ring, None)
-    stages = [i_max] if "betti" in observables else []
-    if "pd" in observables:
-        stages.append(cap + 1)
-    res = free_resolution(module, max(stages)) if stages else None
     counts = [i_max + 1] if "bass" in observables else []
     if "id" in observables:
         counts.append(cap + 2)
-    profile = bass_profile(module, max(counts)) if counts else None
+    profile = bass_profile(module, max(counts), resolution=res) if counts else None
     if "betti" in observables or "bass" in observables:
         for i in range(i_max + 1):
             if "betti" in observables:

@@ -3,18 +3,29 @@
 Oracles: Ass(R/(x^2,xy)) = {(x), (x,y)} is the textbook embedded-prime
 example; grade values double-checked by exhibiting regular sequences by
 hand; Bass numbers of R/(x,y)^n against local duality (mu^2 != 0, mu^3 = 0).
+
+The reference tests at the end compare the support-filtered Ass route with
+the exact test run on every variable-subset prime, and the Bass numbers read
+off the minimal resolution with the lengths of Ext^i(k, M), on seeded random
+fine and binomial modules over GF(32003), Q, weights (1,2,1) and the
+quotient bases k[x,y,z]/(xy) and k[x,y,z]/(x^2).
 """
 
 import math
+import random
 
 import pytest
 
-from functorlab.errors import ContractViolation, StrategyExhausted
-from functorlab.fpmodule import FPModule
+from functorlab import invariants
+from functorlab.errors import CapExceeded, ContractViolation, StrategyExhausted
+from functorlab.fpmodule import FPModule, free_resolution, hom_ext_tor
 from functorlab.invariants import (
+    _subset_ideal,
+    _variable_subset_candidates,
     annihilator,
     associated_primes,
     bass_number,
+    bass_profile,
     betti_number,
     depth,
     depth_betti_bass,
@@ -30,7 +41,7 @@ from functorlab.ops import (
     submodule_algebra,
     syzygies,
 )
-from functorlab.poly import parse_vec, quotient_ring
+from functorlab.poly import parse_poly, parse_vec, quotient_ring
 from functorlab.rings import PolyRing
 from functorlab.submodule import ideal
 
@@ -179,3 +190,178 @@ def test_syzygies_op():
     syz = syzygies(sub)
     assert syz.rank == 2
     assert len(syz.gens) == 1
+
+
+# -- references: every subset tested, Bass numbers from Ext^i(k, M) ------------
+
+
+def all_subsets_ass(module):
+    """Ass by the exact test on every variable-subset prime, none accepted
+    untested: complete whenever Ass consists of such primes."""
+    ring = module.ring
+    primes = [_subset_ideal(ring, s, module.order) for s in _variable_subset_candidates(ring)]
+    return [p for p in primes if is_associated(module, p)]
+
+
+def ext_bass_reference(module, count):
+    """mu^i as the length of Ext^i(k, M), one fresh resolution of k each."""
+    k = residue_field(module.ring, module.order)
+    return [hom_ext_tor(k, module, i, "Ext").length() for i in range(count)]
+
+
+XYZ = ("x", "y", "z")
+REFERENCE_RINGS = {
+    "gf": PolyRing(XYZ),
+    "q": PolyRing(XYZ, char=0),
+    "w121": PolyRing(XYZ, weights=(1, 2, 1)),
+    "xy": quotient_ring(PolyRing(XYZ), ["x*y"]),
+    "x2": quotient_ring(PolyRing(XYZ), ["x^2"]),
+}
+
+
+def _monomial(rng, ring, top):
+    exps = [rng.randint(0, top) for _ in ring.names]
+    factors = ["%s^%d" % (n, e) for n, e in zip(ring.names, exps) if e]
+    return "*".join(factors) or "1"
+
+
+def _vec(ring, rank, entries):
+    comps = ["0"] * rank
+    for c, text in entries:
+        comps[c] = text
+    return parse_vec(ring, comps)
+
+
+def random_fine_module(rng, ring):
+    """Rank 1-2 subquotient with single-term generators and relations."""
+    rank = rng.randint(1, 2)
+    twists = tuple(rng.randint(0, 1) for _ in range(rank))
+    gens = [_vec(ring, rank, [(c, _monomial(rng, ring, 1))]) for c in range(rank)]
+    rels = [
+        rng.choice(gens).mul_poly(parse_poly(ring, _monomial(rng, ring, 2)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return FPModule(ring, rank, twists, gens, rels)
+
+
+def random_binomial_module(rng, ring):
+    """Rank 2 cokernel with a binomial relation m1*e1 - m2*e2 and monomial
+    relations; the twists make the binomial homogeneous."""
+    m1, m2 = _monomial(rng, ring, 1), _monomial(rng, ring, 1)
+    d1, d2 = (parse_poly(ring, m).degree() for m in (m1, m2))
+    rels = [_vec(ring, 2, [(0, m1), (1, "-" + m2)])]
+    for _ in range(rng.randint(0, 2)):
+        rels.append(_vec(ring, 2, [(rng.randint(0, 1), _monomial(rng, ring, 2))]))
+    return FPModule.from_cokernel(ring, (d2, d1), rels)
+
+
+def _ass_names(primes):
+    return [names(p) for p in primes]
+
+
+@pytest.mark.parametrize("ring_name", sorted(REFERENCE_RINGS))
+def test_support_route_matches_all_subsets_on_fine_modules(ring_name):
+    ring = REFERENCE_RINGS[ring_name]
+    rng = random.Random("fine-" + ring_name)
+    for _ in range(10):
+        m = random_fine_module(rng, ring)
+        assert _ass_names(associated_primes(m)) == _ass_names(all_subsets_ass(m)), m
+
+
+@pytest.mark.parametrize("ring_name", sorted(REFERENCE_RINGS))
+def test_ext_support_route_matches_all_subsets_on_binomial_modules(ring_name):
+    ring = REFERENCE_RINGS[ring_name]
+    rng = random.Random("binomial-" + ring_name)
+    answered = 0
+    for _ in range(8):
+        m = random_binomial_module(rng, ring)
+        if invariants._is_fine(m) or m.is_zero():
+            continue
+        if ring.relations:
+            # the Ext-support scheme is only complete over a polynomial base
+            with pytest.raises(StrategyExhausted):
+                associated_primes(m)
+            continue
+        try:
+            got = associated_primes(m)
+        except StrategyExhausted:
+            continue
+        # every Ext annihilator was monomial, so Ass is made of subset primes
+        assert _ass_names(got) == _ass_names(all_subsets_ass(m)), m
+        answered += 1
+    assert ring.relations or answered >= 3
+
+
+@pytest.mark.parametrize("ring_name", sorted(REFERENCE_RINGS))
+def test_bass_profile_matches_ext_of_residue_field(ring_name):
+    ring = REFERENCE_RINGS[ring_name]
+    rng = random.Random("bass-" + ring_name)
+    count = ring.nvars + 2
+    for _ in range(4):
+        for m in (random_fine_module(rng, ring), random_binomial_module(rng, ring)):
+            assert bass_profile(m, count) == ext_bass_reference(m, count), m
+
+
+def test_bass_profile_reads_the_resolution_backwards():
+    m = cyclic("x^2", "x*y", "y^2")
+    res = free_resolution(m, 2)
+    assert res.ranks() == [1, 3, 2]
+    assert bass_profile(m, 5, resolution=res) == [2, 3, 1, 0, 0]
+    assert bass_profile(FPModule.free(R, (0,)), 4) == [0, 0, 1, 0]
+    assert bass_profile(FPModule.zero(R), 3) == [0, 0, 0]
+    short = free_resolution(m, 1)
+    assert not short.exhausted
+    with pytest.raises(CapExceeded):
+        bass_profile(m, 3, resolution=short)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_finite_length_fine_module_needs_no_associated_test(monkeypatch):
+    # the only candidate above ann(M) = (x^2, x*y, y^3) is the maximal ideal,
+    # a minimal prime of the support: accepted without the exact test
+    m = cyclic("x^2", "x*y", "y^3")
+    calls = _count_calls(monkeypatch, invariants, "is_associated")
+    assert _ass_names(associated_primes(m)) == [("x", "y")]
+    assert calls == []
+
+
+def test_only_embedded_candidates_are_tested(monkeypatch):
+    m = cyclic("x^2", "x*y")
+    calls = _count_calls(monkeypatch, invariants, "is_associated")
+    assert _ass_names(associated_primes(m)) == [("x",), ("x", "y")]
+    assert len(calls) == 1  # (x) is minimal over ann(M); only (x, y) is tested
+
+
+def test_fine_module_with_non_monomial_annihilator_is_refused(monkeypatch):
+    monkeypatch.setattr(invariants, "annihilator", lambda module: ideal(R, ["x + y"]))
+    with pytest.raises(ContractViolation):
+        associated_primes(cyclic("x^2"))
+
+
+def test_ext_support_route_reuses_a_supplied_resolution(monkeypatch):
+    # the presented ideal (x, y) is not fine, so Ass goes through Ext(M, R)
+    m = FPModule(
+        R, 2, (1, 1),
+        [parse_vec(R, ["1", "0"]), parse_vec(R, ["0", "1"])],
+        [parse_vec(R, ["y", "-x"])],
+    )
+    full = free_resolution(m, R.nvars)
+    assert full.exhausted
+    short = free_resolution(m, 0)
+    assert not short.exhausted
+    calls = _count_calls(monkeypatch, invariants, "free_resolution")
+    assert _ass_names(associated_primes(m, resolution=full)) == [()]
+    assert calls == []
+    assert _ass_names(associated_primes(m, resolution=short)) == [()]
+    assert calls == [m]

@@ -305,10 +305,15 @@ def test_observe_resolves_each_module_once(monkeypatch, name, i_max):
     for owner in (fpmodule, invariants, stability):
         monkeypatch.setattr(owner, "free_resolution", counting)
     row = stability._observe(module, ("betti", "bass", "pd", "id"), None, i_max)
-    assert len(resolved) == 2, name
+    # over a polynomial base the Bass numbers are read off the module's own
+    # resolution; over a quotient base they need one resolution of k
     assert resolved[0] is module
-    k = resolved[1]
-    assert k.rank == 1 and k.rels_sub().equals(ideal(module.ring, ["x", "y"]))
+    if name == "quotient_base":
+        assert len(resolved) == 2, name
+        k = resolved[1]
+        assert k.rank == 1 and k.rels_sub().equals(ideal(module.ring, ["x", "y"]))
+    else:
+        assert len(resolved) == 1, name
     monkeypatch.undo()
     for i in range(i_max + 1):
         assert row["betti_%d" % i] == betti_number(module, i), (name, i)

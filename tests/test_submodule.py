@@ -7,11 +7,12 @@ one-pass minimal_generators with the drop-one-at-a-time loop it replaced, on
 seeded random homogeneous input.
 """
 
-import importlib
 import random
 
 import pytest
 
+import functorlab
+import functorlab.submodule as submodule_mod
 from functorlab import cache
 from functorlab.errors import ContractViolation, HomogeneityError
 from functorlab.fpmodule import FPModule
@@ -28,9 +29,6 @@ from functorlab.submodule import (
     unit_ideal,
     zero_submodule,
 )
-
-# the package re-exports the function submodule under the module's name
-submodule_mod = importlib.import_module("functorlab.submodule")
 
 
 def R2(char=32003):
@@ -361,6 +359,13 @@ def test_minimal_generators_build_one_basis_per_kept_generator(
     monkeypatch.setattr(submodule_mod, "buchberger", counting)
     kept = sub.minimal_generators(modulo=modulo).gens if with_modulo else sub.minimal_generators().gens
     assert len(calls) <= len(kept) + 1
+
+
+def test_package_attribute_is_the_submodule_module():
+    # the constructor function submodule is not re-exported over the module
+    assert functorlab.submodule is submodule_mod
+    assert submodule_mod.submodule is submodule
+    assert "submodule" not in functorlab.__all__
 
 
 def test_presentation_drops_a_generator_spanned_with_the_relations():
