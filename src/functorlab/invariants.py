@@ -1,16 +1,18 @@
 """Associated primes, grade, depth, Betti and Bass numbers.
 
-Associated primes are never guessed. Candidates come from a complete
-scheme: for fine-graded modules, the variable-subset primes that contain a
-minimal prime of ann(M) (one colon, then a monomial cover); otherwise, over
-a polynomial base, the minimal primes of height i of the annihilators of
-Ext^i(M, R) (Eisenbud-Huneke-Vasconcelos). Every candidate lies in Supp M,
-and the candidates minimal by inclusion are exactly the minimal primes of
-Supp M, which are always associated (Matsumura, Thm 6.5): they are accepted
-without a test. Each embedded candidate p is accepted only when the exact
-criterion holds, namely (0 :_M p) != 0 and the annihilator of (0 :_M p) is
-p on the nose. When no complete candidate scheme applies the computation
-refuses with StrategyExhausted rather than return a possibly partial list.
+Associated primes are never guessed. For fine-graded modules the
+candidates are the variable-subset primes that contain a minimal prime of
+ann(M) (one colon, then a monomial cover). The candidates minimal by
+inclusion are exactly the minimal primes of Supp M, which are always
+associated (Matsumura, Thm 6.5) and are accepted without a test; each
+embedded candidate p is accepted only when the exact criterion holds,
+namely (0 :_M p) != 0 and the annihilator of (0 :_M p) is p on the nose.
+Otherwise, over a polynomial base, Ass M is read off Ext: a prime of height
+i is associated to M exactly when it is a minimal prime of ann Ext^i(M, R)
+(Eisenbud-Huneke-Vasconcelos, Thm 1.1, with codim Ext^i(M, R) >= i), so
+those primes are accepted as they are found. When no complete scheme
+applies the computation refuses with StrategyExhausted rather than return a
+possibly partial list.
 
 Over a polynomial base in n variables, Koszul self-duality gives
 Ext^i(k, M) = Tor_(n-i)(k, M) as vector spaces, so the Bass numbers are the
@@ -118,16 +120,14 @@ def _monomial_minimal_primes(ideal_sub):
     return hits
 
 
-def _ext_support_candidates(module, resolution=None):
+def _ext_support_candidates(module):
     if module.ring.relations:
         raise StrategyExhausted(
             "Ext-support candidates are only complete over a polynomial base"
         )
     ring = module.ring
     free = FPModule.free(ring, (0,), module.order)
-    res = resolution
-    if res is None or not (res.exhausted or len(res.maps) > ring.nvars):
-        res = free_resolution(module, ring.nvars + 1)
+    res = free_resolution(module, ring.nvars + 1)
     subsets = set()
     for i in range(ring.nvars + 1):
         e = hom_ext_tor(module, free, i, "Ext", resolution=res)
@@ -154,25 +154,22 @@ def is_associated(module, prime_ideal):
     return rels.colon(list(killed.gens)).equals(prime_ideal)
 
 
-def associated_primes(module, resolution=None):
-    """Ass(M) as a sorted list of prime ideals; exact or refuses.
-
-    resolution, when given, is free_resolution(module, L) for any L; the
-    Ext-support route reads it when it is exhausted or L > nvars.
-    """
+def associated_primes(module):
+    """Ass(M) as a sorted list of prime ideals; exact or refuses."""
     ring = module.ring
     if module.is_zero():
         return []
-    if _is_fine(module):
-        support = _monomial_minimal_primes(annihilator(module))
-        if support is None:
-            raise ContractViolation("annihilator of a fine module is not monomial")
-        subsets = [
-            s for s in _variable_subset_candidates(ring) if any(m <= s for m in support)
-        ]
-    else:
-        subsets = _ext_support_candidates(module, resolution)
-    # both schemes list distinct subsets by size, then lexicographically
+    if not _is_fine(module):
+        # a height-i minimal prime of ann Ext^i(M, R) is associated to
+        # Ext^i(M, R) in codimension i, hence to M (EHV, Thm 1.1)
+        subsets = _ext_support_candidates(module)
+        return [_subset_ideal(ring, s, module.order) for s in subsets]
+    support = _monomial_minimal_primes(annihilator(module))
+    if support is None:
+        raise ContractViolation("annihilator of a fine module is not monomial")
+    subsets = [
+        s for s in _variable_subset_candidates(ring) if any(m <= s for m in support)
+    ]
     out = []
     for subset in subsets:
         p = _subset_ideal(ring, subset, module.order)
@@ -241,9 +238,12 @@ def bass_number(module, i, profile=None):
     """mu^i; profile, when given, is a bass_profile of module longer than i."""
     if i < 0:
         raise ContractViolation("homological index must be nonnegative")
-    if profile is None:
-        profile = bass_profile(module, i + 1)
-    return profile[i]
+    if profile is not None:
+        return profile[i]
+    if module.ring.relations:
+        k = residue_field(module.ring, module.order)
+        return hom_ext_tor(k, module, i, "Ext").length()
+    return bass_profile(module, i + 1)[i]
 
 
 def ext_bass_profile(module, count):

@@ -96,9 +96,21 @@ def _prime_key(sub):
 
 
 def _observe(module, observables, grade_ideal, i_max):
+    out = {}
+    if "lambda" in observables:
+        out["lambda"] = module.length()
+    if "ass" in observables:
+        try:
+            out["ass"] = sorted(_prime_key(p) for p in associated_primes(module))
+        except StrategyExhausted as exc:
+            out["ass"] = {"error": "strategy exhausted: %s" % exc}
+    if "grade" in observables:
+        if grade_ideal is None:
+            raise ConfigurationError("grade observable needs an ideal")
+        out["grade"] = grade(grade_ideal, module)
     # one minimal resolution of the module serves every beta_i and pd and,
-    # over a polynomial base, every mu^i = beta_(n-i), id and the Ext-support
-    # candidates of Ass; it is as long as its longest reader
+    # over a polynomial base, every mu^i = beta_(n-i) and id; it is as long
+    # as its longest reader
     ring = module.ring
     cap = scan_cap(ring, None)
     stages = [i_max] if "betti" in observables else []
@@ -107,19 +119,6 @@ def _observe(module, observables, grade_ideal, i_max):
     if not ring.relations and ("bass" in observables or "id" in observables):
         stages.append(ring.nvars)
     res = free_resolution(module, max(stages)) if stages else None
-    out = {}
-    if "lambda" in observables:
-        out["lambda"] = module.length()
-    if "ass" in observables:
-        try:
-            primes = associated_primes(module, resolution=res)
-            out["ass"] = sorted(_prime_key(p) for p in primes)
-        except StrategyExhausted as exc:
-            out["ass"] = {"error": "strategy exhausted: %s" % exc}
-    if "grade" in observables:
-        if grade_ideal is None:
-            raise ConfigurationError("grade observable needs an ideal")
-        out["grade"] = grade(grade_ideal, module)
     counts = [i_max + 1] if "bass" in observables else []
     if "id" in observables:
         counts.append(cap + 2)

@@ -349,19 +349,28 @@ def test_fine_module_with_non_monomial_annihilator_is_refused(monkeypatch):
         associated_primes(cyclic("x^2"))
 
 
-def test_ext_support_route_reuses_a_supplied_resolution(monkeypatch):
-    # the presented ideal (x, y) is not fine, so Ass goes through Ext(M, R)
-    m = FPModule(
-        R, 2, (1, 1),
-        [parse_vec(R, ["1", "0"]), parse_vec(R, ["0", "1"])],
-        [parse_vec(R, ["y", "-x"])],
+def test_ext_support_candidates_are_accepted_untested(monkeypatch):
+    # R(-1)^2 / (y*e1 - x*e2) + R/(x^2, x*y): not fine, Ass = (0), (x), (x, y)
+    m = FPModule.from_cokernel(
+        R, (1, 1, 0),
+        [
+            parse_vec(R, ["y", "-x", "0"]),
+            parse_vec(R, ["0", "0", "x^2"]),
+            parse_vec(R, ["0", "0", "x*y"]),
+        ],
     )
-    full = free_resolution(m, R.nvars)
-    assert full.exhausted
-    short = free_resolution(m, 0)
-    assert not short.exhausted
-    calls = _count_calls(monkeypatch, invariants, "free_resolution")
-    assert _ass_names(associated_primes(m, resolution=full)) == [()]
+    assert not invariants._is_fine(m)
+    calls = _count_calls(monkeypatch, invariants, "is_associated")
+    assert _ass_names(associated_primes(m)) == [(), ("x",), ("x", "y")]
     assert calls == []
-    assert _ass_names(associated_primes(m, resolution=short)) == [()]
-    assert calls == [m]
+    monkeypatch.undo()
+    assert _ass_names(all_subsets_ass(m)) == [(), ("x",), ("x", "y")]
+
+
+def test_bass_number_over_a_quotient_base_reads_one_ext(monkeypatch):
+    ring = REFERENCE_RINGS["xy"]
+    m = FPModule.from_cokernel(ring, (0,), [parse_vec(ring, ["z^2"])])
+    expected = ext_bass_reference(m, 3)
+    calls = _count_calls(monkeypatch, invariants, "hom_ext_tor")
+    assert [bass_number(m, i) for i in range(3)] == expected
+    assert len(calls) == 3
