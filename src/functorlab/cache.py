@@ -1,7 +1,8 @@
 """Content-addressed caching for Groebner output.
 
-Keys are SHA-256 digests of a canonical JSON rendering of (computation kind,
-ring signature, order signature, twists, generator strings); values are JSON.
+Keys are SHA-256 digests of a canonical JSON rendering of the parts the caller
+names (for a Groebner basis: kind, ring and order signatures, twists, rank and
+the generators' term rows); values are JSON.
 A hit must be byte-reproducible from the key's content, so cached and fresh
 runs give identical results.
 
@@ -10,7 +11,8 @@ or configure()). Disk writes go through a temp file and os.replace so a
 killed process never leaves a half-written entry. Each disk entry carries
 its own key and the SHA-256 of its canonical payload JSON; an entry that is
 unreadable, lacks a field, or whose key or digest does not match counts as
-corrupt and is recomputed, never trusted.
+corrupt and is recomputed, never trusted. So does a sealed entry whose value
+the caller's decoder rejects.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ def _canonical_json(value):
 
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _same(value):
+    return value
 
 
 def _is_sealed(entry, key):
@@ -55,12 +61,18 @@ class Cache:
     def _path(self, key):
         return os.path.join(self.directory, key[:2], key + ".json")
 
-    def get(self, key):
+    def get(self, key, decode=_same):
+        """decode(value) for the value under key, or None on a miss.
+
+        decode raises ValueError on a value it cannot use; a disk entry it
+        rejects counts as corrupt and reads as a miss. Memory holds only values
+        that were put or already accepted by decode.
+        """
         if not self.enabled:
             return None
         if key in self.memory:
             self.hits += 1
-            return self.memory[key]
+            return decode(self.memory[key])
         if self.directory:
             path = self._path(key)
             try:
@@ -73,9 +85,14 @@ class Cache:
             else:
                 if _is_sealed(entry, key):
                     value = entry["value"]
-                    self.memory[key] = value
-                    self.hits += 1
-                    return value
+                    try:
+                        result = decode(value)
+                    except ValueError:
+                        pass
+                    else:
+                        self.memory[key] = value
+                        self.hits += 1
+                        return result
                 self.corrupt += 1
         self.misses += 1
         return None
@@ -117,8 +134,15 @@ def active_cache():
     return _ACTIVE
 
 
+def install(store):
+    """Make store the active cache; returns the cache it replaces."""
+    global _ACTIVE
+    previous, _ACTIVE = _ACTIVE, store
+    return previous
+
+
 def configure(directory=None, enabled=True):
     """Install a fresh cache (used by the CLI); returns it."""
-    global _ACTIVE
-    _ACTIVE = Cache(directory=directory, enabled=enabled)
-    return _ACTIVE
+    store = Cache(directory=directory, enabled=enabled)
+    install(store)
+    return store

@@ -189,8 +189,25 @@ def scan_cap(ring, length_cap):
     return ring.nvars if not ring.relations else ring.nvars + 4
 
 
-def grade(ideal_sub, module, length_cap=None):
-    """grade(J, M): least i with Ext^i(R/J, M) != 0; inf when certifiable."""
+def _cyclic_quotient(ideal_sub, order):
+    ring = ideal_sub.ring
+    return FPModule(ring, 1, (0,), [Vec.unit(ring, 0)], list(ideal_sub.gens), order, check=False)
+
+
+def grade_resolution(ideal_sub, order, length_cap=None):
+    """free_resolution(R/J, cap + 1), the resolution grade(J, M) reads; it is
+    the same for every M over R, so a grid of modules resolves R/J once."""
+    return free_resolution(
+        _cyclic_quotient(ideal_sub, order), scan_cap(ideal_sub.ring, length_cap) + 1
+    )
+
+
+def grade(ideal_sub, module, length_cap=None, resolution=None):
+    """grade(J, M): least i with Ext^i(R/J, M) != 0; inf when certifiable.
+
+    resolution, when given, is grade_resolution(J, order, length_cap) for
+    the same length_cap.
+    """
     if module.is_zero():
         return math.inf
     if is_unit_ideal(ideal_sub):
@@ -198,11 +215,11 @@ def grade(ideal_sub, module, length_cap=None):
     ring = module.ring
     if ideal_sub.ring != ring:
         raise ContractViolation("ideal and module live over different rings")
-    cyc = FPModule(
-        ring, 1, (0,), [Vec.unit(ring, 0)], list(ideal_sub.gens), module.order, check=False
-    )
     cap = scan_cap(ring, length_cap)
-    res = free_resolution(cyc, cap + 1)
+    cyc = _cyclic_quotient(ideal_sub, module.order)
+    res = resolution
+    if res is None:
+        res = grade_resolution(ideal_sub, module.order, length_cap)
     for i in range(cap + 1):
         if not hom_ext_tor(cyc, module, i, "Ext", resolution=res).is_zero():
             return i

@@ -6,14 +6,17 @@ zero, syzygies annihilate their generators and absorb brute-force strand
 kernels, resolutions respect the Euler identity, Tor is balanced, Bass
 numbers read off the minimal resolution equal the lengths of Ext^i(k, M)
 (Koszul self-duality), the two evaluation routes agree on a seeded corpus,
-Artin-Rees certificates hold on a window, and the fitter is exact. The fault hook flips one length in the
-route-equivalence suite so the tripwire itself can be demonstrated.
+Artin-Rees certificates hold on a window, the fitter is exact, and the cache
+recomputes an unreadable, unsealed or malformed entry instead of trusting it.
+The fault hook flips one length in the route-equivalence suite so the
+tripwire itself can be demonstrated.
 """
 
 import random
 import tempfile
 
-from .cache import Cache
+from .cache import Cache, install
+from .errors import ConfigurationError
 from .fitting import fit_polynomial
 from .fpmodule import FPModule, free_resolution, hom_ext_tor
 from .functors import (
@@ -275,7 +278,44 @@ def suite_cache_robustness():
         cache.memory.clear()
         if cache.get(key) != {"value": 42}:
             return False, "recomputed entry not readable"
-    return True, "corrupted entries recomputed, never trusted"
+    with tempfile.TemporaryDirectory() as scratch:
+        failure = _malformed_groebner_entry(scratch)
+    if failure:
+        return False, failure
+    return True, "corrupted and malformed entries recomputed, never trusted"
+
+
+def _malformed_groebner_entry(scratch):
+    """A Groebner entry sealed with its right key and digest but holding a
+    row with a negative exponent reads as corrupt, is recomputed and put
+    back; returns what went wrong, or None."""
+    ring = _ring()
+    gens = ["x^2", "x*y", "y^3"]
+    writer = Cache(directory=scratch)
+    previous = install(writer)
+    try:
+        fresh = ideal(ring, gens).groebner()
+        (key,) = writer.memory
+        writer.put(key, [[[0, 2, -1, 1]]])
+        # the first fresh cache rejects the entry and puts the basis back;
+        # the second reads it
+        for expected in (
+            {"hits": 0, "misses": 1, "puts": 1, "corrupt": 1},
+            {"hits": 1, "misses": 0, "puts": 0, "corrupt": 0},
+        ):
+            reader = Cache(directory=scratch)
+            install(reader)
+            try:
+                again = ideal(ring, gens).groebner()
+            except (ValueError, ConfigurationError) as exc:
+                return "malformed Groebner entry raised: %s" % exc
+            if again != fresh:
+                return "malformed Groebner entry was trusted"
+            if reader.stats() != expected:
+                return "cache statistics %r, expected %r" % (reader.stats(), expected)
+    finally:
+        install(previous)
+    return None
 
 
 SUITES = (

@@ -21,6 +21,7 @@ from .invariants import (
     betti_number,
     depth,
     grade,
+    grade_resolution,
     injective_dimension,
     projective_dimension,
     scan_cap,
@@ -95,7 +96,7 @@ def _prime_key(sub):
     return tuple(sorted(str(v.components(1)[0]) for v in sub.gens))
 
 
-def _observe(module, observables, grade_ideal, i_max):
+def _observe(module, observables, grade_ideal, i_max, grade_res=None):
     out = {}
     if "lambda" in observables:
         out["lambda"] = module.length()
@@ -107,7 +108,7 @@ def _observe(module, observables, grade_ideal, i_max):
     if "grade" in observables:
         if grade_ideal is None:
             raise ConfigurationError("grade observable needs an ideal")
-        out["grade"] = grade(grade_ideal, module)
+        out["grade"] = grade(grade_ideal, module, resolution=grade_res)
     # one minimal resolution of the module serves every beta_i and pd and,
     # over a polynomial base, every mu^i = beta_(n-i) and id; it is as long
     # as its longest reader
@@ -153,11 +154,15 @@ def grid_evaluate(expr, spec, box, observables, grade_ideal=None, i_max=2):
         raise ConfigurationError("unknown observables: %s" % ", ".join(bad))
     if box.r != spec.r:
         raise ConfigurationError("box dimension does not match the family")
+    grade_res = None
+    if "grade" in observables and grade_ideal is not None:
+        # R/J is the same at every point: resolve it once for the grid
+        grade_res = grade_resolution(grade_ideal, grade_ideal.order)
     out = {}
     for p in sorted(box.points()):
         member = spec.member(p)
         module = member if expr is None else evaluate_expression(expr, member)
-        out[p] = _observe(module, observables, grade_ideal, i_max)
+        out[p] = _observe(module, observables, grade_ideal, i_max, grade_res)
     return out
 
 

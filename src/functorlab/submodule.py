@@ -12,6 +12,8 @@ is literal equality of canonical bases.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import cache
 from .errors import ContractViolation, HomogeneityError
 from .groebner import LiftSolver, buchberger, reduce_vec
@@ -23,6 +25,62 @@ from .rings import GREVLEX, TermOrder
 def _into_block(v, offset):
     """v with every component index moved up by offset."""
     return Vec(v.ring, {(c + offset, m): cf for (c, m), cf in v.terms.items()})
+
+
+# -- Groebner cache entries ---------------------------------------------------
+#
+# A vector is stored as its term rows [component, e_1..e_n, coeff]: coeff is
+# an int in [1, p) over GF(p) and str(Fraction) over Q. Cache keys are built
+# from the same rows, sorted, so they do not depend on generator order.
+
+
+def _term_rows(v):
+    if v.ring.char:
+        return [[c, *m, cf] for (c, m), cf in v.terms.items()]
+    return [[c, *m, str(cf)] for (c, m), cf in v.terms.items()]
+
+
+def _basis_from_rows(ring, rank, vectors):
+    """Vecs from the term rows of a cache entry; ValueError on any malformed row."""
+    if type(vectors) is not list:
+        raise ValueError("basis is not a list")
+    width = ring.nvars + 2
+    char = ring.char
+    out = []
+    for rows in vectors:
+        if type(rows) is not list or not rows:
+            raise ValueError("basis vector is not a nonempty list")
+        terms = {}
+        for row in rows:
+            if type(row) is not list or len(row) != width:
+                raise ValueError("term row of the wrong shape")
+            c, *mono, cf = row
+            if type(c) is not int or not 0 <= c < rank:
+                raise ValueError("component outside the ambient module")
+            if any(type(e) is not int or e < 0 for e in mono):
+                raise ValueError("exponent is not a nonnegative int")
+            terms[(c, tuple(mono))] = _coefficient(char, cf)
+        if len(terms) != len(rows):
+            raise ValueError("repeated term in a basis vector")
+        out.append(Vec(ring, terms))
+    return out
+
+
+def _coefficient(char, cf):
+    """The field element a term row stores; ValueError unless nonzero and canonical."""
+    if char:
+        if type(cf) is not int or not 0 < cf < char:
+            raise ValueError("coefficient outside GF(%d)^*" % char)
+        return cf
+    if type(cf) is not str:
+        raise ValueError("rational coefficient is not a string")
+    try:
+        value = Fraction(cf)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("unreadable rational coefficient %r" % cf) from None
+    if not value or str(value) != cf:
+        raise ValueError("rational coefficient %r is zero or not canonical" % cf)
+    return value
 
 
 class Submodule:
@@ -66,25 +124,33 @@ class Submodule:
             raise ContractViolation("submodules live in different ambient modules")
 
     def groebner(self):
+        """The reduced Groebner basis, computed once or read from the cache.
+
+        With the cache off no key is built. A cache entry holds each basis
+        vector as its term rows (see _term_rows); a hit decodes straight
+        into Vec terms, and a malformed entry counts as corrupt and is
+        recomputed.
+        """
         if self._gb is not None:
             return self._gb
         store = cache.active_cache()
-        key = store.key(
-            "gb/1",
-            self.ring.signature(),
-            self.order.signature(),
-            list(self.twists),
-            self.rank,
-            sorted(str(g.to_strings(self.rank)) for g in self.gens),
-        )
-        hit = store.get(key)
-        if hit is not None:
-            self._gb = [parse_vec(self.ring, comps) for comps in hit]
-            return self._gb
-        self._gb = buchberger(
-            self.gens, ring=self.ring, rank=self.rank, twists=self.twists, bound=self.bound
-        )
-        store.put(key, [g.to_strings(self.rank) for g in self._gb])
+        key = None
+        if store.enabled:
+            key = store.key(
+                "gb/2",
+                self.ring.signature(),
+                self.order.signature(),
+                list(self.twists),
+                self.rank,
+                sorted(sorted(_term_rows(g)) for g in self.gens),
+            )
+            self._gb = store.get(key, lambda rows: _basis_from_rows(self.ring, self.rank, rows))
+        if self._gb is None:
+            self._gb = buchberger(
+                self.gens, ring=self.ring, rank=self.rank, twists=self.twists, bound=self.bound
+            )
+            if key is not None:
+                store.put(key, [_term_rows(g) for g in self._gb])
         return self._gb
 
     # -- membership ------------------------------------------------------

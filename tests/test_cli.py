@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, artifacts, determinism, selftest."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -213,6 +214,49 @@ def test_wrong_but_parseable_cache_entries_are_recomputed(tmp_path, monkeypatch)
     again = (tmp_path / "again" / "two_ideal_fit.report.json").read_bytes()
     assert json.loads(again)["status"] == "PASS"
     assert again == cold
+
+
+def _malformed_basis(value, i):
+    """A Groebner cache payload broken in one of the ways the decoder rejects."""
+    rows = [list(r) for r in value[0]] if value and value[0] else [[0, 1, 0, 1]]
+    broken = [
+        lambda: [["x^"]],                    # the old text format
+        lambda: [[rows[0][:-1]] + rows[1:]],  # a row of the wrong length
+        lambda: [[[1] + rows[0][1:]] + rows[1:]],  # component outside range(rank)
+        lambda: [[[0, -1] + rows[0][2:]] + rows[1:]],  # negative exponent
+        lambda: [[[0, 1.5] + rows[0][2:]] + rows[1:]],  # non-int exponent
+        lambda: [[rows[0][:-1] + [0]] + rows[1:]],  # zero coefficient
+        lambda: [[rows[0][:-1] + [32003]] + rows[1:]],  # outside GF(32003)
+        lambda: [[]],                        # an empty vector
+    ]
+    return broken[i % len(broken)]()
+
+
+def test_sealed_but_malformed_groebner_entries_are_recomputed(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cachedir"
+    monkeypatch.setenv("FUNCTORLAB_CACHE_DIR", str(cache_dir))
+    scenario = bundled_scenario_path("two_ideal_fit")
+    assert main(["run", scenario, "--out", str(tmp_path / "cold")]) == 0
+    entries = sorted(cache_dir.glob("*/*.json"))
+    assert len(entries) >= 8
+    for i, path in enumerate(entries):
+        value = _malformed_basis(json.loads(path.read_text())["value"], i)
+        digest = hashlib.sha256(
+            json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        ).hexdigest()
+        path.write_text(json.dumps({"key": path.stem, "sha256": digest, "value": value}))
+    assert main(["run", scenario, "--out", str(tmp_path / "again")]) == 0
+    stats = cache.active_cache().stats()
+    # every entry is rejected, read as a miss, recomputed and put back
+    assert stats["corrupt"] == len(entries)
+    assert stats["misses"] == stats["puts"] == len(entries)
+    cold = (tmp_path / "cold" / "two_ideal_fit.report.json").read_bytes()
+    again = (tmp_path / "again" / "two_ideal_fit.report.json").read_bytes()
+    assert again == cold
+    # the recomputed entries were put back and now read as hits
+    assert main(["run", scenario, "--out", str(tmp_path / "warm")]) == 0
+    stats = cache.active_cache().stats()
+    assert stats["corrupt"] == 0 and stats["misses"] == 0
 
 
 def test_cache_entry_with_foreign_key_or_bad_digest_is_corrupt(tmp_path):

@@ -324,3 +324,27 @@ def test_observe_resolves_each_module_once(monkeypatch, name, i_max):
         assert row["pd"] == row["id"] == "cap exceeded"
     if name == "zero":
         assert row["pd"] == row["id"] == float("-inf")
+
+
+def test_grade_grid_resolves_r_mod_j_once(monkeypatch):
+    # grade((x, y), R/(x^2, y*z)^n) over k[x,y,z]: R/J is the same module at
+    # every point, so the grid resolves it once instead of once per point
+    R = PolyRing(("x", "y", "z"))
+    J = ideal(R, ["x", "y"])
+    fam = IdealFamily([ideal(R, ["x^2", "y*z"])])
+    spec = FamilySpec.quotient(_free(R), [Vec.unit(R, 0)], fam)
+    box = GridBox((1,), (5,), shell=1)
+    real = invariants.free_resolution
+    resolved = []
+
+    def counting(target, length_cap):
+        resolved.append(target)
+        return real(target, length_cap)
+
+    monkeypatch.setattr(invariants, "free_resolution", counting)
+    rep = grade_asymptotics(J, None, spec, box)
+    assert len(resolved) == 1
+    assert resolved[0].rels_sub().equals(J)
+    monkeypatch.undo()
+    for p, value in rep["table"].items():
+        assert value == invariants.grade(J, spec.member(p)), p

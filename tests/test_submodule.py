@@ -382,3 +382,104 @@ def test_presentation_drops_a_generator_spanned_with_the_relations():
     assert pres.gen_twists == (1, 1)
     coker = FPModule.from_cokernel(R, pres.gen_twists, pres.columns)
     assert coker.hilbert_equal(m)
+
+
+# -- Groebner cache entries ----------------------------------------------------
+
+CODEC_CASES = {
+    # name: (ring, twists, dense component strings of the generators)
+    "gf": (lambda: _xyz(), (0,), [["x^2 + 5*y*z"], ["y^3 - 7*x*z^2"], ["x*y"]]),
+    "q_fractions": (
+        lambda: _xyz(char=0), (0,), [["x + 3/2*y"], ["y^2 - 1/3*x*z"], ["z^2"]]
+    ),
+    "weights_1_2_1": (
+        lambda: _xyz(weights=(1, 2, 1)), (0,), [["y + x^2"], ["x*y*z - z^4"], ["x*z"]]
+    ),
+    "rank2_twisted": (
+        lambda: _xyz(char=0),
+        (1, 0),
+        [["x", "y^2"], ["0", "z"], ["y^2", "x^2*z - 2/5*y^3"]],
+    ),
+    "quotient_xy": (
+        lambda: _xyz(relations=["x*y"]), (0,), [["x^2 + y^2"], ["y*z"], ["z^3"]]
+    ),
+}
+
+
+def _codec_module(case, reverse=False):
+    make_ring, twists, gens = CODEC_CASES[case]
+    return submodule(make_ring(), len(twists), twists, gens[::-1] if reverse else gens)
+
+
+@pytest.mark.parametrize("case", sorted(CODEC_CASES))
+def test_basis_read_from_disk_equals_the_fresh_basis(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    fresh = _codec_module(case).groebner()
+    assert fresh
+    writer = cache.Cache(directory=str(tmp_path))
+    monkeypatch.setattr(cache, "_ACTIVE", writer)
+    assert _codec_module(case).groebner() == fresh
+    assert writer.stats() == {"hits": 0, "misses": 1, "puts": 1, "corrupt": 0}
+    reader = cache.Cache(directory=str(tmp_path))
+    monkeypatch.setattr(cache, "_ACTIVE", reader)
+    read = _codec_module(case).groebner()
+    assert reader.stats() == {"hits": 1, "misses": 0, "puts": 0, "corrupt": 0}
+    assert read == fresh
+    # same basis order, same term order, coefficients of the field's type
+    assert [list(v.terms) for v in read] == [list(v.terms) for v in fresh]
+    field = type(fresh[0].ring.one)
+    assert all(type(cf) is field for v in read for cf in v.terms.values())
+
+
+def test_groebner_key_does_not_depend_on_generator_order(monkeypatch):
+    keys = []
+
+    class Recording(cache.Cache):
+        def key(self, *parts):
+            keys.append(super().key(*parts))
+            return keys[-1]
+
+    store = Recording()
+    monkeypatch.setattr(cache, "_ACTIVE", store)
+    first = _codec_module("q_fractions").groebner()
+    second = _codec_module("q_fractions", reverse=True).groebner()
+    assert keys[0] == keys[1] and second == first
+    assert store.stats()["hits"] == 1
+    _codec_module("gf").groebner()
+    assert keys[2] != keys[0]
+
+
+def test_disabled_cache_builds_no_key(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cache.Cache, "key", lambda self, *parts: calls.append(parts))
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    for case in sorted(CODEC_CASES):
+        sub = _codec_module(case)
+        assert sub.groebner()
+        sub.syzygies().minimal_generators().groebner()
+    assert calls == []
+
+
+@pytest.mark.parametrize("char, rows", [
+    (32003, "not a list"),
+    (32003, [[["x^2"]]]),                 # the old text format
+    (32003, [[[0, 2, 0]]]),               # a row of the wrong length
+    (32003, [[[1, 2, 0, 0, 1]]]),         # component outside range(rank)
+    (32003, [[[-1, 2, 0, 0, 1]]]),
+    (32003, [[[0, -1, 0, 0, 1]]]),        # negative exponent
+    (32003, [[[0, 1.0, 0, 0, 1]]]),       # non-int exponent
+    (32003, [[[0, True, 0, 0, 1]]]),
+    (32003, [[[0, 1, 0, 0, 0]]]),         # zero coefficient
+    (32003, [[[0, 1, 0, 0, 32003]]]),     # outside the field
+    (32003, [[[0, 1, 0, 0, "1"]]]),
+    (32003, [[]]),                        # an empty vector
+    (32003, [[[0, 1, 0, 0, 1], [0, 1, 0, 0, 2]]]),  # a repeated term
+    (0, [[[0, 1, 0, 0, 1]]]),             # a rational coefficient is a string
+    (0, [[[0, 1, 0, 0, "0"]]]),
+    (0, [[[0, 1, 0, 0, "1/0"]]]),
+    (0, [[[0, 1, 0, 0, "2/4"]]]),         # not canonical
+    (0, [[[0, 1, 0, 0, "one"]]]),
+])
+def test_malformed_cache_rows_are_rejected(char, rows):
+    with pytest.raises(ValueError):
+        submodule_mod._basis_from_rows(_xyz(char=char), 1, rows)
