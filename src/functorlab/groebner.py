@@ -16,6 +16,12 @@ in the pair heap instead of rebuilding it. One pass over the finished basis
 makes the output canonical (monic, minimal, tail-reduced, sorted by lead).
 No F4/F5.
 
+Term-generated input skips the loop. When every input and every
+base-relation vector is a single term, the submodule is spanned by terms,
+and its reduced basis is its minimal terms, made monic and sorted by lead
+(Dickson's lemma; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+2.4-2.7): term_basis returns that list, the one the loop would return.
+
 LiftSolver is the workhorse behind syzygies, kernels, preimages, and lifts:
 it tags each target with a fresh component that sorts below every main
 component, so basis elements supported purely on tags spell out coefficient
@@ -133,6 +139,24 @@ def interreduce(elements, bound, ring):
     return out
 
 
+def term_basis(vectors, bound, ring):
+    """Reduced Groebner basis of the span of single-term vectors.
+
+    Keeps, per component, the terms that no other term divides, made monic
+    and sorted by term_key, as interreduce sorts. Zero vectors are skipped.
+    With positive weights a proper divisor has lower degree, so one pass in
+    degree order meets every divisor of a term before the term itself.
+    """
+    mono_divides, mono_degree = ring.mono_divides, ring.mono_degree
+    minimal = {}  # component -> minimal monomials so far
+    for c, m in sorted({t for v in vectors for t in v.terms}, key=lambda t: mono_degree(t[1])):
+        kept = minimal.setdefault(c, [])
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    terms = sorted(((c, m) for c, kept in minimal.items() for m in kept), key=bound.term_key)
+    return [Vec(ring, {t: ring.one}) for t in terms]
+
+
 def s_vector(f, g, mf, mg, lcm, ring):
     """S-vector of monic f and g, whose leads mf and mg lie in one component
     and have least common multiple lcm."""
@@ -171,7 +195,14 @@ def buchberger(vectors, *, ring, rank, twists, bound):
     criterion) are pushed onto the heap. Popping skips dead entries. Elements
     whose lead is a multiple of the new lead stop forming pairs and stop
     serving as reducers.
+
+    When every input and every base-relation vector is a single term, the
+    loop is skipped: the S-vector of two terms is zero, so term_basis gives
+    the basis the loop would.
     """
+    given = list(vectors) + base_relation_vectors(ring, rank)
+    if all(len(v.terms) <= 1 for v in given):
+        return term_basis(given, bound, ring)
     mono_lcm, mono_divides, mono_degree = ring.mono_lcm, ring.mono_divides, ring.mono_degree
     G = []  # monic elements
     leads = []  # their lead terms (component, monomial)
@@ -224,7 +255,7 @@ def buchberger(vectors, *, ring, rank, twists, bound):
         queued[c] = kept
 
     inputs = []
-    for k, v in enumerate(list(vectors) + base_relation_vectors(ring, rank)):
+    for k, v in enumerate(given):
         if v:
             (c, m), _ = v.lead(bound)
             inputs.append((mono_degree(m) + twists[c], k, v))

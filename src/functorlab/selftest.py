@@ -50,10 +50,12 @@ def _module_corpus(ring):
 
 
 def _buchberger_corpus():
-    """(ring, ideal generators) over GF(32003), Q, weights (1, 2) and the
-    quotient base k[x,y,z]/(xy - z^2). Some lists give a generator before
-    a lower-degree one that divides it, so the input queue reorders them and
-    reduces the multiple away."""
+    """(ring, ideal generators) over GF(32003), Q, weights (1, 2), the
+    quotient base k[x,y,z]/(xy - z^2) and the monomial quotient base
+    k[x,y,z]/(y^2, xz). Some lists give a generator before a lower-degree one
+    that divides it, so the input queue reorders them and reduces the
+    multiple away. Term ideals (over a monomial base too) take the
+    minimal-terms shortcut instead of the pair loop."""
     plain = [
         ["x", "y"],
         ["x^2", "x*y", "y^2"],
@@ -64,6 +66,7 @@ def _buchberger_corpus():
     ]
     weighted = PolyRing(("x", "y"), weights=(1, 2))
     quotient = quotient_ring(PolyRing(("x", "y", "z")), ["x*y - z^2"])
+    monomial_quotient = quotient_ring(PolyRing(("x", "y", "z")), ["y^2", "x*z"])
     out = [(_ring(), texts) for texts in plain]
     out += [(PolyRing(("x", "y"), char=0), texts) for texts in plain]
     out += [(weighted, texts) for texts in (
@@ -75,6 +78,12 @@ def _buchberger_corpus():
         ["x", "z"],
         ["x^2 + y^2", "x*z"],
         ["y^3 - x*z^2", "x^2*z", "x*z", "y^2"],
+    )]
+    out += [(monomial_quotient, texts) for texts in (
+        ["x^2", "y*z"],
+        ["x*y^3", "z^3", "x*y", "x^2*y"],
+        ["y", "x^2*z", "z^2"],
+        ["x + z", "y*z"],
     )]
     return out
 
@@ -109,7 +118,7 @@ def suite_buchberger():
                 remainder, _ = reduce_vec(s, basis, bound, lead)
                 if remainder:
                     return False, "S-vector (%d, %d) of %s did not reduce to zero" % (i, j, texts)
-    return True, "%d bases checked over GF(p), Q, weights (1,2), a quotient base" % len(corpus)
+    return True, "%d bases checked over GF(p), Q, weights (1,2), two quotient bases" % len(corpus)
 
 
 def suite_syzygy():

@@ -13,10 +13,11 @@ is literal equality of canonical bases.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from . import cache
 from .errors import ContractViolation, HomogeneityError
-from .groebner import LiftSolver, buchberger, reduce_vec
+from .groebner import LiftSolver, buchberger, reduce_vec, term_basis
 from .hilbert import leads_by_component
 from .poly import Vec, parse_poly, parse_vec
 from .rings import GREVLEX, TermOrder
@@ -285,15 +286,25 @@ class Submodule:
         )
 
     def multiply_ideal(self, ideal):
-        """Product submodule ideal * self (ideal: rank 1, twist 0)."""
+        """Product submodule ideal * self (ideal: rank 1, twist 0).
+
+        When both sides are generated by terms, the product is generated by
+        its minimal term products (term_basis of the exponent sums); else by
+        every product of a generator of ideal with one of self.
+        """
         if ideal.rank != 1 or ideal.ring != self.ring:
             raise ContractViolation("multiplier must be an ideal over the same ring")
-        gens = []
-        for p in ideal.gens:
-            poly = p.component(0)
-            for g in self.gens:
-                gens.append(g.mul_poly(poly))
-        return Submodule(self.ring, self.rank, self.twists, gens, self.order, check=False)
+        ring = self.ring
+        if all(len(g.terms) == 1 for g in self.gens + ideal.gens):
+            products = [
+                Vec(ring, {(c, tuple(map(add, m, e))): ring.one})
+                for ((_z, e),) in (p.terms for p in ideal.gens)
+                for ((c, m),) in (g.terms for g in self.gens)
+            ]
+            gens = term_basis(products, self.bound, ring)
+        else:
+            gens = [g.mul_poly(p.component(0)) for p in ideal.gens for g in self.gens]
+        return Submodule(ring, self.rank, self.twists, gens, self.order, check=False)
 
     def minimal_generators(self, modulo=()):
         """A subset of gens minimally generating (self + span(modulo)) / span(modulo).

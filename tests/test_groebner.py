@@ -6,6 +6,7 @@ at the end compare buchberger with a plain reference Buchberger (every pair,
 no criteria, fixpoint interreduction) on seeded random homogeneous input,
 given as generated and given in descending degree with multiples of earlier
 generators mixed in, so the degree-ordered input queue has work to do.
+Term-only input, which skips the loop, is compared with the same reference.
 """
 
 import heapq
@@ -174,16 +175,27 @@ def test_inputs_covered_by_earlier_leads_form_no_pairs(monkeypatch):
     R = ring_xy()
     bound = TermOrder().bind(R, (0,))
     calls = []
+    reduced = []
 
     def counting_s_vector(*args):
         calls.append(args)
         return s_vector(*args)
 
+    def counting_reduce_vec(v, *args, **kwargs):
+        reduced.append(v)
+        return reduce_vec(v, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "reduce_vec", counting_reduce_vec)
     monkeypatch.setattr(groebner, "s_vector", counting_s_vector)
-    vecs = [Vec.from_poly(parse_poly(R, s)) for s in ("x^2", "x^3", "x^2*y", "y^2")]
+    # the binomial x^3 + x^2*y keeps the input off the all-terms shortcut, so
+    # the loop runs; it too reduces to zero against x^2
+    texts = ("x^2", "x^3", "x^2*y", "y^2", "x^3 + x^2*y")
+    vecs = [Vec.from_poly(parse_poly(R, s)) for s in texts]
     basis = buchberger(vecs, ring=R, rank=1, twists=(0,), bound=bound)
     assert gb_strings(basis, 1) == [["y^2"], ["x^2"]]
     assert len(calls) == 0
+    # every input went through the queue and was reduced before entering
+    assert all(any(r is v for r in reduced) for v in vecs)
 
 
 # -- oracle: the reference algorithm --------------------------------------
@@ -352,3 +364,63 @@ def test_shuffled_and_duplicated_generators_give_identical_basis(case):
         rng.shuffle(again)
         got = buchberger(again, ring=R, rank=rank, twists=twists, bound=bound)
         assert [g.terms for g in got] == [b.terms for b in base]
+
+
+# -- term-generated input: the shortcut against the reference loop --------
+
+
+def random_terms(rng, ring, twists, count, degrees):
+    """count single-term vectors of degrees drawn from degrees, with random
+    nonzero coefficients."""
+    out = []
+    while len(out) < count:
+        d = rng.choice(degrees)
+        c = rng.randrange(len(twists))
+        monos = monomials_of_degree(ring, d - twists[c])
+        if monos:
+            cf = ring.coeff(rng.choice([-3, -2, -1, 1, 2, 3]))
+            out.append(Vec(ring, {(c, rng.choice(monos)): cf}))
+    return out
+
+
+TERM_CASES = {
+    # name: (ring, twists, term order); the shortcut applies to all but the
+    # non-monomial quotient base
+    "gf": (lambda: _grevlex(), (0,), TermOrder()),
+    "q": (lambda: _grevlex(char=0), (0,), TermOrder()),
+    "weights_1_2": (lambda: _grevlex(weights=(1, 2)), (0,), TermOrder()),
+    "elim": (lambda: _grevlex(), (0,), TermOrder(kind="elim", elim=(0,), module_kind="top")),
+    "rank2_pot": (lambda: _grevlex(), (0, 1), TermOrder(module_kind="pot")),
+    "rank3_top": (lambda: _grevlex(char=0), (0, 1, 1), TermOrder(module_kind="top")),
+    "monomial_quotient": (lambda: _grevlex(relations=["y^3", "x*z"]), (0,), TermOrder()),
+    "rank1_quotient": (lambda: _grevlex(relations=["x*y - z^2"]), (0,), TermOrder()),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(TERM_CASES))
+def test_term_input_basis_matches_reference(case, seed, monkeypatch):
+    make_ring, twists, order = TERM_CASES[case]
+    R = make_ring()
+    rng = random.Random("terms/%s/%d" % (case, seed))
+    vecs = random_terms(rng, R, twists, 5, (2, 3, 4))
+    bound = order.bind(R, twists)
+    rank = len(twists)
+    want = reference_buchberger(vecs, ring=R, rank=rank, twists=twists, bound=bound)
+    reduced = []
+
+    def counting_reduce_vec(*args, **kwargs):
+        reduced.append(args)
+        return reduce_vec(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "reduce_vec", counting_reduce_vec)
+    # as generated; then shuffled with rescaled copies and variable multiples
+    again = vecs + [v.scale(R.coeff(rng.choice([-1, 5]))) for v in vecs[:2]]
+    again += [v.mul_poly(Poly.variable(R, rng.choice(R.names))) for v in vecs[2:4]]
+    rng.shuffle(again)
+    for given in (vecs, again):
+        reduced.clear()
+        got = buchberger(given, ring=R, rank=rank, twists=twists, bound=bound)
+        assert_same_basis(got, want)
+        # the pair loop runs only where a base relation is not a term
+        assert bool(reduced) == (case == "rank1_quotient")

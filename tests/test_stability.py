@@ -7,7 +7,7 @@ and beta_i(R/(x,y)^n) = (1, n+1, n) from the Hilbert-Burch resolution.
 
 import pytest
 
-from functorlab import fpmodule, invariants, stability
+from functorlab import cache, fpmodule, invariants, stability
 from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
 from functorlab.fpmodule import FPModule
 from functorlab.functors import (
@@ -37,7 +37,7 @@ from functorlab.stability import (
     normal_form,
     quotient_member,
 )
-from functorlab.submodule import IdealFamily, ideal
+from functorlab.submodule import IdealFamily, Submodule, ideal
 
 
 @pytest.fixture(scope="module")
@@ -348,3 +348,43 @@ def test_grade_grid_resolves_r_mod_j_once(monkeypatch):
     monkeypatch.undo()
     for p, value in rep["table"].items():
         assert value == invariants.grade(J, spec.member(p)), p
+
+
+def _two_ideal_sweep_spec(R):
+    fam = IdealFamily([ideal(R, ["x", "y^2"]), ideal(R, ["x^2", "y"])])
+    return FamilySpec.quotient(_free(R), [Vec.unit(R, 0)], fam)
+
+
+def test_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
+    # lambda over the box [1..2]^2 of R/(x, y^2)^a (x^2, y)^b from a cold
+    # disk cache: one miss and one put per distinct basis (the two ideals,
+    # the unit ideal, the powers (x, y^2)^2 and (x^2, y)^2, and the four
+    # products). Every product is a term ideal, so each member's relation
+    # module has the product's generator rows and reads its entry; the other
+    # hits are the first powers and the module's generator.
+    R = PolyRing(("x", "y"))
+    box = GridBox((1, 1), (2, 2), shell=1)
+    cold = cache.Cache(directory=str(tmp_path))
+    monkeypatch.setattr(cache, "_ACTIVE", cold)
+    obs = grid_evaluate(None, _two_ideal_sweep_spec(R), box, ("lambda",))
+    assert {p: row["lambda"] for p, row in obs.items()} == {
+        (1, 1): 5, (1, 2): 10, (2, 1): 10, (2, 2): 16,
+    }
+    assert cold.stats() == {"hits": 10, "misses": 9, "puts": 9, "corrupt": 0}
+    assert len(list(tmp_path.glob("*/*.json"))) == 9
+
+    # a member's relation module, after its product, is a cache hit
+    fresh = cache.Cache(directory=str(tmp_path / "fresh"))
+    monkeypatch.setattr(cache, "_ACTIVE", fresh)
+    spec = _two_ideal_sweep_spec(R)
+    spec.family.power_product((2, 1)).groebner()
+    before = fresh.stats()
+    member = spec.member((2, 1))
+    Submodule(R, 1, (0,), member.rels, check=False).groebner()
+    after = fresh.stats()
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 0)
+
+    warm = cache.Cache(directory=str(tmp_path))
+    monkeypatch.setattr(cache, "_ACTIVE", warm)
+    assert grid_evaluate(None, _two_ideal_sweep_spec(R), box, ("lambda",)) == obs
+    assert warm.stats() == {"hits": 19, "misses": 0, "puts": 0, "corrupt": 0}

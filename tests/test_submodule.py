@@ -107,6 +107,57 @@ def test_family_apply_multiplies_target():
     assert not IN.contains(parse_vec(R, ["x", "0"]))
 
 
+def _all_products(sub, ideal_):
+    """ideal_ * sub generated by every product of a generator of each."""
+    gens = [g.mul_poly(p.component(0)) for p in ideal_.gens for g in sub.gens]
+    return Submodule(sub.ring, sub.rank, sub.twists, gens, sub.order, check=False)
+
+
+def gen_strings(sub):
+    return [g.to_strings(sub.rank) for g in sub.gens]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_term_products_keep_only_the_minimal_ones(char):
+    R = R2(char)
+    I = ideal(R, ["2*x^2", "x*y", "y^3"])
+    J = ideal(R, ["x", "-3*y^2"])
+    prod = I.multiply_ideal(J)
+    # x^2*y^2 and the second x*y^3 are multiples of x^2*y and x*y^3
+    assert gen_strings(prod) == [["x^2*y"], ["x^3"], ["x*y^3"], ["y^5"]]
+    assert prod.equals(_all_products(I, J))
+    assert prod.equals(_all_products(J, I))
+
+
+def test_term_products_on_a_twisted_rank_two_target():
+    R = R2(0)
+    N = submodule(R, 2, (0, 1), [["x", "0"], ["0", "y"], ["y^2", "0"], ["0", "1/2*x^2"]])
+    J = ideal(R, ["x", "y"])
+    prod = N.multiply_ideal(J)
+    assert gen_strings(prod) == [
+        ["x*y", "0"], ["x^2", "0"], ["y^3", "0"], ["0", "y^2"], ["0", "x*y"], ["0", "x^3"],
+    ]
+    assert prod.equals(_all_products(N, J))
+
+
+def test_binomial_factor_keeps_every_product():
+    R = R2()
+    I = ideal(R, ["x + y", "x*y"])
+    J = ideal(R, ["x", "x^2"])
+    for left, right in ((I, J), (J, I)):
+        prod = left.multiply_ideal(right)
+        assert gen_strings(prod) == gen_strings(_all_products(left, right))
+        assert len(prod.gens) == 4
+
+
+def test_power_product_generators_are_pinned():
+    R = R2()
+    fam = IdealFamily([ideal(R, ["x", "y^2"]), ideal(R, ["x^2", "y"])])
+    assert gen_strings(fam.power(0, 2)) == [["x^2"], ["x*y^2"], ["y^4"]]
+    # x^3*y^2 and x^2*y^4 are multiples of x^2*y
+    assert gen_strings(fam.power_product((2, 1))) == [["x^2*y"], ["x*y^3"], ["x^4"], ["y^5"]]
+
+
 def test_unit_ideal_detection():
     R = R2()
     gens = [Vec.from_poly(parse_poly(R, s)) for s in ("x", "x + 1")]
