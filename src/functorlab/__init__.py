@@ -10,10 +10,11 @@ computations along grids of exponents, detects when the answers stabilize
 into polynomial or eventually-constant behaviour, and certifies the observed
 onset against the a-priori bounds the kernel can prove.
 
-Two things answer to "normal form": the Groebner remainder (exported here
-as normal_form) and the eventual shape of a functor applied to a family
-(stability.normal_form). The bare name means the remainder; reach the
-family construction through the stability module.
+Submodule and FPModule carry the kernel operations as methods:
+Submodule.canonical() (the reduced Groebner basis as generators),
+.normal_form(v) (the Groebner remainder), .syzygies(), and
+FPModule.hilbert_function(degrees). stability.normal_form is the eventual
+shape of a functor applied to a family.
 """
 
 __version__ = "0.1.0"
@@ -45,7 +46,6 @@ from .multigraded import (
     graded_component,
     rees_module,
 )
-from .ops import groebner_basis, hilbert_function, normal_form, syzygies
 from .poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
 from .rings import GREVLEX, PolyRing, TermOrder
 from .scenario import build_scenario, bundled_scenario_path, bundled_scenarios, load_scenario
@@ -102,20 +102,16 @@ __all__ = [
     "grade_asymptotics",
     "graded_component",
     "grid_evaluate",
-    "groebner_basis",
-    "hilbert_function",
     "hom_ext_tor",
     "ideal",
     "injective_dimension",
     "load_scenario",
-    "normal_form",
     "parse_poly",
     "parse_vec",
     "projective_dimension",
     "quotient_by",
     "quotient_ring",
     "rees_module",
-    "syzygies",
     "unit_ideal",
     "zero_submodule",
     "__version__",

@@ -78,7 +78,7 @@ class Cache:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     entry = json.load(fh)
-            except FileNotFoundError:
+            except (FileNotFoundError, NotADirectoryError):
                 pass
             except (OSError, ValueError):
                 self.corrupt += 1
@@ -104,19 +104,22 @@ class Cache:
         self.puts += 1
         if not self.directory:
             return
+        # an unusable directory only costs the disk copy: memory keeps the entry
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        tmp = None
         try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
             entry = {"key": key, "sha256": _digest(_canonical_json(value)), "value": value}
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(_canonical_json(entry))
             os.replace(tmp, path)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def stats(self):
         return {

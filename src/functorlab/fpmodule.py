@@ -14,6 +14,14 @@ module's Hilbert numerator: numer(F/W) - numer(F/U). Structural questions
 resolutions prune to minimal generators at every stage, which over a
 graded-local base makes the differentials unit-free, so Betti numbers are
 literal ranks; minimalize() exists for complexes produced any other way.
+
+This module is also the one home of block modules. Hom, Ext, Tor and the
+functor normal form all put b copies of a module X into one free module
+X^b, block i holding component c of X at index i*width + c (width = rank of
+X's ambient), and let a Poly matrix act on the copies: block_module builds
+X^b, block_map is the matrix as a map on generator coefficients,
+push_through applies it to ambient vectors, and block_kernel reads the
+preimage of a submodule off one LiftSolver.
 """
 
 from __future__ import annotations
@@ -307,9 +315,9 @@ class ModuleMap:
         lookup = {id(g): k for k, g in enumerate(self.source.gens)}
         # presentation gens are a subset of source gens; map columns through it
         index = [lookup[id(g)] for g in pres.gens]
-        for col in pres.columns:
+        for col in pres.matrix():
             coeffs = [Poly.zero(self.source.ring) for _ in self.source.gens]
-            for pos, c in enumerate(col.components(len(pres.gens))):
+            for pos, c in enumerate(col):
                 coeffs[index[pos]] = c
             img = self.target.element(self.apply_coeffs(coeffs))
             if not self.target.annihilates(img):
@@ -533,20 +541,13 @@ def minimalize(complex_):
 
 def block_module(x, block_twists):
     """X^b with the i-th copy twisted by block_twists[i]."""
-    ring = x.ring
-    b = len(block_twists)
     twists = []
     for s in block_twists:
         twists.extend(t + s for t in x.twists)
-    gens = []
-    rels = []
-    for i in range(b):
-        off = i * x.rank
-        for g in x.gens:
-            gens.append(Vec(ring, {(c + off, m): cf for (c, m), cf in g.terms.items()}))
-        for w in x.rels:
-            rels.append(Vec(ring, {(c + off, m): cf for (c, m), cf in w.terms.items()}))
-    return FPModule(ring, b * x.rank, twists, gens, rels, x.order, check=False)
+    offsets = [i * x.rank for i in range(len(block_twists))]
+    gens = [g.shifted(off) for off in offsets for g in x.gens]
+    rels = [w.shifted(off) for off in offsets for w in x.rels]
+    return FPModule(x.ring, len(offsets) * x.rank, twists, gens, rels, x.order, check=False)
 
 
 def block_map(psi_columns, x, src, tgt, tgt_blocks, shift=0):
@@ -568,6 +569,51 @@ def block_map(psi_columns, x, src, tgt, tgt_blocks, shift=0):
                     col[i * gcount + g] = entry
             cols.append(col)
     return ModuleMap(src, tgt, cols, shift=shift, check=False)
+
+
+def push_through(u, columns, width):
+    """The ambient vector u of X^a pushed into X^b along a Poly matrix.
+
+    columns[j][i] multiplies block i of u into block j of the result (the
+    transpose of block_map's convention), so a presentation matrix (one
+    column per relation) sends Hom blocks over the generators to blocks
+    over the relations.
+    """
+    ring = u.ring
+    nblocks = len(columns[0]) if columns else 0
+    parts = [dict() for _ in range(nblocks)]
+    for (row, mono), cf in u.terms.items():
+        i, r = divmod(row, width)
+        parts[i][(r, mono)] = cf
+    slices = [Vec(ring, d) for d in parts]
+    acc = {}
+    for j, col in enumerate(columns):
+        off = j * width
+        for i, entry in enumerate(col):
+            if not entry or not slices[i]:
+                continue
+            for (r, mono), cf in slices[i].mul_poly(entry).terms.items():
+                key = (r + off, mono)
+                prev = acc.get(key)
+                val = ring.add(prev, cf) if prev is not None else cf
+                if val:
+                    acc[key] = val
+                else:
+                    acc.pop(key, None)
+    return Vec(ring, acc)
+
+
+def block_kernel(columns, src, tgt, width, modulo):
+    """Generators of the preimage of span(modulo) under push_through.
+
+    src and tgt are the block modules X^a and X^b the matrix joins; with
+    modulo = tgt.rels this is the kernel of X^a -> X^b, i.e. Hom(coker, X)
+    when columns present a module.
+    """
+    ring = src.ring
+    targets = [push_through(Vec.unit(ring, idx), columns, width) for idx in range(src.rank)]
+    solver = LiftSolver(ring, tgt.rank, tgt.twists, targets, [v for v in modulo if v])
+    return [v for v in solver.kernel_vectors() if v]
 
 
 def transpose_columns(columns, height):
@@ -599,56 +645,31 @@ def hom_ext_tor(module, x, i, which, length_cap=None, resolution=None):
         res = free_resolution(module, need)
     ranks = res.ranks()
     twist = res.twist_table()
-
-    def stage_cols(k):
-        """Columns of d_k: F_k -> F_(k-1) as a Poly matrix, or None."""
-        if k - 1 >= len(res.maps):
-            return None
-        return [list(col) for col in res.maps[k - 1].columns]
-
-    if which == "ext":
-        # X^(r_(i-1)) -> X^(r_i) -> X^(r_(i+1)) with transposed differentials
-        blocks_i = [-t for t in twist[i]] if i < len(twist) else []
-        if not blocks_i:
-            return FPModule.zero(module.ring, module.order)
-        middle = block_module(x, blocks_i)
-        f = None
-        if i >= 1:
-            d_i = stage_cols(i)
-            blocks_prev = [-t for t in twist[i - 1]]
-            prev_mod = block_module(x, blocks_prev)
-            f = block_map(
-                transpose_columns(d_i, ranks[i - 1]), x, prev_mod, middle, len(blocks_i)
-            )
-        g = None
-        d_next = stage_cols(i + 1)
-        if d_next is not None:
-            blocks_next = [-t for t in twist[i + 1]]
-            next_mod = block_module(x, blocks_next)
-            g = block_map(
-                transpose_columns(d_next, ranks[i]), x, middle, next_mod, len(blocks_next)
-            )
-        if f is None and g is None:
-            return middle
-        return homology(f, g)
-
-    # Tor: X^(r_(i+1)) -> X^(r_i) -> X^(r_(i-1)) with the original differentials
-    blocks_i = list(twist[i]) if i < len(twist) else []
-    if not blocks_i:
+    if i >= len(twist) or not twist[i]:
         return FPModule.zero(module.ring, module.order)
-    middle = block_module(x, blocks_i)
-    f = None
-    d_next = stage_cols(i + 1)
-    if d_next is not None:
-        blocks_next = list(twist[i + 1])
-        next_mod = block_module(x, blocks_next)
-        f = block_map(d_next, x, next_mod, middle, len(blocks_i))
-    g = None
-    if i >= 1:
-        d_i = stage_cols(i)
-        blocks_prev = list(twist[i - 1])
-        prev_mod = block_module(x, blocks_prev)
-        g = block_map(d_i, x, middle, prev_mod, len(blocks_prev))
-    if f is None and g is None:
-        return middle
-    return homology(f, g)
+    # stage k of the complex is X^(r_k), its blocks twisted by the degrees of
+    # F_k (Tor) or by their negatives (Ext, where Hom dualizes F_k)
+    sign = -1 if which == "ext" else 1
+    stages = {
+        k: block_module(x, [sign * t for t in twist[k]])
+        for k in (i - 1, i, i + 1)
+        if 0 <= k < len(twist)
+    }
+
+    def differential(k):
+        """d_k (x) X: X^(r_k) -> X^(r_(k-1)), or Hom(d_k, X) the other way."""
+        if k not in stages or k - 1 not in stages:
+            return None
+        cols = res.maps[k - 1].columns
+        if which == "ext":
+            dual = transpose_columns(cols, ranks[k - 1])
+            return block_map(dual, x, stages[k - 1], stages[k], ranks[k])
+        return block_map(cols, x, stages[k], stages[k - 1], ranks[k - 1])
+
+    # Ext: X^(r_(i-1)) -> X^(r_i) -> X^(r_(i+1)); Tor runs the other way
+    into, out = differential(i), differential(i + 1)
+    if which == "tor":
+        into, out = out, into
+    if into is None and out is None:
+        return stages[i]
+    return homology(into, out)

@@ -17,10 +17,13 @@ from .errors import ConfigurationError, ContractViolation
 from .fpmodule import (
     FPModule,
     ModuleMap,
+    block_kernel,
+    block_map,
     block_module,
     cokernel,
     free_resolution,
     kernel,
+    push_through,
     transpose_columns,
 )
 from .groebner import LiftSolver
@@ -93,8 +96,7 @@ def functor_from_tensor(m, label=""):
     pres = m.presentation()
     k = FPModule.free(ring, tuple(-t for t in pres.gen_twists), m.order)
     l = FPModule.free(ring, tuple(-s for s in pres.column_twists()), m.order)
-    mat = [list(col.components(len(pres.gens))) for col in pres.columns]
-    f = ModuleMap(k, l, transpose_columns(mat, len(pres.gens)), check=False)
+    f = ModuleMap(k, l, transpose_columns(pres.matrix(), len(pres.gens)), check=False)
     return CoherentFunctor(k, l, f, label or "M(x)-")
 
 
@@ -130,14 +132,12 @@ def functor_from_tor(m, i, length_cap=None, label=""):
     if i >= len(twist):
         return _zero_functor(ring, m.order, label or "Tor_%d(M,-)" % i)
     k_twists = tuple(-t for t in twist[i])
-    d_i = [list(col) for col in res.maps[i - 1].columns]
-    rel_cols = transpose_columns(d_i, ranks[i - 1])
+    rel_cols = transpose_columns(res.maps[i - 1].columns, ranks[i - 1])
     rels = [Vec.from_polys(col) for col in rel_cols if any(col)]
     k = FPModule(ring, ranks[i], k_twists, _units(ring, ranks[i]), rels, m.order, check=False)
     if i < len(res.maps):
         l = FPModule.free(ring, tuple(-t for t in twist[i + 1]), m.order)
-        d_next = [list(col) for col in res.maps[i].columns]
-        f = ModuleMap(k, l, transpose_columns(d_next, ranks[i]), check=False)
+        f = ModuleMap(k, l, transpose_columns(res.maps[i].columns, ranks[i]), check=False)
     else:
         l = FPModule.zero(ring, m.order)
         f = ModuleMap.zero_map(k, l)
@@ -167,7 +167,7 @@ def evaluate(functor, x):
     width = x.rank
     cols = []
     for u in hl.gens:
-        pushed = _push_through(u, alpha, width, hk.ring)
+        pushed = push_through(u, alpha, width)
         coeffs = hk.coeffs_of(pushed)
         if coeffs is None:
             raise ContractViolation("induced image left the Hom module")
@@ -185,25 +185,8 @@ def _hom_module(m, x):
     if not pres.columns:
         return amb
     tgt = block_module(x, [-s for s in pres.column_twists()])
-    mat = [list(col.components(len(pres.gens))) for col in pres.columns]
-    bmap = _block_map_transposed(mat, x, amb, tgt, len(pres.columns))
-    return kernel(bmap)
-
-
-def _block_map_transposed(mat, x, src, tgt, tgt_blocks):
-    """Block map whose (j, i) block multiplies by mat[j][i] (relation j, gen i)."""
-    zero = Poly.zero(x.ring)
-    gcount = len(x.gens)
-    cols = []
-    for i in range(len(mat[0]) if mat else 0):
-        for g in range(gcount):
-            col = [zero] * (tgt_blocks * gcount)
-            for j in range(tgt_blocks):
-                entry = mat[j][i]
-                if entry:
-                    col[j * gcount + g] = entry
-            cols.append(col)
-    return ModuleMap(src, tgt, cols, check=False)
+    dual = transpose_columns(pres.matrix(), len(pres.gens))
+    return kernel(block_map(dual, x, amb, tgt, len(pres.columns)))
 
 
 def _alpha_matrix(functor):
@@ -231,31 +214,6 @@ def _alpha_matrix(functor):
             raise ContractViolation("map image is not expressible in the presentation")
         cols.append(coeffs)
     return cols
-
-
-def _push_through(u, alpha, width, ring):
-    """Push a block vector over L-gens to one over K-gens along alpha transposed."""
-    nblocks = len(alpha[0]) if alpha else 0
-    parts = [dict() for _ in range(nblocks)]
-    for (row, mono), cf in u.terms.items():
-        i, r = divmod(row, width)
-        parts[i][(r, mono)] = cf
-    slices = [Vec(ring, d) for d in parts]
-    acc = {}
-    for j, col in enumerate(alpha):
-        off = j * width
-        for i, entry in enumerate(col):
-            if not entry or not slices[i]:
-                continue
-            for (r, mono), cf in slices[i].mul_poly(entry).terms.items():
-                key = (r + off, mono)
-                prev = acc.get(key)
-                val = ring.add(prev, cf) if prev is not None else cf
-                if val:
-                    acc[key] = val
-                else:
-                    acc.pop(key, None)
-    return Vec(ring, acc)
 
 
 def induced_map(functor, fx, fy):
@@ -330,38 +288,24 @@ def evaluate_via_diagram(functor, x):
     xc = FPModule.from_cokernel(ring, xp.gen_twists, list(xp.columns), x.order)
     if not diag.pres_k.gens:
         return FPModule.zero(ring, x.order)
-    amb_k = block_module(xc, [-t for t in diag.pres_k.gen_twists])
-    u_gens = _kernel_vectors(diag.pres_k, xc, amb_k)
+
+    def hom_vectors(pres):
+        """X^{gens} and the ambient generators of its Hom(coker, X) kernel."""
+        amb = block_module(xc, [-t for t in pres.gen_twists])
+        if not pres.columns:
+            return amb, list(amb.gens)
+        tgt = block_module(xc, [-s for s in pres.column_twists()])
+        return amb, block_kernel(pres.matrix(), amb, tgt, xc.rank, tgt.rels)
+
+    amb_k, u_gens = hom_vectors(diag.pres_k)
     v_gens = list(amb_k.rels)
     if diag.pres_l.gens:
-        amb_l = block_module(xc, [-t for t in diag.pres_l.gen_twists])
-        for w in _kernel_vectors(diag.pres_l, xc, amb_l):
-            pushed = _push_through(w, diag.alpha, xc.rank, ring)
+        _amb_l, l_gens = hom_vectors(diag.pres_l)
+        for w in l_gens:
+            pushed = push_through(w, diag.alpha, xc.rank)
             if pushed:
                 v_gens.append(pushed)
     return FPModule(ring, amb_k.rank, amb_k.twists, u_gens, v_gens, x.order, check=True)
-
-
-def _kernel_vectors(pres, xc, amb):
-    """Ambient generators of ker(X^{gens} -> X^{rels}) for a presentation."""
-    ring = xc.ring
-    if not pres.columns:
-        return list(amb.gens)
-    width = xc.rank
-    mat = [list(col.components(len(pres.gens))) for col in pres.columns]
-    tgt = block_module(xc, [-s for s in pres.column_twists()])
-    targets = []
-    for i in range(len(pres.gens)):
-        for r in range(width):
-            terms = {}
-            for j in range(len(pres.columns)):
-                entry = mat[j][i]
-                if entry:
-                    for mono, cf in entry.terms.items():
-                        terms[(j * width + r, mono)] = cf
-            targets.append(Vec(ring, terms))
-    solver = LiftSolver(ring, tgt.rank, tgt.twists, targets, list(tgt.rels))
-    return [v for v in solver.kernel_vectors() if v]
 
 
 # -- expressions -----------------------------------------------------------------
@@ -429,14 +373,6 @@ class FunctorExpression:
         if route == "diagram":
             return evaluate_via_diagram(self.functor, x)
         raise ConfigurationError("route must be 'direct' or 'diagram'")
-
-    def leaves(self):
-        if self.kind == "compose":
-            out = []
-            for p in self.parts:
-                out.extend(p.leaves())
-            return out
-        return [self.functor]
 
     def __repr__(self):
         if self.kind == "compose":

@@ -331,7 +331,7 @@ class LiftSolver:
         for g in self.basis:
             if any(c < rank for (c, _m) in g.terms):
                 continue
-            out.append(Vec(self.ring, {(c - rank, m): cf for (c, m), cf in g.terms.items()}))
+            out.append(g.shifted(-rank))
         return out
 
     def lift(self, v):
@@ -339,7 +339,7 @@ class LiftSolver:
         r, _ = reduce_vec(v, self.basis, self.bound)
         if any(c < self.rank for (c, _m) in r.terms):
             return None
-        coeff_vec = Vec(self.ring, {(c - self.rank, m): cf for (c, m), cf in r.terms.items()})
+        coeff_vec = r.shifted(-self.rank)
         s = len(self.targets)
         return [-p for p in coeff_vec.components(s)]
 
@@ -348,11 +348,10 @@ class LiftSolver:
 
 
 def eliminate_module(vectors, *, ring, rank, twists, elim_vars):
-    """Groebner basis of span(vectors) intersected with the elim-free part.
+    """Generators of span(vectors) intersected with the elim-free part.
 
-    Returns (full_basis, free_basis) where free_basis are the elements with no
-    occurrence of the eliminated variables; they generate the intersection
-    with the subring's free module.
+    These are the elements of the Groebner basis under the elimination order
+    with no occurrence of the eliminated variables.
     """
     order = TermOrder(kind="elim", elim=tuple(elim_vars), module_kind="top")
     bound = order.bind(ring, twists)
@@ -362,4 +361,4 @@ def eliminate_module(vectors, *, ring, rank, twists, elim_vars):
     for g in gb:
         if all(all(m[i] == 0 for i in elim_set) for (_c, m) in g.terms):
             free.append(g)
-    return gb, free
+    return free

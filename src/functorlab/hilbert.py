@@ -63,8 +63,6 @@ def ideal_numerator(ring, monos):
         return hit
     if len(monos) == 1:
         out = {0: 1, ring.mono_degree(monos[0]): -1}
-        if ring.mono_degree(monos[0]) == 0:
-            out = {}
         _NUMERATOR_MEMO[key] = out
         return out
     # split on the highest-degree generator (last after the sort above)

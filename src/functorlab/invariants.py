@@ -341,11 +341,3 @@ def injective_dimension(module, length_cap=None, profile=None):
             return last
     raise CapExceeded("Bass numbers still nonzero at stage %d" % (cap + 1))
 
-
-def depth_betti_bass(module, i):
-    """The bundle the stability layer tracks per grid point."""
-    return {
-        "depth": depth(module),
-        "betti": betti_number(module, i),
-        "bass": bass_number(module, i),
-    }

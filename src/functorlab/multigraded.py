@@ -174,7 +174,7 @@ def rees_algebra(family):
         t_var = Poly.variable(b_ring, t_names[y_block[v]])
         j_gens.append(y_var - inject_poly(p, b_ring, xmap) * t_var)
     vecs = [Vec.from_poly(g) for g in j_gens]
-    _full, free = eliminate_module(
+    free = eliminate_module(
         vecs,
         ring=b_ring,
         rank=1,
@@ -216,15 +216,17 @@ class MultigradedModule:
         return graded_component(self, nvec)
 
 
-def rees_module(family, module, label=""):
-    """R(M) = sum of I^n M as a module over the Rees presentation."""
-    alg = rees_algebra(family)
-    if module.ring.signature() != alg.base.signature():
-        raise ContractViolation("module and family live over different rings")
+def _rees_relations(alg, module, sub_vectors):
+    """Relations over R[y]/Q of the generators of R(M) modulo R(N).
+
+    The coefficient kernel of A^s -> M[t] / (W + N + J) taken in R[y, t]
+    under the t-first elimination order; its t-free part, with t dropped,
+    is a complete set of relations. With N = 0 these present R(M) itself.
+    """
     b = alg.b_ring
     xmap = list(range(alg.base.nvars))
     targets = [inject_vec(g, b, xmap) for g in module.gens]
-    modulo = [inject_vec(w, b, xmap) for w in module.rels]
+    modulo = [inject_vec(w, b, xmap) for w in list(module.rels) + list(sub_vectors)]
     for q in alg.j_gens:
         for c in range(module.rank):
             modulo.append(Vec(b, {(c, m): cf for m, cf in q.terms.items()}))
@@ -237,11 +239,19 @@ def rees_module(family, module, label=""):
         ring_order_kind="elim",
         elim=tuple(range(alg.t_start, alg.t_start + alg.r)),
     )
-    rels = [
+    return [
         project_vec(k, alg.aq, list(range(alg.t_start)))
         for k in solver.kernel_vectors()
         if alg.t_free(k)
     ]
+
+
+def rees_module(family, module, label=""):
+    """R(M) = sum of I^n M as a module over the Rees presentation."""
+    alg = rees_algebra(family)
+    if module.ring.signature() != alg.base.signature():
+        raise ContractViolation("module and family live over different rings")
+    rels = _rees_relations(alg, module, ())
     zero = tuple(0 for _ in range(alg.r))
     return MultigradedModule(
         alg,
@@ -399,30 +409,8 @@ def artin_rees_exponent(family, module, sub_vectors, mode="certified", box=None)
 
 def _certified_ar(family, module, sub_vectors):
     alg = rees_algebra(family)
-    b = alg.b_ring
-    xmap = list(range(alg.base.nvars))
-    targets = [inject_vec(g, b, xmap) for g in module.gens]
-    j_blocks = []
-    for q in alg.j_gens:
-        for c in range(module.rank):
-            j_blocks.append(Vec(b, {(c, m): cf for m, cf in q.terms.items()}))
-    w_inj = [inject_vec(w, b, xmap) for w in module.rels]
-    n_inj = [inject_vec(v, b, xmap) for v in sub_vectors]
-    elim = tuple(range(alg.t_start, alg.t_start + alg.r))
-
-    def t_free_kernel(modulo):
-        solver = LiftSolver(
-            b, module.rank, module.twists, targets, modulo,
-            ring_order_kind="elim", elim=elim,
-        )
-        return [
-            project_vec(k, alg.aq, list(range(alg.t_start)))
-            for k in solver.kernel_vectors()
-            if alg.t_free(k)
-        ]
-
-    kernel_gens = t_free_kernel(w_inj + n_inj + j_blocks)
-    base_rels = t_free_kernel(w_inj + j_blocks)
+    kernel_gens = _rees_relations(alg, module, sub_vectors)
+    base_rels = _rees_relations(alg, module, ())
     s = len(module.gens)
     adegs = module.gen_degrees()
     zero = tuple(0 for _ in range(alg.r))
@@ -434,25 +422,37 @@ def _certified_ar(family, module, sub_vectors):
     return tuple(max(m[j] for m in mdegs) for j in range(alg.r))
 
 
+def artin_rees_window(family, module, sub_vectors, d, points, strands):
+    """The first n in points with I^(n-d) (I^d M cap N) + W != I^n M cap N, or None.
+
+    Every point must be >= d. strands maps n to I^n M cap N; the strands
+    this check computes are added to it, so a caller trying several d
+    computes each strand once.
+    """
+
+    def strand(n):
+        if n not in strands:
+            strands[n] = intersection_strand(family, module, sub_vectors, n)
+        return strands[n]
+
+    w = module.rels_sub()
+    base = strand(d)
+    for n in points:
+        gap = tuple(a - b for a, b in zip(n, d))
+        if not strand(n).equals(family.apply(gap, base).plus(w)):
+            return n
+    return None
+
+
 def _empirical_ar(family, module, sub_vectors, box):
     lo, hi = (tuple(box[0]), tuple(box[1]))
     r = len(family.ideals)
     if len(lo) != r or len(hi) != r:
         raise ContractViolation("box arity does not match the family")
     points = box_points(lo, hi)
-    strands = {n: intersection_strand(family, module, sub_vectors, n) for n in points}
-    w = module.rels_sub()
+    strands = {}
     for d in sorted(box_points(tuple(0 for _ in lo), hi), key=lambda t: (sum(t), t)):
-        base_strand = intersection_strand(family, module, sub_vectors, d)
-        good = True
-        for n in points:
-            if any(a < b for a, b in zip(n, d)):
-                continue
-            gap = tuple(a - b for a, b in zip(n, d))
-            rebuilt = family.apply(gap, base_strand).plus(w)
-            if not strands[n].equals(rebuilt):
-                good = False
-                break
-        if good:
+        above = [n for n in points if all(a >= b for a, b in zip(n, d))]
+        if artin_rees_window(family, module, sub_vectors, d, above, strands) is None:
             return d
     raise ContractViolation("no exponent valid on the box; enlarge it")

@@ -227,6 +227,10 @@ class Vec:
             out = out + self.mul_term(c, m)
         return out
 
+    def shifted(self, offset):
+        """Same vector with every component index raised by offset."""
+        return Vec(self.ring, {(c + offset, m): cf for (c, m), cf in self.terms.items()})
+
     def component(self, c):
         return Poly(self.ring, {m: cf for (cc, m), cf in self.terms.items() if cc == c})
 

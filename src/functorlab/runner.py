@@ -14,7 +14,7 @@ from .cache import active_cache
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
 from .functors import evaluate, evaluate_expression
-from .multigraded import analytic_spread, artin_rees_exponent, intersection_strand
+from .multigraded import analytic_spread, artin_rees_exponent, artin_rees_window
 from .oracles import grade_by_regular_sequence
 from .stability import (
     _component_cap,
@@ -334,20 +334,10 @@ def run_artin_rees(scn, task):
     d, verdict = artin_rees_exponent(
         spec.family, module, list(vectors), mode=mode, box=(box.lo, box.hi)
     )
-    window = int(task.get("window", 8))
-    w = module.rels_sub()
-    base = intersection_strand(spec.family, module, list(vectors), d)
-    checked = []
-    failures = []
-    for step in range(window + 1):
-        n = tuple(a + step for a in d)
-        left = intersection_strand(spec.family, module, list(vectors), n)
-        gap = tuple(a - b for a, b in zip(n, d))
-        right = spec.family.apply(gap, base).plus(w)
-        if not left.equals(right):
-            failures.append("Artin-Rees equality fails at %s" % _point_key(n))
-            break
-        checked.append(n)
+    window = [tuple(a + step for a in d) for step in range(task.get("window", 8) + 1)]
+    bad = artin_rees_window(spec.family, module, list(vectors), d, window, {})
+    checked = window if bad is None else window[: window.index(bad)]
+    failures = [] if bad is None else ["Artin-Rees equality fails at %s" % _point_key(bad)]
     result = {
         "d": list(d),
         "verdict": verdict,

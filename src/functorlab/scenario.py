@@ -10,7 +10,7 @@ starts.
 import json
 import os
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, HomogeneityError
 from .fpmodule import FPModule
 from .functors import BUILDER_NAMES, FunctorExpression
 from .grid import GridBox
@@ -85,6 +85,16 @@ def _require(data, block, key, types=None):
     return value
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(block, value, what):
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        _fail(block, "%s must be a list of integers" % what)
+    return tuple(value)
+
+
 def load_scenario_text(text, char_override=None):
     try:
         data = json.loads(text)
@@ -144,7 +154,11 @@ def _build_ring(block, char_override):
     char = block.get("characteristic", 32003)
     if char_override is not None:
         char = char_override
+    if not _is_int(char):
+        _fail("ring", "characteristic must be an integer")
     weights = block.get("weights")
+    if weights is not None:
+        weights = _int_list("ring", weights, "weights")
     base = PolyRing(tuple(variables), char=char, weights=weights)
     rels = block.get("base_relations", [])
     if rels:
@@ -161,9 +175,17 @@ def _build_ideals(ring, block):
             _fail("ideals", "%r must be a list of polynomial strings" % name)
         try:
             out[name] = ideal(ring, [parse_poly(ring, g) for g in gens])
-        except ConfigurationError as exc:
+        except (ConfigurationError, HomogeneityError) as exc:
             _fail("ideals", "%r: %s" % (name, exc))
     return out
+
+
+def _graded(name, build, *args):
+    """build(*args), an inhomogeneous input refused as a modules-block error."""
+    try:
+        return build(*args)
+    except HomogeneityError as exc:
+        _fail("modules", "%r: %s" % (name, exc))
 
 
 def _build_modules(ring, block):
@@ -176,22 +198,22 @@ def _build_modules(ring, block):
             _fail("modules", "%r needs a type" % name)
         kind = decl["type"]
         if kind == "free":
-            twists = decl.get("twists", [0])
-            modules[name] = FPModule.free(ring, tuple(int(t) for t in twists))
+            twists = _int_list("modules", decl.get("twists", [0]), "%r twists" % name)
+            modules[name] = FPModule.free(ring, twists)
         elif kind == "cyclic":
             gens = decl.get("polys")
             if not gens or not isinstance(gens, list):
                 _fail("modules", "%r needs a nonempty polys list (use type free for the ring itself)" % name)
-            modules[name] = FPModule.cyclic(ring, tuple(gens))
+            modules[name] = _graded(name, FPModule.cyclic, ring, tuple(gens))
         elif kind == "presentation":
-            twists = tuple(int(t) for t in decl.get("twists", [0]))
+            twists = _int_list("modules", decl.get("twists", [0]), "%r twists" % name)
             cols = decl.get("columns", [])
             parsed = []
             for col in cols:
                 if not isinstance(col, list) or len(col) != len(twists):
                     _fail("modules", "%r column shape does not match twists" % name)
                 parsed.append(parse_vec(ring, col))
-            modules[name] = FPModule.from_cokernel(ring, twists, parsed)
+            modules[name] = _graded(name, FPModule.from_cokernel, ring, twists, parsed)
         elif kind == "submodule":
             host = decl.get("of")
             if host not in modules:
@@ -303,5 +325,8 @@ def _build_tasks(block, ideals, submodules):
             _fail("tasks", "grade task needs a named ideal")
         if name == "artin_rees" and entry.get("sub") not in submodules:
             _fail("tasks", "artin_rees task needs a named submodule")
+        for key in ("degree_cap", "i_max", "window"):
+            if key in entry and not (_is_int(entry[key]) and entry[key] >= 0):
+                _fail("tasks", "%r in task %r must be a nonnegative integer" % (key, name))
         tasks.append(dict(entry))
     return tasks

@@ -11,9 +11,8 @@ nothing is ever refitted or patched to make a family look stable.
 
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
-from .fpmodule import FPModule, block_module, free_resolution
-from .functors import _push_through, evaluate, evaluate_expression
-from .groebner import LiftSolver
+from .fpmodule import FPModule, block_kernel, block_module, free_resolution, push_through
+from .functors import evaluate, evaluate_expression
 from .invariants import (
     associated_primes,
     bass_number,
@@ -82,11 +81,6 @@ class FamilySpec:
         )
         rels = list(m.rels) + [v for v in scaled.gens if v]
         return FPModule(m.ring, m.rank, m.twists, m.gens, rels, m.order, check=False)
-
-
-def quotient_member(spec, nvec):
-    """The family member at one exponent."""
-    return spec.member(nvec)
 
 
 # -- grid evaluation ---------------------------------------------------------------
@@ -339,33 +333,43 @@ def _to_cokernel_coords(module, pres, vectors):
     return out
 
 
-def _block_vectors(vectors, blocks, width, ring):
-    out = []
-    for i in range(blocks):
-        off = i * width
-        for v in vectors:
-            if v:
-                out.append(Vec(ring, {(c + off, m): cf for (c, m), cf in v.terms.items()}))
-    return out
-
-
 def _sub(amb, gens, extra=()):
     ring = amb.ring
     vecs = [v for v in list(gens) + list(extra) if v]
     return Submodule(ring, amb.rank, amb.twists, vecs, amb.order, check=False)
 
 
-def _preimage(mat, src_amb, tgt_amb, width, modulo):
-    """Generators of the preimage of span(modulo) under the block push."""
-    ring = src_amb.ring
-    targets = []
-    for idx in range(src_amb.rank):
-        unit = Vec.unit(ring, idx)
-        targets.append(_push_through(unit, mat, width, ring))
-    solver = LiftSolver(
-        ring, tgt_amb.rank, tgt_amb.twists, targets, [v for v in modulo if v]
+def _n_blocks(n_vecs, count, width):
+    """N^count: the N-vectors in each of count blocks."""
+    return [v.shifted(i * width) for i in range(count) for v in n_vecs]
+
+
+def _block_side(pres, amb, mc, n_vecs, family, box, ar_mode):
+    """One side of the lifted diagram: the block push amb -> X^{rels} along pres.
+
+    Returns (e, verdict, kernel, preimage): e is the Artin-Rees exponent of
+    the pushed image meeting the filtration of N^{rels}, kernel generates the
+    kernel of the push, and preimage(n) generates the preimage of I^n N^{rels}.
+    """
+    width = mc.rank
+    mat = pres.matrix()
+    tgt = block_module(mc, [-s for s in pres.column_twists()])
+    image = _sub(tgt, [push_through(g, mat, width) for g in amb.gens], tgt.rels)
+    blocks = _n_blocks(n_vecs, len(pres.columns), width)
+    prime = _sub(tgt, blocks, tgt.rels)
+    prime_fp = FPModule.subquotient(
+        mc.ring, tgt.rank, tgt.twists, blocks, list(tgt.rels), mc.order
     )
-    return [v for v in solver.kernel_vectors() if v]
+    meet = image.intersect(prime)
+    e, verdict = artin_rees_exponent(
+        family, prime_fp, list(meet.gens), mode=ar_mode, box=(box.lo, box.hi)
+    )
+
+    def preimage(n):
+        modulo = list(family.apply(n, prime).gens) + list(tgt.rels)
+        return block_kernel(mat, amb, tgt, width, modulo)
+
+    return e, verdict, block_kernel(mat, amb, tgt, width, tgt.rels), preimage
 
 
 def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
@@ -385,8 +389,7 @@ def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
     mc = FPModule.from_cokernel(ring, mp.gen_twists, list(mp.columns), module.order)
     width = mc.rank
     n_vecs = _to_cokernel_coords(module, mp, sub_vectors)
-    k0, k1 = len(pres_k.gens), len(pres_k.columns)
-    l0, l1 = len(pres_l.gens), len(pres_l.columns)
+    k0 = len(pres_k.gens)
     if k0 == 0:
         raise ConfigurationError("zero functor has no normal form to build")
     amb_b = block_module(mc, [-t for t in pres_k.gen_twists])
@@ -394,68 +397,38 @@ def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
 
     # A-side: c, A1 = ker(gamma*), A2 = preimage of I^c N^{l1}
     zero_exp = (0,) * r
-    if l0 == 0:
+    if not pres_l.gens:
         c = zero_exp
         provenance["c_verdict"] = "trivial: L needs no presentation"
         a1_gens, a2_gens = [], []
     else:
         amb_a = block_module(mc, [-t for t in pres_l.gen_twists])
-        if l1 == 0:
+        if not pres_l.columns:
             c = zero_exp
             provenance["c_verdict"] = "trivial: L is free"
-            a1_gens = list(amb_a.gens)
-            a2_gens = list(amb_a.gens)
+            a1_gens = a2_gens = list(amb_a.gens)
         else:
-            mat_l = [list(col.components(l0)) for col in pres_l.columns]
-            amb_d = block_module(mc, [-s for s in pres_l.column_twists()])
-            ga = _sub(amb_d, [_push_through(g, mat_l, width, ring) for g in amb_a.gens],
-                      amb_d.rels)
-            dprime_blocks = _block_vectors(n_vecs, l1, width, ring)
-            dprime = _sub(amb_d, dprime_blocks, amb_d.rels)
-            dprime_fp = FPModule.subquotient(
-                ring, amb_d.rank, amb_d.twists, dprime_blocks, list(amb_d.rels), mc.order
+            c, provenance["c_verdict"], a1_gens, a_preimage = _block_side(
+                pres_l, amb_a, mc, n_vecs, family, box, ar_mode
             )
-            meet = ga.intersect(dprime)
-            c, cv = artin_rees_exponent(
-                family, dprime_fp, list(meet.gens), mode=ar_mode, box=(box.lo, box.hi)
-            )
-            provenance["c_verdict"] = cv
-            a1_gens = _preimage(mat_l, amb_a, amb_d, width, list(amb_d.rels))
-            icd = family.apply(c, dprime)
-            a2_gens = _preimage(mat_l, amb_a, amb_d, width, list(icd.gens) + list(amb_d.rels))
-    phi_a1 = [w for w in (_push_through(v, alpha, width, ring) for v in a1_gens) if w]
-    phi_a2 = [w for w in (_push_through(v, alpha, width, ring) for v in a2_gens) if w]
+            a2_gens = a_preimage(c)
+    phi_a1 = [w for w in (push_through(v, alpha, width) for v in a1_gens) if w]
+    phi_a2 = [w for w in (push_through(v, alpha, width) for v in a2_gens) if w]
 
-    # B-side: d from psi(B) meeting the filtration of N^{k1}
-    if k1 == 0:
-        d_raw = zero_exp
+    # B-side: d from psi(B) meeting the filtration of N^{k1}, raised to c
+    if not pres_k.columns:
+        d = c
         provenance["d_verdict"] = "trivial: K is free"
-        ker_psi = list(amb_b.gens)
-        v_pre = list(amb_b.gens)
-        mat_k = None
+        ker_psi = v_pre = list(amb_b.gens)
     else:
-        mat_k = [list(col.components(k0)) for col in pres_k.columns]
-        amb_c = block_module(mc, [-s for s in pres_k.column_twists()])
-        psib = _sub(amb_c, [_push_through(g, mat_k, width, ring) for g in amb_b.gens],
-                    amb_c.rels)
-        cprime_blocks = _block_vectors(n_vecs, k1, width, ring)
-        cprime = _sub(amb_c, cprime_blocks, amb_c.rels)
-        cprime_fp = FPModule.subquotient(
-            ring, amb_c.rank, amb_c.twists, cprime_blocks, list(amb_c.rels), mc.order
+        d_raw, provenance["d_verdict"], ker_psi, b_preimage = _block_side(
+            pres_k, amb_b, mc, n_vecs, family, box, ar_mode
         )
-        meet = psib.intersect(cprime)
-        d_raw, dv = artin_rees_exponent(
-            family, cprime_fp, list(meet.gens), mode=ar_mode, box=(box.lo, box.hi)
-        )
-        provenance["d_verdict"] = dv
-        ker_psi = _preimage(mat_k, amb_b, amb_c, width, list(amb_c.rels))
-    d = tuple(max(a, b) for a, b in zip(d_raw, c))
-    if mat_k is not None:
-        idc = family.apply(d, cprime)
-        v_pre = _preimage(mat_k, amb_b, amb_c, width, list(idc.gens) + list(amb_c.rels))
+        d = tuple(max(a, b) for a, b in zip(d_raw, c))
+        v_pre = b_preimage(d)
 
     gap_dc = tuple(a - b for a, b in zip(d, c))
-    bprime = _sub(amb_b, _block_vectors(n_vecs, k0, width, ring))
+    bprime = _sub(amb_b, _n_blocks(n_vecs, k0, width))
     w_parts = []
     if phi_a2:
         w_parts.extend(family.apply(gap_dc, _sub(amb_b, phi_a2)).gens)

@@ -20,12 +20,7 @@ from .errors import ContractViolation, HomogeneityError
 from .groebner import LiftSolver, buchberger, reduce_vec, term_basis
 from .hilbert import leads_by_component
 from .poly import Vec, parse_poly, parse_vec
-from .rings import GREVLEX, TermOrder
-
-
-def _into_block(v, offset):
-    """v with every component index moved up by offset."""
-    return Vec(v.ring, {(c + offset, m): cf for (c, m), cf in v.terms.items()})
+from .rings import GREVLEX
 
 
 # -- Groebner cache entries ---------------------------------------------------
@@ -85,7 +80,7 @@ def _coefficient(char, cf):
 
 
 class Submodule:
-    __slots__ = ("ring", "rank", "twists", "order", "gens", "is_groebner", "_bound", "_gb")
+    __slots__ = ("ring", "rank", "twists", "order", "gens", "_bound", "_gb")
 
     def __init__(self, ring, rank, twists, gens, order=GREVLEX, check=True):
         self.ring = ring
@@ -94,7 +89,6 @@ class Submodule:
         if len(self.twists) != rank:
             raise ContractViolation("need one twist per ambient component")
         self.order = order
-        self.is_groebner = False
         kept = []
         for g in gens:
             if not g:
@@ -187,7 +181,6 @@ class Submodule:
         out = Submodule(
             self.ring, self.rank, self.twists, self.groebner(), self.order, check=False
         )
-        out.is_groebner = True
         out._gb = list(out.gens)
         return out
 
@@ -225,7 +218,7 @@ class Submodule:
         twisted down by degrees[j], with self in every copy as the modulus."""
         rank = self.rank
         twists = [t - d for d in degrees for t in self.twists]
-        modulo = [_into_block(g, j * rank) for j in range(len(degrees)) for g in self.gens]
+        modulo = [g.shifted(j * rank) for j in range(len(degrees)) for g in self.gens]
         return LiftSolver(self.ring, rank * len(degrees), twists, targets, modulo)
 
     def colon(self, vectors_or_sub):

@@ -93,6 +93,67 @@ def test_missing_scenario_file_exits_two(tmp_path, capsys):
     assert "no bundled scenario" in capsys.readouterr().err
 
 
+def _artin_rees_doc(**task):
+    return {
+        "format": "scn/1",
+        "label": "artin rees",
+        "ring": {"variables": ["x", "y"]},
+        "ideals": {"m": ["x", "y"]},
+        "modules": {
+            "M": {"type": "free", "twists": [0]},
+            "N": {"type": "submodule", "of": "M", "vectors": [["x"]]},
+        },
+        "family": {"kind": "quotient", "module": "M", "ideals": ["m"]},
+        "box": {"lo": [1], "hi": [5], "shell": 1},
+        "tasks": [dict({"task": "artin_rees", "sub": "N", "window": 4}, **task)],
+    }
+
+
+@pytest.mark.parametrize("mode", ["certified", "empirical"])
+def test_artin_rees_task(tmp_path, mode):
+    # N = (x) in R with I = (x, y): I^n cap (x) = x I^(n-1), so d = 1
+    path = tmp_path / "ar.scn"
+    path.write_text(json.dumps(_artin_rees_doc(mode=mode)))
+    code, out = _run(tmp_path, str(path))
+    assert code == 0
+    entry = json.loads((out / "artin_rees.report.json").read_text())["tasks"][0]
+    assert entry["status"] == "PASS"
+    assert entry["d"] == [1]
+    assert entry["verdict"] == mode
+    assert entry["window_checked"] == [[1], [2], [3], [4], [5]]
+
+
+def _set(path, value):
+    """Scenario mutator: put value at the key path inside the document."""
+    def apply(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return apply
+
+
+@pytest.mark.parametrize("mutate, block", [
+    (_set(("ring", "characteristic"), "32003"), "ring block"),
+    (_set(("ring", "weights"), ["1", "1"]), "ring block"),
+    (_set(("modules", "M", "twists"), ["0"]), "modules block"),
+    (_set(("tasks",), [{"task": "fit", "degree_cap": "2"}]), "tasks block"),
+    (_set(("tasks",), [{"task": "betti_bass", "i_max": "2"}]), "tasks block"),
+    (_set(("tasks", 0, "window"), "4"), "tasks block"),
+    (_set(("ideals", "m"), ["x + y^2"]), "ideals block"),
+    (_set(("modules", "Q"), {"type": "cyclic", "polys": ["x + y^2"]}), "modules block"),
+], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
+        "inhomogeneous_ideal", "inhomogeneous_module"])
+def test_malformed_scenario_values_exit_two(tmp_path, capsys, mutate, block):
+    doc = _artin_rees_doc()
+    mutate(doc)
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps(doc))
+    code, _ = _run(tmp_path, str(path))
+    assert code == 2
+    assert block in capsys.readouterr().err
+
+
 def test_engine_error_exits_three(tmp_path, capsys):
     # identity fit over Rees strands: lengths are infinite inside the grid,
     # which the fitter refuses; the runner reports ERROR, exit 3
@@ -194,6 +255,22 @@ def test_cold_and_warm_cache_reports_identical(tmp_path, monkeypatch):
     cold = (cold_dir / "hilbert_samuel_xy.report.json").read_bytes()
     warm = (warm_dir / "hilbert_samuel_xy.report.json").read_bytes()
     assert cold == warm
+
+
+def test_unusable_cache_directory_keeps_the_run_going(tmp_path, monkeypatch):
+    # the cache directory names a regular file: nothing can be written to
+    # disk, the memory cache still serves the run, and the report is the same
+    scenario = bundled_scenario_path("hilbert_samuel_xy")
+    _, plain = _run(tmp_path, scenario)
+    blocked = tmp_path / "not_a_directory"
+    blocked.write_text("")
+    monkeypatch.setenv("FUNCTORLAB_CACHE_DIR", str(blocked))
+    out = tmp_path / "blocked"
+    assert main(["run", scenario, "--out", str(out)]) == 0
+    stats = cache.active_cache().stats()
+    assert stats["puts"] > 0 and stats["hits"] > 0 and stats["corrupt"] == 0
+    name = "hilbert_samuel_xy.report.json"
+    assert (out / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_wrong_but_parseable_cache_entries_are_recomputed(tmp_path, monkeypatch):

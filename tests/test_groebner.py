@@ -142,7 +142,7 @@ def test_elimination_keeps_only_parameter_free_elements():
         Vec.from_poly(parse_poly(R, "x - t")),
         Vec.from_poly(parse_poly(R, "y - t^2")),
     ]
-    _full, free = eliminate_module(vecs, ring=R, rank=1, twists=(0,), elim_vars=(0,))
+    free = eliminate_module(vecs, ring=R, rank=1, twists=(0,), elim_vars=(0,))
     assert [g.to_strings(1) for g in free] == [["x^2 - y"]]
 
 

@@ -28,18 +28,11 @@ from functorlab.invariants import (
     bass_profile,
     betti_number,
     depth,
-    depth_betti_bass,
     grade,
     injective_dimension,
     is_associated,
     projective_dimension,
     residue_field,
-)
-from functorlab.ops import (
-    groebner_basis,
-    normal_form,
-    submodule_algebra,
-    syzygies,
 )
 from functorlab.poly import parse_poly, parse_vec, quotient_ring
 from functorlab.rings import PolyRing
@@ -151,8 +144,7 @@ def test_betti_bass_oracles():
     assert bass_number(m, 0) == 2  # socle of R/(x,y)^2 is two-dimensional
     assert bass_number(m, 2) != 0
     assert bass_number(m, 3) == 0
-    bundle = depth_betti_bass(m, 1)
-    assert bundle["depth"] == 0 and bundle["betti"] == 3
+    assert depth(m) == 0
 
 
 def test_cohen_macaulay_depth_equals_dim():
@@ -161,35 +153,6 @@ def test_cohen_macaulay_depth_equals_dim():
     assert depth(m) == 1
     assert projective_dimension(m) == 1
     assert m.dim() == 1
-
-
-def test_normal_form_contract():
-    sub = ideal(R, ["x^2", "x*y"])
-    with pytest.raises(ContractViolation):
-        normal_form(parse_vec(R, ["x^2 + y"]), sub)
-    basis = groebner_basis(sub)
-    assert basis.is_groebner
-    nf = normal_form(parse_vec(R, ["x^2 + y"]), basis)
-    assert nf.to_strings(1) == ["y"]
-
-
-def test_submodule_algebra_dispatch():
-    a = ideal(R, ["x"])
-    b = ideal(R, ["y"])
-    assert submodule_algebra("sum", a, b).equals(ideal(R, ["x", "y"]))
-    assert submodule_algebra("intersect", a, b).equals(ideal(R, ["x*y"]))
-    assert submodule_algebra("colon", submodule_algebra("product", a, b), a).equals(b)
-    power = submodule_algebra("multi_power", [a, b], (2, 1))
-    assert power.equals(ideal(R, ["x^2*y"]))
-    with pytest.raises(Exception):
-        submodule_algebra("transpose", a)
-
-
-def test_syzygies_op():
-    sub = ideal(R, ["x^2", "x*y"])
-    syz = syzygies(sub)
-    assert syz.rank == 2
-    assert len(syz.gens) == 1
 
 
 # -- references: every subset tested, Bass numbers from Ext^i(k, M) ------------

@@ -9,8 +9,9 @@ import pytest
 
 from functorlab import cache, fpmodule, invariants, stability
 from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
-from functorlab.fpmodule import FPModule
+from functorlab.fpmodule import FPModule, ModuleMap
 from functorlab.functors import (
+    CoherentFunctor,
     FunctorExpression,
     functor_from_hom,
     functor_from_tensor,
@@ -35,7 +36,6 @@ from functorlab.stability import (
     grade_asymptotics,
     grid_evaluate,
     normal_form,
-    quotient_member,
 )
 from functorlab.submodule import IdealFamily, Submodule, ideal
 
@@ -59,9 +59,9 @@ def _mxy(ring):
 
 def test_quotient_member_powers(ring):
     spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], _mxy(ring))
-    assert quotient_member(spec, (0,)).length() == 0
+    assert spec.member((0,)).length() == 0
     for n in (1, 2, 3, 4):
-        assert quotient_member(spec, (n,)).length() == n * (n + 1) // 2
+        assert spec.member((n,)).length() == n * (n + 1) // 2
 
 
 def test_quotient_member_two_ideals(ring):
@@ -69,7 +69,7 @@ def test_quotient_member_two_ideals(ring):
     spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], fam)
     # R/(x^a y^b) is infinite for a, b >= 1; the staircase under x^2 y^1 has
     # no finite length, so check Hilbert values instead of total length.
-    member = quotient_member(spec, (2, 1))
+    member = spec.member((2, 1))
     direct = FPModule.cyclic(ring, ("x^2*y",))
     assert member.hilbert_equal(direct)
 
@@ -219,6 +219,24 @@ def test_normal_form_tensor_functor(ring):
     nf = normal_form(functor_from_tensor(mod_x), free, [Vec.unit(ring, 0)], fam, box)
     assert [nf.member_value((n,)).length() for n in (1, 2, 3, 4, 5)] == [1, 2, 3, 4, 5]
     assert nf.u_module().hilbert_equal(evaluate(functor_from_tensor(mod_x), free))
+
+
+def test_normal_form_with_non_free_l(ring):
+    # K = R, L = R/(x), f the quotient map: F(X) = X/(0 :_X x), so
+    # F(R/I^n) = (R/I^n)/(I^(n-1)/I^n) has length n(n+1)/2 - n; L is not
+    # free, so c comes from a certified Artin-Rees exponent on the L side
+    free = _free(ring)
+    mod_x = FPModule.cyclic(ring, ("x",))
+    one = Poly.constant(ring, ring.one)
+    functor = CoherentFunctor(free, mod_x, ModuleMap(free, mod_x, [[one]]))
+    box = GridBox((1,), (6,), shell=1)
+    nf = normal_form(functor, free, [Vec.unit(ring, 0)], _mxy(ring), box)
+    assert nf.c == (1,)
+    assert nf.provenance["c_verdict"] == "certified"
+    assert [nf.member_value((n,)).length() for n in range(1, 7)] == [
+        n * (n - 1) // 2 for n in range(1, 7)
+    ]
+    assert len(nf.validated) == 6
 
 
 def test_normal_form_member_below_d_rejected(ring):
