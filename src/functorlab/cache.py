@@ -1,5 +1,9 @@
 """Content-addressed caching for Groebner output.
 
+Only bases that need the Buchberger loop come here: a module spanned by
+terms gets its basis from its minimal terms (groebner.spans_terms), which
+costs less than building a key, so it never reads or writes an entry.
+
 Keys are SHA-256 digests of a canonical JSON rendering of the parts the caller
 names (for a Groebner basis: kind, ring and order signatures, twists, rank and
 the generators' term rows); values are JSON.

@@ -16,11 +16,13 @@ in the pair heap instead of rebuilding it. One pass over the finished basis
 makes the output canonical (monic, minimal, tail-reduced, sorted by lead).
 No F4/F5.
 
-Term-generated input skips the loop. When every input and every
-base-relation vector is a single term, the submodule is spanned by terms,
+Term-generated input skips the loop. When every input and every base
+relation is a single term (spans_terms), the submodule is spanned by terms,
 and its reduced basis is its minimal terms, made monic and sorted by lead
 (Dickson's lemma; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
 2.4-2.7): term_basis returns that list, the one the loop would return.
+Submodule.groebner asks spans_terms first, so a term module never builds a
+cache key or reaches buchberger at all.
 
 LiftSolver is the workhorse behind syzygies, kernels, preimages, and lifts:
 it tags each target with a fresh component that sorts below every main
@@ -43,6 +45,14 @@ def base_relation_vectors(ring, rank):
         for c in range(rank):
             out.append(Vec.from_poly(rel, c))
     return out
+
+
+def spans_terms(vectors, ring):
+    """Whether span(vectors) + I0 * R^rank is spanned by terms: every vector
+    and every base relation is a single term or zero."""
+    return all(len(v.terms) <= 1 for v in vectors) and all(
+        len(rel.terms) <= 1 for rel in ring.relations
+    )
 
 
 def monic_lead(vec, bound, ring):
@@ -196,12 +206,11 @@ def buchberger(vectors, *, ring, rank, twists, bound):
     whose lead is a multiple of the new lead stop forming pairs and stop
     serving as reducers.
 
-    When every input and every base-relation vector is a single term, the
-    loop is skipped: the S-vector of two terms is zero, so term_basis gives
-    the basis the loop would.
+    When spans_terms holds, the loop is skipped: the S-vector of two terms
+    is zero, so term_basis gives the basis the loop would.
     """
     given = list(vectors) + base_relation_vectors(ring, rank)
-    if all(len(v.terms) <= 1 for v in given):
+    if spans_terms(vectors, ring):
         return term_basis(given, bound, ring)
     mono_lcm, mono_divides, mono_degree = ring.mono_lcm, ring.mono_divides, ring.mono_degree
     G = []  # monic elements

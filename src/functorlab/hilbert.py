@@ -5,14 +5,18 @@ series: for a quotient of a twisted free module by a monomial lead module,
 
     H(t) = numerator(t) / prod_i (1 - t^(w_i)),
 
-with the numerator computed by the colon recursion
+with the numerator computed by the colon recursion (Bayer-Stillman,
+"Computation of Hilbert functions", JSC 14, 1992)
 
     N(I + (m)) = N(I) - t^(deg m) * N(I : m)
 
-memoized on minimal monomial generating sets. Lengths come from exact
-division of the numerator by every (1 - t^(w_i)) factor (non-divisibility
-certifies infinite length), Krull dimension from the pole order at t = 1, and
-graded dimensions from a finite window of the power-series expansion.
+memoized on minimal monomial generating sets. The input is pruned to its
+minimal generators once; the recursion then drops the last generator from a
+list that stays minimal and sorted, so only the colon list is pruned again.
+Lengths come from exact division of the numerator by every (1 - t^(w_i))
+factor (non-divisibility certifies infinite length), Krull dimension from
+the pole order at t = 1, and graded dimensions from a finite window of the
+power-series expansion.
 
 Numerators are dicts {degree: int}; negative degrees are legal because twists
 may be negative.
@@ -52,11 +56,16 @@ def numer_shift(a, shift):
 
 def ideal_numerator(ring, monos):
     """Numerator of the Hilbert series of R/(monos), memoized."""
-    monos = minimal_monomials(ring, monos)
+    return _minimal_numerator(ring, minimal_monomials(ring, monos))
+
+
+def _minimal_numerator(ring, monos):
+    """ideal_numerator of a list that minimal_monomials returned, or a prefix
+    of one: minimal under divisibility and sorted by (degree, exponents)."""
     if not monos:
         return {0: 1}
-    if not any(monos[-1]) or not any(monos[0]):
-        return {}  # the unit monomial is a generator
+    if not any(monos[0]):
+        return {}  # the unit monomial is a generator; degree 0 sorts it first
     key = (ring.weights, tuple(monos))
     hit = _NUMERATOR_MEMO.get(key)
     if hit is not None:
@@ -65,12 +74,12 @@ def ideal_numerator(ring, monos):
         out = {0: 1, ring.mono_degree(monos[0]): -1}
         _NUMERATOR_MEMO[key] = out
         return out
-    # split on the highest-degree generator (last after the sort above)
+    # split on the highest-degree generator, the last one
     pivot = monos[-1]
     rest = monos[:-1]
-    n_rest = ideal_numerator(ring, rest)
+    n_rest = _minimal_numerator(ring, rest)
     colon = [ring.mono_div(m, ring.mono_gcd(m, pivot)) for m in rest]
-    n_colon = ideal_numerator(ring, colon)
+    n_colon = _minimal_numerator(ring, minimal_monomials(ring, colon))
     out = numer_add(n_rest, numer_shift(n_colon, ring.mono_degree(pivot)), sign=-1)
     _NUMERATOR_MEMO[key] = out
     return out

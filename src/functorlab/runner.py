@@ -187,7 +187,12 @@ def run_stabilization(scn, task):
     verdict = detect_stabilization(table, box)
     result = {"observable": name, "table": table, "verdict": verdict}
     failures = []
-    if task.get("assert_stable") and not verdict["stable"]:
+    if task.get("assert_stable") and "refused" in verdict:
+        failures.append(
+            "observable %s was refused at shell points %s"
+            % (name, " ".join("[%s]" % _point_key(p) for p in verdict["refused"]))
+        )
+    elif task.get("assert_stable") and not verdict["stable"]:
         failures.append("observable %s is not constant on the shell" % name)
     if "expect_value" in task:
         expected = task["expect_value"]

@@ -9,8 +9,9 @@ starts.
 
 import json
 import os
+from fractions import Fraction
 
-from .errors import ConfigurationError, HomogeneityError
+from .errors import ConfigurationError, ContractViolation, HomogeneityError
 from .fpmodule import FPModule
 from .functors import BUILDER_NAMES, FunctorExpression
 from .grid import GridBox
@@ -136,7 +137,7 @@ def build_scenario(data, char_override=None):
     box = None
     if "box" in data:
         box = _build_box(data["box"])
-    tasks = _build_tasks(data.get("tasks", []), ideals, submodules)
+    tasks = _build_tasks(data.get("tasks", []), ideals, submodules, box)
     output = data.get("output", {})
     if not isinstance(output, dict):
         _fail("output", "must be an object")
@@ -299,16 +300,38 @@ def _build_family(block, ring, ideals, modules, submodules):
 def _build_box(block):
     if not isinstance(block, dict):
         _fail("box", "must be an object")
-    lo = _require(block, "box", "lo", list)
-    hi = _require(block, "box", "hi", list)
+    lo = _int_list("box", _require(block, "box", "lo"), "lo")
+    hi = _int_list("box", _require(block, "box", "hi"), "hi")
     shell = block.get("shell", 1)
+    if not _is_int(shell):
+        _fail("box", "shell must be an integer")
     try:
-        return GridBox(tuple(int(a) for a in lo), tuple(int(b) for b in hi), int(shell))
-    except Exception as exc:
+        return GridBox(lo, hi, shell)
+    except ContractViolation as exc:
         _fail("box", str(exc))
 
 
-def _build_tasks(block, ideals, submodules):
+def _check_assert_values(name, values, box):
+    """assert_values maps "n_1,...,n_r" point keys to rational values."""
+    if not isinstance(values, dict):
+        _fail("tasks", "assert_values in task %r must be an object" % name)
+    for key, expected in values.items():
+        try:
+            point = [int(part) for part in key.split(",")]
+        except ValueError:
+            _fail("tasks", "assert_values key %r in task %r is not a point "
+                  "such as \"1,2\"" % (key, name))
+        if box is not None and len(point) != box.r:
+            _fail("tasks", "assert_values key %r in task %r does not have %d coordinates"
+                  % (key, name, box.r))
+        try:
+            Fraction(expected)
+        except (TypeError, ValueError, ZeroDivisionError):
+            _fail("tasks", "assert_values value %r in task %r is not a number"
+                  % (expected, name))
+
+
+def _build_tasks(block, ideals, submodules, box):
     if not isinstance(block, list):
         _fail("tasks", "must be a list")
     tasks = []
@@ -328,5 +351,7 @@ def _build_tasks(block, ideals, submodules):
         for key in ("degree_cap", "i_max", "window"):
             if key in entry and not (_is_int(entry[key]) and entry[key] >= 0):
                 _fail("tasks", "%r in task %r must be a nonnegative integer" % (key, name))
+        if "assert_values" in entry:
+            _check_assert_values(name, entry["assert_values"], box)
         tasks.append(dict(entry))
     return tasks

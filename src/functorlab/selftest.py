@@ -293,9 +293,10 @@ def suite_cache_robustness():
 def _malformed_groebner_entry(scratch):
     """A Groebner entry sealed with its right key and digest but holding a
     row with a negative exponent reads as corrupt, is recomputed and put
-    back; returns what went wrong, or None."""
+    back; returns what went wrong, or None. The ideal is not spanned by
+    terms, since a term module never reaches the cache."""
     ring = _ring()
-    gens = ["x^2", "x*y", "y^3"]
+    gens = ["x^2 + y^2", "x*y", "y^3"]
     writer = Cache(directory=scratch)
     previous = install(writer)
     try:

@@ -160,18 +160,31 @@ def grid_evaluate(expr, spec, box, observables, grade_ideal=None, i_max=2):
     return out
 
 
+def _is_refused(value):
+    return isinstance(value, dict) and "error" in value
+
+
 def detect_stabilization(table, box):
-    """Constant-on-shell verdict; explicitly evidence-level, never a claim."""
+    """Constant-on-shell verdict; explicitly evidence-level, never a claim.
+
+    A refused point (an {"error": ...} value) has no value to compare, so a
+    shell with one is not stable; the verdict then lists those points under
+    "refused".
+    """
     shell = box.shell_points()
     vals = [table.get(p) for p in shell]
-    stable = bool(vals) and all(v is not None and v == vals[0] for v in vals)
-    return {
+    refused = [p for p, v in zip(shell, vals) if _is_refused(v)]
+    stable = bool(vals) and not refused and all(v is not None and v == vals[0] for v in vals)
+    verdict = {
         "stable": stable,
         "value": vals[0] if stable else None,
         "shell_floor": box.shell_floor(),
         "witness": shell if stable else [],
         "evidence": "evidence-level on box",
     }
+    if refused:
+        verdict["refused"] = refused
+    return verdict
 
 
 def degree_bound_check(functor, module, family, fitted):

@@ -5,9 +5,11 @@ quotient base R = P/I0 it implicitly contains I0*R^rank, so membership,
 intersections, colons, and syzygies are all relative to the quotient. Ideals
 are the rank-1, twist-0 case.
 
-Groebner bases are computed lazily, canonicalized (monic, auto-reduced,
-sorted), and memoized through the content-addressed cache, so module equality
-is literal equality of canonical bases.
+Groebner bases are computed lazily and canonicalized (monic, auto-reduced,
+sorted), so module equality is literal equality of canonical bases. A module
+spanned by terms (groebner.spans_terms) gets its basis straight from its
+minimal terms, which costs less than a cache lookup; every other basis is
+memoized through the content-addressed cache.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from operator import add
 
 from . import cache
 from .errors import ContractViolation, HomogeneityError
-from .groebner import LiftSolver, buchberger, reduce_vec, term_basis
+from .groebner import (
+    LiftSolver,
+    base_relation_vectors,
+    buchberger,
+    reduce_vec,
+    spans_terms,
+    term_basis,
+)
 from .hilbert import leads_by_component
 from .poly import Vec, parse_poly, parse_vec
 from .rings import GREVLEX
@@ -121,12 +130,17 @@ class Submodule:
     def groebner(self):
         """The reduced Groebner basis, computed once or read from the cache.
 
-        With the cache off no key is built. A cache entry holds each basis
-        vector as its term rows (see _term_rows); a hit decodes straight
-        into Vec terms, and a malformed entry counts as corrupt and is
-        recomputed.
+        A module spanned by terms takes its minimal terms (term_basis) and
+        never touches the cache. Otherwise, with the cache off no key is
+        built. A cache entry holds each basis vector as its term rows (see
+        _term_rows); a hit decodes straight into Vec terms, and a malformed
+        entry counts as corrupt and is recomputed.
         """
         if self._gb is not None:
+            return self._gb
+        if spans_terms(self.gens, self.ring):
+            given = list(self.gens) + base_relation_vectors(self.ring, self.rank)
+            self._gb = term_basis(given, self.bound, self.ring)
             return self._gb
         store = cache.active_cache()
         key = None
@@ -283,21 +297,26 @@ class Submodule:
 
         When both sides are generated by terms, the product is generated by
         its minimal term products (term_basis of the exponent sums); else by
-        every product of a generator of ideal with one of self.
+        every product of a generator of ideal with one of self. Over a
+        polynomial base those minimal products are already the product's
+        reduced basis, so it comes preset.
         """
         if ideal.rank != 1 or ideal.ring != self.ring:
             raise ContractViolation("multiplier must be an ideal over the same ring")
         ring = self.ring
-        if all(len(g.terms) == 1 for g in self.gens + ideal.gens):
-            products = [
-                Vec(ring, {(c, tuple(map(add, m, e))): ring.one})
-                for ((_z, e),) in (p.terms for p in ideal.gens)
-                for ((c, m),) in (g.terms for g in self.gens)
-            ]
-            gens = term_basis(products, self.bound, ring)
-        else:
+        if not all(len(g.terms) == 1 for g in self.gens + ideal.gens):
             gens = [g.mul_poly(p.component(0)) for p in ideal.gens for g in self.gens]
-        return Submodule(ring, self.rank, self.twists, gens, self.order, check=False)
+            return Submodule(ring, self.rank, self.twists, gens, self.order, check=False)
+        products = [
+            Vec(ring, {(c, tuple(map(add, m, e))): ring.one})
+            for ((_z, e),) in (p.terms for p in ideal.gens)
+            for ((c, m),) in (g.terms for g in self.gens)
+        ]
+        gens = term_basis(products, self.bound, ring)
+        out = Submodule(ring, self.rank, self.twists, gens, self.order, check=False)
+        if not ring.relations:
+            out._gb = gens
+        return out
 
     def minimal_generators(self, modulo=()):
         """A subset of gens minimally generating (self + span(modulo)) / span(modulo).

@@ -142,8 +142,16 @@ def _set(path, value):
     (_set(("tasks", 0, "window"), "4"), "tasks block"),
     (_set(("ideals", "m"), ["x + y^2"]), "ideals block"),
     (_set(("modules", "Q"), {"type": "cyclic", "polys": ["x + y^2"]}), "modules block"),
+    (_set(("box", "lo"), [1.7]), "box block"),
+    (_set(("box", "hi"), ["3"]), "box block"),
+    (_set(("box", "shell"), "1"), "box block"),
+    (_set(("tasks",), [{"task": "fit", "assert_values": {"a": 1}}]), "tasks block"),
+    (_set(("tasks",), [{"task": "fit", "assert_values": {"1,2": 1}}]), "tasks block"),
+    (_set(("tasks",), [{"task": "fit", "assert_values": {"2": "two"}}]), "tasks block"),
 ], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
-        "inhomogeneous_ideal", "inhomogeneous_module"])
+        "inhomogeneous_ideal", "inhomogeneous_module", "box_lo_float", "box_hi_string",
+        "box_shell_string", "assert_values_key", "assert_values_arity",
+        "assert_values_value"])
 def test_malformed_scenario_values_exit_two(tmp_path, capsys, mutate, block):
     doc = _artin_rees_doc()
     mutate(doc)
@@ -152,6 +160,33 @@ def test_malformed_scenario_values_exit_two(tmp_path, capsys, mutate, block):
     code, _ = _run(tmp_path, str(path))
     assert code == 2
     assert block in capsys.readouterr().err
+
+
+def test_refused_shell_is_not_stable(tmp_path, capsys):
+    # Ass of R/(x^2 - y^2)^n needs a non-monomial prime, which the lab
+    # refuses at every point: a shell of refusals is not a stable value
+    doc = {
+        "format": "scn/1",
+        "label": "refused ass",
+        "ring": {"variables": ["x", "y"]},
+        "ideals": {"a": ["x^2 - y^2"]},
+        "modules": {"M": {"type": "free", "twists": [0]}},
+        "family": {"kind": "quotient", "module": "M", "ideals": ["a"]},
+        "box": {"lo": [1], "hi": [3], "shell": 1},
+        "tasks": [{"task": "stabilization", "observable": "ass", "assert_stable": True}],
+        "output": {"stem": "refused_ass"},
+    }
+    path = tmp_path / "refused.scn"
+    path.write_text(json.dumps(doc))
+    code, out = _run(tmp_path, str(path))
+    assert code == 1
+    assert "refused at shell points [2] [3]" in capsys.readouterr().out
+    entry = json.loads((out / "refused_ass.report.json").read_text())["tasks"][0]
+    assert entry["status"] == "FAIL"
+    assert entry["verdict"]["stable"] is False
+    assert entry["verdict"]["value"] is None
+    assert entry["verdict"]["refused"] == [[2], [3]]
+    assert all("error" in value for value in entry["table"].values())
 
 
 def test_engine_error_exits_three(tmp_path, capsys):
@@ -240,11 +275,30 @@ def test_jobs_flag_changes_nothing(tmp_path):
     assert (out2 / "two_ideal_fit.report.json").read_bytes() == blob1
 
 
+def _non_term_scenario(tmp_path):
+    """A two-ideal fit whose ideals are not spanned by terms, so its bases go
+    through the Groebner cache (a term module never does)."""
+    data = {
+        "format": "scn/1",
+        "label": "non-term fit",
+        "ring": {"characteristic": 32003, "variables": ["x", "y"]},
+        "ideals": {"a": ["x^2 + y^2", "x*y"], "b": ["x + y", "y^2"]},
+        "modules": {"M": {"type": "free", "twists": [0]}},
+        "family": {"kind": "quotient", "module": "M", "ideals": ["a", "b"]},
+        "box": {"lo": [1, 1], "hi": [4, 4], "shell": 1},
+        "tasks": [{"task": "fit", "degree_cap": 2}],
+        "output": {"stem": "non_term_fit"},
+    }
+    path = tmp_path / "non_term_fit.scn"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def test_cold_and_warm_cache_reports_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("FUNCTORLAB_CACHE_DIR", str(tmp_path / "cachedir"))
     cold_dir = tmp_path / "cold"
     warm_dir = tmp_path / "warm"
-    scenario = bundled_scenario_path("hilbert_samuel_xy")
+    scenario = _non_term_scenario(tmp_path)
     assert main(["run", scenario, "--out", str(cold_dir)]) == 0
     cold_stats = dict(cache.active_cache().stats())
     assert main(["run", scenario, "--out", str(warm_dir)]) == 0
@@ -252,15 +306,15 @@ def test_cold_and_warm_cache_reports_identical(tmp_path, monkeypatch):
     assert cold_stats["misses"] > 0
     assert warm_stats["misses"] == 0
     assert warm_stats["hits"] > 0
-    cold = (cold_dir / "hilbert_samuel_xy.report.json").read_bytes()
-    warm = (warm_dir / "hilbert_samuel_xy.report.json").read_bytes()
+    cold = (cold_dir / "non_term_fit.report.json").read_bytes()
+    warm = (warm_dir / "non_term_fit.report.json").read_bytes()
     assert cold == warm
 
 
 def test_unusable_cache_directory_keeps_the_run_going(tmp_path, monkeypatch):
     # the cache directory names a regular file: nothing can be written to
     # disk, the memory cache still serves the run, and the report is the same
-    scenario = bundled_scenario_path("hilbert_samuel_xy")
+    scenario = _non_term_scenario(tmp_path)
     _, plain = _run(tmp_path, scenario)
     blocked = tmp_path / "not_a_directory"
     blocked.write_text("")
@@ -269,14 +323,14 @@ def test_unusable_cache_directory_keeps_the_run_going(tmp_path, monkeypatch):
     assert main(["run", scenario, "--out", str(out)]) == 0
     stats = cache.active_cache().stats()
     assert stats["puts"] > 0 and stats["hits"] > 0 and stats["corrupt"] == 0
-    name = "hilbert_samuel_xy.report.json"
+    name = "non_term_fit.report.json"
     assert (out / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_wrong_but_parseable_cache_entries_are_recomputed(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cachedir"
     monkeypatch.setenv("FUNCTORLAB_CACHE_DIR", str(cache_dir))
-    scenario = bundled_scenario_path("two_ideal_fit")
+    scenario = _non_term_scenario(tmp_path)
     assert main(["run", scenario, "--out", str(tmp_path / "cold")]) == 0
     entries = list(cache_dir.glob("*/*.json"))
     assert entries
@@ -287,8 +341,8 @@ def test_wrong_but_parseable_cache_entries_are_recomputed(tmp_path, monkeypatch)
     assert stats["corrupt"] > 0
     # recomputed entries are written back sealed
     assert all(json.loads(path.read_text())["key"] == path.stem for path in entries)
-    cold = (tmp_path / "cold" / "two_ideal_fit.report.json").read_bytes()
-    again = (tmp_path / "again" / "two_ideal_fit.report.json").read_bytes()
+    cold = (tmp_path / "cold" / "non_term_fit.report.json").read_bytes()
+    again = (tmp_path / "again" / "non_term_fit.report.json").read_bytes()
     assert json.loads(again)["status"] == "PASS"
     assert again == cold
 
@@ -312,7 +366,7 @@ def _malformed_basis(value, i):
 def test_sealed_but_malformed_groebner_entries_are_recomputed(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cachedir"
     monkeypatch.setenv("FUNCTORLAB_CACHE_DIR", str(cache_dir))
-    scenario = bundled_scenario_path("two_ideal_fit")
+    scenario = _non_term_scenario(tmp_path)
     assert main(["run", scenario, "--out", str(tmp_path / "cold")]) == 0
     entries = sorted(cache_dir.glob("*/*.json"))
     assert len(entries) >= 8
@@ -327,8 +381,8 @@ def test_sealed_but_malformed_groebner_entries_are_recomputed(tmp_path, monkeypa
     # every entry is rejected, read as a miss, recomputed and put back
     assert stats["corrupt"] == len(entries)
     assert stats["misses"] == stats["puts"] == len(entries)
-    cold = (tmp_path / "cold" / "two_ideal_fit.report.json").read_bytes()
-    again = (tmp_path / "again" / "two_ideal_fit.report.json").read_bytes()
+    cold = (tmp_path / "cold" / "non_term_fit.report.json").read_bytes()
+    again = (tmp_path / "again" / "non_term_fit.report.json").read_bytes()
     assert again == cold
     # the recomputed entries were put back and now read as hits
     assert main(["run", scenario, "--out", str(tmp_path / "warm")]) == 0

@@ -5,7 +5,11 @@ expanded by hand from N(I+(m)) = N(I) - t^deg(m) N(I:m).
 """
 
 import math
+import random
 
+import pytest
+
+from functorlab import hilbert
 from functorlab.hilbert import (
     ideal_numerator,
     krull_dim,
@@ -13,6 +17,7 @@ from functorlab.hilbert import (
     module_numerator,
     series_window,
 )
+from functorlab.oracles import monomials_of_degree
 from functorlab.rings import PolyRing
 from functorlab.submodule import ideal
 
@@ -91,3 +96,30 @@ def test_ideal_colength_matches_staircase_count():
     # complete intersection of three quadrics: length 8
     assert length_value(R, numer) == 8
     assert krull_dim(R, numer) == 0
+
+
+@pytest.mark.parametrize("names, weights", [
+    (("x", "y"), None),
+    (("x", "y", "z"), None),
+    (("x", "y", "z"), (1, 2, 1)),
+    (("x", "y", "z", "w"), None),
+])
+@pytest.mark.parametrize("seed", range(6))
+def test_numerator_matches_a_brute_staircase_count(names, weights, seed, monkeypatch):
+    # random monomial sets, with repeats and multiples and often leaving out
+    # a variable (so not primary to the maximal ideal); the series in degrees
+    # 0..12 must count the monomials that no generator divides
+    monkeypatch.setattr(hilbert, "_NUMERATOR_MEMO", {})
+    R = PolyRing(names, char=0, weights=weights)
+    rng = random.Random(seed * 31 + len(names))
+    used = rng.sample(range(R.nvars), rng.randint(1, R.nvars))
+    monos = []
+    for _ in range(rng.randint(1, 7)):
+        monos.append(tuple(rng.randint(0, 3) if i in used else 0 for i in range(R.nvars)))
+    monos = [m for m in monos if any(m)] or [tuple(int(i == used[0]) for i in range(R.nvars))]
+    monos.append(tuple(a + b for a, b in zip(monos[0], monos[-1])))
+    brute = [
+        sum(1 for m in monomials_of_degree(R, d) if not any(R.mono_divides(g, m) for g in monos))
+        for d in range(13)
+    ]
+    assert series_window(R, ideal_numerator(R, monos), 0, 12) == brute

@@ -105,6 +105,25 @@ def test_detect_stabilization_shell_verdicts():
     assert verdict["shell_floor"] == (4,)
     moving = {(n,): n for n in range(1, 7)}
     assert detect_stabilization(moving, box)["stable"] is False
+    assert "refused" not in verdict
+    assert "refused" not in detect_stabilization(moving, box)
+
+
+def test_refused_shell_point_is_not_stable():
+    # identical refusals on the shell are not a value, and one refusal
+    # among equal values breaks the shell too
+    box = GridBox((1,), (6,), shell=2)
+    error = {"error": "strategy exhausted: not monomial"}
+    refused = {(n,): dict(error) for n in range(1, 7)}
+    verdict = detect_stabilization(refused, box)
+    assert verdict["stable"] is False
+    assert verdict["value"] is None
+    assert verdict["witness"] == []
+    assert verdict["refused"] == [(4,), (5,), (6,)]
+    mixed = {(n,): "v" for n in range(1, 7)}
+    mixed[(5,)] = dict(error)
+    verdict = detect_stabilization(mixed, box)
+    assert (verdict["stable"], verdict["value"], verdict["refused"]) == (False, None, [(5,)])
 
 
 def test_ass_of_powers_stabilizes(ring):
@@ -368,18 +387,15 @@ def test_grade_grid_resolves_r_mod_j_once(monkeypatch):
         assert value == invariants.grade(J, spec.member(p)), p
 
 
-def _two_ideal_sweep_spec(R):
-    fam = IdealFamily([ideal(R, ["x", "y^2"]), ideal(R, ["x^2", "y"])])
+def _two_ideal_sweep_spec(R, a=("x", "y^2"), b=("x^2", "y")):
+    fam = IdealFamily([ideal(R, list(a)), ideal(R, list(b))])
     return FamilySpec.quotient(_free(R), [Vec.unit(R, 0)], fam)
 
 
 def test_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
-    # lambda over the box [1..2]^2 of R/(x, y^2)^a (x^2, y)^b from a cold
-    # disk cache: one miss and one put per distinct basis (the two ideals,
-    # the unit ideal, the powers (x, y^2)^2 and (x^2, y)^2, and the four
-    # products). Every product is a term ideal, so each member's relation
-    # module has the product's generator rows and reads its entry; the other
-    # hits are the first powers and the module's generator.
+    # lambda over the box [1..2]^2 of R/(x, y^2)^a (x^2, y)^b: every power,
+    # product and relation module is spanned by terms, so its basis is its
+    # minimal terms and no cache is read or written
     R = PolyRing(("x", "y"))
     box = GridBox((1, 1), (2, 2), shell=1)
     cold = cache.Cache(directory=str(tmp_path))
@@ -388,21 +404,34 @@ def test_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
     assert {p: row["lambda"] for p, row in obs.items()} == {
         (1, 1): 5, (1, 2): 10, (2, 1): 10, (2, 2): 16,
     }
-    assert cold.stats() == {"hits": 10, "misses": 9, "puts": 9, "corrupt": 0}
-    assert len(list(tmp_path.glob("*/*.json"))) == 9
+    assert cold.stats() == {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0}
+    assert list(tmp_path.iterdir()) == []
 
-    # a member's relation module, after its product, is a cache hit
-    fresh = cache.Cache(directory=str(tmp_path / "fresh"))
-    monkeypatch.setattr(cache, "_ACTIVE", fresh)
+    # a member's relation module has its product's basis, computed again
     spec = _two_ideal_sweep_spec(R)
-    spec.family.power_product((2, 1)).groebner()
-    before = fresh.stats()
+    product = spec.family.power_product((2, 1)).groebner()
     member = spec.member((2, 1))
-    Submodule(R, 1, (0,), member.rels, check=False).groebner()
-    after = fresh.stats()
-    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 0)
+    assert Submodule(R, 1, (0,), member.rels, check=False).groebner() == product
+    assert cold.stats() == {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0}
+
+
+def test_non_term_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
+    # lambda over the box [1..2]^2 of R/(x^2 + y^2, xy)^a (x + y, y^2)^b from
+    # a cold disk cache: one miss and one put per distinct basis, then every
+    # lookup a hit against the primed directory
+    R = PolyRing(("x", "y"))
+    box = GridBox((1, 1), (2, 2), shell=1)
+    sweep = (("x^2 + y^2", "x*y"), ("x + y", "y^2"))
+    cold = cache.Cache(directory=str(tmp_path))
+    monkeypatch.setattr(cache, "_ACTIVE", cold)
+    obs = grid_evaluate(None, _two_ideal_sweep_spec(R, *sweep), box, ("lambda",))
+    assert {p: row["lambda"] for p, row in obs.items()} == {
+        (1, 1): 8, (1, 2): 14, (2, 1): 18, (2, 2): 26,
+    }
+    assert cold.stats() == {"hits": 2, "misses": 12, "puts": 12, "corrupt": 0}
+    assert len(list(tmp_path.glob("*/*.json"))) == 12
 
     warm = cache.Cache(directory=str(tmp_path))
     monkeypatch.setattr(cache, "_ACTIVE", warm)
-    assert grid_evaluate(None, _two_ideal_sweep_spec(R), box, ("lambda",)) == obs
-    assert warm.stats() == {"hits": 19, "misses": 0, "puts": 0, "corrupt": 0}
+    assert grid_evaluate(None, _two_ideal_sweep_spec(R, *sweep), box, ("lambda",)) == obs
+    assert warm.stats() == {"hits": 14, "misses": 0, "puts": 0, "corrupt": 0}

@@ -19,7 +19,7 @@ from functorlab.fpmodule import FPModule
 from functorlab.groebner import LiftSolver
 from functorlab.oracles import monomials_of_degree
 from functorlab.poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
-from functorlab.rings import PolyRing
+from functorlab.rings import GREVLEX, PolyRing, TermOrder
 from functorlab.submodule import (
     IdealFamily,
     Submodule,
@@ -534,3 +534,102 @@ def test_disabled_cache_builds_no_key(monkeypatch):
 def test_malformed_cache_rows_are_rejected(char, rows):
     with pytest.raises(ValueError):
         submodule_mod._basis_from_rows(_xyz(char=char), 1, rows)
+
+
+# -- term modules: bases computed where they are made, never cached -----------
+#
+# A module spanned by terms takes its reduced basis straight from its minimal
+# terms, and a term product comes with that basis preset. These tests check
+# the bases against the definition of a reduced basis of a term module, not
+# against the code that builds them.
+
+TERM_CASES = {
+    # name: (ring, twists, order)
+    "gf": (lambda: _xyz(), (0,), GREVLEX),
+    "q_rank2": (lambda: _xyz(char=0), (0, 1), GREVLEX),
+    "q_lex_top": (lambda: _xyz(char=0), (1, 0), TermOrder(kind="lex", module_kind="top")),
+    "weights_1_2": (lambda: PolyRing(("x", "y"), weights=(1, 2)), (0,), GREVLEX),
+    "quotient_xy": (lambda: _xyz(relations=["x*y"]), (0,), GREVLEX),
+}
+
+
+def _random_terms(rng, ring, rank, count, max_degree=4):
+    out = []
+    for _ in range(count):
+        m = rng.choice(monomials_of_degree(ring, rng.randint(1, max_degree)))
+        out.append(Vec(ring, {(rng.randrange(rank), m): ring.coeff(rng.randint(1, 40))}))
+    return out
+
+
+def _relation_terms(ring, rank):
+    """The terms of the base-relation vectors I0 * R^rank."""
+    return {(c, m) for rel in ring.relations for m in rel.terms for c in range(rank)}
+
+
+def _assert_reduced_term_basis(sub, basis, spanning_terms):
+    """basis is the reduced basis of the module spanned by spanning_terms:
+    monic single terms, a divisibility antichain, each one a multiple of a
+    spanning term, every spanning term a multiple of one, sorted by term_key."""
+    ring, bound = sub.ring, sub.bound
+    assert all(len(b.terms) == 1 for b in basis)
+    leads = [next(iter(b.terms)) for b in basis]
+    assert all(b.terms[t] == ring.one for b, t in zip(basis, leads))
+    for i, (ci, mi) in enumerate(leads):
+        for j, (cj, mj) in enumerate(leads):
+            assert i == j or ci != cj or not ring.mono_divides(mi, mj)
+        assert any(c == ci and ring.mono_divides(m, mi) for c, m in spanning_terms)
+    for c, m in spanning_terms:
+        assert any(lc == c and ring.mono_divides(lm, m) for lc, lm in leads)
+    keys = [bound.term_key(t) for t in leads]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("case", sorted(TERM_CASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_term_module_basis_meets_its_definition(case, seed, tmp_path, monkeypatch):
+    store = cache.Cache(directory=str(tmp_path))
+    monkeypatch.setattr(cache, "_ACTIVE", store)
+    make_ring, twists, order = TERM_CASES[case]
+    ring = make_ring()
+    rng = random.Random(1000 * seed + len(case))
+    gens = _random_terms(rng, ring, len(twists), rng.randint(1, 9))
+    sub = Submodule(ring, len(twists), twists, gens, order, check=False)
+    spanning = {t for g in gens for t in g.terms} | _relation_terms(ring, len(twists))
+    _assert_reduced_term_basis(sub, sub.groebner(), spanning)
+    assert store.stats() == {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", sorted(TERM_CASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_term_product_basis_is_the_fresh_basis(case, seed):
+    make_ring, twists, order = TERM_CASES[case]
+    ring = make_ring()
+    rank = len(twists)
+    rng = random.Random(2000 * seed + len(case))
+    target = Submodule(ring, rank, twists, _random_terms(rng, ring, rank, 4, 3), order,
+                       check=False)
+    multiplier = Submodule(ring, 1, (0,), _random_terms(rng, ring, 1, 3, 2), order,
+                           check=False)
+    prod = target.multiply_ideal(multiplier)
+    assert (prod._gb is None) == bool(ring.relations)
+    basis = prod.groebner()
+    fresh = Submodule(ring, rank, twists, list(prod.gens), order, check=False)
+    assert basis == fresh.groebner()
+    # spanned by every product of a generator of each side
+    products = {
+        (c, tuple(a + b for a, b in zip(m, e)))
+        for g in target.gens for (c, m) in g.terms
+        for p in multiplier.gens for (_z, e) in p.terms
+    }
+    _assert_reduced_term_basis(prod, basis, products | _relation_terms(ring, rank))
+
+
+def test_term_power_products_come_with_their_basis():
+    R = R2()
+    fam = IdealFamily([ideal(R, ["x", "y^2"]), ideal(R, ["x^2", "y"])])
+    for exps in ((1, 0), (2, 1), (3, 3)):
+        product = fam.power_product(exps)
+        assert product._gb is not None
+        fresh = Submodule(R, 1, (0,), list(product.gens), check=False)
+        assert product.groebner() == fresh.groebner()
