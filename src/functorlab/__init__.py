@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fitting import FittedPolynomial, fit_polynomial
 from .fpmodule import FPModule, block_module, free_resolution, hom_ext_tor, quotient_by
-from .functors import FunctorExpression, evaluate, evaluate_expression, evaluate_via_diagram
+from .functors import FunctorExpression, evaluate, evaluate_via_diagram
 from .grid import GridBox
 from .invariants import (
     associated_primes,
@@ -94,7 +94,6 @@ __all__ = [
     "depth",
     "detect_stabilization",
     "evaluate",
-    "evaluate_expression",
     "evaluate_via_diagram",
     "fit_polynomial",
     "free_resolution",

@@ -6,14 +6,15 @@ graded strands) is carried in this shape. The relation span is required to
 lie inside the generator span at construction, so U/W is meaningful on the
 nose; constructors that naturally produce an exterior W (images, homology)
 augment the generators first, which changes nothing up to canonical
-isomorphism.
+isomorphism. A module carries no term order of its own: its generator and
+relation spans are Submodules, which all use GREVLEX.
 
 Numeric questions (Hilbert function, length, dimension) go through the
 module's Hilbert numerator: numer(F/W) - numer(F/U). Structural questions
 (coefficients, presentations, kernels) go through LiftSolver. Free
 resolutions prune to minimal generators at every stage, which over a
 graded-local base makes the differentials unit-free, so Betti numbers are
-literal ranks; minimalize() exists for complexes produced any other way.
+literal ranks.
 
 This module is also the one home of block modules. Hom, Ext, Tor and the
 functor normal form all put b copies of a module X into one free module
@@ -36,7 +37,6 @@ from .hilbert import (
     series_window,
 )
 from .poly import Poly, Vec
-from .rings import GREVLEX
 from .submodule import Submodule
 
 
@@ -45,7 +45,6 @@ class FPModule:
         "ring",
         "rank",
         "twists",
-        "order",
         "gens",
         "rels",
         "_gens_sub",
@@ -55,13 +54,12 @@ class FPModule:
         "_presentation",
     )
 
-    def __init__(self, ring, rank, twists, gens, rels, order=GREVLEX, check=True):
+    def __init__(self, ring, rank, twists, gens, rels, check=True):
         self.ring = ring
         self.rank = rank
         self.twists = tuple(twists)
-        self.order = order
-        gens_sub = Submodule(ring, rank, self.twists, gens, order, check=check)
-        rels_sub = Submodule(ring, rank, self.twists, rels, order, check=check)
+        gens_sub = Submodule(ring, rank, self.twists, gens, check=check)
+        rels_sub = Submodule(ring, rank, self.twists, rels, check=check)
         self.gens = gens_sub.gens
         self.rels = rels_sub.gens
         self._gens_sub = gens_sub
@@ -75,34 +73,34 @@ class FPModule:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def free(cls, ring, twists, order=GREVLEX):
+    def free(cls, ring, twists):
         gens = [Vec.unit(ring, c) for c in range(len(twists))]
-        return cls(ring, len(twists), twists, gens, [], order, check=False)
+        return cls(ring, len(twists), twists, gens, [], check=False)
 
     @classmethod
-    def cyclic(cls, ring, relation_polys=(), order=GREVLEX):
+    def cyclic(cls, ring, relation_polys=()):
         """R/(relation_polys) presented on one generator of degree 0."""
         from .poly import parse_poly
 
         rels = [Vec.from_poly(parse_poly(ring, p)) for p in relation_polys]
-        return cls(ring, 1, (0,), [Vec.unit(ring, 0)], rels, order)
+        return cls(ring, 1, (0,), [Vec.unit(ring, 0)], rels)
 
     @classmethod
-    def from_cokernel(cls, ring, twists, columns, order=GREVLEX):
+    def from_cokernel(cls, ring, twists, columns):
         """coker of the map with the given columns into the free module."""
         gens = [Vec.unit(ring, c) for c in range(len(twists))]
-        return cls(ring, len(twists), twists, gens, columns, order)
+        return cls(ring, len(twists), twists, gens, columns)
 
     @classmethod
-    def subquotient(cls, ring, rank, twists, gens, rels, order=GREVLEX):
+    def subquotient(cls, ring, rank, twists, gens, rels):
         """U/W for arbitrary U, W: relations outside U are adjoined to U."""
-        probe = Submodule(ring, rank, tuple(twists), gens, order)
+        probe = Submodule(ring, rank, tuple(twists), gens)
         extra = [w for w in rels if w and not probe.contains(w)]
-        return cls(ring, rank, tuple(twists), list(gens) + extra, rels, order, check=False)
+        return cls(ring, rank, tuple(twists), list(gens) + extra, rels, check=False)
 
     @classmethod
-    def zero(cls, ring, order=GREVLEX):
-        return cls(ring, 1, (0,), [], [], order, check=False)
+    def zero(cls, ring):
+        return cls(ring, 1, (0,), [], [], check=False)
 
     # -- structure ---------------------------------------------------------
 
@@ -177,24 +175,12 @@ class FPModule:
         gen_twists = tuple(g.degree(self.twists) for g in pruned)
         solver = LiftSolver(self.ring, self.rank, self.twists, pruned, list(self.rels))
         columns = Submodule(
-            self.ring, len(pruned), gen_twists, solver.kernel_vectors(), self.order, check=False
+            self.ring, len(pruned), gen_twists, solver.kernel_vectors(), check=False
         ).minimal_generators()
         self._presentation = Presentation(
             module=self, gens=tuple(pruned), gen_twists=gen_twists, columns=columns.gens
         )
         return self._presentation
-
-    def twisted(self, shift):
-        """Same module with all degrees raised by shift (ambient retwist)."""
-        return FPModule(
-            self.ring,
-            self.rank,
-            tuple(t + shift for t in self.twists),
-            self.gens,
-            self.rels,
-            self.order,
-            check=False,
-        )
 
     def __repr__(self):
         return "FPModule(rank=%d, gens=%d, rels=%d)" % (
@@ -256,16 +242,6 @@ class ModuleMap:
                         )
 
     @classmethod
-    def identity(cls, module):
-        n = len(module.gens)
-        one, zero = module.ring.one, Poly.zero(module.ring)
-        cols = [
-            [Poly.constant(module.ring, one) if i == j else zero for i in range(n)]
-            for j in range(n)
-        ]
-        return cls(module, module, cols, check=False)
-
-    @classmethod
     def zero_map(cls, source, target):
         zero = Poly.zero(source.ring)
         cols = [[zero for _ in target.gens] for _ in source.gens]
@@ -309,21 +285,6 @@ class ModuleMap:
     def is_zero_map(self):
         return all(self.target.annihilates(self.image_vec(j)) for j in range(len(self.columns)))
 
-    def is_well_defined(self):
-        """Presentation relations of the source land in the target relations."""
-        pres = self.source.presentation()
-        lookup = {id(g): k for k, g in enumerate(self.source.gens)}
-        # presentation gens are a subset of source gens; map columns through it
-        index = [lookup[id(g)] for g in pres.gens]
-        for col in pres.matrix():
-            coeffs = [Poly.zero(self.source.ring) for _ in self.source.gens]
-            for pos, c in enumerate(col):
-                coeffs[index[pos]] = c
-            img = self.target.element(self.apply_coeffs(coeffs))
-            if not self.target.annihilates(img):
-                return False
-        return True
-
 
 # -- exactness toolkit ---------------------------------------------------------
 
@@ -342,7 +303,7 @@ def kernel_with_coeffs(f):
         if v:
             gens.append(v)
             kept.append(k)
-    module = FPModule(src.ring, src.rank, src.twists, gens, src.rels, src.order, check=True)
+    module = FPModule(src.ring, src.rank, src.twists, gens, src.rels, check=True)
     return module, kept
 
 
@@ -354,7 +315,7 @@ def image(f):
     tgt = f.target
     vecs = [v for v in f.image_vecs() if v]
     return FPModule(
-        tgt.ring, tgt.rank, tgt.twists, vecs + list(tgt.rels), tgt.rels, tgt.order, check=False
+        tgt.ring, tgt.rank, tgt.twists, vecs + list(tgt.rels), tgt.rels, check=False
     )
 
 
@@ -362,7 +323,7 @@ def cokernel(f):
     tgt = f.target
     vecs = [v for v in f.image_vecs() if v]
     return FPModule(
-        tgt.ring, tgt.rank, tgt.twists, tgt.gens, list(tgt.rels) + vecs, tgt.order, check=False
+        tgt.ring, tgt.rank, tgt.twists, tgt.gens, list(tgt.rels) + vecs, check=False
     )
 
 
@@ -378,7 +339,6 @@ def quotient_by(module, sub_vectors):
         module.twists,
         module.gens,
         list(module.rels) + extra,
-        module.order,
         check=False,
     )
 
@@ -401,7 +361,6 @@ def homology(f, g):
         b.twists,
         ker_mod.gens,
         list(b.rels) + imgs,
-        b.order,
         check=True,
     )
 
@@ -441,7 +400,7 @@ def free_resolution(module, length_cap):
     ring = module.ring
     pres = module.presentation()
     twists = pres.gen_twists
-    modules = [FPModule.free(ring, twists, module.order)]
+    modules = [FPModule.free(ring, twists)]
     maps = []
     columns = list(pres.columns)
     exhausted = not columns
@@ -449,91 +408,15 @@ def free_resolution(module, length_cap):
         if not columns:
             break
         col_twists = tuple(c.degree(twists) for c in columns)
-        nxt = FPModule.free(ring, col_twists, module.order)
+        nxt = FPModule.free(ring, col_twists)
         mat = [list(c.components(len(twists))) for c in columns]
         maps.append(ModuleMap(nxt, modules[-1], mat, check=False))
         modules.append(nxt)
-        kern = Submodule(
-            ring, len(twists), twists, columns, module.order, check=False
-        ).syzygies()
+        kern = Submodule(ring, len(twists), twists, columns, check=False).syzygies()
         columns = list(kern.minimal_generators().gens)
         twists = col_twists
         exhausted = not columns
     return GradedComplex(modules, maps, exhausted=exhausted, check=False)
-
-
-def minimalize(complex_):
-    """Remove unit entries by exact change of basis; homotopy type preserved."""
-    ring = complex_.modules[0].ring
-    order = complex_.modules[0].order
-    twist_lists = [list(m.twists) for m in complex_.modules]
-    mats = []
-    for k in range(len(complex_.maps)):
-        mats.append([list(col) for col in complex_.maps[k].columns])
-
-    def find_unit():
-        for k, mat in enumerate(mats):
-            for j, col in enumerate(mat):
-                for i, entry in enumerate(col):
-                    if entry and entry.is_constant():
-                        return k, i, j
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        k, i, j = hit
-        mat = mats[k]
-        u = mat[j][i].constant_value()
-        inv_u = ring.inv(u)
-        row_coeffs = {
-            jp: col[i] for jp, col in enumerate(mat) if jp != j and col[i]
-        }
-        # clear row i in the other columns (basis change in the source)
-        pivot_col = mat[j]
-        for jp, c in row_coeffs.items():
-            factor = c.scale(inv_u)
-            mat[jp] = [
-                mat[jp][ip] - pivot_col[ip] * factor for ip in range(len(pivot_col))
-            ]
-        # propagate the source basis change into the next differential
-        if k + 1 < len(mats):
-            for col in mats[k + 1]:
-                acc = col[j]
-                for jp, c in row_coeffs.items():
-                    if col[jp]:
-                        acc = acc + col[jp] * c.scale(inv_u)
-                col[j] = acc
-        # propagate the target basis change into the previous differential:
-        # column i of d_(k-1) picks up (b/u)-multiples of the other columns
-        if k - 1 >= 0:
-            prev = mats[k - 1]
-            target_col = prev[i]
-            for ip in range(len(pivot_col)):
-                if ip != i and pivot_col[ip]:
-                    factor = pivot_col[ip].scale(inv_u)
-                    src_col = prev[ip]
-                    for r in range(len(target_col)):
-                        if src_col[r]:
-                            target_col[r] = target_col[r] + src_col[r] * factor
-        # delete generator j of stage k+1 and generator i of stage k
-        for col in mats[k]:
-            del col[i]
-        del mats[k][j]
-        del twist_lists[k + 1][j]
-        del twist_lists[k][i]
-        if k + 1 < len(mats):
-            for col in mats[k + 1]:
-                del col[j]
-        if k - 1 >= 0:
-            del mats[k - 1][i]
-
-    modules = [FPModule.free(ring, tuple(tw), order) for tw in twist_lists]
-    maps = []
-    for k, mat in enumerate(mats):
-        maps.append(ModuleMap(modules[k + 1], modules[k], mat, check=False))
-    return GradedComplex(modules, maps, exhausted=complex_.exhausted, check=True)
 
 
 # -- Hom / Ext / Tor -----------------------------------------------------------
@@ -547,7 +430,7 @@ def block_module(x, block_twists):
     offsets = [i * x.rank for i in range(len(block_twists))]
     gens = [g.shifted(off) for off in offsets for g in x.gens]
     rels = [w.shifted(off) for off in offsets for w in x.rels]
-    return FPModule(x.ring, len(offsets) * x.rank, twists, gens, rels, x.order, check=False)
+    return FPModule(x.ring, len(offsets) * x.rank, twists, gens, rels, check=False)
 
 
 def block_map(psi_columns, x, src, tgt, tgt_blocks, shift=0):
@@ -646,7 +529,7 @@ def hom_ext_tor(module, x, i, which, length_cap=None, resolution=None):
     ranks = res.ranks()
     twist = res.twist_table()
     if i >= len(twist) or not twist[i]:
-        return FPModule.zero(module.ring, module.order)
+        return FPModule.zero(module.ring)
     # stage k of the complex is X^(r_k), its blocks twisted by the degrees of
     # F_k (Tor) or by their negatives (Ext, where Hom dualizes F_k)
     sign = -1 if which == "ext" else 1

@@ -52,9 +52,6 @@ class CoherentFunctor:
             self._diagram = _lift_diagram(self)
         return self._diagram
 
-    def evaluate(self, x):
-        return evaluate(self, x)
-
     def __repr__(self):
         return "CoherentFunctor(%s)" % self.label
 
@@ -81,7 +78,7 @@ class LiftedDiagram:
 
 def functor_from_hom(m, label=""):
     """Hom(M, -) as the coherent functor with K = M, L = 0."""
-    zero = FPModule.zero(m.ring, m.order)
+    zero = FPModule.zero(m.ring)
     return CoherentFunctor(m, zero, ModuleMap.zero_map(m, zero), label or "Hom(M,-)")
 
 
@@ -94,8 +91,8 @@ def functor_from_tensor(m, label=""):
     """
     ring = m.ring
     pres = m.presentation()
-    k = FPModule.free(ring, tuple(-t for t in pres.gen_twists), m.order)
-    l = FPModule.free(ring, tuple(-s for s in pres.column_twists()), m.order)
+    k = FPModule.free(ring, tuple(-t for t in pres.gen_twists))
+    l = FPModule.free(ring, tuple(-s for s in pres.column_twists()))
     f = ModuleMap(k, l, transpose_columns(pres.matrix(), len(pres.gens)), check=False)
     return CoherentFunctor(k, l, f, label or "M(x)-")
 
@@ -108,10 +105,10 @@ def functor_from_ext(m, i, length_cap=None, label=""):
     res = free_resolution(m, length_cap if length_cap is not None else i + 1)
     twist = res.twist_table()
     if i >= len(twist):
-        return _zero_functor(ring, m.order, label or "Ext^%d(M,-)" % i)
+        return _zero_functor(ring, label or "Ext^%d(M,-)" % i)
     rels = res.maps[i].image_vecs() if i < len(res.maps) else []
-    k = FPModule(ring, len(twist[i]), twist[i], _units(ring, len(twist[i])), rels, m.order, check=False)
-    l = FPModule.free(ring, twist[i - 1], m.order)
+    k = FPModule(ring, len(twist[i]), twist[i], _units(ring, len(twist[i])), rels, check=False)
+    l = FPModule.free(ring, twist[i - 1])
     f = ModuleMap(k, l, res.maps[i - 1].columns, check=False)
     return CoherentFunctor(k, l, f, label or "Ext^%d(M,-)" % i)
 
@@ -130,23 +127,23 @@ def functor_from_tor(m, i, length_cap=None, label=""):
     twist = res.twist_table()
     ranks = res.ranks()
     if i >= len(twist):
-        return _zero_functor(ring, m.order, label or "Tor_%d(M,-)" % i)
+        return _zero_functor(ring, label or "Tor_%d(M,-)" % i)
     k_twists = tuple(-t for t in twist[i])
     rel_cols = transpose_columns(res.maps[i - 1].columns, ranks[i - 1])
     rels = [Vec.from_polys(col) for col in rel_cols if any(col)]
-    k = FPModule(ring, ranks[i], k_twists, _units(ring, ranks[i]), rels, m.order, check=False)
+    k = FPModule(ring, ranks[i], k_twists, _units(ring, ranks[i]), rels, check=False)
     if i < len(res.maps):
-        l = FPModule.free(ring, tuple(-t for t in twist[i + 1]), m.order)
+        l = FPModule.free(ring, tuple(-t for t in twist[i + 1]))
         f = ModuleMap(k, l, transpose_columns(res.maps[i].columns, ranks[i]), check=False)
     else:
-        l = FPModule.zero(ring, m.order)
+        l = FPModule.zero(ring)
         f = ModuleMap.zero_map(k, l)
     return CoherentFunctor(k, l, f, label or "Tor_%d(M,-)" % i)
 
 
-def _zero_functor(ring, order, label):
-    z1 = FPModule.zero(ring, order)
-    z2 = FPModule.zero(ring, order)
+def _zero_functor(ring, label):
+    z1 = FPModule.zero(ring)
+    z2 = FPModule.zero(ring)
     return CoherentFunctor(z1, z2, ModuleMap.zero_map(z1, z2), label)
 
 
@@ -180,7 +177,7 @@ def _hom_module(m, x):
     """Hom(M, X) as the kernel of X^{gens} -> X^{rels} over M's presentation."""
     pres = m.presentation()
     if not pres.gens:
-        return FPModule.zero(x.ring, x.order)
+        return FPModule.zero(x.ring)
     amb = block_module(x, [-t for t in pres.gen_twists])
     if not pres.columns:
         return amb
@@ -200,7 +197,6 @@ def _alpha_matrix(functor):
         functor.l.twists,
         list(pres_l.gens),
         list(functor.l.rels),
-        functor.l.order,
         check=False,
     )
     cols = []
@@ -214,24 +210,6 @@ def _alpha_matrix(functor):
             raise ContractViolation("map image is not expressible in the presentation")
         cols.append(coeffs)
     return cols
-
-
-def induced_map(functor, fx, fy):
-    """F applied to a canonical surjection X -> Y = X/extra.
-
-    fx and fy must come from evaluate() on modules sharing one ambient,
-    with Y's relations containing X's; the Hom blocks then coincide and
-    the induced map just re-expresses the F(X) generators inside F(Y).
-    """
-    if fx.rank != fy.rank or fx.twists != fy.twists:
-        raise ContractViolation("induced map needs a shared Hom ambient")
-    cols = []
-    for g in fx.gens:
-        coeffs = fy.coeffs_of(g)
-        if coeffs is None:
-            raise ContractViolation("generator image lies outside the target value")
-        cols.append(coeffs)
-    return ModuleMap(fx, fy, cols, check=False)
 
 
 # -- evaluation: lifted-diagram route ---------------------------------------------
@@ -285,9 +263,9 @@ def evaluate_via_diagram(functor, x):
     diag = functor.diagram()
     ring = x.ring
     xp = x.presentation()
-    xc = FPModule.from_cokernel(ring, xp.gen_twists, list(xp.columns), x.order)
+    xc = FPModule.from_cokernel(ring, xp.gen_twists, list(xp.columns))
     if not diag.pres_k.gens:
-        return FPModule.zero(ring, x.order)
+        return FPModule.zero(ring)
 
     def hom_vectors(pres):
         """X^{gens} and the ambient generators of its Hom(coker, X) kernel."""
@@ -305,7 +283,7 @@ def evaluate_via_diagram(functor, x):
             pushed = push_through(w, diag.alpha, xc.rank)
             if pushed:
                 v_gens.append(pushed)
-    return FPModule(ring, amb_k.rank, amb_k.twists, u_gens, v_gens, x.order, check=True)
+    return FPModule(ring, amb_k.rank, amb_k.twists, u_gens, v_gens, check=True)
 
 
 # -- expressions -----------------------------------------------------------------
@@ -362,24 +340,16 @@ class FunctorExpression:
     def compose(cls, *parts, **kw):
         return cls("compose", parts=parts, label=kw.get("label", ""))
 
-    def evaluate(self, x, route="direct"):
+    def evaluate(self, x):
+        """F(X) by the direct route; compose nodes evaluate right-to-left."""
         if self.kind == "compose":
             val = x
             for part in reversed(self.parts):
-                val = part.evaluate(val, route)
+                val = part.evaluate(val)
             return val
-        if route == "direct":
-            return evaluate(self.functor, x)
-        if route == "diagram":
-            return evaluate_via_diagram(self.functor, x)
-        raise ConfigurationError("route must be 'direct' or 'diagram'")
+        return evaluate(self.functor, x)
 
     def __repr__(self):
         if self.kind == "compose":
             return " o ".join(repr(p) for p in self.parts)
         return self.label
-
-
-def evaluate_expression(expr, x, route="direct"):
-    """Evaluate an expression tree at a module, right-to-left."""
-    return expr.evaluate(x, route)

@@ -34,43 +34,31 @@ from itertools import combinations
 
 from .errors import CapExceeded, ContractViolation, StrategyExhausted
 from .fpmodule import FPModule, free_resolution, hom_ext_tor
-from .groebner import base_relation_vectors
+from .groebner import base_relation_vectors, spans_terms
 from .poly import Poly, Vec
-from .rings import GREVLEX
 from .submodule import Submodule, is_unit_ideal, unit_ideal
 
 
 def annihilator(module):
     """ann(M) = (rels : gens) as an ideal; unit ideal for the zero module."""
     if not module.gens:
-        return unit_ideal(module.ring, module.order)
+        return unit_ideal(module.ring)
     return module.rels_sub().colon(list(module.gens))
 
 
-def residue_field(ring, order=GREVLEX):
+def residue_field(ring):
     """k = R/m as a cyclic module."""
     gens = [Vec.unit(ring, 0)]
     rels = [Vec.from_poly(Poly.variable(ring, n)) for n in ring.names]
-    return FPModule(ring, 1, (0,), gens, rels, order, check=False)
+    return FPModule(ring, 1, (0,), gens, rels, check=False)
 
 
 # -- associated primes ---------------------------------------------------------
 
 
-def _is_fine(module):
-    """Single-term generators, relations, and base relations throughout."""
-    for v in list(module.gens) + list(module.rels):
-        if len(v.terms) != 1:
-            return False
-    for rel in base_relation_vectors(module.ring, 1):
-        if len(rel.terms) != 1:
-            return False
-    return True
-
-
-def _subset_ideal(ring, subset, order):
+def _subset_ideal(ring, subset):
     gens = [Vec.from_poly(Poly.variable(ring, ring.names[i])) for i in sorted(subset)]
-    return Submodule(ring, 1, (0,), gens, order, check=False)
+    return Submodule(ring, 1, (0,), gens, check=False)
 
 
 def _subset_is_prime(ring, subset):
@@ -126,7 +114,7 @@ def _ext_support_candidates(module):
             "Ext-support candidates are only complete over a polynomial base"
         )
     ring = module.ring
-    free = FPModule.free(ring, (0,), module.order)
+    free = FPModule.free(ring, (0,))
     res = free_resolution(module, ring.nvars + 1)
     subsets = set()
     for i in range(ring.nvars + 1):
@@ -159,11 +147,11 @@ def associated_primes(module):
     ring = module.ring
     if module.is_zero():
         return []
-    if not _is_fine(module):
+    if not spans_terms(module.gens + module.rels, ring):
         # a height-i minimal prime of ann Ext^i(M, R) is associated to
         # Ext^i(M, R) in codimension i, hence to M (EHV, Thm 1.1)
         subsets = _ext_support_candidates(module)
-        return [_subset_ideal(ring, s, module.order) for s in subsets]
+        return [_subset_ideal(ring, s) for s in subsets]
     support = _monomial_minimal_primes(annihilator(module))
     if support is None:
         raise ContractViolation("annihilator of a fine module is not monomial")
@@ -172,7 +160,7 @@ def associated_primes(module):
     ]
     out = []
     for subset in subsets:
-        p = _subset_ideal(ring, subset, module.order)
+        p = _subset_ideal(ring, subset)
         # a candidate minimal by inclusion is a minimal prime of Supp M
         if not any(s < subset for s in subsets) or is_associated(module, p):
             out.append(p)
@@ -189,23 +177,23 @@ def scan_cap(ring, length_cap):
     return ring.nvars if not ring.relations else ring.nvars + 4
 
 
-def _cyclic_quotient(ideal_sub, order):
+def _cyclic_quotient(ideal_sub):
     ring = ideal_sub.ring
-    return FPModule(ring, 1, (0,), [Vec.unit(ring, 0)], list(ideal_sub.gens), order, check=False)
+    return FPModule(ring, 1, (0,), [Vec.unit(ring, 0)], list(ideal_sub.gens), check=False)
 
 
-def grade_resolution(ideal_sub, order, length_cap=None):
+def grade_resolution(ideal_sub, length_cap=None):
     """free_resolution(R/J, cap + 1), the resolution grade(J, M) reads; it is
     the same for every M over R, so a grid of modules resolves R/J once."""
     return free_resolution(
-        _cyclic_quotient(ideal_sub, order), scan_cap(ideal_sub.ring, length_cap) + 1
+        _cyclic_quotient(ideal_sub), scan_cap(ideal_sub.ring, length_cap) + 1
     )
 
 
 def grade(ideal_sub, module, length_cap=None, resolution=None):
     """grade(J, M): least i with Ext^i(R/J, M) != 0; inf when certifiable.
 
-    resolution, when given, is grade_resolution(J, order, length_cap) for
+    resolution, when given, is grade_resolution(J, length_cap) for
     the same length_cap.
     """
     if module.is_zero():
@@ -216,10 +204,10 @@ def grade(ideal_sub, module, length_cap=None, resolution=None):
     if ideal_sub.ring != ring:
         raise ContractViolation("ideal and module live over different rings")
     cap = scan_cap(ring, length_cap)
-    cyc = _cyclic_quotient(ideal_sub, module.order)
+    cyc = _cyclic_quotient(ideal_sub)
     res = resolution
     if res is None:
-        res = grade_resolution(ideal_sub, module.order, length_cap)
+        res = grade_resolution(ideal_sub, length_cap)
     for i in range(cap + 1):
         if not hom_ext_tor(cyc, module, i, "Ext", resolution=res).is_zero():
             return i
@@ -229,7 +217,7 @@ def grade(ideal_sub, module, length_cap=None, resolution=None):
     jm = [g.mul_poly(p.component(0)) for p in ideal_sub.gens for g in module.gens]
     quotient = FPModule(
         ring, module.rank, module.twists, module.gens,
-        list(module.rels) + jm, module.order, check=False,
+        list(module.rels) + jm, check=False,
     )
     if quotient.is_zero():
         return math.inf
@@ -258,7 +246,7 @@ def bass_number(module, i, profile=None):
     if profile is not None:
         return profile[i]
     if module.ring.relations:
-        k = residue_field(module.ring, module.order)
+        k = residue_field(module.ring)
         return hom_ext_tor(k, module, i, "Ext").length()
     return bass_profile(module, i + 1)[i]
 
@@ -267,7 +255,7 @@ def ext_bass_profile(module, count):
     """mu^0 .. mu^(count-1) as lengths of Ext^i(k, M), sharing one resolution
     of k: the route over a quotient base, and the reference for the Koszul
     reading over a polynomial base."""
-    k = residue_field(module.ring, module.order)
+    k = residue_field(module.ring)
     res = free_resolution(k, count + 1)
     return [
         hom_ext_tor(k, module, i, "Ext", resolution=res).length() for i in range(count)

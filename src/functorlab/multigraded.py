@@ -382,9 +382,7 @@ def intersection_strand(family, module, sub_vectors, nvec):
     u = module.gens_sub()
     w = module.rels_sub()
     pow_u = family.apply(tuple(nvec), u).plus(w)
-    n_side = Submodule(
-        module.ring, module.rank, module.twists, list(sub_vectors), module.order
-    ).plus(w)
+    n_side = Submodule(module.ring, module.rank, module.twists, list(sub_vectors)).plus(w)
     return pow_u.intersect(n_side)
 
 

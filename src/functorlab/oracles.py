@@ -267,8 +267,7 @@ def grade_by_regular_sequence(ideal_polys, module, window=8):
             ring = module.ring
             rels = list(module.rels) + [g.mul_poly(f) for g in module.gens if g]
             quotient = FPModule(
-                ring, module.rank, module.twists, module.gens, rels,
-                module.order, check=False,
+                ring, module.rank, module.twists, module.gens, rels, check=False
             )
             deeper = grade_by_regular_sequence(ideal_polys, quotient, window)
             return INF if deeper == INF else 1 + deeper

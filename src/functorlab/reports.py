@@ -17,10 +17,6 @@ def render_json(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def render_meta(meta):
-    return json.dumps(meta, sort_keys=True, indent=2) + "\n"
-
-
 def _fit_line(fit):
     if not isinstance(fit, dict):
         return "none"
@@ -140,5 +136,5 @@ def write_artifacts(report, meta, out_dir, stem):
     emit(stem + ".summary.md", render_markdown(report))
     for suffix, text in lambda_csvs(report):
         emit("%s.%s.csv" % (stem, suffix), text)
-    emit(stem + ".run_meta.json", render_meta(meta))
+    emit(stem + ".run_meta.json", render_json(meta))
     return written

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .cache import active_cache
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
-from .functors import evaluate, evaluate_expression
+from .functors import evaluate
 from .multigraded import analytic_spread, artin_rees_exponent, artin_rees_window
 from .oracles import grade_by_regular_sequence
 from .stability import (
@@ -252,7 +252,7 @@ def run_grade(scn, task):
         polys = [v.components(1)[0] for v in grade_ideal.gens]
         for p in sorted(rep["table"]):
             member = spec.member(p)
-            module = member if expr is None else evaluate_expression(expr, member)
+            module = member if expr is None else expr.evaluate(member)
             brute = grade_by_regular_sequence(polys, module)
             if brute != rep["table"][p]:
                 failures.append(

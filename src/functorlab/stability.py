@@ -12,7 +12,7 @@ nothing is ever refitted or patched to make a family look stable.
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
 from .fpmodule import FPModule, block_kernel, block_module, free_resolution, push_through
-from .functors import evaluate, evaluate_expression
+from .functors import evaluate
 from .invariants import (
     associated_primes,
     bass_number,
@@ -77,10 +77,10 @@ class FamilySpec:
         m = self.module
         scaled = self.family.apply(
             tuple(nvec),
-            Submodule(m.ring, m.rank, m.twists, list(self.sub_vectors), m.order, check=False),
+            Submodule(m.ring, m.rank, m.twists, list(self.sub_vectors), check=False),
         )
         rels = list(m.rels) + [v for v in scaled.gens if v]
-        return FPModule(m.ring, m.rank, m.twists, m.gens, rels, m.order, check=False)
+        return FPModule(m.ring, m.rank, m.twists, m.gens, rels, check=False)
 
 
 # -- grid evaluation ---------------------------------------------------------------
@@ -151,11 +151,11 @@ def grid_evaluate(expr, spec, box, observables, grade_ideal=None, i_max=2):
     grade_res = None
     if "grade" in observables and grade_ideal is not None:
         # R/J is the same at every point: resolve it once for the grid
-        grade_res = grade_resolution(grade_ideal, grade_ideal.order)
+        grade_res = grade_resolution(grade_ideal)
     out = {}
     for p in sorted(box.points()):
         member = spec.member(p)
-        module = member if expr is None else evaluate_expression(expr, member)
+        module = member if expr is None else expr.evaluate(member)
         out[p] = _observe(module, observables, grade_ideal, i_max, grade_res)
     return out
 
@@ -312,28 +312,22 @@ class NormalForm:
             raise ContractViolation("normal form only covers n >= d = %r" % (self.d,))
         gap = tuple(n - e for n, e in zip(nvec, self.d))
         ring, rank, twists = self.t.ring, self.t.rank, self.t.twists
-        order = self.t.order
-        iv = self.family.apply(
-            gap, Submodule(ring, rank, twists, list(self.v), order, check=False)
-        )
-        iw = self.family.apply(
-            gap, Submodule(ring, rank, twists, list(self.w), order, check=False)
-        )
+        iv = self.family.apply(gap, Submodule(ring, rank, twists, list(self.v), check=False))
+        iw = self.family.apply(gap, Submodule(ring, rank, twists, list(self.w), check=False))
         gens = list(self.u) + [g for g in iv.gens if g]
         rels = list(self.t.rels) + [g for g in iw.gens if g]
-        return FPModule.subquotient(ring, rank, twists, gens, rels, order)
+        return FPModule.subquotient(ring, rank, twists, gens, rels)
 
     def u_module(self):
         return FPModule.subquotient(
-            self.t.ring, self.t.rank, self.t.twists, list(self.u), list(self.t.rels),
-            self.t.order,
+            self.t.ring, self.t.rank, self.t.twists, list(self.u), list(self.t.rels)
         )
 
 
 def _to_cokernel_coords(module, pres, vectors):
     helper = FPModule(
         module.ring, module.rank, module.twists, list(pres.gens), list(module.rels),
-        module.order, check=False,
+        check=False,
     )
     out = []
     for v in vectors:
@@ -349,7 +343,7 @@ def _to_cokernel_coords(module, pres, vectors):
 def _sub(amb, gens, extra=()):
     ring = amb.ring
     vecs = [v for v in list(gens) + list(extra) if v]
-    return Submodule(ring, amb.rank, amb.twists, vecs, amb.order, check=False)
+    return Submodule(ring, amb.rank, amb.twists, vecs, check=False)
 
 
 def _n_blocks(n_vecs, count, width):
@@ -370,9 +364,7 @@ def _block_side(pres, amb, mc, n_vecs, family, box, ar_mode):
     image = _sub(tgt, [push_through(g, mat, width) for g in amb.gens], tgt.rels)
     blocks = _n_blocks(n_vecs, len(pres.columns), width)
     prime = _sub(tgt, blocks, tgt.rels)
-    prime_fp = FPModule.subquotient(
-        mc.ring, tgt.rank, tgt.twists, blocks, list(tgt.rels), mc.order
-    )
+    prime_fp = FPModule.subquotient(mc.ring, tgt.rank, tgt.twists, blocks, list(tgt.rels))
     meet = image.intersect(prime)
     e, verdict = artin_rees_exponent(
         family, prime_fp, list(meet.gens), mode=ar_mode, box=(box.lo, box.hi)
@@ -399,7 +391,7 @@ def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
     diag = functor.diagram()
     pres_k, pres_l, alpha = diag.pres_k, diag.pres_l, diag.alpha
     mp = module.presentation()
-    mc = FPModule.from_cokernel(ring, mp.gen_twists, list(mp.columns), module.order)
+    mc = FPModule.from_cokernel(ring, mp.gen_twists, list(mp.columns))
     width = mc.rank
     n_vecs = _to_cokernel_coords(module, mp, sub_vectors)
     k0 = len(pres_k.gens)
@@ -449,7 +441,7 @@ def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
     w_parts.extend(phi_a1)
 
     t_rels = list(amb_b.rels) + phi_a1
-    t = FPModule.subquotient(ring, amb_b.rank, amb_b.twists, list(amb_b.gens), t_rels, mc.order)
+    t = FPModule.subquotient(ring, amb_b.rank, amb_b.twists, list(amb_b.gens), t_rels)
     u_gens = [v for v in ker_psi if v]
     v_gens = [v for v in v_pre if v] + phi_a1
     w_gens = [v for v in w_parts if v]

@@ -5,6 +5,11 @@ quotient base R = P/I0 it implicitly contains I0*R^rank, so membership,
 intersections, colons, and syzygies are all relative to the quotient. Ideals
 are the rank-1, twist-0 case.
 
+Every submodule uses one term order, GREVLEX (graded reverse lex, position
+over term): the invariants the lab reports do not depend on it. Other
+orders exist only at the Groebner level (TermOrder.bind for buchberger,
+LiftSolver and eliminate_module).
+
 Groebner bases are computed lazily and canonicalized (monic, auto-reduced,
 sorted), so module equality is literal equality of canonical bases. A module
 spanned by terms (groebner.spans_terms) gets its basis straight from its
@@ -89,15 +94,14 @@ def _coefficient(char, cf):
 
 
 class Submodule:
-    __slots__ = ("ring", "rank", "twists", "order", "gens", "_bound", "_gb")
+    __slots__ = ("ring", "rank", "twists", "gens", "_bound", "_gb")
 
-    def __init__(self, ring, rank, twists, gens, order=GREVLEX, check=True):
+    def __init__(self, ring, rank, twists, gens, check=True):
         self.ring = ring
         self.rank = rank
         self.twists = tuple(twists)
         if len(self.twists) != rank:
             raise ContractViolation("need one twist per ambient component")
-        self.order = order
         kept = []
         for g in gens:
             if not g:
@@ -116,7 +120,7 @@ class Submodule:
     @property
     def bound(self):
         if self._bound is None:
-            self._bound = self.order.bind(self.ring, self.twists)
+            self._bound = GREVLEX.bind(self.ring, self.twists)
         return self._bound
 
     def _same_ambient(self, other):
@@ -148,7 +152,7 @@ class Submodule:
             key = store.key(
                 "gb/2",
                 self.ring.signature(),
-                self.order.signature(),
+                GREVLEX.signature(),
                 list(self.twists),
                 self.rank,
                 sorted(sorted(_term_rows(g)) for g in self.gens),
@@ -179,9 +183,7 @@ class Submodule:
 
     def equals(self, other):
         self._same_ambient(other)
-        if self.order.signature() == other.order.signature():
-            return self.groebner() == other.groebner()
-        return self.contains_all(other.gens) and other.contains_all(self.gens)
+        return self.groebner() == other.groebner()
 
     def contains_submodule(self, other):
         self._same_ambient(other)
@@ -193,7 +195,7 @@ class Submodule:
     def canonical(self):
         """Same module, generated by its canonical Groebner basis."""
         out = Submodule(
-            self.ring, self.rank, self.twists, self.groebner(), self.order, check=False
+            self.ring, self.rank, self.twists, self.groebner(), check=False
         )
         out._gb = list(out.gens)
         return out
@@ -203,7 +205,7 @@ class Submodule:
     def plus(self, other):
         self._same_ambient(other)
         return Submodule(
-            self.ring, self.rank, self.twists, self.gens + other.gens, self.order, check=False
+            self.ring, self.rank, self.twists, self.gens + other.gens, check=False
         )
 
     def intersect(self, other):
@@ -225,7 +227,7 @@ class Submodule:
                     acc = acc + g.mul_poly(coeff)
             if acc:
                 out.append(acc)
-        return Submodule(self.ring, self.rank, self.twists, out, self.order, check=False)
+        return Submodule(self.ring, self.rank, self.twists, out, check=False)
 
     def _block_solver(self, degrees, targets):
         """LiftSolver into len(degrees) copies of the ambient module, copy j
@@ -249,7 +251,7 @@ class Submodule:
         else:
             vectors = [v for v in vectors_or_sub if v]
         if not vectors:
-            return unit_ideal(self.ring, self.order)
+            return unit_ideal(self.ring)
         rank = self.rank
         target = Vec(
             self.ring,
@@ -257,7 +259,7 @@ class Submodule:
         )
         solver = self._block_solver([v.degree(self.twists) for v in vectors], [target])
         gens = solver.kernel_vectors()
-        return Submodule(self.ring, 1, (0,), gens, self.order, check=False).canonical()
+        return Submodule(self.ring, 1, (0,), gens, check=False).canonical()
 
     def colon_module(self, polys):
         """(self :_F J) = {v in the ambient : p*v inside self for all p in J}.
@@ -270,7 +272,7 @@ class Submodule:
         polys = [q for q in polys if q]
         if not polys:
             whole = [Vec.unit(self.ring, c) for c in range(self.rank)]
-            return Submodule(self.ring, self.rank, self.twists, whole, self.order, check=False)
+            return Submodule(self.ring, self.rank, self.twists, whole, check=False)
         rank = self.rank
         targets = [
             Vec(
@@ -281,7 +283,7 @@ class Submodule:
         ]
         solver = self._block_solver([q.degree() for q in polys], targets)
         return Submodule(
-            self.ring, self.rank, self.twists, solver.kernel_vectors(), self.order, check=False
+            self.ring, self.rank, self.twists, solver.kernel_vectors(), check=False
         )
 
     def syzygies(self):
@@ -289,7 +291,7 @@ class Submodule:
         degs = tuple(g.degree(self.twists) for g in self.gens)
         solver = LiftSolver(self.ring, self.rank, self.twists, list(self.gens))
         return Submodule(
-            self.ring, len(self.gens), degs, solver.kernel_vectors(), self.order, check=False
+            self.ring, len(self.gens), degs, solver.kernel_vectors(), check=False
         )
 
     def multiply_ideal(self, ideal):
@@ -306,14 +308,14 @@ class Submodule:
         ring = self.ring
         if not all(len(g.terms) == 1 for g in self.gens + ideal.gens):
             gens = [g.mul_poly(p.component(0)) for p in ideal.gens for g in self.gens]
-            return Submodule(ring, self.rank, self.twists, gens, self.order, check=False)
+            return Submodule(ring, self.rank, self.twists, gens, check=False)
         products = [
             Vec(ring, {(c, tuple(map(add, m, e))): ring.one})
             for ((_z, e),) in (p.terms for p in ideal.gens)
             for ((c, m),) in (g.terms for g in self.gens)
         ]
         gens = term_basis(products, self.bound, ring)
-        out = Submodule(ring, self.rank, self.twists, gens, self.order, check=False)
+        out = Submodule(ring, self.rank, self.twists, gens, check=False)
         if not ring.relations:
             out._gb = gens
         return out
@@ -335,14 +337,14 @@ class Submodule:
         """
         modulo = list(modulo)
         kept = []
-        span = Submodule(self.ring, self.rank, self.twists, modulo, self.order, check=False)
+        span = Submodule(self.ring, self.rank, self.twists, modulo, check=False)
         for g in sorted(self.gens, key=lambda g: (g.degree(self.twists), str(g.to_strings(self.rank)))):
             if not span.contains(g):
                 kept.append(g)
                 span = Submodule(
-                    self.ring, self.rank, self.twists, kept + modulo, self.order, check=False
+                    self.ring, self.rank, self.twists, kept + modulo, check=False
                 )
-        return Submodule(self.ring, self.rank, self.twists, kept, self.order, check=False)
+        return Submodule(self.ring, self.rank, self.twists, kept, check=False)
 
     def __repr__(self):
         body = "; ".join(",".join(g.to_strings(self.rank)) for g in self.gens)
@@ -352,25 +354,25 @@ class Submodule:
 # -- constructors ------------------------------------------------------------
 
 
-def ideal(ring, generators, order=GREVLEX):
+def ideal(ring, generators):
     gens = [Vec.from_poly(parse_poly(ring, g)) for g in generators]
-    return Submodule(ring, 1, (0,), gens, order)
+    return Submodule(ring, 1, (0,), gens)
 
 
-def unit_ideal(ring, order=GREVLEX):
-    return Submodule(ring, 1, (0,), [Vec.unit(ring, 0)], order, check=False)
+def unit_ideal(ring):
+    return Submodule(ring, 1, (0,), [Vec.unit(ring, 0)], check=False)
 
 
-def zero_submodule(ring, rank, twists, order=GREVLEX):
-    return Submodule(ring, rank, tuple(twists), [], order, check=False)
+def zero_submodule(ring, rank, twists):
+    return Submodule(ring, rank, tuple(twists), [], check=False)
 
 
-def submodule(ring, rank, twists, generators, order=GREVLEX):
+def submodule(ring, rank, twists, generators):
     """generators: iterable of Vec or dense component-string lists."""
     gens = []
     for g in generators:
         gens.append(g if isinstance(g, Vec) else parse_vec(ring, g))
-    return Submodule(ring, rank, tuple(twists), gens, order)
+    return Submodule(ring, rank, tuple(twists), gens)
 
 
 def is_unit_ideal(sub):
@@ -409,7 +411,7 @@ class IdealFamily:
 
     def power(self, j, k):
         if k == 0:
-            return unit_ideal(self.ring, self.ideals[j].order)
+            return unit_ideal(self.ring)
         hit = self._powers.get((j, k))
         if hit is None:
             hit = self.power(j, k - 1).multiply_ideal(self.ideals[j]).canonical()

@@ -1,4 +1,4 @@
-"""Subquotient modules, resolutions, minimalization, Hom/Ext/Tor.
+"""Subquotient modules, maps, resolutions, Hom/Ext/Tor.
 
 Numeric oracles are worked out by hand on k[x,y] and frozen here:
 lengths of colon quotients, Koszul Betti numbers, socle dimensions.
@@ -21,10 +21,9 @@ from functorlab.fpmodule import (
     image,
     kernel,
     kernel_with_coeffs,
-    minimalize,
     quotient_by,
 )
-from functorlab.poly import Poly, Vec, parse_poly, parse_vec
+from functorlab.poly import Poly, parse_poly, parse_vec
 from functorlab.rings import PolyRing
 
 
@@ -42,7 +41,7 @@ def p(s, ring=R):
 def test_free_module_hilbert_and_twist():
     free = FPModule.free(R, (0,))
     assert free.hilbert_function(range(4)) == [1, 2, 3, 4]
-    shifted = free.twisted(1)
+    shifted = FPModule.free(R, (1,))
     assert shifted.hilbert_function(range(4)) == [0, 1, 2, 3]
     assert free.length() == math.inf
     assert free.dim() == 2
@@ -108,16 +107,31 @@ def test_kernel_image_cokernel_of_variable_map():
     assert img.length() == math.inf
 
 
+def is_well_defined(f):
+    """Presentation relations of the source land in the target relations."""
+    pres = f.source.presentation()
+    # presentation gens are a subset of source gens; map columns through it
+    lookup = {id(g): k for k, g in enumerate(f.source.gens)}
+    index = [lookup[id(g)] for g in pres.gens]
+    for col in pres.matrix():
+        coeffs = [Poly.zero(f.source.ring) for _ in f.source.gens]
+        for pos, c in enumerate(col):
+            coeffs[index[pos]] = c
+        if not f.target.annihilates(f.target.element(f.apply_coeffs(coeffs))):
+            return False
+    return True
+
+
 def test_map_degree_discipline():
     src = cyclic("x")
     tgt = cyclic("x^2")
     with pytest.raises(ContractViolation):
         ModuleMap(src, tgt, [[p("x")]], shift=0)
     f = ModuleMap(src, tgt, [[p("x")]], shift=1)
-    assert f.is_well_defined()
+    assert is_well_defined(f)
     # identity on generators is not well defined against the shorter relation
     g = ModuleMap(tgt, FPModule.free(R, (0,)), [[p("1")]])
-    assert not g.is_well_defined()
+    assert not is_well_defined(g)
 
 
 def test_well_defined_composition():
@@ -227,18 +241,6 @@ def test_homology_of_truncated_koszul():
     top = kernel(d2)
     assert top.is_zero()
     assert cokernel(d1).length() == 1
-
-
-def test_minimalize_cancels_units():
-    f0 = FPModule.free(R, (0,))
-    f1 = FPModule.free(R, (0, 1, 1))
-    f2 = FPModule.free(R, (1,))
-    d1 = ModuleMap(f1, f0, [[p("1")], [p("x")], [p("y")]])
-    d2 = ModuleMap(f2, f1, [[p("x"), p("0") - p("1"), p("0")]])
-    cx = GradedComplex([f0, f1, f2], [d1, d2])
-    reduced = minimalize(cx)
-    assert reduced.ranks() == [0, 1, 0]
-    assert reduced.modules[1].twists == (1,)
 
 
 def test_quotient_by_membership_guard():

@@ -392,6 +392,7 @@ TERM_CASES = {
     "elim": (lambda: _grevlex(), (0,), TermOrder(kind="elim", elim=(0,), module_kind="top")),
     "rank2_pot": (lambda: _grevlex(), (0, 1), TermOrder(module_kind="pot")),
     "rank3_top": (lambda: _grevlex(char=0), (0, 1, 1), TermOrder(module_kind="top")),
+    "lex_top": (lambda: _grevlex(char=0), (1, 0), TermOrder(kind="lex", module_kind="top")),
     "monomial_quotient": (lambda: _grevlex(relations=["y^3", "x*z"]), (0,), TermOrder()),
     "rank1_quotient": (lambda: _grevlex(relations=["x*y - z^2"]), (0,), TermOrder()),
 }

@@ -118,10 +118,8 @@ def test_tensor_functor_is_not_identity():
         functor={"builder": "tensor", "module": "k"},
     )
     scn = build_scenario(data)
-    from functorlab.functors import evaluate_expression
-
     member = scn.family_spec.member((2,))
-    out = evaluate_expression(scn.expression, member)
+    out = scn.expression.evaluate(member)
     assert out.length() == 1
 
 

@@ -19,7 +19,7 @@ from functorlab.fpmodule import FPModule
 from functorlab.groebner import LiftSolver
 from functorlab.oracles import monomials_of_degree
 from functorlab.poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
-from functorlab.rings import GREVLEX, PolyRing, TermOrder
+from functorlab.rings import PolyRing
 from functorlab.submodule import (
     IdealFamily,
     Submodule,
@@ -110,7 +110,7 @@ def test_family_apply_multiplies_target():
 def _all_products(sub, ideal_):
     """ideal_ * sub generated by every product of a generator of each."""
     gens = [g.mul_poly(p.component(0)) for p in ideal_.gens for g in sub.gens]
-    return Submodule(sub.ring, sub.rank, sub.twists, gens, sub.order, check=False)
+    return Submodule(sub.ring, sub.rank, sub.twists, gens, check=False)
 
 
 def gen_strings(sub):
@@ -205,7 +205,7 @@ def reference_intersect(a, b):
             acc = acc + g.mul_poly(k.component(i))
         if acc:
             out.append(acc)
-    return Submodule(a.ring, a.rank, a.twists, out, a.order, check=False)
+    return Submodule(a.ring, a.rank, a.twists, out, check=False)
 
 
 def reference_colon(sub, vectors):
@@ -500,6 +500,26 @@ def test_groebner_key_does_not_depend_on_generator_order(monkeypatch):
     assert keys[2] != keys[0]
 
 
+def test_groebner_key_is_pinned(monkeypatch):
+    """The key of a basis: disk entries written by earlier versions still hit."""
+    parts = []
+
+    class Recording(cache.Cache):
+        def key(self, *args):
+            parts.append(args)
+            return super().key(*args)
+
+    monkeypatch.setattr(cache, "_ACTIVE", Recording())
+    assert ideal(PolyRing(("x", "y")), ["x^2 + y^2", "x*y"]).groebner()
+    ((kind, ring_sig, order_sig, twists, rank, _rows),) = parts
+    assert (kind, ring_sig, order_sig, twists, rank) == (
+        "gb/2", "GF(32003)[x,y;w=1,1]/()", "grevlex|p=None|e=()|pot", [0], 1,
+    )
+    assert cache.Cache().key(*parts[0]) == (
+        "e30eab04711e212634fd54d3c4395f88f6fcf12cd58e81d583764c282a6cba9d"
+    )
+
+
 def test_disabled_cache_builds_no_key(monkeypatch):
     calls = []
     monkeypatch.setattr(cache.Cache, "key", lambda self, *parts: calls.append(parts))
@@ -544,12 +564,11 @@ def test_malformed_cache_rows_are_rejected(char, rows):
 # against the code that builds them.
 
 TERM_CASES = {
-    # name: (ring, twists, order)
-    "gf": (lambda: _xyz(), (0,), GREVLEX),
-    "q_rank2": (lambda: _xyz(char=0), (0, 1), GREVLEX),
-    "q_lex_top": (lambda: _xyz(char=0), (1, 0), TermOrder(kind="lex", module_kind="top")),
-    "weights_1_2": (lambda: PolyRing(("x", "y"), weights=(1, 2)), (0,), GREVLEX),
-    "quotient_xy": (lambda: _xyz(relations=["x*y"]), (0,), GREVLEX),
+    # name: (ring, twists)
+    "gf": (lambda: _xyz(), (0,)),
+    "q_rank2": (lambda: _xyz(char=0), (0, 1)),
+    "weights_1_2": (lambda: PolyRing(("x", "y"), weights=(1, 2)), (0,)),
+    "quotient_xy": (lambda: _xyz(relations=["x*y"]), (0,)),
 }
 
 
@@ -589,11 +608,11 @@ def _assert_reduced_term_basis(sub, basis, spanning_terms):
 def test_term_module_basis_meets_its_definition(case, seed, tmp_path, monkeypatch):
     store = cache.Cache(directory=str(tmp_path))
     monkeypatch.setattr(cache, "_ACTIVE", store)
-    make_ring, twists, order = TERM_CASES[case]
+    make_ring, twists = TERM_CASES[case]
     ring = make_ring()
     rng = random.Random(1000 * seed + len(case))
     gens = _random_terms(rng, ring, len(twists), rng.randint(1, 9))
-    sub = Submodule(ring, len(twists), twists, gens, order, check=False)
+    sub = Submodule(ring, len(twists), twists, gens, check=False)
     spanning = {t for g in gens for t in g.terms} | _relation_terms(ring, len(twists))
     _assert_reduced_term_basis(sub, sub.groebner(), spanning)
     assert store.stats() == {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0}
@@ -603,18 +622,16 @@ def test_term_module_basis_meets_its_definition(case, seed, tmp_path, monkeypatc
 @pytest.mark.parametrize("case", sorted(TERM_CASES))
 @pytest.mark.parametrize("seed", range(4))
 def test_term_product_basis_is_the_fresh_basis(case, seed):
-    make_ring, twists, order = TERM_CASES[case]
+    make_ring, twists = TERM_CASES[case]
     ring = make_ring()
     rank = len(twists)
     rng = random.Random(2000 * seed + len(case))
-    target = Submodule(ring, rank, twists, _random_terms(rng, ring, rank, 4, 3), order,
-                       check=False)
-    multiplier = Submodule(ring, 1, (0,), _random_terms(rng, ring, 1, 3, 2), order,
-                           check=False)
+    target = Submodule(ring, rank, twists, _random_terms(rng, ring, rank, 4, 3), check=False)
+    multiplier = Submodule(ring, 1, (0,), _random_terms(rng, ring, 1, 3, 2), check=False)
     prod = target.multiply_ideal(multiplier)
     assert (prod._gb is None) == bool(ring.relations)
     basis = prod.groebner()
-    fresh = Submodule(ring, rank, twists, list(prod.gens), order, check=False)
+    fresh = Submodule(ring, rank, twists, list(prod.gens), check=False)
     assert basis == fresh.groebner()
     # spanned by every product of a generator of each side
     products = {
