@@ -52,13 +52,10 @@ class FittedPolynomial:
 
     __call__ = evaluate
 
-    def to_string(self, names=None):
+    def to_string(self):
         if not self.coeffs:
             return "0"
-        if names is None:
-            names = ["n"] if self.nvars == 1 else [
-                "n%d" % (j + 1) for j in range(self.nvars)
-            ]
+        names = ["n"] if self.nvars == 1 else ["n%d" % (j + 1) for j in range(self.nvars)]
         parts = []
         for e in sorted(self.coeffs, key=lambda t: (-sum(t), t)):
             c = self.coeffs[e]

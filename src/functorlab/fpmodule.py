@@ -177,9 +177,7 @@ class FPModule:
         columns = Submodule(
             self.ring, len(pruned), gen_twists, solver.kernel_vectors(), check=False
         ).minimal_generators()
-        self._presentation = Presentation(
-            module=self, gens=tuple(pruned), gen_twists=gen_twists, columns=columns.gens
-        )
+        self._presentation = Presentation(tuple(pruned), gen_twists, columns.gens)
         return self._presentation
 
     def __repr__(self):
@@ -197,10 +195,9 @@ class Presentation:
     renders them as a column-major Poly matrix.
     """
 
-    __slots__ = ("module", "gens", "gen_twists", "columns")
+    __slots__ = ("gens", "gen_twists", "columns")
 
-    def __init__(self, module, gens, gen_twists, columns):
-        self.module = module
+    def __init__(self, gens, gen_twists, columns):
         self.gens = gens
         self.gen_twists = gen_twists
         self.columns = columns
@@ -289,34 +286,13 @@ class ModuleMap:
 # -- exactness toolkit ---------------------------------------------------------
 
 
-def kernel_with_coeffs(f):
-    """(K, coeff_vectors): K = ker f as a subquotient of f's source."""
-    tgt = f.target
-    targets = f.image_vecs()
-    solver = LiftSolver(tgt.ring, tgt.rank, tgt.twists, targets, list(tgt.rels))
-    coeff_vecs = solver.kernel_vectors()
-    src = f.source
-    gens = []
-    kept = []
-    for k in coeff_vecs:
-        v = src.element(k.components(len(src.gens)))
-        if v:
-            gens.append(v)
-            kept.append(k)
-    module = FPModule(src.ring, src.rank, src.twists, gens, src.rels, check=True)
-    return module, kept
-
-
 def kernel(f):
-    return kernel_with_coeffs(f)[0]
-
-
-def image(f):
+    """ker f as a subquotient of f's source."""
     tgt = f.target
-    vecs = [v for v in f.image_vecs() if v]
-    return FPModule(
-        tgt.ring, tgt.rank, tgt.twists, vecs + list(tgt.rels), tgt.rels, check=False
-    )
+    solver = LiftSolver(tgt.ring, tgt.rank, tgt.twists, f.image_vecs(), list(tgt.rels))
+    src = f.source
+    gens = [src.element(k.components(len(src.gens))) for k in solver.kernel_vectors()]
+    return FPModule(src.ring, src.rank, src.twists, [v for v in gens if v], src.rels)
 
 
 def cokernel(f):
@@ -352,7 +328,7 @@ def homology(f, g):
     composite = g.compose(f)
     if not composite.is_zero_map():
         raise ContractViolation("maps do not compose to zero")
-    ker_mod, _ = kernel_with_coeffs(g)
+    ker_mod = kernel(g)
     imgs = [v for v in f.image_vecs() if v]
     b = f.target
     return FPModule(
@@ -433,7 +409,7 @@ def block_module(x, block_twists):
     return FPModule(x.ring, len(offsets) * x.rank, twists, gens, rels, check=False)
 
 
-def block_map(psi_columns, x, src, tgt, tgt_blocks, shift=0):
+def block_map(psi_columns, x, src, tgt, tgt_blocks):
     """The map X^a -> X^b induced by a Poly matrix psi: R^a -> R^b.
 
     psi_columns[j][i] sends source block j to target block i; src and tgt
@@ -451,7 +427,7 @@ def block_map(psi_columns, x, src, tgt, tgt_blocks, shift=0):
                 if entry:
                     col[i * gcount + g] = entry
             cols.append(col)
-    return ModuleMap(src, tgt, cols, shift=shift, check=False)
+    return ModuleMap(src, tgt, cols, check=False)
 
 
 def push_through(u, columns, width):
@@ -505,8 +481,12 @@ def transpose_columns(columns, height):
     return [[columns[j][i] for j in range(width)] for i in range(height)]
 
 
-def hom_ext_tor(module, x, i, which, length_cap=None, resolution=None):
-    """H^i(Hom(F_., X)), H_i(F_. (x) X), or Hom(M, X) for i = 0 / which='Hom'."""
+def hom_ext_tor(module, x, i, which, resolution=None):
+    """H^i(Hom(F_., X)), H_i(F_. (x) X), or Hom(M, X) for i = 0 / which='Hom'.
+
+    F_. is free_resolution(module, i + 1), or resolution when given, which
+    must reach stage i + 1 unless it is exhausted.
+    """
     which = which.lower()
     if which not in ("hom", "ext", "tor"):
         raise ContractViolation("which must be one of Hom, Ext, Tor")
@@ -516,10 +496,6 @@ def hom_ext_tor(module, x, i, which, length_cap=None, resolution=None):
     if i < 0:
         raise ContractViolation("homological index must be nonnegative")
     need = i + 1
-    if length_cap is not None and length_cap < need:
-        raise CapExceeded(
-            "resolution cap %d too small: increase cap to at least %d" % (length_cap, need)
-        )
     if resolution is not None:
         if not resolution.exhausted and len(resolution.maps) < need:
             raise CapExceeded("supplied resolution is too short for stage %d" % i)

@@ -97,12 +97,12 @@ def functor_from_tensor(m, label=""):
     return CoherentFunctor(k, l, f, label or "M(x)-")
 
 
-def functor_from_ext(m, i, length_cap=None, label=""):
+def functor_from_ext(m, i, label=""):
     """Ext^i(M, -) for i >= 1: K = coker(d_{i+1}), L = F_{i-1}, f from d_i."""
     if i < 1:
         raise ConfigurationError("ext builder needs i >= 1; use the hom builder for i = 0")
     ring = m.ring
-    res = free_resolution(m, length_cap if length_cap is not None else i + 1)
+    res = free_resolution(m, i + 1)
     twist = res.twist_table()
     if i >= len(twist):
         return _zero_functor(ring, label or "Ext^%d(M,-)" % i)
@@ -113,7 +113,7 @@ def functor_from_ext(m, i, length_cap=None, label=""):
     return CoherentFunctor(k, l, f, label or "Ext^%d(M,-)" % i)
 
 
-def functor_from_tor(m, i, length_cap=None, label=""):
+def functor_from_tor(m, i, label=""):
     """Tor_i(M, -) for i >= 1 via the transposed resolution.
 
     K = coker of the transpose of d_i over the dual of F_i, L = dual of
@@ -123,7 +123,7 @@ def functor_from_tor(m, i, length_cap=None, label=""):
     if i < 1:
         raise ConfigurationError("tor builder needs i >= 1; use the tensor builder for i = 0")
     ring = m.ring
-    res = free_resolution(m, length_cap if length_cap is not None else i + 1)
+    res = free_resolution(m, i + 1)
     twist = res.twist_table()
     ranks = res.ranks()
     if i >= len(twist):
@@ -224,7 +224,7 @@ def _lift_diagram(functor):
         gl = len(pres_l.gens)
         solver = None
         for ck in pres_k.columns:
-            pushed = _apply_matrix(alpha, ck, len(pres_k.gens), gl, functor.l.ring)
+            pushed = _apply_matrix(alpha, ck, len(pres_k.gens), functor.l.ring)
             if not pushed:
                 beta.append([Poly.zero(functor.l.ring) for _ in pres_l.columns])
                 continue
@@ -240,7 +240,7 @@ def _lift_diagram(functor):
     return LiftedDiagram(pres_k, pres_l, alpha, beta)
 
 
-def _apply_matrix(alpha, coeff_vec, src_rank, tgt_rank, ring):
+def _apply_matrix(alpha, coeff_vec, src_rank, ring):
     comps = coeff_vec.components(src_rank)
     out = Vec.zero(ring)
     for j, c in enumerate(comps):

@@ -23,8 +23,8 @@ depth. Over a quotient base mu^i is the length of Ext^i(k, M).
 grade(J, M) is the first nonvanishing Ext^i(R/J, M). Bass numbers have no
 internal zeros between depth and the injective dimension, and Betti numbers
 none between 0 and the projective dimension, so both dimensions are certified
-by the first zero after a nonzero; caps only guard against unbounded scans
-over a singular base.
+by the first zero after a nonzero. The scan length comes from the ring
+(scan_cap); it only guards against unbounded scans over a singular base.
 """
 
 from __future__ import annotations
@@ -170,10 +170,10 @@ def associated_primes(module):
 # -- grade and dimension invariants --------------------------------------------
 
 
-def scan_cap(ring, length_cap):
-    """Last homological stage a scan reads before it refuses."""
-    if length_cap is not None:
-        return length_cap
+def scan_cap(ring):
+    """Last homological stage a scan reads before it refuses: n over a
+    polynomial base in n variables (Hilbert's syzygy theorem), n + 4 over a
+    quotient base, where resolutions need not end."""
     return ring.nvars if not ring.relations else ring.nvars + 4
 
 
@@ -182,19 +182,16 @@ def _cyclic_quotient(ideal_sub):
     return FPModule(ring, 1, (0,), [Vec.unit(ring, 0)], list(ideal_sub.gens), check=False)
 
 
-def grade_resolution(ideal_sub, length_cap=None):
-    """free_resolution(R/J, cap + 1), the resolution grade(J, M) reads; it is
-    the same for every M over R, so a grid of modules resolves R/J once."""
-    return free_resolution(
-        _cyclic_quotient(ideal_sub), scan_cap(ideal_sub.ring, length_cap) + 1
-    )
+def grade_resolution(ideal_sub):
+    """free_resolution(R/J, scan_cap + 1), the resolution grade(J, M) reads;
+    it is the same for every M over R, so a grid of modules resolves R/J once."""
+    return free_resolution(_cyclic_quotient(ideal_sub), scan_cap(ideal_sub.ring) + 1)
 
 
-def grade(ideal_sub, module, length_cap=None, resolution=None):
+def grade(ideal_sub, module, resolution=None):
     """grade(J, M): least i with Ext^i(R/J, M) != 0; inf when certifiable.
 
-    resolution, when given, is grade_resolution(J, length_cap) for
-    the same length_cap.
+    resolution, when given, is grade_resolution(J).
     """
     if module.is_zero():
         return math.inf
@@ -203,11 +200,11 @@ def grade(ideal_sub, module, length_cap=None, resolution=None):
     ring = module.ring
     if ideal_sub.ring != ring:
         raise ContractViolation("ideal and module live over different rings")
-    cap = scan_cap(ring, length_cap)
+    cap = scan_cap(ring)
     cyc = _cyclic_quotient(ideal_sub)
     res = resolution
     if res is None:
-        res = grade_resolution(ideal_sub, length_cap)
+        res = grade_resolution(ideal_sub)
     for i in range(cap + 1):
         if not hom_ext_tor(cyc, module, i, "Ext", resolution=res).is_zero():
             return i
@@ -282,11 +279,11 @@ def bass_profile(module, count, resolution=None):
     return [ranks[n - i] if 0 <= n - i < len(ranks) else 0 for i in range(count)]
 
 
-def depth(module, length_cap=None):
+def depth(module):
     """First nonvanishing Bass number; inf for the zero module."""
     if module.is_zero():
         return math.inf
-    cap = scan_cap(module.ring, length_cap)
+    cap = scan_cap(module.ring)
     profile = bass_profile(module, cap + 1)
     for i, mu in enumerate(profile):
         if mu:
@@ -294,15 +291,15 @@ def depth(module, length_cap=None):
     raise CapExceeded("no nonzero Bass number up to %d" % cap)
 
 
-def projective_dimension(module, length_cap=None, resolution=None):
-    """Length of the minimal resolution, certified within cap + 1 stages.
+def projective_dimension(module, resolution=None):
+    """Length of the minimal resolution, certified within scan_cap + 1 stages.
 
     resolution, when given, is free_resolution(module, L) for any L; stages
-    beyond cap + 1 are not read.
+    beyond scan_cap + 1 are not read.
     """
     if module.is_zero():
         return -math.inf
-    cap = scan_cap(module.ring, length_cap)
+    cap = scan_cap(module.ring)
     res = free_resolution(module, cap + 1) if resolution is None else resolution
     pd = len(res.modules) - 1
     if not res.exhausted or pd > cap + 1:
@@ -310,15 +307,15 @@ def projective_dimension(module, length_cap=None, resolution=None):
     return pd
 
 
-def injective_dimension(module, length_cap=None, profile=None):
+def injective_dimension(module, profile=None):
     """Largest nonvanishing Bass number; no internal zeros make it certified.
 
     profile, when given, is a bass_profile of module of any length;
-    entries beyond cap + 1 are not read.
+    entries beyond scan_cap + 1 are not read.
     """
     if module.is_zero():
         return -math.inf
-    cap = scan_cap(module.ring, length_cap)
+    cap = scan_cap(module.ring)
     if profile is None:
         profile = bass_profile(module, cap + 2)
     last = None

@@ -27,14 +27,7 @@ from .errors import ConfigurationError, ContractViolation
 from .fpmodule import FPModule
 from .grid import box_points
 from .groebner import LiftSolver, eliminate_module
-from .poly import (
-    Poly,
-    Vec,
-    extend_ring,
-    inject_poly,
-    inject_vec,
-    project_vec,
-)
+from .poly import Poly, Vec, extend_ring, pad_poly, pad_vec, truncate_vec
 from .rings import PolyRing
 from .submodule import Submodule
 
@@ -53,34 +46,16 @@ def _family_key(family):
 class MultigradedAlgebraPresentation:
     """S = R[It] as R[y]/Q; degree-0 strand is R itself."""
 
-    __slots__ = (
-        "family",
-        "base",
-        "r",
-        "ay",
-        "aq",
-        "b_ring",
-        "y_start",
-        "t_start",
-        "y_block",
-        "y_mdegs",
-        "q_gens",
-        "j_gens",
-    )
+    __slots__ = ("base", "r", "aq", "b_ring", "y_start", "t_start", "y_block", "q_gens", "j_gens")
 
-    def __init__(self, family, base, r, ay, aq, b_ring, y_start, t_start, y_block, q_gens, j_gens):
-        self.family = family
+    def __init__(self, base, r, aq, b_ring, y_start, t_start, y_block, q_gens, j_gens):
         self.base = base
         self.r = r
-        self.ay = ay
         self.aq = aq
         self.b_ring = b_ring
         self.y_start = y_start
         self.t_start = t_start
         self.y_block = y_block
-        self.y_mdegs = tuple(
-            tuple(1 if jj == b else 0 for jj in range(r)) for b in y_block
-        )
         self.q_gens = q_gens
         self.j_gens = j_gens
 
@@ -167,12 +142,11 @@ def rees_algebra(family):
     b_ring = extend_ring(base, y_names + t_names, y_weights + [1] * r)
     y_start = base.nvars
     t_start = base.nvars + len(y_names)
-    xmap = list(range(base.nvars))
     j_gens = []
     for v, p in enumerate(f_polys):
         y_var = Poly.variable(b_ring, y_names[v])
         t_var = Poly.variable(b_ring, t_names[y_block[v]])
-        j_gens.append(y_var - inject_poly(p, b_ring, xmap) * t_var)
+        j_gens.append(y_var - pad_poly(p, b_ring) * t_var)
     vecs = [Vec.from_poly(g) for g in j_gens]
     free = eliminate_module(
         vecs,
@@ -190,7 +164,7 @@ def rees_algebra(family):
     aq = PolyRing(ay.names, ay.char, ay.weights, tuple(ay.relations) + tuple(q_gens))
     q_over_aq = [Poly(aq, dict(q.terms)) for q in q_gens]
     alg = MultigradedAlgebraPresentation(
-        family, base, r, ay, aq, b_ring, y_start, t_start, tuple(y_block), q_over_aq, j_gens
+        base, r, aq, b_ring, y_start, t_start, tuple(y_block), q_over_aq, j_gens
     )
     _REES_MEMO[key] = alg
     return alg
@@ -201,19 +175,23 @@ class MultigradedModule:
     a relation matrix over R[y]/Q. gen_adegs carry the internal grading
     (intrinsic degree inflated by one per hidden t factor)."""
 
-    __slots__ = ("algebra", "gen_mdegs", "gen_adegs", "rels", "label")
+    __slots__ = ("algebra", "gen_mdegs", "gen_adegs", "rels")
 
-    def __init__(self, algebra, gen_mdegs, gen_adegs, rels, label=""):
+    def __init__(self, algebra, gen_mdegs, gen_adegs, rels):
         self.algebra = algebra
         self.gen_mdegs = tuple(tuple(m) for m in gen_mdegs)
         self.gen_adegs = tuple(gen_adegs)
         self.rels = tuple(rels)
-        self.label = label
         for rel in self.rels:
             algebra.vec_mdeg(rel, self.gen_mdegs)  # multihomogeneity tripwire
 
-    def component(self, nvec):
-        return graded_component(self, nvec)
+    def relations(self):
+        """Every relation over R[y]: rels, then each Q generator times each
+        generator (Q outer), the order strands and the special fiber read."""
+        count = len(self.gen_mdegs)
+        return list(self.rels) + [
+            Vec.from_poly(q, i) for q in self.algebra.q_gens for i in range(count)
+        ]
 
 
 def _rees_relations(alg, module, sub_vectors):
@@ -224,12 +202,9 @@ def _rees_relations(alg, module, sub_vectors):
     is a complete set of relations. With N = 0 these present R(M) itself.
     """
     b = alg.b_ring
-    xmap = list(range(alg.base.nvars))
-    targets = [inject_vec(g, b, xmap) for g in module.gens]
-    modulo = [inject_vec(w, b, xmap) for w in list(module.rels) + list(sub_vectors)]
-    for q in alg.j_gens:
-        for c in range(module.rank):
-            modulo.append(Vec(b, {(c, m): cf for m, cf in q.terms.items()}))
+    targets = [pad_vec(g, b) for g in module.gens]
+    modulo = [pad_vec(w, b) for w in list(module.rels) + list(sub_vectors)]
+    modulo += [Vec.from_poly(q, c) for q in alg.j_gens for c in range(module.rank)]
     solver = LiftSolver(
         b,
         module.rank,
@@ -239,35 +214,25 @@ def _rees_relations(alg, module, sub_vectors):
         ring_order_kind="elim",
         elim=tuple(range(alg.t_start, alg.t_start + alg.r)),
     )
-    return [
-        project_vec(k, alg.aq, list(range(alg.t_start)))
-        for k in solver.kernel_vectors()
-        if alg.t_free(k)
-    ]
+    return [truncate_vec(k, alg.aq) for k in solver.kernel_vectors() if alg.t_free(k)]
 
 
-def rees_module(family, module, label=""):
+def rees_module(family, module):
     """R(M) = sum of I^n M as a module over the Rees presentation."""
     alg = rees_algebra(family)
     if module.ring.signature() != alg.base.signature():
         raise ContractViolation("module and family live over different rings")
     rels = _rees_relations(alg, module, ())
     zero = tuple(0 for _ in range(alg.r))
-    return MultigradedModule(
-        alg,
-        [zero] * len(module.gens),
-        module.gen_degrees(),
-        rels,
-        label=label or "rees(%s)" % (module,),
-    )
+    return MultigradedModule(alg, [zero] * len(module.gens), module.gen_degrees(), rels)
 
 
 def graded_component(mgmod, nvec):
     """Strand n as a finitely presented module over the base ring.
 
     Basis: generator i times each y-monomial of multidegree n - mdeg(i).
-    Relations: all y-monomial multiples of the relation matrix and of Q
-    landing in the strand. Twists are de-inflated by |n|_1, recovering the
+    Relations: all y-monomial multiples of mgmod.relations() landing in
+    the strand. Twists are de-inflated by |n|_1, recovering the
     intrinsic grading of I^n M inside M.
     """
     alg = mgmod.algebra
@@ -289,14 +254,13 @@ def graded_component(mgmod, nvec):
     if not strand:
         return FPModule.zero(base)
 
-    def expand(vec_terms, gen_comp=None):
+    def expand(vec_terms):
         """One relation column: multiply and re-read in the strand basis."""
         cols = {}
         for (c, mono), coeff in vec_terms:
-            comp = c if gen_comp is None else gen_comp
             xm = mono[:nb]
             ym = (0,) * nb + mono[nb:]
-            row = index.get((comp, ym))
+            row = index.get((c, ym))
             if row is None:
                 raise ContractViolation("strand expansion fell outside the basis")
             cols.setdefault(row, {})
@@ -310,7 +274,7 @@ def graded_component(mgmod, nvec):
         return Vec(base, terms)
 
     columns = []
-    for rel in mgmod.rels:
+    for rel in mgmod.relations():
         pdeg = alg.vec_mdeg(rel, mgmod.gen_mdegs)
         gap = tuple(nvec[j] - pdeg[j] for j in range(alg.r))
         for gamma in alg.y_monomials(gap):
@@ -321,18 +285,6 @@ def graded_component(mgmod, nvec):
             col = expand(shifted)
             if col:
                 columns.append(col)
-    for q in alg.q_gens:
-        qdeg = alg.mdeg(next(iter(q.terms)))
-        for i, mdeg_i in enumerate(mgmod.gen_mdegs):
-            gap = tuple(nvec[j] - mdeg_i[j] - qdeg[j] for j in range(alg.r))
-            for delta in alg.y_monomials(gap):
-                shifted = [
-                    ((i, tuple(a + b for a, b in zip(mono, delta))), coeff)
-                    for mono, coeff in q.terms.items()
-                ]
-                col = expand(shifted)
-                if col:
-                    columns.append(col)
     return FPModule.from_cokernel(base, tuple(twists), columns)
 
 
@@ -340,35 +292,24 @@ def analytic_spread(module, family):
     """Krull dimension of R(M) tensor k: the special fiber of the blowup."""
     mg = rees_module(family, module)
     alg = mg.algebra
-    ycount = alg.t_start - alg.y_start
     ky = PolyRing(
         alg.aq.names[alg.y_start : alg.t_start],
         alg.base.char,
         alg.aq.weights[alg.y_start : alg.t_start],
     )
     nb = alg.base.nvars
-
-    def kill_x(terms):
-        out = {}
-        for (c, mono), cf in terms:
-            if any(mono[:nb]):
-                continue
-            out[(c, mono[nb:])] = ky.coeff(cf)
-        return out
-
     s = len(mg.gen_adegs)
-    rels = []
-    for rel in mg.rels:
-        v = Vec(ky, kill_x(rel.terms.items()))
-        if v:
-            rels.append(v)
-    for q in alg.q_gens:
-        for c in range(s):
-            v = Vec(ky, kill_x(((c, m), cf) for m, cf in q.terms.items()))
-            if v:
-                rels.append(v)
     if s == 0:
         return float("-inf")
+    rels = []
+    for rel in mg.relations():
+        kept = {
+            (c, mono[nb:]): ky.coeff(cf)
+            for (c, mono), cf in rel.terms.items()
+            if not any(mono[:nb])
+        }
+        if kept:
+            rels.append(Vec(ky, kept))
     gens = [Vec.unit(ky, c) for c in range(s)]
     fiber = FPModule(ky, s, mg.gen_adegs, gens, rels, check=False)
     return fiber.dim()
@@ -384,6 +325,9 @@ def intersection_strand(family, module, sub_vectors, nvec):
     pow_u = family.apply(tuple(nvec), u).plus(w)
     n_side = Submodule(module.ring, module.rank, module.twists, list(sub_vectors)).plus(w)
     return pow_u.intersect(n_side)
+
+
+AR_MODES = ("certified", "empirical")
 
 
 def artin_rees_exponent(family, module, sub_vectors, mode="certified", box=None):

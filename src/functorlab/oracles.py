@@ -176,7 +176,7 @@ def _strand_matrix(vectors, basis_index, ring, twists, d):
     return cols
 
 
-def module_is_zero_brute(module, extra_degrees=0):
+def module_is_zero_brute(module):
     """Every generator lies in the relation span, checked strand by strand."""
     ring = module.ring
     for g in module.gens:

@@ -37,8 +37,8 @@ class Poly:
         return cls(ring, {ring.unit_mono(): c} if c else {})
 
     @classmethod
-    def variable(cls, ring, name, power=1):
-        return cls(ring, {ring.var_mono(ring.var_index(name), power): ring.one})
+    def variable(cls, ring, name):
+        return cls(ring, {ring.var_mono(ring.var_index(name)): ring.one})
 
     # -- arithmetic ------------------------------------------------------
 
@@ -110,9 +110,6 @@ class Poly:
 
     def is_constant(self):
         return all(not any(m) for m in self.terms)
-
-    def constant_value(self):
-        return self.terms.get(self.ring.unit_mono(), self.ring.zero)
 
     def degree(self):
         """Weighted degree of a homogeneous polynomial; raises otherwise."""
@@ -455,46 +452,32 @@ def extend_ring(ring, new_names, new_weights):
     names = ring.names + tuple(new_names)
     weights = ring.weights + tuple(new_weights)
     big = PolyRing(names, ring.char, weights)
-    var_map = list(range(ring.nvars))
-    rels = tuple(inject_poly(r, big, var_map) for r in ring.relations)
+    rels = tuple(pad_poly(r, big) for r in ring.relations)
     return PolyRing(names, ring.char, weights, rels)
 
 
-def inject_poly(poly, new_ring, var_map):
-    """Reinterpret poly in new_ring, sending variable i to var_map[i]."""
-    n = new_ring.nvars
-    terms = {}
-    for m, c in poly.terms.items():
-        e = [0] * n
-        for i, exp in enumerate(m):
-            if exp:
-                e[var_map[i]] = exp
-        terms[tuple(e)] = new_ring.coeff(c)
-    return Poly(new_ring, terms)
+# Ring embeddings are prefixes: the larger ring appends variables and keeps
+# the characteristic, so coefficients carry over unchanged.
 
 
-def inject_vec(vec, new_ring, var_map):
-    terms = {}
-    n = new_ring.nvars
-    for (c, m), cf in vec.terms.items():
-        e = [0] * n
-        for i, exp in enumerate(m):
-            if exp:
-                e[var_map[i]] = exp
-        terms[(c, tuple(e))] = new_ring.coeff(cf)
-    return Vec(new_ring, terms)
+def pad_poly(poly, ring):
+    """poly read in ring, which extends poly.ring by trailing variables."""
+    pad = (0,) * (ring.nvars - poly.ring.nvars)
+    return Poly(ring, {m + pad: c for m, c in poly.terms.items()})
 
 
-def project_vec(vec, new_ring, var_map):
-    lookup = {old_i: new_i for new_i, old_i in enumerate(var_map)}
+def pad_vec(vec, ring):
+    """vec read in ring, which extends vec.ring by trailing variables."""
+    pad = (0,) * (ring.nvars - vec.ring.nvars)
+    return Vec(ring, {(c, m + pad): cf for (c, m), cf in vec.terms.items()})
+
+
+def truncate_vec(vec, ring):
+    """vec read in ring, a prefix of vec.ring; refuses a dropped variable."""
+    n = ring.nvars
     terms = {}
     for (c, m), cf in vec.terms.items():
-        e = [0] * new_ring.nvars
-        for i, exp in enumerate(m):
-            if not exp:
-                continue
-            if i not in lookup:
-                raise ConfigurationError("cannot project vector with residual variable index %d" % i)
-            e[lookup[i]] = exp
-        terms[(c, tuple(e))] = new_ring.coeff(cf)
-    return Vec(new_ring, terms)
+        if any(m[n:]):
+            raise ConfigurationError("cannot truncate a term in a dropped variable")
+        terms[(c, m[:n])] = cf
+    return Vec(ring, terms)

@@ -15,7 +15,7 @@ from .errors import ConfigurationError, ContractViolation, HomogeneityError
 from .fpmodule import FPModule
 from .functors import BUILDER_NAMES, FunctorExpression
 from .grid import GridBox
-from .multigraded import rees_module
+from .multigraded import AR_MODES, rees_module
 from .poly import parse_poly, parse_vec, quotient_ring
 from .rings import PolyRing
 from .stability import OBSERVABLE_NAMES, FamilySpec
@@ -285,15 +285,13 @@ def _build_family(block, ring, ideals, modules, submodules):
                 _fail("family", "submodule %r lives in %r, not %r" % (sub_name, host, mod_name))
         else:
             vectors = tuple(m.gens)
-        return FamilySpec.quotient(m, vectors, fam, label=block.get("label", ""))
+        return FamilySpec.quotient(m, vectors, fam)
     if kind == "component":
         fam = _family_ideals(block, ideals)
         mod_name = _require(block, "family", "module")
         if mod_name not in modules:
             _fail("family", "unknown module %r" % mod_name)
-        return FamilySpec.component(
-            rees_module(fam, modules[mod_name]), label=block.get("label", "")
-        )
+        return FamilySpec.component(rees_module(fam, modules[mod_name]))
     _fail("family", "kind must be 'quotient' or 'component'")
 
 
@@ -331,6 +329,10 @@ def _check_assert_values(name, values, box):
                   % (expected, name))
 
 
+def _is_list_of(value, ok):
+    return isinstance(value, list) and all(ok(v) for v in value)
+
+
 def _build_tasks(block, ideals, submodules, box):
     if not isinstance(block, list):
         _fail("tasks", "must be a list")
@@ -351,6 +353,17 @@ def _build_tasks(block, ideals, submodules, box):
         for key in ("degree_cap", "i_max", "window"):
             if key in entry and not (_is_int(entry[key]) and entry[key] >= 0):
                 _fail("tasks", "%r in task %r must be a nonnegative integer" % (key, name))
+        if name in ("normal_form", "artin_rees") and entry.get("mode", "certified") not in AR_MODES:
+            _fail("tasks", "mode in task %r must be one of %s" % (name, ", ".join(AR_MODES)))
+        if "observables" in entry and not _is_list_of(
+            entry["observables"], lambda o: o in OBSERVABLE_NAMES
+        ):
+            _fail("tasks", "observables in task %r must be a list of %s"
+                  % (name, ", ".join(OBSERVABLE_NAMES)))
+        if "expect_ass" in entry and not _is_list_of(
+            entry["expect_ass"], lambda p: _is_list_of(p, lambda g: isinstance(g, str))
+        ):
+            _fail("tasks", "expect_ass in task %r must be a list of lists of strings" % name)
         if "assert_values" in entry:
             _check_assert_values(name, entry["assert_values"], box)
         tasks.append(dict(entry))

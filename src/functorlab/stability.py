@@ -41,29 +41,28 @@ class FamilySpec:
     multigraded module.
     """
 
-    __slots__ = ("kind", "module", "sub_vectors", "family", "mgmodule", "label")
+    __slots__ = ("kind", "module", "sub_vectors", "family", "mgmodule")
 
-    def __init__(self, kind, module=None, sub_vectors=(), family=None, mgmodule=None, label=""):
+    def __init__(self, kind, module=None, sub_vectors=(), family=None, mgmodule=None):
         self.kind = kind
         self.module = module
         self.sub_vectors = tuple(sub_vectors)
         self.family = family
         self.mgmodule = mgmodule
-        self.label = label
 
     @classmethod
-    def quotient(cls, module, sub_vectors, family, label=""):
+    def quotient(cls, module, sub_vectors, family):
         inside = module.gens_sub()
         for v in sub_vectors:
             if not inside.contains(v):
                 raise ContractViolation("family submodule is not contained in the module")
         if not all(family.is_proper):
             raise ConfigurationError("family ideals must be proper")
-        return cls("quotient", module=module, sub_vectors=sub_vectors, family=family, label=label)
+        return cls("quotient", module=module, sub_vectors=sub_vectors, family=family)
 
     @classmethod
-    def component(cls, mgmodule, label=""):
-        return cls("component", mgmodule=mgmodule, label=label)
+    def component(cls, mgmodule):
+        return cls("component", mgmodule=mgmodule)
 
     @property
     def r(self):
@@ -107,7 +106,7 @@ def _observe(module, observables, grade_ideal, i_max, grade_res=None):
     # over a polynomial base, every mu^i = beta_(n-i) and id; it is as long
     # as its longest reader
     ring = module.ring
-    cap = scan_cap(ring, None)
+    cap = scan_cap(ring)
     stages = [i_max] if "betti" in observables else []
     if "pd" in observables:
         stages.append(cap + 1)
@@ -296,7 +295,7 @@ class NormalForm:
         "t", "u", "v", "w", "c", "d", "family", "provenance", "validated",
     )
 
-    def __init__(self, t, u, v, w, c, d, family, provenance, validated=()):
+    def __init__(self, t, u, v, w, c, d, family, provenance):
         self.t = t
         self.u = tuple(u)
         self.v = tuple(v)
@@ -305,7 +304,7 @@ class NormalForm:
         self.d = tuple(d)
         self.family = family
         self.provenance = provenance
-        self.validated = tuple(validated)
+        self.validated = ()
 
     def member_value(self, nvec):
         if any(n < e for n, e in zip(nvec, self.d)):

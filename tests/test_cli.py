@@ -148,10 +148,16 @@ def _set(path, value):
     (_set(("tasks",), [{"task": "fit", "assert_values": {"a": 1}}]), "tasks block"),
     (_set(("tasks",), [{"task": "fit", "assert_values": {"1,2": 1}}]), "tasks block"),
     (_set(("tasks",), [{"task": "fit", "assert_values": {"2": "two"}}]), "tasks block"),
+    (_set(("tasks", 0, "mode"), "bogus"), "tasks block"),
+    (_set(("tasks",), [{"task": "normal_form", "mode": "bogus"}]), "tasks block"),
+    (_set(("tasks",), [{"task": "component_track", "observables": 5}]), "tasks block"),
+    (_set(("tasks",), [{"task": "component_track", "observables": "lambda"}]), "tasks block"),
+    (_set(("tasks",), [{"task": "component_track", "expect_ass": 5}]), "tasks block"),
 ], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
         "inhomogeneous_ideal", "inhomogeneous_module", "box_lo_float", "box_hi_string",
         "box_shell_string", "assert_values_key", "assert_values_arity",
-        "assert_values_value"])
+        "assert_values_value", "artin_rees_mode", "normal_form_mode",
+        "observables_int", "observables_string", "expect_ass_int"])
 def test_malformed_scenario_values_exit_two(tmp_path, capsys, mutate, block):
     doc = _artin_rees_doc()
     mutate(doc)

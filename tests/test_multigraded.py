@@ -31,8 +31,8 @@ FREE = FPModule.free(R, (0,))
 def test_rees_algebra_of_maximal_ideal():
     alg = rees_algebra(MAX)
     assert alg.r == 1
-    assert alg.ay.names == ("x", "y", "y1_1", "y1_2")
-    assert [alg.ay.weights[i] for i in (2, 3)] == [2, 2]
+    assert alg.aq.names == ("x", "y", "y1_1", "y1_2")
+    assert [alg.aq.weights[i] for i in (2, 3)] == [2, 2]
     # single Koszul relation y*Y1 - x*Y2, multidegree (1,)
     assert len(alg.q_gens) == 1
     assert alg.mdeg(next(iter(alg.q_gens[0].terms))) == (1,)

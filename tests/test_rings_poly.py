@@ -9,10 +9,13 @@ from functorlab.oracles import monomials_of_degree
 from functorlab.poly import (
     Poly,
     Vec,
+    extend_ring,
     format_poly,
+    pad_vec,
     parse_poly,
     parse_vec,
     quotient_ring,
+    truncate_vec,
 )
 from functorlab.rings import PolyRing, TermOrder
 
@@ -129,3 +132,28 @@ def test_poly_str_round_trip_char_p():
     R = PolyRing(("x", "y"), char=32003)
     p = parse_poly(R, "-x + 2*y")
     assert parse_poly(R, str(p)) == p
+
+
+def test_extend_ring_pads_base_relations():
+    Q = quotient_ring(PolyRing(("x", "y"), char=0), ["x*y"])
+    big = extend_ring(Q, ["t"], [2])
+    assert big.names == ("x", "y", "t")
+    assert big.weights == (1, 1, 2)
+    (rel,) = big.relations
+    assert rel.terms == {(1, 1, 0): 1}
+
+
+def test_pad_then_truncate_is_identity():
+    R = PolyRing(("x", "y"), char=7)
+    big = extend_ring(R, ["t1", "t2"], [1, 1])
+    v = parse_vec(R, ["x^2 - 3*y", "0", "x*y"])
+    padded = pad_vec(v, big)
+    assert padded.to_strings(3) == ["x^2 + 4*y", "0", "x*y"]
+    assert truncate_vec(padded, R) == v
+
+
+def test_truncate_refuses_a_dropped_variable():
+    R = PolyRing(("x", "y"), char=0)
+    big = extend_ring(R, ["t"], [1])
+    with pytest.raises(ConfigurationError):
+        truncate_vec(parse_vec(big, ["x", "y*t"]), R)
