@@ -39,6 +39,11 @@ def minimal_monomials(ring, monos):
     return out
 
 
+def monomial_colon(ring, monos, u):
+    """Minimal monomials of (monos) : x^u, the m / gcd(m, x^u) pruned."""
+    return minimal_monomials(ring, [ring.mono_div(m, ring.mono_gcd(m, u)) for m in monos])
+
+
 def numer_add(a, b, sign=1):
     out = dict(a)
     for d, c in b.items():
@@ -78,8 +83,7 @@ def _minimal_numerator(ring, monos):
     pivot = monos[-1]
     rest = monos[:-1]
     n_rest = _minimal_numerator(ring, rest)
-    colon = [ring.mono_div(m, ring.mono_gcd(m, pivot)) for m in rest]
-    n_colon = _minimal_numerator(ring, minimal_monomials(ring, colon))
+    n_colon = _minimal_numerator(ring, monomial_colon(ring, rest, pivot))
     out = numer_add(n_rest, numer_shift(n_colon, ring.mono_degree(pivot)), sign=-1)
     _NUMERATOR_MEMO[key] = out
     return out

@@ -7,6 +7,9 @@ inclusion are exactly the minimal primes of Supp M, which are always
 associated (Matsumura, Thm 6.5) and are accepted without a test; each
 embedded candidate p is accepted only when the exact criterion holds,
 namely (0 :_M p) != 0 and the annihilator of (0 :_M p) is p on the nose.
+On a fine module every input is spanned by terms, so that colon and each
+test's colon_module, intersect and colon are exponent arithmetic on
+minimal monomials, with no lift solver.
 Otherwise, over a polynomial base, Ass M is read off Ext: a prime of height
 i is associated to M exactly when it is a minimal prime of ann Ext^i(M, R)
 (Eisenbud-Huneke-Vasconcelos, Thm 1.1, with codim Ext^i(M, R) >= i), so

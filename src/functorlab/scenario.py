@@ -329,6 +329,16 @@ def _check_assert_values(name, values, box):
                   % (expected, name))
 
 
+def _check_point(name, key, value, box, nonnegative):
+    """value is a list of integers (nonnegative when asked), one per box
+    coordinate when the box is known."""
+    ok = _is_list_of(value, lambda n: _is_int(n) and (n >= 0 or not nonnegative))
+    if not ok or (box is not None and len(value) != box.r):
+        _fail("tasks", "%s in task %r must be a list of %s%sintegers" % (
+            key, name, "%d " % box.r if box is not None else "",
+            "nonnegative " if nonnegative else ""))
+
+
 def _is_list_of(value, ok):
     return isinstance(value, list) and all(ok(v) for v in value)
 
@@ -350,9 +360,13 @@ def _build_tasks(block, ideals, submodules, box):
             _fail("tasks", "grade task needs a named ideal")
         if name == "artin_rees" and entry.get("sub") not in submodules:
             _fail("tasks", "artin_rees task needs a named submodule")
-        for key in ("degree_cap", "i_max", "window"):
+        for key in ("degree_cap", "i_max", "window", "assert_degree"):
             if key in entry and not (_is_int(entry[key]) and entry[key] >= 0):
                 _fail("tasks", "%r in task %r must be a nonnegative integer" % (key, name))
+        if "assert_onset" in entry:
+            _check_point(name, "assert_onset", entry["assert_onset"], box, nonnegative=False)
+        if name == "artin_rees" and "expect" in entry:
+            _check_point(name, "expect", entry["expect"], box, nonnegative=True)
         if name in ("normal_form", "artin_rees") and entry.get("mode", "certified") not in AR_MODES:
             _fail("tasks", "mode in task %r must be one of %s" % (name, ", ".join(AR_MODES)))
         if "observables" in entry and not _is_list_of(

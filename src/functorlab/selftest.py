@@ -6,14 +6,16 @@ zero, syzygies annihilate their generators and absorb brute-force strand
 kernels, resolutions respect the Euler identity, Tor is balanced, Bass
 numbers read off the minimal resolution equal the lengths of Ext^i(k, M)
 (Koszul self-duality), the two evaluation routes agree on a seeded corpus,
-Artin-Rees certificates hold on a window, the fitter is exact, and the cache
-recomputes an unreadable, unsealed or malformed entry instead of trusting it.
+Artin-Rees certificates hold on a window, the fitter is exact, the cache
+recomputes an unreadable, unsealed or malformed entry instead of trusting it,
+and the colons and intersections of term ideals meet their definitions.
 The fault hook flips one length in the route-equivalence suite so the
 tripwire itself can be demonstrated.
 """
 
 import random
 import tempfile
+from operator import add
 
 from .cache import Cache, install
 from .errors import ConfigurationError
@@ -28,11 +30,11 @@ from .functors import (
     functor_from_tor,
 )
 from .grid import GridBox
-from .groebner import buchberger, make_lead_index, reduce_vec, s_vector
+from .groebner import buchberger, make_lead_index, reduce_vec, s_vector, spans_terms
 from .invariants import bass_profile, ext_bass_profile
 from .multigraded import artin_rees_exponent, artin_rees_window
-from .oracles import brute_kernel
-from .poly import parse_vec, quotient_ring
+from .oracles import brute_kernel, monomials_of_degree
+from .poly import Vec, parse_vec, quotient_ring
 from .rings import PolyRing
 from .submodule import IdealFamily, Submodule, ideal
 
@@ -119,6 +121,59 @@ def suite_buchberger():
                 if remainder:
                     return False, "S-vector (%d, %d) of %s did not reduce to zero" % (i, j, texts)
     return True, "%d bases checked over GF(p), Q, weights (1,2), two quotient bases" % len(corpus)
+
+
+def _term_ideal_groups():
+    """The term ideals of _buchberger_corpus (generators and base relations
+    all single terms), grouped by ring."""
+    groups = {}
+    for ring, texts in _buchberger_corpus():
+        sub = ideal(ring, texts)
+        if spans_terms(sub.gens, ring):
+            groups.setdefault(ring, []).append(sub)
+    return groups
+
+
+def suite_term_kernels():
+    """colon, colon_module and intersect of term ideals meet their
+    definitions. A monomial m lies in (I : J) and in (I :_F J) exactly when
+    m*x^e lies in I for every generator x^e of J, and in I cap J exactly
+    when it lies in both. Membership is read by normal_form on every
+    monomial up to the sum of the top degrees of the reduced bases of I and
+    J, which bounds the generators of all three results; each result must
+    be spanned by terms, so agreeing on those monomials makes it equal to
+    its definition."""
+    def holds(sub, mono):
+        return sub.contains(Vec(sub.ring, {(0, mono): sub.ring.one}))
+
+    checked = 0
+    for ring, ideals in _term_ideal_groups().items():
+        for I in ideals:
+            for J in ideals:
+                exps = [m for g in J.gens for (_c, m) in g.terms]
+                results = {
+                    "colon": I.colon(list(J.gens)),
+                    "colon_module": I.colon_module([g.component(0) for g in J.gens]),
+                    "intersect": I.intersect(J),
+                }
+                for name, result in results.items():
+                    if not spans_terms(result.groebner(), ring):
+                        return False, "%s of %s by %s is not spanned by terms" % (name, I, J)
+                top = sum(max(g.degree((0,)) for g in sub.groebner()) for sub in (I, J))
+                for d in range(top + 1):
+                    for m in monomials_of_degree(ring, d):
+                        in_colon = all(holds(I, tuple(map(add, m, e))) for e in exps)
+                        want = {
+                            "colon": in_colon,
+                            "colon_module": in_colon,
+                            "intersect": holds(I, m) and holds(J, m),
+                        }
+                        for name, result in results.items():
+                            if holds(result, m) != want[name]:
+                                return False, "%s of %s by %s is wrong at the monomial %r" % (
+                                    name, I, J, m)
+                checked += 1
+    return True, "%d pairs of term ideals over GF(p), Q and k[x,y,z]/(y^2, xz)" % checked
 
 
 def suite_syzygy():
@@ -334,6 +389,7 @@ SUITES = (
     ("artin_rees_certificates", suite_artin_rees),
     ("fit_exactness", suite_fit_exactness),
     ("cache_robustness", suite_cache_robustness),
+    ("term_kernels", suite_term_kernels),
 )
 
 

@@ -15,6 +15,12 @@ sorted), so module equality is literal equality of canonical bases. A module
 spanned by terms (groebner.spans_terms) gets its basis straight from its
 minimal terms, which costs less than a cache lookup; every other basis is
 memoized through the content-addressed cache.
+
+On term input (self and the other side both spanned by terms) colon,
+colon_module and intersect are exponent arithmetic on the per-component
+minimal monomials: (I : x^u) is generated by the m / gcd(m, x^u), and
+I cap J by the pairwise lcms (Cox-Little-O'Shea, Ideals, Varieties, and
+Algorithms, 2.4 and 4.4). Every other input goes through one LiftSolver.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .groebner import (
     spans_terms,
     term_basis,
 )
-from .hilbert import leads_by_component
+from .hilbert import leads_by_component, minimal_monomials, monomial_colon
 from .poly import Vec, parse_poly, parse_vec
 from .rings import GREVLEX
 
@@ -91,6 +97,32 @@ def _coefficient(char, cf):
     if not value or str(value) != cf:
         raise ValueError("rational coefficient %r is zero or not canonical" % cf)
     return value
+
+
+# -- term kernels ---------------------------------------------------------------
+
+
+def _term_meet(ring, colons):
+    """Minimal monomials of the intersection of the monomial ideals (I : x^u)
+    over colons, a nonempty list of (minimal monomials of I, u).
+
+    (I : x^u) is generated by the m / gcd(m, x^u), and an intersection by
+    the pairwise lcms; each meet is pruned before the next one is formed.
+    """
+    meet = None
+    for monos, u in colons:
+        part = monomial_colon(ring, monos, u)
+        if meet is None:
+            meet = part
+        else:
+            meet = minimal_monomials(ring, [ring.mono_lcm(a, b) for a in meet for b in part])
+    return meet
+
+
+def _term_submodule(ring, twists, per_component):
+    """The submodule spanned by the monomials per_component[c] in component c."""
+    gens = [Vec(ring, {(c, m): ring.one}) for c, monos in enumerate(per_component) for m in monos]
+    return Submodule(ring, len(twists), twists, gens, check=False)
 
 
 class Submodule:
@@ -213,9 +245,17 @@ class Submodule:
 
         The kernel of R^s -> F / other, e_i -> gens[i], holds the
         coefficient vectors a with sum a_i gens[i] in other; those sums
-        generate the intersection.
+        generate the intersection. When both sides are spanned by terms it
+        is, per component, the pairwise lcms of their minimal monomials.
         """
         self._same_ambient(other)
+        if spans_terms(self.gens + other.gens, self.ring):
+            zero = self.ring.unit_mono()
+            meets = [
+                _term_meet(self.ring, [(mine, zero), (theirs, zero)])
+                for mine, theirs in zip(self.lead_monomials(), other.lead_monomials())
+            ]
+            return _term_submodule(self.ring, self.twists, meets)
         mine = list(self.gens)
         solver = LiftSolver(self.ring, self.rank, self.twists, mine, list(other.gens))
         out = []
@@ -243,7 +283,9 @@ class Submodule:
         For V = v_1..v_k this is one kernel: the r with r*(v_1, ..., v_k)
         in the sum of k copies of self, inside k copies of the ambient
         module, copy i twisted down by deg v_i so the one target has
-        degree 0.
+        degree 0. When self and V are spanned by terms it is the
+        intersection over v = c x^u e_j of (S_j : x^u), S_j the
+        component-j monomial ideal of self.
         """
         if isinstance(vectors_or_sub, Submodule):
             self._same_ambient(vectors_or_sub)
@@ -252,6 +294,10 @@ class Submodule:
             vectors = [v for v in vectors_or_sub if v]
         if not vectors:
             return unit_ideal(self.ring)
+        if spans_terms(self.gens + tuple(vectors), self.ring):
+            minimal = self.lead_monomials()
+            meet = _term_meet(self.ring, [(minimal[j], u) for v in vectors for j, u in v.terms])
+            return _term_submodule(self.ring, (0,), [meet]).canonical()
         rank = self.rank
         target = Vec(
             self.ring,
@@ -267,12 +313,19 @@ class Submodule:
         For J = (q_1..q_m) this is one kernel: the v with
         (q_1 v, ..., q_m v) in the sum of m copies of self, read off one
         target (q_1 e_c, ..., q_m e_c) per ambient component c, with copy j
-        of the ambient module twisted down by deg q_j.
+        of the ambient module twisted down by deg q_j. When self and J are
+        spanned by terms it is, in each component c, the intersection over
+        q = x^w of (S_c : x^w).
         """
         polys = [q for q in polys if q]
         if not polys:
             whole = [Vec.unit(self.ring, c) for c in range(self.rank)]
             return Submodule(self.ring, self.rank, self.twists, whole, check=False)
+        if spans_terms(self.gens + tuple(polys), self.ring):
+            exponents = [w for q in polys for w in q.terms]
+            meets = [_term_meet(self.ring, [(monos, w) for w in exponents])
+                     for monos in self.lead_monomials()]
+            return _term_submodule(self.ring, self.twists, meets)
         rank = self.rank
         targets = [
             Vec(

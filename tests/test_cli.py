@@ -153,11 +153,15 @@ def _set(path, value):
     (_set(("tasks",), [{"task": "component_track", "observables": 5}]), "tasks block"),
     (_set(("tasks",), [{"task": "component_track", "observables": "lambda"}]), "tasks block"),
     (_set(("tasks",), [{"task": "component_track", "expect_ass": 5}]), "tasks block"),
+    (_set(("tasks", 0, "expect"), 5), "tasks block"),
+    (_set(("tasks",), [{"task": "fit", "assert_onset": 5}]), "tasks block"),
+    (_set(("tasks",), [{"task": "fit", "assert_degree": "x"}]), "tasks block"),
 ], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
         "inhomogeneous_ideal", "inhomogeneous_module", "box_lo_float", "box_hi_string",
         "box_shell_string", "assert_values_key", "assert_values_arity",
         "assert_values_value", "artin_rees_mode", "normal_form_mode",
-        "observables_int", "observables_string", "expect_ass_int"])
+        "observables_int", "observables_string", "expect_ass_int",
+        "artin_rees_expect_int", "assert_onset_int", "assert_degree_string"])
 def test_malformed_scenario_values_exit_two(tmp_path, capsys, mutate, block):
     doc = _artin_rees_doc()
     mutate(doc)

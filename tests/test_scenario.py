@@ -82,6 +82,37 @@ def test_grade_task_requires_known_ideal():
         build_scenario(data)
 
 
+@pytest.mark.parametrize("task", [
+    {"task": "fit", "assert_degree": "x"},
+    {"task": "fit", "assert_degree": -1},
+    {"task": "fit", "assert_degree": True},
+    {"task": "fit", "assert_onset": 5},
+    {"task": "fit", "assert_onset": [1, 1]},
+    {"task": "fit", "assert_onset": ["1"]},
+    {"task": "artin_rees", "sub": "N", "expect": 5},
+    {"task": "artin_rees", "sub": "N", "expect": [-1]},
+    {"task": "artin_rees", "sub": "N", "expect": [1, 2]},
+    {"task": "artin_rees", "sub": "N", "expect": [1.0]},
+], ids=["degree_string", "degree_negative", "degree_bool", "onset_int", "onset_arity",
+        "onset_string", "expect_int", "expect_negative", "expect_arity", "expect_float"])
+def test_fit_asserts_and_artin_rees_expect_are_checked_at_parse_time(task):
+    modules = {"M": {"type": "free", "twists": [0]},
+               "N": {"type": "submodule", "of": "M", "vectors": [["x"]]}}
+    with pytest.raises(ConfigurationError, match="tasks block"):
+        build_scenario(_minimal(modules=modules, tasks=[task]))
+
+
+def test_well_formed_fit_asserts_and_expect_parse():
+    modules = {"M": {"type": "free", "twists": [0]},
+               "N": {"type": "submodule", "of": "M", "vectors": [["x"]]}}
+    tasks = [
+        {"task": "fit", "assert_degree": 0, "assert_onset": [-2]},
+        {"task": "artin_rees", "sub": "N", "expect": [0]},
+    ]
+    scn = build_scenario(_minimal(modules=modules, tasks=tasks))
+    assert [t["task"] for t in scn.tasks] == ["fit", "artin_rees"]
+
+
 def test_ext_builder_requires_index():
     data = _minimal(
         modules={"M": {"type": "free", "twists": [0]}, "K": {"type": "cyclic", "polys": ["x"]}},

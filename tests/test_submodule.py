@@ -1,10 +1,11 @@
 """Submodule lattice operations, with hand-checked closed forms frozen in.
 
 The oracle tests at the end compare the one-kernel intersect, colon and
-colon_module with the constructions they replaced (one kernel per vector or
-polynomial, folded by intersections, every generator tagged), and the
-one-pass minimal_generators with the drop-one-at-a-time loop it replaced, on
-seeded random homogeneous input.
+colon_module, and their exponent arithmetic on term input, with the
+constructions they replaced (one kernel per vector or polynomial, folded by
+intersections, every generator tagged), and the one-pass minimal_generators
+with the drop-one-at-a-time loop it replaced, on seeded random homogeneous
+input.
 """
 
 import random
@@ -650,3 +651,127 @@ def test_term_power_products_come_with_their_basis():
         assert product._gb is not None
         fresh = Submodule(R, 1, (0,), list(product.gens), check=False)
         assert product.groebner() == fresh.groebner()
+
+
+# -- oracle: term kernels -----------------------------------------------------------
+#
+# On input spanned by terms, colon, colon_module and intersect are exponent
+# arithmetic on minimal monomials; the LiftSolver references above check them.
+
+TERM_KERNEL_CASES = {
+    # name: (ring, twists)
+    "gf": (lambda: _xyz(), (0,)),
+    "q": (lambda: _xyz(char=0), (0,)),
+    "weights_1_2_1": (lambda: _xyz(weights=(1, 2, 1)), (0,)),
+    "q_twisted_rank2": (lambda: _xyz(char=0), (1, 0)),
+    "monomial_quotient": (lambda: _xyz(relations=["y^2", "x*z"]), (0,)),
+    "monomial_quotient_rank2": (lambda: _xyz(relations=["y^2", "x*z"]), (0, 2)),
+}
+
+
+def _divisor_term(rng, g):
+    """A random divisor of the term vector g, with a coefficient that is not one."""
+    ((c, m),) = g.terms
+    u = tuple(rng.randint(0, e) for e in m)
+    return Vec(g.ring, {(c, u): g.ring.coeff(rng.randint(2, 9))})
+
+
+def _term_kernel_inputs(case, seed):
+    make_ring, twists = TERM_KERNEL_CASES[case]
+    ring = make_ring()
+    rank = len(twists)
+    rng = random.Random("terms/%s/%d" % (case, seed))
+    gens = _random_terms(rng, ring, rank, rng.randint(2, 6))
+    sub = Submodule(ring, rank, twists, gens, check=False)
+    other = Submodule(ring, rank, twists, _random_terms(rng, ring, rank, rng.randint(1, 4)), check=False)
+    # for a divisor x^u of a generator x^m, (sub : x^u) holds x^(m - u), so
+    # the first vector's colon and the first polynomial's are not zero
+    vectors = [_divisor_term(rng, rng.choice(gens))] + _random_terms(rng, ring, rank, 1)
+    polys = [
+        Poly(ring, {m: cf for (_c, m), cf in t.terms.items()})
+        for t in (_divisor_term(rng, rng.choice(gens)), _random_terms(rng, ring, 1, 1, 2)[0])
+    ]
+    return sub, other, vectors, polys
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", sorted(TERM_KERNEL_CASES))
+def test_term_kernels_match_reference(case, seed):
+    sub, other, vectors, polys = _term_kernel_inputs(case, seed)
+    assert _terms(sub.intersect(other)) == _terms(reference_intersect(sub, other))
+    assert _terms(sub.colon(vectors)) == _terms(reference_colon(sub, vectors))
+    assert _terms(sub.colon(other)) == _terms(reference_colon(sub, list(other.gens)))
+    assert _terms(sub.colon_module(polys)) == _terms(reference_colon_module(sub, polys))
+
+
+def test_term_kernels_on_a_component_where_self_is_zero():
+    R = _xyz()
+    sub = submodule(R, 2, (0, 1), [["x*y", "0"], ["y^2", "0"]])
+    other = submodule(R, 2, (0, 1), [["x", "0"], ["0", "z"]])
+    v = parse_vec(R, ["0", "x"])
+    assert sub.colon([v]).is_zero()
+    assert _terms(sub.colon([v])) == _terms(reference_colon(sub, [v]))
+    got = sub.colon_module([parse_poly(R, "x")])
+    assert _terms(got) == [{(0, (0, 1, 0)): 1}]
+    assert _terms(got) == _terms(reference_colon_module(sub, [parse_poly(R, "x")]))
+    meet = sub.intersect(other)
+    assert _terms(meet) == [{(0, (1, 1, 0)): 1}]
+    assert _terms(meet) == _terms(reference_intersect(sub, other))
+
+
+def test_term_colon_can_be_the_unit_ideal():
+    R = _xyz()
+    sub = ideal(R, ["x", "y^2"])
+    whole = sub.colon([Vec.from_poly(parse_poly(R, "x*y"))])
+    assert is_unit_ideal(whole)
+    assert _terms(whole) == [{(0, (0, 0, 0)): 1}]
+    assert sub.colon_module([parse_poly(R, "y^2")]).equals(unit_ideal(R))
+
+
+@pytest.mark.parametrize("char, coeffs", [(32003, (12345, 7, 31999)), (0, ("3/2", "-5", "7/3"))])
+def test_term_kernels_ignore_coefficients(char, coeffs):
+    R = _xyz(char=char)
+    a, b, c = (R.coeff(k) for k in coeffs)
+    scaled = Submodule(R, 1, (0,), [Vec(R, {(0, (2, 0, 0)): a}), Vec(R, {(0, (0, 3, 0)): b})])
+    plain = ideal(R, ["x^2", "y^3"])
+    v = Vec(R, {(0, (1, 1, 0)): c})
+    got = scaled.colon([v])
+    assert _terms(got) == _terms(plain.colon([Vec(R, {(0, (1, 1, 0)): R.one})]))
+    assert _terms(got) == _terms(reference_colon(scaled, [v]))
+    # (x^2, y^3) : xy = (x, y^2)
+    assert got.equals(ideal(R, ["x", "y^2"]))
+    poly = Poly(R, {(1, 1, 0): c})
+    assert _terms(scaled.colon_module([poly])) == _terms(reference_colon_module(scaled, [poly]))
+    assert _terms(scaled.intersect(ideal(R, ["x*y"]))) == _terms(ideal(R, ["x^2*y", "x*y^3"]))
+
+
+def test_term_colon_over_a_monomial_quotient_uses_the_base_relations():
+    # in k[x,y,z]/(y^2, xz): (x : y) holds y, since y*y = 0
+    R = _xyz(relations=["y^2", "x*z"])
+    got = ideal(R, ["x"]).colon([Vec.from_poly(parse_poly(R, "y"))])
+    assert got.equals(ideal(R, ["x", "y"]))
+    assert _terms(got) == _terms(reference_colon(ideal(R, ["x"]), [Vec.from_poly(parse_poly(R, "y"))]))
+
+
+def test_term_kernels_build_no_lift_solver(monkeypatch):
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(submodule_mod, "LiftSolver", counting("LiftSolver", LiftSolver))
+    monkeypatch.setattr(submodule_mod, "buchberger", counting("buchberger", submodule_mod.buchberger))
+    for case in sorted(TERM_KERNEL_CASES):
+        sub, other, vectors, polys = _term_kernel_inputs(case, 0)
+        sub.intersect(other).groebner()
+        sub.colon(vectors)
+        sub.colon(other)
+        sub.colon_module(polys).groebner()
+    assert calls == []
+    # a binomial still goes through the block solver
+    R = _xyz()
+    ideal(R, ["x^2", "y"]).colon([Vec.from_poly(parse_poly(R, "x + z"))])
+    assert "LiftSolver" in calls
