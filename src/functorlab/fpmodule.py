@@ -10,8 +10,10 @@ isomorphism. A module carries no term order of its own: its generator and
 relation spans are Submodules, which all use GREVLEX.
 
 Numeric questions (Hilbert function, length, dimension) go through the
-module's Hilbert numerator: numer(F/W) - numer(F/U). Structural questions
-(coefficients, presentations, kernels) go through LiftSolver. Free
+module's Hilbert numerator: numer(F/W) - numer(F/U). Presentations and
+kernels go through LiftSolver; the presentation keeps its solver, so
+Presentation.coeffs_of writes a vector over the presentation generators
+without a second solve. Free
 resolutions prune to minimal generators at every stage, which over a
 graded-local base makes the differentials unit-free, so Betti numbers are
 literal ranks.
@@ -50,7 +52,6 @@ class FPModule:
         "_gens_sub",
         "_rels_sub",
         "_numer",
-        "_solver",
         "_presentation",
     )
 
@@ -67,7 +68,6 @@ class FPModule:
         if check and self.rels and not gens_sub.contains_all(self.rels):
             raise ContractViolation("relations do not lie in the generator span")
         self._numer = None
-        self._solver = None
         self._presentation = None
 
     # -- constructors ------------------------------------------------------
@@ -143,17 +143,6 @@ class FPModule:
 
     # -- elements ----------------------------------------------------------
 
-    def solver(self):
-        if self._solver is None:
-            self._solver = LiftSolver(
-                self.ring, self.rank, self.twists, list(self.gens), list(self.rels)
-            )
-        return self._solver
-
-    def coeffs_of(self, v):
-        """Generator coefficients of an ambient vector, or None if outside."""
-        return self.solver().lift(v)
-
     def element(self, coeffs):
         acc = Vec.zero(self.ring)
         for c, g in zip(coeffs, self.gens):
@@ -177,7 +166,7 @@ class FPModule:
         columns = Submodule(
             self.ring, len(pruned), gen_twists, solver.kernel_vectors(), check=False
         ).minimal_generators()
-        self._presentation = Presentation(tuple(pruned), gen_twists, columns.gens)
+        self._presentation = Presentation(tuple(pruned), gen_twists, columns.gens, solver)
         return self._presentation
 
     def __repr__(self):
@@ -192,15 +181,22 @@ class Presentation:
     """Data of a minimal presentation R^s1 -> R^s0 -> M -> 0.
 
     columns are coefficient vectors in R^s0 (one per relation); matrix()
-    renders them as a column-major Poly matrix.
+    renders them as a column-major Poly matrix. coeffs_of reuses the
+    LiftSolver (gens modulo the module's relations) that produced the columns.
     """
 
-    __slots__ = ("gens", "gen_twists", "columns")
+    __slots__ = ("gens", "gen_twists", "columns", "_solver")
 
-    def __init__(self, gens, gen_twists, columns):
+    def __init__(self, gens, gen_twists, columns, solver):
         self.gens = gens
         self.gen_twists = gen_twists
         self.columns = columns
+        self._solver = solver
+
+    def coeffs_of(self, v):
+        """Coefficients of an ambient vector over gens modulo the module's
+        relations, or None if it lies outside the module."""
+        return self._solver.lift(v)
 
     def matrix(self):
         s0 = len(self.gens)
@@ -263,12 +259,6 @@ class ModuleMap:
                 if entry:
                     out[i] = out[i] + entry * c
         return out
-
-    def apply(self, v):
-        coeffs = self.source.coeffs_of(v)
-        if coeffs is None:
-            raise ContractViolation("vector lies outside the map's source")
-        return self.target.element(self.apply_coeffs(coeffs))
 
     def compose(self, inner):
         """self o inner (inner feeds into self)."""

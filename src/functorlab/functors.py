@@ -6,8 +6,10 @@ way from presentation data of a fixed module, and compositions are kept as
 evaluation trees rather than flattened to a single (K, L, f).
 
 Two evaluation routes are provided. evaluate() works with the argument's
-own subquotient presentation and does all bookkeeping at the level of
-generator coefficients. evaluate_via_diagram() re-presents the argument as
+own subquotient presentation: F(X) is Hom(K, X) modulo the pushed Hom(L, X)
+generators, each taken as its normal form modulo Hom(K, X)'s relations so
+that the relation list is a function of the cosets alone.
+evaluate_via_diagram() re-presents the argument as
 a cokernel, lifts f to free presentations of K and L once, and computes
 ker/im inside the ambient block modules. The two must agree degreewise on
 every input; the lab treats a mismatch as a hard failure.
@@ -20,7 +22,6 @@ from .fpmodule import (
     block_kernel,
     block_map,
     block_module,
-    cokernel,
     free_resolution,
     kernel,
     push_through,
@@ -155,22 +156,22 @@ def _units(ring, n):
 
 
 def evaluate(functor, x):
-    """F(X) as coker(Hom(L, X) -> Hom(K, X)), coefficient-level route."""
+    """F(X) as coker(Hom(L, X) -> Hom(K, X)), read inside Hom(K, X)'s ambient.
+
+    Each Hom(L, X) generator is pushed along alpha and replaced by its normal
+    form modulo Hom(K, X)'s relations, the one representative of its coset,
+    so the relation list (and with it whether the value is spanned by terms)
+    depends on the cosets alone. FPModule's construction check raises
+    ContractViolation if a pushed vector leaves Hom(K, X).
+    """
     hk = _hom_module(functor.k, x)
     hl = _hom_module(functor.l, x)
-    if not hl.gens or not hk.gens:
-        return cokernel(ModuleMap.zero_map(hl, hk))
-    alpha = _alpha_matrix(functor)
-    width = x.rank
-    cols = []
-    for u in hl.gens:
-        pushed = push_through(u, alpha, width)
-        coeffs = hk.coeffs_of(pushed)
-        if coeffs is None:
-            raise ContractViolation("induced image left the Hom module")
-        cols.append(coeffs)
-    induced = ModuleMap(hl, hk, cols, check=False)
-    return cokernel(induced)
+    if not hk.gens or not hl.gens:
+        return hk
+    alpha = functor.diagram().alpha
+    rels = hk.rels_sub()
+    pushed = [rels.normal_form(push_through(u, alpha, x.rank)) for u in hl.gens]
+    return FPModule(x.ring, hk.rank, hk.twists, hk.gens, list(hk.rels) + pushed)
 
 
 def _hom_module(m, x):
@@ -186,39 +187,23 @@ def _hom_module(m, x):
     return kernel(block_map(dual, x, amb, tgt, len(pres.columns)))
 
 
-def _alpha_matrix(functor):
-    """Matrix of f on presentation generators: columns over K-gens, rows over L-gens."""
-    pres_k = functor.k.presentation()
-    pres_l = functor.l.presentation()
-    lookup = {id(g): j for j, g in enumerate(functor.k.gens)}
-    lp = FPModule(
-        functor.l.ring,
-        functor.l.rank,
-        functor.l.twists,
-        list(pres_l.gens),
-        list(functor.l.rels),
-        check=False,
-    )
-    cols = []
-    for g in pres_k.gens:
-        img = functor.f.image_vec(lookup[id(g)])
-        if not img:
-            cols.append([Poly.zero(functor.l.ring) for _ in pres_l.gens])
-            continue
-        coeffs = lp.coeffs_of(img)
-        if coeffs is None:
-            raise ContractViolation("map image is not expressible in the presentation")
-        cols.append(coeffs)
-    return cols
-
-
 # -- evaluation: lifted-diagram route ---------------------------------------------
 
 
 def _lift_diagram(functor):
     pres_k = functor.k.presentation()
     pres_l = functor.l.presentation()
-    alpha = _alpha_matrix(functor)
+    lookup = {id(g): j for j, g in enumerate(functor.k.gens)}
+    alpha = []
+    for g in pres_k.gens:
+        img = functor.f.image_vec(lookup[id(g)])
+        if not img:
+            alpha.append([Poly.zero(functor.l.ring) for _ in pres_l.gens])
+            continue
+        coeffs = pres_l.coeffs_of(img)
+        if coeffs is None:
+            raise ContractViolation("map image is not expressible in the presentation")
+        alpha.append(coeffs)
     beta = []
     if pres_k.columns:
         gl = len(pres_l.gens)

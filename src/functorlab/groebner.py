@@ -306,10 +306,11 @@ class LiftSolver:
       None.
 
     Tag components sort strictly below main components (block order), so the
-    tagged basis answers both by construction.
+    tagged basis answers both by construction. The ring order is grevlex, or
+    the elimination order for the variable indices elim when it is nonempty.
     """
 
-    def __init__(self, ring, rank, twists, targets, modulo=(), ring_order_kind="grevlex", elim=()):
+    def __init__(self, ring, rank, twists, targets, modulo=(), elim=()):
         self.ring = ring
         self.rank = rank
         self.twists = tuple(twists)
@@ -321,7 +322,7 @@ class LiftSolver:
             tag_twists.append(d if d is not None else 0)
         self.aug_twists = self.twists + tuple(tag_twists)
         blocks = (1,) * rank + (0,) * s
-        order = TermOrder(kind=ring_order_kind, elim=elim, module_kind="top")
+        order = TermOrder(kind="elim" if elim else "grevlex", elim=elim, module_kind="top")
         self.bound = order.bind(ring, self.aug_twists, blocks)
         aug = []
         for i, t in enumerate(self.targets):
@@ -351,9 +352,6 @@ class LiftSolver:
         coeff_vec = r.shifted(-self.rank)
         s = len(self.targets)
         return [-p for p in coeff_vec.components(s)]
-
-    def contains(self, v):
-        return self.lift(v) is not None
 
 
 def eliminate_module(vectors, *, ring, rank, twists, elim_vars):

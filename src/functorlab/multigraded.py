@@ -211,7 +211,6 @@ def _rees_relations(alg, module, sub_vectors):
         module.twists,
         targets,
         modulo,
-        ring_order_kind="elim",
         elim=tuple(range(alg.t_start, alg.t_start + alg.r)),
     )
     return [truncate_vec(k, alg.aq) for k in solver.kernel_vectors() if alg.t_free(k)]

@@ -360,7 +360,7 @@ def _build_tasks(block, ideals, submodules, box):
             _fail("tasks", "grade task needs a named ideal")
         if name == "artin_rees" and entry.get("sub") not in submodules:
             _fail("tasks", "artin_rees task needs a named submodule")
-        for key in ("degree_cap", "i_max", "window", "assert_degree"):
+        for key in ("degree_cap", "i_max", "window", "assert_degree", "assert_max_degree"):
             if key in entry and not (_is_int(entry[key]) and entry[key] >= 0):
                 _fail("tasks", "%r in task %r must be a nonnegative integer" % (key, name))
         if "assert_onset" in entry:

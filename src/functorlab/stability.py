@@ -323,14 +323,10 @@ class NormalForm:
         )
 
 
-def _to_cokernel_coords(module, pres, vectors):
-    helper = FPModule(
-        module.ring, module.rank, module.twists, list(pres.gens), list(module.rels),
-        check=False,
-    )
+def _to_cokernel_coords(pres, vectors):
     out = []
     for v in vectors:
-        coeffs = helper.coeffs_of(v)
+        coeffs = pres.coeffs_of(v)
         if coeffs is None:
             raise ContractViolation("submodule vector lies outside the module")
         vec = Vec.from_polys(coeffs) if any(coeffs) else None
@@ -392,7 +388,7 @@ def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
     mp = module.presentation()
     mc = FPModule.from_cokernel(ring, mp.gen_twists, list(mp.columns))
     width = mc.rank
-    n_vecs = _to_cokernel_coords(module, mp, sub_vectors)
+    n_vecs = _to_cokernel_coords(mp, sub_vectors)
     k0 = len(pres_k.gens)
     if k0 == 0:
         raise ConfigurationError("zero functor has no normal form to build")

@@ -156,12 +156,16 @@ def _set(path, value):
     (_set(("tasks", 0, "expect"), 5), "tasks block"),
     (_set(("tasks",), [{"task": "fit", "assert_onset": 5}]), "tasks block"),
     (_set(("tasks",), [{"task": "fit", "assert_degree": "x"}]), "tasks block"),
+    (_set(("tasks",), [{"task": "degree_bound", "assert_max_degree": "x"}]), "tasks block"),
+    (_set(("tasks",), [{"task": "degree_bound", "assert_max_degree": 1.5}]), "tasks block"),
+    (_set(("tasks",), [{"task": "degree_bound", "assert_max_degree": True}]), "tasks block"),
 ], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
         "inhomogeneous_ideal", "inhomogeneous_module", "box_lo_float", "box_hi_string",
         "box_shell_string", "assert_values_key", "assert_values_arity",
         "assert_values_value", "artin_rees_mode", "normal_form_mode",
         "observables_int", "observables_string", "expect_ass_int",
-        "artin_rees_expect_int", "assert_onset_int", "assert_degree_string"])
+        "artin_rees_expect_int", "assert_onset_int", "assert_degree_string",
+        "assert_max_degree_string", "assert_max_degree_float", "assert_max_degree_bool"])
 def test_malformed_scenario_values_exit_two(tmp_path, capsys, mutate, block):
     doc = _artin_rees_doc()
     mutate(doc)

@@ -21,7 +21,7 @@ from functorlab.fpmodule import (
     kernel,
     quotient_by,
 )
-from functorlab.poly import Poly, parse_poly, parse_vec
+from functorlab.poly import Poly, Vec, parse_poly, parse_vec
 from functorlab.rings import PolyRing
 
 
@@ -83,11 +83,15 @@ def test_element_coefficients_round_trip():
     gens = [parse_vec(R, ["x"]), parse_vec(R, ["y"])]
     rels = [parse_vec(R, [s]) for s in ("x^2", "x*y", "y^2")]
     m = FPModule(R, 1, (0,), gens, rels)
+    pres = m.presentation()
     v = parse_vec(R, ["x + y"])
-    coeffs = m.coeffs_of(v)
+    coeffs = pres.coeffs_of(v)
     assert coeffs is not None
-    assert not (m.element(coeffs) - v)
-    assert m.coeffs_of(parse_vec(R, ["1"])) is None
+    back = Vec.zero(R)
+    for c, g in zip(coeffs, pres.gens):
+        back = back + g.mul_poly(c)
+    assert not (back - v)
+    assert pres.coeffs_of(parse_vec(R, ["1"])) is None
 
 
 def image(f):

@@ -4,12 +4,18 @@ Length oracles, hand computed: Hom(R/(x), R/(x,y)^2) = ((x,y)^2:x)/(x,y)^2
 = (x,y)/(x,y)^2 of length 2; R/(x) (x) R/(x,y)^3 = R/((x,y)^3+(x)) with
 basis 1, y, y^2; Tor_1(R/(x), R/(x)) = (0:x) = R/(x); Tor_1(k,k) has
 length 2 (first Koszul rank); the socle of R/(x,y)^2 is (x,y)/(x,y)^2.
+
+The oracle tests at the end compare evaluate() with the route it replaced
+(each pushed Hom(L, X) generator lifted to coefficients over Hom(K, X) and
+re-expanded) on seeded random cyclic modules over several rings.
 """
+
+import random
 
 import pytest
 
-from functorlab.errors import ConfigurationError, ContractViolation
-from functorlab.fpmodule import FPModule, ModuleMap, hom_ext_tor
+from functorlab.errors import ConfigurationError, ContractViolation, FunctorLabError
+from functorlab.fpmodule import FPModule, ModuleMap, hom_ext_tor, push_through
 from functorlab.functors import (
     CoherentFunctor,
     FunctorExpression,
@@ -20,7 +26,11 @@ from functorlab.functors import (
     functor_from_tensor,
     functor_from_tor,
 )
-from functorlab.poly import parse_vec
+from functorlab.functors import _hom_module
+from functorlab.groebner import LiftSolver, spans_terms
+from functorlab.invariants import associated_primes
+from functorlab.oracles import monomials_of_degree
+from functorlab.poly import Poly, Vec, parse_vec, quotient_ring
 from functorlab.rings import PolyRing
 
 
@@ -195,9 +205,10 @@ def induced_map(fx, fy):
     """
     if fx.rank != fy.rank or fx.twists != fy.twists:
         raise ContractViolation("induced map needs a shared Hom ambient")
+    solver = LiftSolver(fy.ring, fy.rank, fy.twists, list(fy.gens), list(fy.rels))
     cols = []
     for g in fx.gens:
-        coeffs = fy.coeffs_of(g)
+        coeffs = solver.lift(g)
         if coeffs is None:
             raise ContractViolation("generator image lies outside the target value")
         cols.append(coeffs)
@@ -231,3 +242,122 @@ def test_functor_label_and_repr():
     f = functor_from_hom(FREE, label="identity")
     assert "identity" in repr(f)
     assert isinstance(f, CoherentFunctor)
+
+
+# -- oracle: the coefficient-lift route evaluate() replaced ----------------------
+
+
+def reference_alpha(functor):
+    """f on presentation generators, each image lifted over L's generators."""
+    pres_k = functor.k.presentation()
+    pres_l = functor.l.presentation()
+    l = functor.l
+    lookup = {id(g): j for j, g in enumerate(functor.k.gens)}
+    solver = LiftSolver(l.ring, l.rank, l.twists, list(pres_l.gens), list(l.rels))
+    cols = []
+    for g in pres_k.gens:
+        img = functor.f.image_vec(lookup[id(g)])
+        if not img:
+            cols.append([Poly.zero(l.ring) for _ in pres_l.gens])
+            continue
+        coeffs = solver.lift(img)
+        if coeffs is None:
+            raise ContractViolation("map image is not expressible in the presentation")
+        cols.append(coeffs)
+    return cols
+
+
+def reference_evaluate(functor, x):
+    """coker of the induced map Hom(L, X) -> Hom(K, X) on generator coefficients."""
+    hk = _hom_module(functor.k, x)
+    hl = _hom_module(functor.l, x)
+    if not hl.gens or not hk.gens:
+        return hk
+    alpha = reference_alpha(functor)
+    solver = LiftSolver(hk.ring, hk.rank, hk.twists, list(hk.gens), list(hk.rels))
+    images = []
+    for u in hl.gens:
+        coeffs = solver.lift(push_through(u, alpha, x.rank))
+        if coeffs is None:
+            raise ContractViolation("induced image left the Hom module")
+        images.append(hk.element(coeffs))
+    return FPModule(hk.ring, hk.rank, hk.twists, hk.gens, list(hk.rels) + images, check=False)
+
+
+def _xyz(char=32003, relations=()):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    return quotient_ring(ring, list(relations)) if relations else ring
+
+
+ORACLE_RINGS = {
+    "gf": lambda: _xyz(),
+    "q": lambda: _xyz(char=0),
+    "weights_1_2": lambda: PolyRing(("x", "y"), weights=(1, 2)),
+    "quotient_y2_xz": lambda: _xyz(relations=["y^2", "x*z"]),
+    "quotient_xy_z2": lambda: _xyz(relations=["x*y - z^2"]),
+}
+
+ORACLE_BUILDERS = (
+    functor_from_hom,
+    functor_from_tensor,
+    lambda m: functor_from_ext(m, 1),
+    lambda m: functor_from_tor(m, 1),
+)
+
+
+def random_cyclic(rng, ring):
+    """R/I for one to three homogeneous monomials or binomials of degree 1-3."""
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        monos = monomials_of_degree(ring, rng.randint(1, 3))
+        if not monos:
+            continue
+        picked = rng.sample(monos, 1 if rng.random() < 0.6 else min(2, len(monos)))
+        coeffs = {m: ring.coeff(rng.choice((1, -1, 2))) for m in picked}
+        rels.append(Vec.from_poly(Poly(ring, coeffs)))
+    return FPModule(ring, 1, (0,), [Vec.unit(ring, 0)], rels)
+
+
+def value_summary(m):
+    """Hilbert numerator, Ass (or the refusal's type) and whether gens + rels are terms."""
+    try:
+        primes = associated_primes(m)
+        ass = sorted(tuple(sorted(str(g.component(0)) for g in p.gens)) for p in primes)
+    except FunctorLabError as exc:
+        ass = type(exc).__name__
+    return m.numerator(), ass, spans_terms(list(m.gens) + list(m.rels), m.ring)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_RINGS))
+def test_evaluate_matches_lift_route(case):
+    ring = ORACLE_RINGS[case]()
+    rng = random.Random("evaluate/%s" % case)
+    for _ in range(6):
+        m, x = random_cyclic(rng, ring), random_cyclic(rng, ring)
+        for build in ORACLE_BUILDERS:
+            f = build(m)
+            assert value_summary(evaluate(f, x)) == value_summary(reference_evaluate(f, x))
+
+
+def test_ext1_over_quotient_keeps_its_associated_primes():
+    ring = _xyz(relations=["y^2", "x*z"])
+    m = FPModule.cyclic(ring, ("y", "z^2"))
+    f = functor_from_ext(m, 1)
+    got = value_summary(evaluate(f, m))
+    assert got == value_summary(reference_evaluate(f, m))
+    assert got[1] == [("x", "y", "z"), ("y", "z")]
+
+
+def test_evaluate_at_a_new_point_builds_no_lift_solver(monkeypatch):
+    f = functor_from_tensor(quotient("x"))
+    evaluate(f, quotient("x"))
+    builds = []
+    real_init = LiftSolver.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LiftSolver, "__init__", counting)
+    assert evaluate(f, quotient("x^3", "x^2*y", "x*y^2", "y^3")).length() == 3
+    assert builds == []

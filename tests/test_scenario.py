@@ -93,8 +93,13 @@ def test_grade_task_requires_known_ideal():
     {"task": "artin_rees", "sub": "N", "expect": [-1]},
     {"task": "artin_rees", "sub": "N", "expect": [1, 2]},
     {"task": "artin_rees", "sub": "N", "expect": [1.0]},
+    {"task": "degree_bound", "assert_max_degree": "x"},
+    {"task": "degree_bound", "assert_max_degree": 1.5},
+    {"task": "degree_bound", "assert_max_degree": True},
+    {"task": "degree_bound", "assert_max_degree": -1},
 ], ids=["degree_string", "degree_negative", "degree_bool", "onset_int", "onset_arity",
-        "onset_string", "expect_int", "expect_negative", "expect_arity", "expect_float"])
+        "onset_string", "expect_int", "expect_negative", "expect_arity", "expect_float",
+        "max_degree_string", "max_degree_float", "max_degree_bool", "max_degree_negative"])
 def test_fit_asserts_and_artin_rees_expect_are_checked_at_parse_time(task):
     modules = {"M": {"type": "free", "twists": [0]},
                "N": {"type": "submodule", "of": "M", "vectors": [["x"]]}}
@@ -108,9 +113,10 @@ def test_well_formed_fit_asserts_and_expect_parse():
     tasks = [
         {"task": "fit", "assert_degree": 0, "assert_onset": [-2]},
         {"task": "artin_rees", "sub": "N", "expect": [0]},
+        {"task": "degree_bound", "assert_max_degree": 0},
     ]
     scn = build_scenario(_minimal(modules=modules, tasks=tasks))
-    assert [t["task"] for t in scn.tasks] == ["fit", "artin_rees"]
+    assert [t["task"] for t in scn.tasks] == ["fit", "artin_rees", "degree_bound"]
 
 
 def test_ext_builder_requires_index():
