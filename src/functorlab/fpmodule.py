@@ -102,6 +102,19 @@ class FPModule:
     def zero(cls, ring):
         return cls(ring, 1, (0,), [], [], check=False)
 
+    def with_relations(self, sub):
+        """self / sub, for self without relations and sub a Submodule of
+        its generator span: the relation span is sub itself, and the
+        generator span self's, so a basis either already has is not
+        computed again."""
+        if self.rels:
+            raise ContractViolation("with_relations needs a module without relations")
+        self._gens_sub._same_ambient(sub)
+        out = FPModule(self.ring, self.rank, self.twists, self.gens, sub.gens, check=False)
+        out._gens_sub = self._gens_sub
+        out._rels_sub = sub
+        return out
+
     # -- structure ---------------------------------------------------------
 
     def gens_sub(self):

@@ -16,6 +16,11 @@ in the pair heap instead of rebuilding it. One pass over the finished basis
 makes the output canonical (monic, minimal, tail-reduced, sorted by lead).
 No F4/F5.
 
+Division (reduce_vec) pops the lead off a heap of packed term keys instead
+of scanning for it, dividing by a lead index that a Submodule or LiftSolver
+builds once per basis. One run of the same loop (_run) also gives
+Submodule.minimal_generators: the inputs it does not reduce to zero.
+
 Term-generated input skips the loop. When every input and every base
 relation is a single term (spans_terms), the submodule is spanned by terms,
 and its reduced basis is its minimal terms, made monic and sorted by lead
@@ -32,11 +37,11 @@ relations, and division remainders spell out lifts.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from operator import add
+from heapq import heapify, heappop, heappush
+from operator import add as _add, le as _le, mul as _mul
 
 from .poly import Poly, Vec
-from .rings import TermOrder
+from .rings import MAX_DEGREE, TermOrder, check_degree
 
 
 def base_relation_vectors(ring, rank):
@@ -63,11 +68,21 @@ def monic_lead(vec, bound, ring):
     return lead, vec.scale(ring.inv(c))
 
 
+def _index_entry(lead, vec, i):
+    """Lead index entry of the monic vec with lead term lead, at position i:
+    (lead monomial, i, tail), tail the (component, monomial, coefficient) of
+    every other term."""
+    tail = tuple((c, m, cf) for (c, m), cf in vec.terms.items() if (c, m) != lead)
+    return lead[1], i, tail
+
+
 def make_lead_index(vectors, bound):
+    """component -> [(lead monomial, position, tail)] of monic vectors, in
+    order; the index reduce_vec divides by."""
     idx = {}
     for i, g in enumerate(vectors):
-        (c, m), _ = g.lead(bound)
-        idx.setdefault(c, []).append((m, i))
+        lead, _ = g.lead(bound)
+        idx.setdefault(lead[0], []).append(_index_entry(lead, g, i))
     return idx
 
 
@@ -76,40 +91,54 @@ def reduce_vec(v, basis, bound, lead_index=None, track=False):
 
     Returns (remainder, quotients); quotients is None unless track is set, in
     which case v == sum(quotients[i] * basis[i]) + remainder.
+
+    The working terms sit in a heap keyed by the negated packed term key, so
+    the lead is one pop away (Monagan-Pearce, "Polynomial division using
+    dynamic arrays, heaps, and packed exponent vectors", CASC 2007). A
+    popped term is never produced again, since a reduction step only adds
+    smaller terms; an entry whose term cancelled meanwhile is skipped. The
+    lead is popped before the step, so the reducer's tail alone is added.
     """
     ring = v.ring
     if lead_index is None:
         lead_index = make_lead_index(basis, bound)
+    base, coef = bound.base, bound.coef  # bound.term_key, inlined
     work = dict(v.terms)
+    heap = [(-base[c] - sum(map(_mul, m, coef)), (c, m)) for c, m in work]
+    heapify(heap)
     rem = {}
     quots = [dict() for _ in basis] if track else None
-    mono_divides = ring.mono_divides
-    mono_div = ring.mono_div
+    mono_div, mono_degree = ring.mono_div, ring.mono_degree
     mul, sub, neg, add = ring.mul, ring.sub, ring.neg, ring.add
-    while work:
-        t = max(work, key=bound.term_key)
+    while heap:
+        t = heappop(heap)[1]
+        coeff = work.pop(t, None)
+        if coeff is None:
+            continue
         comp, m = t
-        coeff = work[t]
-        hit = None
-        for gm, gi in lead_index.get(comp, ()):
-            if mono_divides(gm, m):
-                hit = (gm, gi)
+        if mono_degree(m) > MAX_DEGREE:
+            check_degree(ring, m)  # raises
+        for gm, gi, tail in lead_index.get(comp, ()):
+            if all(map(_le, gm, m)):  # x^gm divides x^m
                 break
-        if hit is None:
-            del work[t]
+        else:
             rem[t] = coeff
             continue
-        gm, gi = hit
         shift = mono_div(m, gm)
-        for (gc, gmono), gcf in basis[gi].terms.items():
-            key = (gc, tuple(a + b for a, b in zip(gmono, shift)))
+        for gc, gmono, gcf in tail:
+            mono = tuple(map(_add, gmono, shift))
+            s = (gc, mono)
             delta = mul(gcf, coeff)
-            cur = work.get(key)
-            val = sub(cur, delta) if cur is not None else neg(delta)
-            if val:
-                work[key] = val
+            cur = work.get(s)
+            if cur is None:
+                work[s] = neg(delta)
+                heappush(heap, (-base[gc] - sum(map(_mul, mono, coef)), s))
             else:
-                work.pop(key, None)
+                val = sub(cur, delta)
+                if val:
+                    work[s] = val
+                else:
+                    del work[s]
         if track:
             qd = quots[gi]
             prev = qd.get(shift)
@@ -136,8 +165,8 @@ def interreduce(elements, bound, ring):
     elements = sorted(elements, key=lambda e: term_key(e[0]))
     basis = [v for _lead, v in elements]
     lead_index = {}
-    for i, ((c, m), _v) in enumerate(elements):
-        lead_index.setdefault(c, []).append((m, i))
+    for i, (lead, v) in enumerate(elements):
+        lead_index.setdefault(lead[0], []).append(_index_entry(lead, v, i))
     out = []
     for lead, v in elements:
         tail = dict(v.terms)
@@ -156,10 +185,14 @@ def term_basis(vectors, bound, ring):
     and sorted by term_key, as interreduce sorts. Zero vectors are skipped.
     With positive weights a proper divisor has lower degree, so one pass in
     degree order meets every divisor of a term before the term itself.
+    Refuses (check_degree) a term too large for the packed term key.
     """
     mono_divides, mono_degree = ring.mono_divides, ring.mono_degree
+    by_degree = sorted({t for v in vectors for t in v.terms}, key=lambda t: mono_degree(t[1]))
+    if by_degree:
+        check_degree(ring, by_degree[-1][1])
     minimal = {}  # component -> minimal monomials so far
-    for c, m in sorted({t for v in vectors for t in v.terms}, key=lambda t: mono_degree(t[1])):
+    for c, m in by_degree:
         kept = minimal.setdefault(c, [])
         if not any(mono_divides(k, m) for k in kept):
             kept.append(m)
@@ -172,10 +205,10 @@ def s_vector(f, g, mf, mg, lcm, ring):
     and have least common multiple lcm."""
     sf = ring.mono_div(lcm, mf)
     sg = ring.mono_div(lcm, mg)
-    terms = {(c, tuple(map(add, m, sf))): cf for (c, m), cf in f.terms.items()}
+    terms = {(c, tuple(map(_add, m, sf))): cf for (c, m), cf in f.terms.items()}
     sub, neg = ring.sub, ring.neg
     for (c, m), cf in g.terms.items():
-        key = (c, tuple(map(add, m, sg)))
+        key = (c, tuple(map(_add, m, sg)))
         cur = terms.get(key)
         if cur is None:
             terms[key] = neg(cf)
@@ -191,12 +224,34 @@ def s_vector(f, g, mf, mg, lcm, ring):
 def buchberger(vectors, *, ring, rank, twists, bound):
     """Reduced Groebner basis of span(vectors) + I0 * R^rank.
 
-    The inputs and the base-relation vectors wait in one queue, ordered by
-    the degree of their lead (monomial degree plus the twist of its
-    component), then by position. The loop always takes the lowest item
-    next: the next input if its degree is at most the sugar of the lowest
-    queued pair, else that pair. An input is reduced against the live basis
-    before it enters; a zero remainder adds nothing.
+    The inputs and then the base-relation vectors go through one run of
+    _run; one pass of interreduce makes its basis canonical. When
+    spans_terms holds, the loop is skipped: the S-vector of two terms is
+    zero, so term_basis gives the basis the loop would.
+    """
+    given = list(vectors) + base_relation_vectors(ring, rank)
+    if spans_terms(vectors, ring):
+        return term_basis(given, bound, ring)
+    elements, _entered = _run(given, ring=ring, rank=rank, twists=twists, bound=bound)
+    return interreduce(elements, bound, ring)
+
+
+def _run(inputs, *, ring, rank, twists, bound):
+    """The Buchberger loop over the vectors inputs.
+
+    Returns (elements, entered): the (lead term, monic vector) pairs of a
+    minimal Groebner basis of the inputs' span, and the positions in inputs
+    of the inputs whose reduction was nonzero, in the order they entered.
+
+    The inputs wait in one queue, ordered by the degree of their lead
+    (monomial degree plus the twist of its component), then by position. The loop always takes the lowest item next: the next input if
+    its degree is strictly below the sugar of the lowest queued pair, else
+    that pair. An input is reduced against the live basis before it enters;
+    a zero remainder adds nothing. For homogeneous inputs every pair of
+    degree at most d is thus finished before an input of degree d is
+    reduced, so that input reduces to zero exactly when the inputs before it
+    span it (Singular's mstd; Greuel-Pfister, A Singular Introduction to
+    Commutative Algebra).
 
     Every new element (reduced input or S-vector remainder) goes through the
     Gebauer-Moeller update. Criterion B scans only the queued pairs of the
@@ -205,17 +260,11 @@ def buchberger(vectors, *, ring, rank, twists, bound):
     criterion) are pushed onto the heap. Popping skips dead entries. Elements
     whose lead is a multiple of the new lead stop forming pairs and stop
     serving as reducers.
-
-    When spans_terms holds, the loop is skipped: the S-vector of two terms
-    is zero, so term_basis gives the basis the loop would.
     """
-    given = list(vectors) + base_relation_vectors(ring, rank)
-    if spans_terms(vectors, ring):
-        return term_basis(given, bound, ring)
     mono_lcm, mono_divides, mono_degree = ring.mono_lcm, ring.mono_divides, ring.mono_degree
     G = []  # monic elements
     leads = []  # their lead terms (component, monomial)
-    lead_index = {}  # component -> [(lead monomial, index)] of the live elements
+    lead_index = {}  # component -> index entries (see make_lead_index) of the live elements
     queued = {}  # component -> heap entries of its pairs, possibly dead
     pairs = []  # heap of [sugar, i, j, lcm]; lcm None marks a dead or popped entry
 
@@ -241,11 +290,12 @@ def buchberger(vectors, *, ring, rank, twists, bound):
             else:
                 kept.append(p)
         by_lcm, live = {}, []
-        for gm, g in lead_index.get(c, ()):
-            by_lcm.setdefault(mono_lcm(gm, mh), []).append((gm, g))
+        for entry in lead_index.get(c, ()):
+            gm = entry[0]
+            by_lcm.setdefault(mono_lcm(gm, mh), []).append(entry)
             if not mono_divides(mh, gm):
-                live.append((gm, g))
-        live.append((mh, h))
+                live.append(entry)
+        live.append(_index_entry(lead, v, h))
         lead_index[c] = live
         # criterion M: drop an lcm with a proper divisor among the new lcms;
         # criterion F: keep one pair per remaining lcm, none if any of them
@@ -256,26 +306,29 @@ def buchberger(vectors, *, ring, rank, twists, bound):
                 continue
             minimal.append(lcm)
             group = by_lcm[lcm]
-            if rank == 1 and any(not any(a and b for a, b in zip(gm, mh)) for gm, _g in group):
+            if rank == 1 and any(not any(a and b for a, b in zip(e[0], mh)) for e in group):
                 continue
             p = [mono_degree(lcm) + twists[c], group[0][1], h, lcm]
             heappush(pairs, p)
             kept.append(p)
         queued[c] = kept
 
-    inputs = []
-    for k, v in enumerate(given):
+    queue = []
+    for k, v in enumerate(inputs):
         if v:
             (c, m), _ = v.lead(bound)
-            inputs.append((mono_degree(m) + twists[c], k, v))
-    inputs.sort(reverse=True)  # lowest (degree, position) last
+            queue.append((mono_degree(m) + twists[c], k))
+    queue.sort(reverse=True)  # lowest (degree, position) last
+    entered = []
 
     while True:
         while pairs and pairs[0][3] is None:
             heappop(pairs)
-        if inputs and (not pairs or inputs[-1][0] <= pairs[0][0]):
-            v = inputs.pop()[2]
+        if queue and (not pairs or queue[-1][0] < pairs[0][0]):
+            k = queue.pop()[1]
+            v = inputs[k]
         elif pairs:
+            k = None
             p = heappop(pairs)
             _, i, j, lcm = p
             p[3] = None
@@ -287,10 +340,11 @@ def buchberger(vectors, *, ring, rank, twists, bound):
         r, _ = reduce_vec(v, G, bound, lead_index)
         if r:
             add(r)
+            if k is not None:
+                entered.append(k)
 
-    return interreduce(
-        [(leads[g], G[g]) for bucket in lead_index.values() for _m, g in bucket], bound, ring
-    )
+    elements = [(leads[e[1]], G[e[1]]) for bucket in lead_index.values() for e in bucket]
+    return elements, entered
 
 
 class LiftSolver:
@@ -333,6 +387,7 @@ class LiftSolver:
         self.basis = buchberger(
             aug, ring=ring, rank=rank + s, twists=self.aug_twists, bound=self.bound
         )
+        self.lead_index = make_lead_index(self.basis, self.bound)
 
     def kernel_vectors(self):
         """Coefficient vectors generating {a : sum a_i t_i in span(modulo)}."""
@@ -346,7 +401,7 @@ class LiftSolver:
 
     def lift(self, v):
         """Coefficients of v over the targets, or None if not in the span."""
-        r, _ = reduce_vec(v, self.basis, self.bound)
+        r, _ = reduce_vec(v, self.basis, self.bound, self.lead_index)
         if any(c < self.rank for (c, _m) in r.terms):
             return None
         coeff_vec = r.shifted(-self.rank)

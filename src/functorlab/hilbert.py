@@ -89,14 +89,6 @@ def _minimal_numerator(ring, monos):
     return out
 
 
-def leads_by_component(gb_vectors, bound, rank):
-    comps = [[] for _ in range(rank)]
-    for g in gb_vectors:
-        (c, m), _ = g.lead(bound)
-        comps[c].append(m)
-    return comps
-
-
 def module_numerator(ring, leads_by_comp, twists):
     """Numerator for (+)_c R(-twist_c) / (lead monomials in component c)."""
     out = {}

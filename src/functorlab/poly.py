@@ -101,9 +101,15 @@ class Poly:
         )
 
     def __pow__(self, n):
+        """self^n by repeated squaring."""
         out = Poly.constant(self.ring, 1)
-        for _ in range(int(n)):
-            out = out * self
+        base, n = self, int(n)
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- structure -------------------------------------------------------

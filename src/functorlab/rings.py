@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 # integer exponent arithmetic, distinct from the coefficient field's add/mul
-from operator import le as _le, mul as _mul, neg as _neg, sub as _sub
+from operator import le as _le, mul as _mul, sub as _sub
 
 from .errors import ConfigurationError
 
@@ -177,6 +177,12 @@ class TermOrder:
     computations bind extra component blocks: any term in a higher block beats
     any term in a lower block, which is what makes "tag" coordinates readable
     off a Groebner basis.
+
+    Each order compares a fixed sequence of integer fields, linear in the
+    exponents: block, component rank (last under "top"), then the ring
+    order's fields (grevlex: weighted degree, then the negated exponents
+    from the last variable; lex: the exponents in priority order; elim: the
+    grevlex fields of each block). BoundOrder packs them into one int.
     """
 
     __slots__ = ("kind", "priority", "elim", "module_kind")
@@ -198,14 +204,45 @@ class TermOrder:
         return BoundOrder(self, ring, twists, blocks)
 
 
+# A packed key holds each field as a signed digit of FIELD_BITS bits. Two
+# keys compare like their field tuples while the two values of every field
+# differ by less than 2^FIELD_BITS; a field of a monomial of weighted degree
+# d lies in [0, d] or, negated, in [-d, 0]. So MAX_DEGREE is the largest
+# weighted degree the keys order exactly.
+FIELD_BITS = 32
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+
+
+def check_degree(ring, mono):
+    """Refuse, with ConfigurationError, a monomial no packed key can order."""
+    if ring.mono_degree(mono) > MAX_DEGREE:
+        raise ConfigurationError(
+            "monomial of weighted degree %d exceeds the term order limit %d"
+            % (ring.mono_degree(mono), MAX_DEGREE)
+        )
+
+
+def _grevlex_fields(weights, idxs):
+    """grevlex fields over the variables idxs: the degree, then the negated
+    exponents from the last index; one coefficient row per field."""
+    fields = [{i: weights[i] for i in idxs}]
+    fields.extend({i: -1} for i in reversed(idxs))
+    return fields
+
+
 class BoundOrder:
     """A term order bound to a ring and an ambient free module.
 
-    Provides sort keys (larger key = larger term). Module terms are pairs
-    (component, exponent tuple).
+    term_key((c, m)) is one int, base[c] + sum(m_i * coef[i]), and
+    mono_key(m) is sum(m_i * mcoef[i]); larger key = larger term. The
+    fields of TermOrder are packed as signed FIELD_BITS-bit digits, with the
+    coefficients precomputed here. Monomials up to MAX_DEGREE are ordered
+    exactly; reduce_vec and term_basis refuse larger ones (check_degree)
+    rather than mis-order them. Rank and block values (0 and 1 in
+    LiftSolver) sit far inside one field.
     """
 
-    __slots__ = ("order", "ring", "twists", "blocks", "_rank_of", "_elim_rest")
+    __slots__ = ("order", "ring", "twists", "blocks", "base", "coef", "mcoef")
 
     def __init__(self, order, ring, twists, blocks=None):
         self.order = order
@@ -214,40 +251,43 @@ class BoundOrder:
         if blocks is None:
             blocks = (0,) * len(self.twists)
         self.blocks = tuple(blocks)
+        n = ring.nvars
+        if order.kind == "grevlex":
+            fields = _grevlex_fields(ring.weights, range(n))
+        elif order.kind == "lex":
+            fields = [{i: 1} for i in (order.priority or range(n))]
+        else:
+            in_elim = set(order.elim)
+            rest = [i for i in range(n) if i not in in_elim]
+            fields = _grevlex_fields(ring.weights, order.elim) + _grevlex_fields(ring.weights, rest)
+        top = len(fields)
+        mcoef = [0] * n
+        for pos, field in enumerate(fields):
+            for i, a in field.items():
+                mcoef[i] += a << (FIELD_BITS * (top - 1 - pos))
         # position-over-term priority: descending twist, ties by index; the
-        # earlier a component sorts, the larger its key contribution.
+        # earlier a component sorts, the larger its rank field (0, -1, ...).
         comps = sorted(range(len(self.twists)), key=lambda c: (-self.twists[c], c))
         rank_of = [0] * len(self.twists)
         for pos, c in enumerate(comps):
             rank_of[c] = -pos
-        self._rank_of = tuple(rank_of)
-        if order.kind == "elim":
-            in_elim = set(order.elim)
-            self._elim_rest = tuple(i for i in range(ring.nvars) if i not in in_elim)
+        block_shift = FIELD_BITS * (top + 1)
+        if order.module_kind == "pot":
+            self.coef = tuple(mcoef)
+            self.base = tuple(
+                (b << block_shift) + (r << FIELD_BITS * top) for b, r in zip(self.blocks, rank_of)
+            )
         else:
-            self._elim_rest = ()
-
-    def _grevlex_key(self, mono, idxs=None):
-        w = self.ring.weights
-        if idxs is None:
-            return (sum(map(_mul, mono, w)), tuple(map(_neg, reversed(mono))))
-        deg = sum(mono[i] * w[i] for i in idxs)
-        return (deg, tuple(-mono[i] for i in reversed(idxs)))
+            self.coef = tuple(a << FIELD_BITS for a in mcoef)
+            self.base = tuple((b << block_shift) + r for b, r in zip(self.blocks, rank_of))
+        self.mcoef = tuple(mcoef)
 
     def mono_key(self, mono):
-        o = self.order
-        if o.kind == "grevlex":
-            return self._grevlex_key(mono)
-        if o.kind == "lex":
-            pr = o.priority or range(len(mono))
-            return tuple(mono[i] for i in pr)
-        return (self._grevlex_key(mono, o.elim), self._grevlex_key(mono, self._elim_rest))
+        return sum(map(_mul, mono, self.mcoef))
 
     def term_key(self, term):
         c, mono = term
-        if self.order.module_kind == "pot":
-            return (self.blocks[c], self._rank_of[c], self.mono_key(mono))
-        return (self.blocks[c], self.mono_key(mono), self._rank_of[c])
+        return self.base[c] + sum(map(_mul, mono, self.coef))
 
     def signature(self):
         return "%s|tw=%s|bl=%s" % (self.order.signature(), self.twists, self.blocks)

@@ -78,7 +78,9 @@ class FamilySpec:
             tuple(nvec),
             Submodule(m.ring, m.rank, m.twists, list(self.sub_vectors), check=False),
         )
-        rels = list(m.rels) + [v for v in scaled.gens if v]
+        if not m.rels:
+            return m.with_relations(scaled)
+        rels = list(m.rels) + list(scaled.gens)
         return FPModule(m.ring, m.rank, m.twists, m.gens, rels, check=False)
 
 

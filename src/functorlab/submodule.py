@@ -11,10 +11,12 @@ orders exist only at the Groebner level (TermOrder.bind for buchberger,
 LiftSolver and eliminate_module).
 
 Groebner bases are computed lazily and canonicalized (monic, auto-reduced,
-sorted), so module equality is literal equality of canonical bases. A module
-spanned by terms (groebner.spans_terms) gets its basis straight from its
-minimal terms, which costs less than a cache lookup; every other basis is
-memoized through the content-addressed cache.
+sorted), so module equality is literal equality of canonical bases, and
+the lead index of the basis (groebner.make_lead_index) is built once for
+every normal_form and lead_monomials call. A module spanned by terms
+(groebner.spans_terms) gets its basis straight from its minimal terms,
+which costs less than a cache lookup; every other basis is memoized
+through the content-addressed cache.
 
 On term input (self and the other side both spanned by terms) colon,
 colon_module and intersect are exponent arithmetic on the per-component
@@ -32,13 +34,15 @@ from . import cache
 from .errors import ContractViolation, HomogeneityError
 from .groebner import (
     LiftSolver,
+    _run,
     base_relation_vectors,
     buchberger,
+    make_lead_index,
     reduce_vec,
     spans_terms,
     term_basis,
 )
-from .hilbert import leads_by_component, minimal_monomials, monomial_colon
+from .hilbert import minimal_monomials, monomial_colon
 from .poly import Vec, parse_poly, parse_vec
 from .rings import GREVLEX
 
@@ -126,7 +130,7 @@ def _term_submodule(ring, twists, per_component):
 
 
 class Submodule:
-    __slots__ = ("ring", "rank", "twists", "gens", "_bound", "_gb")
+    __slots__ = ("ring", "rank", "twists", "gens", "_bound", "_gb", "_leads")
 
     def __init__(self, ring, rank, twists, gens, check=True):
         self.ring = ring
@@ -146,6 +150,7 @@ class Submodule:
         self.gens = tuple(kept)
         self._bound = None
         self._gb = None
+        self._leads = None
 
     # -- plumbing --------------------------------------------------------
 
@@ -198,10 +203,16 @@ class Submodule:
                 store.put(key, [_term_rows(g) for g in self._gb])
         return self._gb
 
+    def lead_index(self):
+        """make_lead_index of the basis, built once."""
+        if self._leads is None:
+            self._leads = make_lead_index(self.groebner(), self.bound)
+        return self._leads
+
     # -- membership ------------------------------------------------------
 
     def normal_form(self, v):
-        r, _ = reduce_vec(v, self.groebner(), self.bound)
+        r, _ = reduce_vec(v, self.groebner(), self.bound, self.lead_index())
         return r
 
     def contains(self, v):
@@ -222,7 +233,9 @@ class Submodule:
         return self.contains_all(other.gens)
 
     def lead_monomials(self):
-        return leads_by_component(self.groebner(), self.bound, self.rank)
+        """Per component, the lead monomials of the basis, in basis order."""
+        index = self.lead_index()
+        return [[entry[0] for entry in index.get(c, ())] for c in range(self.rank)]
 
     def canonical(self):
         """Same module, generated by its canonical Groebner basis."""
@@ -354,11 +367,17 @@ class Submodule:
         its minimal term products (term_basis of the exponent sums); else by
         every product of a generator of ideal with one of self. Over a
         polynomial base those minimal products are already the product's
-        reduced basis, so it comes preset.
+        reduced basis, so it comes preset. When self is R itself (rank 1,
+        generated by the unit vector) the product is ideal, with ideal's
+        basis.
         """
         if ideal.rank != 1 or ideal.ring != self.ring:
             raise ContractViolation("multiplier must be an ideal over the same ring")
         ring = self.ring
+        if self.rank == 1 and self.gens == (Vec.unit(ring, 0),):
+            out = Submodule(ring, 1, self.twists, ideal.gens, check=False)
+            out._gb = ideal._gb
+            return out
         if not all(len(g.terms) == 1 for g in self.gens + ideal.gens):
             gens = [g.mul_poly(p.component(0)) for p in ideal.gens for g in self.gens]
             return Submodule(ring, self.rank, self.twists, gens, check=False)
@@ -378,26 +397,30 @@ class Submodule:
 
         modulo lists vectors of the same ambient module that count as zero:
         a generator they span, alone or with other generators, is dropped.
-        With modulo empty the result minimally generates self.
+        With modulo empty the result minimally generates self. Every
+        generator and every modulo vector must be homogeneous; else
+        ContractViolation.
 
-        Graded Nakayama pruning: walk gens once in (degree, text) order and
-        keep a generator only when the kept ones plus modulo do not span it.
-        The kept ones plus modulo span self + span(modulo), and since every
-        ring here has positive weights (R_0 is the field), none of them lies
-        in the span of the others plus modulo. The span is rebuilt only when
-        a generator is kept: one Groebner basis per kept generator, plus one
-        of modulo alone.
+        Graded Nakayama pruning in one Buchberger run (groebner._run):
+        modulo and the base relations enter first at each degree, then the
+        generators in (degree, text) order, and a generator is kept when it
+        does not reduce to zero, that is, when the generators before it plus
+        modulo do not span it. Since every ring here has positive weights
+        (R_0 is the field), the kept ones plus modulo span self +
+        span(modulo) and none of them lies in the span of the others plus
+        modulo.
         """
-        modulo = list(modulo)
-        kept = []
-        span = Submodule(self.ring, self.rank, self.twists, modulo, check=False)
-        for g in sorted(self.gens, key=lambda g: (g.degree(self.twists), str(g.to_strings(self.rank)))):
-            if not span.contains(g):
-                kept.append(g)
-                span = Submodule(
-                    self.ring, self.rank, self.twists, kept + modulo, check=False
-                )
-        return Submodule(self.ring, self.rank, self.twists, kept, check=False)
+        ring, rank, twists = self.ring, self.rank, self.twists
+        modulo = [v for v in modulo if v]
+        for v in self.gens + tuple(modulo):
+            if not v.is_homogeneous(twists):
+                raise ContractViolation("minimal generators need homogeneous input, got %r" % v)
+        fixed = modulo + base_relation_vectors(ring, rank)
+        candidates = sorted(self.gens, key=lambda g: (g.degree(twists), str(g.to_strings(rank))))
+        inputs = fixed + candidates  # at equal degree, position puts fixed first
+        _elements, entered = _run(inputs, ring=ring, rank=rank, twists=twists, bound=self.bound)
+        gens = [inputs[k] for k in entered if k >= len(fixed)]
+        return Submodule(ring, rank, twists, gens, check=False)
 
     def __repr__(self):
         body = "; ".join(",".join(g.to_strings(self.rank)) for g in self.gens)
@@ -429,11 +452,7 @@ def submodule(ring, rank, twists, generators):
 
 
 def is_unit_ideal(sub):
-    for g in sub.groebner():
-        (_c, m), _ = g.lead(sub.bound)
-        if not any(m):
-            return True
-    return False
+    return any(not any(m) for m in sub.lead_monomials()[0])
 
 
 # -- families of ideals -------------------------------------------------------

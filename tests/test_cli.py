@@ -176,6 +176,22 @@ def test_malformed_scenario_values_exit_two(tmp_path, capsys, mutate, block):
     assert block in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gens", [
+    ["x^4294967296", "y"],
+    ["x^2147483648*x^2147483648", "y"],
+    ["x^4294967296 + y^4294967296", "x*y"],
+], ids=["term", "term_product", "binomial"])
+def test_a_degree_past_the_term_order_limit_exits_two(tmp_path, capsys, gens):
+    # x^(2^32) is one past the largest degree a packed term key orders
+    doc = _artin_rees_doc()
+    doc["ideals"]["m"] = gens
+    path = tmp_path / "huge.scn"
+    path.write_text(json.dumps(doc))
+    code, _ = _run(tmp_path, str(path))
+    assert code == 2
+    assert "term order limit" in capsys.readouterr().err
+
+
 def test_refused_shell_is_not_stable(tmp_path, capsys):
     # Ass of R/(x^2 - y^2)^n needs a non-monomial prime, which the lab
     # refuses at every point: a shell of refusals is not a stable value
@@ -335,8 +351,13 @@ def test_unusable_cache_directory_keeps_the_run_going(tmp_path, monkeypatch):
     monkeypatch.setenv("FUNCTORLAB_CACHE_DIR", str(blocked))
     out = tmp_path / "blocked"
     assert main(["run", scenario, "--out", str(out)]) == 0
-    stats = cache.active_cache().stats()
-    assert stats["puts"] > 0 and stats["hits"] > 0 and stats["corrupt"] == 0
+    store = cache.active_cache()
+    stats = store.stats()
+    assert stats["puts"] > 0 and stats["corrupt"] == 0
+    # every entry stayed in memory, where a second lookup finds it
+    assert len(store.memory) == stats["puts"]
+    assert store.get(next(iter(store.memory))) is not None
+    assert store.stats()["hits"] == stats["hits"] + 1
     name = "non_term_fit.report.json"
     assert (out / name).read_bytes() == (plain / name).read_bytes()
 

@@ -23,6 +23,7 @@ from functorlab.fpmodule import (
 )
 from functorlab.poly import Poly, Vec, parse_poly, parse_vec
 from functorlab.rings import PolyRing
+from functorlab.submodule import Submodule
 
 
 R = PolyRing(("x", "y"))
@@ -262,6 +263,18 @@ def test_quotient_by_membership_guard():
     assert q.hilbert_function([0, 1]) == [1, 0]
     with pytest.raises(ContractViolation):
         quotient_by(FPModule(R, 1, (0,), [parse_vec(R, ["x"])], []), [parse_vec(R, ["y"])])
+
+
+def test_with_relations_keeps_both_spans():
+    free = FPModule.free(R, (0,))
+    sub = Submodule(R, 1, (0,), [parse_vec(R, ["x^2 + y^2"]), parse_vec(R, ["x*y"])])
+    q = free.with_relations(sub)
+    assert q.rels_sub() is sub and q.gens_sub() is free.gens_sub()
+    assert q.length() == quotient_by(free, list(sub.gens)).length() == 4
+    with pytest.raises(ContractViolation):
+        q.with_relations(sub)
+    with pytest.raises(ContractViolation):
+        free.with_relations(Submodule(R, 1, (1,), [parse_vec(R, ["x"])]))
 
 
 def test_block_module_shape():

@@ -7,6 +7,7 @@ no criteria, fixpoint interreduction) on seeded random homogeneous input,
 given as generated and given in descending degree with multiples of earlier
 generators mixed in, so the degree-ordered input queue has work to do.
 Term-only input, which skips the loop, is compared with the same reference.
+The heap reduce_vec is compared with the max-scan division it replaced.
 """
 
 import heapq
@@ -425,3 +426,68 @@ def test_term_input_basis_matches_reference(case, seed, monkeypatch):
         assert_same_basis(got, want)
         # the pair loop runs only where a base relation is not a term
         assert bool(reduced) == (case == "rank1_quotient")
+
+
+# -- oracle: heap reduction against the scan it replaced -------------------------
+
+
+def scan_reduce(v, basis, bound):
+    """Full normal form by the lead scan: take the largest remaining term,
+    divide by the first basis element whose lead divides it."""
+    ring = v.ring
+    leads = [g.lead(bound)[0] for g in basis]
+    work, rem = dict(v.terms), {}
+    while work:
+        t = max(work, key=bound.term_key)
+        coeff = work.pop(t)
+        for (gc, gm), g in zip(leads, basis):
+            if gc == t[0] and ring.mono_divides(gm, t[1]):
+                shift = ring.mono_div(t[1], gm)
+                for (c, m), cf in g.terms.items():
+                    if (c, m) == (gc, gm):
+                        continue
+                    s = (c, tuple(a + b for a, b in zip(m, shift)))
+                    val = ring.sub(work.get(s, ring.zero), ring.mul(cf, coeff))
+                    if val:
+                        work[s] = val
+                    else:
+                        work.pop(s, None)
+                break
+        else:
+            rem[t] = coeff
+    return Vec(ring, rem)
+
+
+REDUCE_CASES = {
+    # name: (ring, twists, term order, blocks)
+    "gf": (lambda: _grevlex(), (0,), TermOrder(), None),
+    "q": (lambda: _grevlex(char=0), (0,), TermOrder(), None),
+    "quotient": (lambda: _grevlex(relations=["x*y - z^2", "y^3"]), (0,), TermOrder(), None),
+    # the LiftSolver shape: term over position, main components in block 1
+    "top_blocks": (lambda: _grevlex(), (0, 1, 2, 2), TermOrder(module_kind="top"), (1, 1, 0, 0)),
+    "top_blocks_elim_q": (lambda: _grevlex(char=0), (1, 0, 1),
+                          TermOrder(kind="elim", elim=(1,), module_kind="top"), (1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(REDUCE_CASES))
+def test_heap_reduction_matches_the_scan_and_reassembles(case, seed):
+    make_ring, twists, order, blocks = REDUCE_CASES[case]
+    R = make_ring()
+    rng = random.Random("reduce/%s/%d" % (case, seed))
+    bound = order.bind(R, twists, blocks)
+    rank = len(twists)
+    gens = random_vectors(rng, R, twists, 4, (2, 3))
+    basis = buchberger(gens, ring=R, rank=rank, twists=twists, bound=bound)
+    vs = random_vectors(rng, R, twists, 6, (3, 4, 5), terms=4)
+    # and members of the span plus a remainder
+    vs += [g.mul_poly(Poly.variable(R, rng.choice(R.names))) + vs[0] for g in gens[:2]]
+    for v in vs:
+        r, quots = reduce_vec(v, basis, bound, track=True)
+        assert r == scan_reduce(v, basis, bound)
+        acc = r
+        for q, g in zip(quots, basis):
+            acc = acc + g.mul_poly(q)
+        assert acc == v
+        assert reduce_vec(v, basis, bound)[0] == r

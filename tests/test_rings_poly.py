@@ -1,6 +1,14 @@
-"""Foundations: coefficient fields, parsing, formatting, orders, homogeneity."""
+"""Foundations: coefficient fields, parsing, formatting, orders, homogeneity.
 
+The packed term keys of BoundOrder are compared with the tuple keys they
+replaced (kept here as the reference) on seeded random terms of every order
+kind, up to the largest degree a key orders exactly; past it the Groebner
+layer refuses.
+"""
+
+import random
 from fractions import Fraction
+from operator import mul, neg
 
 import pytest
 
@@ -17,7 +25,8 @@ from functorlab.poly import (
     quotient_ring,
     truncate_vec,
 )
-from functorlab.rings import PolyRing, TermOrder
+from functorlab.groebner import buchberger, reduce_vec, term_basis
+from functorlab.rings import MAX_DEGREE, PolyRing, TermOrder
 
 
 def test_char_p_arithmetic_wraps_and_inverts():
@@ -157,3 +166,128 @@ def test_truncate_refuses_a_dropped_variable():
     big = extend_ring(R, ["t"], [1])
     with pytest.raises(ConfigurationError):
         truncate_vec(parse_vec(big, ["x", "y*t"]), R)
+
+
+# -- oracle: packed keys against the tuple keys ------------------------------------
+
+
+def _reference_grevlex_key(ring, mono, idxs=None):
+    w = ring.weights
+    if idxs is None:
+        return (sum(map(mul, mono, w)), tuple(map(neg, reversed(mono))))
+    deg = sum(mono[i] * w[i] for i in idxs)
+    return (deg, tuple(-mono[i] for i in reversed(idxs)))
+
+
+def reference_mono_key(bound, mono):
+    o, ring = bound.order, bound.ring
+    if o.kind == "grevlex":
+        return _reference_grevlex_key(ring, mono)
+    if o.kind == "lex":
+        pr = o.priority or range(len(mono))
+        return tuple(mono[i] for i in pr)
+    rest = tuple(i for i in range(ring.nvars) if i not in set(o.elim))
+    return (_reference_grevlex_key(ring, mono, o.elim), _reference_grevlex_key(ring, mono, rest))
+
+
+def reference_term_key(bound, term):
+    """The nested tuple key BoundOrder.term_key replaced."""
+    c, mono = term
+    twists = bound.twists
+    comps = sorted(range(len(twists)), key=lambda k: (-twists[k], k))
+    rank = -comps.index(c)
+    if bound.order.module_kind == "pot":
+        return (bound.blocks[c], rank, reference_mono_key(bound, mono))
+    return (bound.blocks[c], reference_mono_key(bound, mono), rank)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+KEY_CASES = {
+    # name: (weights, term order, twists, blocks)
+    "grevlex_weights_1_2_3": ((1, 2, 3), TermOrder(), (0,), None),
+    "lex_shuffled_priority": ((1, 1, 1, 1), TermOrder(kind="lex", priority=(2, 0, 3, 1)), (0,), None),
+    "elim_weights": ((1, 2, 1, 3), TermOrder(kind="elim", elim=(3, 1), module_kind="top"), (0,), None),
+    "pot_blocks_negative_twists": (
+        (1, 1, 2), TermOrder(module_kind="pot"), (2, -1, 0, -3, -1), (1, 1, 0, 0, 0)),
+    "top_blocks_negative_twists": (
+        (1, 1, 2), TermOrder(module_kind="top"), (-2, 1, 0, 1, -4), (1, 1, 0, 0, 0)),
+    "elim_pot_blocks": ((2, 1, 1), TermOrder(kind="elim", elim=(0,)), (0, -2, 1), (0, 1, 1)),
+}
+
+
+def _random_mono(rng, ring):
+    """Small exponents, wide ones, or one at the degree limit, never past it."""
+    n = ring.nvars
+    kind = rng.random()
+    if kind < 0.5:
+        return tuple(rng.randint(0, 4) for _ in range(n))
+    if kind < 0.9:
+        cap = MAX_DEGREE // sum(ring.weights)
+        return tuple(rng.choice((0, rng.randint(0, cap))) for _ in range(n))
+    i = rng.randrange(n)
+    return tuple(MAX_DEGREE // ring.weights[i] if j == i else 0 for j in range(n))
+
+
+@pytest.mark.parametrize("case", sorted(KEY_CASES))
+def test_packed_keys_order_terms_as_the_tuple_keys(case):
+    weights, order, twists, blocks = KEY_CASES[case]
+    R = PolyRing(tuple("abcd"[: len(weights)]), char=0, weights=weights)
+    bound = order.bind(R, twists, blocks)
+    rng = random.Random("keys/%s" % case)
+    for _ in range(4000):
+        s = (rng.randrange(len(twists)), _random_mono(rng, R))
+        if rng.random() < 0.5:
+            t = (rng.randrange(len(twists)), _random_mono(rng, R))
+        else:
+            # a near tie: one exponent moved by one
+            i = rng.randrange(R.nvars)
+            m = list(s[1])
+            m[i] = max(0, m[i] + rng.choice((-1, 1)))
+            t = (s[0], tuple(m))
+        assert _sign(bound.term_key(s), bound.term_key(t)) == _sign(
+            reference_term_key(bound, s), reference_term_key(bound, t)
+        )
+        assert _sign(bound.mono_key(s[1]), bound.mono_key(t[1])) == _sign(
+            reference_mono_key(bound, s[1]), reference_mono_key(bound, t[1])
+        )
+
+
+def test_a_term_past_the_degree_limit_is_refused():
+    R = PolyRing(("x", "y"), char=32003, weights=(1, 2))
+    bound = TermOrder().bind(R, (0,))
+    at_limit = Vec(R, {(0, (MAX_DEGREE, 0)): 1})
+    assert term_basis([at_limit], bound, R) == [at_limit]
+    for mono in ((2 ** 32, 0), (0, 2 ** 31)):  # x^(2^32), and y^(2^31) of degree 2^32
+        big = Vec(R, {(0, mono): 1})
+        with pytest.raises(ConfigurationError):
+            term_basis([big], bound, R)
+        with pytest.raises(ConfigurationError):
+            buchberger([big + Vec(R, {(0, (0, 1)): 1})], ring=R, rank=1, twists=(0,), bound=bound)
+        with pytest.raises(ConfigurationError):
+            reduce_vec(big, [], bound)
+
+
+def test_a_term_grown_past_the_degree_limit_is_refused():
+    # lex, x > y > z: x reduces to y^2, then to z^(2^32), from reducers of
+    # degree at most 2^31; the refusal comes from inside the reduction
+    R = PolyRing(("x", "y", "z"), char=0)
+    bound = TermOrder(kind="lex").bind(R, (0,))
+    basis = [
+        Vec(R, {(0, (1, 0, 0)): R.one, (0, (0, 2, 0)): -R.one}),
+        Vec(R, {(0, (0, 1, 0)): R.one, (0, (0, 0, 2 ** 31)): -R.one}),
+    ]
+    with pytest.raises(ConfigurationError):
+        reduce_vec(Vec(R, {(0, (1, 0, 0)): R.one}), basis, bound)
+
+
+def test_power_by_squaring_matches_repeated_products():
+    R = PolyRing(("x", "y"), char=32003)
+    p = parse_poly(R, "x - 2*y")
+    acc = Poly.constant(R, 1)
+    for n in range(8):
+        assert p ** n == acc
+        acc = acc * p
+    assert (parse_poly(R, "x") ** (2 ** 40)).terms == {(2 ** 40, 0): 1}

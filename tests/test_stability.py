@@ -415,10 +415,25 @@ def test_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
     assert cold.stats() == {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0}
 
 
+def test_non_term_member_reuses_its_power_product_basis(monkeypatch):
+    # with M = R free, the member's relation module is the power product, so
+    # its basis is the product's and no lookup is made for it
+    R = PolyRing(("x", "y"))
+    store = cache.Cache()
+    monkeypatch.setattr(cache, "_ACTIVE", store)
+    spec = _two_ideal_sweep_spec(R, ("x^2 + y^2", "x*y"), ("x + y", "y^2"))
+    product = spec.family.power_product((2, 1)).groebner()
+    before = store.stats()
+    assert before["misses"] == 4
+    assert spec.member((2, 1)).rels_sub().groebner() == product
+    assert store.stats() == before
+
+
 def test_non_term_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
     # lambda over the box [1..2]^2 of R/(x^2 + y^2, xy)^a (x + y, y^2)^b from
     # a cold disk cache: one miss and one put per distinct basis, then every
-    # lookup a hit against the primed directory
+    # lookup a hit against the primed directory. A member's relation module
+    # is its power product, basis included, so no basis is looked up twice.
     R = PolyRing(("x", "y"))
     box = GridBox((1, 1), (2, 2), shell=1)
     sweep = (("x^2 + y^2", "x*y"), ("x + y", "y^2"))
@@ -428,10 +443,10 @@ def test_non_term_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
     assert {p: row["lambda"] for p, row in obs.items()} == {
         (1, 1): 8, (1, 2): 14, (2, 1): 18, (2, 2): 26,
     }
-    assert cold.stats() == {"hits": 2, "misses": 12, "puts": 12, "corrupt": 0}
-    assert len(list(tmp_path.glob("*/*.json"))) == 12
+    assert cold.stats() == {"hits": 0, "misses": 8, "puts": 8, "corrupt": 0}
+    assert len(list(tmp_path.glob("*/*.json"))) == 8
 
     warm = cache.Cache(directory=str(tmp_path))
     monkeypatch.setattr(cache, "_ACTIVE", warm)
     assert grid_evaluate(None, _two_ideal_sweep_spec(R, *sweep), box, ("lambda",)) == obs
-    assert warm.stats() == {"hits": 14, "misses": 0, "puts": 0, "corrupt": 0}
+    assert warm.stats() == {"hits": 8, "misses": 0, "puts": 0, "corrupt": 0}

@@ -3,8 +3,9 @@
 The oracle tests at the end compare the one-kernel intersect, colon and
 colon_module, and their exponent arithmetic on term input, with the
 constructions they replaced (one kernel per vector or polynomial, folded by
-intersections, every generator tagged), and the one-pass minimal_generators
-with the drop-one-at-a-time loop it replaced, on seeded random homogeneous
+intersections, every generator tagged), and minimal_generators with the
+drop-one-at-a-time loop and the keep loop it replaced (one basis per kept
+generator; equal vectors in equal order), on seeded random homogeneous
 input.
 """
 
@@ -410,7 +411,51 @@ def test_minimal_generators_build_one_basis_per_kept_generator(
 
     monkeypatch.setattr(submodule_mod, "buchberger", counting)
     kept = sub.minimal_generators(modulo=modulo).gens if with_modulo else sub.minimal_generators().gens
-    assert len(calls) <= len(kept) + 1
+    # one Buchberger run prunes them all, outside buchberger: no reduced basis
+    # of the kept generators is ever built
+    assert kept and not calls
+
+
+def reference_keep_loop(sub, modulo=()):
+    """Walk gens in (degree, text) order and keep a generator when the kept
+    ones plus modulo do not span it, rebuilding their span after each keep."""
+    modulo = list(modulo)
+    kept = []
+    span = Submodule(sub.ring, sub.rank, sub.twists, modulo, check=False)
+    for g in sorted(sub.gens, key=lambda g: (g.degree(sub.twists), str(g.to_strings(sub.rank)))):
+        if not span.contains(g):
+            kept.append(g)
+            span = Submodule(sub.ring, sub.rank, sub.twists, kept + modulo, check=False)
+    return kept
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("with_modulo", [False, True])
+@pytest.mark.parametrize("case", sorted(MINGEN_CASES))
+def test_minimal_generators_equal_the_keep_loop(case, with_modulo, seed, no_cache):
+    sub, modulo = _mingen_inputs(case, seed, with_modulo)
+    kept = list(sub.minimal_generators(modulo=modulo).gens)
+    assert [g.terms for g in kept] == [g.terms for g in reference_keep_loop(sub, modulo)]
+
+
+def test_minimal_generators_finish_lower_pairs_before_an_input():
+    # the S-pair of x^2 - y^2 and x*y gives y^3, of degree 3, so y^3 lies in
+    # the span of the quadrics; taken before that pair, it would be kept
+    R = R2(char=0)
+    sub = submodule(R, 1, (0,), [["x^2 - y^2"], ["x*y"], ["y^3"], ["x^3"]])
+    kept = sub.minimal_generators().gens
+    assert [g.to_strings(1) for g in kept] == [["x*y"], ["x^2 - y^2"]]
+    assert [g.terms for g in kept] == [g.terms for g in reference_keep_loop(sub)]
+
+
+def test_minimal_generators_refuse_inhomogeneous_input():
+    R = R2()
+    loose = Submodule(R, 1, (0,), [parse_vec(R, ["x^2 + y"])], check=False)
+    with pytest.raises(ContractViolation):
+        loose.minimal_generators()
+    graded = submodule(R, 1, (0,), [["x^2"]])
+    with pytest.raises(ContractViolation):
+        graded.minimal_generators(modulo=[parse_vec(R, ["x + y^2"])])
 
 
 def test_package_attribute_is_the_submodule_module():
