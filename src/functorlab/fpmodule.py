@@ -4,8 +4,8 @@ An FPModule is U/W for submodules W <= U of a twisted free module; every
 module the engine touches (kernels, cokernels, homology, Hom/Ext/Tor values,
 graded strands) is carried in this shape. The relation span is required to
 lie inside the generator span at construction, so U/W is meaningful on the
-nose; constructors that naturally produce an exterior W (images, homology)
-augment the generators first, which changes nothing up to canonical
+nose; FPModule.subquotient, for a W that may stick out of U, augments
+the generators first, which changes nothing up to canonical
 isomorphism. A module carries no term order of its own: its generator and
 relation spans are Submodules, which all use GREVLEX.
 
@@ -18,13 +18,15 @@ resolutions prune to minimal generators at every stage, which over a
 graded-local base makes the differentials unit-free, so Betti numbers are
 literal ranks.
 
-This module is also the one home of block modules. Hom, Ext, Tor and the
-functor normal form all put b copies of a module X into one free module
-X^b, block i holding component c of X at index i*width + c (width = rank of
-X's ambient), and let a Poly matrix act on the copies: block_module builds
-X^b, block_map is the matrix as a map on generator coefficients,
-push_through applies it to ambient vectors, and block_kernel reads the
-preimage of a submodule off one LiftSolver.
+This module is also the one home of block modules and of maps. A map is
+a Poly matrix, column-major with one column per source generator. Hom,
+Ext, Tor and the functor normal form all put b copies of a module X into
+one free module X^b, block i holding component c of X at index
+i*width + c (width = rank of X's ambient), and let a matrix act on the
+copies: block_module builds X^b, push_through applies Hom(f, X):
+X^b -> X^a for a matrix f: R^a -> R^b to ambient vectors (f (x) X is
+Hom of the transpose), and block_kernel reads the preimage of a
+submodule off one LiftSolver.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .hilbert import (
     numer_add,
     series_window,
 )
-from .poly import Poly, Vec
+from .poly import Vec
 from .submodule import Submodule
 
 
@@ -163,10 +165,6 @@ class FPModule:
                 acc = acc + g.mul_poly(c)
         return acc
 
-    def annihilates(self, v):
-        """True when v is zero in the module (lies in the relation span)."""
-        return self._rels_sub.contains(v)
-
     # -- presentations -------------------------------------------------------
 
     def presentation(self):
@@ -219,91 +217,7 @@ class Presentation:
         return tuple(col.degree(self.gen_twists) for col in self.columns)
 
 
-class ModuleMap:
-    """Homogeneous map of FPModules, stored column-major on generators.
-
-    columns[j][i] is the coefficient of target generator i in the image of
-    source generator j; shift is the uniform degree the map adds.
-    """
-
-    __slots__ = ("source", "target", "columns", "shift")
-
-    def __init__(self, source, target, columns, shift=0, check=True):
-        self.source = source
-        self.target = target
-        self.columns = tuple(tuple(row) for row in columns)
-        self.shift = shift
-        if check:
-            sdeg = source.gen_degrees()
-            tdeg = target.gen_degrees()
-            if len(self.columns) != len(source.gens):
-                raise ContractViolation("need one column per source generator")
-            for j, col in enumerate(self.columns):
-                if len(col) != len(target.gens):
-                    raise ContractViolation("column %d has wrong height" % j)
-                for i, entry in enumerate(col):
-                    if entry and entry.degree() != sdeg[j] + shift - tdeg[i]:
-                        raise ContractViolation(
-                            "entry (%d,%d) is not homogeneous of the right degree" % (i, j)
-                        )
-
-    @classmethod
-    def zero_map(cls, source, target):
-        zero = Poly.zero(source.ring)
-        cols = [[zero for _ in target.gens] for _ in source.gens]
-        return cls(source, target, cols, check=False)
-
-    def image_vec(self, j):
-        acc = Vec.zero(self.target.ring)
-        for i, entry in enumerate(self.columns[j]):
-            if entry:
-                acc = acc + self.target.gens[i].mul_poly(entry)
-        return acc
-
-    def image_vecs(self):
-        return [self.image_vec(j) for j in range(len(self.columns))]
-
-    def apply_coeffs(self, coeffs):
-        out = [Poly.zero(self.target.ring) for _ in self.target.gens]
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            for i, entry in enumerate(self.columns[j]):
-                if entry:
-                    out[i] = out[i] + entry * c
-        return out
-
-    def compose(self, inner):
-        """self o inner (inner feeds into self)."""
-        if inner.target is not self.source and inner.target.gens != self.source.gens:
-            raise ContractViolation("composition targets do not line up")
-        cols = [self.apply_coeffs(col) for col in inner.columns]
-        return ModuleMap(
-            inner.source, self.target, cols, shift=self.shift + inner.shift, check=False
-        )
-
-    def is_zero_map(self):
-        return all(self.target.annihilates(self.image_vec(j)) for j in range(len(self.columns)))
-
-
-# -- exactness toolkit ---------------------------------------------------------
-
-
-def kernel(f):
-    """ker f as a subquotient of f's source."""
-    tgt = f.target
-    solver = LiftSolver(tgt.ring, tgt.rank, tgt.twists, f.image_vecs(), list(tgt.rels))
-    src = f.source
-    gens = [src.element(k.components(len(src.gens))) for k in solver.kernel_vectors()]
-    return FPModule(src.ring, src.rank, src.twists, [v for v in gens if v], src.rels)
-
-
-def cokernel(f):
-    tgt = f.target
-    vecs = [v for v in f.image_vecs() if v]
-    return FPModule(
-        tgt.ring, tgt.rank, tgt.twists, tgt.gens, list(tgt.rels) + vecs, check=False
-    )
+# -- quotients -----------------------------------------------------------------
 
 
 def quotient_by(module, sub_vectors):
@@ -322,43 +236,21 @@ def quotient_by(module, sub_vectors):
     )
 
 
-def homology(f, g):
-    """ker(g)/im(f) for composable f: A -> B, g: B -> C with g o f = 0."""
-    if g is None:
-        return cokernel(f)
-    if f is None:
-        return kernel(g)
-    composite = g.compose(f)
-    if not composite.is_zero_map():
-        raise ContractViolation("maps do not compose to zero")
-    ker_mod = kernel(g)
-    imgs = [v for v in f.image_vecs() if v]
-    b = f.target
-    return FPModule(
-        b.ring,
-        b.rank,
-        b.twists,
-        ker_mod.gens,
-        list(b.rels) + imgs,
-        check=True,
-    )
-
-
 # -- graded complexes and resolutions ----------------------------------------
 
 
 class GradedComplex:
-    """Chain of FPModules with differentials maps[k]: modules[k+1] -> modules[k]."""
+    """Chain of free modules with differentials maps[k]: modules[k+1] -> modules[k].
 
-    def __init__(self, modules, maps, exhausted=True, check=True):
+    maps[k] is a Poly matrix, column-major: one column per generator of
+    modules[k+1], holding its image's coefficients over modules[k]'s
+    generators.
+    """
+
+    def __init__(self, modules, maps, exhausted=True):
         self.modules = list(modules)
         self.maps = list(maps)
         self.exhausted = exhausted
-        if check:
-            for k in range(len(self.maps) - 1):
-                comp = self.maps[k].compose(self.maps[k + 1])
-                if not comp.is_zero_map():
-                    raise ContractViolation("differentials at %d do not square to zero" % k)
 
     def ranks(self):
         return [len(m.gens) for m in self.modules]
@@ -387,15 +279,13 @@ def free_resolution(module, length_cap):
         if not columns:
             break
         col_twists = tuple(c.degree(twists) for c in columns)
-        nxt = FPModule.free(ring, col_twists)
-        mat = [list(c.components(len(twists))) for c in columns]
-        maps.append(ModuleMap(nxt, modules[-1], mat, check=False))
-        modules.append(nxt)
+        maps.append(tuple(tuple(c.components(len(twists))) for c in columns))
+        modules.append(FPModule.free(ring, col_twists))
         kern = Submodule(ring, len(twists), twists, columns, check=False).syzygies()
         columns = list(kern.minimal_generators().gens)
         twists = col_twists
         exhausted = not columns
-    return GradedComplex(modules, maps, exhausted=exhausted, check=False)
+    return GradedComplex(modules, maps, exhausted=exhausted)
 
 
 # -- Hom / Ext / Tor -----------------------------------------------------------
@@ -412,49 +302,28 @@ def block_module(x, block_twists):
     return FPModule(x.ring, len(offsets) * x.rank, twists, gens, rels, check=False)
 
 
-def block_map(psi_columns, x, src, tgt, tgt_blocks):
-    """The map X^a -> X^b induced by a Poly matrix psi: R^a -> R^b.
-
-    psi_columns[j][i] sends source block j to target block i; src and tgt
-    must be block modules over x (sharing them between maps keeps
-    compositions well-typed).
-    """
-    zero = Poly.zero(x.ring)
-    gcount = len(x.gens)
-    cols = []
-    for j in range(len(psi_columns)):
-        for g in range(gcount):
-            col = [zero] * (tgt_blocks * gcount)
-            for i in range(tgt_blocks):
-                entry = psi_columns[j][i]
-                if entry:
-                    col[i * gcount + g] = entry
-            cols.append(col)
-    return ModuleMap(src, tgt, cols, check=False)
-
-
 def push_through(u, columns, width):
     """The ambient vector u of X^a pushed into X^b along a Poly matrix.
 
-    columns[j][i] multiplies block i of u into block j of the result (the
-    transpose of block_map's convention), so a presentation matrix (one
-    column per relation) sends Hom blocks over the generators to blocks
-    over the relations.
+    columns[j][i] multiplies block i of u into block j of the result: this
+    is Hom(f, X) for the map f with columns columns. So a presentation
+    matrix (one column per relation) sends Hom blocks over the generators
+    to blocks over the relations.
     """
     ring = u.ring
-    nblocks = len(columns[0]) if columns else 0
-    parts = [dict() for _ in range(nblocks)]
+    parts = {}
     for (row, mono), cf in u.terms.items():
         i, r = divmod(row, width)
-        parts[i][(r, mono)] = cf
-    slices = [Vec(ring, d) for d in parts]
+        parts.setdefault(i, {})[(r, mono)] = cf
+    slices = [(i, Vec(ring, d)) for i, d in sorted(parts.items())]
     acc = {}
     for j, col in enumerate(columns):
         off = j * width
-        for i, entry in enumerate(col):
-            if not entry or not slices[i]:
+        for i, piece in slices:
+            entry = col[i]
+            if not entry:
                 continue
-            for (r, mono), cf in slices[i].mul_poly(entry).terms.items():
+            for (r, mono), cf in piece.mul_poly(entry).terms.items():
                 key = (r + off, mono)
                 prev = acc.get(key)
                 val = ring.add(prev, cf) if prev is not None else cf
@@ -470,12 +339,13 @@ def block_kernel(columns, src, tgt, width, modulo):
 
     src and tgt are the block modules X^a and X^b the matrix joins; with
     modulo = tgt.rels this is the kernel of X^a -> X^b, i.e. Hom(coker, X)
-    when columns present a module.
+    when columns present a module. The solver runs over the pushed
+    generators of src, so each kernel vector is a combination of them.
     """
-    ring = src.ring
-    targets = [push_through(Vec.unit(ring, idx), columns, width) for idx in range(src.rank)]
-    solver = LiftSolver(ring, tgt.rank, tgt.twists, targets, [v for v in modulo if v])
-    return [v for v in solver.kernel_vectors() if v]
+    targets = [push_through(g, columns, width) for g in src.gens]
+    solver = LiftSolver(src.ring, tgt.rank, tgt.twists, targets, [v for v in modulo if v])
+    kept = (src.element(k.components(len(targets))) for k in solver.kernel_vectors())
+    return [v for v in kept if v]
 
 
 def transpose_columns(columns, height):
@@ -488,7 +358,10 @@ def hom_ext_tor(module, x, i, which, resolution=None):
     """H^i(Hom(F_., X)), H_i(F_. (x) X), or Hom(M, X) for i = 0 / which='Hom'.
 
     F_. is free_resolution(module, i + 1), or resolution when given, which
-    must reach stage i + 1 unless it is exhausted.
+    must reach stage i + 1 unless it is exhausted. The value at stage i is
+    the kernel of the outgoing push modulo the image of the incoming one;
+    building it with check=True refuses a resolution whose differentials
+    do not compose to zero.
     """
     which = which.lower()
     if which not in ("hom", "ext", "tor"):
@@ -518,20 +391,26 @@ def hom_ext_tor(module, x, i, which, resolution=None):
         if 0 <= k < len(twist)
     }
 
-    def differential(k):
-        """d_k (x) X: X^(r_k) -> X^(r_(k-1)), or Hom(d_k, X) the other way."""
-        if k not in stages or k - 1 not in stages:
+    def matrix(src, dst):
+        """The push from stage src to stage dst along the d joining them:
+        d's own matrix for Ext (Hom(d, X)), its transpose for Tor (d (x) X)."""
+        if src not in stages or dst not in stages:
             return None
-        cols = res.maps[k - 1].columns
-        if which == "ext":
-            dual = transpose_columns(cols, ranks[k - 1])
-            return block_map(dual, x, stages[k - 1], stages[k], ranks[k])
-        return block_map(cols, x, stages[k], stages[k - 1], ranks[k - 1])
+        k = max(src, dst)
+        cols = res.maps[k - 1]
+        return cols if which == "ext" else transpose_columns(cols, ranks[k - 1])
 
     # Ext: X^(r_(i-1)) -> X^(r_i) -> X^(r_(i+1)); Tor runs the other way
-    into, out = differential(i), differential(i + 1)
-    if which == "tor":
-        into, out = out, into
+    prev, nxt = (i - 1, i + 1) if which == "ext" else (i + 1, i - 1)
+    into, out = matrix(prev, i), matrix(i, nxt)
+    here = stages[i]
     if into is None and out is None:
-        return stages[i]
-    return homology(into, out)
+        return here
+    rels = list(here.rels)
+    if into is not None:
+        pushed = (push_through(g, into, x.rank) for g in stages[prev].gens)
+        rels.extend(v for v in pushed if v)
+    if out is None:
+        return FPModule(x.ring, here.rank, here.twists, here.gens, rels, check=False)
+    gens = block_kernel(out, here, stages[nxt], x.rank, stages[nxt].rels)
+    return FPModule(x.ring, here.rank, here.twists, gens, rels, check=True)

@@ -18,16 +18,12 @@ every input; the lab treats a mismatch as a hard failure.
 from .errors import ConfigurationError, ContractViolation
 from .fpmodule import (
     FPModule,
-    ModuleMap,
     block_kernel,
-    block_map,
     block_module,
     free_resolution,
-    kernel,
     push_through,
     transpose_columns,
 )
-from .groebner import LiftSolver
 from .poly import Poly, Vec
 
 
@@ -35,13 +31,20 @@ BUILDER_NAMES = ("hom", "tensor", "tor", "ext", "compose")
 
 
 class CoherentFunctor:
-    """coker(h_L -> h_K) for a homogeneous map f: K -> L."""
+    """coker(h_L -> h_K) for a homogeneous map f: K -> L.
+
+    f is a Poly matrix, column-major: column j holds the coefficients of
+    the image of K's generator j over L's generators.
+    """
 
     __slots__ = ("k", "l", "f", "label", "_diagram")
 
     def __init__(self, k, l, f, label=""):
-        if f.source is not k or f.target is not l:
-            raise ContractViolation("presentation map must run K -> L")
+        if len(f) != len(k.gens) or any(len(col) != len(l.gens) for col in f):
+            raise ContractViolation(
+                "presentation map needs one column per K generator, "
+                "each as long as L's generator list"
+            )
         self.k = k
         self.l = l
         self.f = f
@@ -58,20 +61,18 @@ class CoherentFunctor:
 
 
 class LiftedDiagram:
-    """Free presentations of K and L with f lifted to both levels.
+    """Free presentations of K and L with f lifted to their generators.
 
     alpha is the matrix of f on presentation generators (one column per
-    K-generator, entries over L-generators); beta lifts it to the relation
-    level so that the presentation square commutes.
+    K-generator, entries over L-generators).
     """
 
-    __slots__ = ("pres_k", "pres_l", "alpha", "beta")
+    __slots__ = ("pres_k", "pres_l", "alpha")
 
-    def __init__(self, pres_k, pres_l, alpha, beta):
+    def __init__(self, pres_k, pres_l, alpha):
         self.pres_k = pres_k
         self.pres_l = pres_l
         self.alpha = alpha
-        self.beta = beta
 
 
 # -- builders -------------------------------------------------------------------
@@ -80,7 +81,7 @@ class LiftedDiagram:
 def functor_from_hom(m, label=""):
     """Hom(M, -) as the coherent functor with K = M, L = 0."""
     zero = FPModule.zero(m.ring)
-    return CoherentFunctor(m, zero, ModuleMap.zero_map(m, zero), label or "Hom(M,-)")
+    return CoherentFunctor(m, zero, [()] * len(m.gens), label or "Hom(M,-)")
 
 
 def functor_from_tensor(m, label=""):
@@ -94,7 +95,7 @@ def functor_from_tensor(m, label=""):
     pres = m.presentation()
     k = FPModule.free(ring, tuple(-t for t in pres.gen_twists))
     l = FPModule.free(ring, tuple(-s for s in pres.column_twists()))
-    f = ModuleMap(k, l, transpose_columns(pres.matrix(), len(pres.gens)), check=False)
+    f = transpose_columns(pres.matrix(), len(pres.gens))
     return CoherentFunctor(k, l, f, label or "M(x)-")
 
 
@@ -107,11 +108,10 @@ def functor_from_ext(m, i, label=""):
     twist = res.twist_table()
     if i >= len(twist):
         return _zero_functor(ring, label or "Ext^%d(M,-)" % i)
-    rels = res.maps[i].image_vecs() if i < len(res.maps) else []
+    rels = [Vec.from_polys(col) for col in res.maps[i]] if i < len(res.maps) else []
     k = FPModule(ring, len(twist[i]), twist[i], _units(ring, len(twist[i])), rels, check=False)
     l = FPModule.free(ring, twist[i - 1])
-    f = ModuleMap(k, l, res.maps[i - 1].columns, check=False)
-    return CoherentFunctor(k, l, f, label or "Ext^%d(M,-)" % i)
+    return CoherentFunctor(k, l, res.maps[i - 1], label or "Ext^%d(M,-)" % i)
 
 
 def functor_from_tor(m, i, label=""):
@@ -130,22 +130,20 @@ def functor_from_tor(m, i, label=""):
     if i >= len(twist):
         return _zero_functor(ring, label or "Tor_%d(M,-)" % i)
     k_twists = tuple(-t for t in twist[i])
-    rel_cols = transpose_columns(res.maps[i - 1].columns, ranks[i - 1])
+    rel_cols = transpose_columns(res.maps[i - 1], ranks[i - 1])
     rels = [Vec.from_polys(col) for col in rel_cols if any(col)]
     k = FPModule(ring, ranks[i], k_twists, _units(ring, ranks[i]), rels, check=False)
     if i < len(res.maps):
         l = FPModule.free(ring, tuple(-t for t in twist[i + 1]))
-        f = ModuleMap(k, l, transpose_columns(res.maps[i].columns, ranks[i]), check=False)
+        f = transpose_columns(res.maps[i], ranks[i])
     else:
         l = FPModule.zero(ring)
-        f = ModuleMap.zero_map(k, l)
+        f = [()] * ranks[i]
     return CoherentFunctor(k, l, f, label or "Tor_%d(M,-)" % i)
 
 
 def _zero_functor(ring, label):
-    z1 = FPModule.zero(ring)
-    z2 = FPModule.zero(ring)
-    return CoherentFunctor(z1, z2, ModuleMap.zero_map(z1, z2), label)
+    return CoherentFunctor(FPModule.zero(ring), FPModule.zero(ring), [], label)
 
 
 def _units(ring, n):
@@ -183,8 +181,8 @@ def _hom_module(m, x):
     if not pres.columns:
         return amb
     tgt = block_module(x, [-s for s in pres.column_twists()])
-    dual = transpose_columns(pres.matrix(), len(pres.gens))
-    return kernel(block_map(dual, x, amb, tgt, len(pres.columns)))
+    gens = block_kernel(pres.matrix(), amb, tgt, x.rank, tgt.rels)
+    return FPModule(amb.ring, amb.rank, amb.twists, gens, amb.rels)
 
 
 # -- evaluation: lifted-diagram route ---------------------------------------------
@@ -196,7 +194,7 @@ def _lift_diagram(functor):
     lookup = {id(g): j for j, g in enumerate(functor.k.gens)}
     alpha = []
     for g in pres_k.gens:
-        img = functor.f.image_vec(lookup[id(g)])
+        img = functor.l.element(functor.f[lookup[id(g)]])
         if not img:
             alpha.append([Poly.zero(functor.l.ring) for _ in pres_l.gens])
             continue
@@ -204,37 +202,7 @@ def _lift_diagram(functor):
         if coeffs is None:
             raise ContractViolation("map image is not expressible in the presentation")
         alpha.append(coeffs)
-    beta = []
-    if pres_k.columns:
-        gl = len(pres_l.gens)
-        solver = None
-        for ck in pres_k.columns:
-            pushed = _apply_matrix(alpha, ck, len(pres_k.gens), functor.l.ring)
-            if not pushed:
-                beta.append([Poly.zero(functor.l.ring) for _ in pres_l.columns])
-                continue
-            if solver is None:
-                # zero targets still absorb base-ring relations: lift stays exact
-                solver = LiftSolver(
-                    functor.l.ring, gl, pres_l.gen_twists, list(pres_l.columns)
-                )
-            coeffs = solver.lift(pushed)
-            if coeffs is None:
-                raise ContractViolation("presentation square does not commute")
-            beta.append(coeffs)
-    return LiftedDiagram(pres_k, pres_l, alpha, beta)
-
-
-def _apply_matrix(alpha, coeff_vec, src_rank, ring):
-    comps = coeff_vec.components(src_rank)
-    out = Vec.zero(ring)
-    for j, c in enumerate(comps):
-        if not c:
-            continue
-        for i, entry in enumerate(alpha[j]):
-            if entry:
-                out = out + Vec.from_poly(entry * c, i)
-    return out
+    return LiftedDiagram(pres_k, pres_l, alpha)
 
 
 def evaluate_via_diagram(functor, x):

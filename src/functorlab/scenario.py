@@ -339,6 +339,15 @@ def _check_point(name, key, value, box, nonnegative):
             "nonnegative " if nonnegative else ""))
 
 
+def _check_grade_ideal(name, ideal_name, ideals):
+    """grade is measured against a declared ideal, named by the task."""
+    if ideal_name is None:
+        _fail("tasks", "grade in task %r needs an ideal" % name)
+    if not isinstance(ideal_name, str) or ideal_name not in ideals:
+        _fail("tasks", "unknown ideal %r for grade in task %r (have: %s)"
+              % (ideal_name, name, ", ".join(sorted(ideals))))
+
+
 def _is_list_of(value, ok):
     return isinstance(value, list) and all(ok(v) for v in value)
 
@@ -356,8 +365,6 @@ def _build_tasks(block, ideals, submodules, box):
         obs = entry.get("observable")
         if obs is not None and obs not in OBSERVABLE_NAMES:
             _fail("tasks", "unknown observable %r in task %r" % (obs, name))
-        if name == "grade" and entry.get("ideal") not in ideals:
-            _fail("tasks", "grade task needs a named ideal")
         if name == "artin_rees" and entry.get("sub") not in submodules:
             _fail("tasks", "artin_rees task needs a named submodule")
         for key in ("degree_cap", "i_max", "window", "assert_degree", "assert_max_degree"):
@@ -374,6 +381,8 @@ def _build_tasks(block, ideals, submodules, box):
         ):
             _fail("tasks", "observables in task %r must be a list of %s"
                   % (name, ", ".join(OBSERVABLE_NAMES)))
+        if name == "grade" or obs == "grade" or "grade" in entry.get("observables", ()):
+            _check_grade_ideal(name, entry.get("ideal"), ideals)
         if "expect_ass" in entry and not _is_list_of(
             entry["expect_ass"], lambda p: _is_list_of(p, lambda g: isinstance(g, str))
         ):

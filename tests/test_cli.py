@@ -159,13 +159,19 @@ def _set(path, value):
     (_set(("tasks",), [{"task": "degree_bound", "assert_max_degree": "x"}]), "tasks block"),
     (_set(("tasks",), [{"task": "degree_bound", "assert_max_degree": 1.5}]), "tasks block"),
     (_set(("tasks",), [{"task": "degree_bound", "assert_max_degree": True}]), "tasks block"),
+    (_set(("tasks",), [{"task": "fit"},
+                       {"task": "stabilization", "observable": "grade", "ideal": "nope"}]),
+     "tasks block: unknown ideal 'nope'"),
+    (_set(("tasks",), [{"task": "component_track", "observables": ["grade"]}]),
+     "tasks block: grade in task 'component_track' needs an ideal"),
 ], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
         "inhomogeneous_ideal", "inhomogeneous_module", "box_lo_float", "box_hi_string",
         "box_shell_string", "assert_values_key", "assert_values_arity",
         "assert_values_value", "artin_rees_mode", "normal_form_mode",
         "observables_int", "observables_string", "expect_ass_int",
         "artin_rees_expect_int", "assert_onset_int", "assert_degree_string",
-        "assert_max_degree_string", "assert_max_degree_float", "assert_max_degree_bool"])
+        "assert_max_degree_string", "assert_max_degree_float", "assert_max_degree_bool",
+        "grade_observable_unknown_ideal", "grade_observables_missing_ideal"])
 def test_malformed_scenario_values_exit_two(tmp_path, capsys, mutate, block):
     doc = _artin_rees_doc()
     mutate(doc)
@@ -504,3 +510,44 @@ def test_list_builtins(capsys):
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert "usage:" in capsys.readouterr().out
+
+
+def _grade_doc(expect_value):
+    # grade((y), R/(x^n)) = 1 at every n: y is a nonzerodivisor on R/(x^n)
+    return {
+        "format": "scn/1",
+        "label": "grade",
+        "ring": {"variables": ["x", "y"]},
+        "ideals": {"x": ["x"], "j": ["y"]},
+        "modules": {"M": {"type": "free", "twists": [0]}},
+        "family": {"kind": "quotient", "module": "M", "ideals": ["x"]},
+        "box": {"lo": [1], "hi": [5], "shell": 2},
+        "tasks": [{"task": "grade", "ideal": "j", "oracle": True,
+                   "expect_value": expect_value}],
+        "output": {"stem": "grade"},
+    }
+
+
+def test_grade_task_with_oracle(tmp_path, capsys):
+    path = tmp_path / "grade.scn"
+    path.write_text(json.dumps(_grade_doc(1)))
+    code, out = _run(tmp_path, str(path))
+    assert code == 0
+    entry = json.loads((out / "grade.report.json").read_text())["tasks"][0]
+    assert entry["status"] == "PASS"
+    assert entry["ideal"] == "j"
+    assert entry["oracle"] == "checked"
+    assert entry["table"] == {str(n): 1 for n in range(1, 6)}
+    assert entry["verdict"]["stable"] is True
+    assert entry["verdict"]["value"] == 1
+
+
+def test_grade_task_wrong_expectation_exits_one(tmp_path, capsys):
+    path = tmp_path / "grade.scn"
+    path.write_text(json.dumps(_grade_doc(2)))
+    code, out = _run(tmp_path, str(path))
+    assert code == 1
+    entry = json.loads((out / "grade.report.json").read_text())["tasks"][0]
+    assert entry["status"] == "FAIL"
+    assert entry["oracle"] == "checked"
+    assert entry["failures"] == ["stable grade 1 != expected 2"]

@@ -1,10 +1,16 @@
-"""Subquotient modules, maps, resolutions, Hom/Ext/Tor.
+"""Subquotient modules, matrix maps, resolutions, Hom/Ext/Tor.
 
 Numeric oracles are worked out by hand on k[x,y] and frozen here:
 lengths of colon quotients, Koszul Betti numbers, socle dimensions.
+
+The oracle test at the end compares hom_ext_tor with the route it
+replaced (maps kept on generator coefficients, kernels and homology taken
+of those maps) on seeded random modules over several rings.
 """
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -12,16 +18,17 @@ from functorlab.errors import CapExceeded, ContractViolation
 from functorlab.fpmodule import (
     FPModule,
     GradedComplex,
-    ModuleMap,
+    block_kernel,
     block_module,
-    cokernel,
     free_resolution,
     hom_ext_tor,
-    homology,
-    kernel,
+    push_through,
     quotient_by,
+    transpose_columns,
 )
-from functorlab.poly import Poly, Vec, parse_poly, parse_vec
+from functorlab.groebner import LiftSolver
+from functorlab.oracles import monomials_of_degree
+from functorlab.poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
 from functorlab.rings import PolyRing
 from functorlab.submodule import Submodule
 
@@ -62,7 +69,7 @@ def test_relations_outside_generators_rejected():
     # the subquotient constructor adjoins instead
     m = FPModule.subquotient(R, 1, (0,), gens, rels)
     assert len(m.gens) == 2
-    assert m.annihilates(parse_vec(R, ["y^2"]))
+    assert m.rels_sub().contains(parse_vec(R, ["y^2"]))
     assert not m.is_zero()
 
 
@@ -95,65 +102,78 @@ def test_element_coefficients_round_trip():
     assert pres.coeffs_of(parse_vec(R, ["1"])) is None
 
 
-def image(f):
-    """im f as a subquotient of f's target."""
-    tgt = f.target
-    vecs = [v for v in f.image_vecs() if v]
-    return FPModule(
-        tgt.ring, tgt.rank, tgt.twists, vecs + list(tgt.rels), tgt.rels, check=False
-    )
+def compose_columns(outer, inner, ring):
+    """outer o inner for column matrices (inner feeds into outer)."""
+    out = []
+    for col in inner:
+        acc = [Poly.zero(ring) for _ in outer[0]] if outer else []
+        for c, ocol in zip(col, outer):
+            if c:
+                acc = [a + e * c for a, e in zip(acc, ocol)]
+        out.append(acc)
+    return out
 
 
 def test_kernel_image_cokernel_of_variable_map():
-    src = FPModule.free(R, (1, 1))
-    tgt = FPModule.free(R, (0,))
-    f = ModuleMap(src, tgt, [[p("x")], [p("y")]])
-    ker = kernel(f)
+    # u -> x*u_0 + y*u_1 from X^2 to X for X = R: one target block whose
+    # column holds one entry per source block
+    free = FPModule.free(R, (0,))
+    src = block_module(free, [1, 1])
+    tgt = block_module(free, [0])
+    cols = [[p("x"), p("y")]]
+    ker = FPModule(R, 2, src.twists, block_kernel(cols, src, tgt, 1, tgt.rels), [])
     assert len(ker.gens) == 1
     assert ker.gens[0].degree(src.twists) == 2
     assert ker.hilbert_function([2, 3, 4]) == [1, 2, 3]
-    assert cokernel(f).length() == 1
-    img = image(f)
+    images = [push_through(g, cols, 1) for g in src.gens]
+    assert quotient_by(tgt, images).length() == 1
+    img = FPModule(R, 1, (0,), images, [])
     assert img.hilbert_function([0, 1, 2]) == [0, 2, 3]
     assert img.length() == math.inf
 
 
-def is_well_defined(f):
-    """Presentation relations of the source land in the target relations."""
-    pres = f.source.presentation()
+def is_well_defined(f, source, target):
+    """The matrix f (one column of target-generator coefficients per source
+    generator) sends every presentation relation of source into target's
+    relations."""
+    pres = source.presentation()
     # presentation gens are a subset of source gens; map columns through it
-    lookup = {id(g): k for k, g in enumerate(f.source.gens)}
+    lookup = {id(g): k for k, g in enumerate(source.gens)}
     index = [lookup[id(g)] for g in pres.gens]
     for col in pres.matrix():
-        coeffs = [Poly.zero(f.source.ring) for _ in f.source.gens]
+        coeffs = [Poly.zero(source.ring) for _ in source.gens]
         for pos, c in enumerate(col):
             coeffs[index[pos]] = c
-        if not f.target.annihilates(f.target.element(f.apply_coeffs(coeffs))):
+        (image,) = compose_columns(f, [coeffs], source.ring)
+        if not target.rels_sub().contains(target.element(image)):
             return False
     return True
 
 
-def test_map_degree_discipline():
+def test_matrix_map_well_definedness():
     src = cyclic("x")
     tgt = cyclic("x^2")
-    with pytest.raises(ContractViolation):
-        ModuleMap(src, tgt, [[p("x")]], shift=0)
-    f = ModuleMap(src, tgt, [[p("x")]], shift=1)
-    assert is_well_defined(f)
+    assert is_well_defined([[p("x")]], src, tgt)
     # identity on generators is not well defined against the shorter relation
-    g = ModuleMap(tgt, FPModule.free(R, (0,)), [[p("1")]])
-    assert not is_well_defined(g)
+    assert not is_well_defined([[p("1")]], tgt, FPModule.free(R, (0,)))
 
 
 def test_well_defined_composition():
     a = cyclic("x")
     b = cyclic("x^2")
-    f = ModuleMap(a, b, [[p("x")]], shift=1)
-    g = ModuleMap(b, a, [[p("1")]])
-    gf = g.compose(f)
-    assert gf.shift == 1
+    f = [[p("x")]]
+    g = [[p("1")]]
+    assert is_well_defined(f, a, b) and is_well_defined(g, b, a)
+    gf = compose_columns(g, f, R)
+    assert is_well_defined(gf, a, a)
     # g o f is multiplication by x on R/(x), hence the zero map
-    assert gf.is_zero_map()
+    assert a.rels_sub().contains(a.element(gf[0]))
+    # Hom(-, X) reverses composition: pushing along g, then f, is pushing
+    # along g o f
+    for x in (FPModule.free(R, (0,)), b):
+        for u in block_module(x, [0]).gens:
+            twice = push_through(push_through(u, g, x.rank), f, x.rank)
+            assert twice == push_through(u, gf, x.rank)
 
 
 def test_free_resolution_betti_numbers():
@@ -164,7 +184,7 @@ def test_free_resolution_betti_numbers():
     assert res.twist_table() == [(0,), (2, 2, 2), (3, 3)]
     # minimal: no unit entries anywhere
     for k in range(len(res.maps)):
-        for col in res.maps[k].columns:
+        for col in res.maps[k]:
             for entry in col:
                 assert not (entry and entry.is_constant())
 
@@ -234,26 +254,36 @@ def test_resolution_cap_guard():
 
 
 def test_homology_requires_zero_composite():
-    free1 = FPModule.free(R, (0,))
-    f = ModuleMap(free1, free1, [[p("x")]], shift=1)
-    g = ModuleMap(free1, free1, [[p("x")]], shift=1)
-    with pytest.raises(ContractViolation):
-        homology(f, g)
+    # R(-2) --x--> R(-1) --x--> R is not a complex: the image of the first
+    # map does not lie in the kernel of the second
+    x = p("x")
+    res = GradedComplex(
+        [FPModule.free(R, (t,)) for t in (0, 1, 2)], [((x,),), ((x,),)]
+    )
+    for which in ("Ext", "Tor"):
+        with pytest.raises(ContractViolation):
+            hom_ext_tor(cyclic("x"), FPModule.free(R, (0,)), 1, which, resolution=res)
 
 
 def test_homology_of_truncated_koszul():
-    # R(-2) --(-y, x)--> R(-1)^2 --(x, y)--> R
+    # R(-2) --(-y, x)--> R(-1)^2 --(x, y)--> R, the resolution of k
     f0 = FPModule.free(R, (0,))
     f1 = FPModule.free(R, (1, 1))
     f2 = FPModule.free(R, (2,))
-    d1 = ModuleMap(f1, f0, [[p("x")], [p("y")]])
-    d2 = ModuleMap(f2, f1, [[p("0") - p("y"), p("x")]])
-    GradedComplex([f0, f1, f2], [d1, d2])  # composite checked on construction
-    middle = homology(d2, d1)
-    assert middle.is_zero()
-    top = kernel(d2)
-    assert top.is_zero()
-    assert cokernel(d1).length() == 1
+    d1 = ((p("x"),), (p("y"),))
+    d2 = ((p("0") - p("y"), p("x")),)
+    res = GradedComplex([f0, f1, f2], [d1, d2])
+    k_mod = cyclic("x", "y")
+    # H_i(F (x) R): coker d1 = k, the middle is exact, ker d2 = 0
+    tor = [hom_ext_tor(k_mod, f0, i, "Tor", resolution=res) for i in range(3)]
+    assert tor[0].length() == 1
+    assert tor[1].is_zero()
+    assert tor[2].is_zero()
+    # H^i(Hom(F, R)): Ext^i(k, R) is k(2) at i = 2 and zero below
+    ext = [hom_ext_tor(k_mod, f0, i, "Ext", resolution=res) for i in range(3)]
+    assert ext[0].is_zero() and ext[1].is_zero()
+    assert ext[2].length() == 1
+    assert ext[2].hilbert_function([-2, -1]) == [1, 0]
 
 
 def test_quotient_by_membership_guard():
@@ -284,3 +314,140 @@ def test_block_module_shape():
     assert b.twists == (0, 1)
     assert b.length() == 6
     assert b.hilbert_function([0, 1, 2, 3]) == [1, 3, 2, 0]
+
+
+# -- oracle: the generator-coefficient route hom_ext_tor replaced -----------------
+
+
+def reference_block_map(psi_columns, x, tgt_blocks):
+    """Columns of X^a -> X^b on generator coefficients: psi_columns[j][i]
+    sends source block j to target block i."""
+    zero = Poly.zero(x.ring)
+    gcount = len(x.gens)
+    cols = []
+    for j in range(len(psi_columns)):
+        for g in range(gcount):
+            col = [zero] * (tgt_blocks * gcount)
+            for i in range(tgt_blocks):
+                entry = psi_columns[j][i]
+                if entry:
+                    col[i * gcount + g] = entry
+            cols.append(col)
+    return cols
+
+
+def reference_kernel(src, tgt, cols):
+    """ker of src -> tgt as a subquotient of src."""
+    images = [tgt.element(col) for col in cols]
+    solver = LiftSolver(tgt.ring, tgt.rank, tgt.twists, images, list(tgt.rels))
+    gens = [src.element(k.components(len(src.gens))) for k in solver.kernel_vectors()]
+    return FPModule(src.ring, src.rank, src.twists, [v for v in gens if v], src.rels)
+
+
+def reference_homology(a, b, c, f, g):
+    """ker(g)/im(f) for column maps f: a -> b and g: b -> c with g o f = 0."""
+    imgs = [] if f is None else [v for v in (b.element(col) for col in f) if v]
+    if g is None:
+        return FPModule(b.ring, b.rank, b.twists, b.gens, list(b.rels) + imgs, check=False)
+    if f is None:
+        return reference_kernel(b, c, g)
+    for col in compose_columns(g, f, b.ring):
+        if not c.rels_sub().contains(c.element(col)):
+            raise ContractViolation("maps do not compose to zero")
+    ker_mod = reference_kernel(b, c, g)
+    return FPModule(b.ring, b.rank, b.twists, ker_mod.gens, list(b.rels) + imgs, check=True)
+
+
+def reference_hom_ext_tor(module, x, i, which):
+    """hom_ext_tor with every differential a map on generator coefficients."""
+    res = free_resolution(module, i + 1)
+    ranks = res.ranks()
+    twist = res.twist_table()
+    if i >= len(twist) or not twist[i]:
+        return FPModule.zero(module.ring)
+    sign = -1 if which == "ext" else 1
+    stages = {
+        k: block_module(x, [sign * t for t in twist[k]])
+        for k in (i - 1, i, i + 1)
+        if 0 <= k < len(twist)
+    }
+
+    def differential(k):
+        """(source, target, columns) of d_k (x) X, or of Hom(d_k, X)."""
+        if k not in stages or k - 1 not in stages:
+            return None
+        cols = res.maps[k - 1]
+        if which == "ext":
+            dual = transpose_columns(cols, ranks[k - 1])
+            return k - 1, k, reference_block_map(dual, x, ranks[k])
+        return k, k - 1, reference_block_map(cols, x, ranks[k - 1])
+
+    into, out = differential(i), differential(i + 1)
+    if which == "tor":
+        into, out = out, into
+    if into is None and out is None:
+        return stages[i]
+    a = stages[into[0]] if into else None
+    c = stages[out[1]] if out else None
+    return reference_homology(
+        a, stages[i], c, into[2] if into else None, out[2] if out else None
+    )
+
+
+def _xyz(char=32003, relations=()):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    return quotient_ring(ring, list(relations)) if relations else ring
+
+
+ROUTE_RINGS = {
+    "gf": lambda: _xyz(),
+    "q": lambda: _xyz(char=0),
+    "weights_1_2": lambda: PolyRing(("x", "y"), weights=(1, 2)),
+    "quotient_xy_z2": lambda: _xyz(relations=["x*y - z^2"]),
+    "quotient_y2_xz": lambda: _xyz(relations=["y^2", "x*z"]),
+}
+
+
+def random_vec(rng, ring, twists, degree):
+    """A homogeneous vector of the given degree with one or two terms."""
+    out = Vec.zero(ring)
+    for _ in range(rng.randint(1, 2)):
+        c = rng.randrange(len(twists))
+        monos = monomials_of_degree(ring, degree - twists[c])
+        if monos:
+            coeff = ring.coeff(rng.choice((1, -1, 2)))
+            out = out + Vec.from_poly(Poly(ring, {rng.choice(monos): coeff}), c)
+    return out
+
+
+def random_subquotient(rng, ring, rank):
+    """U/W on rank components, relations one or two degrees above the generators."""
+    twists = tuple(rng.randint(0, 1) for _ in range(rank))
+    gens = [random_vec(rng, ring, twists, rng.randint(1, 2)) for _ in range(rank + 1)]
+    rels = [random_vec(rng, ring, twists, rng.randint(2, 3)) for _ in range(2)]
+    return FPModule.subquotient(ring, rank, twists, gens, rels)
+
+
+def route_corpus(ring, rng):
+    """A free, a cyclic and two subquotient modules (rank 1 and 2)."""
+    cyclic_rels = [random_vec(rng, ring, (0,), rng.randint(1, 2)) for _ in range(2)]
+    return [
+        FPModule.free(ring, (0,)),
+        FPModule(ring, 1, (0,), [Vec.unit(ring, 0)], cyclic_rels),
+        random_subquotient(rng, ring, 1),
+        random_subquotient(rng, ring, 2),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_RINGS))
+def test_hom_ext_tor_matches_coefficient_route(case):
+    ring = ROUTE_RINGS[case]()
+    for seed in range(2):
+        corpus = route_corpus(ring, random.Random("hom_ext_tor/%s/%d" % (case, seed)))
+        assert any(m.rank == 2 and m.rels and len(m.gens) > 1 for m in corpus)
+        for m, x, which, i in itertools.product(corpus, corpus, ("ext", "tor"), range(3)):
+            got = hom_ext_tor(m, x, i, which)
+            want = reference_hom_ext_tor(m, x, i, which)
+            assert (got.rank, got.twists) == (want.rank, want.twists)
+            assert got.gens == want.gens, (seed, m, x, which, i)
+            assert got.rels == want.rels, (seed, m, x, which, i)

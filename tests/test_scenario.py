@@ -82,6 +82,26 @@ def test_grade_task_requires_known_ideal():
         build_scenario(data)
 
 
+@pytest.mark.parametrize("task, named", [
+    ({"task": "stabilization", "observable": "grade", "ideal": "nope"}, "'nope'"),
+    ({"task": "stabilization", "observable": "grade", "ideal": ["m"]}, r"\['m'\]"),
+    ({"task": "component_track", "observables": ["lambda", "grade"]}, "needs an ideal"),
+    ({"task": "component_track", "observables": ["grade"], "ideal": "nope"}, "'nope'"),
+    ({"task": "grade"}, "needs an ideal"),
+], ids=["stabilization_unknown", "stabilization_list", "track_missing", "track_unknown",
+        "grade_missing"])
+def test_grade_observable_requires_known_ideal(task, named):
+    # refused while parsing, before any earlier task computes
+    data = _minimal(tasks=[{"task": "fit"}, task])
+    with pytest.raises(ConfigurationError, match="tasks block: .*%s" % named):
+        build_scenario(data)
+
+
+def test_grade_observable_with_known_ideal_parses():
+    task = {"task": "stabilization", "observable": "grade", "ideal": "m"}
+    assert build_scenario(_minimal(tasks=[task])).tasks == [task]
+
+
 @pytest.mark.parametrize("task", [
     {"task": "fit", "assert_degree": "x"},
     {"task": "fit", "assert_degree": -1},

@@ -9,7 +9,7 @@ import pytest
 
 from functorlab import cache, fpmodule, invariants, stability
 from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
-from functorlab.fpmodule import FPModule, ModuleMap
+from functorlab.fpmodule import FPModule
 from functorlab.functors import (
     CoherentFunctor,
     FunctorExpression,
@@ -247,7 +247,7 @@ def test_normal_form_with_non_free_l(ring):
     free = _free(ring)
     mod_x = FPModule.cyclic(ring, ("x",))
     one = Poly.constant(ring, ring.one)
-    functor = CoherentFunctor(free, mod_x, ModuleMap(free, mod_x, [[one]]))
+    functor = CoherentFunctor(free, mod_x, [[one]])
     box = GridBox((1,), (6,), shell=1)
     nf = normal_form(functor, free, [Vec.unit(ring, 0)], _mxy(ring), box)
     assert nf.c == (1,)
