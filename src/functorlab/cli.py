@@ -46,6 +46,17 @@ def _build_parser():
     return parser
 
 
+def _prepare_out_dir(path):
+    """Create the artifact directory before any task runs, so an unusable
+    --out is a usage error rather than a failure after the whole run."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError("--out %s is not a usable directory: %s" % (path, exc.strerror))
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigurationError("--out %s is not writable" % path)
+
+
 def _cmd_run(args):
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
@@ -58,6 +69,7 @@ def _cmd_run(args):
     if not os.path.exists(target):
         target = bundled_scenario_path(target)
     scn = load_scenario(target, char_override=args.char)
+    _prepare_out_dir(args.out)
     code, report, meta = run_scenario_object(scn, jobs=args.jobs)
     written = write_artifacts(report, meta, args.out, scn.output_stem)
     for path in written:

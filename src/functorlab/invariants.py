@@ -10,10 +10,16 @@ namely (0 :_M p) != 0 and the annihilator of (0 :_M p) is p on the nose.
 On a fine module every input is spanned by terms, so that colon and each
 test's colon_module, intersect and colon are exponent arithmetic on
 minimal monomials, with no lift solver.
-Otherwise, over a polynomial base, Ass M is read off Ext: a prime of height
-i is associated to M exactly when it is a minimal prime of ann Ext^i(M, R)
-(Eisenbud-Huneke-Vasconcelos, Thm 1.1, with codim Ext^i(M, R) >= i), so
-those primes are accepted as they are found. When no complete scheme
+Otherwise, over a polynomial base in n variables, Ass M is read off Ext: a
+prime of height i is associated to M exactly when it is a minimal prime of
+ann Ext^i(M, R) (Eisenbud-Huneke-Vasconcelos, Thm 1.1, with codim
+Ext^i(M, R) >= i), so those primes are accepted as they are found. Most of
+the ladder is read off Hilbert series. (0) is associated exactly when M has
+positive rank, i.e. dim M = n, so Hom(M, R) is never built. Ext^i(M, R)
+vanishes below codim M = grade(ann M) and past pd M, so only those stages
+are built. A stage with dim Ext^i(M, R) < n - i has codimension above i and
+holds no height-i prime; only a stage with dim = n - i takes the
+annihilator colon, and only such a stage can refuse. When no complete scheme
 applies the computation refuses with StrategyExhausted rather than return a
 possibly partial list.
 
@@ -111,18 +117,26 @@ def _monomial_minimal_primes(ideal_sub):
     return hits
 
 
-def _ext_support_candidates(module):
-    if module.ring.relations:
+def _ext_support_candidates(module, resolution=None):
+    ring = module.ring
+    if ring.relations:
         raise StrategyExhausted(
             "Ext-support candidates are only complete over a polynomial base"
         )
-    ring = module.ring
+    n, dim = ring.nvars, module.dim()
+    # (0) is associated exactly when M has positive rank
+    subsets = {frozenset()} if dim == n else set()
+    res = resolution
+    if res is None:
+        res = free_resolution(module, n + 1)
+    elif not res.exhausted and len(res.maps) < n + 1:
+        raise CapExceeded("supplied resolution is too short for stage %d" % (n + 1))
     free = FPModule.free(ring, (0,))
-    res = free_resolution(module, ring.nvars + 1)
-    subsets = set()
-    for i in range(ring.nvars + 1):
+    # Ext^i(M, R) vanishes below grade(ann M) = codim M and past pd M
+    for i in range(max(1, n - dim), min(n, len(res.maps)) + 1):
         e = hom_ext_tor(module, free, i, "Ext", resolution=res)
-        if e.is_zero():
+        # codim Ext^i(M, R) >= i, so a height-i prime needs dim = n - i
+        if e.is_zero() or e.dim() < n - i:
             continue
         mins = _monomial_minimal_primes(annihilator(e))
         if mins is None:
@@ -145,15 +159,19 @@ def is_associated(module, prime_ideal):
     return rels.colon(list(killed.gens)).equals(prime_ideal)
 
 
-def associated_primes(module):
-    """Ass(M) as a sorted list of prime ideals; exact or refuses."""
+def associated_primes(module, resolution=None):
+    """Ass(M) as a sorted list of prime ideals; exact or refuses.
+
+    resolution, when given, is free_resolution(module, L) with L >= n + 1
+    (or exhausted); only the Ext route over a polynomial base reads it.
+    """
     ring = module.ring
     if module.is_zero():
         return []
     if not spans_terms(module.gens + module.rels, ring):
         # a height-i minimal prime of ann Ext^i(M, R) is associated to
         # Ext^i(M, R) in codimension i, hence to M (EHV, Thm 1.1)
-        subsets = _ext_support_candidates(module)
+        subsets = _ext_support_candidates(module, resolution)
         return [_subset_ideal(ring, s) for s in subsets]
     support = _monomial_minimal_primes(annihilator(module))
     if support is None:

@@ -93,20 +93,9 @@ def _prime_key(sub):
 
 def _observe(module, observables, grade_ideal, i_max, grade_res=None):
     out = {}
-    if "lambda" in observables:
-        out["lambda"] = module.length()
-    if "ass" in observables:
-        try:
-            out["ass"] = sorted(_prime_key(p) for p in associated_primes(module))
-        except StrategyExhausted as exc:
-            out["ass"] = {"error": "strategy exhausted: %s" % exc}
-    if "grade" in observables:
-        if grade_ideal is None:
-            raise ConfigurationError("grade observable needs an ideal")
-        out["grade"] = grade(grade_ideal, module, resolution=grade_res)
     # one minimal resolution of the module serves every beta_i and pd and,
-    # over a polynomial base, every mu^i = beta_(n-i) and id; it is as long
-    # as its longest reader
+    # over a polynomial base, every mu^i = beta_(n-i), id and the Ext route
+    # of Ass; it is as long as its longest reader
     ring = module.ring
     cap = scan_cap(ring)
     stages = [i_max] if "betti" in observables else []
@@ -114,7 +103,21 @@ def _observe(module, observables, grade_ideal, i_max, grade_res=None):
         stages.append(cap + 1)
     if not ring.relations and ("bass" in observables or "id" in observables):
         stages.append(ring.nvars)
+    if stages and not ring.relations and "ass" in observables:
+        stages.append(ring.nvars + 1)
     res = free_resolution(module, max(stages)) if stages else None
+    if "lambda" in observables:
+        out["lambda"] = module.length()
+    if "ass" in observables:
+        try:
+            primes = associated_primes(module, resolution=res)
+            out["ass"] = sorted(_prime_key(p) for p in primes)
+        except StrategyExhausted as exc:
+            out["ass"] = {"error": "strategy exhausted: %s" % exc}
+    if "grade" in observables:
+        if grade_ideal is None:
+            raise ConfigurationError("grade observable needs an ideal")
+        out["grade"] = grade(grade_ideal, module, resolution=grade_res)
     counts = [i_max + 1] if "bass" in observables else []
     if "id" in observables:
         counts.append(cap + 2)

@@ -93,6 +93,23 @@ def test_missing_scenario_file_exits_two(tmp_path, capsys):
     assert "no bundled scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_unusable_out_exits_two_before_any_task(tmp_path, capsys, monkeypatch, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "file" else blocker / "reports"
+    ran = []
+    monkeypatch.setattr(cli, "run_scenario_object", lambda scn, jobs: ran.append(scn))
+    code = main(["run", "hilbert_samuel_xy", "--out", str(out), "--no-cache"])
+    assert code == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: --out ") and "\n" not in err
+    assert blocker.read_text() == ""
+
+
 def _artin_rees_doc(**task):
     return {
         "format": "scn/1",

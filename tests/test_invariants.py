@@ -8,7 +8,9 @@ The reference tests at the end compare the support-filtered Ass route with
 the exact test run on every variable-subset prime, and the Bass numbers read
 off the minimal resolution with the lengths of Ext^i(k, M), on seeded random
 fine and binomial modules over GF(32003), Q, weights (1,2,1) and the
-quotient bases k[x,y,z]/(xy) and k[x,y,z]/(x^2).
+quotient bases k[x,y,z]/(xy) and k[x,y,z]/(x^2). The Ext ladder, which
+builds only the stages that can hold an associated prime, is also compared
+with the ungated ladder that takes an annihilator at every stage.
 """
 
 import math
@@ -35,9 +37,10 @@ from functorlab.invariants import (
     projective_dimension,
     residue_field,
 )
+from functorlab.multigraded import graded_component, rees_module
 from functorlab.poly import parse_poly, parse_vec, quotient_ring
 from functorlab.rings import PolyRing
-from functorlab.submodule import ideal
+from functorlab.submodule import IdealFamily, ideal
 
 
 R = PolyRing(("x", "y"))
@@ -167,6 +170,26 @@ def all_subsets_ass(module):
     return [p for p in primes if is_associated(module, p)]
 
 
+def reference_ext_support(module):
+    """Ass off the ungated Ext ladder: Ext^i(M, R) and its annihilator at
+    every stage 0..n, refusing wherever that annihilator is not monomial."""
+    ring = module.ring
+    if ring.relations:
+        raise StrategyExhausted("Ext ladder needs a polynomial base")
+    free = FPModule.free(ring, (0,))
+    res = free_resolution(module, ring.nvars + 1)
+    subsets = set()
+    for i in range(ring.nvars + 1):
+        e = hom_ext_tor(module, free, i, "Ext", resolution=res)
+        if e.is_zero():
+            continue
+        mins = invariants._monomial_minimal_primes(annihilator(e))
+        if mins is None:
+            raise StrategyExhausted("Ext annihilator at stage %d is not monomial" % i)
+        subsets.update(s for s in mins if len(s) == i)
+    return [_subset_ideal(ring, s) for s in sorted(subsets, key=lambda s: (len(s), sorted(s)))]
+
+
 def ext_bass_reference(module, count):
     """mu^i as the length of Ext^i(k, M), one fresh resolution of k each."""
     k = residue_field(module.ring)
@@ -219,6 +242,26 @@ def random_binomial_module(rng, ring):
     return FPModule.from_cokernel(ring, (d2, d1), rels)
 
 
+def random_linear_form_module(rng, ring):
+    """Rank 2 cokernel with a relation m1*e1 - (a + b)*m2*e2 for variables
+    a, b of equal weight, and monomial relations: Ext annihilators that are
+    not monomial turn up at some stages."""
+    m1, m2 = _monomial(rng, ring, 1), _monomial(rng, ring, 1)
+    pairs = [
+        (a, b)
+        for a in range(ring.nvars)
+        for b in range(a + 1, ring.nvars)
+        if ring.weights[a] == ring.weights[b]
+    ]
+    a, b = rng.choice(pairs)
+    form = "(%s + %s)*%s" % (ring.names[a], ring.names[b], m2)
+    d1, d2 = (parse_poly(ring, f).degree() for f in (m1, form))
+    rels = [_vec(ring, 2, [(0, m1), (1, "-" + form)])]
+    for _ in range(rng.randint(0, 2)):
+        rels.append(_vec(ring, 2, [(rng.randint(0, 1), _monomial(rng, ring, 2))]))
+    return FPModule.from_cokernel(ring, (d2, d1), rels)
+
+
 def _ass_names(primes):
     return [names(p) for p in primes]
 
@@ -254,6 +297,58 @@ def test_ext_support_route_matches_all_subsets_on_binomial_modules(ring_name):
         assert _ass_names(got) == _ass_names(all_subsets_ass(m)), m
         answered += 1
     assert ring.relations or answered >= 3
+
+
+def _ass_or_refused(fn, module):
+    try:
+        return _ass_names(fn(module))
+    except StrategyExhausted:
+        return None
+
+
+@pytest.mark.parametrize("ring_name", sorted(REFERENCE_RINGS))
+def test_gated_ext_ladder_matches_ungated_reference(ring_name):
+    ring = REFERENCE_RINGS[ring_name]
+    rng = random.Random("gated-" + ring_name)
+    outcomes = {"both": 0, "gated only": 0, "neither": 0}
+    corpus = [random_binomial_module(rng, ring) for _ in range(10)]
+    corpus += [random_linear_form_module(rng, ring) for _ in range(30)]
+    for m in corpus:
+        if spans_terms(m.gens + m.rels, ring) or m.is_zero():
+            continue
+        got = _ass_or_refused(associated_primes, m)
+        ref = _ass_or_refused(reference_ext_support, m)
+        if ref is not None:
+            assert got == ref, m
+            outcomes["both"] += 1
+        elif got is not None:
+            # only stages that cannot hold a height-i prime refused in the
+            # reference, so Ass is still made of subset primes
+            assert got == _ass_names(all_subsets_ass(m)), m
+            outcomes["gated only"] += 1
+        else:
+            outcomes["neither"] += 1
+    if ring.relations:
+        assert outcomes["both"] == outcomes["gated only"] == 0, outcomes
+    else:
+        assert outcomes["both"] >= 5 and outcomes["gated only"] >= 1, outcomes
+
+
+def test_koszul_ideal_with_a_linear_form_is_torsion_free():
+    # (x, y + z) presented by its Koszul syzygy: Ext^1(M, R) = R/(x, y + z)
+    # has a non-monomial annihilator but codimension 2 > 1, so no stage that
+    # can hold an associated prime refuses; M is torsion-free, Ass = {(0)}
+    ring = REFERENCE_RINGS["gf"]
+    m = FPModule(
+        ring,
+        2,
+        (1, 1),
+        [parse_vec(ring, ["1", "0"]), parse_vec(ring, ["0", "1"])],
+        [parse_vec(ring, ["y + z", "-x"])],
+    )
+    with pytest.raises(StrategyExhausted):
+        reference_ext_support(m)
+    assert _ass_names(associated_primes(m)) == [()]
 
 
 @pytest.mark.parametrize("ring_name", sorted(REFERENCE_RINGS))
@@ -329,6 +424,40 @@ def test_ext_support_candidates_are_accepted_untested(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert _ass_names(all_subsets_ass(m)) == [(), ("x",), ("x", "y")]
+
+
+def test_rees_strands_take_no_ext_annihilator(monkeypatch):
+    # the strands m^n of R(m) over k[x,y] are not fine; rank 1 gives (0), and
+    # Ext^1 has finite length, so no stage needs a colon
+    mg = rees_module(IdealFamily([ideal(R, ["x", "y"])]), FPModule.free(R, (0,)))
+    colons = _count_calls(monkeypatch, invariants, "annihilator")
+    exts = _count_calls(monkeypatch, invariants, "hom_ext_tor")
+    for n in range(1, 7):
+        strand = graded_component(mg, (n,))
+        assert not spans_terms(strand.gens + strand.rels, R), n
+        before = len(exts)
+        assert _ass_names(associated_primes(strand)) == [()], n
+        assert len(exts) - before <= 1, n
+    assert colons == []
+
+
+def test_supplied_resolution_is_read_and_checked(monkeypatch):
+    m = FPModule.from_cokernel(
+        R, (1, 1, 0),
+        [
+            parse_vec(R, ["y", "-x", "0"]),
+            parse_vec(R, ["0", "0", "x^2"]),
+            parse_vec(R, ["0", "0", "x*y"]),
+        ],
+    )
+    res = free_resolution(m, 4)
+    resolved = _count_calls(monkeypatch, invariants, "free_resolution")
+    assert _ass_names(associated_primes(m, resolution=res)) == [(), ("x",), ("x", "y")]
+    assert resolved == []
+    short = free_resolution(m, 1)
+    assert not short.exhausted
+    with pytest.raises(CapExceeded):
+        associated_primes(m, resolution=short)
 
 
 def test_bass_number_over_a_quotient_base_reads_one_ext(monkeypatch):

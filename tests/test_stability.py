@@ -26,7 +26,7 @@ from functorlab.invariants import (
     projective_dimension,
 )
 from functorlab.rings import PolyRing
-from functorlab.poly import Poly, Vec, quotient_ring
+from functorlab.poly import Poly, Vec, parse_vec, quotient_ring
 from functorlab.stability import (
     FamilySpec,
     betti_bass_asymptotics,
@@ -361,6 +361,30 @@ def test_observe_resolves_each_module_once(monkeypatch, name, i_max):
         assert row["pd"] == row["id"] == "cap exceeded"
     if name == "zero":
         assert row["pd"] == row["id"] == float("-inf")
+
+
+def test_observe_shares_one_resolution_with_ass(monkeypatch):
+    # R(-1)^2 / (y*e1 - x*e2) + R/(x^2, x*y) is not fine, so Ass takes the
+    # Ext route; it reads the resolution pd is read from
+    R = PolyRing(("x", "y"))
+    module = FPModule.from_cokernel(
+        R, (1, 1, 0),
+        [parse_vec(R, v) for v in (["y", "-x", "0"], ["0", "0", "x^2"], ["0", "0", "x*y"])],
+    )
+    real = fpmodule.free_resolution
+    resolved = []
+
+    def counting(target, length_cap):
+        resolved.append(target)
+        return real(target, length_cap)
+
+    for owner in (fpmodule, invariants, stability):
+        monkeypatch.setattr(owner, "free_resolution", counting)
+    row = stability._observe(module, ("ass", "pd"), None, 2)
+    assert resolved == [module]
+    monkeypatch.undo()
+    assert row["ass"] == [(), ("x",), ("x", "y")]
+    assert row["pd"] == projective_dimension(module)
 
 
 def test_grade_grid_resolves_r_mod_j_once(monkeypatch):
