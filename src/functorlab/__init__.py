@@ -54,6 +54,7 @@ from .stability import (
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
+    degree_law,
     detect_stabilization,
     grade_asymptotics,
     grid_evaluate,
@@ -91,6 +92,7 @@ __all__ = [
     "bundled_scenarios",
     "component_track",
     "degree_bound_check",
+    "degree_law",
     "depth",
     "detect_stabilization",
     "evaluate",

@@ -14,7 +14,7 @@ import traceback
 from . import cache
 from .errors import ConfigurationError, ContractViolation
 from .functors import BUILDER_NAMES
-from .reports import write_artifacts
+from .reports import artifact_names, write_artifacts
 from .runner import ENGINE_VERSION, run_scenario_object
 from .scenario import TASK_NAMES, bundled_scenario_path, bundled_scenarios, load_scenario
 from .selftest import run_selftest
@@ -46,15 +46,22 @@ def _build_parser():
     return parser
 
 
-def _prepare_out_dir(path):
-    """Create the artifact directory before any task runs, so an unusable
-    --out is a usage error rather than a failure after the whole run."""
+def _prepare_out_dir(path, names):
+    """Create the artifact directory and check the artifact names before any
+    task runs, so an unusable --out is a usage error rather than a failure
+    after the whole run."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError("--out %s is not a usable directory: %s" % (path, exc.strerror))
     if not os.access(path, os.W_OK | os.X_OK):
         raise ConfigurationError("--out %s is not writable" % path)
+    for name in names:
+        target = os.path.join(path, name)
+        if os.path.lexists(target) and not os.path.isfile(target):
+            raise ConfigurationError(
+                "--out %s: artifact %s exists and is not a regular file" % (path, name)
+            )
 
 
 def _cmd_run(args):
@@ -69,7 +76,7 @@ def _cmd_run(args):
     if not os.path.exists(target):
         target = bundled_scenario_path(target)
     scn = load_scenario(target, char_override=args.char)
-    _prepare_out_dir(args.out)
+    _prepare_out_dir(args.out, artifact_names(scn.output_stem, scn.tasks))
     code, report, meta = run_scenario_object(scn, jobs=args.jobs)
     written = write_artifacts(report, meta, args.out, scn.output_stem)
     for path in written:

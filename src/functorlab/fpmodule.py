@@ -16,7 +16,11 @@ Presentation.coeffs_of writes a vector over the presentation generators
 without a second solve. Free
 resolutions prune to minimal generators at every stage, which over a
 graded-local base makes the differentials unit-free, so Betti numbers are
-literal ranks.
+literal ranks. A module keeps its resolution like its presentation and
+Hilbert numerator: FPModule.resolution(length) returns the one complex,
+grown in place from its kept syzygy columns when a longer one is asked for,
+so every reader (Hom/Ext/Tor, Betti and Bass numbers, pd, Ass) shares it
+and no stage is built twice.
 
 This module is also the one home of block modules and of maps. A map is
 a Poly matrix, column-major with one column per source generator. Hom,
@@ -31,7 +35,7 @@ submodule off one LiftSolver.
 
 from __future__ import annotations
 
-from .errors import CapExceeded, ContractViolation
+from .errors import ContractViolation
 from .groebner import LiftSolver
 from .hilbert import (
     krull_dim as numer_krull_dim,
@@ -55,6 +59,7 @@ class FPModule:
         "_rels_sub",
         "_numer",
         "_presentation",
+        "_resolution",
     )
 
     def __init__(self, ring, rank, twists, gens, rels, check=True):
@@ -71,6 +76,7 @@ class FPModule:
             raise ContractViolation("relations do not lie in the generator span")
         self._numer = None
         self._presentation = None
+        self._resolution = None
 
     # -- constructors ------------------------------------------------------
 
@@ -180,6 +186,14 @@ class FPModule:
         self._presentation = Presentation(tuple(pruned), gen_twists, columns.gens, solver)
         return self._presentation
 
+    def resolution(self, length):
+        """The module's minimal free resolution, at least length stages long
+        unless it ends sooner. The module keeps it: a longer request grows
+        the same complex, so the returned complex may be longer than asked."""
+        if self._resolution is None:
+            self._resolution = free_resolution(self, length)
+        return self._resolution.grow(length)
+
     def __repr__(self):
         return "FPModule(rank=%d, gens=%d, rels=%d)" % (
             self.rank,
@@ -244,13 +258,32 @@ class GradedComplex:
 
     maps[k] is a Poly matrix, column-major: one column per generator of
     modules[k+1], holding its image's coefficients over modules[k]'s
-    generators.
+    generators. pending holds the minimal generators of the kernel of the
+    last differential, the columns of the next one; the complex is exhausted
+    when there are none, and grow resumes from them.
     """
 
-    def __init__(self, modules, maps, exhausted=True):
+    def __init__(self, modules, maps, pending=()):
         self.modules = list(modules)
         self.maps = list(maps)
-        self.exhausted = exhausted
+        self.pending = list(pending)
+
+    @property
+    def exhausted(self):
+        return not self.pending
+
+    def grow(self, length):
+        """Extend to length differentials, or until the syzygies run out."""
+        while len(self.maps) < length and self.pending:
+            columns = self.pending
+            twists = self.modules[-1].twists
+            ring = self.modules[-1].ring
+            col_twists = tuple(c.degree(twists) for c in columns)
+            self.maps.append(tuple(tuple(c.components(len(twists))) for c in columns))
+            self.modules.append(FPModule.free(ring, col_twists))
+            kern = Submodule(ring, len(twists), twists, columns, check=False).syzygies()
+            self.pending = list(kern.minimal_generators().gens)
+        return self
 
     def ranks(self):
         return [len(m.gens) for m in self.modules]
@@ -268,24 +301,9 @@ def free_resolution(module, length_cap):
     """
     if length_cap < 0:
         raise ContractViolation("length_cap must be nonnegative")
-    ring = module.ring
     pres = module.presentation()
-    twists = pres.gen_twists
-    modules = [FPModule.free(ring, twists)]
-    maps = []
-    columns = list(pres.columns)
-    exhausted = not columns
-    for _stage in range(1, length_cap + 1):
-        if not columns:
-            break
-        col_twists = tuple(c.degree(twists) for c in columns)
-        maps.append(tuple(tuple(c.components(len(twists))) for c in columns))
-        modules.append(FPModule.free(ring, col_twists))
-        kern = Submodule(ring, len(twists), twists, columns, check=False).syzygies()
-        columns = list(kern.minimal_generators().gens)
-        twists = col_twists
-        exhausted = not columns
-    return GradedComplex(modules, maps, exhausted=exhausted)
+    stage0 = FPModule.free(module.ring, pres.gen_twists)
+    return GradedComplex([stage0], [], pres.columns).grow(length_cap)
 
 
 # -- Hom / Ext / Tor -----------------------------------------------------------
@@ -354,14 +372,13 @@ def transpose_columns(columns, height):
     return [[columns[j][i] for j in range(width)] for i in range(height)]
 
 
-def hom_ext_tor(module, x, i, which, resolution=None):
+def hom_ext_tor(module, x, i, which):
     """H^i(Hom(F_., X)), H_i(F_. (x) X), or Hom(M, X) for i = 0 / which='Hom'.
 
-    F_. is free_resolution(module, i + 1), or resolution when given, which
-    must reach stage i + 1 unless it is exhausted. The value at stage i is
-    the kernel of the outgoing push modulo the image of the incoming one;
-    building it with check=True refuses a resolution whose differentials
-    do not compose to zero.
+    F_. is module.resolution(i + 1). The value at stage i is the kernel of
+    the outgoing push modulo the image of the incoming one; building it with
+    check=True refuses a resolution whose differentials do not compose to
+    zero.
     """
     which = which.lower()
     if which not in ("hom", "ext", "tor"):
@@ -371,13 +388,7 @@ def hom_ext_tor(module, x, i, which, resolution=None):
         which = "ext"
     if i < 0:
         raise ContractViolation("homological index must be nonnegative")
-    need = i + 1
-    if resolution is not None:
-        if not resolution.exhausted and len(resolution.maps) < need:
-            raise CapExceeded("supplied resolution is too short for stage %d" % i)
-        res = resolution
-    else:
-        res = free_resolution(module, need)
+    res = module.resolution(i + 1)
     ranks = res.ranks()
     twist = res.twist_table()
     if i >= len(twist) or not twist[i]:

@@ -20,7 +20,6 @@ from .fpmodule import (
     FPModule,
     block_kernel,
     block_module,
-    free_resolution,
     push_through,
     transpose_columns,
 )
@@ -104,7 +103,7 @@ def functor_from_ext(m, i, label=""):
     if i < 1:
         raise ConfigurationError("ext builder needs i >= 1; use the hom builder for i = 0")
     ring = m.ring
-    res = free_resolution(m, i + 1)
+    res = m.resolution(i + 1)
     twist = res.twist_table()
     if i >= len(twist):
         return _zero_functor(ring, label or "Ext^%d(M,-)" % i)
@@ -124,7 +123,7 @@ def functor_from_tor(m, i, label=""):
     if i < 1:
         raise ConfigurationError("tor builder needs i >= 1; use the tensor builder for i = 0")
     ring = m.ring
-    res = free_resolution(m, i + 1)
+    res = m.resolution(i + 1)
     twist = res.twist_table()
     ranks = res.ranks()
     if i >= len(twist):

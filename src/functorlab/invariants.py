@@ -29,6 +29,11 @@ Betti numbers read backwards, mu^i = beta_(n-i), and vanish past n: one
 minimal resolution of M serves Betti numbers, Bass numbers, pd, id and
 depth. Over a quotient base mu^i is the length of Ext^i(k, M).
 
+No function here takes a resolution. Each asks the module for the one it
+keeps (FPModule.resolution), at the length it reads, so the Ext route of
+Ass, Betti and Bass numbers and pd of one module share one complex, grown
+as far as its longest reader needs.
+
 grade(J, M) is the first nonvanishing Ext^i(R/J, M). Bass numbers have no
 internal zeros between depth and the injective dimension, and Betti numbers
 none between 0 and the projective dimension, so both dimensions are certified
@@ -42,7 +47,7 @@ import math
 from itertools import combinations
 
 from .errors import CapExceeded, ContractViolation, StrategyExhausted
-from .fpmodule import FPModule, free_resolution, hom_ext_tor
+from .fpmodule import FPModule, hom_ext_tor
 from .groebner import base_relation_vectors, spans_terms
 from .poly import Poly, Vec
 from .submodule import Submodule, is_unit_ideal, unit_ideal
@@ -117,7 +122,7 @@ def _monomial_minimal_primes(ideal_sub):
     return hits
 
 
-def _ext_support_candidates(module, resolution=None):
+def _ext_support_candidates(module):
     ring = module.ring
     if ring.relations:
         raise StrategyExhausted(
@@ -126,15 +131,11 @@ def _ext_support_candidates(module, resolution=None):
     n, dim = ring.nvars, module.dim()
     # (0) is associated exactly when M has positive rank
     subsets = {frozenset()} if dim == n else set()
-    res = resolution
-    if res is None:
-        res = free_resolution(module, n + 1)
-    elif not res.exhausted and len(res.maps) < n + 1:
-        raise CapExceeded("supplied resolution is too short for stage %d" % (n + 1))
+    res = module.resolution(n + 1)
     free = FPModule.free(ring, (0,))
     # Ext^i(M, R) vanishes below grade(ann M) = codim M and past pd M
     for i in range(max(1, n - dim), min(n, len(res.maps)) + 1):
-        e = hom_ext_tor(module, free, i, "Ext", resolution=res)
+        e = hom_ext_tor(module, free, i, "Ext")
         # codim Ext^i(M, R) >= i, so a height-i prime needs dim = n - i
         if e.is_zero() or e.dim() < n - i:
             continue
@@ -159,19 +160,15 @@ def is_associated(module, prime_ideal):
     return rels.colon(list(killed.gens)).equals(prime_ideal)
 
 
-def associated_primes(module, resolution=None):
-    """Ass(M) as a sorted list of prime ideals; exact or refuses.
-
-    resolution, when given, is free_resolution(module, L) with L >= n + 1
-    (or exhausted); only the Ext route over a polynomial base reads it.
-    """
+def associated_primes(module):
+    """Ass(M) as a sorted list of prime ideals; exact or refuses."""
     ring = module.ring
     if module.is_zero():
         return []
     if not spans_terms(module.gens + module.rels, ring):
         # a height-i minimal prime of ann Ext^i(M, R) is associated to
         # Ext^i(M, R) in codimension i, hence to M (EHV, Thm 1.1)
-        subsets = _ext_support_candidates(module, resolution)
+        subsets = _ext_support_candidates(module)
         return [_subset_ideal(ring, s) for s in subsets]
     support = _monomial_minimal_primes(annihilator(module))
     if support is None:
@@ -199,21 +196,19 @@ def scan_cap(ring):
 
 
 def _cyclic_quotient(ideal_sub):
-    ring = ideal_sub.ring
-    return FPModule(ring, 1, (0,), [Vec.unit(ring, 0)], list(ideal_sub.gens), check=False)
+    """R/J, its relation span J itself."""
+    return FPModule.free(ideal_sub.ring, (0,)).with_relations(ideal_sub)
 
 
-def grade_resolution(ideal_sub):
-    """free_resolution(R/J, scan_cap + 1), the resolution grade(J, M) reads;
-    it is the same for every M over R, so a grid of modules resolves R/J once."""
-    return free_resolution(_cyclic_quotient(ideal_sub), scan_cap(ideal_sub.ring) + 1)
+def grade(ideal_sub, module):
+    """grade(J, M): least i with Ext^i(R/J, M) != 0; inf when certifiable."""
+    return _ext_grade(_cyclic_quotient(ideal_sub), module)
 
 
-def grade(ideal_sub, module, resolution=None):
-    """grade(J, M): least i with Ext^i(R/J, M) != 0; inf when certifiable.
-
-    resolution, when given, is grade_resolution(J).
-    """
+def _ext_grade(quotient, module):
+    """grade(J, M) for quotient = R/J. R/J keeps its resolution, so a grid
+    that passes one R/J for every module resolves it once."""
+    ideal_sub = quotient.rels_sub()
     if module.is_zero():
         return math.inf
     if is_unit_ideal(ideal_sub):
@@ -222,38 +217,27 @@ def grade(ideal_sub, module, resolution=None):
     if ideal_sub.ring != ring:
         raise ContractViolation("ideal and module live over different rings")
     cap = scan_cap(ring)
-    cyc = _cyclic_quotient(ideal_sub)
-    res = resolution
-    if res is None:
-        res = grade_resolution(ideal_sub)
     for i in range(cap + 1):
-        if not hom_ext_tor(cyc, module, i, "Ext", resolution=res).is_zero():
+        if not hom_ext_tor(quotient, module, i, "Ext").is_zero():
             return i
     if not ring.relations:
         # all Ext vanish up to the projective dimension of R/J
         return math.inf
     jm = [g.mul_poly(p.component(0)) for p in ideal_sub.gens for g in module.gens]
-    quotient = FPModule(
+    m_mod_jm = FPModule(
         ring, module.rank, module.twists, module.gens,
         list(module.rels) + jm, check=False,
     )
-    if quotient.is_zero():
+    if m_mod_jm.is_zero():
         return math.inf
     raise CapExceeded("no nonvanishing Ext up to %d over a singular base" % cap)
 
 
-def betti_number(module, i, resolution=None):
-    """beta_i as the rank of the i-th stage of the minimal resolution.
-
-    resolution, when given, is free_resolution(module, L) for some L >= i.
-    """
+def betti_number(module, i):
+    """beta_i as the rank of the i-th stage of the minimal resolution."""
     if i < 0:
         raise ContractViolation("homological index must be nonnegative")
-    if resolution is None:
-        resolution = free_resolution(module, i)
-    elif not resolution.exhausted and len(resolution.maps) < i:
-        raise CapExceeded("supplied resolution is too short for stage %d" % i)
-    ranks = resolution.ranks()
+    ranks = module.resolution(i).ranks()
     return ranks[i] if i < len(ranks) else 0
 
 
@@ -274,29 +258,21 @@ def ext_bass_profile(module, count):
     of k: the route over a quotient base, and the reference for the Koszul
     reading over a polynomial base."""
     k = residue_field(module.ring)
-    res = free_resolution(k, count + 1)
-    return [
-        hom_ext_tor(k, module, i, "Ext", resolution=res).length() for i in range(count)
-    ]
+    return [hom_ext_tor(k, module, i, "Ext").length() for i in range(count)]
 
 
-def bass_profile(module, count, resolution=None):
+def bass_profile(module, count):
     """mu^0 .. mu^(count-1).
 
     Over a polynomial base in n variables mu^i = beta_(n-i), read off the
-    minimal resolution: resolution when given (free_resolution(module, L),
-    exhausted or L >= n), else free_resolution(module, n). Over a quotient
-    base the profile is ext_bass_profile and resolution is not read.
+    module's minimal resolution, n stages long. Over a quotient base the
+    profile is ext_bass_profile.
     """
     ring = module.ring
     if ring.relations:
         return ext_bass_profile(module, count)
     n = ring.nvars
-    if resolution is None:
-        resolution = free_resolution(module, n)
-    elif not resolution.exhausted and len(resolution.maps) < n:
-        raise CapExceeded("supplied resolution is too short for stage %d" % n)
-    ranks = resolution.ranks()
+    ranks = module.resolution(n).ranks()
     return [ranks[n - i] if 0 <= n - i < len(ranks) else 0 for i in range(count)]
 
 
@@ -312,17 +288,14 @@ def depth(module):
     raise CapExceeded("no nonzero Bass number up to %d" % cap)
 
 
-def projective_dimension(module, resolution=None):
-    """Length of the minimal resolution, certified within scan_cap + 1 stages.
-
-    resolution, when given, is free_resolution(module, L) for any L; stages
-    beyond scan_cap + 1 are not read.
-    """
+def projective_dimension(module):
+    """Length of the minimal resolution, certified within scan_cap + 1 stages."""
     if module.is_zero():
         return -math.inf
     cap = scan_cap(module.ring)
-    res = free_resolution(module, cap + 1) if resolution is None else resolution
+    res = module.resolution(cap + 1)
     pd = len(res.modules) - 1
+    # a kept resolution may run past cap + 1; an end found there is not read
     if not res.exhausted or pd > cap + 1:
         raise CapExceeded("resolution still active at stage %d" % (cap + 1))
     return pd

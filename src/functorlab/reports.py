@@ -101,8 +101,21 @@ def _summarize(entry):
     return ""
 
 
-def lambda_csvs(report):
-    """(suffix, csv text) for every task entry that carries a length grid."""
+def _csv_name(stem, index, task):
+    return "%s.task%d_%s_lambda.csv" % (stem, index, task)
+
+
+def artifact_names(stem, tasks):
+    """Every file name a run of these tasks can write: the report, the
+    summary, the run meta and one length CSV per task, named by the task's
+    index and name alone, so they are known before the run."""
+    names = [stem + ".report.json", stem + ".summary.md", stem + ".run_meta.json"]
+    names.extend(_csv_name(stem, i, task["task"]) for i, task in enumerate(tasks))
+    return names
+
+
+def lambda_csvs(report, stem):
+    """(file name, csv text) for every task entry that carries a length grid."""
     out = []
     for i, entry in enumerate(report["tasks"]):
         table = entry.get("lambda_table")
@@ -118,7 +131,7 @@ def lambda_csvs(report):
         writer.writerow(["n%d" % (j + 1) for j in range(r)] + ["lambda"])
         for point, value in rows:
             writer.writerow(list(point) + [value])
-        out.append(("task%d_%s_lambda" % (i, entry["task"]), buf.getvalue()))
+        out.append((_csv_name(stem, i, entry["task"]), buf.getvalue()))
     return out
 
 
@@ -134,7 +147,7 @@ def write_artifacts(report, meta, out_dir, stem):
 
     emit(stem + ".report.json", render_json(report))
     emit(stem + ".summary.md", render_markdown(report))
-    for suffix, text in lambda_csvs(report):
-        emit("%s.%s.csv" % (stem, suffix), text)
+    for name, text in lambda_csvs(report, stem):
+        emit(name, text)
     emit(stem + ".run_meta.json", render_json(meta))
     return written

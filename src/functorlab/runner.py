@@ -13,7 +13,6 @@ from fractions import Fraction
 from .cache import active_cache
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
-from .functors import evaluate
 from .multigraded import analytic_spread, artin_rees_exponent, artin_rees_window
 from .oracles import grade_by_regular_sequence
 from .stability import (
@@ -21,6 +20,7 @@ from .stability import (
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
+    degree_law,
     detect_stabilization,
     grade_asymptotics,
     grid_evaluate,
@@ -61,46 +61,23 @@ def _fit_payload(fit):
     return fit.as_dict()
 
 
-def _single_functor(scn, task_name):
-    expr = scn.expression
-    if expr is None:
-        raise ConfigurationError("%s task needs a functor block" % task_name)
-    if expr.kind == "compose":
-        raise ConfigurationError(
-            "%s task needs a single functor, not a composition" % task_name
-        )
-    return expr.functor
-
-
-def _need_quotient(scn, task_name):
-    spec = scn.family_spec
-    if spec is None or spec.kind != "quotient":
-        raise ConfigurationError("%s task needs a quotient family" % task_name)
-    return spec
-
-
-def _need_box(scn, task_name):
-    if scn.box is None:
-        raise ConfigurationError("%s task needs a box block" % task_name)
-    return scn.box
-
-
 def _task_expr(scn, task):
     if task.get("identity"):
         return None
     return scn.expression
 
 
+def _cap_above(law):
+    """One above the degree bound; a bound of -inf caps at 1."""
+    bound = law["bound"]
+    return (0 if bound == -INF else int(bound)) + 1
+
+
 def _default_cap(scn):
     spec = scn.family_spec
     if spec.kind == "quotient" and scn.expression is not None \
             and scn.expression.kind != "compose":
-        fm = evaluate(scn.expression.functor, spec.module)
-        spread = analytic_spread(spec.module, spec.family)
-        bound = max(fm.dim(), spread - spec.r)
-        if bound == -INF:
-            bound = 0
-        return int(bound) + 1
+        return _cap_above(degree_law(scn.expression.functor, spec.module, spec.family))
     if spec.kind == "quotient":
         spread = analytic_spread(spec.module, spec.family)
         return max(0, spread - spec.r) + max(spec.module.dim(), 0) + 1
@@ -130,13 +107,9 @@ def _check_fit_asserts(task, fit):
 
 
 def run_fit(scn, task):
-    spec = scn.family_spec
-    if spec is None:
-        raise ConfigurationError("fit task needs a family block")
-    box = _need_box(scn, "fit")
     table = _lambda_table(scn, task)
     cap = task["degree_cap"] if "degree_cap" in task else _default_cap(scn)
-    fit = fit_polynomial(table, box, cap)
+    fit = fit_polynomial(table, scn.box, cap)
     result = {
         "degree_cap": cap,
         "lambda_table": table,
@@ -148,13 +121,12 @@ def run_fit(scn, task):
 
 
 def run_normal_form(scn, task):
-    spec = _need_quotient(scn, "normal_form")
-    box = _need_box(scn, "normal_form")
-    functor = _single_functor(scn, "normal_form")
+    spec = scn.family_spec
     mode = task.get("mode", "certified")
     try:
         nf = normal_form(
-            functor, spec.module, list(spec.sub_vectors), spec.family, box, ar_mode=mode
+            scn.expression.functor, spec.module, list(spec.sub_vectors), spec.family,
+            scn.box, ar_mode=mode,
         )
     except ContractViolation as exc:
         return {"error": str(exc)}, [str(exc)]
@@ -175,10 +147,7 @@ def run_normal_form(scn, task):
 
 
 def run_stabilization(scn, task):
-    spec = scn.family_spec
-    if spec is None:
-        raise ConfigurationError("stabilization task needs a family block")
-    box = _need_box(scn, "stabilization")
+    spec, box = scn.family_spec, scn.box
     name = task.get("observable", "ass")
     expr = _task_expr(scn, task)
     grade_ideal = scn.ideals.get(task["ideal"]) if "ideal" in task else None
@@ -208,15 +177,15 @@ def run_stabilization(scn, task):
 
 
 def run_degree_bound(scn, task):
-    spec = _need_quotient(scn, "degree_bound")
-    box = _need_box(scn, "degree_bound")
-    functor = _single_functor(scn, "degree_bound")
+    spec = scn.family_spec
     table = _lambda_table(scn, task)
-    cap = task["degree_cap"] if "degree_cap" in task else _default_cap(scn)
-    fit = fit_polynomial(table, box, cap)
+    # one law serves the default cap and the check
+    law = degree_law(scn.expression.functor, spec.module, spec.family)
+    cap = task["degree_cap"] if "degree_cap" in task else _cap_above(law)
+    fit = fit_polynomial(table, scn.box, cap)
     if fit is None:
         return {"fit": _fit_payload(None)}, ["no polynomial fit to bound"]
-    verdict = degree_bound_check(functor, spec.module, spec.family, fit)
+    verdict = degree_bound_check(law, fit)
     result = {"fit": _fit_payload(fit), "bound_check": verdict, "lambda_table": table}
     failures = []
     if verdict["verdict"] != "PASS":
@@ -234,12 +203,9 @@ def run_degree_bound(scn, task):
 
 def run_grade(scn, task):
     spec = scn.family_spec
-    if spec is None:
-        raise ConfigurationError("grade task needs a family block")
-    box = _need_box(scn, "grade")
     grade_ideal = scn.ideals[task["ideal"]]
     expr = _task_expr(scn, task)
-    rep = grade_asymptotics(grade_ideal, expr, spec, box)
+    rep = grade_asymptotics(grade_ideal, expr, spec, scn.box)
     result = {"table": rep["table"], "verdict": rep["verdict"], "ideal": task["ideal"]}
     failures = []
     if "expect_value" in task:
@@ -265,12 +231,8 @@ def run_grade(scn, task):
 
 
 def run_betti_bass(scn, task):
-    spec = scn.family_spec
-    if spec is None:
-        raise ConfigurationError("betti_bass task needs a family block")
-    box = _need_box(scn, "betti_bass")
     i_max = task.get("i_max", 3)
-    rep = betti_bass_asymptotics(_task_expr(scn, task), spec, box, i_max)
+    rep = betti_bass_asymptotics(_task_expr(scn, task), scn.family_spec, scn.box, i_max)
     result = {
         "fits": {k: _fit_payload(f) for k, f in rep["fits"].items()},
         "bounds": rep["bounds"],
@@ -291,14 +253,10 @@ def run_betti_bass(scn, task):
 
 
 def run_component_track(scn, task):
-    spec = scn.family_spec
-    if spec is None or spec.kind != "component":
-        raise ConfigurationError("component_track task needs a component family")
-    box = _need_box(scn, "component_track")
     observables = tuple(task.get("observables", ("lambda",)))
     grade_ideal = scn.ideals.get(task["ideal"]) if "ideal" in task else None
     rep = component_track(
-        spec.mgmodule, _task_expr(scn, task), box, observables=observables,
+        scn.family_spec.mgmodule, _task_expr(scn, task), scn.box, observables=observables,
         grade_ideal=grade_ideal,
     )
     fit = rep["fits"].get("lambda")
@@ -331,8 +289,7 @@ def run_component_track(scn, task):
 
 
 def run_artin_rees(scn, task):
-    spec = _need_quotient(scn, "artin_rees")
-    box = _need_box(scn, "artin_rees")
+    spec, box = scn.family_spec, scn.box
     host, vectors = scn.submodules[task["sub"]]
     module = scn.modules[host]
     mode = task.get("mode", "certified")

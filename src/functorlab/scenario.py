@@ -29,6 +29,14 @@ TASK_NAMES = (
     "betti_bass", "component_track", "artin_rees",
 )
 
+# what a task needs besides the family and box blocks every task reads
+TASK_NEEDS = {
+    "normal_form": ("quotient", "single functor"),
+    "degree_bound": ("quotient", "single functor"),
+    "artin_rees": ("quotient",),
+    "component_track": ("component",),
+}
+
 TOP_KEYS = (
     "format", "label", "ring", "ideals", "modules", "functor", "family",
     "box", "tasks", "output",
@@ -137,7 +145,7 @@ def build_scenario(data, char_override=None):
     box = None
     if "box" in data:
         box = _build_box(data["box"])
-    tasks = _build_tasks(data.get("tasks", []), ideals, submodules, box)
+    tasks = _build_tasks(data.get("tasks", []), ideals, submodules, expression, family_spec, box)
     output = data.get("output", {})
     if not isinstance(output, dict):
         _fail("output", "must be an object")
@@ -352,7 +360,22 @@ def _is_list_of(value, ok):
     return isinstance(value, list) and all(ok(v) for v in value)
 
 
-def _build_tasks(block, ideals, submodules, box):
+def _check_needs(name, expression, family_spec, box):
+    """Refuse a task whose blocks are missing before any task runs."""
+    for block, present in (("family", family_spec), ("box", box)):
+        if present is None:
+            _fail("tasks", "%s task needs a %s block" % (name, block))
+    for need in TASK_NEEDS.get(name, ()):
+        if need != "single functor":
+            if family_spec.kind != need:
+                _fail("tasks", "%s task needs a %s family" % (name, need))
+        elif expression is None:
+            _fail("tasks", "%s task needs a functor block" % name)
+        elif expression.kind == "compose":
+            _fail("tasks", "%s task needs a single functor, not a composition" % name)
+
+
+def _build_tasks(block, ideals, submodules, expression, family_spec, box):
     if not isinstance(block, list):
         _fail("tasks", "must be a list")
     tasks = []
@@ -389,5 +412,6 @@ def _build_tasks(block, ideals, submodules, box):
             _fail("tasks", "expect_ass in task %r must be a list of lists of strings" % name)
         if "assert_values" in entry:
             _check_assert_values(name, entry["assert_values"], box)
+        _check_needs(name, expression, family_spec, box)
         tasks.append(dict(entry))
     return tasks

@@ -11,16 +11,16 @@ nothing is ever refitted or patched to make a family look stable.
 
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
-from .fpmodule import FPModule, block_kernel, block_module, free_resolution, push_through
+from .fpmodule import FPModule, block_kernel, block_module, push_through
 from .functors import evaluate
 from .invariants import (
+    _cyclic_quotient,
+    _ext_grade,
     associated_primes,
     bass_number,
     bass_profile,
     betti_number,
     depth,
-    grade,
-    grade_resolution,
     injective_dimension,
     projective_dimension,
     scan_cap,
@@ -91,46 +91,36 @@ def _prime_key(sub):
     return tuple(sorted(str(v.components(1)[0]) for v in sub.gens))
 
 
-def _observe(module, observables, grade_ideal, i_max, grade_res=None):
+def _observe(module, observables, grade_quotient, i_max):
+    """One point's row. The module keeps its minimal resolution, so every
+    beta_i, pd and, over a polynomial base, every mu^i = beta_(n-i), id and
+    the Ext route of Ass read one complex; grade_quotient is R/J, shared by
+    the grid."""
     out = {}
-    # one minimal resolution of the module serves every beta_i and pd and,
-    # over a polynomial base, every mu^i = beta_(n-i), id and the Ext route
-    # of Ass; it is as long as its longest reader
-    ring = module.ring
-    cap = scan_cap(ring)
-    stages = [i_max] if "betti" in observables else []
-    if "pd" in observables:
-        stages.append(cap + 1)
-    if not ring.relations and ("bass" in observables or "id" in observables):
-        stages.append(ring.nvars)
-    if stages and not ring.relations and "ass" in observables:
-        stages.append(ring.nvars + 1)
-    res = free_resolution(module, max(stages)) if stages else None
+    cap = scan_cap(module.ring)
     if "lambda" in observables:
         out["lambda"] = module.length()
     if "ass" in observables:
         try:
-            primes = associated_primes(module, resolution=res)
+            primes = associated_primes(module)
             out["ass"] = sorted(_prime_key(p) for p in primes)
         except StrategyExhausted as exc:
             out["ass"] = {"error": "strategy exhausted: %s" % exc}
     if "grade" in observables:
-        if grade_ideal is None:
-            raise ConfigurationError("grade observable needs an ideal")
-        out["grade"] = grade(grade_ideal, module, resolution=grade_res)
+        out["grade"] = _ext_grade(grade_quotient, module)
     counts = [i_max + 1] if "bass" in observables else []
     if "id" in observables:
         counts.append(cap + 2)
-    profile = bass_profile(module, max(counts), resolution=res) if counts else None
+    profile = bass_profile(module, max(counts)) if counts else None
     if "betti" in observables or "bass" in observables:
         for i in range(i_max + 1):
             if "betti" in observables:
-                out["betti_%d" % i] = betti_number(module, i, resolution=res)
+                out["betti_%d" % i] = betti_number(module, i)
             if "bass" in observables:
                 out["bass_%d" % i] = bass_number(module, i, profile=profile)
     if "pd" in observables:
         try:
-            out["pd"] = projective_dimension(module, resolution=res)
+            out["pd"] = projective_dimension(module)
         except CapExceeded:
             out["pd"] = "cap exceeded"
     if "id" in observables:
@@ -152,15 +142,17 @@ def grid_evaluate(expr, spec, box, observables, grade_ideal=None, i_max=2):
         raise ConfigurationError("unknown observables: %s" % ", ".join(bad))
     if box.r != spec.r:
         raise ConfigurationError("box dimension does not match the family")
-    grade_res = None
-    if "grade" in observables and grade_ideal is not None:
-        # R/J is the same at every point: resolve it once for the grid
-        grade_res = grade_resolution(grade_ideal)
+    grade_quotient = None
+    if "grade" in observables:
+        if grade_ideal is None:
+            raise ConfigurationError("grade observable needs an ideal")
+        # R/J is the same at every point: one module, resolved once for the grid
+        grade_quotient = _cyclic_quotient(grade_ideal)
     out = {}
     for p in sorted(box.points()):
         member = spec.member(p)
         module = member if expr is None else expr.evaluate(member)
-        out[p] = _observe(module, observables, grade_ideal, i_max, grade_res)
+        out[p] = _observe(module, observables, grade_quotient, i_max)
     return out
 
 
@@ -191,25 +183,28 @@ def detect_stabilization(table, box):
     return verdict
 
 
-def degree_bound_check(functor, module, family, fitted):
-    """deg P <= max(dim F(M), spread - r), equality when dim wins strictly."""
-    fm = evaluate(functor, module)
-    dim_fm = fm.dim()
+def degree_law(functor, module, family):
+    """The terms of deg P <= max(dim F(M), spread - r) for the lengths of
+    F(M/I^n N): dim F(M), the analytic spread, r and the bound. A task that
+    needs both a default degree cap and the bound check computes it once."""
+    dim_fm = evaluate(functor, module).dim()
     spread = analytic_spread(module, family)
     r = len(family.ideals)
-    bound = max(dim_fm, spread - r)
+    return {"dim_fm": dim_fm, "spread": spread, "r": r, "bound": max(dim_fm, spread - r)}
+
+
+def degree_bound_check(law, fitted):
+    """deg P <= the bound of degree_law, equality when dim wins strictly."""
     deg = fitted.total_degree
-    equality_required = dim_fm > spread - r
+    bound = law["bound"]
+    equality_required = law["dim_fm"] > law["spread"] - law["r"]
     holds = deg <= bound and (not equality_required or deg == bound)
-    return {
-        "degree": deg,
-        "dim_fm": dim_fm,
-        "spread": spread,
-        "r": r,
-        "bound": bound,
-        "equality_required": equality_required,
-        "verdict": "PASS" if holds else "FAIL",
-    }
+    return dict(
+        law,
+        degree=deg,
+        equality_required=equality_required,
+        verdict="PASS" if holds else "FAIL",
+    )
 
 
 def grade_asymptotics(grade_ideal, expr, spec, box):

@@ -32,6 +32,7 @@ from functorlab.stability import (
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
+    degree_law,
     detect_stabilization,
     grade_asymptotics,
     grid_evaluate,
@@ -131,7 +132,7 @@ def test_04_degree_bound_law_with_identity_equality(ring):
         }
         fit = fit_polynomial(table, box, 3)
         assert fit is not None and fit.total_degree == want_deg, label
-        check = degree_bound_check(functor, free, fam, fit)
+        check = degree_bound_check(degree_law(functor, free, fam), fit)
         assert check["verdict"] == "PASS", (label, check)
         assert check["equality_required"] is want_equality, label
     print("PASS 04: degree law holds for 4 functors; equality forced and met for identity")

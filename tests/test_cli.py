@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from functorlab import cache, cli, runner
+from functorlab import cache, cli, functors, multigraded, runner, stability
 from functorlab.cli import main
-from functorlab.scenario import bundled_scenario_path
+from functorlab.scenario import bundled_scenario_path, load_scenario
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +110,28 @@ def test_unusable_out_exits_two_before_any_task(tmp_path, capsys, monkeypatch, w
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("name", [
+    "hilbert_samuel_xy.report.json",
+    "hilbert_samuel_xy.run_meta.json",
+    "hilbert_samuel_xy.task0_fit_lambda.csv",
+])
+def test_artifact_name_taken_by_a_directory_exits_two_before_any_task(
+    tmp_path, capsys, monkeypatch, name
+):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    ran = []
+    monkeypatch.setattr(cli, "run_scenario_object", lambda scn, jobs: ran.append(scn))
+    code = main(["run", "hilbert_samuel_xy", "--out", str(out), "--no-cache"])
+    assert code == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: --out ") and name in err and "\n" not in err
+    assert [p.name for p in out.iterdir()] == [name]
+
+
 def _artin_rees_doc(**task):
     return {
         "format": "scn/1",
@@ -138,6 +160,21 @@ def test_artin_rees_task(tmp_path, mode):
     assert entry["d"] == [1]
     assert entry["verdict"] == mode
     assert entry["window_checked"] == [[1], [2], [3], [4], [5]]
+
+
+def _needs(task, drop=None, **blocks):
+    """Scenario mutator: a fit task, then task, with one block dropped and
+    others replaced."""
+    def apply(doc):
+        doc["tasks"] = [{"task": "fit"}, task]
+        doc.pop(drop, None)
+        doc.update(blocks)
+    return apply
+
+
+_COMPONENT = {"kind": "component", "module": "M", "ideals": ["m"]}
+_HOM = {"builder": "hom", "module": "M"}
+_COMPOSE = {"builder": "compose", "parts": [_HOM, _HOM]}
 
 
 def _set(path, value):
@@ -181,6 +218,20 @@ def _set(path, value):
      "tasks block: unknown ideal 'nope'"),
     (_set(("tasks",), [{"task": "component_track", "observables": ["grade"]}]),
      "tasks block: grade in task 'component_track' needs an ideal"),
+    (_needs({"task": "grade", "ideal": "m"}, drop="family"),
+     "tasks block: fit task needs a family block"),
+    (_needs({"task": "grade", "ideal": "m"}, drop="box"),
+     "tasks block: fit task needs a box block"),
+    (_needs({"task": "normal_form"}, family=_COMPONENT, functor=_HOM),
+     "tasks block: normal_form task needs a quotient family"),
+    (_needs({"task": "artin_rees", "sub": "N"}, family=_COMPONENT),
+     "tasks block: artin_rees task needs a quotient family"),
+    (_needs({"task": "component_track"}),
+     "tasks block: component_track task needs a component family"),
+    (_needs({"task": "normal_form"}),
+     "tasks block: normal_form task needs a functor block"),
+    (_needs({"task": "degree_bound"}, functor=_COMPOSE),
+     "tasks block: degree_bound task needs a single functor, not a composition"),
 ], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
         "inhomogeneous_ideal", "inhomogeneous_module", "box_lo_float", "box_hi_string",
         "box_shell_string", "assert_values_key", "assert_values_arity",
@@ -188,15 +239,24 @@ def _set(path, value):
         "observables_int", "observables_string", "expect_ass_int",
         "artin_rees_expect_int", "assert_onset_int", "assert_degree_string",
         "assert_max_degree_string", "assert_max_degree_float", "assert_max_degree_bool",
-        "grade_observable_unknown_ideal", "grade_observables_missing_ideal"])
-def test_malformed_scenario_values_exit_two(tmp_path, capsys, mutate, block):
+        "grade_observable_unknown_ideal", "grade_observables_missing_ideal",
+        "needs_family", "needs_box", "needs_quotient_family", "artin_rees_needs_quotient",
+        "needs_component_family", "needs_functor", "needs_single_functor"])
+def test_malformed_scenario_values_exit_two(tmp_path, capsys, monkeypatch, mutate, block):
     doc = _artin_rees_doc()
     mutate(doc)
     path = tmp_path / "bad.scn"
     path.write_text(json.dumps(doc))
+    ran = []
+    for name, run in runner.TASK_RUNNERS.items():
+        monkeypatch.setitem(
+            runner.TASK_RUNNERS, name,
+            lambda scn, task, run=run: ran.append(task["task"]) or run(scn, task),
+        )
     code, _ = _run(tmp_path, str(path))
     assert code == 2
     assert block in capsys.readouterr().err
+    assert ran == []
 
 
 @pytest.mark.parametrize("gens", [
@@ -316,6 +376,34 @@ def test_given_degree_cap_skips_the_default(tmp_path, monkeypatch):
     assert code == 0
     report = json.loads((out / "two_ideal_fit.report.json").read_text())
     assert report["tasks"][0]["degree_cap"] == 2
+
+
+def test_degree_bound_task_computes_its_law_once(tmp_path, monkeypatch):
+    # the default degree cap and the bound check read one dim F(M) and one
+    # analytic spread
+    scn_path = bundled_scenario_path("degree_bound_fail")
+    counts = {"evaluate": 0, "analytic_spread": 0}
+    module = load_scenario(scn_path).family_spec.module
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args):
+            # the lambda table evaluates F at every member; count F(M) alone
+            if name == "analytic_spread" or args[1].hilbert_equal(module):
+                counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for owner in (functors, stability):
+        counting(owner, "evaluate")
+    for owner in (multigraded, stability, runner):
+        counting(owner, "analytic_spread")
+    code, out = _run(tmp_path, scn_path)
+    assert code == 1
+    assert counts == {"evaluate": 1, "analytic_spread": 1}
+    entry = json.loads((out / "degree_bound_fail.report.json").read_text())["tasks"][0]
+    assert entry["bound_check"]["bound"] == 1
 
 
 def test_jobs_flag_changes_nothing(tmp_path):

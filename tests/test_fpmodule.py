@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from functorlab.errors import CapExceeded, ContractViolation
+from functorlab import fpmodule
+from functorlab.errors import ContractViolation
 from functorlab.fpmodule import (
     FPModule,
     GradedComplex,
@@ -244,46 +245,37 @@ def test_tor_balance_hilbert_equality():
     assert hom_ext_tor(cyclic("x"), cyclic("y"), 1, "Tor").is_zero()
 
 
-def test_resolution_cap_guard():
-    # Tor_2 reads stage 3; a resolution cut at stage 1 that has not ended
-    # is too short
-    m = cyclic("x^2", "x*y", "y^2")
-    k_mod = cyclic("x", "y")
-    with pytest.raises(CapExceeded):
-        hom_ext_tor(m, k_mod, 2, "Tor", resolution=free_resolution(m, 1))
-
-
-def test_homology_requires_zero_composite():
+def test_homology_requires_zero_composite(monkeypatch):
     # R(-2) --x--> R(-1) --x--> R is not a complex: the image of the first
-    # map does not lie in the kernel of the second
+    # map does not lie in the kernel of the second; planted as the module's
+    # resolution, it is refused when the homology is built
     x = p("x")
-    res = GradedComplex(
+    planted = GradedComplex(
         [FPModule.free(R, (t,)) for t in (0, 1, 2)], [((x,),), ((x,),)]
     )
+    monkeypatch.setattr(fpmodule, "free_resolution", lambda module, length_cap: planted)
     for which in ("Ext", "Tor"):
         with pytest.raises(ContractViolation):
-            hom_ext_tor(cyclic("x"), FPModule.free(R, (0,)), 1, which, resolution=res)
+            hom_ext_tor(cyclic("x"), FPModule.free(R, (0,)), 1, which)
 
 
 def test_homology_of_truncated_koszul():
-    # R(-2) --(-y, x)--> R(-1)^2 --(x, y)--> R, the resolution of k
+    # k's own resolution is the Koszul complex R(-2) --> R(-1)^2 --> R
     f0 = FPModule.free(R, (0,))
-    f1 = FPModule.free(R, (1, 1))
-    f2 = FPModule.free(R, (2,))
-    d1 = ((p("x"),), (p("y"),))
-    d2 = ((p("0") - p("y"), p("x")),)
-    res = GradedComplex([f0, f1, f2], [d1, d2])
     k_mod = cyclic("x", "y")
     # H_i(F (x) R): coker d1 = k, the middle is exact, ker d2 = 0
-    tor = [hom_ext_tor(k_mod, f0, i, "Tor", resolution=res) for i in range(3)]
+    tor = [hom_ext_tor(k_mod, f0, i, "Tor") for i in range(3)]
     assert tor[0].length() == 1
     assert tor[1].is_zero()
     assert tor[2].is_zero()
     # H^i(Hom(F, R)): Ext^i(k, R) is k(2) at i = 2 and zero below
-    ext = [hom_ext_tor(k_mod, f0, i, "Ext", resolution=res) for i in range(3)]
+    ext = [hom_ext_tor(k_mod, f0, i, "Ext") for i in range(3)]
     assert ext[0].is_zero() and ext[1].is_zero()
     assert ext[2].length() == 1
     assert ext[2].hilbert_function([-2, -1]) == [1, 0]
+    res = k_mod.resolution(0)
+    assert res.ranks() == [1, 2, 1]
+    assert res.twist_table() == [(0,), (1, 1), (2,)]
 
 
 def test_quotient_by_membership_guard():
@@ -451,3 +443,42 @@ def test_hom_ext_tor_matches_coefficient_route(case):
             assert (got.rank, got.twists) == (want.rank, want.twists)
             assert got.gens == want.gens, (seed, m, x, which, i)
             assert got.rels == want.rels, (seed, m, x, which, i)
+
+
+@pytest.mark.parametrize("case", ["gf", "q", "weights_1_2", "quotient_xy_z2"])
+def test_grown_resolution_equals_a_fresh_one(monkeypatch, case):
+    # a module keeps one resolution: asked for 1, 3, 2 and then 5 stages it
+    # grows the same complex from its kept syzygy columns and ends up equal
+    # to free_resolution(m, 5), with no syzygy module computed twice. The
+    # residue field grows past stage 1 on every ring, and over
+    # k[x,y,z]/(xy - z^2) its resolution never ends.
+    ring = ROUTE_RINGS[case]()
+    syzygies = []
+    real = Submodule.syzygies
+
+    def counting(self):
+        syzygies.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Submodule, "syzygies", counting)
+    residue = FPModule.cyclic(ring, ring.names)
+    modules = [residue]
+    for seed in range(2):
+        modules += route_corpus(ring, random.Random("growth/%s/%d" % (case, seed)))[1:]
+    for m in modules:
+        m.presentation()
+        del syzygies[:]
+        fresh = free_resolution(m, 5)
+        built = len(syzygies)
+        del syzygies[:]
+        reached = 0
+        for length in (1, 3, 2, 5):
+            res = m.resolution(length)
+            reached = max(reached, length)
+            assert res is m.resolution(0)
+            assert res.maps == fresh.maps[:reached], m
+        assert res.twist_table() == fresh.twist_table(), m
+        assert res.exhausted == fresh.exhausted, m
+        assert len(syzygies) == built, m
+    assert len(residue.resolution(0).maps) == (5 if ring.relations else ring.nvars)
+    assert residue.resolution(0).exhausted == (not ring.relations)

@@ -19,8 +19,8 @@ import random
 import pytest
 
 from functorlab import invariants
-from functorlab.errors import CapExceeded, ContractViolation, StrategyExhausted
-from functorlab.fpmodule import FPModule, free_resolution, hom_ext_tor
+from functorlab.errors import ContractViolation, StrategyExhausted
+from functorlab.fpmodule import FPModule, hom_ext_tor
 from functorlab.groebner import spans_terms
 from functorlab.invariants import (
     _subset_ideal,
@@ -177,10 +177,9 @@ def reference_ext_support(module):
     if ring.relations:
         raise StrategyExhausted("Ext ladder needs a polynomial base")
     free = FPModule.free(ring, (0,))
-    res = free_resolution(module, ring.nvars + 1)
     subsets = set()
     for i in range(ring.nvars + 1):
-        e = hom_ext_tor(module, free, i, "Ext", resolution=res)
+        e = hom_ext_tor(module, free, i, "Ext")
         if e.is_zero():
             continue
         mins = invariants._monomial_minimal_primes(annihilator(e))
@@ -363,15 +362,10 @@ def test_bass_profile_matches_ext_of_residue_field(ring_name):
 
 def test_bass_profile_reads_the_resolution_backwards():
     m = cyclic("x^2", "x*y", "y^2")
-    res = free_resolution(m, 2)
-    assert res.ranks() == [1, 3, 2]
-    assert bass_profile(m, 5, resolution=res) == [2, 3, 1, 0, 0]
+    assert bass_profile(m, 5) == [2, 3, 1, 0, 0]
+    assert m.resolution(0).ranks() == [1, 3, 2]
     assert bass_profile(FPModule.free(R, (0,)), 4) == [0, 0, 1, 0]
     assert bass_profile(FPModule.zero(R), 3) == [0, 0, 0]
-    short = free_resolution(m, 1)
-    assert not short.exhausted
-    with pytest.raises(CapExceeded):
-        bass_profile(m, 3, resolution=short)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -439,25 +433,6 @@ def test_rees_strands_take_no_ext_annihilator(monkeypatch):
         assert _ass_names(associated_primes(strand)) == [()], n
         assert len(exts) - before <= 1, n
     assert colons == []
-
-
-def test_supplied_resolution_is_read_and_checked(monkeypatch):
-    m = FPModule.from_cokernel(
-        R, (1, 1, 0),
-        [
-            parse_vec(R, ["y", "-x", "0"]),
-            parse_vec(R, ["0", "0", "x^2"]),
-            parse_vec(R, ["0", "0", "x*y"]),
-        ],
-    )
-    res = free_resolution(m, 4)
-    resolved = _count_calls(monkeypatch, invariants, "free_resolution")
-    assert _ass_names(associated_primes(m, resolution=res)) == [(), ("x",), ("x", "y")]
-    assert resolved == []
-    short = free_resolution(m, 1)
-    assert not short.exhausted
-    with pytest.raises(CapExceeded):
-        associated_primes(m, resolution=short)
 
 
 def test_bass_number_over_a_quotient_base_reads_one_ext(monkeypatch):

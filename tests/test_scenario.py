@@ -135,7 +135,9 @@ def test_well_formed_fit_asserts_and_expect_parse():
         {"task": "artin_rees", "sub": "N", "expect": [0]},
         {"task": "degree_bound", "assert_max_degree": 0},
     ]
-    scn = build_scenario(_minimal(modules=modules, tasks=tasks))
+    # degree_bound reads a single functor
+    functor = {"builder": "hom", "module": "M"}
+    scn = build_scenario(_minimal(modules=modules, functor=functor, tasks=tasks))
     assert [t["task"] for t in scn.tasks] == ["fit", "artin_rees", "degree_bound"]
 
 

@@ -32,6 +32,7 @@ from functorlab.stability import (
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
+    degree_law,
     detect_stabilization,
     grade_asymptotics,
     grid_evaluate,
@@ -186,7 +187,7 @@ def test_degree_bound_identity_functor(ring):
 
     fit = fit_polynomial({p: row["lambda"] for p, row in obs.items()}, box, 2)
     assert fit is not None and fit.total_degree == 2
-    verdict = degree_bound_check(functor_from_hom(free), free, fam, fit)
+    verdict = degree_bound_check(degree_law(functor_from_hom(free), free, fam), fit)
     assert verdict["verdict"] == "PASS"
     assert verdict["dim_fm"] == 2
     assert verdict["spread"] == 2
@@ -201,7 +202,7 @@ def test_degree_bound_can_fail(ring):
 
     free = _free(ring)
     fake = FittedPolynomial(1, {(3,): Fraction(1)}, (1,), ((1,),))
-    verdict = degree_bound_check(functor_from_hom(free), free, _mxy(ring), fake)
+    verdict = degree_bound_check(degree_law(functor_from_hom(free), free, _mxy(ring)), fake)
     assert verdict["verdict"] == "FAIL"
 
 
@@ -328,10 +329,9 @@ def _observed_module(name):
     return FPModule.cyclic(quotient_ring(R, ["x^2"]), ["x"])
 
 
-@pytest.mark.parametrize("i_max", [1, 4])
-@pytest.mark.parametrize("name", ["cyclic", "free", "zero", "quotient_base"])
-def test_observe_resolves_each_module_once(monkeypatch, name, i_max):
-    module = _observed_module(name)
+def _count_resolutions(monkeypatch):
+    """The modules free_resolution is called on, in order; every reader
+    reaches it through FPModule.resolution."""
     real = fpmodule.free_resolution
     resolved = []
 
@@ -339,19 +339,27 @@ def test_observe_resolves_each_module_once(monkeypatch, name, i_max):
         resolved.append(target)
         return real(target, length_cap)
 
-    for owner in (fpmodule, invariants, stability):
-        monkeypatch.setattr(owner, "free_resolution", counting)
+    monkeypatch.setattr(fpmodule, "free_resolution", counting)
+    return resolved
+
+
+@pytest.mark.parametrize("i_max", [1, 4])
+@pytest.mark.parametrize("name", ["cyclic", "free", "zero", "quotient_base"])
+def test_observe_resolves_each_module_once(monkeypatch, name, i_max):
+    module = _observed_module(name)
+    resolved = _count_resolutions(monkeypatch)
     row = stability._observe(module, ("betti", "bass", "pd", "id"), None, i_max)
     # over a polynomial base the Bass numbers are read off the module's own
     # resolution; over a quotient base they need one resolution of k
-    assert resolved[0] is module
+    assert module in resolved
     if name == "quotient_base":
         assert len(resolved) == 2, name
-        k = resolved[1]
+        (k,) = [m for m in resolved if m is not module]
         assert k.rank == 1 and k.rels_sub().equals(ideal(module.ring, ["x", "y"]))
     else:
         assert len(resolved) == 1, name
     monkeypatch.undo()
+    module = _observed_module(name)
     for i in range(i_max + 1):
         assert row["betti_%d" % i] == betti_number(module, i), (name, i)
         assert row["bass_%d" % i] == bass_number(module, i), (name, i)
@@ -363,28 +371,41 @@ def test_observe_resolves_each_module_once(monkeypatch, name, i_max):
         assert row["pd"] == row["id"] == float("-inf")
 
 
-def test_observe_shares_one_resolution_with_ass(monkeypatch):
-    # R(-1)^2 / (y*e1 - x*e2) + R/(x^2, x*y) is not fine, so Ass takes the
-    # Ext route; it reads the resolution pd is read from
-    R = PolyRing(("x", "y"))
-    module = FPModule.from_cokernel(
+def _non_fine_module(R):
+    """R(-1)^2 / (y*e1 - x*e2) + R/(x^2, x*y): not fine, so Ass takes the
+    Ext route."""
+    return FPModule.from_cokernel(
         R, (1, 1, 0),
         [parse_vec(R, v) for v in (["y", "-x", "0"], ["0", "0", "x^2"], ["0", "0", "x*y"])],
     )
-    real = fpmodule.free_resolution
-    resolved = []
 
-    def counting(target, length_cap):
-        resolved.append(target)
-        return real(target, length_cap)
 
-    for owner in (fpmodule, invariants, stability):
-        monkeypatch.setattr(owner, "free_resolution", counting)
+def test_observe_shares_one_resolution_with_ass(monkeypatch):
+    # Ass reads the resolution pd is read from; with every observable, grade
+    # against R/J included, the row takes one resolution of the module and
+    # one of R/J
+    R = PolyRing(("x", "y"))
+    J = ideal(R, ["x", "y"])
+    module = _non_fine_module(R)
+    resolved = _count_resolutions(monkeypatch)
     row = stability._observe(module, ("ass", "pd"), None, 2)
     assert resolved == [module]
+    full_module = _non_fine_module(R)
+    quotient = invariants._cyclic_quotient(J)
+    del resolved[:]
+    full = stability._observe(full_module, stability.OBSERVABLE_NAMES, quotient, 2)
+    assert len(resolved) == 2
+    assert full_module in resolved and quotient in resolved
     monkeypatch.undo()
-    assert row["ass"] == [(), ("x",), ("x", "y")]
-    assert row["pd"] == projective_dimension(module)
+    assert row["ass"] == full["ass"] == [(), ("x",), ("x", "y")]
+    assert row["pd"] == full["pd"] == projective_dimension(_non_fine_module(R))
+    standalone = _non_fine_module(R)
+    assert full["lambda"] == standalone.length()
+    assert full["grade"] == invariants.grade(J, standalone)
+    for i in range(3):
+        assert full["betti_%d" % i] == betti_number(standalone, i), i
+        assert full["bass_%d" % i] == bass_number(standalone, i), i
+    assert full["id"] == _standalone(injective_dimension, standalone)
 
 
 def test_grade_grid_resolves_r_mod_j_once(monkeypatch):
@@ -395,14 +416,7 @@ def test_grade_grid_resolves_r_mod_j_once(monkeypatch):
     fam = IdealFamily([ideal(R, ["x^2", "y*z"])])
     spec = FamilySpec.quotient(_free(R), [Vec.unit(R, 0)], fam)
     box = GridBox((1,), (5,), shell=1)
-    real = invariants.free_resolution
-    resolved = []
-
-    def counting(target, length_cap):
-        resolved.append(target)
-        return real(target, length_cap)
-
-    monkeypatch.setattr(invariants, "free_resolution", counting)
+    resolved = _count_resolutions(monkeypatch)
     rep = grade_asymptotics(J, None, spec, box)
     assert len(resolved) == 1
     assert resolved[0].rels_sub().equals(J)
