@@ -40,6 +40,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import add as _add, le as _le, mul as _mul
 
+from .hilbert import minimal_monomials
 from .poly import Poly, Vec
 from .rings import MAX_DEGREE, TermOrder, check_degree
 
@@ -181,22 +182,21 @@ def interreduce(elements, bound, ring):
 def term_basis(vectors, bound, ring):
     """Reduced Groebner basis of the span of single-term vectors.
 
-    Keeps, per component, the terms that no other term divides, made monic
-    and sorted by term_key, as interreduce sorts. Zero vectors are skipped.
-    With positive weights a proper divisor has lower degree, so one pass in
-    degree order meets every divisor of a term before the term itself.
-    Refuses (check_degree) a term too large for the packed term key.
+    Keeps, per component, the terms that no other term divides
+    (hilbert.minimal_monomials), made monic and sorted by term_key, as
+    interreduce sorts. Zero vectors are skipped. Refuses (check_degree) a
+    kept term too large for the packed term key.
     """
-    mono_divides, mono_degree = ring.mono_divides, ring.mono_degree
-    by_degree = sorted({t for v in vectors for t in v.terms}, key=lambda t: mono_degree(t[1]))
-    if by_degree:
-        check_degree(ring, by_degree[-1][1])
-    minimal = {}  # component -> minimal monomials so far
-    for c, m in by_degree:
-        kept = minimal.setdefault(c, [])
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    terms = sorted(((c, m) for c, kept in minimal.items() for m in kept), key=bound.term_key)
+    by_component = {}
+    for v in vectors:
+        for c, m in v.terms:
+            by_component.setdefault(c, []).append(m)
+    terms = []
+    for c, monos in by_component.items():
+        kept = minimal_monomials(ring, monos)
+        check_degree(ring, kept[-1])  # the highest degree, last
+        terms.extend((c, m) for m in kept)
+    terms.sort(key=bound.term_key)
     return [Vec(ring, {t: ring.one}) for t in terms]
 
 

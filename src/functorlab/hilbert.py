@@ -5,14 +5,24 @@ series: for a quotient of a twisted free module by a monomial lead module,
 
     H(t) = numerator(t) / prod_i (1 - t^(w_i)),
 
-with the numerator computed by the colon recursion (Bayer-Stillman,
-"Computation of Hilbert functions", JSC 14, 1992)
+with the numerator of R/I, I a monomial ideal, computed by Bigatti's pivot
+recursion ("Computation of Hilbert-Poincare series", JPAA 119, 1997): for a
+monomial p outside I the exact sequence 0 -> R/(I : p)(-deg p) -> R/I ->
+R/(I + (p)) -> 0 gives
 
-    N(I + (m)) = N(I) - t^(deg m) * N(I : m)
+    N(I) = N(I + (p)) + t^(deg p) * N(I : p).
 
-memoized on minimal monomial generating sets. The input is pruned to its
-minimal generators once; the recursion then drops the last generator from a
-list that stays minimal and sorted, so only the colon list is pruned again.
+The pivot is p = x_i^e, x_i the variable in the most minimal generators (the
+first such) and e the upper median of its positive exponents there, lowered
+below every pure power of x_i among the generators so that p is not in I.
+When no variable is in two generators, the generators are pairwise coprime,
+their Koszul complex is exact and N(I) = prod_m (1 - t^(deg m)).  The
+recursion ends: with c_j the least of the pure x_j power's exponent and one
+more than the largest x_j exponent, sum_j c_j drops on both sides, since
+I + (p) holds the pure power x_i^e with e < c_i and I : p lowers every x_i
+exponent by e >= 1, and no c_j grows.  Numerators are memoized on minimal
+generating sets, sorted by (degree, exponents).
+
 Lengths come from exact division of the numerator by every (1 - t^(w_i))
 factor (non-divisibility certifies infinite length), Krull dimension from
 the pole order at t = 1, and graded dimensions from a finite window of the
@@ -25,16 +35,28 @@ may be negative.
 from __future__ import annotations
 
 import math
+from operator import le, mul
 
 _NUMERATOR_MEMO = {}
 
 
+def _by_degree(ring, monos):
+    """monos sorted by (degree, exponents), the order of the memo keys."""
+    weights = ring.weights
+    return sorted(monos, key=lambda m: (sum(map(mul, m, weights)), m))
+
+
 def minimal_monomials(ring, monos):
-    """Prune a monomial set to its minimal members under divisibility."""
-    uniq = sorted(set(monos), key=lambda m: (ring.mono_degree(m), m))
+    """Prune a monomial set to its minimal members under divisibility, sorted
+    by (degree, exponents). With positive weights a proper divisor has lower
+    degree, so one pass in that order meets every divisor of a monomial
+    before the monomial itself."""
     out = []
-    for m in uniq:
-        if not any(ring.mono_divides(p, m) for p in out):
+    for m in _by_degree(ring, set(monos)):
+        for p in out:
+            if all(map(le, p, m)):
+                break
+        else:
             out.append(m)
     return out
 
@@ -65,8 +87,8 @@ def ideal_numerator(ring, monos):
 
 
 def _minimal_numerator(ring, monos):
-    """ideal_numerator of a list that minimal_monomials returned, or a prefix
-    of one: minimal under divisibility and sorted by (degree, exponents)."""
+    """ideal_numerator of a list that minimal_monomials returned: minimal under
+    divisibility and sorted by (degree, exponents)."""
     if not monos:
         return {0: 1}
     if not any(monos[0]):
@@ -75,16 +97,28 @@ def _minimal_numerator(ring, monos):
     hit = _NUMERATOR_MEMO.get(key)
     if hit is not None:
         return hit
-    if len(monos) == 1:
-        out = {0: 1, ring.mono_degree(monos[0]): -1}
-        _NUMERATOR_MEMO[key] = out
-        return out
-    # split on the highest-degree generator, the last one
-    pivot = monos[-1]
-    rest = monos[:-1]
-    n_rest = _minimal_numerator(ring, rest)
-    n_colon = _minimal_numerator(ring, monomial_colon(ring, rest, pivot))
-    out = numer_add(n_rest, numer_shift(n_colon, ring.mono_degree(pivot)), sign=-1)
+    counts = [len(monos) - column.count(0) for column in zip(*monos)]
+    i = max(range(len(counts)), key=counts.__getitem__)
+    weights = ring.weights
+    if counts[i] < 2:  # pairwise coprime
+        out = {0: 1}
+        for m in monos:
+            out = numer_add(out, numer_shift(out, sum(map(mul, m, weights))), sign=-1)
+    else:
+        exps = sorted(m[i] for m in monos if m[i])
+        e = exps[len(exps) // 2]
+        pure = [m[i] for m in monos if m[i] == sum(m)]
+        if pure:
+            e = min(e, min(pure) - 1)  # x_i^e stays outside I
+        pivot = ring.var_mono(i, e)
+        plus = _by_degree(ring, [m for m in monos if m[i] < e] + [pivot])
+        colon = minimal_monomials(
+            ring, [m[:i] + (max(m[i] - e, 0),) + m[i + 1 :] for m in monos]
+        )
+        out = numer_add(
+            _minimal_numerator(ring, plus),
+            numer_shift(_minimal_numerator(ring, colon), e * weights[i]),
+        )
     _NUMERATOR_MEMO[key] = out
     return out
 

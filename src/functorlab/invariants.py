@@ -61,10 +61,13 @@ def annihilator(module):
 
 
 def residue_field(ring):
-    """k = R/m as a cyclic module."""
-    gens = [Vec.unit(ring, 0)]
-    rels = [Vec.from_poly(Poly.variable(ring, n)) for n in ring.names]
-    return FPModule(ring, 1, (0,), gens, rels, check=False)
+    """k = R/m as a cyclic module, one per ring: the ring keeps it, so that
+    its kept resolution grows in place for every Ext(k, -) reader."""
+    if ring._residue_field is None:
+        gens = [Vec.unit(ring, 0)]
+        rels = [Vec.from_poly(Poly.variable(ring, n)) for n in ring.names]
+        ring._residue_field = FPModule(ring, 1, (0,), gens, rels, check=False)
+    return ring._residue_field
 
 
 # -- associated primes ---------------------------------------------------------

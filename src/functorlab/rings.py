@@ -40,9 +40,12 @@ class PolyRing:
     relations, when nonempty, are homogeneous Poly instances over this same
     descriptor (attached via quotient_ring in poly.py to avoid a circular
     construction); they present a quotient ring k[x]/I0.
+
+    _residue_field holds k = R/m once invariants.residue_field has built it,
+    so that every reader of Ext(k, -) grows one kept resolution of k.
     """
 
-    __slots__ = ("char", "names", "weights", "relations", "_index", "_sig")
+    __slots__ = ("char", "names", "weights", "relations", "_index", "_sig", "_residue_field")
 
     def __init__(self, names, char=DEFAULT_CHARACTERISTIC, weights=None, relations=()):
         names = tuple(names)
@@ -61,6 +64,7 @@ class PolyRing:
         self.relations = tuple(relations)
         self._index = {n: i for i, n in enumerate(names)}
         self._sig = None
+        self._residue_field = None
 
     # -- coefficient field ---------------------------------------------------
 

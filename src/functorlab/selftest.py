@@ -8,8 +8,9 @@ balanced, Bass numbers read off the minimal resolution equal the lengths of
 Ext^i(k, M) (Koszul self-duality), the two evaluation routes agree on a
 seeded corpus, Artin-Rees certificates hold on a window, the fitter is exact,
 the cache recomputes an unreadable, unsealed or malformed entry instead of
-trusting it, and the colons and intersections of term ideals meet their
-definitions.
+trusting it, the colons and intersections of term ideals meet their
+definitions, and the Hilbert numerators of term ideals count their standard
+monomials.
 The fault hook flips one length in the route-equivalence suite so the
 tripwire itself can be demonstrated.
 """
@@ -32,6 +33,7 @@ from .functors import (
 )
 from .grid import GridBox
 from .groebner import buchberger, make_lead_index, reduce_vec, s_vector, spans_terms
+from .hilbert import ideal_numerator, series_window
 from .invariants import bass_profile, ext_bass_profile
 from .multigraded import artin_rees_exponent, artin_rees_window
 from .oracles import brute_kernel, monomials_of_degree
@@ -79,6 +81,8 @@ def _buchberger_corpus():
     out += [(PolyRing(("x", "y"), char=0), texts) for texts in plain]
     out += [(weighted, texts) for texts in (
         ["x^2 - y", "x*y"],
+        ["x^3", "x*y", "y^2"],
+        ["x^2*y", "x*y^2", "y^3"],
         ["x^4 + y^2", "x^2*y", "x^3"],
         ["x^3*y + x*y^2", "x^2 - y", "y^2"],
     )]
@@ -140,18 +144,32 @@ def _term_ideal_groups():
     return groups
 
 
+def _holds(sub, mono):
+    return sub.contains(Vec(sub.ring, {(0, mono): sub.ring.one}))
+
+
+def _numerator_mismatch(sub, top):
+    """Whether the Hilbert numerator of R/sub (ideal_numerator of its lead
+    monomials) fails to count, in degrees 0..top, the monomials outside sub,
+    read by normal_form."""
+    ring = sub.ring
+    numer = ideal_numerator(ring, sub.lead_monomials()[0])
+    outside = [
+        sum(1 for m in monomials_of_degree(ring, d) if not _holds(sub, m)) for d in range(top + 1)
+    ]
+    return series_window(ring, numer, 0, top) != outside
+
+
 def suite_term_kernels():
     """colon, colon_module and intersect of term ideals meet their
-    definitions. A monomial m lies in (I : J) and in (I :_F J) exactly when
-    m*x^e lies in I for every generator x^e of J, and in I cap J exactly
-    when it lies in both. Membership is read by normal_form on every
-    monomial up to the sum of the top degrees of the reduced bases of I and
-    J, which bounds the generators of all three results; each result must
-    be spanned by terms, so agreeing on those monomials makes it equal to
-    its definition."""
-    def holds(sub, mono):
-        return sub.contains(Vec(sub.ring, {(0, mono): sub.ring.one}))
-
+    definitions, and the Hilbert numerators of the ideals and of their
+    products count standard monomials. A monomial m lies in (I : J) and in
+    (I :_F J) exactly when m*x^e lies in I for every generator x^e of J, and
+    in I cap J exactly when it lies in both. Membership is read by
+    normal_form on every monomial up to the sum of the top degrees of the
+    reduced bases of I and J, which bounds the generators of all three
+    results and of IJ; each result must be spanned by terms, so agreeing on
+    those monomials makes it equal to its definition."""
     checked = 0
     for ring, ideals in _term_ideal_groups().items():
         for I in ideals:
@@ -168,18 +186,23 @@ def suite_term_kernels():
                 top = sum(max(g.degree((0,)) for g in sub.groebner()) for sub in (I, J))
                 for d in range(top + 1):
                     for m in monomials_of_degree(ring, d):
-                        in_colon = all(holds(I, tuple(map(add, m, e))) for e in exps)
+                        in_colon = all(_holds(I, tuple(map(add, m, e))) for e in exps)
                         want = {
                             "colon": in_colon,
                             "colon_module": in_colon,
-                            "intersect": holds(I, m) and holds(J, m),
+                            "intersect": _holds(I, m) and _holds(J, m),
                         }
                         for name, result in results.items():
-                            if holds(result, m) != want[name]:
+                            if _holds(result, m) != want[name]:
                                 return False, "%s of %s by %s is wrong at the monomial %r" % (
                                     name, I, J, m)
+                for sub in (I, I.multiply_ideal(J)):
+                    if _numerator_mismatch(sub, top):
+                        return False, "the Hilbert numerator of %s misses its staircase" % sub
                 checked += 1
-    return True, "%d pairs of term ideals over GF(p), Q and k[x,y,z]/(y^2, xz)" % checked
+    return True, (
+        "%d pairs of term ideals over GF(p), Q, weights (1,2) and k[x,y,z]/(y^2, xz)" % checked
+    )
 
 
 def suite_syzygy():

@@ -459,9 +459,13 @@ def is_unit_ideal(sub):
 
 
 class IdealFamily:
-    """A tuple (I_1, ..., I_r) of homogeneous ideals with cached powers.
+    """A tuple (I_1, ..., I_r) of homogeneous ideals with cached products.
 
-    power_product(exps) returns prod_j I_j^(exps[j]) with canonical generators;
+    power_product(exps) returns prod_j I_j^(exps[j]) with canonical generators,
+    built from its cached neighbour: power_product(exps - e_j) * I_j, j the
+    last index with exps[j] > 0, so each product multiplies one basis by the
+    generators of one I_j. The canonical basis does not depend on the route
+    (minimal terms for term ideals, the reduced Groebner basis otherwise).
     apply(exps, target) multiplies a target submodule by that product.
     """
 
@@ -474,31 +478,24 @@ class IdealFamily:
             if member.rank != 1 or member.ring != self.ring:
                 raise ContractViolation("family members must be ideals over one ring")
         self.is_proper = tuple(not is_unit_ideal(member) for member in self.ideals)
-        self._powers = {}
-        self._products = {}
+        self._products = {(0,) * self.r: unit_ideal(self.ring)}
 
     @property
     def r(self):
         return len(self.ideals)
 
-    def power(self, j, k):
-        if k == 0:
-            return unit_ideal(self.ring)
-        hit = self._powers.get((j, k))
-        if hit is None:
-            hit = self.power(j, k - 1).multiply_ideal(self.ideals[j]).canonical()
-            self._powers[(j, k)] = hit
-        return hit
-
     def power_product(self, exps):
         exps = tuple(int(n) for n in exps)
         if len(exps) != self.r or any(n < 0 for n in exps):
             raise ContractViolation("exponent vector %r does not match family" % (exps,))
-        hit = self._products.get(exps)
-        if hit is None:
-            hit = self.power(0, exps[0])
-            for j in range(1, self.r):
-                hit = hit.multiply_ideal(self.power(j, exps[j])).canonical()
+        missing = []  # (exps, j) down to the nearest cached neighbour
+        while exps not in self._products:
+            j = max(i for i, n in enumerate(exps) if n)
+            missing.append((exps, j))
+            exps = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+        hit = self._products[exps]
+        for exps, j in reversed(missing):
+            hit = hit.multiply_ideal(self.ideals[j]).canonical()
             self._products[exps] = hit
         return hit
 

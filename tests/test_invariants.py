@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from functorlab import invariants
+from functorlab import fpmodule, invariants
 from functorlab.errors import ContractViolation, StrategyExhausted
 from functorlab.fpmodule import FPModule, hom_ext_tor
 from functorlab.groebner import spans_terms
@@ -190,8 +190,9 @@ def reference_ext_support(module):
 
 
 def ext_bass_reference(module, count):
-    """mu^i as the length of Ext^i(k, M), one fresh resolution of k each."""
-    k = residue_field(module.ring)
+    """mu^i as the length of Ext^i(k, M), over a k of its own, not the one
+    the ring keeps."""
+    k = FPModule.cyclic(module.ring, module.ring.names)
     return [hom_ext_tor(k, module, i, "Ext").length() for i in range(count)]
 
 
@@ -442,3 +443,18 @@ def test_bass_number_over_a_quotient_base_reads_one_ext(monkeypatch):
     calls = _count_calls(monkeypatch, invariants, "hom_ext_tor")
     assert [bass_number(m, i) for i in range(3)] == expected
     assert len(calls) == 3
+
+
+def test_bass_numbers_over_a_quotient_base_grow_one_resolution_of_k(monkeypatch):
+    # the ring keeps k, so mu^0 .. mu^4 of R/(z^2) over k[x,y,z]/(xy) resolve
+    # k once and grow that complex to 5 stages, instead of resolving a fresh
+    # k to 1, 2, 3, 4 and 5 stages (15 stages)
+    ring = quotient_ring(PolyRing(XYZ), ["x*y"])
+    m = FPModule.from_cokernel(ring, (0,), [parse_vec(ring, ["z^2"])])
+    expected = ext_bass_reference(m, 5)
+    k = residue_field(ring)
+    assert residue_field(ring) is k
+    calls = _count_calls(monkeypatch, fpmodule, "free_resolution")
+    assert [bass_number(m, i) for i in range(5)] == expected
+    assert calls == [k]
+    assert len(k.resolution(0).maps) == 5

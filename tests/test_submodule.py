@@ -6,9 +6,11 @@ constructions they replaced (one kernel per vector or polynomial, folded by
 intersections, every generator tagged), and minimal_generators with the
 drop-one-at-a-time loop and the keep loop it replaced (one basis per kept
 generator; equal vectors in equal order), on seeded random homogeneous
-input.
+input, and power products built from their neighbour with the full-product
+route.
 """
 
+import itertools
 import random
 
 import pytest
@@ -155,7 +157,7 @@ def test_binomial_factor_keeps_every_product():
 def test_power_product_generators_are_pinned():
     R = R2()
     fam = IdealFamily([ideal(R, ["x", "y^2"]), ideal(R, ["x^2", "y"])])
-    assert gen_strings(fam.power(0, 2)) == [["x^2"], ["x*y^2"], ["y^4"]]
+    assert gen_strings(fam.power_product((2, 0))) == [["x^2"], ["x*y^2"], ["y^4"]]
     # x^3*y^2 and x^2*y^4 are multiples of x^2*y
     assert gen_strings(fam.power_product((2, 1))) == [["x^2*y"], ["x*y^3"], ["x^4"], ["y^5"]]
 
@@ -696,6 +698,50 @@ def test_term_power_products_come_with_their_basis():
         assert product._gb is not None
         fresh = Submodule(R, 1, (0,), list(product.gens), check=False)
         assert product.groebner() == fresh.groebner()
+
+
+# -- oracle: power products from their neighbour ----------------------------------
+
+POWER_PRODUCT_FAMILIES = {
+    # name: (variables, generator lists, largest exponent)
+    "term_r2": (("x", "y"), (["x", "y^2"], ["x^2", "y"]), 3),
+    "term_r3": (("x", "y", "z"), (["x", "y"], ["y^2", "z"], ["x*z", "y^3"]), 2),
+    "non_term_r2": (("x", "y"), (["x^2 + y^2", "x*y"], ["x + y", "y^2"]), 2),
+    "non_term_r3": (("x", "y", "z"), (["x + y", "z^2"], ["x*y - z^2"], ["y", "x*z + z^2"]), 2),
+}
+
+
+def full_power_product(fam, exps):
+    """prod_j I_j^(exps[j]) by the full-product route: each full power, and
+    then their product, from every product of generators, with one reduced
+    basis at the end."""
+    prod = unit_ideal(fam.ring)
+    for ideal_, n in zip(fam.ideals, exps):
+        power = unit_ideal(fam.ring)
+        for _ in range(n):
+            power = _all_products(power, ideal_)
+        prod = _all_products(prod, power)
+    return prod.groebner()
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name", sorted(POWER_PRODUCT_FAMILIES))
+def test_neighbour_built_power_products_match_full_products(name, char):
+    # every exponent vector of the box, zero entries included, asked for in
+    # a shuffled order (so a product's neighbour may or may not be cached)
+    # and once from a fresh family (every neighbour built on the way down)
+    names, gens, top = POWER_PRODUCT_FAMILIES[name]
+    R = PolyRing(names, char=char)
+    ideals = [ideal(R, g) for g in gens]
+    fam = IdealFamily(ideals)
+    box = list(itertools.product(range(top + 1), repeat=len(ideals)))
+    random.Random(name).shuffle(box)
+    for exps in box:
+        want = full_power_product(fam, exps)
+        got = fam.power_product(exps)
+        assert list(got.gens) == want, exps
+        assert got.groebner() == want, exps
+        assert list(IdealFamily(ideals).power_product(exps).gens) == want, exps
 
 
 # -- oracle: term kernels -----------------------------------------------------------
