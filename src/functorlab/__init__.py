@@ -54,7 +54,6 @@ from .stability import (
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
-    degree_law,
     detect_stabilization,
     grade_asymptotics,
     grid_evaluate,
@@ -92,7 +91,6 @@ __all__ = [
     "bundled_scenarios",
     "component_track",
     "degree_bound_check",
-    "degree_law",
     "depth",
     "detect_stabilization",
     "evaluate",

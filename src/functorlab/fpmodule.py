@@ -11,9 +11,12 @@ relation spans are Submodules, which all use GREVLEX.
 
 Numeric questions (Hilbert function, length, dimension) go through the
 module's Hilbert numerator: numer(F/W) - numer(F/U). Presentations and
-kernels go through LiftSolver; the presentation keeps its solver, so
-Presentation.coeffs_of writes a vector over the presentation generators
-without a second solve. Free
+kernels go through LiftSolver, except where the answer is known: a
+cokernel of a free module over a polynomial base, with no unit entry in
+its relations, is presented by its relations' minimal generators, and the
+syzygies of single terms are their pairwise lcm syzygies. The
+presentation keeps one solver, so Presentation.coeffs_of writes vectors
+over the presentation generators without a second solve. Free
 resolutions prune to minimal generators at every stage, which over a
 graded-local base makes the differentials unit-free, so Betti numbers are
 literal ranks. A module keeps its resolution like its presentation and
@@ -30,7 +33,8 @@ i*width + c (width = rank of X's ambient), and let a matrix act on the
 copies: block_module builds X^b, push_through applies Hom(f, X):
 X^b -> X^a for a matrix f: R^a -> R^b to ambient vectors (f (x) X is
 Hom of the transpose), and block_kernel reads the preimage of a
-submodule off one LiftSolver.
+submodule off one LiftSolver. X^b carries the Groebner bases X already
+has.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .hilbert import (
     series_window,
 )
 from .poly import Vec
-from .submodule import Submodule
+from .submodule import Submodule, candidate_key
 
 
 class FPModule:
@@ -174,17 +178,48 @@ class FPModule:
     # -- presentations -------------------------------------------------------
 
     def presentation(self):
-        """Minimal cokernel presentation (gens pruned, relations minimal)."""
+        """Minimal cokernel presentation (gens pruned, relations minimal).
+
+        A cokernel of the free module, whose gens are the ambient unit
+        vectors in order, over a polynomial base and with no relation
+        holding a unit-monomial term, keeps every generator: the columns
+        are then the minimal generators of the relation span, written over
+        the generators in pruned order, and no LiftSolver is built until
+        coeffs_of asks for one. Every other module reads its columns off
+        the kernel of one LiftSolver.
+        """
         if self._presentation is not None:
             return self._presentation
-        pruned = list(self._gens_sub.minimal_generators(modulo=self.rels).gens)
-        gen_twists = tuple(g.degree(self.twists) for g in pruned)
-        solver = LiftSolver(self.ring, self.rank, self.twists, pruned, list(self.rels))
-        columns = Submodule(
-            self.ring, len(pruned), gen_twists, solver.kernel_vectors(), check=False
-        ).minimal_generators()
-        self._presentation = Presentation(tuple(pruned), gen_twists, columns.gens, solver)
+        ring, rank, twists, rels = self.ring, self.rank, self.twists, list(self.rels)
+        if self._is_free_cokernel():
+            pruned = sorted(self.gens, key=candidate_key(twists, rank))
+            position = {g.max_component(): i for i, g in enumerate(pruned)}
+            kernel = [
+                Vec(ring, {(position[c], m): cf for (c, m), cf in w.terms.items()}) for w in rels
+            ]
+            solver = None
+        else:
+            pruned = list(self._gens_sub.minimal_generators(modulo=rels).gens)
+            solver = LiftSolver(ring, rank, twists, pruned, rels)
+            kernel = solver.kernel_vectors()
+        gen_twists = tuple(g.degree(twists) for g in pruned)
+        columns = Submodule(ring, len(pruned), gen_twists, kernel, check=False).minimal_generators()
+        self._presentation = Presentation(
+            tuple(pruned), gen_twists, columns.gens, solver, (ring, rank, twists, rels)
+        )
         return self._presentation
+
+    def _is_free_cokernel(self):
+        """Whether gens are the ambient unit vectors in order, no relation
+        has a unit-monomial term and the base is a polynomial ring: then no
+        generator lies in the span of the others and the relations, and the
+        kernel of R^gens -> ambient / rels is the relation span itself."""
+        ring = self.ring
+        if ring.relations or len(self.gens) != self.rank:
+            return False
+        if any(g != Vec.unit(ring, c) for c, g in enumerate(self.gens)):
+            return False
+        return all(any(m) for w in self.rels for (_c, m) in w.terms)
 
     def resolution(self, length):
         """The module's minimal free resolution, at least length stages long
@@ -206,21 +241,27 @@ class Presentation:
     """Data of a minimal presentation R^s1 -> R^s0 -> M -> 0.
 
     columns are coefficient vectors in R^s0 (one per relation); matrix()
-    renders them as a column-major Poly matrix. coeffs_of reuses the
-    LiftSolver (gens modulo the module's relations) that produced the columns.
+    renders them as a column-major Poly matrix. coeffs_of uses one
+    LiftSolver (gens modulo the module's relations): the one that produced
+    the columns, or, when none did, one built on first use.
     """
 
-    __slots__ = ("gens", "gen_twists", "columns", "_solver")
+    __slots__ = ("gens", "gen_twists", "columns", "_solver", "_ambient")
 
-    def __init__(self, gens, gen_twists, columns, solver):
+    def __init__(self, gens, gen_twists, columns, solver, ambient):
+        """ambient is the module's (ring, rank, twists, relations)."""
         self.gens = gens
         self.gen_twists = gen_twists
         self.columns = columns
         self._solver = solver
+        self._ambient = ambient
 
     def coeffs_of(self, v):
         """Coefficients of an ambient vector over gens modulo the module's
         relations, or None if it lies outside the module."""
+        if self._solver is None:
+            ring, rank, twists, rels = self._ambient
+            self._solver = LiftSolver(ring, rank, twists, list(self.gens), rels)
         return self._solver.lift(v)
 
     def matrix(self):
@@ -310,14 +351,29 @@ def free_resolution(module, length_cap):
 
 
 def block_module(x, block_twists):
-    """X^b with the i-th copy twisted by block_twists[i]."""
+    """X^b with the i-th copy twisted by block_twists[i].
+
+    The reduced Groebner bases that X's generator and relation spans
+    already have are carried over, not computed again: the basis of a sum
+    of twisted copies is the union of the shifted bases, sorted by the new
+    bound's term_key, since reduction never crosses components and within
+    one copy the order is X's, shifted by a constant twist. A basis X does
+    not have yet is left for the block module to compute when asked.
+    """
     twists = []
     for s in block_twists:
         twists.extend(t + s for t in x.twists)
     offsets = [i * x.rank for i in range(len(block_twists))]
     gens = [g.shifted(off) for off in offsets for g in x.gens]
     rels = [w.shifted(off) for off in offsets for w in x.rels]
-    return FPModule(x.ring, len(offsets) * x.rank, twists, gens, rels, check=False)
+    out = FPModule(x.ring, len(offsets) * x.rank, twists, gens, rels, check=False)
+    for mine, theirs in ((x.gens_sub(), out.gens_sub()), (x.rels_sub(), out.rels_sub())):
+        if mine._gb is not None:
+            bound = theirs.bound
+            basis = [g.shifted(off) for off in offsets for g in mine._gb]
+            basis.sort(key=lambda g: bound.term_key(g.lead(bound)[0]))
+            theirs._gb = basis
+    return out
 
 
 def push_through(u, columns, width):

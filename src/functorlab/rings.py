@@ -43,9 +43,14 @@ class PolyRing:
 
     _residue_field holds k = R/m once invariants.residue_field has built it,
     so that every reader of Ext(k, -) grows one kept resolution of k.
+    _bound_orders holds the BoundOrders that TermOrder.bind has made over
+    this ring, one per (order signature, twists, blocks).
     """
 
-    __slots__ = ("char", "names", "weights", "relations", "_index", "_sig", "_residue_field")
+    __slots__ = (
+        "char", "names", "weights", "relations", "_index", "_sig", "_residue_field",
+        "_bound_orders",
+    )
 
     def __init__(self, names, char=DEFAULT_CHARACTERISTIC, weights=None, relations=()):
         names = tuple(names)
@@ -65,6 +70,7 @@ class PolyRing:
         self._index = {n: i for i, n in enumerate(names)}
         self._sig = None
         self._residue_field = None
+        self._bound_orders = {}
 
     # -- coefficient field ---------------------------------------------------
 
@@ -189,7 +195,7 @@ class TermOrder:
     grevlex fields of each block). BoundOrder packs them into one int.
     """
 
-    __slots__ = ("kind", "priority", "elim", "module_kind")
+    __slots__ = ("kind", "priority", "elim", "module_kind", "_sig")
 
     def __init__(self, kind="grevlex", priority=None, elim=(), module_kind="pot"):
         if kind not in ("grevlex", "lex", "elim"):
@@ -200,12 +206,22 @@ class TermOrder:
         self.priority = tuple(priority) if priority is not None else None
         self.elim = tuple(elim)
         self.module_kind = module_kind
+        self._sig = "%s|p=%s|e=%s|%s" % (kind, self.priority, self.elim, module_kind)
 
     def signature(self):
-        return "%s|p=%s|e=%s|%s" % (self.kind, self.priority, self.elim, self.module_kind)
+        return self._sig
 
     def bind(self, ring, twists, blocks=None):
-        return BoundOrder(self, ring, twists, blocks)
+        """The BoundOrder of this order over ring and the ambient twists
+        and blocks. The ring keeps one per (signature, twists, blocks), so
+        every submodule and solver over one ambient shares its keys."""
+        twists = tuple(twists)
+        blocks = (0,) * len(twists) if blocks is None else tuple(blocks)
+        key = (self._sig, twists, blocks)
+        bound = ring._bound_orders.get(key)
+        if bound is None:
+            bound = ring._bound_orders[key] = BoundOrder(self, ring, twists, blocks)
+        return bound
 
 
 # A packed key holds each field as a signed digit of FIELD_BITS bits. Two
@@ -243,18 +259,17 @@ class BoundOrder:
     coefficients precomputed here. Monomials up to MAX_DEGREE are ordered
     exactly; reduce_vec and term_basis refuse larger ones (check_degree)
     rather than mis-order them. Rank and block values (0 and 1 in
-    LiftSolver) sit far inside one field.
+    LiftSolver) sit far inside one field. Made by TermOrder.bind, which
+    keeps one per key on the ring.
     """
 
     __slots__ = ("order", "ring", "twists", "blocks", "base", "coef", "mcoef")
 
-    def __init__(self, order, ring, twists, blocks=None):
+    def __init__(self, order, ring, twists, blocks):
         self.order = order
         self.ring = ring
-        self.twists = tuple(twists)
-        if blocks is None:
-            blocks = (0,) * len(self.twists)
-        self.blocks = tuple(blocks)
+        self.twists = twists
+        self.blocks = blocks
         n = ring.nvars
         if order.kind == "grevlex":
             fields = _grevlex_fields(ring.weights, range(n))

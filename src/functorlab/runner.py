@@ -13,14 +13,13 @@ from fractions import Fraction
 from .cache import active_cache
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
-from .multigraded import analytic_spread, artin_rees_exponent, artin_rees_window
+from .multigraded import artin_rees_exponent, artin_rees_window
 from .oracles import grade_by_regular_sequence
 from .stability import (
     _component_cap,
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
-    degree_law,
     detect_stabilization,
     grade_asymptotics,
     grid_evaluate,
@@ -77,10 +76,9 @@ def _default_cap(scn):
     spec = scn.family_spec
     if spec.kind == "quotient" and scn.expression is not None \
             and scn.expression.kind != "compose":
-        return _cap_above(degree_law(scn.expression.functor, spec.module, spec.family))
+        return _cap_above(spec.degree_law(scn.expression.functor))
     if spec.kind == "quotient":
-        spread = analytic_spread(spec.module, spec.family)
-        return max(0, spread - spec.r) + max(spec.module.dim(), 0) + 1
+        return max(0, spec.spread() - spec.r) + max(spec.module.dim(), 0) + 1
     return _component_cap(spec.mgmodule, scn.box)
 
 
@@ -179,8 +177,8 @@ def run_stabilization(scn, task):
 def run_degree_bound(scn, task):
     spec = scn.family_spec
     table = _lambda_table(scn, task)
-    # one law serves the default cap and the check
-    law = degree_law(scn.expression.functor, spec.module, spec.family)
+    # the spec keeps one law for the default cap and the check
+    law = spec.degree_law(scn.expression.functor)
     cap = task["degree_cap"] if "degree_cap" in task else _cap_above(law)
     fit = fit_polynomial(table, scn.box, cap)
     if fit is None:
@@ -217,9 +215,7 @@ def run_grade(scn, task):
     if task.get("oracle"):
         polys = [v.components(1)[0] for v in grade_ideal.gens]
         for p in sorted(rep["table"]):
-            member = spec.member(p)
-            module = member if expr is None else expr.evaluate(member)
-            brute = grade_by_regular_sequence(polys, module)
+            brute = grade_by_regular_sequence(polys, spec.value(expr, p))
             if brute != rep["table"][p]:
                 failures.append(
                     "grade oracle disagrees at %s: %s vs %s"
@@ -256,7 +252,7 @@ def run_component_track(scn, task):
     observables = tuple(task.get("observables", ("lambda",)))
     grade_ideal = scn.ideals.get(task["ideal"]) if "ideal" in task else None
     rep = component_track(
-        scn.family_spec.mgmodule, _task_expr(scn, task), scn.box, observables=observables,
+        scn.family_spec, _task_expr(scn, task), scn.box, observables=observables,
         grade_ideal=grade_ideal,
     )
     fit = rep["fits"].get("lambda")

@@ -9,8 +9,9 @@ Ext^i(k, M) (Koszul self-duality), the two evaluation routes agree on a
 seeded corpus, Artin-Rees certificates hold on a window, the fitter is exact,
 the cache recomputes an unreadable, unsealed or malformed entry instead of
 trusting it, the colons and intersections of term ideals meet their
-definitions, and the Hilbert numerators of term ideals count their standard
-monomials.
+definitions, the Hilbert numerators of term ideals count their standard
+monomials, and the lcm syzygies of terms and the solver-free presentations
+of cokernels span what a LiftSolver reads off.
 The fault hook flips one length in the route-equivalence suite so the
 tripwire itself can be demonstrated.
 """
@@ -32,7 +33,7 @@ from .functors import (
     functor_from_tor,
 )
 from .grid import GridBox
-from .groebner import buchberger, make_lead_index, reduce_vec, s_vector, spans_terms
+from .groebner import LiftSolver, buchberger, make_lead_index, reduce_vec, s_vector, spans_terms
 from .hilbert import ideal_numerator, series_window
 from .invariants import bass_profile, ext_bass_profile
 from .multigraded import artin_rees_exponent, artin_rees_window
@@ -415,6 +416,112 @@ def _malformed_groebner_entry(scratch):
     return None
 
 
+def _solver_syzygies(sub):
+    """The syzygies of sub's generators read off one LiftSolver."""
+    degs = tuple(g.degree(sub.twists) for g in sub.gens)
+    solver = LiftSolver(sub.ring, sub.rank, sub.twists, list(sub.gens))
+    return Submodule(sub.ring, len(sub.gens), degs, solver.kernel_vectors(), check=False)
+
+
+def _solver_presentation(module):
+    """(pruned generators, span of the columns) of module's presentation,
+    read off one LiftSolver over the pruned generators."""
+    ring, rels = module.ring, list(module.rels)
+    pruned = module.gens_sub().minimal_generators(modulo=rels).gens
+    solver = LiftSolver(ring, module.rank, module.twists, list(pruned), rels)
+    twists = tuple(g.degree(module.twists) for g in pruned)
+    return pruned, Submodule(ring, len(pruned), twists, solver.kernel_vectors(), check=False)
+
+
+def _presentation_mismatch(module):
+    """What is wrong with module's presentation against the solver route,
+    or None: the same pruned generators, a column span equal to the
+    kernel's, and coeffs_of writing each generator back modulo relations."""
+    pres = module.presentation()
+    pruned, kernel = _solver_presentation(module)
+    if pres.gens != pruned:
+        return "pruned generators differ for %r" % (module,)
+    columns = Submodule(module.ring, len(pruned), pres.gen_twists, pres.columns, check=False)
+    if not columns.equals(kernel):
+        return "presentation columns of %r span another kernel" % (module,)
+    for g in pres.gens:
+        coeffs = pres.coeffs_of(g)
+        if coeffs is None:
+            return "coeffs_of finds no coefficients for a generator of %r" % (module,)
+        back = Vec.zero(module.ring)
+        for c, h in zip(coeffs, pres.gens):
+            back = back + h.mul_poly(c)
+        if not module.rels_sub().contains(back - g):
+            return "coeffs_of does not write a generator of %r back" % (module,)
+    return None
+
+
+def _seeded_vector(rng, ring, twists, degree):
+    """A homogeneous vector of the given degree under twists with up to two
+    terms per component, none of them at the unit monomial."""
+    terms = {}
+    for c, t in enumerate(twists):
+        monos = [m for m in monomials_of_degree(ring, degree - t) if any(m)]
+        for m in rng.sample(monos, min(len(monos), rng.randint(0, 2))):
+            terms[(c, m)] = ring.coeff(rng.randint(1, 9))
+    return Vec(ring, terms)
+
+
+def suite_fast_path_routes():
+    """The lcm syzygies of single terms and the solver-free presentation of
+    a cokernel of the free module agree with the LiftSolver route on seeded
+    input over GF(p), Q and weights (1, 2): equal spans (Submodule.equals)
+    and equal pruned generators. Over a quotient base, and for a relation
+    with a unit-monomial term, the solver route is taken and still agrees."""
+    rng = random.Random(20261019)
+    checked = 0
+    for ring in _polynomial_rings():
+        for _ in range(6):
+            twists = rng.choice([(0,), (0, 1), (0, 0), (1, 0)])
+            gens = []
+            for _ in range(rng.randint(2, 5)):
+                c = rng.randrange(len(twists))
+                mono = rng.choice(monomials_of_degree(ring, rng.randint(1, 3)))
+                gens.append(Vec(ring, {(c, mono): ring.coeff(rng.randint(1, 9))}))
+            sub = Submodule(ring, len(twists), twists, gens)
+            syz = sub.syzygies()
+            pairs = sum(
+                1 for i, a in enumerate(sub.gens) for b in sub.gens[i + 1:]
+                if a.max_component() == b.max_component()
+            )
+            if len(syz.gens) != pairs:
+                return False, "syzygies of %r did not take the lcm route" % (sub,)
+            if not syz.equals(_solver_syzygies(sub)):
+                return False, "lcm syzygies of %r differ from the solver's" % (sub,)
+            rels = [_seeded_vector(rng, ring, twists, max(twists) + rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 3))]
+            module = FPModule.from_cokernel(ring, twists, [w for w in rels if w])
+            if module.presentation()._solver is not None:
+                return False, "presentation of %r built a solver" % (module,)
+            failure = _presentation_mismatch(module)
+            if failure:
+                return False, failure
+            checked += 2
+    quotient = quotient_ring(PolyRing(("x", "y", "z")), ["x*y - z^2"])
+    terms = Submodule(quotient, 1, (0,), [parse_vec(quotient, ["x"]), parse_vec(quotient, ["z"])])
+    if not terms.syzygies().equals(_solver_syzygies(terms)):
+        return False, "syzygies of terms over %s differ from the solver's" % quotient.signature()
+    ring = _ring()
+    for module in (
+        FPModule.cyclic(quotient, ("x",)),
+        FPModule.from_cokernel(ring, (0, 1), [parse_vec(ring, ["x", "-1"])]),
+    ):
+        if module.presentation()._solver is None:
+            return False, "presentation of %r skipped the solver" % (module,)
+        failure = _presentation_mismatch(module)
+        if failure:
+            return False, failure
+    return True, (
+        "%d seeded syzygy modules and presentations over GF(p), Q, weights (1,2); "
+        "quotient base and unit relation on the solver route" % checked
+    )
+
+
 SUITES = (
     ("buchberger_s_vectors", suite_buchberger),
     ("syzygy_vs_brute_kernels", suite_syzygy),
@@ -426,6 +533,7 @@ SUITES = (
     ("fit_exactness", suite_fit_exactness),
     ("cache_robustness", suite_cache_robustness),
     ("term_kernels", suite_term_kernels),
+    ("fast_path_routes", suite_fast_path_routes),
 )
 
 

@@ -39,9 +39,17 @@ class FamilySpec:
     Quotient kind: members M/I^n N for a verified submodule N of M and an
     ideal family I. Component kind: members are the strands of a
     multigraded module.
+
+    The spec keeps what its tasks share, for as long as it lives: one
+    member per point (value(None, p)), one F(member) per expression object
+    and point (value(expr, p)), the analytic spread, and one degree_law per
+    functor. member(p) itself always builds a fresh member.
     """
 
-    __slots__ = ("kind", "module", "sub_vectors", "family", "mgmodule")
+    __slots__ = (
+        "kind", "module", "sub_vectors", "family", "mgmodule",
+        "_members", "_values", "_spread", "_laws",
+    )
 
     def __init__(self, kind, module=None, sub_vectors=(), family=None, mgmodule=None):
         self.kind = kind
@@ -49,6 +57,10 @@ class FamilySpec:
         self.sub_vectors = tuple(sub_vectors)
         self.family = family
         self.mgmodule = mgmodule
+        self._members = {}
+        self._values = {}
+        self._spread = None
+        self._laws = {}
 
     @classmethod
     def quotient(cls, module, sub_vectors, family):
@@ -82,6 +94,40 @@ class FamilySpec:
             return m.with_relations(scaled)
         rels = list(m.rels) + list(scaled.gens)
         return FPModule(m.ring, m.rank, m.twists, m.gens, rels, check=False)
+
+    def value(self, expr, nvec):
+        """F(member) at nvec for the expression expr, or the member itself
+        when expr is None; each is built once and kept."""
+        nvec = tuple(nvec)
+        member = self._members.get(nvec)
+        if member is None:
+            member = self._members[nvec] = self.member(nvec)
+        if expr is None:
+            return member
+        key = (expr, nvec)
+        out = self._values.get(key)
+        if out is None:
+            out = self._values[key] = expr.evaluate(member)
+        return out
+
+    def spread(self):
+        """The analytic spread of the quotient family, computed once."""
+        if self._spread is None:
+            self._spread = analytic_spread(self.module, self.family)
+        return self._spread
+
+    def degree_law(self, functor):
+        """The terms of deg P <= max(dim F(M), spread - r) for the lengths
+        of F(M/I^n N): dim F(M), the analytic spread, r and the bound; one
+        per functor, so a task's default degree cap and its bound check,
+        and every task of the scenario, read the same."""
+        law = self._laws.get(functor)
+        if law is None:
+            dim_fm = evaluate(functor, self.module).dim()
+            spread, r = self.spread(), self.r
+            law = {"dim_fm": dim_fm, "spread": spread, "r": r, "bound": max(dim_fm, spread - r)}
+            self._laws[functor] = law
+        return law
 
 
 # -- grid evaluation ---------------------------------------------------------------
@@ -148,12 +194,10 @@ def grid_evaluate(expr, spec, box, observables, grade_ideal=None, i_max=2):
             raise ConfigurationError("grade observable needs an ideal")
         # R/J is the same at every point: one module, resolved once for the grid
         grade_quotient = _cyclic_quotient(grade_ideal)
-    out = {}
-    for p in sorted(box.points()):
-        member = spec.member(p)
-        module = member if expr is None else expr.evaluate(member)
-        out[p] = _observe(module, observables, grade_quotient, i_max)
-    return out
+    return {
+        p: _observe(spec.value(expr, p), observables, grade_quotient, i_max)
+        for p in sorted(box.points())
+    }
 
 
 def _is_refused(value):
@@ -183,18 +227,9 @@ def detect_stabilization(table, box):
     return verdict
 
 
-def degree_law(functor, module, family):
-    """The terms of deg P <= max(dim F(M), spread - r) for the lengths of
-    F(M/I^n N): dim F(M), the analytic spread, r and the bound. A task that
-    needs both a default degree cap and the bound check computes it once."""
-    dim_fm = evaluate(functor, module).dim()
-    spread = analytic_spread(module, family)
-    r = len(family.ideals)
-    return {"dim_fm": dim_fm, "spread": spread, "r": r, "bound": max(dim_fm, spread - r)}
-
-
 def degree_bound_check(law, fitted):
-    """deg P <= the bound of degree_law, equality when dim wins strictly."""
+    """deg P <= the bound of FamilySpec.degree_law, equality when dim wins
+    strictly."""
     deg = fitted.total_degree
     bound = law["bound"]
     equality_required = law["dim_fm"] > law["spread"] - law["r"]
@@ -218,8 +253,7 @@ def betti_bass_asymptotics(expr, spec, box, i_max):
     """Polynomial fits for each beta_i, mu^i plus pd/id shell verdicts."""
     obs = grid_evaluate(expr, spec, box, ("betti", "bass", "pd", "id"), i_max=i_max)
     if spec.kind == "quotient":
-        spread = analytic_spread(spec.module, spec.family)
-        bound = max(0, spread - spec.r)
+        bound = max(0, spec.spread() - spec.r)
     else:
         bound = None
     fits = {}
@@ -253,9 +287,10 @@ def betti_bass_asymptotics(expr, spec, box, i_max):
     return {"observations": obs, "fits": fits, "bounds": bounds, "verdicts": verdicts}
 
 
-def component_track(mgmodule, expr, box, observables=("lambda", "ass"), grade_ideal=None):
-    """Strand-family track: observables, shell verdicts, and a length fit."""
-    spec = FamilySpec.component(mgmodule)
+def component_track(spec, expr, box, observables=("lambda", "ass"), grade_ideal=None):
+    """Strand-family track over a component spec: observables, shell
+    verdicts, and a length fit."""
+    mgmodule = spec.mgmodule
     obs = grid_evaluate(expr, spec, box, observables, grade_ideal=grade_ideal)
     verdicts = {}
     fits = {}

@@ -23,6 +23,9 @@ colon_module and intersect are exponent arithmetic on the per-component
 minimal monomials: (I : x^u) is generated by the m / gcd(m, x^u), and
 I cap J by the pairwise lcms (Cox-Little-O'Shea, Ideals, Varieties, and
 Algorithms, 2.4 and 4.4). Every other input goes through one LiftSolver.
+So do syzygies, except those of single terms over a polynomial base,
+which are the pairwise lcm syzygies (Eisenbud, Commutative Algebra,
+Lemma 15.1).
 """
 
 from __future__ import annotations
@@ -121,6 +124,30 @@ def _term_meet(ring, colons):
         else:
             meet = minimal_monomials(ring, [ring.mono_lcm(a, b) for a in meet for b in part])
     return meet
+
+
+def _lcm_syzygies(ring, gens):
+    """The pairwise lcm syzygies of the single-term vectors gens: for i < j
+    with both terms in one component, (m / t_i) e_i - (m / t_j) e_j, t the
+    terms with their coefficients and m the lcm of their monomials."""
+    terms = [next(iter(g.terms.items())) for g in gens]
+    out = []
+    for i, ((ci, mi), fi) in enumerate(terms):
+        for j in range(i + 1, len(terms)):
+            (cj, mj), fj = terms[j]
+            if ci == cj:
+                lcm = ring.mono_lcm(mi, mj)
+                out.append(Vec(ring, {
+                    (i, ring.mono_div(lcm, mi)): ring.inv(fi),
+                    (j, ring.mono_div(lcm, mj)): ring.neg(ring.inv(fj)),
+                }))
+    return out
+
+
+def candidate_key(twists, rank):
+    """The order in which minimal_generators takes its candidates, and so
+    returns the ones it keeps: by degree under twists, then by text."""
+    return lambda g: (g.degree(twists), str(g.to_strings(rank)))
 
 
 def _term_submodule(ring, twists, per_component):
@@ -233,9 +260,16 @@ class Submodule:
         return self.contains_all(other.gens)
 
     def lead_monomials(self):
-        """Per component, the lead monomials of the basis, in basis order."""
-        index = self.lead_index()
-        return [[entry[0] for entry in index.get(c, ())] for c in range(self.rank)]
+        """Per component, the lead monomials of the basis, in basis order:
+        read off the lead index when it exists, else off the basis itself."""
+        if self._leads is not None:
+            return [[entry[0] for entry in self._leads.get(c, ())] for c in range(self.rank)]
+        out = [[] for _ in range(self.rank)]
+        bound = self.bound
+        for g in self.groebner():
+            (c, m), _ = g.lead(bound)
+            out[c].append(m)
+        return out
 
     def canonical(self):
         """Same module, generated by its canonical Groebner basis."""
@@ -353,12 +387,20 @@ class Submodule:
         )
 
     def syzygies(self):
-        """Coefficient relations among gens: a submodule of R^len(gens)."""
-        degs = tuple(g.degree(self.twists) for g in self.gens)
-        solver = LiftSolver(self.ring, self.rank, self.twists, list(self.gens))
-        return Submodule(
-            self.ring, len(self.gens), degs, solver.kernel_vectors(), check=False
-        )
+        """Coefficient relations among gens: a submodule of R^len(gens).
+
+        When every generator is a single term and the base is a polynomial
+        ring, the syzygies are generated by the pairwise lcm syzygies
+        (m_ij / g_i) e_i - (m_ij / g_j) e_j, m_ij the lcm of two terms in
+        one component (Eisenbud, Commutative Algebra, Lemma 15.1); they are
+        not pruned. Every other input goes through one LiftSolver.
+        """
+        ring, gens = self.ring, self.gens
+        degs = tuple(g.degree(self.twists) for g in gens)
+        if not ring.relations and all(len(g.terms) == 1 for g in gens):
+            return Submodule(ring, len(gens), degs, _lcm_syzygies(ring, gens), check=False)
+        solver = LiftSolver(ring, self.rank, self.twists, list(gens))
+        return Submodule(ring, len(gens), degs, solver.kernel_vectors(), check=False)
 
     def multiply_ideal(self, ideal):
         """Product submodule ideal * self (ideal: rank 1, twist 0).
@@ -416,7 +458,7 @@ class Submodule:
             if not v.is_homogeneous(twists):
                 raise ContractViolation("minimal generators need homogeneous input, got %r" % v)
         fixed = modulo + base_relation_vectors(ring, rank)
-        candidates = sorted(self.gens, key=lambda g: (g.degree(twists), str(g.to_strings(rank))))
+        candidates = sorted(self.gens, key=candidate_key(twists, rank))
         inputs = fixed + candidates  # at equal degree, position puts fixed first
         _elements, entered = _run(inputs, ring=ring, rank=rank, twists=twists, bound=self.bound)
         gens = [inputs[k] for k in entered if k >= len(fixed)]

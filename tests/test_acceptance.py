@@ -32,7 +32,6 @@ from functorlab.stability import (
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
-    degree_law,
     detect_stabilization,
     grade_asymptotics,
     grid_evaluate,
@@ -132,7 +131,7 @@ def test_04_degree_bound_law_with_identity_equality(ring):
         }
         fit = fit_polynomial(table, box, 3)
         assert fit is not None and fit.total_degree == want_deg, label
-        check = degree_bound_check(degree_law(functor, free, fam), fit)
+        check = degree_bound_check(spec.degree_law(functor), fit)
         assert check["verdict"] == "PASS", (label, check)
         assert check["equality_required"] is want_equality, label
     print("PASS 04: degree law holds for 4 functors; equality forced and met for identity")
@@ -213,7 +212,7 @@ def test_08_betti_bass_profiles_and_homological_dimensions(ring):
 
 def test_09_blowup_strand_lengths_and_torsion_freeness(ring):
     fam = _fam(ring, ("x", "y"))
-    mg = rees_module(fam, _free(ring))
+    mg = FamilySpec.component(rees_module(fam, _free(ring)))
     box = GridBox((0,), (10,), shell=2)
     kmod = FPModule.cyclic(ring, ("x", "y"))
     from functorlab.functors import FunctorExpression

@@ -397,7 +397,7 @@ def test_degree_bound_task_computes_its_law_once(tmp_path, monkeypatch):
 
     for owner in (functors, stability):
         counting(owner, "evaluate")
-    for owner in (multigraded, stability, runner):
+    for owner in (multigraded, stability):
         counting(owner, "analytic_spread")
     code, out = _run(tmp_path, scn_path)
     assert code == 1

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from functorlab import fpmodule
+from functorlab import cache, fpmodule
 from functorlab.errors import ContractViolation
 from functorlab.fpmodule import (
     FPModule,
@@ -306,6 +306,48 @@ def test_block_module_shape():
     assert b.twists == (0, 1)
     assert b.length() == 6
     assert b.hilbert_function([0, 1, 2, 3]) == [1, 3, 2, 0]
+
+
+# -- block modules carry the bases their copy already has ------------------------
+
+BLOCK_RINGS = {
+    "GF(p)": PolyRing(("x", "y")),
+    "Q": PolyRing(("x", "y"), char=0),
+    "weights (1,2)": PolyRing(("x", "y"), weights=(1, 2)),
+    "quotient": quotient_ring(PolyRing(("x", "y", "z")), ["x*y - z^2"]),
+}
+
+
+def _seeded_vector(rng, ring, twists, degree):
+    terms = {}
+    for c, t in enumerate(twists):
+        monos = monomials_of_degree(ring, degree - t)
+        for m in rng.sample(monos, min(len(monos), rng.randint(0, 2))):
+            terms[(c, m)] = ring.coeff(rng.randint(1, 9))
+    return Vec(ring, terms)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_RINGS))
+def test_block_module_carries_the_bases_its_copy_has(name, monkeypatch):
+    # block twists (0, 2, -1) reorder the components across blocks, so the
+    # carried union must be sorted again to be the reduced basis
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    ring = BLOCK_RINGS[name]
+    rng = random.Random(20261019)
+    twists = (0, 1)
+    for _ in range(4):
+        gens = [_seeded_vector(rng, ring, twists, rng.randint(1, 2)) for _ in range(3)]
+        rels = [_seeded_vector(rng, ring, twists, rng.randint(2, 4)) for _ in range(3)]
+        x = FPModule.subquotient(ring, 2, twists, [g for g in gens if g], rels)
+        bare = block_module(x, [0, 2, -1])
+        assert bare.gens_sub()._gb is None and bare.rels_sub()._gb is None
+        x.gens_sub().groebner()
+        x.rels_sub().groebner()
+        blocks = block_module(x, [0, 2, -1])
+        for carried in (blocks.gens_sub(), blocks.rels_sub()):
+            assert carried._gb is not None
+            fresh = Submodule(ring, carried.rank, carried.twists, carried.gens, check=False)
+            assert carried._gb == fresh.groebner()
 
 
 # -- oracle: the generator-coefficient route hom_ext_tor replaced -----------------

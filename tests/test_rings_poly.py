@@ -115,6 +115,24 @@ def test_pot_ranks_components_by_descending_twist():
     assert bound.term_key(high.lead(bound)[0]) > bound.term_key(low.lead(bound)[0])
 
 
+def test_bind_keeps_one_bound_order_per_key():
+    R = PolyRing(("x", "y", "z"))
+    bound = TermOrder().bind(R, (0, 1))
+    assert TermOrder().bind(R, [0, 1]) is bound
+    assert TermOrder().bind(R, (0, 1), (0, 0)) is bound
+    others = [
+        TermOrder().bind(R, (1, 0)),
+        TermOrder().bind(R, (0, 1), (1, 0)),
+        TermOrder(kind="elim", elim=(0,)).bind(R, (0, 1)),
+        TermOrder(kind="elim", elim=(1,)).bind(R, (0, 1)),
+        TermOrder(module_kind="top").bind(R, (0, 1)),
+    ]
+    assert len({id(b) for b in [bound] + others}) == 6
+    assert TermOrder(kind="elim", elim=(0,)).bind(R, (0, 1)) is others[2]
+    assert [b.twists for b in others[:2]] == [(1, 0), (0, 1)]
+    assert others[1].blocks == (1, 0)
+
+
 def test_vec_degree_uses_twists():
     R = PolyRing(("x", "y"), char=0)
     v = parse_vec(R, ["x", "0"]) + parse_vec(R, ["0", "1"])

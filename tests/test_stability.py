@@ -5,9 +5,11 @@ staircase, lambda((I^n : x)/I^n) = lambda(I^(n-1)/I^n) = n for I = (x,y),
 and beta_i(R/(x,y)^n) = (1, n+1, n) from the Hilbert-Burch resolution.
 """
 
+import os
+
 import pytest
 
-from functorlab import cache, fpmodule, invariants, stability
+from functorlab import cache, fpmodule, functors, invariants, stability, submodule
 from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
 from functorlab.fpmodule import FPModule
 from functorlab.functors import (
@@ -27,12 +29,13 @@ from functorlab.invariants import (
 )
 from functorlab.rings import PolyRing
 from functorlab.poly import Poly, Vec, parse_vec, quotient_ring
+from functorlab.runner import run_scenario_object
+from functorlab.scenario import bundled_scenario_path, load_scenario
 from functorlab.stability import (
     FamilySpec,
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
-    degree_law,
     detect_stabilization,
     grade_asymptotics,
     grid_evaluate,
@@ -187,7 +190,7 @@ def test_degree_bound_identity_functor(ring):
 
     fit = fit_polynomial({p: row["lambda"] for p, row in obs.items()}, box, 2)
     assert fit is not None and fit.total_degree == 2
-    verdict = degree_bound_check(degree_law(functor_from_hom(free), free, fam), fit)
+    verdict = degree_bound_check(spec.degree_law(functor_from_hom(free)), fit)
     assert verdict["verdict"] == "PASS"
     assert verdict["dim_fm"] == 2
     assert verdict["spread"] == 2
@@ -202,7 +205,8 @@ def test_degree_bound_can_fail(ring):
 
     free = _free(ring)
     fake = FittedPolynomial(1, {(3,): Fraction(1)}, (1,), ((1,),))
-    verdict = degree_bound_check(degree_law(functor_from_hom(free), free, _mxy(ring)), fake)
+    spec = FamilySpec.quotient(free, [Vec.unit(ring, 0)], _mxy(ring))
+    verdict = degree_bound_check(spec.degree_law(functor_from_hom(free)), fake)
     assert verdict["verdict"] == "FAIL"
 
 
@@ -286,7 +290,7 @@ def test_normal_form_two_ideal_family(ring):
 def test_component_track_rees_strands(ring):
     fam = _mxy(ring)
     free = _free(ring)
-    mg = rees_module(fam, free)
+    mg = FamilySpec.component(rees_module(fam, free))
     box = GridBox((1,), (6,), shell=2)
     k_mod = FPModule.cyclic(ring, ("x", "y"))
     expr = FunctorExpression.tensor(k_mod)
@@ -300,7 +304,7 @@ def test_component_track_rees_strands(ring):
 
 
 def test_component_track_infinite_lengths_refused(ring):
-    mg = rees_module(_mxy(ring), _free(ring))
+    mg = FamilySpec.component(rees_module(_mxy(ring), _free(ring)))
     box = GridBox((1,), (5,), shell=1)
     rep = component_track(mg, None, box, observables=("lambda",))
     assert isinstance(rep["fits"]["lambda"], dict)
@@ -492,3 +496,64 @@ def test_non_term_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "_ACTIVE", warm)
     assert grid_evaluate(None, _two_ideal_sweep_spec(R, *sweep), box, ("lambda",)) == obs
     assert warm.stats() == {"hits": 7, "misses": 0, "puts": 0, "corrupt": 0}
+
+
+# -- one member and one value per point --------------------------------------------
+
+XYZ_TENSOR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "scenarios", "xyz_tensor.scn"
+)
+
+
+def _record_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that every call's arguments are appended to the
+    returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+def test_xyz_tensor_builds_each_member_and_value_once(monkeypatch):
+    # fit, Ass of the members and betti_bass read one member and one
+    # F(member) per box point; F(M) for the degree law is one more value
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    scn = load_scenario(XYZ_TENSOR)
+    members = _record_calls(monkeypatch, FamilySpec, "member")
+    on_members = _record_calls(monkeypatch, functors, "evaluate")
+    on_module = _record_calls(monkeypatch, stability, "evaluate")
+    code, _report, _meta = run_scenario_object(scn)
+    assert code == 0
+    assert sorted(args[1] for args in members) == sorted(scn.box.points())
+    assert len(on_members) == len(scn.box.points())
+    assert len(on_module) == 1
+
+
+def test_rees_component_track_builds_each_strand_once(monkeypatch):
+    # both component_track tasks, the tensor one and the identity one, read
+    # the scenario's spec, so each strand is cut once
+    scn = load_scenario(bundled_scenario_path("rees_component_track"))
+    strands = _record_calls(monkeypatch, stability, "graded_component")
+    code, _report, _meta = run_scenario_object(scn)
+    assert code == 0
+    assert sorted(args[1] for args in strands) == sorted(scn.box.points())
+
+
+def test_evaluate_on_a_member_runs_no_buchberger_for_hom_relations(monkeypatch):
+    # F = N (x) - at R/a^2 for the non-term a = (x^2 + y^2, xy): Hom(K, X)
+    # and Hom(L, X) are block modules of X, which carry the power product's
+    # basis, so the pushed generators reduce without a Buchberger run
+    R = PolyRing(("x", "y"))
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    fam = IdealFamily([ideal(R, ["x^2 + y^2", "x*y"])])
+    member = FamilySpec.quotient(_free(R), [Vec.unit(R, 0)], fam).member((2,))
+    functor = functor_from_tensor(FPModule.cyclic(R, ("x", "y^2")))
+    functor.diagram()
+    runs = _record_calls(monkeypatch, submodule, "buchberger")
+    value = evaluate(functor, member)
+    assert runs == []
+    assert value.length() == 2
