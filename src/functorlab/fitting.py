@@ -3,11 +3,15 @@
 Fitting runs Newton finite differences over Fraction on the corner sub-box
 of side degree_cap+1 that ends where the held-out shell begins; shell
 points are validation-only. The reported onset is the smallest box point
-from which every box point validates exactly. No fit is ever forced: a
-table with no valid onset yields None.
+from which every box point validates exactly. Validation runs in integers:
+with D the lcm of the coefficient denominators, a point p validates when
+the integer polynomial D*P takes the value D*lambda(p), which holds exactly
+when P(p) = lambda(p). No fit is ever forced: a table with no valid onset
+yields None.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import ConfigurationError, ContractViolation
@@ -173,11 +177,14 @@ def fit_polynomial(table, box, degree_cap):
         )
     diffs = _newton_table(table, base, degree_cap, r)
     coeffs = _expand(diffs, base, degree_cap, r)
-    poly = FittedPolynomial(r, coeffs, onset=box.lo)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    scaled = [(e, c.numerator * (den // c.denominator)) for e, c in coeffs.items()]
     matches = {}
     for p in box.points():
         v = table.get(p)
-        matches[p] = v is not None and v != INF and poly.evaluate(p) == v
+        matches[p] = v is not None and v != INF and sum(
+            c * math.prod(map(pow, p, e)) for e, c in scaled
+        ) == den * v
     for onset in sorted(box.points(), key=lambda p: (sum(p), p)):
         if any(o > t for o, t in zip(onset, top)):
             continue

@@ -20,8 +20,23 @@ their Koszul complex is exact and N(I) = prod_m (1 - t^(deg m)).  The
 recursion ends: with c_j the least of the pure x_j power's exponent and one
 more than the largest x_j exponent, sum_j c_j drops on both sides, since
 I + (p) holds the pure power x_i^e with e < c_i and I : p lowers every x_i
-exponent by e >= 1, and no c_j grows.  Numerators are memoized on minimal
-generating sets, sorted by (degree, exponents).
+exponent by e >= 1, and no c_j grows.
+
+Base case: when at most two variables x_i, x_j (i < j) occur in the minimal
+generators, ordered g_1..g_k by ascending x_i exponent (so descending x_j
+exponent), R/I is resolved by the staircase (Hilbert-Burch; Miller-Sturmfels,
+Combinatorial Commutative Algebra, ch. 3):
+
+    0 -> (+)_k R(-deg lcm(g_k, g_k+1)) -> (+)_k R(-deg g_k) -> R -> R/I -> 0,
+
+as the syzygies of consecutive generators generate all the others, so
+
+    N(I) = 1 - sum_k t^(deg g_k) + sum_k t^(deg lcm(g_k, g_k+1)).
+
+This holds in any number of variables, so it also closes the sub-problems of
+a larger recursion once two variables are left.  Staircase numerators cost
+less than a memo key and are not memoized; every other numerator is memoized
+on its minimal generating set, sorted by (degree, exponents).
 
 Lengths come from exact division of the numerator by every (1 - t^(w_i))
 factor (non-divisibility certifies infinite length), Krull dimension from
@@ -50,9 +65,21 @@ def minimal_monomials(ring, monos):
     """Prune a monomial set to its minimal members under divisibility, sorted
     by (degree, exponents). With positive weights a proper divisor has lower
     degree, so one pass in that order meets every divisor of a monomial
-    before the monomial itself."""
+    before the monomial itself. With at most two active variables x_i, x_j
+    (i < j) one lexicographic pass suffices: it meets every divisor first,
+    and m is minimal exactly when its x_j exponent is below all kept so far."""
+    monos = set(monos)
+    active = [i for i, column in enumerate(zip(*monos)) if any(column)]
     out = []
-    for m in _by_degree(ring, set(monos)):
+    if len(active) < 3:
+        j = active[-1] if active else 0
+        low = math.inf
+        for m in sorted(monos):
+            if m[j] < low:
+                out.append(m)
+                low = m[j]
+        return _by_degree(ring, out)
+    for m in _by_degree(ring, monos):
         for p in out:
             if all(map(le, p, m)):
                 break
@@ -93,13 +120,26 @@ def _minimal_numerator(ring, monos):
         return {0: 1}
     if not any(monos[0]):
         return {}  # the unit monomial is a generator; degree 0 sorts it first
-    key = (ring.weights, tuple(monos))
+    weights = ring.weights
+    counts = [len(monos) - column.count(0) for column in zip(*monos)]
+    active = [i for i, c in enumerate(counts) if c]
+    if len(active) < 3:  # the staircase, unmemoized
+        i, j = active[0], active[-1]
+        out = {0: 1}
+        prev = None
+        for m in sorted(monos):  # ascending in x_i, so descending in x_j
+            d = sum(map(mul, m, weights))
+            out[d] = out.get(d, 0) - 1
+            if prev is not None:  # lcm(prev, m)
+                d = m[i] * weights[i] + prev[j] * weights[j]
+                out[d] = out.get(d, 0) + 1
+            prev = m
+        return {d: c for d, c in out.items() if c}
+    key = (weights, tuple(monos))
     hit = _NUMERATOR_MEMO.get(key)
     if hit is not None:
         return hit
-    counts = [len(monos) - column.count(0) for column in zip(*monos)]
     i = max(range(len(counts)), key=counts.__getitem__)
-    weights = ring.weights
     if counts[i] < 2:  # pairwise coprime
         out = {0: 1}
         for m in monos:

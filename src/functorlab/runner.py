@@ -119,13 +119,9 @@ def run_fit(scn, task):
 
 
 def run_normal_form(scn, task):
-    spec = scn.family_spec
     mode = task.get("mode", "certified")
     try:
-        nf = normal_form(
-            scn.expression.functor, spec.module, list(spec.sub_vectors), spec.family,
-            scn.box, ar_mode=mode,
-        )
+        nf = normal_form(scn.expression, scn.family_spec, scn.box, ar_mode=mode)
     except ContractViolation as exc:
         return {"error": str(exc)}, [str(exc)]
     result = {
@@ -136,10 +132,7 @@ def run_normal_form(scn, task):
         "v_generators": len(nf.v),
         "w_generators": len(nf.w),
         "provenance": dict(nf.provenance),
-        "member_lengths": {
-            p: nf.member_value(p).length()
-            for p in nf.validated
-        },
+        "member_lengths": {p: shaped.length() for p, shaped in nf.validated.items()},
     }
     return result, []
 

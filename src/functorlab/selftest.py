@@ -40,7 +40,7 @@ from .multigraded import artin_rees_exponent, artin_rees_window
 from .oracles import brute_kernel, monomials_of_degree
 from .poly import Vec, parse_vec, quotient_ring
 from .rings import PolyRing
-from .submodule import IdealFamily, Submodule, ideal
+from .submodule import IdealFamily, Submodule, ideal, zero_submodule
 
 
 def _ring():
@@ -136,12 +136,19 @@ def suite_buchberger():
 
 def _term_ideal_groups():
     """The term ideals of _buchberger_corpus (generators and base relations
-    all single terms), grouped by ring."""
+    all single terms), grouped by ring, and a k[x,y,z] group whose ideals
+    each use two of the variables, so their numerators are staircases and
+    those of their products with three active variables pivot down to
+    staircases."""
     groups = {}
     for ring, texts in _buchberger_corpus():
         sub = ideal(ring, texts)
         if spans_terms(sub.gens, ring):
             groups.setdefault(ring, []).append(sub)
+    xyz = PolyRing(("x", "y", "z"))
+    groups[xyz] = [
+        ideal(xyz, texts) for texts in (["x^2", "x*y^2", "y^3"], ["y*z", "z^3"], ["x^3", "x*z^2"])
+    ]
     return groups
 
 
@@ -202,26 +209,39 @@ def suite_term_kernels():
                         return False, "the Hilbert numerator of %s misses its staircase" % sub
                 checked += 1
     return True, (
-        "%d pairs of term ideals over GF(p), Q, weights (1,2) and k[x,y,z]/(y^2, xz)" % checked
+        "%d pairs of term ideals over GF(p), Q, weights (1,2), k[x,y,z] and k[x,y,z]/(y^2, xz)"
+        % checked
     )
 
 
+def _syzygy_corpus():
+    """(ring, twists, generator columns) over GF(32003), Q, weights (1, 2)
+    and the monomial quotient base k[x,y,z]/(y^2, xz): term ideals (the lcm
+    syzygies over a polynomial base), a non-term ideal and a rank-2 module
+    (a LiftSolver)."""
+    plain = [["x", "y"], ["x^2", "x*y", "y^2"], ["x^2 + y^2", "x*y"], [["x", "y"], ["y", "x"]]]
+    weighted = [["x^2", "y"], ["x^3", "x*y", "y^2"], ["x^2 + y", "x*y"], [["x^2", "y"], ["y", "x^2"]]]
+    quotient = [["x", "y"], ["x^2", "y*z", "z^2"], ["x + z", "y"], [["x", "y"], ["z", "x"]]]
+    rings = _polynomial_rings() + (quotient_ring(PolyRing(("x", "y", "z")), ["y^2", "x*z"]),)
+    out = []
+    for ring, cases in zip(rings, (plain, plain, weighted, quotient)):
+        for case in cases:
+            if isinstance(case[0], list):
+                out.append((ring, (0, 0), [parse_vec(ring, c) for c in case]))
+            else:
+                out.append((ring, (0,), [parse_vec(ring, [t]) for t in case]))
+    return out
+
+
 def suite_syzygy():
-    ring = _ring()
-    cases = [
-        ((0,), ["x", "y"]),
-        ((0,), ["x^2", "x*y", "y^2"]),
-        ((0, 0), None),
-    ]
+    """Syzygies annihilate their generators, and the brute-force kernels of
+    the strands up to three degrees past the top generator lie in them."""
     checked = 0
-    for twists, texts in cases:
-        if texts is None:
-            gens = [parse_vec(ring, ["x", "y"]), parse_vec(ring, ["y", "x"])]
-            sub = Submodule(ring, 2, twists, gens)
-        else:
-            sub = Submodule(ring, 1, twists, [parse_vec(ring, [t]) for t in texts])
+    for ring, twists, gens in _syzygy_corpus():
+        sub = Submodule(ring, len(twists), twists, gens)
         syz = sub.syzygies()
         gens = list(sub.gens)
+        zero = zero_submodule(ring, len(twists), twists)  # the base relations
         # soundness: every syzygy column kills the generators
         for s in syz.gens:
             parts = s.components(len(gens))
@@ -229,16 +249,29 @@ def suite_syzygy():
             for g, c in zip(gens, parts):
                 term = g.mul_poly(c)
                 acc = term if acc is None else acc + term
-            if acc:
-                return False, "syzygy fails to annihilate its generators"
-        # completeness: brute strand kernels reduce to zero against the basis
+            if not zero.contains(acc):
+                return False, "a syzygy of %s fails to annihilate them" % (gens,)
+        # completeness: brute strand kernels reduce to zero against the basis;
+        # over a quotient base the base relations times each unit vector are
+        # extra columns, cut off the kernel vectors
         src_twists = tuple(g.degree(sub.twists) for g in gens)
         degrees = range(min(src_twists), max(src_twists) + 4)
-        for v in brute_kernel(ring, src_twists, gens, sub.twists, degrees):
+        columns = gens + [
+            Vec(ring, {(i, m): c for m, c in rel.terms.items()})
+            for rel in ring.relations for i in range(len(twists))
+        ]
+        col_twists = tuple(v.degree(sub.twists) for v in columns)
+        for v in brute_kernel(ring, col_twists, columns, sub.twists, degrees):
+            v = Vec(ring, {k: c for k, c in v.terms.items() if k[0] < len(gens)})
+            if not v:
+                continue
             if not syz.contains(v):
-                return False, "brute kernel vector escapes the syzygy module"
+                return False, "a brute kernel vector of %s escapes the syzygies" % (gens,)
             checked += 1
-    return True, "%d brute kernel vectors absorbed" % checked
+    return True, (
+        "%d brute kernel vectors absorbed over GF(p), Q, weights (1,2) and k[x,y,z]/(y^2, xz)"
+        % checked
+    )
 
 
 def suite_euler():

@@ -323,7 +323,8 @@ class NormalForm:
 
     U, V, W are ambient generator tuples for submodules of T; provenance
     records the A_1/A_2 generators and the Artin-Rees verdicts that made
-    c and d. Members are exact FPModules, validated at construction.
+    c and d. Members are exact FPModules, validated at construction:
+    validated maps each checked box point to its member.
     """
 
     __slots__ = (
@@ -339,7 +340,7 @@ class NormalForm:
         self.d = tuple(d)
         self.family = family
         self.provenance = provenance
-        self.validated = ()
+        self.validated = {}
 
     def member_value(self, nvec):
         if any(n < e for n, e in zip(nvec, self.d)):
@@ -407,15 +408,18 @@ def _block_side(pres, amb, mc, n_vecs, family, box, ar_mode):
     return e, verdict, block_kernel(mat, amb, tgt, width, tgt.rels), preimage
 
 
-def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
-    """Build and validate the stable shape of n -> F(M/I^n N).
+def normal_form(expr, spec, box, ar_mode="certified"):
+    """Build and validate the stable shape of n -> F(M/I^n N), for the
+    single-functor expression expr over the quotient family spec.
 
     Follows the kernel/image bookkeeping of the lifted diagram: c comes
     from Artin-Rees on gamma*(A) meeting I^n N^{l1}, d from psi(B) meeting
     I^n N^{k1} (then raised to c componentwise), and U, V, W live in
     T = M^{k0}/phi(A_1). Every box point n >= d is checked against the
-    functor value; a mismatch raises naming the point.
+    functor value the spec keeps (spec.value(expr, n)); a mismatch raises
+    naming the point.
     """
+    functor, module, family = expr.functor, spec.module, spec.family
     ring = module.ring
     r = len(family.ideals)
     diag = functor.diagram()
@@ -423,7 +427,7 @@ def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
     mp = module.presentation()
     mc = FPModule.from_cokernel(ring, mp.gen_twists, list(mp.columns))
     width = mc.rank
-    n_vecs = _to_cokernel_coords(mp, sub_vectors)
+    n_vecs = _to_cokernel_coords(mp, spec.sub_vectors)
     k0 = len(pres_k.gens)
     if k0 == 0:
         raise ConfigurationError("zero functor has no normal form to build")
@@ -487,17 +491,13 @@ def normal_form(functor, module, sub_vectors, family, box, ar_mode="certified"):
     nf = NormalForm(t, u_gens, v_gens, w_gens, c, d, family, provenance)
     if not nf.u_module().hilbert_equal(evaluate(functor, module)):
         raise ContractViolation("U does not reproduce F(M)")
-    spec = FamilySpec.quotient(module, sub_vectors, family)
-    checked = []
     for p in box.points():
         if any(x < e for x, e in zip(p, d)):
             continue
-        direct = evaluate(functor, spec.member(p))
         shaped = nf.member_value(p)
-        if not shaped.hilbert_equal(direct):
+        if not shaped.hilbert_equal(spec.value(expr, p)):
             raise ContractViolation(
                 "normal form mismatch at %r: family value disagrees degreewise" % (p,)
             )
-        checked.append(p)
-    nf.validated = tuple(checked)
+        nf.validated[p] = shaped
     return nf

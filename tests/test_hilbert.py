@@ -6,7 +6,10 @@ expanded by hand from N(I+(m)) = N(I) - t^deg(m) N(I:m).
 The pivot recursion is compared with reference_numerator, the last-generator
 recursion it replaced, and with brute staircase counts, on seeded monomial
 ideals in one to four variables, with weights, over a monomial quotient base,
-and on the unit and the empty ideal.
+and on the unit and the empty ideal. So is the staircase base case, on
+seeded ideals with at most two active variables in rings of two to four
+variables, and the staircase pruning of minimal_monomials is compared, list
+for list, with the generic divisibility pass.
 """
 
 import math
@@ -131,15 +134,22 @@ def test_numerator_matches_a_brute_staircase_count(names, weights, seed, monkeyp
     assert series_window(R, ideal_numerator(R, monos), 0, 12) == brute
 
 
+def _reference_minimal(ring, monos):
+    """The minimal members of monos under divisibility, sorted by (degree,
+    exponents): the generic pass, for any number of active variables."""
+    kept = []
+    for m in sorted(set(monos), key=lambda m: (ring.mono_degree(m), m)):
+        if not any(ring.mono_divides(p, m) for p in kept):
+            kept.append(m)
+    return kept
+
+
 def reference_numerator(ring, monos):
     """Numerator of R/(monos) by the last-generator recursion (Bayer-Stillman,
     JSC 14, 1992): with the minimal generators sorted by (degree, exponents),
     N(I + (m)) = N(I) - t^deg(m) N(I : m) for the last one, m. Unmemoized,
     with its own pruning and series arithmetic."""
-    kept = []
-    for m in sorted(set(monos), key=lambda m: (ring.mono_degree(m), m)):
-        if not any(ring.mono_divides(p, m) for p in kept):
-            kept.append(m)
+    kept = _reference_minimal(ring, monos)
     if not kept:
         return {0: 1}
     if not any(kept[0]):
@@ -234,3 +244,89 @@ def test_pivot_numerator_over_a_monomial_quotient_base(texts, monkeypatch):
     ]
     assert series_window(R, numer, 0, 8) == outside
 
+
+
+def _active_monomials(rng, ring, active):
+    """Two to eight monomials in the variables active (exponents up to 5),
+    plus a multiple of one and a repeat, so the list is not minimal."""
+    def mono():
+        return tuple(rng.randint(0, 5) if i in active else 0 for i in range(ring.nvars))
+
+    monos = [m for m in (mono() for _ in range(rng.randint(2, 8))) if any(m)]
+    monos = monos or [ring.var_mono(active[0], 2)]
+    monos.append(tuple(a + (i == active[-1]) for i, a in enumerate(monos[-1])))
+    monos.append(monos[0])
+    return monos
+
+
+@pytest.mark.parametrize("names, weights", [
+    (("x", "y"), None),
+    (("x", "y"), (1, 2)),
+    (("x", "y"), (2, 3)),
+    (("x", "y", "z"), None),
+    (("x", "y", "z"), (2, 3, 1)),
+    (("x", "y", "z", "w"), None),
+    (("x", "y", "z", "w"), (1, 1, 2, 3)),
+])
+@pytest.mark.parametrize("seed", range(6))
+def test_staircase_numerator_with_two_active_variables(names, weights, seed, monkeypatch):
+    # Hilbert-Burch: with the minimal generators ordered by their first
+    # active exponent, N = 1 - sum t^deg(g_k) + sum t^deg(lcm(g_k, g_k+1)),
+    # taken in closed form and never memoized
+    monkeypatch.setattr(hilbert, "_NUMERATOR_MEMO", {})
+    R = PolyRing(names, char=0, weights=weights)
+    rng = random.Random("staircase/%s/%s/%d" % (names, weights, seed))
+    for _ in range(4):
+        active = sorted(rng.sample(range(R.nvars), rng.choice((1, 2, 2))))
+        monos = _active_monomials(rng, R, active)
+        numer = ideal_numerator(R, monos)
+        assert numer == reference_numerator(R, monos), monos
+        assert series_window(R, numer, 0, 12) == _staircase_counts(R, monos, 12), monos
+    assert hilbert._NUMERATOR_MEMO == {}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_staircase_numerator_inside_a_pivot_over_a_monomial_quotient_base(seed, monkeypatch):
+    # over k[x,y,z]/(y^2, xz) the lead monomials of a term ideal in two
+    # variables hold the base relations, so three variables are active: the
+    # pivot recursion runs until its sub-problems have two left
+    monkeypatch.setattr(hilbert, "_NUMERATOR_MEMO", {})
+    R = quotient_ring(PolyRing(("x", "y", "z")), ["y^2", "x*z"])
+    rng = random.Random("staircase-quotient/%d" % seed)
+    names = rng.sample(R.names, 2)
+    texts = [
+        "*".join("%s^%d" % (v, rng.randint(1, 4)) for v in rng.sample(names, rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    I = ideal(R, texts)
+    monos = I.lead_monomials()[0]
+    numer = ideal_numerator(R, monos)
+    assert numer == reference_numerator(R, monos), texts
+    outside = [
+        sum(1 for m in monomials_of_degree(R, d) if not I.contains(Vec(R, {(0, m): R.one})))
+        for d in range(9)
+    ]
+    assert series_window(R, numer, 0, 8) == outside, texts
+
+
+@pytest.mark.parametrize("names, weights", [
+    (("x",), None),
+    (("x", "y"), None),
+    (("x", "y"), (2, 3)),
+    (("x", "y", "z"), (1, 2, 1)),
+    (("x", "y", "z", "w"), None),
+])
+@pytest.mark.parametrize("seed", range(8))
+def test_minimal_monomials_match_the_generic_pass(names, weights, seed):
+    # the staircase pass (at most two active variables) and the generic one
+    # (three or more) give the generic pass's members in its order
+    R = PolyRing(names, char=0, weights=weights)
+    rng = random.Random("minimal/%s/%d" % (names, seed))
+    for count in range(1, R.nvars + 1):
+        active = sorted(rng.sample(range(R.nvars), count))
+        monos = _active_monomials(rng, R, active)
+        assert hilbert.minimal_monomials(R, monos) == _reference_minimal(R, monos), monos
+    unit = R.unit_mono()
+    assert hilbert.minimal_monomials(R, []) == []
+    assert hilbert.minimal_monomials(R, [unit, unit]) == [unit]
+    assert hilbert.minimal_monomials(R, [R.var_mono(0, 2), unit]) == [unit]

@@ -61,6 +61,11 @@ def _mxy(ring):
     return IdealFamily([ideal(ring, [_poly(ring, "x"), _poly(ring, "y")])])
 
 
+def _spec(module, family):
+    """The quotient family module / I^n module, I the family's ideal."""
+    return FamilySpec.quotient(module, [Vec.unit(module.ring, 0)], family)
+
+
 def test_quotient_member_powers(ring):
     spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], _mxy(ring))
     assert spec.member((0,)).length() == 0
@@ -214,7 +219,7 @@ def test_normal_form_identity_functor(ring):
     free = _free(ring)
     fam = _mxy(ring)
     box = GridBox((1,), (5,), shell=1)
-    nf = normal_form(functor_from_hom(free), free, [Vec.unit(ring, 0)], fam, box)
+    nf = normal_form(FunctorExpression.hom(free), _spec(free, fam), box)
     assert nf.c == (0,) and nf.d == (0,)
     assert [nf.member_value((n,)).length() for n in (1, 2, 3, 4)] == [1, 3, 6, 10]
     assert len(nf.validated) == 5
@@ -227,7 +232,7 @@ def test_normal_form_hom_from_hypersurface(ring):
     mod_x = FPModule.cyclic(ring, ("x",))
     fam = _mxy(ring)
     box = GridBox((1,), (5,), shell=1)
-    nf = normal_form(functor_from_hom(mod_x), free, [Vec.unit(ring, 0)], fam, box)
+    nf = normal_form(FunctorExpression.hom(mod_x), _spec(free, fam), box)
     assert nf.d == (1,)
     assert [nf.member_value((n,)).length() for n in (1, 2, 3, 4, 5)] == [1, 2, 3, 4, 5]
     assert nf.provenance["d_verdict"] == "certified"
@@ -240,7 +245,7 @@ def test_normal_form_tensor_functor(ring):
     mod_x = FPModule.cyclic(ring, ("x",))
     fam = _mxy(ring)
     box = GridBox((1,), (5,), shell=1)
-    nf = normal_form(functor_from_tensor(mod_x), free, [Vec.unit(ring, 0)], fam, box)
+    nf = normal_form(FunctorExpression.tensor(mod_x), _spec(free, fam), box)
     assert [nf.member_value((n,)).length() for n in (1, 2, 3, 4, 5)] == [1, 2, 3, 4, 5]
     assert nf.u_module().hilbert_equal(evaluate(functor_from_tensor(mod_x), free))
 
@@ -254,7 +259,9 @@ def test_normal_form_with_non_free_l(ring):
     one = Poly.constant(ring, ring.one)
     functor = CoherentFunctor(free, mod_x, [[one]])
     box = GridBox((1,), (6,), shell=1)
-    nf = normal_form(functor, free, [Vec.unit(ring, 0)], _mxy(ring), box)
+    # wrapped as a leaf expression; its kind only labels it
+    expr = FunctorExpression("hom", functor=functor)
+    nf = normal_form(expr, _spec(free, _mxy(ring)), box)
     assert nf.c == (1,)
     assert nf.provenance["c_verdict"] == "certified"
     assert [nf.member_value((n,)).length() for n in range(1, 7)] == [
@@ -268,8 +275,7 @@ def test_normal_form_member_below_d_rejected(ring):
     free = _free(ring)
     mod_x = FPModule.cyclic(ring, ("x",))
     nf = normal_form(
-        functor_from_hom(mod_x), free, [Vec.unit(ring, 0)], _mxy(ring),
-        GridBox((1,), (4,), shell=1),
+        FunctorExpression.hom(mod_x), _spec(free, _mxy(ring)), GridBox((1,), (4,), shell=1)
     )
     with pytest.raises(ContractViolation):
         nf.member_value((0,))
@@ -280,7 +286,7 @@ def test_normal_form_two_ideal_family(ring):
     fam = IdealFamily([ideal(ring, [x]), ideal(ring, [y])])
     free = _free(ring)
     box = GridBox((1, 1), (3, 3), shell=1)
-    nf = normal_form(functor_from_hom(free), free, [Vec.unit(ring, 0)], fam, box)
+    nf = normal_form(FunctorExpression.hom(free), _spec(free, fam), box)
     # members are R/(x^a y^b): compare Hilbert windows against direct quotients
     member = nf.member_value((2, 2))
     direct = FPModule.cyclic(ring, ("x^2*y^2",))
@@ -557,3 +563,27 @@ def test_evaluate_on_a_member_runs_no_buchberger_for_hom_relations(monkeypatch):
     value = evaluate(functor, member)
     assert runs == []
     assert value.length() == 2
+
+
+def test_normal_form_reads_the_values_the_fit_kept(monkeypatch):
+    # hilbert_samuel_xy runs fit, degree_bound and normal_form over [1..12]:
+    # normal_form validates against the spec's kept F(member) values and the
+    # report reads member lengths off the members validation built, so each
+    # point's member, F(member) and shaped member is built once; F(M) for
+    # the degree law and for the U check are the two more evaluations
+    scn = load_scenario(bundled_scenario_path("hilbert_samuel_xy"))
+    members = _record_calls(monkeypatch, FamilySpec, "member")
+    shaped = _record_calls(monkeypatch, stability.NormalForm, "member_value")
+    on_members = _record_calls(monkeypatch, functors, "evaluate")
+    on_module = _record_calls(monkeypatch, stability, "evaluate")
+    code, report, _meta = run_scenario_object(scn)
+    assert code == 0
+    points = scn.box.points()
+    assert len(points) == 12
+    assert sorted(args[1] for args in members) == sorted(points)
+    assert sorted(args[1] for args in shaped) == sorted(points)
+    assert len(on_members) == 12
+    assert len(on_module) == 2
+    (entry,) = [e for e in report["tasks"] if e["task"] == "normal_form"]
+    assert entry["status"] == "PASS"
+    assert entry["member_lengths"] == {str(n): n * (n + 1) // 2 for n in range(1, 13)}
