@@ -111,6 +111,15 @@ class FPModule:
         return cls(ring, rank, tuple(twists), list(gens) + extra, rels, check=False)
 
     @classmethod
+    def spanned_by(cls, sub):
+        """The submodule sub as a module without relations; its generator
+        span is sub itself, so a basis sub already has is not computed
+        again."""
+        out = cls(sub.ring, sub.rank, sub.twists, sub.gens, [], check=False)
+        out._gens_sub = sub
+        return out
+
+    @classmethod
     def zero(cls, ring):
         return cls(ring, 1, (0,), [], [], check=False)
 

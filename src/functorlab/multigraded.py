@@ -229,6 +229,10 @@ def rees_module(family, module):
 def graded_component(mgmod, nvec):
     """Strand n as a finitely presented module over the base ring.
 
+    The reference route for component families: FamilySpec.member builds
+    the strand of rees_module(family, M) at n as I^n M from the family's
+    power products, and the tests and the selftest compare the two.
+
     Basis: generator i times each y-monomial of multidegree n - mdeg(i).
     Relations: all y-monomial multiples of mgmod.relations() landing in
     the strand. Twists are de-inflated by |n|_1, recovering the

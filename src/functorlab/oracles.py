@@ -113,8 +113,19 @@ def brute_kernel_strand(ring, src_twists, columns, tgt_twists, d):
     """Nullspace of one graded strand of the free map with the given columns.
 
     columns[j] is the image Vec of the j-th source generator. Returns source
-    Vecs spanning the kernel in degree d.
+    Vecs spanning the kernel in degree d. Strands list every monomial and
+    products are not reduced, so over a quotient base the base relations
+    times each target unit vector are extra columns, cut off the kernel
+    vectors: a vector whose image vanishes only modulo the relations is
+    found.
     """
+    count = len(columns)
+    extra = [
+        Vec(ring, {(i, m): c for m, c in rel.terms.items()})
+        for rel in ring.relations for i in range(len(tgt_twists))
+    ]
+    columns = list(columns) + extra
+    src_twists = tuple(src_twists) + tuple(v.degree(tgt_twists) for v in extra)
     src = strand_basis(ring, src_twists, d)
     tgt = strand_basis(ring, tgt_twists, d)
     tgt_index = {key: i for i, key in enumerate(tgt)}
@@ -128,8 +139,8 @@ def brute_kernel_strand(ring, src_twists, columns, tgt_twists, d):
     for x in nullspace(rows, len(src), ring):
         terms = {}
         for slot, cf in enumerate(x):
-            if cf:
-                j, mono = src[slot]
+            j, mono = src[slot]
+            if cf and j < count:
                 terms[(j, mono)] = cf
         if terms:
             out.append(Vec(ring, terms))

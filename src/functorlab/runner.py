@@ -79,7 +79,7 @@ def _default_cap(scn):
         return _cap_above(spec.degree_law(scn.expression.functor))
     if spec.kind == "quotient":
         return max(0, spec.spread() - spec.r) + max(spec.module.dim(), 0) + 1
-    return _component_cap(spec.mgmodule, scn.box)
+    return _component_cap(spec.family, scn.box)
 
 
 def _lambda_table(scn, task):

@@ -15,7 +15,7 @@ from .errors import ConfigurationError, ContractViolation, HomogeneityError
 from .fpmodule import FPModule
 from .functors import BUILDER_NAMES, FunctorExpression
 from .grid import GridBox
-from .multigraded import AR_MODES, rees_module
+from .multigraded import AR_MODES
 from .poly import parse_poly, parse_vec, quotient_ring
 from .rings import PolyRing
 from .stability import OBSERVABLE_NAMES, FamilySpec
@@ -299,7 +299,7 @@ def _build_family(block, ring, ideals, modules, submodules):
         mod_name = _require(block, "family", "module")
         if mod_name not in modules:
             _fail("family", "unknown module %r" % mod_name)
-        return FamilySpec.component(rees_module(fam, modules[mod_name]))
+        return FamilySpec.component(modules[mod_name], fam)
     _fail("family", "kind must be 'quotient' or 'component'")
 
 

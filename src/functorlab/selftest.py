@@ -10,8 +10,9 @@ seeded corpus, Artin-Rees certificates hold on a window, the fitter is exact,
 the cache recomputes an unreadable, unsealed or malformed entry instead of
 trusting it, the colons and intersections of term ideals meet their
 definitions, the Hilbert numerators of term ideals count their standard
-monomials, and the lcm syzygies of terms and the solver-free presentations
-of cokernels span what a LiftSolver reads off.
+monomials, the lcm syzygies of terms and the solver-free presentations
+of cokernels span what a LiftSolver reads off, and the members I^n M of
+component families equal the strands cut from a Rees module.
 The fault hook flips one length in the route-equivalence suite so the
 tripwire itself can be demonstrated.
 """
@@ -21,7 +22,7 @@ import tempfile
 from operator import add
 
 from .cache import Cache, install
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StrategyExhausted
 from .fitting import fit_polynomial
 from .fpmodule import FPModule, hom_ext_tor
 from .functors import (
@@ -32,14 +33,15 @@ from .functors import (
     functor_from_tensor,
     functor_from_tor,
 )
-from .grid import GridBox
+from .grid import GridBox, box_points
 from .groebner import LiftSolver, buchberger, make_lead_index, reduce_vec, s_vector, spans_terms
 from .hilbert import ideal_numerator, series_window
-from .invariants import bass_profile, ext_bass_profile
-from .multigraded import artin_rees_exponent, artin_rees_window
+from .invariants import associated_primes, bass_profile, ext_bass_profile
+from .multigraded import artin_rees_exponent, artin_rees_window, graded_component, rees_module
 from .oracles import brute_kernel, monomials_of_degree
 from .poly import Vec, parse_vec, quotient_ring
 from .rings import PolyRing
+from .stability import FamilySpec
 from .submodule import IdealFamily, Submodule, ideal, zero_submodule
 
 
@@ -251,20 +253,10 @@ def suite_syzygy():
                 acc = term if acc is None else acc + term
             if not zero.contains(acc):
                 return False, "a syzygy of %s fails to annihilate them" % (gens,)
-        # completeness: brute strand kernels reduce to zero against the basis;
-        # over a quotient base the base relations times each unit vector are
-        # extra columns, cut off the kernel vectors
+        # completeness: brute strand kernels reduce to zero against the basis
         src_twists = tuple(g.degree(sub.twists) for g in gens)
         degrees = range(min(src_twists), max(src_twists) + 4)
-        columns = gens + [
-            Vec(ring, {(i, m): c for m, c in rel.terms.items()})
-            for rel in ring.relations for i in range(len(twists))
-        ]
-        col_twists = tuple(v.degree(sub.twists) for v in columns)
-        for v in brute_kernel(ring, col_twists, columns, sub.twists, degrees):
-            v = Vec(ring, {k: c for k, c in v.terms.items() if k[0] < len(gens)})
-            if not v:
-                continue
+        for v in brute_kernel(ring, src_twists, gens, sub.twists, degrees):
             if not syz.contains(v):
                 return False, "a brute kernel vector of %s escapes the syzygies" % (gens,)
             checked += 1
@@ -555,6 +547,82 @@ def suite_fast_path_routes():
     )
 
 
+def component_corpus(seed=20261019):
+    """Seeded component families (label, ring, family, module, points) over
+    GF(32003), Q, weights (1, 2) and the monomial quotient base
+    k[x,y,z]/(y^2, xz). Each ring has a term ideal and a non-term ideal
+    (r = 1), and a pair of them in an order the seed picks (r = 2); M is
+    free, cyclic with non-term relations, or presented on two generators by
+    one relation with a term in each. Points run to n = 3 for r = 1 and to
+    (2, 1) or (1, 2) for r = 2."""
+    rng = random.Random(seed)
+    quotient = quotient_ring(PolyRing(("x", "y", "z")), ["y^2", "x*z"])
+    rings = _polynomial_rings() + (quotient,)
+    # per ring: term ideal, non-term ideal, cyclic relations, presentation column
+    inputs = (
+        (["x^2", "x*y"], ["x^2 + y^2", "x*y"], ("x^2 + y^2", "x*y"), ["x", "y"]),
+        (["x", "y^2"], ["x^2 - x*y", "y^2"], ("x^2 - x*y", "y^2"), ["x", "y"]),
+        (["x^2", "y"], ["x^2 + y", "x*y"], ("x^2 + y", "x*y"), ["y", "x^2"]),
+        (["x", "z"], ["x^2 - y*z", "x*y + z^2"], ("x + z",), ["x", "z"]),
+    )
+    names = ("GF(p)", "Q", "weights (1,2)", "k[x,y,z]/(y^2, xz)")
+    out = []
+    for name, ring, (term, nonterm, cyclic, column) in zip(names, rings, inputs):
+        modules = (
+            ("free", FPModule.free(ring, (0,))),
+            ("cyclic", FPModule.cyclic(ring, cyclic)),
+            ("presented", FPModule.from_cokernel(ring, (0, 0), [parse_vec(ring, column)])),
+        )
+        pair = [ideal(ring, term), ideal(ring, nonterm)]
+        rng.shuffle(pair)
+        top = rng.choice([(2, 1), (1, 2)])
+        families = (
+            ("term", IdealFamily([ideal(ring, term)]), [(n,) for n in range(4)]),
+            ("non-term", IdealFamily([ideal(ring, nonterm)]), [(n,) for n in range(4)]),
+            ("pair", IdealFamily(pair), box_points((0, 0), top)),
+        )
+        for family_label, family, points in families:
+            for module_label, module in modules:
+                label = "%s, %s, %s" % (name, family_label, module_label)
+                out.append((label, ring, family, module, points))
+    return out
+
+
+def _ass_keys(module):
+    """Ass as sorted generator strings, or None when the Ext route refuses."""
+    try:
+        primes = associated_primes(module)
+    except StrategyExhausted:
+        return None
+    return sorted(sorted(str(g.component(0)) for g in p.gens) for p in primes)
+
+
+def suite_component_strands():
+    """Each member I^n M of a component family agrees with the strand n cut
+    from a presentation of the Rees module R(I, M) over R[y]/Q
+    (graded_component): the same Hilbert series, and the same Ass wherever
+    both routes answer."""
+    checked = compared = 0
+    for label, _ring, family, module, points in component_corpus():
+        spec = FamilySpec.component(module, family)
+        rees = rees_module(family, module)
+        for point in points:
+            member, strand = spec.member(point), graded_component(rees, point)
+            if not member.hilbert_equal(strand):
+                return False, "I^n M and the Rees strand differ at %r for %s" % (point, label)
+            mine, theirs = _ass_keys(member), _ass_keys(strand)
+            if mine is not None and theirs is not None:
+                if mine != theirs:
+                    return False, "Ass of I^n M and the Rees strand differ at %r for %s" % (
+                        point, label)
+                compared += 1
+            checked += 1
+    return True, (
+        "%d strands equal the Rees route (Ass compared at %d) over GF(p), Q, weights (1,2) "
+        "and k[x,y,z]/(y^2, xz)" % (checked, compared)
+    )
+
+
 SUITES = (
     ("buchberger_s_vectors", suite_buchberger),
     ("syzygy_vs_brute_kernels", suite_syzygy),
@@ -567,6 +635,7 @@ SUITES = (
     ("cache_robustness", suite_cache_robustness),
     ("term_kernels", suite_term_kernels),
     ("fast_path_routes", suite_fast_path_routes),
+    ("component_strands", suite_component_strands),
 )
 
 

@@ -1,12 +1,13 @@
 """The asymptotic-stability laboratory.
 
-Families are either quotient families M/I^n N or strands of a multigraded
-module. The lab evaluates functor expressions over integer boxes, detects
-stabilization of Ass/grade/pd/id on the held-out shell, fits length tables
-exactly, checks the degree bounds, and builds the (T, U, V, W, c, d)
-normal form whose members must reproduce F(M/I^n N) degreewise. A normal
-form that fails validation raises immediately naming the offending point;
-nothing is ever refitted or patched to make a family look stable.
+Families are either quotient families M/I^n N or the strands I^n M of a
+Rees module. The lab evaluates functor expressions over integer boxes,
+detects stabilization of Ass/grade/pd/id on the held-out shell, fits
+length tables exactly, checks the degree bounds, and builds the
+(T, U, V, W, c, d) normal form whose members must reproduce F(M/I^n N)
+degreewise. A normal form that fails validation raises immediately naming
+the offending point; nothing is ever refitted or patched to make a family
+look stable.
 """
 
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
@@ -25,7 +26,7 @@ from .invariants import (
     projective_dimension,
     scan_cap,
 )
-from .multigraded import analytic_spread, artin_rees_exponent, graded_component
+from .multigraded import analytic_spread, artin_rees_exponent, rees_algebra
 from .poly import Vec
 from .submodule import Submodule
 
@@ -34,11 +35,12 @@ OBSERVABLE_NAMES = ("lambda", "ass", "grade", "betti", "bass", "pd", "id")
 
 
 class FamilySpec:
-    """A family of modules indexed by N^r.
+    """A family of modules indexed by N^r, over an ideal family I.
 
-    Quotient kind: members M/I^n N for a verified submodule N of M and an
-    ideal family I. Component kind: members are the strands of a
-    multigraded module.
+    Quotient kind: members M/I^n N for a verified submodule N of M.
+    Component kind: members I^n M, the strands of the Rees module
+    R(I, M) = sum of I^n M; for M = U/W that is (I^n U + W)/W. Both kinds
+    build a member from the family's kept power product I^n.
 
     The spec keeps what its tasks share, for as long as it lives: one
     member per point (value(None, p)), one F(member) per expression object
@@ -47,16 +49,15 @@ class FamilySpec:
     """
 
     __slots__ = (
-        "kind", "module", "sub_vectors", "family", "mgmodule",
+        "kind", "module", "sub_vectors", "family",
         "_members", "_values", "_spread", "_laws",
     )
 
-    def __init__(self, kind, module=None, sub_vectors=(), family=None, mgmodule=None):
+    def __init__(self, kind, module, sub_vectors, family):
         self.kind = kind
         self.module = module
         self.sub_vectors = tuple(sub_vectors)
         self.family = family
-        self.mgmodule = mgmodule
         self._members = {}
         self._values = {}
         self._spread = None
@@ -70,22 +71,32 @@ class FamilySpec:
                 raise ContractViolation("family submodule is not contained in the module")
         if not all(family.is_proper):
             raise ConfigurationError("family ideals must be proper")
-        return cls("quotient", module=module, sub_vectors=sub_vectors, family=family)
+        return cls("quotient", module, sub_vectors, family)
 
     @classmethod
-    def component(cls, mgmodule):
-        return cls("component", mgmodule=mgmodule)
+    def component(cls, module, family):
+        """The strands I^n M of R(I, M). The family's Rees algebra is
+        presented here, so a ring variable that collides with its
+        bookkeeping is refused before any task runs; the presentation is
+        memoised for the degree cap."""
+        if not all(family.is_proper):
+            raise ConfigurationError("family ideals must be proper")
+        rees_algebra(family)
+        return cls("component", module, (), family)
 
     @property
     def r(self):
-        if self.kind == "quotient":
-            return len(self.family.ideals)
-        return self.mgmodule.algebra.r
+        return len(self.family.ideals)
 
     def member(self, nvec):
-        if self.kind == "component":
-            return graded_component(self.mgmodule, nvec)
         m = self.module
+        if self.kind == "component":
+            # I^n U + W over W: W lies in the generator span, so no probe
+            scaled = self.family.apply(tuple(nvec), m.gens_sub())
+            if not m.rels:
+                return FPModule.spanned_by(scaled)
+            gens = list(scaled.gens) + list(m.rels)
+            return FPModule(m.ring, m.rank, m.twists, gens, m.rels, check=False)
         scaled = self.family.apply(
             tuple(nvec),
             Submodule(m.ring, m.rank, m.twists, list(self.sub_vectors), check=False),
@@ -275,8 +286,7 @@ def betti_bass_asymptotics(expr, spec, box, i_max):
         table = {p: row[name] for p, row in obs.items()}
         verdicts[name] = detect_stabilization(table, box)
         if verdicts[name]["value"] == "cap exceeded":
-            base = spec.module.ring if spec.kind == "quotient" else spec.mgmodule.algebra.base
-            d = depth(FPModule.free(base, (0,)))
+            d = depth(FPModule.free(spec.module.ring, (0,)))
             shell_ok = d + 1 <= i_max and all(
                 obs[p].get("%s_%d" % (profile, d + 1), 0) != 0 for p in box.shell_points()
             )
@@ -290,7 +300,6 @@ def betti_bass_asymptotics(expr, spec, box, i_max):
 def component_track(spec, expr, box, observables=("lambda", "ass"), grade_ideal=None):
     """Strand-family track over a component spec: observables, shell
     verdicts, and a length fit."""
-    mgmodule = spec.mgmodule
     obs = grid_evaluate(expr, spec, box, observables, grade_ideal=grade_ideal)
     verdicts = {}
     fits = {}
@@ -299,7 +308,7 @@ def component_track(spec, expr, box, observables=("lambda", "ass"), grade_ideal=
         if name in ("lambda",):
             table = {p: row["lambda"] for p, row in obs.items()}
             try:
-                fits["lambda"] = fit_polynomial(table, box, _component_cap(mgmodule, box))
+                fits["lambda"] = fit_polynomial(table, box, _component_cap(spec.family, box))
             except ContractViolation as exc:
                 fits["lambda"] = {"error": str(exc)}
                 notes.append("lambda fit refused: %s" % exc)
@@ -309,9 +318,11 @@ def component_track(spec, expr, box, observables=("lambda", "ass"), grade_ideal=
     return {"observations": obs, "verdicts": verdicts, "fits": fits, "notes": notes}
 
 
-def _component_cap(mgmodule, box):
+def _component_cap(family, box):
+    """The room the box leaves for a fit, at most the number of variables
+    of the family's Rees presentation R[y]/Q."""
     room = min(h - box.shell - a for h, a in zip(box.hi, box.lo))
-    dim_total = mgmodule.algebra.aq.nvars
+    dim_total = rees_algebra(family).aq.nvars
     return max(0, min(dim_total, room))
 
 

@@ -22,7 +22,7 @@ from functorlab.functors import (
     functor_from_tensor,
 )
 from functorlab.grid import GridBox
-from functorlab.multigraded import analytic_spread, artin_rees_exponent, intersection_strand, rees_module
+from functorlab.multigraded import analytic_spread, artin_rees_exponent, intersection_strand
 from functorlab.oracles import grade_by_regular_sequence, staircase_count
 from functorlab.poly import Vec, parse_poly, parse_vec
 from functorlab.rings import PolyRing
@@ -214,7 +214,7 @@ def test_08_betti_bass_profiles_and_homological_dimensions(ring):
 
 def test_09_blowup_strand_lengths_and_torsion_freeness(ring):
     fam = _fam(ring, ("x", "y"))
-    mg = FamilySpec.component(rees_module(fam, _free(ring)))
+    mg = FamilySpec.component(_free(ring), fam)
     box = GridBox((0,), (10,), shell=2)
     kmod = FPModule.cyclic(ring, ("x", "y"))
 

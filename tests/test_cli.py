@@ -365,6 +365,40 @@ def test_component_track_over_q_exits_zero(tmp_path, functor):
     assert report["status"] == "PASS"
 
 
+@pytest.mark.parametrize("kind, variables, gens, message", [
+    ("quotient", ["x", "y"], ["x", "1"], "family ideals must be proper"),
+    ("component", ["x", "y"], ["x", "1"], "family ideals must be proper"),
+    ("component", ["x", "t1"], ["x", "t1"], "collide with Rees bookkeeping"),
+], ids=["improper_quotient", "improper_component", "t1_clash_component"])
+def test_family_refusals_exit_two_before_any_task(
+        tmp_path, capsys, monkeypatch, kind, variables, gens, message):
+    # both family kinds refuse an improper ideal at load; a component
+    # family presents its Rees algebra at load, so a ring variable named
+    # like its bookkeeping is refused there too
+    doc = {
+        "format": "scn/1",
+        "label": "refused family",
+        "ring": {"variables": variables},
+        "ideals": {"a": gens},
+        "modules": {"M": {"type": "free", "twists": [0]}},
+        "family": {"kind": kind, "module": "M", "ideals": ["a"]},
+        "box": {"lo": [0], "hi": [4], "shell": 1},
+        "tasks": [{"task": "fit" if kind == "quotient" else "component_track"}],
+    }
+    path = tmp_path / "refused.scn"
+    path.write_text(json.dumps(doc))
+    ran = []
+    for name, run in runner.TASK_RUNNERS.items():
+        monkeypatch.setitem(
+            runner.TASK_RUNNERS, name,
+            lambda scn, task, run=run: ran.append(task["task"]) or run(scn, task),
+        )
+    code, _ = _run(tmp_path, str(path))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert ran == []
+
+
 def test_given_degree_cap_skips_the_default(tmp_path, monkeypatch):
     # the default cap runs a functor evaluation and the Rees elimination;
     # a scenario that names its cap must not pay for them

@@ -17,7 +17,7 @@ from functorlab.oracles import (
     staircase_count,
     strand_basis,
 )
-from functorlab.poly import Vec, parse_poly
+from functorlab.poly import Vec, parse_poly, quotient_ring
 from functorlab.rings import PolyRing
 from functorlab.submodule import ideal
 
@@ -104,3 +104,25 @@ def test_grade_oracle_matches_ext_route():
         assert grade_by_regular_sequence(polys, module) == expected
         assert grade(ideal(R, polys), module) == expected
     assert grade_by_regular_sequence([_p("x")], FPModule.cyclic(R, ("1",))) == float("inf")
+
+
+def test_brute_kernel_over_a_quotient_base_works_modulo_the_relations():
+    # over k[x,y,z]/(y^2, xz), y*e_2 maps (x, y) to y^2 = 0: a syzygy that
+    # holds only modulo the base relations
+    B = quotient_ring(PolyRing(("x", "y", "z")), ["y^2", "x*z"])
+    cols = [Vec.from_poly(parse_poly(B, "x")), Vec.from_poly(parse_poly(B, "y"))]
+    vecs = brute_kernel(B, (1, 1), cols, (0,), (2,))
+    basis = strand_basis(B, (1, 1), 2)
+    index = {key: i for i, key in enumerate(basis)}
+
+    def coords(v):
+        row = [B.coeff(0)] * len(basis)
+        for key, cf in v.terms.items():
+            row[index[key]] = cf
+        return row
+
+    rows = [coords(v) for v in vecs]
+    y_e2 = Vec(B, {(1, (0, 1, 0)): B.one})
+    assert matrix_rank(rows + [coords(y_e2)], B) == matrix_rank(rows, B)
+    # (z, 0), (0, y) and the Koszul (y, -x): nothing else in degree 2
+    assert matrix_rank(rows, B) == 3

@@ -5,11 +5,13 @@ staircase, lambda((I^n : x)/I^n) = lambda(I^(n-1)/I^n) = n for I = (x,y),
 and beta_i(R/(x,y)^n) = (1, n+1, n) from the Hilbert-Burch resolution.
 """
 
+import math
 import os
+import sys
 
 import pytest
 
-from functorlab import cache, fpmodule, functors, invariants, stability, submodule
+from functorlab import cache, fpmodule, functors, invariants, multigraded, stability, submodule
 from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
 from functorlab.fpmodule import FPModule
 from functorlab.functors import (
@@ -20,7 +22,7 @@ from functorlab.functors import (
     evaluate,
 )
 from functorlab.grid import GridBox
-from functorlab.multigraded import rees_module
+from functorlab.multigraded import graded_component, rees_module
 from functorlab.invariants import (
     bass_number,
     betti_number,
@@ -31,6 +33,7 @@ from functorlab.rings import PolyRing
 from functorlab.poly import Poly, Vec, parse_vec, quotient_ring
 from functorlab.runner import run_scenario_object
 from functorlab.scenario import bundled_scenario_path, load_scenario
+from functorlab.selftest import _ass_keys, component_corpus
 from functorlab.stability import (
     FamilySpec,
     betti_bass_asymptotics,
@@ -296,7 +299,7 @@ def test_normal_form_two_ideal_family(ring):
 def test_component_track_rees_strands(ring):
     fam = _mxy(ring)
     free = _free(ring)
-    mg = FamilySpec.component(rees_module(fam, free))
+    mg = FamilySpec.component(free, fam)
     box = GridBox((1,), (6,), shell=2)
     k_mod = FPModule.cyclic(ring, ("x", "y"))
     expr = FunctorExpression.tensor(k_mod)
@@ -309,8 +312,47 @@ def test_component_track_rees_strands(ring):
     assert rep_ass["verdicts"]["ass"]["value"] == [()]
 
 
+COMPONENT_CASES = component_corpus()
+
+
+@pytest.mark.parametrize(
+    "family, module, points",
+    [case[2:] for case in COMPONENT_CASES],
+    ids=[case[0] for case in COMPONENT_CASES],
+)
+def test_component_member_is_the_rees_strand(family, module, points):
+    # I^n M, built from the family's power products, against strand n cut
+    # from the Rees module's presentation over R[y]/Q: Hilbert series,
+    # length where finite, and Ass wherever both routes answer
+    spec = FamilySpec.component(module, family)
+    rees = rees_module(family, module)
+    for point in points:
+        member, strand = spec.member(point), graded_component(rees, point)
+        assert member.hilbert_equal(strand), point
+        length = member.length()
+        if length != math.inf:
+            assert length == strand.length(), point
+        mine, theirs = _ass_keys(member), _ass_keys(strand)
+        if mine is not None and theirs is not None:
+            assert mine == theirs, point
+
+
+def test_component_corpus_covers_its_axes():
+    # the comparison is not vacuous: finite lengths, answered Ass and r = 2
+    # all occur
+    assert any(len(case[2].ideals) == 2 for case in COMPONENT_CASES)
+    finite = compared = 0
+    for _label, _ring, family, module, points in COMPONENT_CASES:
+        spec = FamilySpec.component(module, family)
+        for point in points:
+            member = spec.member(point)
+            finite += 0 < member.length() < math.inf
+            compared += _ass_keys(member) is not None
+    assert finite >= 20 and compared >= 100
+
+
 def test_component_track_infinite_lengths_refused(ring):
-    mg = FamilySpec.component(rees_module(_mxy(ring), _free(ring)))
+    mg = FamilySpec.component(_free(ring), _mxy(ring))
     box = GridBox((1,), (5,), shell=1)
     rep = component_track(mg, None, box, observables=("lambda",))
     assert isinstance(rep["fits"]["lambda"], dict)
@@ -524,6 +566,18 @@ def _record_calls(monkeypatch, owner, name):
     return calls
 
 
+def _record_everywhere(monkeypatch, owner, name):
+    """_record_calls on owner.name and on every binding of the same
+    function that a functorlab module imported by name."""
+    real = getattr(owner, name)
+    calls = _record_calls(monkeypatch, owner, name)
+    wrapped = getattr(owner, name)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("functorlab.") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
 def test_xyz_tensor_builds_each_member_and_value_once(monkeypatch):
     # fit, Ass of the members and betti_bass read one member and one
     # F(member) per box point; F(M) for the degree law is one more value
@@ -541,12 +595,17 @@ def test_xyz_tensor_builds_each_member_and_value_once(monkeypatch):
 
 def test_rees_component_track_builds_each_strand_once(monkeypatch):
     # both component_track tasks, the tensor one and the identity one, read
-    # the scenario's spec, so each strand is cut once
+    # the scenario's spec, so each strand I^n M is built once, from the
+    # family's power products: no Rees module is presented and no strand
+    # is cut from one, at load or in a task
+    cut = _record_everywhere(monkeypatch, multigraded, "graded_component")
+    presented = _record_everywhere(monkeypatch, multigraded, "rees_module")
     scn = load_scenario(bundled_scenario_path("rees_component_track"))
-    strands = _record_calls(monkeypatch, stability, "graded_component")
+    strands = _record_calls(monkeypatch, FamilySpec, "member")
     code, _report, _meta = run_scenario_object(scn)
     assert code == 0
     assert sorted(args[1] for args in strands) == sorted(scn.box.points())
+    assert cut == [] and presented == []
 
 
 def test_evaluate_on_a_member_runs_no_buchberger_for_hom_relations(monkeypatch):
