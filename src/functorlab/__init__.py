@@ -28,7 +28,7 @@ from .errors import (
     StrategyExhausted,
 )
 from .fitting import FittedPolynomial, fit_polynomial
-from .fpmodule import FPModule, block_module, free_resolution, hom_ext_tor, quotient_by
+from .fpmodule import FPModule, block_module, free_resolution, hom_ext_tor
 from .functors import FunctorExpression, evaluate, evaluate_via_diagram
 from .grid import GridBox
 from .invariants import (
@@ -108,7 +108,6 @@ __all__ = [
     "parse_poly",
     "parse_vec",
     "projective_dimension",
-    "quotient_by",
     "quotient_ring",
     "rees_module",
     "unit_ideal",

@@ -281,25 +281,6 @@ class Presentation:
         return tuple(col.degree(self.gen_twists) for col in self.columns)
 
 
-# -- quotients -----------------------------------------------------------------
-
-
-def quotient_by(module, sub_vectors):
-    """module / (span of ambient vectors); vectors must lie in the module."""
-    extra = [v for v in sub_vectors if v]
-    for v in extra:
-        if not module.gens_sub().contains(v):
-            raise ContractViolation("quotient vector lies outside the module")
-    return FPModule(
-        module.ring,
-        module.rank,
-        module.twists,
-        module.gens,
-        list(module.rels) + extra,
-        check=False,
-    )
-
-
 # -- graded complexes and resolutions ----------------------------------------
 
 

@@ -36,6 +36,11 @@ class GridBox:
         """All lattice points, ascending lexicographically."""
         return box_points(self.lo, self.hi)
 
+    def fit_points(self):
+        """Points below the held-out shell on the shortest axis; a fit of
+        degree cap d needs d + 1."""
+        return min(h - self.shell - a + 1 for h, a in zip(self.hi, self.lo))
+
     def shell_floor(self):
         return tuple(max(a, b - self.shell) for a, b in zip(self.lo, self.hi))
 

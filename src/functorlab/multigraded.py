@@ -1,10 +1,18 @@
-"""Multi-Rees algebras, multigraded modules, and Artin-Rees exponents.
+"""Multi-Rees algebras, Rees modules, and Artin-Rees exponents.
 
 The blowup algebra S = R[I_1 t_1, ..., I_r t_r] is presented as R[y]/Q with
 one variable y_(j,k) per chosen generator f_(j,k) of I_j, carrying
 multidegree e_j and internal weight deg(f) + 1 (the +1 balances the hidden
 t_j, so everything stays honestly graded after t is eliminated). Q comes
-from eliminating t out of the ideal (y_(j,k) - f_(j,k) t_j).
+from eliminating t out of the ideal (y_(j,k) - f_(j,k) t_j). The
+bookkeeping variables are named y{j}_{k} and t{j}, with leading
+underscores added to any name a ring variable already holds.
+
+The Rees module R(I, M) = sum of I^n M is an FPModule over the ring
+R[y]/Q, which carries Q among its relations: one generator per generator
+of M, twisted by its degree, and the relations below. Its strand n,
+cut out by graded_component, is I^n M; its analytic spread is the
+dimension of R(M)/mR(M), m the ideal of the base variables.
 
 Module-level kernels are computed one level up, in R[y, t]: the coefficient
 kernel of A^s -> R(M) is cut out by an elimination order pushing t first, and
@@ -68,13 +76,11 @@ class MultigradedAlgebraPresentation:
                 out[b] += e
         return tuple(out)
 
-    def vec_mdeg(self, vec, gen_mdegs):
-        """Common multidegree of a multihomogeneous vector."""
+    def vec_mdeg(self, vec):
+        """Common multidegree of a multihomogeneous vector over R[y]."""
         seen = None
-        for (c, mono) in vec.terms:
-            d = tuple(
-                a + b for a, b in zip(self.mdeg(mono), gen_mdegs[c])
-            )
+        for (_c, mono) in vec.terms:
+            d = self.mdeg(mono)
             if seen is None:
                 seen = d
             elif seen != d:
@@ -126,18 +132,21 @@ def rees_algebra(family):
     if not all(family.is_proper):
         raise ContractViolation("Rees presentation needs proper ideals")
     r = len(family.ideals)
+
+    def fresh(name):
+        while name in base.names:
+            name = "_" + name
+        return name
+
     y_names, y_weights, y_block, f_polys = [], [], [], []
     for j, idl in enumerate(family.ideals):
         for k, g in enumerate(idl.minimal_generators().gens):
             p = g.component(0)
-            y_names.append("y%d_%d" % (j + 1, k + 1))
+            y_names.append(fresh("y%d_%d" % (j + 1, k + 1)))
             y_weights.append(p.degree() + 1)
             y_block.append(j)
             f_polys.append(p)
-    t_names = ["t%d" % (j + 1) for j in range(r)]
-    clash = (set(y_names) | set(t_names)) & set(base.names)
-    if clash:
-        raise ConfigurationError("ring variables %s collide with Rees bookkeeping" % sorted(clash))
+    t_names = [fresh("t%d" % (j + 1)) for j in range(r)]
     ay = extend_ring(base, y_names, y_weights)
     b_ring = extend_ring(base, y_names + t_names, y_weights + [1] * r)
     y_start = base.nvars
@@ -170,30 +179,6 @@ def rees_algebra(family):
     return alg
 
 
-class MultigradedModule:
-    """Module over the Rees presentation: generators with Z^r-degrees plus
-    a relation matrix over R[y]/Q. gen_adegs carry the internal grading
-    (intrinsic degree inflated by one per hidden t factor)."""
-
-    __slots__ = ("algebra", "gen_mdegs", "gen_adegs", "rels")
-
-    def __init__(self, algebra, gen_mdegs, gen_adegs, rels):
-        self.algebra = algebra
-        self.gen_mdegs = tuple(tuple(m) for m in gen_mdegs)
-        self.gen_adegs = tuple(gen_adegs)
-        self.rels = tuple(rels)
-        for rel in self.rels:
-            algebra.vec_mdeg(rel, self.gen_mdegs)  # multihomogeneity tripwire
-
-    def relations(self):
-        """Every relation over R[y]: rels, then each Q generator times each
-        generator (Q outer), the order strands and the special fiber read."""
-        count = len(self.gen_mdegs)
-        return list(self.rels) + [
-            Vec.from_poly(q, i) for q in self.algebra.q_gens for i in range(count)
-        ]
-
-
 def _rees_relations(alg, module, sub_vectors):
     """Relations over R[y]/Q of the generators of R(M) modulo R(N).
 
@@ -217,28 +202,35 @@ def _rees_relations(alg, module, sub_vectors):
 
 
 def rees_module(family, module):
-    """R(M) = sum of I^n M as a module over the Rees presentation."""
+    """R(M) = sum of I^n M as an FPModule over R[y]/Q: M's generators as
+    unit vectors twisted by their degrees, presented by _rees_relations."""
     alg = rees_algebra(family)
     if module.ring.signature() != alg.base.signature():
         raise ContractViolation("module and family live over different rings")
     rels = _rees_relations(alg, module, ())
-    zero = tuple(0 for _ in range(alg.r))
-    return MultigradedModule(alg, [zero] * len(module.gens), module.gen_degrees(), rels)
+    for rel in rels:
+        alg.vec_mdeg(rel)  # multihomogeneity tripwire
+    twists = module.gen_degrees()
+    gens = [Vec.unit(alg.aq, c) for c in range(len(twists))]
+    return FPModule(alg.aq, len(twists), twists, gens, rels, check=False)
 
 
-def graded_component(mgmod, nvec):
-    """Strand n as a finitely presented module over the base ring.
+def graded_component(family, rees, nvec):
+    """Strand n of rees = rees_module(family, M), a finitely presented
+    module over the base ring.
 
     The reference route for component families: FamilySpec.member builds
-    the strand of rees_module(family, M) at n as I^n M from the family's
-    power products, and the tests and the selftest compare the two.
+    the strand at n as I^n M from the family's power products, and the
+    tests and the selftest compare the two.
 
-    Basis: generator i times each y-monomial of multidegree n - mdeg(i).
-    Relations: all y-monomial multiples of mgmod.relations() landing in
-    the strand. Twists are de-inflated by |n|_1, recovering the
-    intrinsic grading of I^n M inside M.
+    Basis: generator i times each y-monomial of multidegree n.
+    Relations: all y-monomial multiples of rees's relations and of Q times
+    each generator landing in the strand. Twists are de-inflated by |n|_1,
+    recovering the intrinsic grading of I^n M inside M.
     """
-    alg = mgmod.algebra
+    alg = rees_algebra(family)
+    if rees.ring != alg.aq:
+        raise ContractViolation("module is not over the family's Rees algebra")
     nvec = tuple(nvec)
     if len(nvec) != alg.r:
         raise ContractViolation("component index has wrong arity")
@@ -248,12 +240,12 @@ def graded_component(mgmod, nvec):
     strand = []
     index = {}
     twists = []
-    for i, mdeg_i in enumerate(mgmod.gen_mdegs):
-        diff = tuple(nvec[j] - mdeg_i[j] for j in range(alg.r))
-        for ym in alg.y_monomials(diff):
+    y_monos = alg.y_monomials(nvec)
+    for i, twist in enumerate(rees.twists):
+        for ym in y_monos:
             index[(i, ym)] = len(strand)
             strand.append((i, ym))
-            twists.append(mgmod.gen_adegs[i] + alg.aq.mono_degree(ym) - total)
+            twists.append(twist + alg.aq.mono_degree(ym) - total)
     if not strand:
         return FPModule.zero(base)
 
@@ -277,8 +269,9 @@ def graded_component(mgmod, nvec):
         return Vec(base, terms)
 
     columns = []
-    for rel in mgmod.relations():
-        pdeg = alg.vec_mdeg(rel, mgmod.gen_mdegs)
+    q_rels = [Vec.from_poly(q, i) for q in alg.q_gens for i in range(rees.rank)]
+    for rel in list(rees.rels) + q_rels:
+        pdeg = alg.vec_mdeg(rel)
         gap = tuple(nvec[j] - pdeg[j] for j in range(alg.r))
         for gamma in alg.y_monomials(gap):
             shifted = [
@@ -292,30 +285,16 @@ def graded_component(mgmod, nvec):
 
 
 def analytic_spread(module, family):
-    """Krull dimension of R(M) tensor k: the special fiber of the blowup."""
-    mg = rees_module(family, module)
-    alg = mg.algebra
-    ky = PolyRing(
-        alg.aq.names[alg.y_start : alg.t_start],
-        alg.base.char,
-        alg.aq.weights[alg.y_start : alg.t_start],
-    )
-    nb = alg.base.nvars
-    s = len(mg.gen_adegs)
-    if s == 0:
-        return float("-inf")
-    rels = []
-    for rel in mg.relations():
-        kept = {
-            (c, mono[nb:]): ky.coeff(cf)
-            for (c, mono), cf in rel.terms.items()
-            if not any(mono[:nb])
-        }
-        if kept:
-            rels.append(Vec(ky, kept))
-    gens = [Vec.unit(ky, c) for c in range(s)]
-    fiber = FPModule(ky, s, mg.gen_adegs, gens, rels, check=False)
-    return fiber.dim()
+    """Krull dimension of R(M)/mR(M), m the ideal of the base variables:
+    the special fiber of the blowup."""
+    rees = rees_module(family, module)
+    ring = rees.ring
+    rels = list(rees.rels) + [
+        Vec.from_poly(Poly.variable(ring, name), i)
+        for name in module.ring.names
+        for i in range(rees.rank)
+    ]
+    return FPModule(ring, rees.rank, rees.twists, rees.gens, rels, check=False).dim()
 
 
 # -- Artin-Rees exponents --------------------------------------------------
@@ -356,14 +335,11 @@ def _certified_ar(family, module, sub_vectors):
     alg = rees_algebra(family)
     kernel_gens = _rees_relations(alg, module, sub_vectors)
     base_rels = _rees_relations(alg, module, ())
-    s = len(module.gens)
-    adegs = module.gen_degrees()
-    zero = tuple(0 for _ in range(alg.r))
-    kernel = Submodule(alg.aq, s, adegs, kernel_gens, check=False)
+    kernel = Submodule(alg.aq, len(module.gens), module.gen_degrees(), kernel_gens, check=False)
     kept = kernel.minimal_generators(modulo=base_rels).gens
-    mdegs = [alg.vec_mdeg(k, (zero,) * s) for k in kept]
+    mdegs = [alg.vec_mdeg(k) for k in kept]
     if not mdegs:
-        return zero
+        return tuple(0 for _ in range(alg.r))
     return tuple(max(m[j] for m in mdegs) for j in range(alg.r))
 
 

@@ -114,9 +114,6 @@ class Poly:
 
     # -- structure -------------------------------------------------------
 
-    def is_constant(self):
-        return all(not any(m) for m in self.terms)
-
     def degree(self):
         """Weighted degree of a homogeneous polynomial; raises otherwise."""
         degs = {self.ring.mono_degree(m) for m in self.terms}

@@ -308,8 +308,5 @@ class BoundOrder:
         c, mono = term
         return self.base[c] + sum(map(_mul, mono, self.coef))
 
-    def signature(self):
-        return "%s|tw=%s|bl=%s" % (self.order.signature(), self.twists, self.blocks)
-
 
 GREVLEX = TermOrder()

@@ -17,6 +17,7 @@ from .multigraded import artin_rees_exponent, artin_rees_window
 from .oracles import grade_by_regular_sequence
 from .stability import (
     _component_cap,
+    _held,
     betti_bass_asymptotics,
     component_track,
     degree_bound_check,
@@ -106,7 +107,7 @@ def _check_fit_asserts(task, fit):
 
 def run_fit(scn, task):
     table = _lambda_table(scn, task)
-    cap = task["degree_cap"] if "degree_cap" in task else _default_cap(scn)
+    cap = task["degree_cap"] if "degree_cap" in task else _held(scn.box, _default_cap(scn))
     fit = fit_polynomial(table, scn.box, cap)
     result = {
         "degree_cap": cap,
@@ -172,7 +173,7 @@ def run_degree_bound(scn, task):
     table = _lambda_table(scn, task)
     # the spec keeps one law for the default cap and the check
     law = spec.degree_law(scn.expression.functor)
-    cap = task["degree_cap"] if "degree_cap" in task else _cap_above(law)
+    cap = task["degree_cap"] if "degree_cap" in task else _held(scn.box, _cap_above(law))
     fit = fit_polynomial(table, scn.box, cap)
     if fit is None:
         return {"fit": _fit_payload(None)}, ["no polynomial fit to bound"]

@@ -145,6 +145,8 @@ def build_scenario(data, char_override=None):
     box = None
     if "box" in data:
         box = _build_box(data["box"])
+        if family_spec is not None and box.r != family_spec.r:
+            _fail("box", "%d coordinates for a family of %d ideals" % (box.r, family_spec.r))
     tasks = _build_tasks(data.get("tasks", []), ideals, submodules, expression, family_spec, box)
     output = data.get("output", {})
     if not isinstance(output, dict):
@@ -413,5 +415,9 @@ def _build_tasks(block, ideals, submodules, expression, family_spec, box):
         if "assert_values" in entry:
             _check_assert_values(name, entry["assert_values"], box)
         _check_needs(name, expression, family_spec, box)
+        cap = entry.get("degree_cap")
+        if name in ("fit", "degree_bound") and cap is not None and cap >= box.fit_points():
+            _fail("box", "degree_cap %d in task %r needs %d points per axis below the shell, "
+                  "the box has %d" % (cap, name, cap + 1, box.fit_points()))
         tasks.append(dict(entry))
     return tasks

@@ -349,22 +349,40 @@ def suite_route_equivalence(inject_fault=False):
     return True, "%d pairs agree on [%d, %d)" % (len(pairs), lo, hi)
 
 
+def _artin_rees_corpus():
+    """(ring, family generators, N, expected d): term families over GF(p),
+    and one non-term family each over GF(p), Q, weights (1, 2) and the
+    monomial quotient base k[x,y,z]/(y^2, xz)."""
+    gf, q, weighted = _polynomial_rings()
+    quotient = quotient_ring(PolyRing(("x", "y", "z")), ["y^2", "x*z"])
+    return (
+        (gf, ["x", "y"], "x", (1,)),
+        (gf, ["x"], "y^2", (0,)),
+        (gf, ["x^2 + y^2", "x*y"], "x", (1,)),
+        (q, ["x^2 + y^2", "x*y"], "x", (1,)),
+        (weighted, ["x^2 + y", "x*y"], "x", (1,)),
+        (quotient, ["x + z", "y"], "x", (0,)),
+    )
+
+
 def suite_artin_rees():
-    ring = _ring()
-    free = FPModule.free(ring, (0,))
-    cases = [
-        (IdealFamily([ideal(ring, ["x", "y"])]), [parse_vec(ring, ["x"])], (1,)),
-        (IdealFamily([ideal(ring, ["x"])]), [parse_vec(ring, ["y^2"])], (0,)),
-    ]
-    for family, sub, expected in cases:
+    cases = _artin_rees_corpus()
+    for ring, gens, sub, expected in cases:
+        family = IdealFamily([ideal(ring, gens)])
+        free, sub = FPModule.free(ring, (0,)), [parse_vec(ring, [sub])]
         d, verdict = artin_rees_exponent(family, free, sub)
         if verdict != "certified" or d != expected:
-            return False, "certificate %r, expected %r" % (d, expected)
+            return False, "certificate %r for %s over %s, expected %r" % (
+                d, gens, ring.signature(), expected)
         window = [tuple(a + step for a in d) for step in range(9)]
         bad = artin_rees_window(family, free, sub, d, window, {})
         if bad is not None:
-            return False, "window equality fails at %r" % (bad,)
-    return True, "2 certificates verified on 9-point windows"
+            return False, "window equality fails at %r for %s over %s" % (
+                bad, gens, ring.signature())
+    return True, (
+        "%d certificates verified on 9-point windows over GF(p), Q, weights (1,2) "
+        "and k[x,y,z]/(y^2, xz)" % len(cases)
+    )
 
 
 def suite_fit_exactness():
@@ -607,7 +625,7 @@ def suite_component_strands():
         spec = FamilySpec.component(module, family)
         rees = rees_module(family, module)
         for point in points:
-            member, strand = spec.member(point), graded_component(rees, point)
+            member, strand = spec.member(point), graded_component(family, rees, point)
             if not member.hilbert_equal(strand):
                 return False, "I^n M and the Rees strand differ at %r for %s" % (point, label)
             mine, theirs = _ass_keys(member), _ass_keys(strand)

@@ -75,13 +75,12 @@ class FamilySpec:
 
     @classmethod
     def component(cls, module, family):
-        """The strands I^n M of R(I, M). The family's Rees algebra is
-        presented here, so a ring variable that collides with its
-        bookkeeping is refused before any task runs; the presentation is
-        memoised for the degree cap."""
+        """The strands I^n M of R(I, M). Nothing of the Rees algebra is
+        presented here: a member is built from the family's power
+        products, and the default degree cap presents R[y]/Q when a task
+        first asks for it."""
         if not all(family.is_proper):
             raise ConfigurationError("family ideals must be proper")
-        rees_algebra(family)
         return cls("component", module, (), family)
 
     @property
@@ -267,13 +266,14 @@ def betti_bass_asymptotics(expr, spec, box, i_max):
         bound = max(0, spec.spread() - spec.r)
     else:
         bound = None
+    cap = _held(box, (bound if bound is not None else 2) + 1)
     fits = {}
     bounds = {}
     for kind in ("betti", "bass"):
         for i in range(i_max + 1):
             name = "%s_%d" % (kind, i)
             table = {p: row[name] for p, row in obs.items()}
-            fit = fit_polynomial(table, box, (bound if bound is not None else 2) + 1)
+            fit = fit_polynomial(table, box, cap)
             fits[name] = fit
             if bound is not None and fit is not None:
                 bounds[name] = {
@@ -308,7 +308,8 @@ def component_track(spec, expr, box, observables=("lambda", "ass"), grade_ideal=
         if name in ("lambda",):
             table = {p: row["lambda"] for p, row in obs.items()}
             try:
-                fits["lambda"] = fit_polynomial(table, box, _component_cap(spec.family, box))
+                cap = _held(box, _component_cap(spec.family, box))
+                fits["lambda"] = fit_polynomial(table, box, cap)
             except ContractViolation as exc:
                 fits["lambda"] = {"error": str(exc)}
                 notes.append("lambda fit refused: %s" % exc)
@@ -321,9 +322,20 @@ def component_track(spec, expr, box, observables=("lambda", "ass"), grade_ideal=
 def _component_cap(family, box):
     """The room the box leaves for a fit, at most the number of variables
     of the family's Rees presentation R[y]/Q."""
-    room = min(h - box.shell - a for h, a in zip(box.hi, box.lo))
     dim_total = rees_algebra(family).aq.nvars
-    return max(0, min(dim_total, room))
+    return max(0, min(dim_total, box.fit_points() - 1))
+
+
+def _held(box, cap):
+    """A default degree cap, refused when the box leaves fewer than cap + 1
+    points per axis below the shell; a cap a task gives is checked when
+    the scenario loads."""
+    if cap >= box.fit_points():
+        raise ContractViolation(
+            "box too small: default degree cap %d needs %d points per axis below the shell"
+            % (cap, cap + 1)
+        )
+    return cap
 
 
 # -- the eventual normal form of a functor along a family ---------------------------

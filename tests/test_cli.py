@@ -368,13 +368,10 @@ def test_component_track_over_q_exits_zero(tmp_path, functor):
 @pytest.mark.parametrize("kind, variables, gens, message", [
     ("quotient", ["x", "y"], ["x", "1"], "family ideals must be proper"),
     ("component", ["x", "y"], ["x", "1"], "family ideals must be proper"),
-    ("component", ["x", "t1"], ["x", "t1"], "collide with Rees bookkeeping"),
-], ids=["improper_quotient", "improper_component", "t1_clash_component"])
+], ids=["improper_quotient", "improper_component"])
 def test_family_refusals_exit_two_before_any_task(
         tmp_path, capsys, monkeypatch, kind, variables, gens, message):
-    # both family kinds refuse an improper ideal at load; a component
-    # family presents its Rees algebra at load, so a ring variable named
-    # like its bookkeeping is refused there too
+    # both family kinds refuse an improper ideal at load
     doc = {
         "format": "scn/1",
         "label": "refused family",
@@ -397,6 +394,116 @@ def test_family_refusals_exit_two_before_any_task(
     assert code == 2
     assert message in capsys.readouterr().err
     assert ran == []
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "scenario.scn"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _report(out, stem):
+    return json.loads((out / ("%s.report.json" % stem)).read_text())
+
+
+@pytest.mark.parametrize("kind, variables, tasks", [
+    ("quotient", ["x", "t1"], [{"task": "stabilization"}, {"task": "fit", "identity": True}]),
+    ("component", ["x", "y1_1"], [{"task": "component_track", "observables": ["lambda"]}]),
+], ids=["quotient_t1", "component_y1_1"])
+def test_ring_variables_named_like_rees_bookkeeping_run(tmp_path, kind, variables, tasks):
+    # the Rees algebra steps around the ring's names, so the default fit
+    # caps that present it run through
+    doc = {
+        "format": "scn/1",
+        "label": "named like rees",
+        "ring": {"variables": variables},
+        "ideals": {"m": variables},
+        "modules": {
+            "M": {"type": "free", "twists": [0]},
+            "k": {"type": "cyclic", "polys": variables},
+        },
+        "functor": {"builder": "tensor", "module": "k"},
+        "family": {"kind": kind, "module": "M", "ideals": ["m"]},
+        "box": {"lo": [1], "hi": [7], "shell": 1},
+        "tasks": tasks,
+    }
+    code, out = _run(tmp_path, _write(tmp_path, doc))
+    assert code == 0
+    report = _report(out, "named_like_rees")
+    assert [entry["status"] for entry in report["tasks"]] == ["PASS"] * len(tasks)
+
+
+def _m_adic(box, tasks):
+    return {
+        "format": "scn/1",
+        "label": "box check",
+        "ring": {"variables": ["x", "y"]},
+        "ideals": {"m": ["x", "y"]},
+        "modules": {"M": {"type": "free", "twists": [0]}, "N": {"type": "submodule", "of": "M",
+                                                              "vectors": [["x"]]}},
+        "functor": {"builder": "tensor", "module": "M"},
+        "family": {"kind": "quotient", "module": "M", "ideals": ["m"]},
+        "box": box,
+        "tasks": tasks,
+    }
+
+
+@pytest.mark.parametrize("box, tasks, message", [
+    ({"lo": [1, 1], "hi": [4, 4]}, [{"task": "artin_rees", "sub": "N"}, {"task": "fit"}],
+     "box block: 2 coordinates for a family of 1 ideals"),
+    ({"lo": [1], "hi": [5]}, [{"task": "stabilization"}, {"task": "fit", "degree_cap": 4}],
+     "box block: degree_cap 4 in task 'fit' needs 5 points per axis below the shell"),
+    ({"lo": [1], "hi": [5]}, [{"task": "degree_bound", "degree_cap": 5}],
+     "box block: degree_cap 5 in task 'degree_bound' needs 6 points per axis"),
+], ids=["box_dimension", "fit_cap", "degree_bound_cap"])
+def test_box_errors_exit_two_before_any_task(tmp_path, capsys, monkeypatch, box, tasks, message):
+    ran = []
+    for name, run in runner.TASK_RUNNERS.items():
+        monkeypatch.setitem(
+            runner.TASK_RUNNERS, name,
+            lambda scn, task, run=run: ran.append(task["task"]) or run(scn, task),
+        )
+    code, _ = _run(tmp_path, _write(tmp_path, _m_adic(box, tasks)))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert ran == []
+
+
+@pytest.mark.parametrize("task, message", [
+    ({"task": "fit"}, "default degree cap 4 needs 5 points"),
+    ({"task": "betti_bass", "i_max": 1}, "default degree cap 2 needs 3 points"),
+], ids=["fit", "betti_bass"])
+def test_default_cap_the_box_cannot_hold_is_an_error_with_a_report(tmp_path, task, message):
+    # over k[x,y]/m^n the default cap of a fit is 4 and of betti_bass 2, and
+    # [1..3] with shell 1 leaves 2 points below the shell: that task ends
+    # ERROR, the others run
+    doc = _m_adic({"lo": [1], "hi": [3], "shell": 1}, [{"task": "stabilization"}, task])
+    del doc["functor"]
+    code, out = _run(tmp_path, _write(tmp_path, doc))
+    assert code == 3
+    tasks = _report(out, "box_check")["tasks"]
+    assert [entry["status"] for entry in tasks] == ["PASS", "ERROR"]
+    assert message in tasks[1]["error"]
+
+
+def test_component_track_on_a_box_with_no_fitting_point_fails_with_a_report(tmp_path):
+    # shell 2 on [2..3] leaves no point below the shell for the lambda fit
+    doc = {
+        "format": "scn/1",
+        "label": "no fitting point",
+        "ring": {"variables": ["x", "y"]},
+        "ideals": {"m": ["x", "y"]},
+        "modules": {"M": {"type": "free", "twists": [0]}},
+        "family": {"kind": "component", "module": "M", "ideals": ["m"]},
+        "box": {"lo": [2], "hi": [3], "shell": 2},
+        "tasks": [{"task": "component_track", "observables": ["ass"]},
+                  {"task": "component_track", "observables": ["lambda"]}],
+    }
+    code, out = _run(tmp_path, _write(tmp_path, doc))
+    assert code == 1
+    tasks = _report(out, "no_fitting_point")["tasks"]
+    assert [entry["status"] for entry in tasks] == ["PASS", "FAIL"]
+    assert "default degree cap 0 needs 1 points" in tasks[1]["notes"][0]
 
 
 def test_given_degree_cap_skips_the_default(tmp_path, monkeypatch):

@@ -424,11 +424,12 @@ def test_ext_support_candidates_are_accepted_untested(monkeypatch):
 def test_rees_strands_take_no_ext_annihilator(monkeypatch):
     # the strands m^n of R(m) over k[x,y] are not fine; rank 1 gives (0), and
     # Ext^1 has finite length, so no stage needs a colon
-    mg = rees_module(IdealFamily([ideal(R, ["x", "y"])]), FPModule.free(R, (0,)))
+    family = IdealFamily([ideal(R, ["x", "y"])])
+    rees = rees_module(family, FPModule.free(R, (0,)))
     colons = _count_calls(monkeypatch, invariants, "annihilator")
     exts = _count_calls(monkeypatch, invariants, "hom_ext_tor")
     for n in range(1, 7):
-        strand = graded_component(mg, (n,))
+        strand = graded_component(family, rees, (n,))
         assert not spans_terms(strand.gens + strand.rels, R), n
         before = len(exts)
         assert _ass_names(associated_primes(strand)) == [()], n

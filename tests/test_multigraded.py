@@ -3,7 +3,8 @@
 Hand oracles: R((x,y)) has the single Koszul relation, its strand n is
 (x,y)^n with n+1 generators; (x) cap (x,y)^n = x*(x,y)^(n-1) gives AR
 exponent 1; (y^2) cap (x)^n = (x^n y^2) gives exponent 0; analytic spreads
-of (x,y), (x), and the pair ((x),(x)) are 2, 1, 2.
+of (x,y), (x), and the pair ((x),(x)) are 2, 1, 2. The spread is checked
+against the special fiber built by hand over k[y] on the component corpus.
 """
 
 import pytest
@@ -18,8 +19,9 @@ from functorlab.multigraded import (
     rees_algebra,
     rees_module,
 )
-from functorlab.poly import parse_vec
+from functorlab.poly import Vec, parse_vec
 from functorlab.rings import PolyRing
+from functorlab.selftest import component_corpus
 from functorlab.submodule import IdealFamily, ideal
 
 
@@ -39,17 +41,33 @@ def test_rees_algebra_of_maximal_ideal():
 
 
 def test_rees_module_of_free_is_algebra():
-    mg = rees_module(MAX, FREE)
-    assert mg.gen_mdegs == ((0,),)
-    assert mg.gen_adegs == (0,)
-    # relations of R(R) are exactly Q
-    assert len(mg.rels) == 1
+    rees = rees_module(MAX, FREE)
+    alg = rees_algebra(MAX)
+    assert rees.ring == alg.aq
+    assert rees.twists == (0,)
+    # the relations of R(R) are exactly Q, which the ring already holds
+    assert list(rees.rels) == [Vec.from_poly(q) for q in alg.q_gens]
+    assert rees.hilbert_equal(FPModule.free(alg.aq, (0,)))
+    assert rees.dim() == 3
+
+
+def test_rees_names_step_around_ring_variables():
+    # ring variables named like the bookkeeping push it to underscored names
+    ring = PolyRing(("y1_1", "t1"))
+    family = IdealFamily([ideal(ring, ["y1_1", "t1"])])
+    alg = rees_algebra(family)
+    assert alg.aq.names == ("y1_1", "t1", "_y1_1", "y1_2")
+    assert alg.b_ring.names[-1] == "_t1"
+    free = FPModule.free(ring, (0,))
+    strand = graded_component(family, rees_module(family, free), (2,))
+    assert strand.hilbert_equal(FPModule(ring, 1, (0,), list(family.power_product((2,)).gens), []))
+    assert analytic_spread(free, family) == 2
 
 
 def test_strands_are_ideal_powers():
-    mg = rees_module(MAX, FREE)
+    rees = rees_module(MAX, FREE)
     for n in range(5):
-        comp = graded_component(mg, (n,))
+        comp = graded_component(MAX, rees, (n,))
         # Hilbert agrees with the honest ideal power (x,y)^n in R
         idl = MAX.power_product((n,))
         direct = FPModule(R, 1, (0,), list(idl.gens), [])
@@ -59,16 +77,14 @@ def test_strands_are_ideal_powers():
 
 def test_strand_of_principal_family():
     fam = IdealFamily([ideal(R, ["x"])])
-    mg = rees_module(fam, FREE)
-    comp = graded_component(mg, (2,))
+    comp = graded_component(fam, rees_module(fam, FREE), (2,))
     direct = FPModule(R, 1, (0,), [parse_vec(R, ["x^2"])], [])
     assert comp.hilbert_equal(direct)
 
 
 def test_two_ideal_strands():
     fam = IdealFamily([ideal(R, ["x", "y^2"]), ideal(R, ["x^2", "y"])])
-    mg = rees_module(fam, FREE)
-    comp = graded_component(mg, (1, 1))
+    comp = graded_component(fam, rees_module(fam, FREE), (1, 1))
     prod = fam.power_product((1, 1))
     direct = FPModule(R, 1, (0,), list(prod.gens), [])
     assert comp.hilbert_equal(direct)
@@ -77,8 +93,7 @@ def test_two_ideal_strands():
 def test_component_of_presented_module():
     # M = R/(x): strand n of R(M) is (x,y)^n (R/(x)) = (x,y)^n/(x-part)
     m = FPModule.cyclic(R, ("x",))
-    mg = rees_module(MAX, m)
-    comp = graded_component(mg, (2,))
+    comp = graded_component(MAX, rees_module(MAX, m), (2,))
     idl = MAX.power_product((2,)).plus(ideal(R, ["x"]))
     direct = FPModule(
         R, 1, (0,), list(idl.gens), [parse_vec(R, ["x"])],
@@ -98,6 +113,40 @@ def test_analytic_spreads():
     assert analytic_spread(m, MAX) == analytic_spread(
         FPModule.cyclic(R, ("x^2", "x*y")), MAX
     )
+
+
+def _special_fiber_dim(module, family):
+    """dim R(M)/mR(M) built by hand over k[y]: the relations of R(M) and Q
+    times each generator, with every term that holds a base variable
+    dropped."""
+    rees = rees_module(family, module)
+    alg = rees_algebra(family)
+    nb = alg.base.nvars
+    ky = PolyRing(alg.aq.names[nb:], alg.base.char, alg.aq.weights[nb:])
+    q_rels = [Vec.from_poly(q, i) for q in alg.q_gens for i in range(rees.rank)]
+    rels = []
+    for rel in list(rees.rels) + q_rels:
+        kept = {
+            (c, mono[nb:]): ky.coeff(cf)
+            for (c, mono), cf in rel.terms.items()
+            if not any(mono[:nb])
+        }
+        if kept:
+            rels.append(Vec(ky, kept))
+    gens = [Vec.unit(ky, c) for c in range(rees.rank)]
+    return FPModule(ky, rees.rank, rees.twists, gens, rels, check=False).dim()
+
+
+CORPUS = component_corpus()
+
+
+@pytest.mark.parametrize(
+    "family, module",
+    [case[2:4] for case in CORPUS],
+    ids=[case[0] for case in CORPUS],
+)
+def test_spread_is_the_special_fiber_dimension(family, module):
+    assert analytic_spread(module, family) == _special_fiber_dim(module, family)
 
 
 def test_certified_artin_rees_embedded_line():

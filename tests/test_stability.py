@@ -327,7 +327,7 @@ def test_component_member_is_the_rees_strand(family, module, points):
     spec = FamilySpec.component(module, family)
     rees = rees_module(family, module)
     for point in points:
-        member, strand = spec.member(point), graded_component(rees, point)
+        member, strand = spec.member(point), graded_component(family, rees, point)
         assert member.hilbert_equal(strand), point
         length = member.length()
         if length != math.inf:
@@ -606,6 +606,14 @@ def test_rees_component_track_builds_each_strand_once(monkeypatch):
     assert code == 0
     assert sorted(args[1] for args in strands) == sorted(scn.box.points())
     assert cut == [] and presented == []
+
+
+def test_loading_rees_component_track_presents_no_rees_algebra(monkeypatch):
+    # a component family is built at load without the Rees algebra; the
+    # default fit cap of a component_track task presents it when it runs
+    presented = _record_everywhere(monkeypatch, multigraded, "rees_algebra")
+    load_scenario(bundled_scenario_path("rees_component_track"))
+    assert presented == []
 
 
 def test_evaluate_on_a_member_runs_no_buchberger_for_hom_relations(monkeypatch):
