@@ -10,13 +10,15 @@ the generators' term rows); values are JSON.
 A hit must be byte-reproducible from the key's content, so cached and fresh
 runs give identical results.
 
-Two tiers: an in-process dict, and an optional directory (FUNCTORLAB_CACHE_DIR
-or configure()). Disk writes go through a temp file and os.replace so a
-killed process never leaves a half-written entry. Each disk entry carries
-its own key and the SHA-256 of its canonical payload JSON; an entry that is
-unreadable, lacks a field, or whose key or digest does not match counts as
-corrupt and is recomputed, never trusted. So does a sealed entry whose value
-the caller's decoder rejects.
+One tier: a directory (FUNCTORLAB_CACHE_DIR or configure()). Without one
+the cache is off: the caller builds no key and nothing is counted. Within
+a process each basis is kept by the Submodule that owns it, so the cache
+only carries bases from one process to the next. Disk writes go through a
+temp file and os.replace so a killed process never leaves a half-written
+entry. Each entry carries its own key and the SHA-256 of its canonical
+payload JSON; an entry that is unreadable, lacks a field, or whose key or
+digest does not match counts as corrupt and is recomputed, never trusted.
+So does a sealed entry whose value the caller's decoder rejects.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ def _is_sealed(entry, key):
 
 
 class Cache:
-    def __init__(self, directory=None, enabled=True):
-        self.directory = directory
-        self.enabled = enabled
-        self.memory = {}
+    """The disk cache under directory; off when directory is None."""
+
+    def __init__(self, directory=None):
+        self.directory = directory or None
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -68,47 +70,36 @@ class Cache:
     def get(self, key, decode=_same):
         """decode(value) for the value under key, or None on a miss.
 
-        decode raises ValueError on a value it cannot use; a disk entry it
-        rejects counts as corrupt and reads as a miss. Memory holds only values
-        that were put or already accepted by decode.
+        decode raises ValueError on a value it cannot use; an entry it
+        rejects counts as corrupt and reads as a miss.
         """
-        if not self.enabled:
+        if not self.directory:
             return None
-        if key in self.memory:
-            self.hits += 1
-            return decode(self.memory[key])
-        if self.directory:
-            path = self._path(key)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    entry = json.load(fh)
-            except (FileNotFoundError, NotADirectoryError):
-                pass
-            except (OSError, ValueError):
-                self.corrupt += 1
-            else:
-                if _is_sealed(entry, key):
-                    value = entry["value"]
-                    try:
-                        result = decode(value)
-                    except ValueError:
-                        pass
-                    else:
-                        self.memory[key] = value
-                        self.hits += 1
-                        return result
-                self.corrupt += 1
+        try:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (FileNotFoundError, NotADirectoryError):
+            pass
+        except (OSError, ValueError):
+            self.corrupt += 1
+        else:
+            if _is_sealed(entry, key):
+                try:
+                    result = decode(entry["value"])
+                except ValueError:
+                    pass
+                else:
+                    self.hits += 1
+                    return result
+            self.corrupt += 1
         self.misses += 1
         return None
 
     def put(self, key, value):
-        if not self.enabled:
-            return
-        self.memory[key] = value
-        self.puts += 1
         if not self.directory:
             return
-        # an unusable directory only costs the disk copy: memory keeps the entry
+        self.puts += 1
+        # an unusable directory only costs the entry: the caller has the value
         path = self._path(key)
         tmp = None
         try:
@@ -149,7 +140,8 @@ def install(store):
 
 
 def configure(directory=None, enabled=True):
-    """Install a fresh cache (used by the CLI); returns it."""
-    store = Cache(directory=directory, enabled=enabled)
+    """Install a fresh cache (used by the CLI); returns it. enabled=False is
+    the same as no directory."""
+    store = Cache(directory if enabled else None)
     install(store)
     return store

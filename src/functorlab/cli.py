@@ -68,10 +68,7 @@ def _cmd_run(args):
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
-    if args.no_cache:
-        cache.configure(enabled=False)
-    else:
-        cache.configure(directory=os.environ.get("FUNCTORLAB_CACHE_DIR"), enabled=True)
+    cache.configure(directory=os.environ.get("FUNCTORLAB_CACHE_DIR"), enabled=not args.no_cache)
     target = args.scenario
     if not os.path.exists(target):
         target = bundled_scenario_path(target)

@@ -2,12 +2,20 @@
 
 An FPModule is U/W for submodules W <= U of a twisted free module; every
 module the engine touches (kernels, cokernels, homology, Hom/Ext/Tor values,
-graded strands) is carried in this shape. The relation span is required to
-lie inside the generator span at construction, so U/W is meaningful on the
-nose; FPModule.subquotient, for a W that may stick out of U, augments
-the generators first, which changes nothing up to canonical
-isomorphism. A module carries no term order of its own: its generator and
-relation spans are Submodules, which all use GREVLEX.
+graded strands) is carried in this shape. Built from vectors, the relation
+span is checked to lie inside the generator span, so U/W is meaningful on
+the nose; FPModule.subquotient, for a W that may stick out of U, augments
+the generators first, which changes nothing up to canonical isomorphism. A
+module carries no term order of its own: its generator and relation spans
+are Submodules, which all use GREVLEX.
+
+Each Groebner basis has one owner, the Submodule it spans, and a span
+travels as that object: FPModule.of(U, W) keeps the two Submodules it is
+given, so a module built from spans another module, a family or an ideal
+already holds reads their bases instead of computing them again. A span
+of the unit vectors, as in a free module or a cokernel, is the whole
+ambient module, whose reduced basis is the unit vectors over any base
+(Submodule.groebner), so it runs no Buchberger loop and reads no cache.
 
 Numeric questions (Hilbert function, length, dimension) go through the
 module's Hilbert numerator: numer(F/W) - numer(F/U). Presentations and
@@ -34,7 +42,7 @@ copies: block_module builds X^b, push_through applies Hom(f, X):
 X^b -> X^a for a matrix f: R^a -> R^b to ambient vectors (f (x) X is
 Hom of the transpose), and block_kernel reads the preimage of a
 submodule off one LiftSolver. X^b carries the Groebner bases X already
-has.
+has (Submodule.blocks).
 """
 
 from __future__ import annotations
@@ -67,22 +75,36 @@ class FPModule:
     )
 
     def __init__(self, ring, rank, twists, gens, rels, check=True):
-        self.ring = ring
-        self.rank = rank
-        self.twists = tuple(twists)
-        gens_sub = Submodule(ring, rank, self.twists, gens, check=check)
-        rels_sub = Submodule(ring, rank, self.twists, rels, check=check)
+        gens_sub = Submodule(ring, rank, twists, gens, check=check)
+        rels_sub = Submodule(ring, rank, twists, rels, check=check)
+        if check and rels_sub.gens and not gens_sub.contains_all(rels_sub.gens):
+            raise ContractViolation("relations do not lie in the generator span")
+        self._adopt(gens_sub, rels_sub)
+
+    def _adopt(self, gens_sub, rels_sub):
+        self.ring = gens_sub.ring
+        self.rank = gens_sub.rank
+        self.twists = gens_sub.twists
         self.gens = gens_sub.gens
         self.rels = rels_sub.gens
         self._gens_sub = gens_sub
         self._rels_sub = rels_sub
-        if check and self.rels and not gens_sub.contains_all(self.rels):
-            raise ContractViolation("relations do not lie in the generator span")
         self._numer = None
         self._presentation = None
         self._resolution = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def of(cls, gens_sub, rels_sub):
+        """gens_sub / rels_sub, the two Submodule objects kept as the
+        module's spans, so a basis either already has is not computed
+        again. The spans must share an ambient module; that rels_sub lies
+        in gens_sub is the caller's to know, and is not checked."""
+        gens_sub._same_ambient(rels_sub)
+        out = cls.__new__(cls)
+        out._adopt(gens_sub, rels_sub)
+        return out
 
     @classmethod
     def free(cls, ring, twists):
@@ -111,30 +133,8 @@ class FPModule:
         return cls(ring, rank, tuple(twists), list(gens) + extra, rels, check=False)
 
     @classmethod
-    def spanned_by(cls, sub):
-        """The submodule sub as a module without relations; its generator
-        span is sub itself, so a basis sub already has is not computed
-        again."""
-        out = cls(sub.ring, sub.rank, sub.twists, sub.gens, [], check=False)
-        out._gens_sub = sub
-        return out
-
-    @classmethod
     def zero(cls, ring):
         return cls(ring, 1, (0,), [], [], check=False)
-
-    def with_relations(self, sub):
-        """self / sub, for self without relations and sub a Submodule of
-        its generator span: the relation span is sub itself, and the
-        generator span self's, so a basis either already has is not
-        computed again."""
-        if self.rels:
-            raise ContractViolation("with_relations needs a module without relations")
-        self._gens_sub._same_ambient(sub)
-        out = FPModule(self.ring, self.rank, self.twists, self.gens, sub.gens, check=False)
-        out._gens_sub = self._gens_sub
-        out._rels_sub = sub
-        return out
 
     # -- structure ---------------------------------------------------------
 
@@ -341,29 +341,10 @@ def free_resolution(module, length_cap):
 
 
 def block_module(x, block_twists):
-    """X^b with the i-th copy twisted by block_twists[i].
-
-    The reduced Groebner bases that X's generator and relation spans
-    already have are carried over, not computed again: the basis of a sum
-    of twisted copies is the union of the shifted bases, sorted by the new
-    bound's term_key, since reduction never crosses components and within
-    one copy the order is X's, shifted by a constant twist. A basis X does
-    not have yet is left for the block module to compute when asked.
-    """
-    twists = []
-    for s in block_twists:
-        twists.extend(t + s for t in x.twists)
-    offsets = [i * x.rank for i in range(len(block_twists))]
-    gens = [g.shifted(off) for off in offsets for g in x.gens]
-    rels = [w.shifted(off) for off in offsets for w in x.rels]
-    out = FPModule(x.ring, len(offsets) * x.rank, twists, gens, rels, check=False)
-    for mine, theirs in ((x.gens_sub(), out.gens_sub()), (x.rels_sub(), out.rels_sub())):
-        if mine._gb is not None:
-            bound = theirs.bound
-            basis = [g.shifted(off) for off in offsets for g in mine._gb]
-            basis.sort(key=lambda g: bound.term_key(g.lead(bound)[0]))
-            theirs._gb = basis
-    return out
+    """X^b with the i-th copy twisted by block_twists[i]. Its spans are the
+    Submodule.blocks of X's, so the Groebner bases X already has are
+    carried over, not computed again."""
+    return FPModule.of(x.gens_sub().blocks(block_twists), x.rels_sub().blocks(block_twists))
 
 
 def push_through(u, columns, width):

@@ -200,7 +200,7 @@ def scan_cap(ring):
 
 def _cyclic_quotient(ideal_sub):
     """R/J, its relation span J itself."""
-    return FPModule.free(ideal_sub.ring, (0,)).with_relations(ideal_sub)
+    return FPModule.of(unit_ideal(ideal_sub.ring), ideal_sub)
 
 
 def grade(ideal_sub, module):
@@ -226,11 +226,8 @@ def _ext_grade(quotient, module):
     if not ring.relations:
         # all Ext vanish up to the projective dimension of R/J
         return math.inf
-    jm = [g.mul_poly(p.component(0)) for p in ideal_sub.gens for g in module.gens]
-    m_mod_jm = FPModule(
-        ring, module.rank, module.twists, module.gens,
-        list(module.rels) + jm, check=False,
-    )
+    jm = module.gens_sub().multiply_ideal(ideal_sub)
+    m_mod_jm = FPModule.of(module.gens_sub(), module.rels_sub().plus(jm))
     if m_mod_jm.is_zero():
         return math.inf
     raise CapExceeded("no nonvanishing Ext up to %d over a singular base" % cap)

@@ -203,16 +203,17 @@ def _rees_relations(alg, module, sub_vectors):
 
 def rees_module(family, module):
     """R(M) = sum of I^n M as an FPModule over R[y]/Q: M's generators as
-    unit vectors twisted by their degrees, presented by _rees_relations."""
+    unit vectors twisted by their degrees (the free module's span, whose
+    basis comes preset), presented by _rees_relations."""
     alg = rees_algebra(family)
     if module.ring.signature() != alg.base.signature():
         raise ContractViolation("module and family live over different rings")
     rels = _rees_relations(alg, module, ())
     for rel in rels:
         alg.vec_mdeg(rel)  # multihomogeneity tripwire
-    twists = module.gen_degrees()
-    gens = [Vec.unit(alg.aq, c) for c in range(len(twists))]
-    return FPModule(alg.aq, len(twists), twists, gens, rels, check=False)
+    free = FPModule.free(alg.aq, module.gen_degrees())
+    rels_sub = Submodule(alg.aq, free.rank, free.twists, rels, check=False)
+    return FPModule.of(free.gens_sub(), rels_sub)
 
 
 def graded_component(family, rees, nvec):
@@ -289,12 +290,13 @@ def analytic_spread(module, family):
     the special fiber of the blowup."""
     rees = rees_module(family, module)
     ring = rees.ring
-    rels = list(rees.rels) + [
+    fiber = [
         Vec.from_poly(Poly.variable(ring, name), i)
         for name in module.ring.names
         for i in range(rees.rank)
     ]
-    return FPModule(ring, rees.rank, rees.twists, rees.gens, rels, check=False).dim()
+    rels = rees.rels_sub().plus(Submodule(ring, rees.rank, rees.twists, fiber, check=False))
+    return FPModule.of(rees.gens_sub(), rels).dim()
 
 
 # -- Artin-Rees exponents --------------------------------------------------

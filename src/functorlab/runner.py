@@ -67,26 +67,34 @@ def _task_expr(scn, task):
     return scn.expression
 
 
-def _cap_above(law):
-    """One above the degree bound; a bound of -inf caps at 1."""
-    bound = law["bound"]
-    return (0 if bound == -INF else int(bound)) + 1
-
-
 def _default_cap(scn):
     spec = scn.family_spec
     if spec.kind == "quotient" and scn.expression is not None \
             and scn.expression.kind != "compose":
-        return _cap_above(spec.degree_law(scn.expression.functor))
+        # one above the degree bound; a bound of -inf caps at 1
+        bound = spec.degree_law(scn.expression.functor)["bound"]
+        return (0 if bound == -INF else int(bound)) + 1
     if spec.kind == "quotient":
         return max(0, spec.spread() - spec.r) + max(spec.module.dim(), 0) + 1
     return _component_cap(spec.family, scn.box)
 
 
-def _lambda_table(scn, task):
-    expr = _task_expr(scn, task)
-    obs = grid_evaluate(expr, scn.family_spec, scn.box, ("lambda",))
-    return {p: row["lambda"] for p, row in obs.items()}
+def _lambda_fit(scn, task):
+    """(table, cap, fit): the task's lambda table, its degree cap (the
+    task's degree_cap, else the held default) and the fit under that cap."""
+    obs = grid_evaluate(_task_expr(scn, task), scn.family_spec, scn.box, ("lambda",))
+    table = {p: row["lambda"] for p, row in obs.items()}
+    cap = task["degree_cap"] if "degree_cap" in task else _held(scn.box, _default_cap(scn))
+    return table, cap, fit_polynomial(table, scn.box, cap)
+
+
+def _expected_value(task):
+    """The task's expect_value as a verdict value: "inf" is INF, and a
+    list entry that is a list is a tuple."""
+    expected = task["expect_value"]
+    if isinstance(expected, list):
+        return [tuple(e) if isinstance(e, list) else e for e in expected]
+    return INF if expected == "inf" else expected
 
 
 def _check_fit_asserts(task, fit):
@@ -106,9 +114,7 @@ def _check_fit_asserts(task, fit):
 
 
 def run_fit(scn, task):
-    table = _lambda_table(scn, task)
-    cap = task["degree_cap"] if "degree_cap" in task else _held(scn.box, _default_cap(scn))
-    fit = fit_polynomial(table, scn.box, cap)
+    table, cap, fit = _lambda_fit(scn, task)
     result = {
         "degree_cap": cap,
         "lambda_table": table,
@@ -156,11 +162,7 @@ def run_stabilization(scn, task):
     elif task.get("assert_stable") and not verdict["stable"]:
         failures.append("observable %s is not constant on the shell" % name)
     if "expect_value" in task:
-        expected = task["expect_value"]
-        if isinstance(expected, list):
-            expected = [tuple(e) if isinstance(e, list) else e for e in expected]
-        elif expected == "inf":
-            expected = INF
+        expected = _expected_value(task)
         if verdict["value"] != expected:
             failures.append(
                 "stable value %r != expected %r" % (verdict["value"], expected)
@@ -169,12 +171,9 @@ def run_stabilization(scn, task):
 
 
 def run_degree_bound(scn, task):
-    spec = scn.family_spec
-    table = _lambda_table(scn, task)
+    table, _cap, fit = _lambda_fit(scn, task)
     # the spec keeps one law for the default cap and the check
-    law = spec.degree_law(scn.expression.functor)
-    cap = task["degree_cap"] if "degree_cap" in task else _held(scn.box, _cap_above(law))
-    fit = fit_polynomial(table, scn.box, cap)
+    law = scn.family_spec.degree_law(scn.expression.functor)
     if fit is None:
         return {"fit": _fit_payload(None)}, ["no polynomial fit to bound"]
     verdict = degree_bound_check(law, fit)
@@ -201,7 +200,7 @@ def run_grade(scn, task):
     result = {"table": rep["table"], "verdict": rep["verdict"], "ideal": task["ideal"]}
     failures = []
     if "expect_value" in task:
-        expected = INF if task["expect_value"] == "inf" else task["expect_value"]
+        expected = _expected_value(task)
         if rep["verdict"]["value"] != expected:
             failures.append(
                 "stable grade %r != expected %r" % (rep["verdict"]["value"], expected)

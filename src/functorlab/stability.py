@@ -26,7 +26,7 @@ from .invariants import (
     projective_dimension,
     scan_cap,
 )
-from .multigraded import analytic_spread, artin_rees_exponent, rees_algebra
+from .multigraded import analytic_spread, artin_rees_exponent
 from .poly import Vec
 from .submodule import Submodule
 
@@ -76,9 +76,9 @@ class FamilySpec:
     @classmethod
     def component(cls, module, family):
         """The strands I^n M of R(I, M). Nothing of the Rees algebra is
-        presented here: a member is built from the family's power
-        products, and the default degree cap presents R[y]/Q when a task
-        first asks for it."""
+        presented, here or in a task: a member is built from the family's
+        power products, and the default degree cap counts the variables of
+        R[y]/Q without presenting it."""
         if not all(family.is_proper):
             raise ConfigurationError("family ideals must be proper")
         return cls("component", module, (), family)
@@ -88,22 +88,16 @@ class FamilySpec:
         return len(self.family.ideals)
 
     def member(self, nvec):
+        """The member at nvec, built on M's own spans, so their bases are
+        computed once for the whole box: I^n M = (I^n U + W)/W, and
+        M/I^n N = U/(W + I^n N). W lies in U, so no containment probe."""
         m = self.module
         if self.kind == "component":
-            # I^n U + W over W: W lies in the generator span, so no probe
             scaled = self.family.apply(tuple(nvec), m.gens_sub())
-            if not m.rels:
-                return FPModule.spanned_by(scaled)
-            gens = list(scaled.gens) + list(m.rels)
-            return FPModule(m.ring, m.rank, m.twists, gens, m.rels, check=False)
-        scaled = self.family.apply(
-            tuple(nvec),
-            Submodule(m.ring, m.rank, m.twists, list(self.sub_vectors), check=False),
-        )
-        if not m.rels:
-            return m.with_relations(scaled)
-        rels = list(m.rels) + list(scaled.gens)
-        return FPModule(m.ring, m.rank, m.twists, m.gens, rels, check=False)
+            return FPModule.of(scaled.plus(m.rels_sub()), m.rels_sub())
+        n_sub = Submodule(m.ring, m.rank, m.twists, list(self.sub_vectors), check=False)
+        scaled = self.family.apply(tuple(nvec), n_sub)
+        return FPModule.of(m.gens_sub(), m.rels_sub().plus(scaled))
 
     def value(self, expr, nvec):
         """F(member) at nvec for the expression expr, or the member itself
@@ -321,9 +315,10 @@ def component_track(spec, expr, box, observables=("lambda", "ass"), grade_ideal=
 
 def _component_cap(family, box):
     """The room the box leaves for a fit, at most the number of variables
-    of the family's Rees presentation R[y]/Q."""
-    dim_total = rees_algebra(family).aq.nvars
-    return max(0, min(dim_total, box.fit_points() - 1))
+    of the family's Rees presentation R[y]/Q: the ring's, and one y per
+    minimal generator of each ideal."""
+    y_count = sum(len(I.minimal_generators().gens) for I in family.ideals)
+    return max(0, min(family.ring.nvars + y_count, box.fit_points() - 1))
 
 
 def _held(box, cap):

@@ -15,8 +15,10 @@ sorted), so module equality is literal equality of canonical bases, and
 the lead index of the basis (groebner.make_lead_index) is built once for
 every normal_form and lead_monomials call. A module spanned by terms
 (groebner.spans_terms) gets its basis straight from its minimal terms,
-which costs less than a cache lookup; every other basis is memoized
-through the content-addressed cache.
+which costs less than a cache lookup, and so does the whole ambient
+module, whose basis is its unit vectors over any base. The Submodule is
+the one owner of its basis within a process; every other basis also goes
+through the content-addressed disk cache when one is set.
 
 On term input (self and the other side both spanned by terms) colon,
 colon_module and intersect are exponent arithmetic on the per-component
@@ -199,10 +201,12 @@ class Submodule:
         """The reduced Groebner basis, computed once or read from the cache.
 
         A module spanned by terms takes its minimal terms (term_basis) and
-        never touches the cache. Otherwise, with the cache off no key is
-        built. A cache entry holds each basis vector as its term rows (see
-        _term_rows); a hit decodes straight into Vec terms, and a malformed
-        entry counts as corrupt and is recomputed.
+        never touches the cache; nor does one with a unit term in every
+        component, the whole ambient module, whose reduced basis over any
+        base is its unit vectors. Otherwise, with the cache off (no
+        directory) no key is built. A cache entry holds each basis vector
+        as its term rows (see _term_rows); a hit decodes straight into Vec
+        terms, and a malformed entry counts as corrupt and is recomputed.
         """
         if self._gb is not None:
             return self._gb
@@ -210,9 +214,14 @@ class Submodule:
             given = list(self.gens) + base_relation_vectors(self.ring, self.rank)
             self._gb = term_basis(given, self.bound, self.ring)
             return self._gb
+        units = {c for g in self.gens if len(g.terms) == 1 for c, m in g.terms if not any(m)}
+        if len(units) == self.rank:
+            whole = [Vec.unit(self.ring, c) for c in range(self.rank)]
+            self._gb = term_basis(whole, self.bound, self.ring)
+            return self._gb
         store = cache.active_cache()
         key = None
-        if store.enabled:
+        if store.directory:
             key = store.key(
                 "gb/2",
                 self.ring.signature(),
@@ -279,10 +288,37 @@ class Submodule:
         out._gb = list(out.gens)
         return out
 
+    def blocks(self, block_twists):
+        """len(block_twists) copies of self in as many copies of its ambient
+        module, copy i at component offset i*rank and twisted by
+        block_twists[i].
+
+        A basis self already has is carried over, not computed again: the
+        basis of the copies is the union of the shifted bases, sorted by the
+        new bound's term_key, since reduction never crosses components and
+        within one copy the order is self's, shifted by a constant twist.
+        """
+        twists = [t + s for s in block_twists for t in self.twists]
+        offsets = [i * self.rank for i in range(len(block_twists))]
+        gens = [g.shifted(off) for off in offsets for g in self.gens]
+        out = Submodule(self.ring, len(twists), twists, gens, check=False)
+        if self._gb is not None:
+            bound = out.bound
+            basis = [g.shifted(off) for off in offsets for g in self._gb]
+            basis.sort(key=lambda g: bound.term_key(g.lead(bound)[0]))
+            out._gb = basis
+        return out
+
     # -- lattice and transporter operations --------------------------------
 
     def plus(self, other):
+        """self + other; a side without generators adds nothing, so the
+        other side comes back as it is, with the basis it has."""
         self._same_ambient(other)
+        if not other.gens:
+            return self
+        if not self.gens:
+            return other
         return Submodule(
             self.ring, self.rank, self.twists, self.gens + other.gens, check=False
         )

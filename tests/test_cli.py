@@ -547,6 +547,17 @@ def test_degree_bound_task_computes_its_law_once(tmp_path, monkeypatch):
     assert entry["bound_check"]["bound"] == 1
 
 
+def test_degree_bound_fail_caches_only_the_fiber_span(tmp_path, monkeypatch):
+    # the analytic spread of R(M) reads two spans over R[y]/Q: its unit
+    # vectors, which are their own basis and never looked up, and the
+    # fiber relations, which are looked up once and put once
+    monkeypatch.setenv("FUNCTORLAB_CACHE_DIR", str(tmp_path / "cachedir"))
+    out = tmp_path / "out"
+    assert main(["run", bundled_scenario_path("degree_bound_fail"), "--out", str(out)]) == 1
+    assert cache.active_cache().stats() == {"hits": 0, "misses": 1, "puts": 1, "corrupt": 0}
+    assert len(list((tmp_path / "cachedir").glob("*/*.json"))) == 1
+
+
 def test_jobs_flag_changes_nothing(tmp_path):
     _, out1 = _run(tmp_path, bundled_scenario_path("two_ideal_fit"))
     blob1 = (out1 / "two_ideal_fit.report.json").read_bytes()
@@ -594,8 +605,8 @@ def test_cold_and_warm_cache_reports_identical(tmp_path, monkeypatch):
 
 
 def test_unusable_cache_directory_keeps_the_run_going(tmp_path, monkeypatch):
-    # the cache directory names a regular file: nothing can be written to
-    # disk, the memory cache still serves the run, and the report is the same
+    # the cache directory names a regular file: nothing can be read from or
+    # written to it, the run completes, and the report is the same
     scenario = _non_term_scenario(tmp_path)
     _, plain = _run(tmp_path, scenario)
     blocked = tmp_path / "not_a_directory"
@@ -603,13 +614,10 @@ def test_unusable_cache_directory_keeps_the_run_going(tmp_path, monkeypatch):
     monkeypatch.setenv("FUNCTORLAB_CACHE_DIR", str(blocked))
     out = tmp_path / "blocked"
     assert main(["run", scenario, "--out", str(out)]) == 0
-    store = cache.active_cache()
-    stats = store.stats()
-    assert stats["puts"] > 0 and stats["corrupt"] == 0
-    # every entry stayed in memory, where a second lookup finds it
-    assert len(store.memory) == stats["puts"]
-    assert store.get(next(iter(store.memory))) is not None
-    assert store.stats()["hits"] == stats["hits"] + 1
+    stats = cache.active_cache().stats()
+    assert stats["hits"] == 0 and stats["corrupt"] == 0
+    assert stats["misses"] == stats["puts"] > 0
+    assert blocked.read_text() == ""
     name = "non_term_fit.report.json"
     assert (out / name).read_bytes() == (plain / name).read_bytes()
 
@@ -632,6 +640,24 @@ def test_wrong_but_parseable_cache_entries_are_recomputed(tmp_path, monkeypatch)
     again = (tmp_path / "again" / "non_term_fit.report.json").read_bytes()
     assert json.loads(again)["status"] == "PASS"
     assert again == cold
+
+
+def test_run_without_a_cache_directory_builds_no_key(tmp_path, monkeypatch):
+    # a non-term scenario: with FUNCTORLAB_CACHE_DIR unset, and with
+    # --no-cache, no basis is keyed, looked up or counted
+    keys = []
+    real_key = cache.Cache.key
+
+    def recording_key(self, *parts):
+        keys.append(parts)
+        return real_key(self, *parts)
+    monkeypatch.setattr(cache.Cache, "key", recording_key)
+    monkeypatch.delenv("FUNCTORLAB_CACHE_DIR", raising=False)
+    scenario = _non_term_scenario(tmp_path)
+    for extra in ([], ["--no-cache"]):
+        assert main(["run", scenario, "--out", str(tmp_path / "out")] + extra) == 0
+        assert keys == []
+        assert cache.active_cache().stats() == {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0}
 
 
 def _malformed_basis(value, i):

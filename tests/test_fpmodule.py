@@ -15,6 +15,7 @@ import random
 import pytest
 
 from functorlab import cache, fpmodule
+from functorlab import submodule as submodule_mod
 from functorlab.errors import ContractViolation
 from functorlab.fpmodule import (
     FPModule,
@@ -26,11 +27,12 @@ from functorlab.fpmodule import (
     push_through,
     transpose_columns,
 )
-from functorlab.groebner import LiftSolver
+from functorlab.groebner import LiftSolver, buchberger
+from functorlab.multigraded import rees_algebra
 from functorlab.oracles import monomials_of_degree
 from functorlab.poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
 from functorlab.rings import PolyRing
-from functorlab.submodule import Submodule
+from functorlab.submodule import IdealFamily, Submodule, ideal
 
 
 R = PolyRing(("x", "y"))
@@ -285,16 +287,15 @@ def test_quotient_by_membership_guard():
     assert q.hilbert_function([0, 1]) == [1, 0]
 
 
-def test_with_relations_keeps_both_spans():
+def test_of_keeps_both_spans():
     free = FPModule.free(R, (0,))
     sub = Submodule(R, 1, (0,), [parse_vec(R, ["x^2 + y^2"]), parse_vec(R, ["x*y"])])
-    q = free.with_relations(sub)
+    q = FPModule.of(free.gens_sub(), sub)
     assert q.rels_sub() is sub and q.gens_sub() is free.gens_sub()
+    assert (q.ring, q.rank, q.twists, q.gens, q.rels) == (R, 1, (0,), free.gens, sub.gens)
     assert q.length() == FPModule(R, 1, (0,), free.gens, list(sub.gens)).length() == 4
     with pytest.raises(ContractViolation):
-        q.with_relations(sub)
-    with pytest.raises(ContractViolation):
-        free.with_relations(Submodule(R, 1, (1,), [parse_vec(R, ["x"])]))
+        FPModule.of(free.gens_sub(), Submodule(R, 1, (1,), [parse_vec(R, ["x"])]))
 
 
 def test_block_module_shape():
@@ -329,7 +330,7 @@ def _seeded_vector(rng, ring, twists, degree):
 def test_block_module_carries_the_bases_its_copy_has(name, monkeypatch):
     # block twists (0, 2, -1) reorder the components across blocks, so the
     # carried union must be sorted again to be the reduced basis
-    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
     ring = BLOCK_RINGS[name]
     rng = random.Random(20261019)
     twists = (0, 1)
@@ -346,6 +347,29 @@ def test_block_module_carries_the_bases_its_copy_has(name, monkeypatch):
             assert carried._gb is not None
             fresh = Submodule(ring, carried.rank, carried.twists, carried.gens, check=False)
             assert carried._gb == fresh.groebner()
+
+
+def _rees_ring():
+    family = IdealFamily([ideal(R, ["x^2 + y^2", "x*y"]), ideal(R, ["x", "y^2"])])
+    return rees_algebra(family).aq
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_RINGS) + ["R[y]/Q"])
+def test_unit_vector_span_basis_runs_no_buchberger(name, monkeypatch):
+    # the unit vectors are the reduced basis of the whole free module over
+    # any base, so reading it runs no Buchberger loop and equals the loop's
+    # output
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
+    ring = _rees_ring() if name == "R[y]/Q" else BLOCK_RINGS[name]
+    for twists in ((0,), (0, 2, -1)):
+        gens = FPModule.free(ring, twists).gens_sub()
+        with monkeypatch.context() as patched:
+            patched.setattr(submodule_mod, "buchberger", None)
+            basis = gens.groebner()
+        fresh = buchberger(list(gens.gens), ring=ring, rank=gens.rank, twists=gens.twists,
+                           bound=gens.bound)
+        assert basis == fresh
+        assert [list(v.terms) for v in basis] == [list(v.terms) for v in fresh]
 
 
 # -- oracle: the generator-coefficient route hom_ext_tor replaced -----------------

@@ -11,7 +11,9 @@ import sys
 
 import pytest
 
-from functorlab import cache, fpmodule, functors, invariants, multigraded, stability, submodule
+from functorlab import (
+    cache, fpmodule, functors, groebner, invariants, multigraded, stability, submodule,
+)
 from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
 from functorlab.fpmodule import FPModule
 from functorlab.functors import (
@@ -505,11 +507,11 @@ def test_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
     assert cold.stats() == {"hits": 0, "misses": 0, "puts": 0, "corrupt": 0}
 
 
-def test_non_term_member_reuses_its_power_product_basis(monkeypatch):
+def test_non_term_member_reuses_its_power_product_basis(tmp_path, monkeypatch):
     # with M = R free, the member's relation module is the power product, so
     # its basis is the product's and no lookup is made for it
     R = PolyRing(("x", "y"))
-    store = cache.Cache()
+    store = cache.Cache(str(tmp_path))
     monkeypatch.setattr(cache, "_ACTIVE", store)
     spec = _two_ideal_sweep_spec(R, ("x^2 + y^2", "x*y"), ("x + y", "y^2"))
     product = spec.family.power_product((2, 1)).groebner()
@@ -581,7 +583,7 @@ def _record_everywhere(monkeypatch, owner, name):
 def test_xyz_tensor_builds_each_member_and_value_once(monkeypatch):
     # fit, Ass of the members and betti_bass read one member and one
     # F(member) per box point; F(M) for the degree law is one more value
-    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
     scn = load_scenario(XYZ_TENSOR)
     members = _record_calls(monkeypatch, FamilySpec, "member")
     on_members = _record_calls(monkeypatch, functors, "evaluate")
@@ -597,23 +599,36 @@ def test_rees_component_track_builds_each_strand_once(monkeypatch):
     # both component_track tasks, the tensor one and the identity one, read
     # the scenario's spec, so each strand I^n M is built once, from the
     # family's power products: no Rees module is presented and no strand
-    # is cut from one, at load or in a task
+    # is cut from one, at load or in a task, and the default fit cap counts
+    # the variables of R[y]/Q without presenting it
     cut = _record_everywhere(monkeypatch, multigraded, "graded_component")
     presented = _record_everywhere(monkeypatch, multigraded, "rees_module")
+    algebras = _record_everywhere(monkeypatch, multigraded, "rees_algebra")
+    eliminated = _record_everywhere(monkeypatch, groebner, "eliminate_module")
     scn = load_scenario(bundled_scenario_path("rees_component_track"))
     strands = _record_calls(monkeypatch, FamilySpec, "member")
     code, _report, _meta = run_scenario_object(scn)
     assert code == 0
     assert sorted(args[1] for args in strands) == sorted(scn.box.points())
     assert cut == [] and presented == []
+    assert algebras == [] and eliminated == []
 
 
-def test_loading_rees_component_track_presents_no_rees_algebra(monkeypatch):
-    # a component family is built at load without the Rees algebra; the
-    # default fit cap of a component_track task presents it when it runs
-    presented = _record_everywhere(monkeypatch, multigraded, "rees_algebra")
-    load_scenario(bundled_scenario_path("rees_component_track"))
-    assert presented == []
+def test_component_members_share_the_module_relation_span(monkeypatch):
+    # M = R/(x^2 + y^2, xz - y^2) has relations that are not terms: every
+    # member I^n M = (I^n U + W)/W holds M's own relation span W, so with the
+    # cache off W's basis is computed by one Buchberger run for the box
+    R = PolyRing(("x", "y", "z"))
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
+    module = FPModule.cyclic(R, ("x^2 + y^2", "x*z - y^2"))
+    family = IdealFamily([ideal(R, ["x^2 - y*z", "x*y + z^2"])])
+    spec = FamilySpec.component(module, family)
+    runs = _record_calls(monkeypatch, submodule, "buchberger")
+    box = GridBox((0,), (4,), shell=1)
+    grid_evaluate(None, spec, box, ("lambda",))
+    for p in box.points():
+        assert spec.value(None, p).rels_sub() is module.rels_sub()
+    assert [args[0] for args in runs].count(module.rels) == 1
 
 
 def test_evaluate_on_a_member_runs_no_buchberger_for_hom_relations(monkeypatch):
@@ -621,7 +636,7 @@ def test_evaluate_on_a_member_runs_no_buchberger_for_hom_relations(monkeypatch):
     # and Hom(L, X) are block modules of X, which carry the power product's
     # basis, so the pushed generators reduce without a Buchberger run
     R = PolyRing(("x", "y"))
-    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
     fam = IdealFamily([ideal(R, ["x^2 + y^2", "x*y"])])
     member = FamilySpec.quotient(_free(R), [Vec.unit(R, 0)], fam).member((2,))
     functor = functor_from_tensor(FPModule.cyclic(R, ("x", "y^2")))

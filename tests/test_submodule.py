@@ -380,7 +380,7 @@ def _span_terms(sub, vectors):
 
 @pytest.fixture
 def no_cache(monkeypatch):
-    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
 
 
 @pytest.mark.parametrize("with_modulo", [False, True])
@@ -512,7 +512,7 @@ def _codec_module(case, reverse=False):
 
 @pytest.mark.parametrize("case", sorted(CODEC_CASES))
 def test_basis_read_from_disk_equals_the_fresh_basis(case, tmp_path, monkeypatch):
-    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
     fresh = _codec_module(case).groebner()
     assert fresh
     writer = cache.Cache(directory=str(tmp_path))
@@ -530,7 +530,7 @@ def test_basis_read_from_disk_equals_the_fresh_basis(case, tmp_path, monkeypatch
     assert all(type(cf) is field for v in read for cf in v.terms.values())
 
 
-def test_groebner_key_does_not_depend_on_generator_order(monkeypatch):
+def test_groebner_key_does_not_depend_on_generator_order(tmp_path, monkeypatch):
     keys = []
 
     class Recording(cache.Cache):
@@ -538,7 +538,7 @@ def test_groebner_key_does_not_depend_on_generator_order(monkeypatch):
             keys.append(super().key(*parts))
             return keys[-1]
 
-    store = Recording()
+    store = Recording(str(tmp_path))
     monkeypatch.setattr(cache, "_ACTIVE", store)
     first = _codec_module("q_fractions").groebner()
     second = _codec_module("q_fractions", reverse=True).groebner()
@@ -548,7 +548,7 @@ def test_groebner_key_does_not_depend_on_generator_order(monkeypatch):
     assert keys[2] != keys[0]
 
 
-def test_groebner_key_is_pinned(monkeypatch):
+def test_groebner_key_is_pinned(tmp_path, monkeypatch):
     """The key of a basis: disk entries written by earlier versions still hit."""
     parts = []
 
@@ -557,7 +557,7 @@ def test_groebner_key_is_pinned(monkeypatch):
             parts.append(args)
             return super().key(*args)
 
-    monkeypatch.setattr(cache, "_ACTIVE", Recording())
+    monkeypatch.setattr(cache, "_ACTIVE", Recording(str(tmp_path)))
     assert ideal(PolyRing(("x", "y")), ["x^2 + y^2", "x*y"]).groebner()
     ((kind, ring_sig, order_sig, twists, rank, _rows),) = parts
     assert (kind, ring_sig, order_sig, twists, rank) == (
@@ -571,7 +571,7 @@ def test_groebner_key_is_pinned(monkeypatch):
 def test_disabled_cache_builds_no_key(monkeypatch):
     calls = []
     monkeypatch.setattr(cache.Cache, "key", lambda self, *parts: calls.append(parts))
-    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache(enabled=False))
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
     for case in sorted(CODEC_CASES):
         sub = _codec_module(case)
         assert sub.groebner()
