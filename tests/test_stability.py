@@ -614,6 +614,15 @@ def test_rees_component_track_builds_each_strand_once(monkeypatch):
     assert algebras == [] and eliminated == []
 
 
+def test_loading_rees_component_track_presents_no_rees_algebra(monkeypatch):
+    # a component family is built at load without the Rees algebra and
+    # without an elimination
+    presented = _record_everywhere(monkeypatch, multigraded, "rees_algebra")
+    eliminated = _record_everywhere(monkeypatch, groebner, "eliminate_module")
+    load_scenario(bundled_scenario_path("rees_component_track"))
+    assert presented == [] and eliminated == []
+
+
 def test_component_members_share_the_module_relation_span(monkeypatch):
     # M = R/(x^2 + y^2, xz - y^2) has relations that are not terms: every
     # member I^n M = (I^n U + W)/W holds M's own relation span W, so with the
