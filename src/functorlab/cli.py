@@ -17,7 +17,6 @@ from .functors import BUILDER_NAMES
 from .reports import artifact_names, write_artifacts
 from .runner import ENGINE_VERSION, run_scenario_object
 from .scenario import TASK_NAMES, bundled_scenario_path, bundled_scenarios, load_scenario
-from .selftest import run_selftest
 from .stability import OBSERVABLE_NAMES
 
 
@@ -130,6 +129,9 @@ def main(argv=None):
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "selftest":
+            # imported here, so a run never loads the selftest or its corpus
+            from .selftest import run_selftest
+
             return run_selftest(inject_fault=args.inject_fault)
         if args.command == "list-builtins":
             return _cmd_list_builtins()

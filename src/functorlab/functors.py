@@ -24,6 +24,7 @@ from .fpmodule import (
     transpose_columns,
 )
 from .poly import Poly, Vec
+from .submodule import Submodule
 
 
 BUILDER_NAMES = ("hom", "tensor", "tor", "ext", "compose")
@@ -158,8 +159,9 @@ def evaluate(functor, x):
     Each Hom(L, X) generator is pushed along alpha and replaced by its normal
     form modulo Hom(K, X)'s relations, the one representative of its coset,
     so the relation list (and with it whether the value is spanned by terms)
-    depends on the cosets alone. FPModule's construction check raises
-    ContractViolation if a pushed vector leaves Hom(K, X).
+    depends on the cosets alone. The value keeps Hom(K, X)'s spans and the
+    bases they hold; a pushed vector that leaves Hom(K, X) raises
+    ContractViolation.
     """
     hk = _hom_module(functor.k, x)
     hl = _hom_module(functor.l, x)
@@ -168,7 +170,10 @@ def evaluate(functor, x):
     alpha = functor.diagram().alpha
     rels = hk.rels_sub()
     pushed = [rels.normal_form(push_through(u, alpha, x.rank)) for u in hl.gens]
-    return FPModule(x.ring, hk.rank, hk.twists, hk.gens, list(hk.rels) + pushed)
+    if not hk.gens_sub().contains_all(pushed):
+        raise ContractViolation("relations do not lie in the generator span")
+    pushed_sub = Submodule(x.ring, hk.rank, hk.twists, pushed)
+    return FPModule.of(hk.gens_sub(), rels.plus(pushed_sub))
 
 
 def _hom_module(m, x):
@@ -181,7 +186,7 @@ def _hom_module(m, x):
         return amb
     tgt = block_module(x, [-s for s in pres.column_twists()])
     gens = block_kernel(pres.matrix(), amb, tgt, x.rank, tgt.rels)
-    return FPModule(amb.ring, amb.rank, amb.twists, gens, amb.rels)
+    return FPModule.of(Submodule(amb.ring, amb.rank, amb.twists, gens), amb.rels_sub())
 
 
 # -- evaluation: lifted-diagram route ---------------------------------------------

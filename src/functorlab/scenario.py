@@ -261,7 +261,7 @@ def _build_expression(block, modules):
     if builder == "tensor":
         return FunctorExpression.tensor(m, label=label)
     i = block.get("i")
-    if not isinstance(i, int) or i < 0:
+    if not _is_int(i) or i < 0:
         _fail("functor", "builder %r needs a nonnegative integer i" % builder)
     if builder == "ext":
         return FunctorExpression.ext(m, i, label=label)

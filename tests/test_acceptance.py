@@ -26,7 +26,8 @@ from functorlab.multigraded import analytic_spread, artin_rees_exponent, interse
 from functorlab.oracles import grade_by_regular_sequence, staircase_count
 from functorlab.poly import Vec, parse_poly, parse_vec
 from functorlab.rings import PolyRing
-from functorlab.selftest import route_corpus, run_selftest
+from functorlab.corpus import route_corpus
+from functorlab.selftest import run_selftest
 from functorlab.stability import (
     FamilySpec,
     betti_bass_asymptotics,

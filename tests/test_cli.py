@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -745,6 +746,21 @@ def test_importing_the_module_entry_point_runs_nothing():
     assert module.main is main
 
 
+def test_the_run_import_path_loads_no_selftest_code():
+    # the selftest and its corpus load only when the selftest subcommand runs
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, functorlab.cli\n"
+        "print(sorted(m for m in ('functorlab.selftest', 'functorlab.corpus') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_char_override_flag(tmp_path):
     code, out = _run(tmp_path, bundled_scenario_path("hilbert_samuel_xy"), "--char", "101")
     assert code == 0
@@ -759,17 +775,39 @@ def test_bad_jobs_value(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+SUITE_NAMES = (
+    "buchberger_s_vectors", "syzygy_vs_brute_kernels", "euler_characteristic", "tor_balance",
+    "bass_koszul_duality", "route_equivalence", "artin_rees_certificates", "fit_exactness",
+    "cache_robustness", "term_kernels", "fast_path_routes", "component_strands",
+)
+BASE_KINDS = ("GF(p)", "Q", "weights (1,2)", "k[x,y,z]/(y^2, xz)")
+
+
+def _suite_lines(text):
+    return {line.split()[0]: line for line in text.splitlines() if line.startswith(SUITE_NAMES)}
+
+
 def test_selftest_green(capsys):
     assert main(["selftest"]) == 0
     text = capsys.readouterr().out
     assert "all suites green" in text
+    lines = _suite_lines(text)
+    assert tuple(lines) == SUITE_NAMES
+    # the two suites that once ran over GF(p) alone name every base kind
+    for name in ("tor_balance", "route_equivalence"):
+        for kind in BASE_KINDS:
+            pattern = r"(\(|; )%s: [1-9]\d*(;|\))" % re.escape(kind)
+            assert re.search(pattern, lines[name]), (name, kind)
 
 
 def test_selftest_fault_injection_trips(capsys):
     assert main(["selftest", "--inject-fault"]) == 1
     text = capsys.readouterr().out
-    assert "route_equivalence" in text
-    assert "first failing invariant" in text
+    assert "first failing invariant: route_equivalence" in text
+    lines = _suite_lines(text)
+    assert tuple(lines) == SUITE_NAMES
+    for name, line in lines.items():
+        assert line.split()[1] == ("FAIL" if name == "route_equivalence" else "ok"), line
 
 
 def test_list_builtins(capsys):

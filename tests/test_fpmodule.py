@@ -16,6 +16,7 @@ import pytest
 
 from functorlab import cache, fpmodule
 from functorlab import submodule as submodule_mod
+from functorlab.corpus import ORACLE_BASES, POLYNOMIAL_KINDS, base
 from functorlab.errors import ContractViolation
 from functorlab.fpmodule import (
     FPModule,
@@ -30,7 +31,7 @@ from functorlab.fpmodule import (
 from functorlab.groebner import LiftSolver, buchberger
 from functorlab.multigraded import rees_algebra
 from functorlab.oracles import monomials_of_degree
-from functorlab.poly import Poly, Vec, parse_poly, parse_vec, quotient_ring
+from functorlab.poly import Poly, Vec, parse_poly, parse_vec
 from functorlab.rings import PolyRing
 from functorlab.submodule import IdealFamily, Submodule, ideal
 
@@ -309,12 +310,8 @@ def test_block_module_shape():
 
 # -- block modules carry the bases their copy already has ------------------------
 
-BLOCK_RINGS = {
-    "GF(p)": PolyRing(("x", "y")),
-    "Q": PolyRing(("x", "y"), char=0),
-    "weights (1,2)": PolyRing(("x", "y"), weights=(1, 2)),
-    "quotient": quotient_ring(PolyRing(("x", "y", "z")), ["x*y - z^2"]),
-}
+BLOCK_RINGS = {kind: base(kind) for kind in POLYNOMIAL_KINDS}
+BLOCK_RINGS["quotient"] = base("k[x,y,z]/(xy - z^2)")
 
 
 def _seeded_vector(rng, ring, twists, degree):
@@ -450,20 +447,6 @@ def reference_hom_ext_tor(module, x, i, which):
     )
 
 
-def _xyz(char=32003, relations=()):
-    ring = PolyRing(("x", "y", "z"), char=char)
-    return quotient_ring(ring, list(relations)) if relations else ring
-
-
-ROUTE_RINGS = {
-    "gf": lambda: _xyz(),
-    "q": lambda: _xyz(char=0),
-    "weights_1_2": lambda: PolyRing(("x", "y"), weights=(1, 2)),
-    "quotient_xy_z2": lambda: _xyz(relations=["x*y - z^2"]),
-    "quotient_y2_xz": lambda: _xyz(relations=["y^2", "x*z"]),
-}
-
-
 def random_vec(rng, ring, twists, degree):
     """A homogeneous vector of the given degree with one or two terms."""
     out = Vec.zero(ring)
@@ -495,9 +478,9 @@ def route_corpus(ring, rng):
     ]
 
 
-@pytest.mark.parametrize("case", sorted(ROUTE_RINGS))
+@pytest.mark.parametrize("case", sorted(ORACLE_BASES))
 def test_hom_ext_tor_matches_coefficient_route(case):
-    ring = ROUTE_RINGS[case]()
+    ring = base(ORACLE_BASES[case])
     for seed in range(2):
         corpus = route_corpus(ring, random.Random("hom_ext_tor/%s/%d" % (case, seed)))
         assert any(m.rank == 2 and m.rels and len(m.gens) > 1 for m in corpus)
@@ -516,7 +499,7 @@ def test_grown_resolution_equals_a_fresh_one(monkeypatch, case):
     # to free_resolution(m, 5), with no syzygy module computed twice. The
     # residue field grows past stage 1 on every ring, and over
     # k[x,y,z]/(xy - z^2) its resolution never ends.
-    ring = ROUTE_RINGS[case]()
+    ring = base(ORACLE_BASES[case])
     syzygies = []
     real = Submodule.syzygies
 

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from functorlab.corpus import ORACLE_BASES, base
 from functorlab.errors import ConfigurationError, ContractViolation, FunctorLabError
 from functorlab.fpmodule import FPModule, hom_ext_tor, push_through
 from functorlab.functors import (
@@ -30,7 +31,7 @@ from functorlab.functors import _hom_module
 from functorlab.groebner import LiftSolver, spans_terms
 from functorlab.invariants import associated_primes
 from functorlab.oracles import monomials_of_degree
-from functorlab.poly import Poly, Vec, parse_vec, quotient_ring
+from functorlab.poly import Poly, Vec, parse_vec
 from functorlab.rings import PolyRing
 from functorlab.submodule import Submodule
 
@@ -305,19 +306,6 @@ def reference_evaluate(functor, x):
     return FPModule(hk.ring, hk.rank, hk.twists, hk.gens, list(hk.rels) + images, check=False)
 
 
-def _xyz(char=32003, relations=()):
-    ring = PolyRing(("x", "y", "z"), char=char)
-    return quotient_ring(ring, list(relations)) if relations else ring
-
-
-ORACLE_RINGS = {
-    "gf": lambda: _xyz(),
-    "q": lambda: _xyz(char=0),
-    "weights_1_2": lambda: PolyRing(("x", "y"), weights=(1, 2)),
-    "quotient_y2_xz": lambda: _xyz(relations=["y^2", "x*z"]),
-    "quotient_xy_z2": lambda: _xyz(relations=["x*y - z^2"]),
-}
-
 ORACLE_BUILDERS = (
     functor_from_hom,
     functor_from_tensor,
@@ -349,9 +337,9 @@ def value_summary(m):
     return m.numerator(), ass, spans_terms(list(m.gens) + list(m.rels), m.ring)
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_RINGS))
+@pytest.mark.parametrize("case", sorted(ORACLE_BASES))
 def test_evaluate_matches_lift_route(case):
-    ring = ORACLE_RINGS[case]()
+    ring = base(ORACLE_BASES[case])
     rng = random.Random("evaluate/%s" % case)
     for _ in range(6):
         m, x = random_cyclic(rng, ring), random_cyclic(rng, ring)
@@ -361,7 +349,7 @@ def test_evaluate_matches_lift_route(case):
 
 
 def test_ext1_over_quotient_keeps_its_associated_primes():
-    ring = _xyz(relations=["y^2", "x*z"])
+    ring = base("k[x,y,z]/(y^2, xz)")
     m = FPModule.cyclic(ring, ("y", "z^2"))
     f = functor_from_ext(m, 1)
     got = value_summary(evaluate(f, m))

@@ -21,7 +21,7 @@ from functorlab.multigraded import (
 )
 from functorlab.poly import Vec, parse_vec
 from functorlab.rings import PolyRing
-from functorlab.selftest import component_corpus
+from functorlab.corpus import component_corpus
 from functorlab.submodule import IdealFamily, ideal
 
 

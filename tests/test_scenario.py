@@ -150,6 +150,17 @@ def test_ext_builder_requires_index():
         build_scenario(data)
 
 
+@pytest.mark.parametrize("builder", ["ext", "tor"])
+def test_boolean_index_is_refused(builder):
+    # true is an int to Python; read as i = 1 it would silently build Ext^1
+    data = _minimal(
+        modules={"M": {"type": "free", "twists": [0]}, "K": {"type": "cyclic", "polys": ["x", "y"]}},
+        functor={"builder": builder, "module": "K", "i": True},
+    )
+    with pytest.raises(ConfigurationError, match="nonnegative integer i"):
+        load_scenario_text(json.dumps(data))
+
+
 def test_char_override_applies():
     scn = build_scenario(_minimal(), char_override=101)
     assert scn.ring.char == 101

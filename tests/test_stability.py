@@ -14,6 +14,7 @@ import pytest
 from functorlab import (
     cache, fpmodule, functors, groebner, invariants, multigraded, stability, submodule,
 )
+from functorlab.corpus import ass_keys, component_corpus
 from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
 from functorlab.fpmodule import FPModule
 from functorlab.functors import (
@@ -35,7 +36,6 @@ from functorlab.rings import PolyRing
 from functorlab.poly import Poly, Vec, parse_vec, quotient_ring
 from functorlab.runner import run_scenario_object
 from functorlab.scenario import bundled_scenario_path, load_scenario
-from functorlab.selftest import _ass_keys, component_corpus
 from functorlab.stability import (
     FamilySpec,
     betti_bass_asymptotics,
@@ -334,7 +334,7 @@ def test_component_member_is_the_rees_strand(family, module, points):
         length = member.length()
         if length != math.inf:
             assert length == strand.length(), point
-        mine, theirs = _ass_keys(member), _ass_keys(strand)
+        mine, theirs = ass_keys(member), ass_keys(strand)
         if mine is not None and theirs is not None:
             assert mine == theirs, point
 
@@ -349,7 +349,7 @@ def test_component_corpus_covers_its_axes():
         for point in points:
             member = spec.member(point)
             finite += 0 < member.length() < math.inf
-            compared += _ass_keys(member) is not None
+            compared += ass_keys(member) is not None
     assert finite >= 20 and compared >= 100
 
 
@@ -654,6 +654,22 @@ def test_evaluate_on_a_member_runs_no_buchberger_for_hom_relations(monkeypatch):
     value = evaluate(functor, member)
     assert runs == []
     assert value.length() == 2
+    # K = R/(x, y) is not free: Hom(K, X) keeps X's relation basis and F(X)
+    # keeps Hom(K, X)'s spans, so Hom runs no loop on R/a^n, n = 1..4, for
+    # a = (x^2 - yz, xy + z^2), and Ext^1 runs at most one per point
+    S = PolyRing(("x", "y", "z"))
+    fam = IdealFamily([ideal(S, ["x^2 - y*z", "x*y + z^2"])])
+    spec = FamilySpec.quotient(_free(S), [Vec.unit(S, 0)], fam)
+    k = FPModule.cyclic(S, ("x", "y"))
+    for functor, most in ((functor_from_hom(k), 0), (functors.functor_from_ext(k, 1), 1)):
+        functor.diagram()
+        for n in range(1, 5):
+            member = spec.member((n,))
+            member.gens_sub().groebner()
+            member.rels_sub().groebner()
+            del runs[:]
+            evaluate(functor, member)
+            assert len(runs) <= most, (functor, n)
 
 
 def test_normal_form_reads_the_values_the_fit_kept(monkeypatch):
