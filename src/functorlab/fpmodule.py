@@ -18,7 +18,10 @@ ambient module, whose reduced basis is the unit vectors over any base
 (Submodule.groebner), so it runs no Buchberger loop and reads no cache.
 
 Numeric questions (Hilbert function, length, dimension) go through the
-module's Hilbert numerator: numer(F/W) - numer(F/U). Presentations and
+module's Hilbert numerator: numer(F/W) - numer(F/U), each read off the
+leads of the span's reduced basis (Submodule.lead_monomials). Those leads
+are already the minimal generators of the lead module, so they are only
+sorted, not pruned again (hilbert.module_numerator). Presentations and
 kernels go through LiftSolver, except where the answer is known: a
 cokernel of a free module over a polynomial base, with no unit entry in
 its relations, is presented by its relations' minimal generators, and the

@@ -25,7 +25,9 @@ Term-generated input skips the loop. When every input and every base
 relation is a single term (spans_terms), the submodule is spanned by terms,
 and its reduced basis is its minimal terms, made monic and sorted by lead
 (Dickson's lemma; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-2.4-2.7): term_basis returns that list, the one the loop would return.
+2.4-2.7): term_basis returns that list, the one the loop would return,
+from (component, monomial) terms, building a vector only for each term it
+keeps.
 Submodule.groebner asks spans_terms first, so a term module never builds a
 cache key or reaches buchberger at all.
 
@@ -51,6 +53,11 @@ def base_relation_vectors(ring, rank):
         for c in range(rank):
             out.append(Vec.from_poly(rel, c))
     return out
+
+
+def base_relation_terms(ring, rank):
+    """The (component, monomial) terms of base_relation_vectors."""
+    return [(c, m) for rel in ring.relations for m in rel.terms for c in range(rank)]
 
 
 def spans_terms(vectors, ring):
@@ -179,25 +186,26 @@ def interreduce(elements, bound, ring):
     return out
 
 
-def term_basis(vectors, bound, ring):
-    """Reduced Groebner basis of the span of single-term vectors.
+def term_basis(terms, bound, ring):
+    """Reduced Groebner basis of the span of the (component, monomial)
+    terms.
 
-    Keeps, per component, the terms that no other term divides
-    (hilbert.minimal_monomials), made monic and sorted by term_key, as
-    interreduce sorts. Zero vectors are skipped. Refuses (check_degree) a
-    kept term too large for the packed term key.
+    Keeps, per component, the monomials that no other one divides
+    (hilbert.minimal_monomials), and builds a monic vector only for each
+    kept term, sorted by term_key, as interreduce sorts. Refuses
+    (check_degree) a kept term too large for the packed term key.
     """
     by_component = {}
-    for v in vectors:
-        for c, m in v.terms:
-            by_component.setdefault(c, []).append(m)
-    terms = []
+    for c, m in terms:
+        by_component.setdefault(c, []).append(m)
+    kept = []
     for c, monos in by_component.items():
-        kept = minimal_monomials(ring, monos)
-        check_degree(ring, kept[-1])  # the highest degree, last
-        terms.extend((c, m) for m in kept)
-    terms.sort(key=bound.term_key)
-    return [Vec(ring, {t: ring.one}) for t in terms]
+        minimal = minimal_monomials(ring, monos)
+        check_degree(ring, minimal[-1])  # the highest degree, last
+        kept.extend((c, m) for m in minimal)
+    kept.sort(key=bound.term_key)
+    one = ring.one
+    return [Vec(ring, {t: one}) for t in kept]
 
 
 def s_vector(f, g, mf, mg, lcm, ring):
@@ -229,9 +237,10 @@ def buchberger(vectors, *, ring, rank, twists, bound):
     spans_terms holds, the loop is skipped: the S-vector of two terms is
     zero, so term_basis gives the basis the loop would.
     """
-    given = list(vectors) + base_relation_vectors(ring, rank)
     if spans_terms(vectors, ring):
-        return term_basis(given, bound, ring)
+        terms = [t for v in vectors for t in v.terms] + base_relation_terms(ring, rank)
+        return term_basis(terms, bound, ring)
+    given = list(vectors) + base_relation_vectors(ring, rank)
     elements, _entered = _run(given, ring=ring, rank=rank, twists=twists, bound=bound)
     return interreduce(elements, bound, ring)
 

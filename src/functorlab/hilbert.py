@@ -38,6 +38,12 @@ a larger recursion once two variables are left.  Staircase numerators cost
 less than a memo key and are not memoized; every other numerator is memoized
 on its minimal generating set, sorted by (degree, exponents).
 
+A module numerator (module_numerator) takes per component the leads of a
+reduced Groebner basis, which are already the minimal generators of the
+lead ideal (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.7), so
+it only sorts them for the recursion; ideal_numerator prunes an arbitrary
+monomial set first.
+
 Lengths come from exact division of the numerator by every (1 - t^(w_i))
 factor (non-divisibility certifies infinite length), Krull dimension from
 the pole order at t = 1, and graded dimensions from a finite window of the
@@ -164,10 +170,16 @@ def _minimal_numerator(ring, monos):
 
 
 def module_numerator(ring, leads_by_comp, twists):
-    """Numerator for (+)_c R(-twist_c) / (lead monomials in component c)."""
+    """Numerator for (+)_c R(-twist_c) / (lead monomials in component c).
+
+    Each leads_by_comp[c] must already be minimal under divisibility, in any
+    order, as the leads of a reduced Groebner basis are
+    (Submodule.lead_monomials): they are only sorted, not pruned again. An
+    arbitrary monomial set goes through ideal_numerator instead."""
     out = {}
     for c, monos in enumerate(leads_by_comp):
-        out = numer_add(out, numer_shift(ideal_numerator(ring, monos), twists[c]))
+        numer = _minimal_numerator(ring, _by_degree(ring, monos))
+        out = numer_add(out, numer_shift(numer, twists[c]))
     return out
 
 

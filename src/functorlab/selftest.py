@@ -41,7 +41,7 @@ from .corpus import (
     route_corpus,
     seeded,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FunctorLabError
 from .fitting import fit_polynomial
 from .fpmodule import FPModule, hom_ext_tor
 from .functors import evaluate, evaluate_via_diagram
@@ -60,10 +60,16 @@ class Broken(Exception):
     """An identity that failed, with what went wrong."""
 
 
+def _engine_error(exc):
+    """The text of an engine error that ended a check: its type, then its message."""
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def per_base(kinds, what, seed=None):
     """Make a suite of check(ring, inputs, rng, *args), run on the base of
     each kind with its corpus inputs and the one Random(seed) of seeded; the
-    check returns its count, and its failure is named with the base."""
+    check returns its count, and its failure, a failed identity or an engine
+    error, is named with the base."""
     def suite(check):
         def run(*args):
             counts = {}
@@ -72,6 +78,8 @@ def per_base(kinds, what, seed=None):
                     counts[kind] = check(ring, INPUTS[kind], rng, *args)
                 except Broken as exc:
                     raise Broken("%s over %s" % (exc, kind)) from None
+                except FunctorLabError as exc:
+                    raise Broken("%s over %s" % (_engine_error(exc), kind)) from None
             return per_kind(what, counts)
         return run
     return suite
@@ -479,7 +487,9 @@ SUITES = (
 
 
 def run_selftest(inject_fault=False, emit=print):
-    """Pass/fail matrix; returns 0 when green, 1 with the first failure named."""
+    """Pass/fail matrix; returns 0 when green, 1 with the first failure named.
+    A suite fails on a failed identity or on an engine error it raises; the
+    suites after it still run."""
     failures = []
     for name, suite in SUITES:
         try:
@@ -487,6 +497,8 @@ def run_selftest(inject_fault=False, emit=print):
             ok = True
         except Broken as exc:
             ok, detail = False, str(exc)
+        except FunctorLabError as exc:
+            ok, detail = False, _engine_error(exc)
         emit("%-28s %s  %s" % (name, "ok " if ok else "FAIL", detail))
         if not ok and not failures:
             failures.append((name, detail))

@@ -28,18 +28,28 @@ Algorithms, 2.4 and 4.4). Every other input goes through one LiftSolver.
 So do syzygies, except those of single terms over a polynomial base,
 which are the pairwise lcm syzygies (Eisenbud, Commutative Algebra,
 Lemma 15.1).
+
+On the term path each monomial set is minimised once. A product keeps
+the minimal exponent sums (term_basis) and builds a vector only for
+those; over a polynomial base they are its basis, set as it is built, and
+so are the minimal monomials of a colon or an intersection
+(_term_submodule). The leads of a basis are read as they are, since a
+reduced basis's leads are already minimal: by lead_monomials, by the
+Hilbert numerator, and by the meets of the next colon. canonical() hands
+back a module whose generators already are its basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, is_
 
 from . import cache
 from .errors import ContractViolation, HomogeneityError
 from .groebner import (
     LiftSolver,
     _run,
+    base_relation_terms,
     base_relation_vectors,
     buchberger,
     make_lead_index,
@@ -65,10 +75,16 @@ def _term_rows(v):
     return [[c, *m, str(cf)] for (c, m), cf in v.terms.items()]
 
 
-def _basis_from_rows(ring, rank, vectors):
-    """Vecs from the term rows of a cache entry; ValueError on any malformed row."""
+def _basis_from_rows(ring, twists, vectors):
+    """Vecs from the term rows of a cache entry; ValueError on any malformed
+    row, and on a basis that is not reduced in its leads: they must be
+    sorted by term_key (strictly, as every basis here is), and no lead may
+    divide a later one in its component. Numerators read the leads as the
+    minimal generators of the lead module, so a cached basis that breaks
+    this would give wrong lengths."""
     if type(vectors) is not list:
         raise ValueError("basis is not a list")
+    rank, bound = len(twists), GREVLEX.bind(ring, twists)
     width = ring.nvars + 2
     char = ring.char
     out = []
@@ -88,6 +104,13 @@ def _basis_from_rows(ring, rank, vectors):
         if len(terms) != len(rows):
             raise ValueError("repeated term in a basis vector")
         out.append(Vec(ring, terms))
+    leads = [g.lead(bound)[0] for g in out]
+    keys = [bound.term_key(t) for t in leads]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ValueError("leads not sorted by term key")
+    for i, (c, m) in enumerate(leads):
+        if any(d == c and ring.mono_divides(p, m) for d, p in leads[:i]):
+            raise ValueError("a lead divides another lead")
     return out
 
 
@@ -153,9 +176,18 @@ def candidate_key(twists, rank):
 
 
 def _term_submodule(ring, twists, per_component):
-    """The submodule spanned by the monomials per_component[c] in component c."""
-    gens = [Vec(ring, {(c, m): ring.one}) for c, monos in enumerate(per_component) for m in monos]
-    return Submodule(ring, len(twists), twists, gens, check=False)
+    """The submodule spanned by the monomials per_component[c] in component
+    c, each list minimal under divisibility (as _term_meet returns it).
+    Over a polynomial base those terms, sorted by term_key, are the reduced
+    basis, so it comes preset."""
+    terms = [(c, m) for c, monos in enumerate(per_component) for m in monos]
+    if not ring.relations:
+        terms.sort(key=GREVLEX.bind(ring, twists).term_key)
+    one = ring.one
+    out = Submodule(ring, len(twists), twists, [Vec(ring, {t: one}) for t in terms], check=False)
+    if not ring.relations:
+        out._gb = list(out.gens)
+    return out
 
 
 class Submodule:
@@ -167,16 +199,13 @@ class Submodule:
         self.twists = tuple(twists)
         if len(self.twists) != rank:
             raise ContractViolation("need one twist per ambient component")
-        kept = []
-        for g in gens:
-            if not g:
-                continue
-            if check and not g.is_homogeneous(self.twists):
-                raise HomogeneityError(
-                    "inhomogeneous generator %r under twists %r" % (g, self.twists)
-                )
-            kept.append(g)
-        self.gens = tuple(kept)
+        self.gens = tuple(filter(None, gens))  # zero vectors are falsy
+        if check:
+            for g in self.gens:
+                if not g.is_homogeneous(self.twists):
+                    raise HomogeneityError(
+                        "inhomogeneous generator %r under twists %r" % (g, self.twists)
+                    )
         self._bound = None
         self._gb = None
         self._leads = None
@@ -206,18 +235,21 @@ class Submodule:
         base is its unit vectors. Otherwise, with the cache off (no
         directory) no key is built. A cache entry holds each basis vector
         as its term rows (see _term_rows); a hit decodes straight into Vec
-        terms, and a malformed entry counts as corrupt and is recomputed.
+        terms, and a malformed entry, or one whose leads are not those of a
+        reduced basis (_basis_from_rows), counts as corrupt and is
+        recomputed.
         """
         if self._gb is not None:
             return self._gb
-        if spans_terms(self.gens, self.ring):
-            given = list(self.gens) + base_relation_vectors(self.ring, self.rank)
-            self._gb = term_basis(given, self.bound, self.ring)
+        ring, rank = self.ring, self.rank
+        if spans_terms(self.gens, ring):
+            terms = [t for g in self.gens for t in g.terms] + base_relation_terms(ring, rank)
+            self._gb = term_basis(terms, self.bound, ring)
             return self._gb
         units = {c for g in self.gens if len(g.terms) == 1 for c, m in g.terms if not any(m)}
-        if len(units) == self.rank:
-            whole = [Vec.unit(self.ring, c) for c in range(self.rank)]
-            self._gb = term_basis(whole, self.bound, self.ring)
+        if len(units) == rank:
+            unit = ring.unit_mono()
+            self._gb = term_basis([(c, unit) for c in range(rank)], self.bound, ring)
             return self._gb
         store = cache.active_cache()
         key = None
@@ -230,7 +262,7 @@ class Submodule:
                 self.rank,
                 sorted(sorted(_term_rows(g)) for g in self.gens),
             )
-            self._gb = store.get(key, lambda rows: _basis_from_rows(self.ring, self.rank, rows))
+            self._gb = store.get(key, lambda rows: _basis_from_rows(self.ring, self.twists, rows))
         if self._gb is None:
             self._gb = buchberger(
                 self.gens, ring=self.ring, rank=self.rank, twists=self.twists, bound=self.bound
@@ -270,21 +302,28 @@ class Submodule:
 
     def lead_monomials(self):
         """Per component, the lead monomials of the basis, in basis order:
-        read off the lead index when it exists, else off the basis itself."""
+        the minimal generators of the lead module, since the basis is
+        reduced. Read off the lead index when it exists, else off the basis
+        itself, where a single-term vector's term is its lead."""
         if self._leads is not None:
             return [[entry[0] for entry in self._leads.get(c, ())] for c in range(self.rank)]
         out = [[] for _ in range(self.rank)]
         bound = self.bound
         for g in self.groebner():
-            (c, m), _ = g.lead(bound)
+            if len(g.terms) == 1:
+                (c, m), = g.terms
+            else:
+                (c, m), _ = g.lead(bound)
             out[c].append(m)
         return out
 
     def canonical(self):
-        """Same module, generated by its canonical Groebner basis."""
-        out = Submodule(
-            self.ring, self.rank, self.twists, self.groebner(), check=False
-        )
+        """Same module, generated by its canonical Groebner basis: self when
+        its generators already are that basis, element for element."""
+        basis = self.groebner()
+        if len(basis) == len(self.gens) and all(map(is_, basis, self.gens)):
+            return self
+        out = Submodule(self.ring, self.rank, self.twists, basis, check=False)
         out._gb = list(out.gens)
         return out
 
@@ -447,24 +486,24 @@ class Submodule:
         polynomial base those minimal products are already the product's
         reduced basis, so it comes preset. When self is R itself (rank 1,
         generated by the unit vector) the product is ideal, with ideal's
-        basis.
+        basis: ideal itself when the twists agree too.
         """
         if ideal.rank != 1 or ideal.ring != self.ring:
             raise ContractViolation("multiplier must be an ideal over the same ring")
         ring = self.ring
         if self.rank == 1 and self.gens == (Vec.unit(ring, 0),):
+            if self.twists == ideal.twists:
+                return ideal
             out = Submodule(ring, 1, self.twists, ideal.gens, check=False)
             out._gb = ideal._gb
             return out
         if not all(len(g.terms) == 1 for g in self.gens + ideal.gens):
             gens = [g.mul_poly(p.component(0)) for p in ideal.gens for g in self.gens]
             return Submodule(ring, self.rank, self.twists, gens, check=False)
-        products = [
-            Vec(ring, {(c, tuple(map(add, m, e))): ring.one})
-            for ((_z, e),) in (p.terms for p in ideal.gens)
-            for ((c, m),) in (g.terms for g in self.gens)
-        ]
-        gens = term_basis(products, self.bound, ring)
+        exponents = [e for p in ideal.gens for (_z, e) in p.terms]
+        terms = [t for g in self.gens for t in g.terms]
+        sums = [(c, tuple(map(add, m, e))) for e in exponents for c, m in terms]
+        gens = term_basis(sums, self.bound, ring)
         out = Submodule(ring, self.rank, self.twists, gens, check=False)
         if not ring.relations:
             out._gb = gens

@@ -810,6 +810,31 @@ def test_selftest_fault_injection_trips(capsys):
         assert line.split()[1] == ("FAIL" if name == "route_equivalence" else "ok"), line
 
 
+def test_selftest_reports_an_engine_error_and_runs_on(capsys, monkeypatch):
+    # an engine error inside a suite fails that suite, named with the base
+    # (tor_balance) or alone (fit_exactness), and the later suites still run
+    from functorlab import selftest
+    from functorlab.errors import ContractViolation
+
+    def refuse(*_args, **_kwargs):
+        raise ContractViolation("planted refusal")
+
+    monkeypatch.setattr(selftest, "hom_ext_tor", refuse)
+    monkeypatch.setattr(selftest, "fit_polynomial", refuse)
+    assert main(["selftest"]) == 1
+    text = capsys.readouterr().out
+    assert "first failing invariant: tor_balance (ContractViolation: planted refusal over GF(p))" \
+        in text
+    lines = _suite_lines(text)
+    assert tuple(lines) == SUITE_NAMES
+    for name, line in lines.items():
+        failed = name in ("tor_balance", "fit_exactness")
+        assert line.split()[1] == ("FAIL" if failed else "ok"), line
+        if failed:
+            assert "ContractViolation: planted refusal" in line, line
+    assert "over GF(p)" in lines["tor_balance"]
+
+
 def test_list_builtins(capsys):
     assert main(["list-builtins"]) == 0
     text = capsys.readouterr().out

@@ -5,6 +5,7 @@ staircase, lambda((I^n : x)/I^n) = lambda(I^(n-1)/I^n) = n for I = (x,y),
 and beta_i(R/(x,y)^n) = (1, n+1, n) from the Hilbert-Burch resolution.
 """
 
+import json
 import math
 import os
 import sys
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 from functorlab import (
-    cache, fpmodule, functors, groebner, invariants, multigraded, stability, submodule,
+    cache, fpmodule, functors, groebner, hilbert, invariants, multigraded, stability, submodule,
 )
 from functorlab.corpus import ass_keys, component_corpus
 from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
@@ -35,7 +36,7 @@ from functorlab.invariants import (
 from functorlab.rings import PolyRing
 from functorlab.poly import Poly, Vec, parse_vec, quotient_ring
 from functorlab.runner import run_scenario_object
-from functorlab.scenario import bundled_scenario_path, load_scenario
+from functorlab.scenario import bundled_scenario_path, load_scenario, load_scenario_text
 from functorlab.stability import (
     FamilySpec,
     betti_bass_asymptotics,
@@ -593,6 +594,37 @@ def test_xyz_tensor_builds_each_member_and_value_once(monkeypatch):
     assert sorted(args[1] for args in members) == sorted(scn.box.points())
     assert len(on_members) == len(scn.box.points())
     assert len(on_module) == 1
+
+
+TWO_IDEAL_SWEEP = {
+    "format": "scn/1",
+    "label": "two ideal sweep",
+    "ring": {"characteristic": 32003, "variables": ["x", "y"]},
+    "ideals": {"a": ["x", "y^2"], "b": ["x^2", "y"]},
+    "modules": {"M": {"type": "free", "twists": [0]}},
+    "family": {"kind": "quotient", "module": "M", "ideals": ["a", "b"]},
+    "box": {"lo": [1, 1], "hi": [10, 10], "shell": 1},
+    "tasks": [{"task": "fit", "degree_cap": 2}],
+    "output": {"stem": "two_ideal_sweep"},
+}
+
+
+def test_two_ideal_sweep_minimises_each_monomial_set_once(monkeypatch):
+    # the fit of lambda(R/(x, y^2)^a (x^2, y)^b) over [1..10]^2 with the
+    # cache off: each power product prunes its term products once, and a
+    # member's numerator reads the leads of its reduced basis unpruned; the
+    # bounds sit just above the counts of that path once the scenario is
+    # loaded (109 and 210), well below those of pruning every lead set
+    # again (309 and 420)
+    monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
+    monkeypatch.setattr(hilbert, "_NUMERATOR_MEMO", {})
+    scn = load_scenario_text(json.dumps(TWO_IDEAL_SWEEP))
+    pruned = _record_everywhere(monkeypatch, hilbert, "minimal_monomials")
+    built = _record_calls(monkeypatch, Submodule, "__init__")
+    code, report, _meta = run_scenario_object(scn)
+    assert code == 0 and report["status"] == "PASS"
+    assert len(pruned) <= 115
+    assert len(built) <= 220
 
 
 def test_rees_component_track_builds_each_strand_once(monkeypatch):

@@ -11,6 +11,7 @@ route.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -598,10 +599,32 @@ def test_disabled_cache_builds_no_key(monkeypatch):
     (0, [[[0, 1, 0, 0, "1/0"]]]),
     (0, [[[0, 1, 0, 0, "2/4"]]]),         # not canonical
     (0, [[[0, 1, 0, 0, "one"]]]),
+    (32003, [[[0, 2, 0, 0, 1]], [[0, 1, 0, 0, 1]]]),  # leads not sorted by term key
+    (32003, [[[0, 1, 0, 0, 1]], [[0, 1, 0, 0, 1]]]),  # a repeated lead
+    (32003, [[[0, 1, 0, 0, 1]], [[0, 2, 0, 0, 1]]]),  # x divides x^2
 ])
 def test_malformed_cache_rows_are_rejected(char, rows):
     with pytest.raises(ValueError):
-        submodule_mod._basis_from_rows(_xyz(char=char), 1, rows)
+        submodule_mod._basis_from_rows(_xyz(char=char), (0,), rows)
+
+
+def test_a_cached_basis_with_a_redundant_lead_is_recomputed(tmp_path, monkeypatch):
+    # a sealed, well-formed entry for the ideal (x) of k[x,y] that holds
+    # (x, x^2): trusted, its leads would give R/(x) the numerator
+    # 1 - t - t^2 + t^3 and length 2
+    ring = R2()
+    gens = ["x", "x^2 + x*y"]  # not spanned by terms, so the basis is cached
+    writer = cache.Cache(directory=str(tmp_path))
+    monkeypatch.setattr(cache, "_ACTIVE", writer)
+    assert ideal(ring, gens).groebner() == [Vec(ring, {(0, (1, 0)): 1})]
+    (path,) = tmp_path.glob("*/*.json")
+    writer.put(path.stem, [[[0, 1, 0, 1]], [[0, 2, 0, 1]]])
+    reader = cache.Cache(directory=str(tmp_path))
+    monkeypatch.setattr(cache, "_ACTIVE", reader)
+    module = FPModule.cyclic(ring, gens)
+    assert module.length() == math.inf
+    assert module.hilbert_function(range(4)) == [1, 1, 1, 1]
+    assert reader.stats() == {"hits": 0, "misses": 1, "puts": 1, "corrupt": 1}
 
 
 # -- term modules: bases computed where they are made, never cached -----------
