@@ -16,7 +16,7 @@ from .errors import ConfigurationError, ContractViolation
 from .functors import BUILDER_NAMES
 from .reports import artifact_names, write_artifacts
 from .runner import ENGINE_VERSION, run_scenario_object
-from .scenario import TASK_NAMES, bundled_scenario_path, bundled_scenarios, load_scenario
+from .scenario import TASK_KEYS, bundled_scenario_path, bundled_scenarios, load_scenario
 from .stability import OBSERVABLE_NAMES
 
 
@@ -108,13 +108,13 @@ def _cmd_list_builtins():
     for name in OBSERVABLE_NAMES:
         print("  %-8s %s" % (name, notes[name]))
     print("tasks:")
-    for name in TASK_NAMES:
-        print("  %s" % name)
+    for name, keys in TASK_KEYS.items():
+        print("  %-16s %s" % (name, ", ".join(keys) or "-"))
     print("bundled scenarios:")
     for name in bundled_scenarios():
         print("  %s" % name)
     print("defaults: characteristic 32003, order grevlex, shell 1,")
-    print("  degree cap max{dim F(M), spread - r} + 1, Artin-Rees mode certified")
+    print("  degree cap max{dim F(M), spread - r} + 1")
     print("cache: FUNCTORLAB_CACHE_DIR selects the directory; --no-cache disables")
     return 0
 

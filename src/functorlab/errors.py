@@ -1,7 +1,7 @@
 """Exception hierarchy for the engine.
 
 Every refusal is loud and typed. Computations never silently fall back to a
-weaker answer: callers that want an empirical fallback ask for it explicitly.
+weaker answer.
 """
 
 

@@ -20,20 +20,19 @@ the top-position module order guarantees that a kernel element whose lead is
 t-free is entirely t-free, so the t-free part of the Groebner kernel is a
 complete set of relations over R[y].
 
-The certified Artin-Rees exponent of N inside M is the componentwise maximum
-multidegree of a minimal generating set of ker(R(M) -> R(M/N)); the graded
-Nakayama argument makes that a valid uniform exponent, with no sampling
-involved. The empirical mode checks the defining equalities on a finite box
-instead and is flagged as such.
+The Artin-Rees exponent of N inside M, N a Submodule of M's ambient module,
+is the componentwise maximum multidegree of a minimal generating set of
+ker(R(M) -> R(M/N)); the graded Nakayama argument makes that a valid
+uniform exponent, the least one, with no sampling involved.
+artin_rees_window checks the defining equalities past it on given points.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .fpmodule import FPModule
-from .grid import box_points
 from .groebner import LiftSolver, eliminate_module
 from .poly import Poly, Vec, extend_ring, pad_poly, pad_vec, truncate_vec
 from .rings import PolyRing
@@ -179,7 +178,7 @@ def rees_algebra(family):
     return alg
 
 
-def _rees_relations(alg, module, sub_vectors):
+def _rees_relations(alg, module, n_gens):
     """Relations over R[y]/Q of the generators of R(M) modulo R(N).
 
     The coefficient kernel of A^s -> M[t] / (W + N + J) taken in R[y, t]
@@ -188,7 +187,7 @@ def _rees_relations(alg, module, sub_vectors):
     """
     b = alg.b_ring
     targets = [pad_vec(g, b) for g in module.gens]
-    modulo = [pad_vec(w, b) for w in list(module.rels) + list(sub_vectors)]
+    modulo = [pad_vec(w, b) for w in list(module.rels) + list(n_gens)]
     modulo += [Vec.from_poly(q, c) for q in alg.j_gens for c in range(module.rank)]
     solver = LiftSolver(
         b,
@@ -302,40 +301,20 @@ def analytic_spread(module, family):
 # -- Artin-Rees exponents --------------------------------------------------
 
 
-def intersection_strand(family, module, sub_vectors, nvec):
+def intersection_strand(family, module, sub, nvec):
     """(I^n U + W) cap (N + W) as an ambient submodule."""
-    u = module.gens_sub()
     w = module.rels_sub()
-    pow_u = family.apply(tuple(nvec), u).plus(w)
-    n_side = Submodule(module.ring, module.rank, module.twists, list(sub_vectors)).plus(w)
-    return pow_u.intersect(n_side)
+    pow_u = family.apply(tuple(nvec), module.gens_sub()).plus(w)
+    return pow_u.intersect(sub.plus(w))
 
 
-AR_MODES = ("certified", "empirical")
-
-
-def artin_rees_exponent(family, module, sub_vectors, mode="certified", box=None):
-    """Uniform d with I^n M cap N = I^(n-d) (I^d M cap N) for all n >= d.
-
-    Returns (d, verdict). Certified mode reads d off a minimal generating
-    set of ker(R(M) -> R(M/N)); empirical mode verifies the equalities on
-    the supplied box and reports the smallest exponent that works there.
-    """
-    for v in sub_vectors:
-        if not module.gens_sub().contains(v):
-            raise ContractViolation("Artin-Rees pair needs N inside M")
-    if mode == "certified":
-        return _certified_ar(family, module, sub_vectors), "certified"
-    if mode == "empirical":
-        if box is None:
-            raise ContractViolation("empirical mode needs a box")
-        return _empirical_ar(family, module, sub_vectors, box), "empirical"
-    raise ConfigurationError("unknown Artin-Rees mode %r" % (mode,))
-
-
-def _certified_ar(family, module, sub_vectors):
+def artin_rees_exponent(family, module, sub):
+    """The least uniform d with I^n M cap N = I^(n-d) (I^d M cap N) for all
+    n >= d, read off a minimal generating set of ker(R(M) -> R(M/N))."""
+    if not module.gens_sub().contains_submodule(sub):
+        raise ContractViolation("Artin-Rees pair needs N inside M")
     alg = rees_algebra(family)
-    kernel_gens = _rees_relations(alg, module, sub_vectors)
+    kernel_gens = _rees_relations(alg, module, sub.gens)
     base_rels = _rees_relations(alg, module, ())
     kernel = Submodule(alg.aq, len(module.gens), module.gen_degrees(), kernel_gens, check=False)
     kept = kernel.minimal_generators(modulo=base_rels).gens
@@ -345,37 +324,14 @@ def _certified_ar(family, module, sub_vectors):
     return tuple(max(m[j] for m in mdegs) for j in range(alg.r))
 
 
-def artin_rees_window(family, module, sub_vectors, d, points, strands):
-    """The first n in points with I^(n-d) (I^d M cap N) + W != I^n M cap N, or None.
-
-    Every point must be >= d. strands maps n to I^n M cap N; the strands
-    this check computes are added to it, so a caller trying several d
-    computes each strand once.
-    """
-
-    def strand(n):
-        if n not in strands:
-            strands[n] = intersection_strand(family, module, sub_vectors, n)
-        return strands[n]
-
+def artin_rees_window(family, module, sub, d, points):
+    """The first n in points with I^(n-d) (I^d M cap N) + W != I^n M cap N,
+    or None. Every point must be >= d; the strand at d is built once."""
     w = module.rels_sub()
-    base = strand(d)
+    base = intersection_strand(family, module, sub, d)
     for n in points:
         gap = tuple(a - b for a, b in zip(n, d))
-        if not strand(n).equals(family.apply(gap, base).plus(w)):
+        strand = base if n == d else intersection_strand(family, module, sub, n)
+        if not strand.equals(family.apply(gap, base).plus(w)):
             return n
     return None
-
-
-def _empirical_ar(family, module, sub_vectors, box):
-    lo, hi = (tuple(box[0]), tuple(box[1]))
-    r = len(family.ideals)
-    if len(lo) != r or len(hi) != r:
-        raise ContractViolation("box arity does not match the family")
-    points = box_points(lo, hi)
-    strands = {}
-    for d in sorted(box_points(tuple(0 for _ in lo), hi), key=lambda t: (sum(t), t)):
-        above = [n for n in points if all(a >= b for a, b in zip(n, d))]
-        if artin_rees_window(family, module, sub_vectors, d, above, strands) is None:
-            return d
-    raise ContractViolation("no exponent valid on the box; enlarge it")

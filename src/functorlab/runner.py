@@ -79,10 +79,10 @@ def _default_cap(scn):
     return _component_cap(spec.family, scn.box)
 
 
-def _lambda_fit(scn, task):
-    """(table, cap, fit): the task's lambda table, its degree cap (the
-    task's degree_cap, else the held default) and the fit under that cap."""
-    obs = grid_evaluate(_task_expr(scn, task), scn.family_spec, scn.box, ("lambda",))
+def _lambda_fit(scn, task, expr):
+    """(table, cap, fit): the lambda table of expr, the task's degree cap
+    (its degree_cap, else the held default) and the fit under that cap."""
+    obs = grid_evaluate(expr, scn.family_spec, scn.box, ("lambda",))
     table = {p: row["lambda"] for p, row in obs.items()}
     cap = task["degree_cap"] if "degree_cap" in task else _held(scn.box, _default_cap(scn))
     return table, cap, fit_polynomial(table, scn.box, cap)
@@ -114,7 +114,7 @@ def _check_fit_asserts(task, fit):
 
 
 def run_fit(scn, task):
-    table, cap, fit = _lambda_fit(scn, task)
+    table, cap, fit = _lambda_fit(scn, task, _task_expr(scn, task))
     result = {
         "degree_cap": cap,
         "lambda_table": table,
@@ -126,9 +126,8 @@ def run_fit(scn, task):
 
 
 def run_normal_form(scn, task):
-    mode = task.get("mode", "certified")
     try:
-        nf = normal_form(scn.expression, scn.family_spec, scn.box, ar_mode=mode)
+        nf = normal_form(scn.expression, scn.family_spec, scn.box)
     except ContractViolation as exc:
         return {"error": str(exc)}, [str(exc)]
     result = {
@@ -136,8 +135,8 @@ def run_normal_form(scn, task):
         "d": list(nf.d),
         "validated_points": [list(p) for p in nf.validated],
         "u_generators": len(nf.u),
-        "v_generators": len(nf.v),
-        "w_generators": len(nf.w),
+        "v_generators": len(nf.v.gens),
+        "w_generators": len(nf.w.gens),
         "provenance": dict(nf.provenance),
         "member_lengths": {p: shaped.length() for p, shaped in nf.validated.items()},
     }
@@ -171,7 +170,7 @@ def run_stabilization(scn, task):
 
 
 def run_degree_bound(scn, task):
-    table, _cap, fit = _lambda_fit(scn, task)
+    table, _cap, fit = _lambda_fit(scn, task, scn.expression)
     # the spec keeps one law for the default cap and the check
     law = scn.family_spec.degree_law(scn.expression.functor)
     if fit is None:
@@ -278,20 +277,17 @@ def run_component_track(scn, task):
 
 
 def run_artin_rees(scn, task):
-    spec, box = scn.family_spec, scn.box
-    host, vectors = scn.submodules[task["sub"]]
+    family = scn.family_spec.family
+    host, sub = scn.submodules[task["sub"]]
     module = scn.modules[host]
-    mode = task.get("mode", "certified")
-    d, verdict = artin_rees_exponent(
-        spec.family, module, list(vectors), mode=mode, box=(box.lo, box.hi)
-    )
+    d = artin_rees_exponent(family, module, sub)
     window = [tuple(a + step for a in d) for step in range(task.get("window", 8) + 1)]
-    bad = artin_rees_window(spec.family, module, list(vectors), d, window, {})
+    bad = artin_rees_window(family, module, sub, d, window)
     checked = window if bad is None else window[: window.index(bad)]
     failures = [] if bad is None else ["Artin-Rees equality fails at %s" % _point_key(bad)]
     result = {
         "d": list(d),
-        "verdict": verdict,
+        "verdict": "certified",
         "window_checked": [list(n) for n in checked],
     }
     expect = task.get("expect")

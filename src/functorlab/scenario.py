@@ -2,8 +2,9 @@
 
 A scenario declares a ring, named ideals and modules, one functor
 expression, a family (quotient or component), a box, and a task list.
-Parsing is strict: unknown blocks, unresolved names, and malformed boxes
-are semantic errors naming the offending block, before any computation
+Parsing is strict: unknown blocks, task keys the task does not read,
+unresolved names, inhomogeneous declarations and malformed boxes are
+semantic errors naming the offending block, before any computation
 starts.
 """
 
@@ -15,19 +16,29 @@ from .errors import ConfigurationError, ContractViolation, HomogeneityError
 from .fpmodule import FPModule
 from .functors import BUILDER_NAMES, FunctorExpression
 from .grid import GridBox
-from .multigraded import AR_MODES
 from .poly import parse_poly, parse_vec, quotient_ring
 from .rings import PolyRing
 from .stability import OBSERVABLE_NAMES, FamilySpec
-from .submodule import IdealFamily, ideal
+from .submodule import IdealFamily, Submodule, ideal
 
 
 FORMAT_TAG = "scn/1"
 
-TASK_NAMES = (
-    "normal_form", "stabilization", "fit", "degree_bound", "grade",
-    "betti_bass", "component_track", "artin_rees",
-)
+# the keys each task's runner reads besides "task"; the loader refuses any
+# other, and list-builtins prints them
+TASK_KEYS = {
+    "normal_form": (),
+    "stabilization": ("observable", "ideal", "identity", "assert_stable", "expect_value"),
+    "fit": ("identity", "degree_cap", "assert_degree", "assert_onset", "assert_values"),
+    "degree_bound": ("degree_cap", "assert_max_degree"),
+    "grade": ("ideal", "identity", "expect_value", "oracle"),
+    "betti_bass": ("identity", "i_max", "assert_pd", "assert_id"),
+    "component_track": (
+        "observables", "ideal", "identity", "assert_degree", "assert_onset",
+        "assert_values", "expect_ass",
+    ),
+    "artin_rees": ("sub", "window", "expect"),
+}
 
 # what a task needs besides the family and box blocks every task reads
 TASK_NEEDS = {
@@ -229,12 +240,12 @@ def _build_modules(ring, block):
             host = decl.get("of")
             if host not in modules:
                 _fail("modules", "%r refers to unknown module %r" % (name, host))
-            vectors = []
-            for entry in decl.get("vectors", []):
-                if not isinstance(entry, list) or len(entry) != modules[host].rank:
-                    _fail("modules", "%r vector shape does not match %r" % (name, host))
-                vectors.append(parse_vec(ring, entry))
-            submodules[name] = (host, tuple(vectors))
+            m = modules[host]
+            rows = decl.get("vectors", [])
+            if not _is_list_of(rows, lambda row: isinstance(row, list) and len(row) == m.rank):
+                _fail("modules", "%r vector shape does not match %r" % (name, host))
+            vectors = [parse_vec(ring, row) for row in rows]
+            submodules[name] = (host, _graded(name, Submodule, ring, m.rank, m.twists, vectors))
         else:
             _fail("modules", "%r has unknown type %r" % (name, kind))
     return modules, submodules
@@ -286,16 +297,15 @@ def _build_family(block, ring, ideals, modules, submodules):
         if mod_name not in modules:
             _fail("family", "unknown module %r" % mod_name)
         m = modules[mod_name]
+        sub = m.gens_sub()
         sub_name = block.get("sub")
         if sub_name is not None:
             if sub_name not in submodules:
                 _fail("family", "unknown submodule %r" % sub_name)
-            host, vectors = submodules[sub_name]
+            host, sub = submodules[sub_name]
             if host != mod_name:
                 _fail("family", "submodule %r lives in %r, not %r" % (sub_name, host, mod_name))
-        else:
-            vectors = tuple(m.gens)
-        return FamilySpec.quotient(m, vectors, fam)
+        return FamilySpec.quotient(m, sub, fam)
     if kind == "component":
         fam = _family_ideals(block, ideals)
         mod_name = _require(block, "family", "module")
@@ -385,8 +395,12 @@ def _build_tasks(block, ideals, submodules, expression, family_spec, box):
         if not isinstance(entry, dict) or "task" not in entry:
             _fail("tasks", "entry %d needs a task name" % i)
         name = entry["task"]
-        if name not in TASK_NAMES:
-            _fail("tasks", "unknown task %r (have: %s)" % (name, ", ".join(TASK_NAMES)))
+        if name not in TASK_KEYS:
+            _fail("tasks", "unknown task %r (have: %s)" % (name, ", ".join(TASK_KEYS)))
+        unknown = sorted(k for k in entry if k != "task" and k not in TASK_KEYS[name])
+        if unknown:
+            _fail("tasks", "task %r does not read %s (it reads: %s)" % (
+                name, ", ".join(map(repr, unknown)), ", ".join(TASK_KEYS[name]) or "no key"))
         obs = entry.get("observable")
         if obs is not None and obs not in OBSERVABLE_NAMES:
             _fail("tasks", "unknown observable %r in task %r" % (obs, name))
@@ -397,10 +411,8 @@ def _build_tasks(block, ideals, submodules, expression, family_spec, box):
                 _fail("tasks", "%r in task %r must be a nonnegative integer" % (key, name))
         if "assert_onset" in entry:
             _check_point(name, "assert_onset", entry["assert_onset"], box, nonnegative=False)
-        if name == "artin_rees" and "expect" in entry:
+        if "expect" in entry:
             _check_point(name, "expect", entry["expect"], box, nonnegative=True)
-        if name in ("normal_form", "artin_rees") and entry.get("mode", "certified") not in AR_MODES:
-            _fail("tasks", "mode in task %r must be one of %s" % (name, ", ".join(AR_MODES)))
         if "observables" in entry and not _is_list_of(
             entry["observables"], lambda o: o in OBSERVABLE_NAMES
         ):
@@ -416,7 +428,7 @@ def _build_tasks(block, ideals, submodules, expression, family_spec, box):
             _check_assert_values(name, entry["assert_values"], box)
         _check_needs(name, expression, family_spec, box)
         cap = entry.get("degree_cap")
-        if name in ("fit", "degree_bound") and cap is not None and cap >= box.fit_points():
+        if cap is not None and cap >= box.fit_points():
             _fail("box", "degree_cap %d in task %r needs %d points per axis below the shell, "
                   "the box has %d" % (cap, name, cap + 1, box.fit_points()))
         tasks.append(dict(entry))

@@ -37,7 +37,8 @@ OBSERVABLE_NAMES = ("lambda", "ass", "grade", "betti", "bass", "pd", "id")
 class FamilySpec:
     """A family of modules indexed by N^r, over an ideal family I.
 
-    Quotient kind: members M/I^n N for a verified submodule N of M.
+    Quotient kind: members M/I^n N for a verified submodule N of M, kept
+    as one Submodule (sub) in M's ambient module.
     Component kind: members I^n M, the strands of the Rees module
     R(I, M) = sum of I^n M; for M = U/W that is (I^n U + W)/W. Both kinds
     build a member from the family's kept power product I^n.
@@ -49,14 +50,14 @@ class FamilySpec:
     """
 
     __slots__ = (
-        "kind", "module", "sub_vectors", "family",
+        "kind", "module", "sub", "family",
         "_members", "_values", "_spread", "_laws",
     )
 
-    def __init__(self, kind, module, sub_vectors, family):
+    def __init__(self, kind, module, sub, family):
         self.kind = kind
         self.module = module
-        self.sub_vectors = tuple(sub_vectors)
+        self.sub = sub
         self.family = family
         self._members = {}
         self._values = {}
@@ -64,14 +65,12 @@ class FamilySpec:
         self._laws = {}
 
     @classmethod
-    def quotient(cls, module, sub_vectors, family):
-        inside = module.gens_sub()
-        for v in sub_vectors:
-            if not inside.contains(v):
-                raise ContractViolation("family submodule is not contained in the module")
+    def quotient(cls, module, sub, family):
+        if not module.gens_sub().contains_submodule(sub):
+            raise ContractViolation("family submodule is not contained in the module")
         if not all(family.is_proper):
             raise ConfigurationError("family ideals must be proper")
-        return cls("quotient", module, sub_vectors, family)
+        return cls("quotient", module, sub, family)
 
     @classmethod
     def component(cls, module, family):
@@ -81,22 +80,21 @@ class FamilySpec:
         R[y]/Q without presenting it."""
         if not all(family.is_proper):
             raise ConfigurationError("family ideals must be proper")
-        return cls("component", module, (), family)
+        return cls("component", module, None, family)
 
     @property
     def r(self):
         return len(self.family.ideals)
 
     def member(self, nvec):
-        """The member at nvec, built on M's own spans, so their bases are
-        computed once for the whole box: I^n M = (I^n U + W)/W, and
-        M/I^n N = U/(W + I^n N). W lies in U, so no containment probe."""
+        """The member at nvec, built on M's and N's own spans, so their
+        bases are computed once for the whole box: I^n M = (I^n U + W)/W,
+        and M/I^n N = U/(W + I^n N). W lies in U, so no containment probe."""
         m = self.module
         if self.kind == "component":
             scaled = self.family.apply(tuple(nvec), m.gens_sub())
             return FPModule.of(scaled.plus(m.rels_sub()), m.rels_sub())
-        n_sub = Submodule(m.ring, m.rank, m.twists, list(self.sub_vectors), check=False)
-        scaled = self.family.apply(tuple(nvec), n_sub)
+        scaled = self.family.apply(tuple(nvec), self.sub)
         return FPModule.of(m.gens_sub(), m.rels_sub().plus(scaled))
 
     def value(self, expr, nvec):
@@ -339,10 +337,10 @@ def _held(box, cap):
 class NormalForm:
     """(T, U, V, W, c, d) with member formula (U + I^{n-d}V)/I^{n-d}W.
 
-    U, V, W are ambient generator tuples for submodules of T; provenance
-    records the A_1/A_2 generators and the Artin-Rees verdicts that made
-    c and d. Members are exact FPModules, validated at construction:
-    validated maps each checked box point to its member.
+    U is a tuple of ambient generators and V, W are Submodules of T's
+    ambient module; provenance records the A_1/A_2 generators and how c
+    and d were found. Members are exact FPModules, validated at
+    construction: validated maps each checked box point to its member.
     """
 
     __slots__ = (
@@ -352,8 +350,8 @@ class NormalForm:
     def __init__(self, t, u, v, w, c, d, family, provenance):
         self.t = t
         self.u = tuple(u)
-        self.v = tuple(v)
-        self.w = tuple(w)
+        self.v = v
+        self.w = w
         self.c = tuple(c)
         self.d = tuple(d)
         self.family = family
@@ -364,12 +362,9 @@ class NormalForm:
         if any(n < e for n, e in zip(nvec, self.d)):
             raise ContractViolation("normal form only covers n >= d = %r" % (self.d,))
         gap = tuple(n - e for n, e in zip(nvec, self.d))
-        ring, rank, twists = self.t.ring, self.t.rank, self.t.twists
-        iv = self.family.apply(gap, Submodule(ring, rank, twists, list(self.v), check=False))
-        iw = self.family.apply(gap, Submodule(ring, rank, twists, list(self.w), check=False))
-        gens = list(self.u) + [g for g in iv.gens if g]
-        rels = list(self.t.rels) + [g for g in iw.gens if g]
-        return FPModule.subquotient(ring, rank, twists, gens, rels)
+        gens = list(self.u) + list(self.family.apply(gap, self.v).gens)
+        rels = list(self.t.rels) + list(self.family.apply(gap, self.w).gens)
+        return FPModule.subquotient(self.t.ring, self.t.rank, self.t.twists, gens, rels)
 
     def u_module(self):
         return FPModule.subquotient(
@@ -400,11 +395,11 @@ def _n_blocks(n_vecs, count, width):
     return [v.shifted(i * width) for i in range(count) for v in n_vecs]
 
 
-def _block_side(pres, amb, mc, n_vecs, family, box, ar_mode):
+def _block_side(pres, amb, mc, n_vecs, family):
     """One side of the lifted diagram: the block push amb -> X^{rels} along pres.
 
-    Returns (e, verdict, kernel, preimage): e is the Artin-Rees exponent of
-    the pushed image meeting the filtration of N^{rels}, kernel generates the
+    Returns (e, kernel, preimage): e is the Artin-Rees exponent of the
+    pushed image meeting the filtration of N^{rels}, kernel generates the
     kernel of the push, and preimage(n) generates the preimage of I^n N^{rels}.
     """
     width = mc.rank
@@ -414,19 +409,16 @@ def _block_side(pres, amb, mc, n_vecs, family, box, ar_mode):
     blocks = _n_blocks(n_vecs, len(pres.columns), width)
     prime = _sub(tgt, blocks, tgt.rels)
     prime_fp = FPModule.subquotient(mc.ring, tgt.rank, tgt.twists, blocks, list(tgt.rels))
-    meet = image.intersect(prime)
-    e, verdict = artin_rees_exponent(
-        family, prime_fp, list(meet.gens), mode=ar_mode, box=(box.lo, box.hi)
-    )
+    e = artin_rees_exponent(family, prime_fp, image.intersect(prime))
 
     def preimage(n):
         modulo = list(family.apply(n, prime).gens) + list(tgt.rels)
         return block_kernel(mat, amb, tgt, width, modulo)
 
-    return e, verdict, block_kernel(mat, amb, tgt, width, tgt.rels), preimage
+    return e, block_kernel(mat, amb, tgt, width, tgt.rels), preimage
 
 
-def normal_form(expr, spec, box, ar_mode="certified"):
+def normal_form(expr, spec, box):
     """Build and validate the stable shape of n -> F(M/I^n N), for the
     single-functor expression expr over the quotient family spec.
 
@@ -445,7 +437,7 @@ def normal_form(expr, spec, box, ar_mode="certified"):
     mp = module.presentation()
     mc = FPModule.from_cokernel(ring, mp.gen_twists, list(mp.columns))
     width = mc.rank
-    n_vecs = _to_cokernel_coords(mp, spec.sub_vectors)
+    n_vecs = _to_cokernel_coords(mp, spec.sub.gens)
     k0 = len(pres_k.gens)
     if k0 == 0:
         raise ConfigurationError("zero functor has no normal form to build")
@@ -465,9 +457,8 @@ def normal_form(expr, spec, box, ar_mode="certified"):
             provenance["c_verdict"] = "trivial: L is free"
             a1_gens = a2_gens = list(amb_a.gens)
         else:
-            c, provenance["c_verdict"], a1_gens, a_preimage = _block_side(
-                pres_l, amb_a, mc, n_vecs, family, box, ar_mode
-            )
+            c, a1_gens, a_preimage = _block_side(pres_l, amb_a, mc, n_vecs, family)
+            provenance["c_verdict"] = "certified"
             a2_gens = a_preimage(c)
     phi_a1 = [w for w in (push_through(v, alpha, width) for v in a1_gens) if w]
     phi_a2 = [w for w in (push_through(v, alpha, width) for v in a2_gens) if w]
@@ -478,9 +469,8 @@ def normal_form(expr, spec, box, ar_mode="certified"):
         provenance["d_verdict"] = "trivial: K is free"
         ker_psi = v_pre = list(amb_b.gens)
     else:
-        d_raw, provenance["d_verdict"], ker_psi, b_preimage = _block_side(
-            pres_k, amb_b, mc, n_vecs, family, box, ar_mode
-        )
+        d_raw, ker_psi, b_preimage = _block_side(pres_k, amb_b, mc, n_vecs, family)
+        provenance["d_verdict"] = "certified"
         d = tuple(max(a, b) for a, b in zip(d_raw, c))
         v_pre = b_preimage(d)
 
@@ -506,7 +496,8 @@ def normal_form(expr, spec, box, ar_mode="certified"):
     provenance["a1_generators"] = len(a1_gens)
     provenance["a2_generators"] = len(a2_gens)
 
-    nf = NormalForm(t, u_gens, v_gens, w_gens, c, d, family, provenance)
+    v_sub, w_sub = _sub(amb_b, v_gens), _sub(amb_b, w_gens)
+    nf = NormalForm(t, u_gens, v_sub, w_sub, c, d, family, provenance)
     if not nf.u_module().hilbert_equal(evaluate(functor, module)):
         raise ContractViolation("U does not reproduce F(M)")
     for p in box.points():

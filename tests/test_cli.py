@@ -13,7 +13,7 @@ import pytest
 
 from functorlab import cache, cli, functors, multigraded, runner, stability
 from functorlab.cli import main
-from functorlab.scenario import bundled_scenario_path, load_scenario
+from functorlab.scenario import TASK_KEYS, bundled_scenario_path, load_scenario
 
 
 @pytest.fixture(autouse=True)
@@ -149,17 +149,16 @@ def _artin_rees_doc(**task):
     }
 
 
-@pytest.mark.parametrize("mode", ["certified", "empirical"])
-def test_artin_rees_task(tmp_path, mode):
+def test_artin_rees_task(tmp_path):
     # N = (x) in R with I = (x, y): I^n cap (x) = x I^(n-1), so d = 1
     path = tmp_path / "ar.scn"
-    path.write_text(json.dumps(_artin_rees_doc(mode=mode)))
+    path.write_text(json.dumps(_artin_rees_doc()))
     code, out = _run(tmp_path, str(path))
     assert code == 0
     entry = json.loads((out / "artin_rees.report.json").read_text())["tasks"][0]
     assert entry["status"] == "PASS"
     assert entry["d"] == [1]
-    assert entry["verdict"] == mode
+    assert entry["verdict"] == "certified"
     assert entry["window_checked"] == [[1], [2], [3], [4], [5]]
 
 
@@ -197,6 +196,8 @@ def _set(path, value):
     (_set(("tasks", 0, "window"), "4"), "tasks block"),
     (_set(("ideals", "m"), ["x + y^2"]), "ideals block"),
     (_set(("modules", "Q"), {"type": "cyclic", "polys": ["x + y^2"]}), "modules block"),
+    (_set(("modules", "N", "vectors"), [["x + y^2"]]), "modules block: 'N'"),
+    (_set(("modules", "N", "vectors"), 5), "modules block: 'N'"),
     (_set(("box", "lo"), [1.7]), "box block"),
     (_set(("box", "hi"), ["3"]), "box block"),
     (_set(("box", "shell"), "1"), "box block"),
@@ -205,6 +206,11 @@ def _set(path, value):
     (_set(("tasks",), [{"task": "fit", "assert_values": {"2": "two"}}]), "tasks block"),
     (_set(("tasks", 0, "mode"), "bogus"), "tasks block"),
     (_set(("tasks",), [{"task": "normal_form", "mode": "bogus"}]), "tasks block"),
+    (_set(("tasks", 0, "mode"), "certified"), "tasks block: task 'artin_rees' does not read 'mode'"),
+    (_set(("tasks",), [{"task": "fit", "asert_degree": 7}]),
+     "tasks block: task 'fit' does not read 'asert_degree'"),
+    (_set(("tasks",), [{"task": "degree_bound", "identity": True}]),
+     "tasks block: task 'degree_bound' does not read 'identity'"),
     (_set(("tasks",), [{"task": "component_track", "observables": 5}]), "tasks block"),
     (_set(("tasks",), [{"task": "component_track", "observables": "lambda"}]), "tasks block"),
     (_set(("tasks",), [{"task": "component_track", "expect_ass": 5}]), "tasks block"),
@@ -234,9 +240,12 @@ def _set(path, value):
     (_needs({"task": "degree_bound"}, functor=_COMPOSE),
      "tasks block: degree_bound task needs a single functor, not a composition"),
 ], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
-        "inhomogeneous_ideal", "inhomogeneous_module", "box_lo_float", "box_hi_string",
+        "inhomogeneous_ideal", "inhomogeneous_module", "inhomogeneous_submodule",
+        "submodule_vectors_int",
+        "box_lo_float", "box_hi_string",
         "box_shell_string", "assert_values_key", "assert_values_arity",
         "assert_values_value", "artin_rees_mode", "normal_form_mode",
+        "artin_rees_certified_mode", "unknown_key_typo", "degree_bound_identity",
         "observables_int", "observables_string", "expect_ass_int",
         "artin_rees_expect_int", "assert_onset_int", "assert_degree_string",
         "assert_max_degree_string", "assert_max_degree_float", "assert_max_degree_bool",
@@ -840,6 +849,11 @@ def test_list_builtins(capsys):
     text = capsys.readouterr().out
     for word in ("hom", "tensor", "lambda", "normal_form", "hilbert_samuel_xy.scn"):
         assert word in text
+    # each task line lists the keys the loader accepts for it
+    tasks = text.split("tasks:\n")[1].split("bundled scenarios:")[0]
+    listed = {line.split()[0]: line.split(None, 1)[1] for line in tasks.splitlines()}
+    assert listed == {name: ", ".join(keys) or "-" for name, keys in TASK_KEYS.items()}
+    assert "mode" not in text
 
 
 def test_no_subcommand_prints_help(capsys):

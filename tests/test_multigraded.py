@@ -5,6 +5,8 @@ Hand oracles: R((x,y)) has the single Koszul relation, its strand n is
 exponent 1; (y^2) cap (x)^n = (x^n y^2) gives exponent 0; analytic spreads
 of (x,y), (x), and the pair ((x),(x)) are 2, 1, 2. The spread is checked
 against the special fiber built by hand over k[y] on the component corpus.
+Each certified Artin-Rees exponent of the corpus is the least: lowering a
+component by one breaks the defining equality on a window.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from functorlab.fpmodule import FPModule
 from functorlab.multigraded import (
     analytic_spread,
     artin_rees_exponent,
+    artin_rees_window,
     graded_component,
     intersection_strand,
     rees_algebra,
@@ -21,7 +24,8 @@ from functorlab.multigraded import (
 )
 from functorlab.poly import Vec, parse_vec
 from functorlab.rings import PolyRing
-from functorlab.corpus import component_corpus
+from functorlab.corpus import INPUTS, KINDS, base, component_corpus
+from functorlab.grid import box_points
 from functorlab.submodule import IdealFamily, ideal
 
 
@@ -151,21 +155,17 @@ def test_spread_is_the_special_fiber_dimension(family, module):
 
 def test_certified_artin_rees_embedded_line():
     # N = (x) inside M = R, I = (x,y): I^n cap (x) = x I^(n-1), exponent 1
-    d, verdict = artin_rees_exponent(MAX, FREE, [parse_vec(R, ["x"])])
-    assert verdict == "certified"
-    assert d == (1,)
+    assert artin_rees_exponent(MAX, FREE, ideal(R, ["x"])) == (1,)
 
 
 def test_certified_artin_rees_transverse():
     fam = IdealFamily([ideal(R, ["x"])])
-    d, verdict = artin_rees_exponent(fam, FREE, [parse_vec(R, ["y^2"])])
-    assert verdict == "certified"
-    assert d == (0,)
+    assert artin_rees_exponent(fam, FREE, ideal(R, ["y^2"])) == (0,)
 
 
 def test_certified_exponent_validates_on_window():
-    sub = [parse_vec(R, ["x"])]
-    d, _ = artin_rees_exponent(MAX, FREE, sub)
+    sub = ideal(R, ["x"])
+    d = artin_rees_exponent(MAX, FREE, sub)
     w = FREE.rels_sub()
     for n in range(d[0], d[0] + 9):
         left = intersection_strand(MAX, FREE, sub, (n,))
@@ -174,23 +174,43 @@ def test_certified_exponent_validates_on_window():
         assert left.equals(MAX.apply(gap, base).plus(w))
 
 
-def test_empirical_matches_certified():
-    sub = [parse_vec(R, ["x"])]
-    d_emp, verdict = artin_rees_exponent(MAX, FREE, sub, mode="empirical", box=((1,), (6,)))
-    assert verdict == "empirical"
-    assert d_emp == (1,)
-
-
 def test_two_ideal_artin_rees():
     fam = IdealFamily([ideal(R, ["x"]), ideal(R, ["y"])])
-    d, verdict = artin_rees_exponent(fam, FREE, [parse_vec(R, ["x*y"])])
-    assert verdict == "certified"
     # I1^a I2^b cap (xy) = x^a y^b ... cap (xy) needs one step in each slot
-    assert d == (1, 1)
-    d_emp, _ = artin_rees_exponent(
-        fam, FREE, [parse_vec(R, ["x*y"])], mode="empirical", box=((0, 0), (3, 3))
-    )
-    assert d_emp == (1, 1)
+    assert artin_rees_exponent(fam, FREE, ideal(R, ["x*y"])) == (1, 1)
+
+
+def _artin_rees_cases():
+    """(label, family, N, expected d): the corpus's Artin-Rees cases on its
+    four bases, and N = (xy) along the pair (x), (y)."""
+    out = []
+    for kind in KINDS:
+        ring = base(kind)
+        for gens, sub, expected in INPUTS[kind].artin_rees:
+            label = "%s, I = (%s), N = (%s)" % (kind, ", ".join(gens), sub)
+            out.append((label, IdealFamily([ideal(ring, gens)]), ideal(ring, [sub]), expected))
+    pair = IdealFamily([ideal(R, ["x"]), ideal(R, ["y"])])
+    out.append(("GF(p), (x) and (y), N = (xy)", pair, ideal(R, ["x*y"]), (1, 1)))
+    return out
+
+
+AR_CASES = _artin_rees_cases()
+
+
+@pytest.mark.parametrize(
+    "family, sub, expected", [case[1:] for case in AR_CASES], ids=[case[0] for case in AR_CASES]
+)
+def test_certified_exponent_is_the_least(family, sub, expected):
+    # d is the expected exponent, and no smaller one works: lowering any
+    # positive component by one breaks the equality on the window above it
+    free = FPModule.free(family.ring, (0,))
+    d = artin_rees_exponent(family, free, sub)
+    assert d == expected
+    for j, e in enumerate(d):
+        if e:
+            low = d[:j] + (e - 1,) + d[j + 1:]
+            window = box_points(low, tuple(a + 3 for a in low))
+            assert artin_rees_window(family, free, sub, low, window) is not None, low
 
 
 def test_ar_pair_containment_guard():
@@ -198,5 +218,5 @@ def test_ar_pair_containment_guard():
         artin_rees_exponent(
             MAX,
             FPModule(R, 1, (0,), [parse_vec(R, ["x"])], []),
-            [parse_vec(R, ["y"])],
+            ideal(R, ["y"]),
         )

@@ -175,9 +175,10 @@ def test_submodule_declaration_resolves():
         tasks=[{"task": "artin_rees", "sub": "S"}],
     )
     scn = build_scenario(data)
-    host, vectors = scn.submodules["S"]
+    host, sub = scn.submodules["S"]
     assert host == "M"
-    assert len(vectors) == 1
+    assert len(sub.gens) == 1
+    assert sub.twists == scn.modules["M"].twists
 
 
 def test_tensor_functor_is_not_identity():

@@ -47,7 +47,7 @@ from functorlab.stability import (
     grid_evaluate,
     normal_form,
 )
-from functorlab.submodule import IdealFamily, Submodule, ideal
+from functorlab.submodule import IdealFamily, Submodule, ideal, unit_ideal, zero_submodule
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +69,11 @@ def _mxy(ring):
 
 def _spec(module, family):
     """The quotient family module / I^n module, I the family's ideal."""
-    return FamilySpec.quotient(module, [Vec.unit(module.ring, 0)], family)
+    return FamilySpec.quotient(module, unit_ideal(module.ring), family)
 
 
 def test_quotient_member_powers(ring):
-    spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], _mxy(ring))
+    spec = FamilySpec.quotient(_free(ring), unit_ideal(ring), _mxy(ring))
     assert spec.member((0,)).length() == 0
     for n in (1, 2, 3, 4):
         assert spec.member((n,)).length() == n * (n + 1) // 2
@@ -81,7 +81,7 @@ def test_quotient_member_powers(ring):
 
 def test_quotient_member_two_ideals(ring):
     fam = IdealFamily([ideal(ring, [_poly(ring, "x")]), ideal(ring, [_poly(ring, "y")])])
-    spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], fam)
+    spec = FamilySpec.quotient(_free(ring), unit_ideal(ring), fam)
     # R/(x^a y^b) is infinite for a, b >= 1; the staircase under x^2 y^1 has
     # no finite length, so check Hilbert values instead of total length.
     member = spec.member((2, 1))
@@ -94,11 +94,11 @@ def test_family_spec_rejects_outside_vectors(ring):
     # the ideal (x) viewed as a module: y does not lie in it
     m = FPModule(ring, 1, (0,), [Vec.from_poly(x)], [])
     with pytest.raises(ContractViolation):
-        FamilySpec.quotient(m, [Vec.from_poly(y)], _mxy(ring))
+        FamilySpec.quotient(m, ideal(ring, [y]), _mxy(ring))
 
 
 def test_grid_evaluate_lengths_and_ass(ring):
-    spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], _mxy(ring))
+    spec = FamilySpec.quotient(_free(ring), unit_ideal(ring), _mxy(ring))
     box = GridBox((1,), (4,), shell=1)
     obs = grid_evaluate(None, spec, box, ("lambda", "ass"))
     assert [obs[(n,)]["lambda"] for n in range(1, 5)] == [1, 3, 6, 10]
@@ -106,7 +106,7 @@ def test_grid_evaluate_lengths_and_ass(ring):
 
 
 def test_grid_evaluate_rejects_unknown_observable(ring):
-    spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], _mxy(ring))
+    spec = FamilySpec.quotient(_free(ring), unit_ideal(ring), _mxy(ring))
     with pytest.raises(ConfigurationError):
         grid_evaluate(None, spec, GridBox((1,), (3,), shell=1), ("volume",))
 
@@ -144,7 +144,7 @@ def test_refused_shell_point_is_not_stable():
 def test_ass_of_powers_stabilizes(ring):
     x, y = _poly(ring, "x"), _poly(ring, "y")
     fam = IdealFamily([ideal(ring, [x * x, x * y])])
-    spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], fam)
+    spec = FamilySpec.quotient(_free(ring), unit_ideal(ring), fam)
     box = GridBox((1,), (8,), shell=2)
     obs = grid_evaluate(None, spec, box, ("ass",))
     table = {p: row["ass"] for p, row in obs.items()}
@@ -159,24 +159,25 @@ def test_grade_asymptotics_finite_and_infinite(ring):
     fam = _mxy(ring)
     box = GridBox((1,), (5,), shell=2)
     # grade((x,y), R/(x,y)^n) = 0: the maximal ideal consists of zerodivisors
-    spec = FamilySpec.quotient(free, [Vec.unit(ring, 0)], fam)
+    spec = FamilySpec.quotient(free, unit_ideal(ring), fam)
     rep = grade_asymptotics(ideal(ring, [x, y]), None, spec, box)
     assert rep["verdict"]["stable"] is True
     assert rep["verdict"]["value"] == 0
     # grade((y), R/(x^n)) = 1: y is regular and the quotient by it is finite
     fam_x = IdealFamily([ideal(ring, [x])])
-    spec_x = FamilySpec.quotient(free, [Vec.unit(ring, 0)], fam_x)
+    spec_x = FamilySpec.quotient(free, unit_ideal(ring), fam_x)
     rep = grade_asymptotics(ideal(ring, [y]), None, spec_x, box)
     assert rep["verdict"]["value"] == 1
     # JX = X forces grade infinity: J = (y) on members killed by y shifts
     fam_y = IdealFamily([ideal(ring, [y])])
-    spec_zero = FamilySpec.quotient(FPModule.cyclic(ring, ("1",)), [], fam_y)
+    zero = zero_submodule(ring, 1, (0,))
+    spec_zero = FamilySpec.quotient(FPModule.cyclic(ring, ("1",)), zero, fam_y)
     rep = grade_asymptotics(ideal(ring, [y]), None, spec_zero, box)
     assert rep["verdict"]["value"] == float("inf")
 
 
 def test_betti_bass_fits_and_dimensions(ring):
-    spec = FamilySpec.quotient(_free(ring), [Vec.unit(ring, 0)], _mxy(ring))
+    spec = FamilySpec.quotient(_free(ring), unit_ideal(ring), _mxy(ring))
     box = GridBox((1,), (6,), shell=2)
     rep = betti_bass_asymptotics(None, spec, box, i_max=3)
     b0, b1, b2 = rep["fits"]["betti_0"], rep["fits"]["betti_1"], rep["fits"]["betti_2"]
@@ -194,7 +195,7 @@ def test_betti_bass_fits_and_dimensions(ring):
 def test_degree_bound_identity_functor(ring):
     free = _free(ring)
     fam = _mxy(ring)
-    spec = FamilySpec.quotient(free, [Vec.unit(ring, 0)], fam)
+    spec = FamilySpec.quotient(free, unit_ideal(ring), fam)
     box = GridBox((1,), (6,), shell=2)
     obs = grid_evaluate(None, spec, box, ("lambda",))
     from functorlab.fitting import fit_polynomial
@@ -216,7 +217,7 @@ def test_degree_bound_can_fail(ring):
 
     free = _free(ring)
     fake = FittedPolynomial(1, {(3,): Fraction(1)}, (1,), ((1,),))
-    spec = FamilySpec.quotient(free, [Vec.unit(ring, 0)], _mxy(ring))
+    spec = FamilySpec.quotient(free, unit_ideal(ring), _mxy(ring))
     verdict = degree_bound_check(spec.degree_law(functor_from_hom(free)), fake)
     assert verdict["verdict"] == "FAIL"
 
@@ -469,7 +470,7 @@ def test_grade_grid_resolves_r_mod_j_once(monkeypatch):
     R = PolyRing(("x", "y", "z"))
     J = ideal(R, ["x", "y"])
     fam = IdealFamily([ideal(R, ["x^2", "y*z"])])
-    spec = FamilySpec.quotient(_free(R), [Vec.unit(R, 0)], fam)
+    spec = FamilySpec.quotient(_free(R), unit_ideal(R), fam)
     box = GridBox((1,), (5,), shell=1)
     resolved = _count_resolutions(monkeypatch)
     rep = grade_asymptotics(J, None, spec, box)
@@ -482,7 +483,7 @@ def test_grade_grid_resolves_r_mod_j_once(monkeypatch):
 
 def _two_ideal_sweep_spec(R, a=("x", "y^2"), b=("x^2", "y")):
     fam = IdealFamily([ideal(R, list(a)), ideal(R, list(b))])
-    return FamilySpec.quotient(_free(R), [Vec.unit(R, 0)], fam)
+    return FamilySpec.quotient(_free(R), unit_ideal(R), fam)
 
 
 def test_quotient_sweep_cache_traffic(tmp_path, monkeypatch):
@@ -611,11 +612,12 @@ TWO_IDEAL_SWEEP = {
 
 def test_two_ideal_sweep_minimises_each_monomial_set_once(monkeypatch):
     # the fit of lambda(R/(x, y^2)^a (x^2, y)^b) over [1..10]^2 with the
-    # cache off: each power product prunes its term products once, and a
-    # member's numerator reads the leads of its reduced basis unpruned; the
-    # bounds sit just above the counts of that path once the scenario is
-    # loaded (109 and 210), well below those of pruning every lead set
-    # again (309 and 420)
+    # cache off: each power product prunes its term products once, a
+    # member's numerator reads the leads of its reduced basis unpruned, and
+    # a member scales the one span N the spec keeps; the bounds sit just
+    # above the counts of that path once the scenario is loaded (109 and
+    # 110), well below those of pruning every lead set again (309) or of
+    # rebuilding N at every point (210)
     monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
     monkeypatch.setattr(hilbert, "_NUMERATOR_MEMO", {})
     scn = load_scenario_text(json.dumps(TWO_IDEAL_SWEEP))
@@ -624,7 +626,7 @@ def test_two_ideal_sweep_minimises_each_monomial_set_once(monkeypatch):
     code, report, _meta = run_scenario_object(scn)
     assert code == 0 and report["status"] == "PASS"
     assert len(pruned) <= 115
-    assert len(built) <= 220
+    assert len(built) <= 115
 
 
 def test_rees_component_track_builds_each_strand_once(monkeypatch):
@@ -679,7 +681,7 @@ def test_evaluate_on_a_member_runs_no_buchberger_for_hom_relations(monkeypatch):
     R = PolyRing(("x", "y"))
     monkeypatch.setattr(cache, "_ACTIVE", cache.Cache())
     fam = IdealFamily([ideal(R, ["x^2 + y^2", "x*y"])])
-    member = FamilySpec.quotient(_free(R), [Vec.unit(R, 0)], fam).member((2,))
+    member = FamilySpec.quotient(_free(R), unit_ideal(R), fam).member((2,))
     functor = functor_from_tensor(FPModule.cyclic(R, ("x", "y^2")))
     functor.diagram()
     runs = _record_calls(monkeypatch, submodule, "buchberger")
@@ -691,7 +693,7 @@ def test_evaluate_on_a_member_runs_no_buchberger_for_hom_relations(monkeypatch):
     # a = (x^2 - yz, xy + z^2), and Ext^1 runs at most one per point
     S = PolyRing(("x", "y", "z"))
     fam = IdealFamily([ideal(S, ["x^2 - y*z", "x*y + z^2"])])
-    spec = FamilySpec.quotient(_free(S), [Vec.unit(S, 0)], fam)
+    spec = FamilySpec.quotient(_free(S), unit_ideal(S), fam)
     k = FPModule.cyclic(S, ("x", "y"))
     for functor, most in ((functor_from_hom(k), 0), (functors.functor_from_ext(k, 1), 1)):
         functor.diagram()
