@@ -29,7 +29,16 @@ from .errors import (
 )
 from .fitting import FittedPolynomial, fit_polynomial
 from .fpmodule import FPModule, block_module, free_resolution, hom_ext_tor
-from .functors import FunctorExpression, evaluate, evaluate_via_diagram
+from .functors import (
+    CoherentFunctor,
+    Composite,
+    evaluate,
+    evaluate_via_diagram,
+    functor_from_ext,
+    functor_from_hom,
+    functor_from_tensor,
+    functor_from_tor,
+)
 from .grid import GridBox
 from .invariants import (
     associated_primes,
@@ -62,12 +71,13 @@ from .submodule import IdealFamily, Submodule, ideal, unit_ideal, zero_submodule
 
 __all__ = [
     "CapExceeded",
+    "CoherentFunctor",
+    "Composite",
     "ConfigurationError",
     "ContractViolation",
     "FPModule",
     "FamilySpec",
     "FittedPolynomial",
-    "FunctorExpression",
     "FunctorLabError",
     "GREVLEX",
     "GridBox",
@@ -96,6 +106,10 @@ __all__ = [
     "evaluate",
     "evaluate_via_diagram",
     "fit_polynomial",
+    "functor_from_ext",
+    "functor_from_hom",
+    "functor_from_tensor",
+    "functor_from_tor",
     "free_resolution",
     "grade",
     "grade_asymptotics",

@@ -13,10 +13,15 @@ import traceback
 
 from . import cache
 from .errors import ConfigurationError, ContractViolation
-from .functors import BUILDER_NAMES
 from .reports import artifact_names, write_artifacts
 from .runner import ENGINE_VERSION, run_scenario_object
-from .scenario import TASK_KEYS, bundled_scenario_path, bundled_scenarios, load_scenario
+from .scenario import (
+    BUILDER_KEYS,
+    TASK_KEYS,
+    bundled_scenario_path,
+    bundled_scenarios,
+    load_scenario,
+)
 from .stability import OBSERVABLE_NAMES
 
 
@@ -33,8 +38,6 @@ def _build_parser():
     run_p.add_argument("--out", default=".", help="directory for report artifacts")
     run_p.add_argument("--char", type=int, default=None,
                        help="override the coefficient characteristic")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="accepted and recorded in run_meta.json; no effect")
     run_p.add_argument("--no-cache", action="store_true", help="disable the computation cache")
 
     self_p = sub.add_parser("selftest", help="run the invariant corpus")
@@ -64,16 +67,13 @@ def _prepare_out_dir(path, names):
 
 
 def _cmd_run(args):
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     cache.configure(directory=os.environ.get("FUNCTORLAB_CACHE_DIR"), enabled=not args.no_cache)
     target = args.scenario
     if not os.path.exists(target):
         target = bundled_scenario_path(target)
     scn = load_scenario(target, char_override=args.char)
     _prepare_out_dir(args.out, artifact_names(scn.output_stem, scn.tasks))
-    code, report, meta = run_scenario_object(scn, jobs=args.jobs)
+    code, report, meta = run_scenario_object(scn)
     written = write_artifacts(report, meta, args.out, scn.output_stem)
     for path in written:
         print("wrote %s" % path)
@@ -89,12 +89,8 @@ def _cmd_run(args):
 
 def _cmd_list_builtins():
     print("functor builders:")
-    arity = {
-        "hom": "(module)", "tensor": "(module)", "tor": "(module, i)",
-        "ext": "(module, i)", "compose": "(expression...)",
-    }
-    for name in BUILDER_NAMES:
-        print("  %-8s %s" % (name, arity[name]))
+    for name, keys in BUILDER_KEYS.items():
+        print("  %-8s %s" % (name, ", ".join(keys)))
     print("observables:")
     notes = {
         "lambda": "exact length, inf allowed outside fit windows",

@@ -2,8 +2,8 @@
 
 A functor here is the cokernel F(X) = coker(Hom(L, X) -> Hom(K, X)) where
 the arrow precomposes with f. Hom, tensor, Tor_i and Ext^i all arise this
-way from presentation data of a fixed module, and compositions are kept as
-evaluation trees rather than flattened to a single (K, L, f).
+way from presentation data of a fixed module, and a Composite applies
+functors in turn rather than flattening them to a single (K, L, f).
 
 Two evaluation routes are provided. evaluate() works with the argument's
 own subquotient presentation: F(X) is Hom(K, X) modulo the pushed Hom(L, X)
@@ -27,9 +27,6 @@ from .poly import Poly, Vec
 from .submodule import Submodule
 
 
-BUILDER_NAMES = ("hom", "tensor", "tor", "ext", "compose")
-
-
 class CoherentFunctor:
     """coker(h_L -> h_K) for a homogeneous map f: K -> L.
 
@@ -37,9 +34,9 @@ class CoherentFunctor:
     the image of K's generator j over L's generators.
     """
 
-    __slots__ = ("k", "l", "f", "label", "_diagram")
+    __slots__ = ("k", "l", "f", "_diagram")
 
-    def __init__(self, k, l, f, label=""):
+    def __init__(self, k, l, f):
         if len(f) != len(k.gens) or any(len(col) != len(l.gens) for col in f):
             raise ContractViolation(
                 "presentation map needs one column per K generator, "
@@ -48,7 +45,6 @@ class CoherentFunctor:
         self.k = k
         self.l = l
         self.f = f
-        self.label = label or "coker(h_L -> h_K)"
         self._diagram = None
 
     def diagram(self):
@@ -56,8 +52,11 @@ class CoherentFunctor:
             self._diagram = _lift_diagram(self)
         return self._diagram
 
-    def __repr__(self):
-        return "CoherentFunctor(%s)" % self.label
+    def evaluate(self, x):
+        """F(X) by the direct route."""
+        # looked up at call time, so a wrapper bound over functors.evaluate
+        # also sees the calls made through this method
+        return evaluate(self, x)
 
 
 class LiftedDiagram:
@@ -78,13 +77,13 @@ class LiftedDiagram:
 # -- builders -------------------------------------------------------------------
 
 
-def functor_from_hom(m, label=""):
+def functor_from_hom(m):
     """Hom(M, -) as the coherent functor with K = M, L = 0."""
     zero = FPModule.zero(m.ring)
-    return CoherentFunctor(m, zero, [()] * len(m.gens), label or "Hom(M,-)")
+    return CoherentFunctor(m, zero, [()] * len(m.gens))
 
 
-def functor_from_tensor(m, label=""):
+def functor_from_tensor(m):
     """M (x) - built from a cokernel presentation of M.
 
     With M = coker(phi: R^a -> R^b) the functor is coker applied to the
@@ -96,10 +95,10 @@ def functor_from_tensor(m, label=""):
     k = FPModule.free(ring, tuple(-t for t in pres.gen_twists))
     l = FPModule.free(ring, tuple(-s for s in pres.column_twists()))
     f = transpose_columns(pres.matrix(), len(pres.gens))
-    return CoherentFunctor(k, l, f, label or "M(x)-")
+    return CoherentFunctor(k, l, f)
 
 
-def functor_from_ext(m, i, label=""):
+def functor_from_ext(m, i):
     """Ext^i(M, -) for i >= 1: K = coker(d_{i+1}), L = F_{i-1}, f from d_i."""
     if i < 1:
         raise ConfigurationError("ext builder needs i >= 1; use the hom builder for i = 0")
@@ -107,14 +106,14 @@ def functor_from_ext(m, i, label=""):
     res = m.resolution(i + 1)
     twist = res.twist_table()
     if i >= len(twist):
-        return _zero_functor(ring, label or "Ext^%d(M,-)" % i)
+        return _zero_functor(ring)
     rels = [Vec.from_polys(col) for col in res.maps[i]] if i < len(res.maps) else []
     k = FPModule(ring, len(twist[i]), twist[i], _units(ring, len(twist[i])), rels, check=False)
     l = FPModule.free(ring, twist[i - 1])
-    return CoherentFunctor(k, l, res.maps[i - 1], label or "Ext^%d(M,-)" % i)
+    return CoherentFunctor(k, l, res.maps[i - 1])
 
 
-def functor_from_tor(m, i, label=""):
+def functor_from_tor(m, i):
     """Tor_i(M, -) for i >= 1 via the transposed resolution.
 
     K = coker of the transpose of d_i over the dual of F_i, L = dual of
@@ -128,7 +127,7 @@ def functor_from_tor(m, i, label=""):
     twist = res.twist_table()
     ranks = res.ranks()
     if i >= len(twist):
-        return _zero_functor(ring, label or "Tor_%d(M,-)" % i)
+        return _zero_functor(ring)
     k_twists = tuple(-t for t in twist[i])
     rel_cols = transpose_columns(res.maps[i - 1], ranks[i - 1])
     rels = [Vec.from_polys(col) for col in rel_cols if any(col)]
@@ -139,11 +138,11 @@ def functor_from_tor(m, i, label=""):
     else:
         l = FPModule.zero(ring)
         f = [()] * ranks[i]
-    return CoherentFunctor(k, l, f, label or "Tor_%d(M,-)" % i)
+    return CoherentFunctor(k, l, f)
 
 
-def _zero_functor(ring, label):
-    return CoherentFunctor(FPModule.zero(ring), FPModule.zero(ring), [], label)
+def _zero_functor(ring):
+    return CoherentFunctor(FPModule.zero(ring), FPModule.zero(ring), [])
 
 
 def _units(ring, n):
@@ -243,70 +242,21 @@ def evaluate_via_diagram(functor, x):
     return FPModule(ring, amb_k.rank, amb_k.twists, u_gens, v_gens, check=True)
 
 
-# -- expressions -----------------------------------------------------------------
+# -- composition ------------------------------------------------------------------
 
 
-class FunctorExpression:
-    """Evaluation tree over the built-in constructors.
+class Composite:
+    """G o F o ...: applies its parts right to left, so Composite(G, F)(X)
+    is G(F(X)). The parts are never flattened to a single presentation."""
 
-    Leaves hold a CoherentFunctor; compose nodes evaluate right-to-left,
-    so compose(G, F) means G(F(X)). Composites are never flattened to a
-    single presentation.
-    """
+    __slots__ = ("parts",)
 
-    __slots__ = ("kind", "functor", "parts", "label")
-
-    def __init__(self, kind, functor=None, parts=(), label=""):
-        if kind == "compose":
-            if len(parts) < 1:
-                raise ConfigurationError("compose needs at least one operand")
-            for p in parts:
-                if not isinstance(p, FunctorExpression):
-                    raise ConfigurationError("compose operands must be expressions")
-        elif kind in ("hom", "tensor", "tor", "ext"):
-            if functor is None:
-                raise ConfigurationError("leaf expressions wrap a functor")
-        else:
-            raise ConfigurationError("unknown expression kind %r" % kind)
-        self.kind = kind
-        self.functor = functor
-        self.parts = tuple(parts)
-        self.label = label or kind
-
-    @classmethod
-    def hom(cls, m, label=""):
-        return cls("hom", functor_from_hom(m, label), label=label or "hom")
-
-    @classmethod
-    def tensor(cls, m, label=""):
-        return cls("tensor", functor_from_tensor(m, label), label=label or "tensor")
-
-    @classmethod
-    def tor(cls, m, i, label=""):
-        if i == 0:
-            return cls.tensor(m, label or "tor_0")
-        return cls("tor", functor_from_tor(m, i, label=label), label=label or "tor_%d" % i)
-
-    @classmethod
-    def ext(cls, m, i, label=""):
-        if i == 0:
-            return cls.hom(m, label or "ext^0")
-        return cls("ext", functor_from_ext(m, i, label=label), label=label or "ext^%d" % i)
-
-    @classmethod
-    def compose(cls, *parts, **kw):
-        return cls("compose", parts=parts, label=kw.get("label", ""))
+    def __init__(self, *parts):
+        if not parts:
+            raise ConfigurationError("compose needs at least one operand")
+        self.parts = parts
 
     def evaluate(self, x):
-        """F(X) by the direct route; compose nodes evaluate right-to-left."""
-        if self.kind == "compose":
-            val = x
-            for part in reversed(self.parts):
-                val = part.evaluate(val)
-            return val
-        return evaluate(self.functor, x)
-
-    def __repr__(self):
-        if self.kind == "compose":
-            return " o ".join(repr(p) for p in self.parts)
-        return self.label
+        for part in reversed(self.parts):
+            x = part.evaluate(x)
+        return x

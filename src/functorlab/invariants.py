@@ -241,12 +241,10 @@ def betti_number(module, i):
     return ranks[i] if i < len(ranks) else 0
 
 
-def bass_number(module, i, profile=None):
-    """mu^i; profile, when given, is a bass_profile of module longer than i."""
+def bass_number(module, i):
+    """mu^i."""
     if i < 0:
         raise ContractViolation("homological index must be nonnegative")
-    if profile is not None:
-        return profile[i]
     if module.ring.relations:
         k = residue_field(module.ring)
         return hom_ext_tor(k, module, i, "Ext").length()

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .cache import active_cache
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
+from .functors import CoherentFunctor
 from .multigraded import artin_rees_exponent, artin_rees_window
 from .oracles import grade_by_regular_sequence
 from .stability import (
@@ -69,10 +70,9 @@ def _task_expr(scn, task):
 
 def _default_cap(scn):
     spec = scn.family_spec
-    if spec.kind == "quotient" and scn.expression is not None \
-            and scn.expression.kind != "compose":
+    if spec.kind == "quotient" and isinstance(scn.expression, CoherentFunctor):
         # one above the degree bound; a bound of -inf caps at 1
-        bound = spec.degree_law(scn.expression.functor)["bound"]
+        bound = spec.degree_law(scn.expression)["bound"]
         return (0 if bound == -INF else int(bound)) + 1
     if spec.kind == "quotient":
         return max(0, spec.spread() - spec.r) + max(spec.module.dim(), 0) + 1
@@ -172,7 +172,7 @@ def run_stabilization(scn, task):
 def run_degree_bound(scn, task):
     table, _cap, fit = _lambda_fit(scn, task, scn.expression)
     # the spec keeps one law for the default cap and the check
-    law = scn.family_spec.degree_law(scn.expression.functor)
+    law = scn.family_spec.degree_law(scn.expression)
     if fit is None:
         return {"fit": _fit_payload(None)}, ["no polynomial fit to bound"]
     verdict = degree_bound_check(law, fit)

@@ -2,7 +2,7 @@
 
 A scenario declares a ring, named ideals and modules, one functor
 expression, a family (quotient or component), a box, and a task list.
-Parsing is strict: unknown blocks, task keys the task does not read,
+Parsing is strict: unknown blocks, functor and task keys that are not read,
 unresolved names, inhomogeneous declarations and malformed boxes are
 semantic errors naming the offending block, before any computation
 starts.
@@ -14,7 +14,14 @@ from fractions import Fraction
 
 from .errors import ConfigurationError, ContractViolation, HomogeneityError
 from .fpmodule import FPModule
-from .functors import BUILDER_NAMES, FunctorExpression
+from .functors import (
+    CoherentFunctor,
+    Composite,
+    functor_from_ext,
+    functor_from_hom,
+    functor_from_tensor,
+    functor_from_tor,
+)
 from .grid import GridBox
 from .poly import parse_poly, parse_vec, quotient_ring
 from .rings import PolyRing
@@ -23,6 +30,16 @@ from .submodule import IdealFamily, Submodule, ideal
 
 
 FORMAT_TAG = "scn/1"
+
+# the keys each functor builder reads besides "builder"; the loader refuses
+# any other, and list-builtins prints them
+BUILDER_KEYS = {
+    "hom": ("module",),
+    "tensor": ("module",),
+    "tor": ("module", "i"),
+    "ext": ("module", "i"),
+    "compose": ("parts",),
+}
 
 # the keys each task's runner reads besides "task"; the loader refuses any
 # other, and list-builtins prints them
@@ -255,28 +272,32 @@ def _build_expression(block, modules):
     if not isinstance(block, dict) or "builder" not in block:
         _fail("functor", "needs a builder name")
     builder = block["builder"]
-    if builder not in BUILDER_NAMES:
-        _fail("functor", "unknown builder %r (have: %s)" % (builder, ", ".join(BUILDER_NAMES)))
+    if builder not in BUILDER_KEYS:
+        _fail("functor", "unknown builder %r (have: %s)" % (builder, ", ".join(BUILDER_KEYS)))
+    unknown = sorted(k for k in block if k != "builder" and k not in BUILDER_KEYS[builder])
+    if unknown:
+        _fail("functor", "builder %r does not read %s (it reads: %s)" % (
+            builder, ", ".join(map(repr, unknown)), ", ".join(BUILDER_KEYS[builder])))
     if builder == "compose":
-        parts = block.get("parts", [])
-        if not parts:
-            _fail("functor", "compose needs parts")
-        return FunctorExpression.compose(*[_build_expression(p, modules) for p in parts])
+        parts = block.get("parts")
+        if not isinstance(parts, list) or not parts:
+            _fail("functor", "compose needs a nonempty list of parts")
+        return Composite(*[_build_expression(p, modules) for p in parts])
     mod_name = block.get("module")
     if mod_name not in modules:
         _fail("functor", "unknown module %r" % mod_name)
     m = modules[mod_name]
-    label = block.get("label", "%s(%s)" % (builder, mod_name))
     if builder == "hom":
-        return FunctorExpression.hom(m, label=label)
+        return functor_from_hom(m)
     if builder == "tensor":
-        return FunctorExpression.tensor(m, label=label)
+        return functor_from_tensor(m)
     i = block.get("i")
     if not _is_int(i) or i < 0:
         _fail("functor", "builder %r needs a nonnegative integer i" % builder)
+    # Ext^0 = Hom and Tor_0 = tensor
     if builder == "ext":
-        return FunctorExpression.ext(m, i, label=label)
-    return FunctorExpression.tor(m, i, label=label)
+        return functor_from_ext(m, i) if i else functor_from_hom(m)
+    return functor_from_tor(m, i) if i else functor_from_tensor(m)
 
 
 def _family_ideals(block, ideals):
@@ -383,7 +404,7 @@ def _check_needs(name, expression, family_spec, box):
                 _fail("tasks", "%s task needs a %s family" % (name, need))
         elif expression is None:
             _fail("tasks", "%s task needs a functor block" % name)
-        elif expression.kind == "compose":
+        elif not isinstance(expression, CoherentFunctor):
             _fail("tasks", "%s task needs a single functor, not a composition" % name)
 
 
@@ -409,6 +430,9 @@ def _build_tasks(block, ideals, submodules, expression, family_spec, box):
         for key in ("degree_cap", "i_max", "window", "assert_degree", "assert_max_degree"):
             if key in entry and not (_is_int(entry[key]) and entry[key] >= 0):
                 _fail("tasks", "%r in task %r must be a nonnegative integer" % (key, name))
+        for key in ("identity", "assert_stable", "oracle"):
+            if key in entry and not isinstance(entry[key], bool):
+                _fail("tasks", "%r in task %r must be true or false" % (key, name))
         if "assert_onset" in entry:
             _check_point(name, "assert_onset", entry["assert_onset"], box, nonnegative=False)
         if "expect" in entry:

@@ -18,7 +18,6 @@ from .invariants import (
     _cyclic_quotient,
     _ext_grade,
     associated_primes,
-    bass_number,
     bass_profile,
     betti_number,
     depth,
@@ -44,7 +43,7 @@ class FamilySpec:
     build a member from the family's kept power product I^n.
 
     The spec keeps what its tasks share, for as long as it lives: one
-    member per point (value(None, p)), one F(member) per expression object
+    member per point (value(None, p)), one F(member) per functor or Composite
     and point (value(expr, p)), the analytic spread, and one degree_law per
     functor. member(p) itself always builds a fresh member.
     """
@@ -98,8 +97,8 @@ class FamilySpec:
         return FPModule.of(m.gens_sub(), m.rels_sub().plus(scaled))
 
     def value(self, expr, nvec):
-        """F(member) at nvec for the expression expr, or the member itself
-        when expr is None; each is built once and kept."""
+        """F(member) at nvec for expr, a CoherentFunctor or a Composite, or
+        the member itself when expr is None; each is built once and kept."""
         nvec = tuple(nvec)
         member = self._members.get(nvec)
         if member is None:
@@ -165,7 +164,7 @@ def _observe(module, observables, grade_quotient, i_max):
             if "betti" in observables:
                 out["betti_%d" % i] = betti_number(module, i)
             if "bass" in observables:
-                out["bass_%d" % i] = bass_number(module, i, profile=profile)
+                out["bass_%d" % i] = profile[i]
     if "pd" in observables:
         try:
             out["pd"] = projective_dimension(module)
@@ -182,8 +181,8 @@ def _observe(module, observables, grade_quotient, i_max):
 def grid_evaluate(expr, spec, box, observables, grade_ideal=None, i_max=2):
     """Exact per-point observable table over the box, in ascending point order.
 
-    expr may be None for the identity (observe the member itself). Points
-    are evaluated one after another.
+    expr is a CoherentFunctor or a Composite, or None for the identity
+    (observe the member itself). Points are evaluated one after another.
     """
     bad = [o for o in observables if o not in OBSERVABLE_NAMES]
     if bad:
@@ -418,18 +417,18 @@ def _block_side(pres, amb, mc, n_vecs, family):
     return e, block_kernel(mat, amb, tgt, width, tgt.rels), preimage
 
 
-def normal_form(expr, spec, box):
+def normal_form(functor, spec, box):
     """Build and validate the stable shape of n -> F(M/I^n N), for the
-    single-functor expression expr over the quotient family spec.
+    CoherentFunctor F over the quotient family spec.
 
     Follows the kernel/image bookkeeping of the lifted diagram: c comes
     from Artin-Rees on gamma*(A) meeting I^n N^{l1}, d from psi(B) meeting
     I^n N^{k1} (then raised to c componentwise), and U, V, W live in
     T = M^{k0}/phi(A_1). Every box point n >= d is checked against the
-    functor value the spec keeps (spec.value(expr, n)); a mismatch raises
+    functor value the spec keeps (spec.value(functor, n)); a mismatch raises
     naming the point.
     """
-    functor, module, family = expr.functor, spec.module, spec.family
+    module, family = spec.module, spec.family
     ring = module.ring
     r = len(family.ideals)
     diag = functor.diagram()
@@ -504,7 +503,7 @@ def normal_form(expr, spec, box):
         if any(x < e for x, e in zip(p, d)):
             continue
         shaped = nf.member_value(p)
-        if not shaped.hilbert_equal(spec.value(expr, p)):
+        if not shaped.hilbert_equal(spec.value(functor, p)):
             raise ContractViolation(
                 "normal form mismatch at %r: family value disagrees degreewise" % (p,)
             )

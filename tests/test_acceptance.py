@@ -15,9 +15,9 @@ import pytest
 from functorlab.fitting import fit_polynomial
 from functorlab.fpmodule import FPModule
 from functorlab.functors import (
-    FunctorExpression,
     evaluate,
     evaluate_via_diagram,
+    functor_from_ext,
     functor_from_hom,
     functor_from_tensor,
 )
@@ -98,13 +98,12 @@ def test_03_eventual_shape_for_three_functors(ring):
     box = GridBox((1,), (8,), shell=1)
     spec = FamilySpec.quotient(free, _unit(ring), fam)
     cases = [
-        ("Hom(R/(x), -)", FunctorExpression.hom(mod_x)),
-        ("R/(x) tensor -", FunctorExpression.tensor(mod_x)),
-        ("Ext^1(R/(x), -)", FunctorExpression.ext(mod_x, 1)),
+        ("Hom(R/(x), -)", functor_from_hom(mod_x)),
+        ("R/(x) tensor -", functor_from_tensor(mod_x)),
+        ("Ext^1(R/(x), -)", functor_from_ext(mod_x, 1)),
     ]
-    for label, expr in cases:
-        functor = expr.functor
-        nf = normal_form(expr, spec, box)
+    for label, functor in cases:
+        nf = normal_form(functor, spec, box)
         lo = max(nf.d[0], 1)
         assert lo + 6 <= 8, label
         for n in range(lo, lo + 7):
@@ -218,7 +217,7 @@ def test_09_blowup_strand_lengths_and_torsion_freeness(ring):
     box = GridBox((0,), (10,), shell=2)
     kmod = FPModule.cyclic(ring, ("x", "y"))
 
-    rep = component_track(mg, FunctorExpression.tensor(kmod), box, observables=("lambda",))
+    rep = component_track(mg, functor_from_tensor(kmod), box, observables=("lambda",))
     table = {p: row["lambda"] for p, row in rep["observations"].items()}
     assert table == {(n,): n + 1 for n in range(0, 11)}
     fit = rep["fits"]["lambda"]

@@ -13,7 +13,7 @@ import pytest
 
 from functorlab import cache, cli, functors, multigraded, runner, stability
 from functorlab.cli import main
-from functorlab.scenario import TASK_KEYS, bundled_scenario_path, load_scenario
+from functorlab.scenario import BUILDER_KEYS, TASK_KEYS, bundled_scenario_path, load_scenario
 
 
 @pytest.fixture(autouse=True)
@@ -100,7 +100,7 @@ def test_unusable_out_exits_two_before_any_task(tmp_path, capsys, monkeypatch, w
     blocker.write_text("")
     out = blocker if where == "file" else blocker / "reports"
     ran = []
-    monkeypatch.setattr(cli, "run_scenario_object", lambda scn, jobs: ran.append(scn))
+    monkeypatch.setattr(cli, "run_scenario_object", lambda scn: ran.append(scn))
     code = main(["run", "hilbert_samuel_xy", "--out", str(out), "--no-cache"])
     assert code == 2
     assert ran == []
@@ -122,7 +122,7 @@ def test_artifact_name_taken_by_a_directory_exits_two_before_any_task(
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     ran = []
-    monkeypatch.setattr(cli, "run_scenario_object", lambda scn, jobs: ran.append(scn))
+    monkeypatch.setattr(cli, "run_scenario_object", lambda scn: ran.append(scn))
     code = main(["run", "hilbert_samuel_xy", "--out", str(out), "--no-cache"])
     assert code == 2
     assert ran == []
@@ -211,6 +211,22 @@ def _set(path, value):
      "tasks block: task 'fit' does not read 'asert_degree'"),
     (_set(("tasks",), [{"task": "degree_bound", "identity": True}]),
      "tasks block: task 'degree_bound' does not read 'identity'"),
+    (_set(("tasks",), [{"task": "fit", "identity": "no"}]),
+     "tasks block: 'identity' in task 'fit' must be true or false"),
+    (_set(("tasks",), [{"task": "stabilization", "assert_stable": "false"}]),
+     "tasks block: 'assert_stable' in task 'stabilization' must be true or false"),
+    (_set(("tasks",), [{"task": "grade", "ideal": "m", "oracle": 1}]),
+     "tasks block: 'oracle' in task 'grade' must be true or false"),
+    (_set(("functor",), {"builder": "tensor", "module": "M", "i": 3}),
+     "functor block: builder 'tensor' does not read 'i'"),
+    (_set(("functor",), {"builder": "hom", "module": "M", "lable": "id"}),
+     "functor block: builder 'hom' does not read 'lable'"),
+    (_set(("functor",), {"builder": "hom", "module": "M", "label": "id"}),
+     "functor block: builder 'hom' does not read 'label'"),
+    (_set(("functor",), dict(_COMPOSE, module="M")),
+     "functor block: builder 'compose' does not read 'module'"),
+    (_set(("functor",), dict(_COMPOSE, parts=_HOM)),
+     "functor block: compose needs a nonempty list of parts"),
     (_set(("tasks",), [{"task": "component_track", "observables": 5}]), "tasks block"),
     (_set(("tasks",), [{"task": "component_track", "observables": "lambda"}]), "tasks block"),
     (_set(("tasks",), [{"task": "component_track", "expect_ass": 5}]), "tasks block"),
@@ -246,6 +262,9 @@ def _set(path, value):
         "box_shell_string", "assert_values_key", "assert_values_arity",
         "assert_values_value", "artin_rees_mode", "normal_form_mode",
         "artin_rees_certified_mode", "unknown_key_typo", "degree_bound_identity",
+        "identity_string", "assert_stable_string", "oracle_int",
+        "tensor_index", "builder_key_typo", "builder_label", "compose_module",
+        "compose_parts_object",
         "observables_int", "observables_string", "expect_ass_int",
         "artin_rees_expect_int", "assert_onset_int", "assert_degree_string",
         "assert_max_degree_string", "assert_max_degree_float", "assert_max_degree_bool",
@@ -335,7 +354,7 @@ def test_engine_error_exits_three(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_three_without_traceback(tmp_path, capsys, monkeypatch):
-    def broken(scn, jobs):
+    def broken(scn):
         raise ZeroDivisionError("integer modulo by zero")
 
     monkeypatch.setattr(cli, "run_scenario_object", broken)
@@ -568,16 +587,6 @@ def test_degree_bound_fail_caches_only_the_fiber_span(tmp_path, monkeypatch):
     assert len(list((tmp_path / "cachedir").glob("*/*.json"))) == 1
 
 
-def test_jobs_flag_changes_nothing(tmp_path):
-    _, out1 = _run(tmp_path, bundled_scenario_path("two_ideal_fit"))
-    blob1 = (out1 / "two_ideal_fit.report.json").read_bytes()
-    out2 = tmp_path / "out2"
-    code = main(["run", bundled_scenario_path("two_ideal_fit"),
-                 "--out", str(out2), "--no-cache", "--jobs", "3"])
-    assert code == 0
-    assert (out2 / "two_ideal_fit.report.json").read_bytes() == blob1
-
-
 def _non_term_scenario(tmp_path):
     """A two-ideal fit whose ideals are not spanned by terms, so its bases go
     through the Groebner cache (a term module never does)."""
@@ -777,11 +786,19 @@ def test_char_override_flag(tmp_path):
     assert report["status"] == "PASS"
 
 
-def test_bad_jobs_value(tmp_path, capsys):
-    code = main(["run", bundled_scenario_path("hilbert_samuel_xy"),
-                 "--out", str(tmp_path), "--jobs", "0"])
-    assert code == 2
-    assert "--jobs" in capsys.readouterr().err
+def test_jobs_flag_is_a_usage_error(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "functorlab", "run", "hilbert_samuel_xy",
+         "--out", str(out), "--jobs", "2"],
+        cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 SUITE_NAMES = (
@@ -849,7 +866,10 @@ def test_list_builtins(capsys):
     text = capsys.readouterr().out
     for word in ("hom", "tensor", "lambda", "normal_form", "hilbert_samuel_xy.scn"):
         assert word in text
-    # each task line lists the keys the loader accepts for it
+    # each builder and task line lists the keys the loader accepts for it
+    builders = text.split("functor builders:\n")[1].split("observables:")[0]
+    listed = {line.split()[0]: line.split(None, 1)[1] for line in builders.splitlines()}
+    assert listed == {name: ", ".join(keys) for name, keys in BUILDER_KEYS.items()}
     tasks = text.split("tasks:\n")[1].split("bundled scenarios:")[0]
     listed = {line.split()[0]: line.split(None, 1)[1] for line in tasks.splitlines()}
     assert listed == {name: ", ".join(keys) or "-" for name, keys in TASK_KEYS.items()}

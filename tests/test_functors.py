@@ -1,4 +1,4 @@
-"""Coherent functor builders, both evaluation routes, and expressions.
+"""Coherent functor builders, both evaluation routes, and composites.
 
 Length oracles, hand computed: Hom(R/(x), R/(x,y)^2) = ((x,y)^2:x)/(x,y)^2
 = (x,y)/(x,y)^2 of length 2; R/(x) (x) R/(x,y)^3 = R/((x,y)^3+(x)) with
@@ -18,8 +18,7 @@ from functorlab.corpus import ORACLE_BASES, base
 from functorlab.errors import ConfigurationError, ContractViolation, FunctorLabError
 from functorlab.fpmodule import FPModule, hom_ext_tor, push_through
 from functorlab.functors import (
-    CoherentFunctor,
-    FunctorExpression,
+    Composite,
     evaluate,
     evaluate_via_diagram,
     functor_from_ext,
@@ -145,7 +144,7 @@ def test_route_equivalence_on_corpus():
         for x in corpus_arguments():
             direct = evaluate(f, x)
             diagram = evaluate_via_diagram(f, x)
-            assert direct.hilbert_equal(diagram), (f.label, pairs)
+            assert direct.hilbert_equal(diagram), pairs
             pairs += 1
     assert pairs == 24
 
@@ -162,17 +161,13 @@ def test_route_equivalence_ass_sets():
 
 
 def test_expression_socle():
-    expr = FunctorExpression.compose(
-        FunctorExpression.ext(K_MOD, 0), FunctorExpression.hom(FREE)
-    )
+    expr = Composite(functor_from_hom(K_MOD), functor_from_hom(FREE))
     out = expr.evaluate(quotient("x^2", "x*y", "y^2"))
     assert out.length() == 2
 
 
 def test_expression_residue_tensor():
-    expr = FunctorExpression.compose(
-        FunctorExpression.tor(K_MOD, 0), FunctorExpression.hom(FREE)
-    )
+    expr = Composite(functor_from_tensor(K_MOD), functor_from_hom(FREE))
     for n in (2, 3):
         powers = ["x^%d" % n] + [
             "x^%d*y^%d" % (n - j, j) for j in range(1, n)
@@ -182,20 +177,18 @@ def test_expression_residue_tensor():
 
 
 def test_expression_identity_composition():
-    ident = FunctorExpression.hom(FREE)
-    inner = FunctorExpression.tensor(quotient("x"))
+    ident = functor_from_hom(FREE)
+    inner = functor_from_tensor(quotient("x"))
     x = quotient("x^2", "x*y", "y^2")
     plain = inner.evaluate(x)
-    wrapped = FunctorExpression.compose(ident, inner).evaluate(x)
+    wrapped = Composite(ident, inner).evaluate(x)
     assert plain.hilbert_equal(wrapped)
-    assert evaluate_via_diagram(inner.functor, x).hilbert_equal(plain)
+    assert evaluate_via_diagram(inner, x).hilbert_equal(plain)
 
 
 def test_expression_guards():
     with pytest.raises(ConfigurationError):
-        FunctorExpression.compose()
-    with pytest.raises(ConfigurationError):
-        FunctorExpression("weird")
+        Composite()
 
 
 def induced_map(fx, fy):
@@ -258,12 +251,6 @@ def test_diagram_is_cached_and_commutes():
     assert k_cols
     for col in compose_columns(d1.alpha, k_cols, R):
         assert rels_l.contains(Vec.from_polys(col))
-
-
-def test_functor_label_and_repr():
-    f = functor_from_hom(FREE, label="identity")
-    assert "identity" in repr(f)
-    assert isinstance(f, CoherentFunctor)
 
 
 # -- oracle: the coefficient-lift route evaluate() replaced ----------------------

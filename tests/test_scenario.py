@@ -161,6 +161,20 @@ def test_boolean_index_is_refused(builder):
         load_scenario_text(json.dumps(data))
 
 
+@pytest.mark.parametrize("builder, twin", [("ext", "hom"), ("tor", "tensor")])
+def test_index_zero_builds_hom_and_tensor(builder, twin):
+    # Ext^0(k, -) = Hom(k, -) and Tor_0(k, -) = k tensor -: the socle of
+    # R/(x,y)^2 has length 2, its residue field length 1
+    modules = {"M": {"type": "free", "twists": [0]}, "K": {"type": "cyclic", "polys": ["x", "y"]}}
+    zero = build_scenario(
+        _minimal(modules=modules, functor={"builder": builder, "module": "K", "i": 0})
+    )
+    same = build_scenario(_minimal(modules=modules, functor={"builder": twin, "module": "K"}))
+    member = zero.family_spec.member((2,))
+    assert zero.expression.evaluate(member).length() == (2 if twin == "hom" else 1)
+    assert zero.expression.evaluate(member).hilbert_equal(same.expression.evaluate(member))
+
+
 def test_char_override_applies():
     scn = build_scenario(_minimal(), char_override=101)
     assert scn.ring.char == 101

@@ -20,7 +20,7 @@ from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
 from functorlab.fpmodule import FPModule
 from functorlab.functors import (
     CoherentFunctor,
-    FunctorExpression,
+    Composite,
     functor_from_hom,
     functor_from_tensor,
     evaluate,
@@ -226,7 +226,7 @@ def test_normal_form_identity_functor(ring):
     free = _free(ring)
     fam = _mxy(ring)
     box = GridBox((1,), (5,), shell=1)
-    nf = normal_form(FunctorExpression.hom(free), _spec(free, fam), box)
+    nf = normal_form(functor_from_hom(free), _spec(free, fam), box)
     assert nf.c == (0,) and nf.d == (0,)
     assert [nf.member_value((n,)).length() for n in (1, 2, 3, 4)] == [1, 3, 6, 10]
     assert len(nf.validated) == 5
@@ -239,7 +239,7 @@ def test_normal_form_hom_from_hypersurface(ring):
     mod_x = FPModule.cyclic(ring, ("x",))
     fam = _mxy(ring)
     box = GridBox((1,), (5,), shell=1)
-    nf = normal_form(FunctorExpression.hom(mod_x), _spec(free, fam), box)
+    nf = normal_form(functor_from_hom(mod_x), _spec(free, fam), box)
     assert nf.d == (1,)
     assert [nf.member_value((n,)).length() for n in (1, 2, 3, 4, 5)] == [1, 2, 3, 4, 5]
     assert nf.provenance["d_verdict"] == "certified"
@@ -252,7 +252,7 @@ def test_normal_form_tensor_functor(ring):
     mod_x = FPModule.cyclic(ring, ("x",))
     fam = _mxy(ring)
     box = GridBox((1,), (5,), shell=1)
-    nf = normal_form(FunctorExpression.tensor(mod_x), _spec(free, fam), box)
+    nf = normal_form(functor_from_tensor(mod_x), _spec(free, fam), box)
     assert [nf.member_value((n,)).length() for n in (1, 2, 3, 4, 5)] == [1, 2, 3, 4, 5]
     assert nf.u_module().hilbert_equal(evaluate(functor_from_tensor(mod_x), free))
 
@@ -266,15 +266,32 @@ def test_normal_form_with_non_free_l(ring):
     one = Poly.constant(ring, ring.one)
     functor = CoherentFunctor(free, mod_x, [[one]])
     box = GridBox((1,), (6,), shell=1)
-    # wrapped as a leaf expression; its kind only labels it
-    expr = FunctorExpression("hom", functor=functor)
-    nf = normal_form(expr, _spec(free, _mxy(ring)), box)
+    spec = _spec(free, _mxy(ring))
+    nf = normal_form(functor, spec, box)
     assert nf.c == (1,)
     assert nf.provenance["c_verdict"] == "certified"
     assert [nf.member_value((n,)).length() for n in range(1, 7)] == [
         n * (n - 1) // 2 for n in range(1, 7)
     ]
     assert len(nf.validated) == 6
+    # the same functor goes into the spec and the grid as it is
+    assert spec.value(functor, (4,)).length() == 6
+    obs = grid_evaluate(functor, spec, box, ("lambda",))
+    assert {p: row["lambda"] for p, row in obs.items()} == {
+        (n,): n * (n - 1) // 2 for n in range(1, 7)
+    }
+
+
+def test_grid_evaluate_composite(ring):
+    # Hom(k, -) after R/(x) tensor -: the socle of R/(I^n + (x)) = k[y]/(y^n)
+    # has length 1 at every n
+    free = _free(ring)
+    inner = functor_from_tensor(FPModule.cyclic(ring, ("x",)))
+    outer = functor_from_hom(FPModule.cyclic(ring, ("x", "y")))
+    spec = _spec(free, _mxy(ring))
+    box = GridBox((1,), (5,), shell=1)
+    obs = grid_evaluate(Composite(outer, inner), spec, box, ("lambda",))
+    assert {p: row["lambda"] for p, row in obs.items()} == {(n,): 1 for n in range(1, 6)}
 
 
 def test_normal_form_member_below_d_rejected(ring):
@@ -282,7 +299,7 @@ def test_normal_form_member_below_d_rejected(ring):
     free = _free(ring)
     mod_x = FPModule.cyclic(ring, ("x",))
     nf = normal_form(
-        FunctorExpression.hom(mod_x), _spec(free, _mxy(ring)), GridBox((1,), (4,), shell=1)
+        functor_from_hom(mod_x), _spec(free, _mxy(ring)), GridBox((1,), (4,), shell=1)
     )
     with pytest.raises(ContractViolation):
         nf.member_value((0,))
@@ -293,7 +310,7 @@ def test_normal_form_two_ideal_family(ring):
     fam = IdealFamily([ideal(ring, [x]), ideal(ring, [y])])
     free = _free(ring)
     box = GridBox((1, 1), (3, 3), shell=1)
-    nf = normal_form(FunctorExpression.hom(free), _spec(free, fam), box)
+    nf = normal_form(functor_from_hom(free), _spec(free, fam), box)
     # members are R/(x^a y^b): compare Hilbert windows against direct quotients
     member = nf.member_value((2, 2))
     direct = FPModule.cyclic(ring, ("x^2*y^2",))
@@ -306,7 +323,7 @@ def test_component_track_rees_strands(ring):
     mg = FamilySpec.component(free, fam)
     box = GridBox((1,), (6,), shell=2)
     k_mod = FPModule.cyclic(ring, ("x", "y"))
-    expr = FunctorExpression.tensor(k_mod)
+    expr = functor_from_tensor(k_mod)
     rep = component_track(mg, expr, box, observables=("lambda",))
     fit = rep["fits"]["lambda"]
     assert fit.total_degree == 1
