@@ -66,6 +66,17 @@ def _prepare_out_dir(path, names):
             )
 
 
+def _emit(line):
+    """Print line to stdout. A reader that closes the pipe early (say,
+    `functorlab list-builtins | head -3`) is not an engine error: stdout then
+    points at os.devnull, so the rest of the command, and the interpreter's
+    flush at exit, write nowhere, and the command ends with its own code."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_run(args):
     cache.configure(directory=os.environ.get("FUNCTORLAB_CACHE_DIR"), enabled=not args.no_cache)
     target = args.scenario
@@ -76,22 +87,22 @@ def _cmd_run(args):
     code, report, meta = run_scenario_object(scn)
     written = write_artifacts(report, meta, args.out, scn.output_stem)
     for path in written:
-        print("wrote %s" % path)
+        _emit("wrote %s" % path)
     for entry in report["tasks"]:
         line = "%-16s %s" % (entry["task"], entry["status"])
         failures = entry.get("failures") or ([entry["error"]] if "error" in entry else [])
         if failures:
             line += "  (%s)" % failures[0]
-        print(line)
-    print("status: %s (exit %d)" % (report["status"], code))
+        _emit(line)
+    _emit("status: %s (exit %d)" % (report["status"], code))
     return code
 
 
 def _cmd_list_builtins():
-    print("functor builders:")
+    _emit("functor builders:")
     for name, keys in BUILDER_KEYS.items():
-        print("  %-8s %s" % (name, ", ".join(keys)))
-    print("observables:")
+        _emit("  %-8s %s" % (name, ", ".join(keys)))
+    _emit("observables:")
     notes = {
         "lambda": "exact length, inf allowed outside fit windows",
         "ass": "associated primes via the strategy ladder",
@@ -102,16 +113,16 @@ def _cmd_list_builtins():
         "id": "injective dimension (cap-aware)",
     }
     for name in OBSERVABLE_NAMES:
-        print("  %-8s %s" % (name, notes[name]))
-    print("tasks:")
+        _emit("  %-8s %s" % (name, notes[name]))
+    _emit("tasks:")
     for name, keys in TASK_KEYS.items():
-        print("  %-16s %s" % (name, ", ".join(keys) or "-"))
-    print("bundled scenarios:")
+        _emit("  %-16s %s" % (name, ", ".join(keys) or "-"))
+    _emit("bundled scenarios:")
     for name in bundled_scenarios():
-        print("  %s" % name)
-    print("defaults: characteristic 32003, order grevlex, shell 1,")
-    print("  degree cap max{dim F(M), spread - r} + 1")
-    print("cache: FUNCTORLAB_CACHE_DIR selects the directory; --no-cache disables")
+        _emit("  %s" % name)
+    _emit("defaults: characteristic 32003, order grevlex, shell 1,")
+    _emit("  degree cap max{dim F(M), spread - r} + 1")
+    _emit("cache: FUNCTORLAB_CACHE_DIR selects the directory; --no-cache disables")
     return 0
 
 
@@ -128,7 +139,7 @@ def main(argv=None):
             # imported here, so a run never loads the selftest or its corpus
             from .selftest import run_selftest
 
-            return run_selftest(inject_fault=args.inject_fault)
+            return run_selftest(inject_fault=args.inject_fault, emit=_emit)
         if args.command == "list-builtins":
             return _cmd_list_builtins()
     except ConfigurationError as exc:

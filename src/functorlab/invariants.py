@@ -5,12 +5,23 @@ candidates are the variable-subset primes that contain a minimal prime of
 ann(M) (one colon, then a monomial cover). The candidates minimal by
 inclusion are exactly the minimal primes of Supp M, which are always
 associated (Matsumura, Thm 6.5) and are accepted without a test; each
-embedded candidate p is accepted only when the exact criterion holds,
-namely (0 :_M p) != 0 and the annihilator of (0 :_M p) is p on the nose.
-On a fine module every input is spanned by terms, so that colon and each
-test's colon_module, intersect and colon are exponent arithmetic on
-minimal monomials, with no lift solver.
-Otherwise, over a polynomial base in n variables, Ass M is read off Ext: a
+embedded candidate p = P_sigma, generated by the variables x_i for i in
+sigma, is tested on the minimal monomials of the generators and relations
+alone. Ass commutes with localisation (Matsumura, Commutative Ring Theory,
+Thm 6.2) and with flat extension (Thm 23.2). Inverting the variables
+outside sigma sets them to 1, and what is left is a module over
+k[x_sigma] extended to the Laurent ring in the other variables, so p is
+associated exactly when that module over k[x_sigma] has nonzero
+m_sigma-torsion: U' cap (W' : m_sigma^inf) is not inside W' in some
+component, U' and W' the localised generator and relation ideals. The
+saturation is the intersection over i in sigma of W' with x_i also set to
+1. So the test takes no colon, no intersect and no lift solver; only the
+annihilator that lists the candidates is a colon, exponent arithmetic on
+minimal monomials. On any other input is_associated keeps the annihilator
+criterion: (0 :_M p) != 0 and the annihilator of (0 :_M p) is p on the
+nose.
+For a module not spanned by terms, over a polynomial base in n variables,
+associated_primes reads Ass M off Ext: a
 prime of height i is associated to M exactly when it is a minimal prime of
 ann Ext^i(M, R) (Eisenbud-Huneke-Vasconcelos, Thm 1.1, with codim
 Ext^i(M, R) >= i), so those primes are accepted as they are found. Most of
@@ -49,6 +60,7 @@ from itertools import combinations
 from .errors import CapExceeded, ContractViolation, StrategyExhausted
 from .fpmodule import FPModule, hom_ext_tor
 from .groebner import base_relation_vectors, spans_terms
+from .hilbert import minimal_monomials
 from .poly import Poly, Vec
 from .submodule import Submodule, is_unit_ideal, unit_ideal
 
@@ -153,14 +165,87 @@ def _ext_support_candidates(module):
     return sorted(subsets, key=lambda s: (len(s), sorted(s)))
 
 
-def is_associated(module, prime_ideal):
-    """Exact test: (0 :_M p) != 0 and ann of that submodule equals p."""
+def _variable_subset(prime_ideal):
+    """The indices of the variables generating prime_ideal, or None when it
+    has a generator that is not a variable."""
+    subset = set()
+    for g in prime_ideal.gens:
+        if len(g.terms) != 1:
+            return None
+        ((_c, mono),) = g.terms
+        if sum(mono) != 1:
+            return None
+        subset.add(mono.index(1))
+    return frozenset(subset)
+
+
+def _set_to_one(ring, monos, subset):
+    """Minimal monomials of the ideal (monos) with every variable in subset
+    set to 1."""
+    return minimal_monomials(
+        ring, [tuple(0 if i in subset else e for i, e in enumerate(m)) for m in monos]
+    )
+
+
+def _localised_torsion(module, subset):
+    """Whether P_subset is associated to a module spanned by terms.
+
+    Per component c, U' and W' are the monomial ideals of the generators and
+    the relations (base relations included) with every variable outside
+    subset set to 1, and P_subset is associated exactly when, for some c,
+    U' cap (W' : m^inf) is not inside W', m the ideal of the variables in
+    subset. (W' : m^inf) is the intersection over i in subset of W' with
+    x_i also set to 1, the unit ideal when subset is empty.
+    """
+    ring = module.ring
+    outside = frozenset(range(ring.nvars)) - subset
+    unit = ring.unit_mono()
+    lcm, divides = ring.mono_lcm, ring.mono_divides
+    for mine, theirs in zip(module.gens_sub().lead_monomials(),
+                            module.rels_sub().lead_monomials()):
+        gens = _set_to_one(ring, mine, outside)
+        rels = _set_to_one(ring, theirs, outside)
+        if not gens or unit in rels:
+            continue
+        saturated = [unit]
+        for i in subset:
+            part = _set_to_one(ring, rels, (i,))
+            if unit not in part:
+                saturated = minimal_monomials(ring, [lcm(a, b) for a in saturated for b in part])
+        for a in gens:
+            for b in saturated:
+                m = lcm(a, b)
+                if not any(divides(r, m) for r in rels):
+                    return True
+    return False
+
+
+def _annihilator_test(module, prime_ideal):
+    """(0 :_M p) != 0 and the annihilator of that submodule is p on the nose."""
     rels = module.rels_sub()
     polys = [g.component(0) for g in prime_ideal.gens]
     killed = rels.colon_module(polys).intersect(module.gens_sub())
     if rels.contains_submodule(killed):
         return False
     return rels.colon(list(killed.gens)).equals(prime_ideal)
+
+
+def is_associated(module, prime_ideal):
+    """Exact test of p in Ass M for a prime p.
+
+    When M is spanned by terms and p = P_sigma is generated by the variables
+    x_i, i in sigma, the test reads minimal monomials only
+    (_localised_torsion). Ass commutes with localisation at the monomials
+    in the other variables (Matsumura, Commutative Ring Theory, Thm 6.2),
+    which sets those variables to 1, and with the flat extension from
+    k[x_sigma] to the Laurent ring in them (Thm 23.2), so p is associated
+    exactly when the localised module has nonzero m_sigma-torsion. Every
+    other input takes the annihilator criterion (_annihilator_test).
+    """
+    subset = _variable_subset(prime_ideal)
+    if subset is not None and spans_terms(module.gens + module.rels, module.ring):
+        return _localised_torsion(module, subset)
+    return _annihilator_test(module, prime_ideal)
 
 
 def associated_primes(module):

@@ -427,7 +427,8 @@ def _build_tasks(block, ideals, submodules, expression, family_spec, box):
             _fail("tasks", "unknown observable %r in task %r" % (obs, name))
         if name == "artin_rees" and entry.get("sub") not in submodules:
             _fail("tasks", "artin_rees task needs a named submodule")
-        for key in ("degree_cap", "i_max", "window", "assert_degree", "assert_max_degree"):
+        for key in ("degree_cap", "i_max", "window", "assert_degree", "assert_max_degree",
+                    "assert_pd", "assert_id"):
             if key in entry and not (_is_int(entry[key]) and entry[key] >= 0):
                 _fail("tasks", "%r in task %r must be a nonnegative integer" % (key, name))
         for key in ("identity", "assert_stable", "oracle"):

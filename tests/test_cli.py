@@ -236,6 +236,8 @@ def _set(path, value):
     (_set(("tasks",), [{"task": "degree_bound", "assert_max_degree": "x"}]), "tasks block"),
     (_set(("tasks",), [{"task": "degree_bound", "assert_max_degree": 1.5}]), "tasks block"),
     (_set(("tasks",), [{"task": "degree_bound", "assert_max_degree": True}]), "tasks block"),
+    (_set(("tasks",), [{"task": "betti_bass", "assert_pd": "two", "assert_id": [1]}]),
+     "tasks block: 'assert_pd' in task 'betti_bass' must be a nonnegative integer"),
     (_set(("tasks",), [{"task": "fit"},
                        {"task": "stabilization", "observable": "grade", "ideal": "nope"}]),
      "tasks block: unknown ideal 'nope'"),
@@ -268,6 +270,7 @@ def _set(path, value):
         "observables_int", "observables_string", "expect_ass_int",
         "artin_rees_expect_int", "assert_onset_int", "assert_degree_string",
         "assert_max_degree_string", "assert_max_degree_float", "assert_max_degree_bool",
+        "assert_pd_string",
         "grade_observable_unknown_ideal", "grade_observables_missing_ideal",
         "needs_family", "needs_box", "needs_quotient_family", "artin_rees_needs_quotient",
         "needs_component_family", "needs_functor", "needs_single_functor"])
@@ -755,6 +758,42 @@ def test_module_entry_point_runs_uninstalled(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "status: PASS (exit 0)" in proc.stdout
     assert (out / "hilbert_samuel_xy.report.json").exists()
+
+
+def _closed_reader_run(argv, cwd, reads_a_line):
+    """Run the command line with a stdout reader that closes the pipe after
+    one line, or before any; (exit code, stderr)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    args = [sys.executable, "-m", "functorlab", *argv]
+    if reads_a_line:
+        proc = subprocess.Popen(args, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), err
+    # a reader that is gone before the first line: every write meets a
+    # closed pipe, whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(args, cwd=cwd, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv, reads_a_line, code", [
+    (["list-builtins"], True, 0),
+    (["list-builtins"], False, 0),
+    (["run", "degree_bound_fail", "--out", "out", "--no-cache"], False, 1),
+], ids=["list_builtins_one_line", "list_builtins_no_line", "run_keeps_its_exit_one"])
+def test_a_closed_stdout_pipe_is_not_an_engine_error(tmp_path, argv, reads_a_line, code):
+    got, err = _closed_reader_run(argv, str(tmp_path), reads_a_line)
+    assert (got, err) == (code, "")
 
 
 def test_importing_the_module_entry_point_runs_nothing():

@@ -5,8 +5,10 @@ example; grade values double-checked by exhibiting regular sequences by
 hand; Bass numbers of R/(x,y)^n against local duality (mu^2 != 0, mu^3 = 0).
 
 The reference tests at the end compare the support-filtered Ass route with
-the exact test run on every variable-subset prime, and the Bass numbers read
-off the minimal resolution with the lengths of Ext^i(k, M), on seeded random
+the annihilator criterion run on every variable-subset prime, the localised
+test that is_associated runs on fine modules with that criterion, and the
+Bass numbers read off the minimal resolution with the lengths of
+Ext^i(k, M), on seeded random
 fine and binomial modules over GF(32003), Q, weights (1,2,1) and the
 quotient bases k[x,y,z]/(xy) and k[x,y,z]/(x^2). The Ext ladder, which
 builds only the stages that can hold an associated prime, is also compared
@@ -21,7 +23,7 @@ import pytest
 from functorlab import fpmodule, invariants
 from functorlab.errors import ContractViolation, StrategyExhausted
 from functorlab.fpmodule import FPModule, hom_ext_tor
-from functorlab.groebner import spans_terms
+from functorlab.groebner import LiftSolver, spans_terms
 from functorlab.invariants import (
     _subset_ideal,
     _variable_subset_candidates,
@@ -40,7 +42,7 @@ from functorlab.invariants import (
 from functorlab.multigraded import graded_component, rees_module
 from functorlab.poly import parse_poly, parse_vec, quotient_ring
 from functorlab.rings import PolyRing
-from functorlab.submodule import IdealFamily, ideal
+from functorlab.submodule import IdealFamily, Submodule, ideal, unit_ideal
 
 
 R = PolyRing(("x", "y"))
@@ -163,11 +165,13 @@ def test_cohen_macaulay_depth_equals_dim():
 
 
 def all_subsets_ass(module):
-    """Ass by the exact test on every variable-subset prime, none accepted
-    untested: complete whenever Ass consists of such primes."""
+    """Ass by the annihilator criterion on every variable-subset prime, none
+    accepted untested: complete whenever Ass consists of such primes, and
+    independent of the localised test that is_associated runs on modules
+    spanned by terms."""
     ring = module.ring
     primes = [_subset_ideal(ring, s) for s in _variable_subset_candidates(ring)]
-    return [p for p in primes if is_associated(module, p)]
+    return [p for p in primes if invariants._annihilator_test(module, p)]
 
 
 def reference_ext_support(module):
@@ -273,6 +277,24 @@ def test_support_route_matches_all_subsets_on_fine_modules(ring_name):
     for _ in range(10):
         m = random_fine_module(rng, ring)
         assert _ass_names(associated_primes(m)) == _ass_names(all_subsets_ass(m)), m
+
+
+@pytest.mark.parametrize("ring_name", sorted(REFERENCE_RINGS))
+def test_localised_test_matches_annihilator_criterion_on_fine_modules(ring_name):
+    ring = REFERENCE_RINGS[ring_name]
+    rng = random.Random("localised-" + ring_name)
+    primes = [_subset_ideal(ring, s) for s in _variable_subset_candidates(ring)]
+    ranks, non_unit, verdicts = set(), 0, set()
+    for _ in range(40):
+        m = random_fine_module(rng, ring)
+        assert spans_terms(m.gens + m.rels, ring)
+        ranks.add(m.rank)
+        non_unit += any(any(mono) for g in m.gens for _c, mono in g.terms)
+        for p in primes:
+            got = is_associated(m, p)
+            assert got == invariants._annihilator_test(m, p), (m, names(p))
+            verdicts.add(got)
+    assert ranks == {1, 2} and non_unit >= 20 and verdicts == {True, False}, (ranks, non_unit)
 
 
 @pytest.mark.parametrize("ring_name", sorted(REFERENCE_RINGS))
@@ -395,6 +417,21 @@ def test_only_embedded_candidates_are_tested(monkeypatch):
     calls = _count_calls(monkeypatch, invariants, "is_associated")
     assert _ass_names(associated_primes(m)) == [("x",), ("x", "y")]
     assert len(calls) == 1  # (x) is minimal over ann(M); only (x, y) is tested
+
+
+def test_fine_ass_takes_no_colon_module_intersect_or_lift_solver(monkeypatch):
+    # R/(x^2, y^2, x*y*z)^3 over k[x,y,z], a member of the xyz-tensor family:
+    # its one embedded candidate (x, y, z) is decided from minimal monomials
+    ring = REFERENCE_RINGS["gf"]
+    cube = IdealFamily([ideal(ring, ["x^2", "y^2", "x*y*z"])]).power_product((3,))
+    m = FPModule.of(unit_ideal(ring), cube)
+    colons = _count_calls(monkeypatch, Submodule, "colon_module")
+    meets = _count_calls(monkeypatch, Submodule, "intersect")
+    builds = _count_calls(monkeypatch, LiftSolver, "__init__")
+    tests = _count_calls(monkeypatch, invariants, "is_associated")
+    assert _ass_names(associated_primes(m)) == [("x", "y"), ("x", "y", "z")]
+    assert len(tests) == 1
+    assert colons == [] and meets == [] and builds == []
 
 
 def test_fine_module_with_non_monomial_annihilator_is_refused(monkeypatch):

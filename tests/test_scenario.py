@@ -117,9 +117,15 @@ def test_grade_observable_with_known_ideal_parses():
     {"task": "degree_bound", "assert_max_degree": 1.5},
     {"task": "degree_bound", "assert_max_degree": True},
     {"task": "degree_bound", "assert_max_degree": -1},
+    {"task": "betti_bass", "assert_pd": "two", "assert_id": [1]},
+    {"task": "betti_bass", "assert_pd": -1},
+    {"task": "betti_bass", "assert_pd": 2.0},
+    {"task": "betti_bass", "assert_id": True},
+    {"task": "betti_bass", "assert_id": [1]},
 ], ids=["degree_string", "degree_negative", "degree_bool", "onset_int", "onset_arity",
         "onset_string", "expect_int", "expect_negative", "expect_arity", "expect_float",
-        "max_degree_string", "max_degree_float", "max_degree_bool", "max_degree_negative"])
+        "max_degree_string", "max_degree_float", "max_degree_bool", "max_degree_negative",
+        "pd_string_id_list", "pd_negative", "pd_float", "id_bool", "id_list"])
 def test_fit_asserts_and_artin_rees_expect_are_checked_at_parse_time(task):
     modules = {"M": {"type": "free", "twists": [0]},
                "N": {"type": "submodule", "of": "M", "vectors": [["x"]]}}
@@ -134,11 +140,12 @@ def test_well_formed_fit_asserts_and_expect_parse():
         {"task": "fit", "assert_degree": 0, "assert_onset": [-2]},
         {"task": "artin_rees", "sub": "N", "expect": [0]},
         {"task": "degree_bound", "assert_max_degree": 0},
+        {"task": "betti_bass", "assert_pd": 2, "assert_id": 0},
     ]
     # degree_bound reads a single functor
     functor = {"builder": "hom", "module": "M"}
     scn = build_scenario(_minimal(modules=modules, functor=functor, tasks=tasks))
-    assert [t["task"] for t in scn.tasks] == ["fit", "artin_rees", "degree_bound"]
+    assert [t["task"] for t in scn.tasks] == ["fit", "artin_rees", "degree_bound", "betti_bass"]
 
 
 def test_ext_builder_requires_index():
