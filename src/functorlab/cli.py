@@ -98,10 +98,15 @@ def _cmd_run(args):
     return code
 
 
+def _keys_line(keys):
+    """The keys of one builder or task, each with its kind."""
+    return ", ".join("%s (%s)" % (key, kind.name) for key, kind in keys.items()) or "-"
+
+
 def _cmd_list_builtins():
     _emit("functor builders:")
     for name, keys in BUILDER_KEYS.items():
-        _emit("  %-8s %s" % (name, ", ".join(keys)))
+        _emit("  %-8s %s" % (name, _keys_line(keys)))
     _emit("observables:")
     notes = {
         "lambda": "exact length, inf allowed outside fit windows",
@@ -116,7 +121,7 @@ def _cmd_list_builtins():
         _emit("  %-8s %s" % (name, notes[name]))
     _emit("tasks:")
     for name, keys in TASK_KEYS.items():
-        _emit("  %-16s %s" % (name, ", ".join(keys) or "-"))
+        _emit("  %-16s %s" % (name, _keys_line(keys)))
     _emit("bundled scenarios:")
     for name in bundled_scenarios():
         _emit("  %s" % name)

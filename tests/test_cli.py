@@ -257,6 +257,20 @@ def _set(path, value):
      "tasks block: normal_form task needs a functor block"),
     (_needs({"task": "degree_bound"}, functor=_COMPOSE),
      "tasks block: degree_bound task needs a single functor, not a composition"),
+    (_set(("ring", "weigths"), [1, 2]), "ring block: ring does not read 'weigths'"),
+    (_set(("box", "shel"), 2), "box block: box does not read 'shel'"),
+    (_set(("family", "sub_module"), "N"), "family block: family does not read 'sub_module'"),
+    (_set(("modules", "M", "twist"), [1]), "modules block: module 'M' does not read 'twist'"),
+    (_set(("tasks",), [{"task": "fit", "assert_values": {"1": True}}]),
+     "tasks block: 'assert_values' in task 'fit' must be"),
+    (_set(("tasks",), [{"task": "stabilization", "observable": None}]),
+     "tasks block: 'observable' in task 'stabilization' must be one of"),
+    (_set(("family", "ideals"), []), "family block: ideals must be a nonempty list"),
+    (_set(("ring", "base_relations"), "xy"), "ring block: base_relations must be"),
+    (_set(("ring", "base_relations"), [1]), "ring block: base_relations must be"),
+    (_set(("output",), {"stem": "../escaped"}), "output block: stem must be"),
+    (_set(("output",), {"stem": 5}), "output block: stem must be"),
+    (_set(("label",), 5), "scenario block: label must be a string"),
 ], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
         "inhomogeneous_ideal", "inhomogeneous_module", "inhomogeneous_submodule",
         "submodule_vectors_int",
@@ -273,7 +287,11 @@ def _set(path, value):
         "assert_pd_string",
         "grade_observable_unknown_ideal", "grade_observables_missing_ideal",
         "needs_family", "needs_box", "needs_quotient_family", "artin_rees_needs_quotient",
-        "needs_component_family", "needs_functor", "needs_single_functor"])
+        "needs_component_family", "needs_functor", "needs_single_functor",
+        "ring_key_typo", "box_key_typo", "family_key_typo", "module_key_typo",
+        "assert_values_bool", "observable_null", "family_ideals_empty",
+        "base_relations_string", "base_relations_int", "stem_escapes", "stem_int",
+        "label_int"])
 def test_malformed_scenario_values_exit_two(tmp_path, capsys, monkeypatch, mutate, block):
     doc = _artin_rees_doc()
     mutate(doc)
@@ -289,6 +307,27 @@ def test_malformed_scenario_values_exit_two(tmp_path, capsys, monkeypatch, mutat
     assert code == 2
     assert block in capsys.readouterr().err
     assert ran == []
+
+
+@pytest.mark.parametrize("output, label", [
+    ({"stem": "../escaped"}, "artin rees"),
+    ({"stem": "a/b"}, "artin rees"),
+    ({"stem": ".."}, "artin rees"),
+    ({"stem": ""}, "artin rees"),
+    ({}, "../escaped"),
+], ids=["parent", "subdirectory", "dot_dot", "empty", "label"])
+def test_a_stem_that_is_not_a_file_name_exits_two_and_writes_nothing(
+        tmp_path, capsys, output, label):
+    # the artifacts are named stem + suffix inside --out, so a stem with a
+    # path separator, or none at all, would write somewhere else
+    doc = dict(_artin_rees_doc(), output=output, label=label)
+    (tmp_path / "run").mkdir()
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps(doc))
+    code = main(["run", str(path), "--out", str(tmp_path / "run" / "out"), "--no-cache"])
+    assert code == 2
+    assert "output block: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.scn", "run"]
 
 
 @pytest.mark.parametrize("gens", [
@@ -905,13 +944,20 @@ def test_list_builtins(capsys):
     text = capsys.readouterr().out
     for word in ("hom", "tensor", "lambda", "normal_form", "hilbert_samuel_xy.scn"):
         assert word in text
-    # each builder and task line lists the keys the loader accepts for it
+    # each builder and task line lists the keys the loader accepts for it,
+    # each with its kind, as the loader's key table has them
+    def expected(table):
+        return {name: ", ".join("%s (%s)" % (key, kind.name) for key, kind in keys.items())
+                or "-" for name, keys in table.items()}
+
     builders = text.split("functor builders:\n")[1].split("observables:")[0]
     listed = {line.split()[0]: line.split(None, 1)[1] for line in builders.splitlines()}
-    assert listed == {name: ", ".join(keys) for name, keys in BUILDER_KEYS.items()}
+    assert listed == expected(BUILDER_KEYS)
+    assert listed["ext"] == "module (module name), i (nonnegative int)"
     tasks = text.split("tasks:\n")[1].split("bundled scenarios:")[0]
     listed = {line.split()[0]: line.split(None, 1)[1] for line in tasks.splitlines()}
-    assert listed == {name: ", ".join(keys) or "-" for name, keys in TASK_KEYS.items()}
+    assert listed == expected(TASK_KEYS)
+    assert listed["normal_form"] == "-"
     assert "mode" not in text
 
 
