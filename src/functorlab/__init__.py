@@ -5,7 +5,7 @@ hilbert, fpmodule, invariants, multigraded, functors) does exact computation
 over GF(p) or Q: Groebner bases of submodules, finitely presented graded
 modules and their maps, Hom/Tensor/Ext/Tor, Hilbert series, associated
 primes, grade, Rees algebras, and certified Artin-Rees exponents. The lab
-(fitting, stability, scenario, reports, cli) drives families of such
+(fitting, stability, scenario, runner, reports, cli) drives families of such
 computations along grids of exponents, detects when the answers stabilize
 into polynomial or eventually-constant behaviour, and certifies the observed
 onset against the a-priori bounds the kernel can prove.
@@ -14,7 +14,9 @@ Submodule and FPModule carry the kernel operations as methods:
 Submodule.canonical() (the reduced Groebner basis as generators),
 .normal_form(v) (the Groebner remainder), .syzygies(), and
 FPModule.hilbert_function(degrees). stability.normal_form is the eventual
-shape of a functor applied to a family.
+shape of a functor applied to a family. The scenario tasks (fit,
+stabilization, grade, betti_bass, component_track, ...) live in runner and
+run through build_scenario and runner.run_scenario_object.
 """
 
 __version__ = "0.1.0"
@@ -60,11 +62,8 @@ from .rings import GREVLEX, PolyRing, TermOrder
 from .scenario import build_scenario, bundled_scenario_path, bundled_scenarios, load_scenario
 from .stability import (
     FamilySpec,
-    betti_bass_asymptotics,
-    component_track,
     degree_bound_check,
     detect_stabilization,
-    grade_asymptotics,
     grid_evaluate,
 )
 from .submodule import IdealFamily, Submodule, ideal, unit_ideal, zero_submodule
@@ -93,13 +92,11 @@ __all__ = [
     "artin_rees_exponent",
     "associated_primes",
     "bass_number",
-    "betti_bass_asymptotics",
     "betti_number",
     "block_module",
     "build_scenario",
     "bundled_scenario_path",
     "bundled_scenarios",
-    "component_track",
     "degree_bound_check",
     "depth",
     "detect_stabilization",
@@ -112,7 +109,6 @@ __all__ = [
     "functor_from_tor",
     "free_resolution",
     "grade",
-    "grade_asymptotics",
     "graded_component",
     "grid_evaluate",
     "hom_ext_tor",

@@ -57,9 +57,9 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .errors import CapExceeded, ContractViolation, StrategyExhausted
+from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fpmodule import FPModule, hom_ext_tor
-from .groebner import base_relation_vectors, spans_terms
+from .groebner import spans_terms
 from .hilbert import minimal_monomials
 from .poly import Poly, Vec
 from .submodule import Submodule, is_unit_ideal, unit_ideal
@@ -91,14 +91,10 @@ def _subset_ideal(ring, subset):
 
 
 def _subset_is_prime(ring, subset):
-    # needs every base relation to be a monomial inside the subset ideal
-    for rel in base_relation_vectors(ring, 1):
-        if len(rel.terms) != 1:
-            return False
-        (_c, mono), _coeff = next(iter(rel.terms.items()))
-        if not any(mono[i] for i in subset):
-            return False
-    return True
+    """Whether P_subset, the ideal of the variables in subset, is prime in
+    R = P/I0: it is when I0 lies in P_subset, that is when every term of
+    every base relation has a positive exponent on a variable in subset."""
+    return all(any(mono[i] for i in subset) for rel in ring.relations for mono in rel.terms)
 
 
 def _variable_subset_candidates(ring):
@@ -240,9 +236,16 @@ def is_associated(module, prime_ideal):
     which sets those variables to 1, and with the flat extension from
     k[x_sigma] to the Laurent ring in them (Thm 23.2), so p is associated
     exactly when the localised module has nonzero m_sigma-torsion. Every
-    other input takes the annihilator criterion (_annihilator_test).
+    other input takes the annihilator criterion (_annihilator_test). A
+    P_sigma that the base relations do not lie in is refused: it need not
+    be prime in R.
     """
     subset = _variable_subset(prime_ideal)
+    if subset is not None and not _subset_is_prime(module.ring, subset):
+        raise ConfigurationError(
+            "the variable ideal (%s) is not prime in the base ring: a base relation "
+            "has a term outside it" % ", ".join(module.ring.names[i] for i in sorted(subset))
+        )
     if subset is not None and spans_terms(module.gens + module.rels, module.ring):
         return _localised_torsion(module, subset)
     return _annihilator_test(module, prime_ideal)

@@ -19,18 +19,27 @@ from operator import le as _le, mul as _mul, sub as _sub
 from .errors import ConfigurationError
 
 DEFAULT_CHARACTERISTIC = 32003
+# the first twelve primes; as Miller-Rabin bases they decide primality
+# exactly below 3.18 * 10^23, so for every characteristic below CHAR_LIMIT
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+CHAR_LIMIT = 2 ** 64
 
 
 def _is_prime(n):
+    """Deterministic Miller-Rabin test, exact for n < CHAR_LIMIT."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        # n is a strong probable prime to base a: a^d = 1 or a^(d 2^j) = -1
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** j, n) != n - 1 for j in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -56,6 +65,8 @@ class PolyRing:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ConfigurationError("variable names must be distinct: %r" % (names,))
+        if char >= CHAR_LIMIT:
+            raise ConfigurationError("characteristic must be below 2^64, got %r" % char)
         if char != 0 and not _is_prime(char):
             raise ConfigurationError("characteristic must be 0 or prime, got %r" % char)
         if weights is None:

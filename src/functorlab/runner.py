@@ -1,6 +1,10 @@
 """Scenario execution: tasks in, deterministic report out.
 
-Each task appends one result entry. Hard assertions (normal-form
+This module is the one home of the scenario tasks: each run_* function
+computes its task from the stability engine (grid_evaluate,
+detect_stabilization, degree_bound_check, normal_form), shapes the result
+the report holds and judges it, and _default_cap decides every default
+degree cap. Each task appends one result entry. Hard assertions (normal-form
 validation, fit validation, the degree-bound law, Artin-Rees window
 equality, explicit scenario asserts) set FAIL; unexpected engine errors
 set ERROR with the operation named. Timings never enter the report body;
@@ -13,20 +17,12 @@ from fractions import Fraction
 from .cache import active_cache
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
 from .fitting import fit_polynomial
+from .fpmodule import FPModule
 from .functors import CoherentFunctor
+from .invariants import depth
 from .multigraded import artin_rees_exponent, artin_rees_window
 from .oracles import grade_by_regular_sequence
-from .stability import (
-    _component_cap,
-    _held,
-    betti_bass_asymptotics,
-    component_track,
-    degree_bound_check,
-    detect_stabilization,
-    grade_asymptotics,
-    grid_evaluate,
-    normal_form,
-)
+from .stability import degree_bound_check, detect_stabilization, grid_evaluate, normal_form
 
 
 ENGINE_VERSION = "0.1.0"
@@ -68,23 +64,47 @@ def _task_expr(scn, task):
     return scn.expression
 
 
-def _default_cap(scn):
-    spec = scn.family_spec
-    if spec.kind == "quotient" and isinstance(scn.expression, CoherentFunctor):
-        # one above the degree bound; a bound of -inf caps at 1
+def _column(obs, name):
+    return {p: row[name] for p, row in obs.items()}
+
+
+def _default_cap(scn, task):
+    """The held default degree cap of a task that fits. Over a quotient
+    family: one above the degree bound of the functor (a bound of -inf caps
+    at 1), max(0, spread - r) + max(dim M, 0) + 1 for a composite, and
+    max(0, spread - r) + 1 for betti_bass. Over a component family: 3 for
+    betti_bass, else the room the box leaves, at most the number of
+    variables of the Rees presentation R[y]/Q (the ring's, and one y per
+    minimal generator of each ideal). Refused when the box leaves fewer
+    than cap + 1 points per axis below the shell; a cap a task gives is
+    checked when the scenario loads."""
+    spec, box = scn.family_spec, scn.box
+    betti_bass = task["task"] == "betti_bass"
+    if spec.kind == "component" and betti_bass:
+        cap = 3
+    elif spec.kind == "component":
+        y_count = sum(len(I.minimal_generators().gens) for I in spec.family.ideals)
+        cap = max(0, min(spec.family.ring.nvars + y_count, box.fit_points() - 1))
+    elif betti_bass:
+        cap = max(0, spec.spread() - spec.r) + 1
+    elif isinstance(scn.expression, CoherentFunctor):
         bound = spec.degree_law(scn.expression)["bound"]
-        return (0 if bound == -INF else int(bound)) + 1
-    if spec.kind == "quotient":
-        return max(0, spec.spread() - spec.r) + max(spec.module.dim(), 0) + 1
-    return _component_cap(spec.family, scn.box)
+        cap = (0 if bound == -INF else int(bound)) + 1
+    else:
+        cap = max(0, spec.spread() - spec.r) + max(spec.module.dim(), 0) + 1
+    if cap >= box.fit_points():
+        raise ContractViolation(
+            "box too small: default degree cap %d needs %d points per axis below the shell"
+            % (cap, cap + 1)
+        )
+    return cap
 
 
 def _lambda_fit(scn, task, expr):
     """(table, cap, fit): the lambda table of expr, the task's degree cap
     (its degree_cap, else the held default) and the fit under that cap."""
-    obs = grid_evaluate(expr, scn.family_spec, scn.box, ("lambda",))
-    table = {p: row["lambda"] for p, row in obs.items()}
-    cap = task["degree_cap"] if "degree_cap" in task else _held(scn.box, _default_cap(scn))
+    table = _column(grid_evaluate(expr, scn.family_spec, scn.box, ("lambda",)), "lambda")
+    cap = task["degree_cap"] if "degree_cap" in task else _default_cap(scn, task)
     return table, cap, fit_polynomial(table, scn.box, cap)
 
 
@@ -143,15 +163,16 @@ def run_normal_form(scn, task):
     return result, []
 
 
-def run_stabilization(scn, task):
-    spec, box = scn.family_spec, scn.box
-    name = task.get("observable", "ass")
-    expr = _task_expr(scn, task)
+def _stabilize(scn, task, name, what):
+    """(table, verdict, failures) of observable name over the box: the path
+    a stabilization task and a grade task share. what names the value in
+    the expect_value failure."""
     grade_ideal = scn.ideals.get(task["ideal"]) if "ideal" in task else None
-    obs = grid_evaluate(expr, spec, box, (name,), grade_ideal=grade_ideal)
-    table = {p: row[name] for p, row in obs.items()}
-    verdict = detect_stabilization(table, box)
-    result = {"observable": name, "table": table, "verdict": verdict}
+    obs = grid_evaluate(
+        _task_expr(scn, task), scn.family_spec, scn.box, (name,), grade_ideal=grade_ideal,
+    )
+    table = _column(obs, name)
+    verdict = detect_stabilization(table, scn.box)
     failures = []
     if task.get("assert_stable") and "refused" in verdict:
         failures.append(
@@ -164,9 +185,15 @@ def run_stabilization(scn, task):
         expected = _expected_value(task)
         if verdict["value"] != expected:
             failures.append(
-                "stable value %r != expected %r" % (verdict["value"], expected)
+                "stable %s %r != expected %r" % (what, verdict["value"], expected)
             )
-    return result, failures
+    return table, verdict, failures
+
+
+def run_stabilization(scn, task):
+    name = task.get("observable", "ass")
+    table, verdict, failures = _stabilize(scn, task, name, "value")
+    return {"observable": name, "table": table, "verdict": verdict}, failures
 
 
 def run_degree_bound(scn, task):
@@ -192,26 +219,18 @@ def run_degree_bound(scn, task):
 
 
 def run_grade(scn, task):
-    spec = scn.family_spec
-    grade_ideal = scn.ideals[task["ideal"]]
-    expr = _task_expr(scn, task)
-    rep = grade_asymptotics(grade_ideal, expr, spec, scn.box)
-    result = {"table": rep["table"], "verdict": rep["verdict"], "ideal": task["ideal"]}
-    failures = []
-    if "expect_value" in task:
-        expected = _expected_value(task)
-        if rep["verdict"]["value"] != expected:
-            failures.append(
-                "stable grade %r != expected %r" % (rep["verdict"]["value"], expected)
-            )
+    """A stabilization on grade, plus the regular-sequence oracle pointwise
+    when the task asks for it."""
+    table, verdict, failures = _stabilize(scn, task, "grade", "grade")
+    result = {"table": table, "verdict": verdict, "ideal": task["ideal"]}
     if task.get("oracle"):
-        polys = [v.components(1)[0] for v in grade_ideal.gens]
-        for p in sorted(rep["table"]):
-            brute = grade_by_regular_sequence(polys, spec.value(expr, p))
-            if brute != rep["table"][p]:
+        polys = [v.components(1)[0] for v in scn.ideals[task["ideal"]].gens]
+        expr = _task_expr(scn, task)
+        for p in sorted(table):
+            brute = grade_by_regular_sequence(polys, scn.family_spec.value(expr, p))
+            if brute != table[p]:
                 failures.append(
-                    "grade oracle disagrees at %s: %s vs %s"
-                    % (_point_key(p), brute, rep["table"][p])
+                    "grade oracle disagrees at %s: %s vs %s" % (_point_key(p), brute, table[p])
                 )
                 break
         result["oracle"] = "checked"
@@ -219,57 +238,77 @@ def run_grade(scn, task):
 
 
 def run_betti_bass(scn, task):
+    """Polynomial fits of each beta_i and mu^i, checked against
+    max(0, spread - r) over a quotient family, and the pd and id shell
+    verdicts; a scan past its cap reads as infinite when beta or mu at
+    depth(R) + 1 is nonzero on the whole shell."""
+    spec, box = scn.family_spec, scn.box
     i_max = task.get("i_max", 3)
-    rep = betti_bass_asymptotics(_task_expr(scn, task), scn.family_spec, scn.box, i_max)
-    result = {
-        "fits": {k: _fit_payload(f) for k, f in rep["fits"].items()},
-        "bounds": rep["bounds"],
-        "verdicts": rep["verdicts"],
-    }
-    failures = []
-    for name, check in rep["bounds"].items():
-        if check["verdict"] != "PASS":
-            failures.append("%s breaks the degree bound" % name)
-    for key in ("pd", "id"):
+    obs = grid_evaluate(
+        _task_expr(scn, task), spec, box, ("betti", "bass", "pd", "id"), i_max=i_max,
+    )
+    bound = max(0, spec.spread() - spec.r) if spec.kind == "quotient" else None
+    cap = _default_cap(scn, task)
+    fits, bounds, failures = {}, {}, []
+    for kind in ("betti", "bass"):
+        for i in range(i_max + 1):
+            name = "%s_%d" % (kind, i)
+            fit = fit_polynomial(_column(obs, name), box, cap)
+            fits[name] = _fit_payload(fit)
+            if bound is not None and fit is not None:
+                holds = fit.total_degree <= bound
+                bounds[name] = {
+                    "degree": fit.total_degree,
+                    "bound": bound,
+                    "verdict": "PASS" if holds else "FAIL",
+                }
+                if not holds:
+                    failures.append("%s breaks the degree bound" % name)
+    verdicts = {}
+    for key, profile in (("pd", "betti"), ("id", "bass")):
+        verdict = verdicts[key] = detect_stabilization(_column(obs, key), box)
+        if verdict["value"] == "cap exceeded":
+            d = depth(FPModule.free(spec.module.ring, (0,)))
+            if d + 1 <= i_max and all(
+                obs[p].get("%s_%d" % (profile, d + 1), 0) != 0 for p in box.shell_points()
+            ):
+                verdict["value"] = "infinite (evidence: %s_%d != 0 on shell)" % (profile, d + 1)
         want = task.get("assert_%s" % key)
-        if want is not None and rep["verdicts"][key]["value"] != want:
-            failures.append(
-                "%s stable value %r != expected %r"
-                % (key, rep["verdicts"][key]["value"], want)
-            )
-    return result, failures
+        if want is not None and verdict["value"] != want:
+            failures.append("%s stable value %r != expected %r" % (key, verdict["value"], want))
+    return {"fits": fits, "bounds": bounds, "verdicts": verdicts}, failures
 
 
 def run_component_track(scn, task):
+    """The strands I^n M: every observable over the box, the shell verdicts
+    of ass, grade, pd and id, and a lambda fit under the held default cap.
+    A fit the box or an infinite length refuses is noted, and fails."""
+    spec, box = scn.family_spec, scn.box
     observables = tuple(task.get("observables", ("lambda",)))
     grade_ideal = scn.ideals.get(task["ideal"]) if "ideal" in task else None
-    rep = component_track(
-        scn.family_spec, _task_expr(scn, task), scn.box, observables=observables,
-        grade_ideal=grade_ideal,
-    )
-    fit = rep["fits"].get("lambda")
-    result = {
-        "observations": rep["observations"],
-        "verdicts": rep["verdicts"],
-        "fits": {
-            k: (_fit_payload(f) if not isinstance(f, dict) else f)
-            for k, f in rep["fits"].items()
-        },
-        "notes": rep["notes"],
+    obs = grid_evaluate(_task_expr(scn, task), spec, box, observables, grade_ideal=grade_ideal)
+    verdicts = {
+        name: detect_stabilization(_column(obs, name), box)
+        for name in observables if name in ("ass", "grade", "pd", "id")
     }
-    if "lambda" in observables:
-        result["lambda_table"] = {
-            p: row["lambda"] for p, row in rep["observations"].items()
-        }
+    result = {"observations": obs, "verdicts": verdicts, "fits": {}, "notes": []}
     failures = []
     if "lambda" in observables:
-        if fit is None or isinstance(fit, dict):
+        table = result["lambda_table"] = _column(obs, "lambda")
+        fit = None
+        try:
+            fit = fit_polynomial(table, box, _default_cap(scn, task))
+            result["fits"]["lambda"] = _fit_payload(fit)
+        except ContractViolation as exc:
+            result["fits"]["lambda"] = {"error": str(exc)}
+            result["notes"].append("lambda fit refused: %s" % exc)
+        if fit is None:
             failures.append("lambda fit did not validate on the strand family")
         else:
             failures.extend(_check_fit_asserts(task, fit))
     expect_ass = task.get("expect_ass")
     if expect_ass is not None:
-        got = rep["verdicts"].get("ass", {}).get("value")
+        got = verdicts.get("ass", {}).get("value")
         want = [tuple(entry) for entry in expect_ass]
         if got != want:
             failures.append("stable Ass %r != expected %r" % (got, want))

@@ -32,6 +32,9 @@ from .submodule import IdealFamily, Submodule, ideal
 
 
 FORMAT_TAG = "scn/1"
+# levels of objects and lists a document may nest; a deeper one is refused
+# before anything recurses on it, at whatever stack depth the caller runs
+MAX_NESTING = 100
 
 
 class Kind:
@@ -222,6 +225,8 @@ def load_scenario_text(text, char_override=None):
         raise ConfigurationError(
             "parse error at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
         )
+    except RecursionError:
+        raise ConfigurationError("parse error: the document nests too deeply to decode")
     return build_scenario(data, char_override=char_override)
 
 
@@ -304,9 +309,26 @@ def _check_keys(data):
         _walk_chosen("tasks", entry, declared, "entry %d" % i)
 
 
+def _nests_too_deep(data):
+    pending = [(data, 1)]
+    while pending:
+        node, level = pending.pop()
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            if level > MAX_NESTING:
+                return True
+            pending.extend((child, level + 1) for child in node)
+    return False
+
+
 def build_scenario(data, char_override=None):
     if not isinstance(data, dict):
         raise ConfigurationError("scenario must be a JSON object")
+    if _nests_too_deep(data):
+        raise ConfigurationError(
+            "scenario nests deeper than %d levels of objects and lists" % MAX_NESTING
+        )
     if data.get("format") != FORMAT_TAG:
         raise ConfigurationError("scenario format must be %r" % FORMAT_TAG)
     unknown = [k for k in data if k not in KEYS["scenario"]]

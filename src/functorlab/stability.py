@@ -1,17 +1,18 @@
-"""The asymptotic-stability laboratory.
+"""The asymptotic-stability engine the scenario tasks share.
 
 Families are either quotient families M/I^n N or the strands I^n M of a
-Rees module. The lab evaluates functor expressions over integer boxes,
-detects stabilization of Ass/grade/pd/id on the held-out shell, fits
-length tables exactly, checks the degree bounds, and builds the
-(T, U, V, W, c, d) normal form whose members must reproduce F(M/I^n N)
-degreewise. A normal form that fails validation raises immediately naming
+Rees module. The engine evaluates functor expressions over integer boxes
+(grid_evaluate), detects stabilization of Ass/grade/pd/id on the held-out
+shell (detect_stabilization), checks the paper's degree bound on a fitted
+length polynomial (degree_bound_check), and builds the (T, U, V, W, c, d)
+normal form whose members must reproduce F(M/I^n N) degreewise. The tasks
+themselves, with their fits, default degree caps and verdicts, live in
+runner. A normal form that fails validation raises immediately naming
 the offending point; nothing is ever refitted or patched to make a family
 look stable.
 """
 
 from .errors import CapExceeded, ConfigurationError, ContractViolation, StrategyExhausted
-from .fitting import fit_polynomial
 from .fpmodule import FPModule, block_kernel, block_module, push_through
 from .functors import evaluate
 from .invariants import (
@@ -20,7 +21,6 @@ from .invariants import (
     associated_primes,
     bass_profile,
     betti_number,
-    depth,
     injective_dimension,
     projective_dimension,
     scan_cap,
@@ -241,93 +241,6 @@ def degree_bound_check(law, fitted):
         equality_required=equality_required,
         verdict="PASS" if holds else "FAIL",
     )
-
-
-def grade_asymptotics(grade_ideal, expr, spec, box):
-    """Per-point grade through the functor plus the shell verdict."""
-    obs = grid_evaluate(expr, spec, box, ("grade",), grade_ideal=grade_ideal)
-    table = {p: row["grade"] for p, row in obs.items()}
-    return {"table": table, "verdict": detect_stabilization(table, box)}
-
-
-def betti_bass_asymptotics(expr, spec, box, i_max):
-    """Polynomial fits for each beta_i, mu^i plus pd/id shell verdicts."""
-    obs = grid_evaluate(expr, spec, box, ("betti", "bass", "pd", "id"), i_max=i_max)
-    if spec.kind == "quotient":
-        bound = max(0, spec.spread() - spec.r)
-    else:
-        bound = None
-    cap = _held(box, (bound if bound is not None else 2) + 1)
-    fits = {}
-    bounds = {}
-    for kind in ("betti", "bass"):
-        for i in range(i_max + 1):
-            name = "%s_%d" % (kind, i)
-            table = {p: row[name] for p, row in obs.items()}
-            fit = fit_polynomial(table, box, cap)
-            fits[name] = fit
-            if bound is not None and fit is not None:
-                bounds[name] = {
-                    "degree": fit.total_degree,
-                    "bound": bound,
-                    "verdict": "PASS" if fit.total_degree <= bound else "FAIL",
-                }
-    verdicts = {}
-    for name, profile in (("pd", "betti"), ("id", "bass")):
-        table = {p: row[name] for p, row in obs.items()}
-        verdicts[name] = detect_stabilization(table, box)
-        if verdicts[name]["value"] == "cap exceeded":
-            d = depth(FPModule.free(spec.module.ring, (0,)))
-            shell_ok = d + 1 <= i_max and all(
-                obs[p].get("%s_%d" % (profile, d + 1), 0) != 0 for p in box.shell_points()
-            )
-            if shell_ok:
-                verdicts[name]["value"] = "infinite (evidence: %s_%d != 0 on shell)" % (
-                    profile, d + 1,
-                )
-    return {"observations": obs, "fits": fits, "bounds": bounds, "verdicts": verdicts}
-
-
-def component_track(spec, expr, box, observables=("lambda", "ass"), grade_ideal=None):
-    """Strand-family track over a component spec: observables, shell
-    verdicts, and a length fit."""
-    obs = grid_evaluate(expr, spec, box, observables, grade_ideal=grade_ideal)
-    verdicts = {}
-    fits = {}
-    notes = []
-    for name in observables:
-        if name in ("lambda",):
-            table = {p: row["lambda"] for p, row in obs.items()}
-            try:
-                cap = _held(box, _component_cap(spec.family, box))
-                fits["lambda"] = fit_polynomial(table, box, cap)
-            except ContractViolation as exc:
-                fits["lambda"] = {"error": str(exc)}
-                notes.append("lambda fit refused: %s" % exc)
-        elif name in ("ass", "grade", "pd", "id"):
-            table = {p: row[name] for p, row in obs.items()}
-            verdicts[name] = detect_stabilization(table, box)
-    return {"observations": obs, "verdicts": verdicts, "fits": fits, "notes": notes}
-
-
-def _component_cap(family, box):
-    """The room the box leaves for a fit, at most the number of variables
-    of the family's Rees presentation R[y]/Q: the ring's, and one y per
-    minimal generator of each ideal."""
-    y_count = sum(len(I.minimal_generators().gens) for I in family.ideals)
-    return max(0, min(family.ring.nvars + y_count, box.fit_points() - 1))
-
-
-def _held(box, cap):
-    """A default degree cap, refused when the box leaves fewer than cap + 1
-    points per axis below the shell; a cap a task gives is checked when
-    the scenario loads."""
-    if cap >= box.fit_points():
-        raise ContractViolation(
-            "box too small: default degree cap %d needs %d points per axis below the shell"
-            % (cap, cap + 1)
-        )
-    return cap
 
 
 # -- the eventual normal form of a functor along a family ---------------------------

@@ -27,14 +27,13 @@ from functorlab.oracles import grade_by_regular_sequence, staircase_count
 from functorlab.poly import Vec, parse_poly, parse_vec
 from functorlab.rings import PolyRing
 from functorlab.corpus import route_corpus
+from functorlab.runner import run_scenario_object
+from functorlab.scenario import build_scenario
 from functorlab.selftest import run_selftest
 from functorlab.stability import (
     FamilySpec,
-    betti_bass_asymptotics,
-    component_track,
     degree_bound_check,
     detect_stabilization,
-    grade_asymptotics,
     grid_evaluate,
     normal_form,
 )
@@ -56,6 +55,42 @@ def _unit(ring):
 
 def _fam(ring, *gen_lists):
     return IdealFamily([ideal(ring, gens) for gens in gen_lists])
+
+
+def _xy_scenario(family, box, tasks, functor=None):
+    """A scenario over k[x,y] with the ideals m = (x, y), x = (x) and
+    y = (y), the free module F and k = R/m declared."""
+    doc = {
+        "format": "scn/1",
+        "label": "acceptance",
+        "ring": {"variables": ["x", "y"]},
+        "ideals": {"m": ["x", "y"], "x": ["x"], "y": ["y"]},
+        "modules": {"F": {"type": "free", "twists": [0]},
+                    "k": {"type": "cyclic", "polys": ["x", "y"]}},
+        "family": family,
+        "box": box,
+        "tasks": tasks,
+    }
+    if functor is not None:
+        doc["functor"] = functor
+    return build_scenario(doc)
+
+
+def _entries(scn):
+    _code, report, _meta = run_scenario_object(scn)
+    return report["tasks"]
+
+
+def _coeffs(payload):
+    """A report fit payload's coefficients as {exponents: Fraction}."""
+    return {
+        tuple(c["exponents"]): Fraction(c["numerator"], c["denominator"])
+        for c in payload["coefficients"]
+    }
+
+
+def _value_at(payload, n):
+    return sum(c * n ** e for (e,), c in _coeffs(payload).items())
 
 
 def test_01_hilbert_samuel_powers_fit_quadratic(ring):
@@ -153,22 +188,22 @@ def test_05_associated_primes_stabilize(ring):
 
 
 def test_06_grade_stabilizes_and_matches_regular_sequence_oracle(ring):
-    free = _free(ring)
-    box = GridBox((1,), (8,), shell=2)
-
-    spec_x = FamilySpec.quotient(free, _unit(ring), _fam(ring, ("x",)))
-    rep = grade_asymptotics(ideal(ring, ("y",)), None, spec_x, box)
-    assert rep["verdict"]["stable"] is True and rep["verdict"]["value"] == 1
-    y_poly = [parse_poly(ring, "y")]
-    for p, got in sorted(rep["table"].items()):
-        assert got == grade_by_regular_sequence(y_poly, spec_x.member(p)), p
-
-    spec_m = FamilySpec.quotient(free, _unit(ring), _fam(ring, ("x", "y")))
-    rep_m = grade_asymptotics(ideal(ring, ("x", "y")), None, spec_m, box)
-    assert rep_m["verdict"]["stable"] is True and rep_m["verdict"]["value"] == 0
-    m_polys = [parse_poly(ring, "x"), parse_poly(ring, "y")]
-    for p, got in sorted(rep_m["table"].items()):
-        assert got == grade_by_regular_sequence(m_polys, spec_m.member(p)), p
+    box = {"lo": [1], "hi": [8], "shell": 2}
+    for along, grade_ideal, gens, expected in (
+        ("x", "y", ("y",), 1), ("m", "m", ("x", "y"), 0),
+    ):
+        scn = _xy_scenario(
+            {"kind": "quotient", "module": "F", "ideals": [along]}, box,
+            [{"task": "grade", "ideal": grade_ideal, "expect_value": expected, "oracle": True}],
+        )
+        (entry,) = _entries(scn)
+        assert entry["status"] == "PASS" and entry["oracle"] == "checked", entry
+        assert entry["verdict"]["stable"] is True and entry["verdict"]["value"] == expected
+        polys = [parse_poly(scn.ring, g) for g in gens]
+        assert sorted(entry["table"]) == [str(n) for n in range(1, 9)]
+        for key, got in entry["table"].items():
+            member = scn.family_spec.member((int(key),))
+            assert got == grade_by_regular_sequence(polys, member), key
     print("PASS 06: grade((y), R/(x^n)) = 1 and grade(m, R/m^n) = 0, matching the oracle pointwise")
 
 
@@ -192,39 +227,45 @@ def test_07_uniform_intersection_exponents_certified(ring):
 
 
 def test_08_betti_bass_profiles_and_homological_dimensions(ring):
-    spec = FamilySpec.quotient(_free(ring), _unit(ring), _fam(ring, ("x", "y")))
-    box = GridBox((1,), (10,), shell=2)
-    rep = betti_bass_asymptotics(None, spec, box, i_max=3)
+    scn = _xy_scenario(
+        {"kind": "quotient", "module": "F", "ideals": ["m"]},
+        {"lo": [1], "hi": [10], "shell": 2},
+        [{"task": "betti_bass", "i_max": 3, "assert_pd": 2, "assert_id": 2}],
+    )
+    (rep,) = _entries(scn)
+    assert rep["status"] == "PASS", rep
     fits = rep["fits"]
-    assert fits["betti_0"].total_degree == 0 and fits["betti_0"].evaluate((7,)) == 1
-    assert fits["betti_1"].coeffs == {(0,): Fraction(1), (1,): Fraction(1)}
-    assert fits["betti_2"].coeffs == {(1,): Fraction(1)}
-    assert fits["betti_3"].evaluate((7,)) == 0
+    assert fits["betti_0"]["total_degree"] == 0 and _value_at(fits["betti_0"], 7) == 1
+    assert _coeffs(fits["betti_1"]) == {(0,): Fraction(1), (1,): Fraction(1)}
+    assert _coeffs(fits["betti_2"]) == {(1,): Fraction(1)}
+    assert _value_at(fits["betti_3"], 7) == 0
+    assert len(rep["bounds"]) == 8
     for name, entry in rep["bounds"].items():
         assert entry["bound"] == 1, name
         assert entry["verdict"] == "PASS", name
     assert rep["verdicts"]["pd"]["stable"] is True and rep["verdicts"]["pd"]["value"] == 2
     assert rep["verdicts"]["id"]["stable"] is True and rep["verdicts"]["id"]["value"] == 2
-    shell_rows = [rep["observations"][p] for p in box.shell_points()]
+    box = scn.box
+    obs = grid_evaluate(None, scn.family_spec, box, ("bass",), i_max=3)
+    shell_rows = [obs[p] for p in box.shell_points()]
     assert all(row["bass_2"] != 0 for row in shell_rows)
     assert all(row["bass_3"] == 0 for row in shell_rows)
     print("PASS 08: beta = (1, n+1, n) within degree 1, pd = 2, id = 2 via mu^2 != 0, mu^3 = 0")
 
 
 def test_09_blowup_strand_lengths_and_torsion_freeness(ring):
-    fam = _fam(ring, ("x", "y"))
-    mg = FamilySpec.component(_free(ring), fam)
-    box = GridBox((0,), (10,), shell=2)
-    kmod = FPModule.cyclic(ring, ("x", "y"))
-
-    rep = component_track(mg, functor_from_tensor(kmod), box, observables=("lambda",))
-    table = {p: row["lambda"] for p, row in rep["observations"].items()}
-    assert table == {(n,): n + 1 for n in range(0, 11)}
-    fit = rep["fits"]["lambda"]
-    assert fit.total_degree == 1
-    rep_ass = component_track(mg, None, box, observables=("ass",))
+    rep, rep_ass = _entries(_xy_scenario(
+        {"kind": "component", "module": "F", "ideals": ["m"]},
+        {"lo": [0], "hi": [10], "shell": 2},
+        [{"task": "component_track", "observables": ["lambda"]},
+         {"task": "component_track", "observables": ["ass"], "identity": True}],
+        functor={"builder": "tensor", "module": "k"},
+    ))
+    table = {key: row["lambda"] for key, row in rep["observations"].items()}
+    assert table == rep["lambda_table"] == {str(n): n + 1 for n in range(0, 11)}
+    assert rep["fits"]["lambda"]["total_degree"] == 1
     assert rep_ass["verdicts"]["ass"]["stable"] is True
-    assert rep_ass["verdicts"]["ass"]["value"] == [()]
+    assert rep_ass["verdicts"]["ass"]["value"] == [[]]
     print("PASS 09: k tensor blowup strands have length n+1 (degree-1 fit); strands stay torsion-free")
 
 

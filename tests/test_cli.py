@@ -271,6 +271,9 @@ def _set(path, value):
     (_set(("output",), {"stem": "../escaped"}), "output block: stem must be"),
     (_set(("output",), {"stem": 5}), "output block: stem must be"),
     (_set(("label",), 5), "scenario block: label must be a string"),
+    (_set(("ring", "characteristic"), 2 ** 64), "ring block: characteristic must be below 2^64"),
+    (_set(("ring", "characteristic"), 1000000007 * 1000000009),
+     "ring block: characteristic must be 0 or prime"),
 ], ids=["characteristic", "weights", "twists", "degree_cap", "i_max", "window",
         "inhomogeneous_ideal", "inhomogeneous_module", "inhomogeneous_submodule",
         "submodule_vectors_int",
@@ -291,7 +294,7 @@ def _set(path, value):
         "ring_key_typo", "box_key_typo", "family_key_typo", "module_key_typo",
         "assert_values_bool", "observable_null", "family_ideals_empty",
         "base_relations_string", "base_relations_int", "stem_escapes", "stem_int",
-        "label_int"])
+        "label_int", "characteristic_too_large", "characteristic_semiprime"])
 def test_malformed_scenario_values_exit_two(tmp_path, capsys, monkeypatch, mutate, block):
     doc = _artin_rees_doc()
     mutate(doc)
@@ -575,6 +578,59 @@ def test_component_track_on_a_box_with_no_fitting_point_fails_with_a_report(tmp_
     tasks = _report(out, "no_fitting_point")["tasks"]
     assert [entry["status"] for entry in tasks] == ["PASS", "FAIL"]
     assert "default degree cap 0 needs 1 points" in tasks[1]["notes"][0]
+
+
+def test_component_track_observing_every_observable_writes_its_verdicts(tmp_path):
+    # k tensor m^n = k^(n+1) along the strands of R(m, R): beta = (n+1)(1, 2, 1)
+    # and mu = (n+1)(1, 2, 1), Ass = {m}, grade 0, pd = id = 2
+    doc = json.loads(open(bundled_scenario_path("rees_component_track")).read())
+    doc["box"] = {"lo": [0], "hi": [6], "shell": 2}
+    doc["tasks"] = [{"task": "component_track", "ideal": "m", "observables": [
+        "lambda", "ass", "grade", "betti", "bass", "pd", "id"]}]
+    code, out = _run(tmp_path, _write(tmp_path, doc))
+    assert code == 0
+    (entry,) = _report(out, "rees_component_track")["tasks"]
+    assert entry["status"] == "PASS"
+    assert sorted(entry["verdicts"]) == ["ass", "grade", "id", "pd"]
+    assert all(v["stable"] for v in entry["verdicts"].values())
+    assert {k: v["value"] for k, v in entry["verdicts"].items()} == {
+        "ass": [["x", "y"]], "grade": 0, "pd": 2, "id": 2,
+    }
+    assert entry["fits"]["lambda"]["total_degree"] == 1
+    for key, row in entry["observations"].items():
+        n = int(key)
+        assert row["lambda"] == n + 1, key
+        assert [row["betti_%d" % i] for i in range(3)] == [n + 1, 2 * n + 2, n + 1], key
+        assert [row["bass_%d" % i] for i in range(3)] == [n + 1, 2 * n + 2, n + 1], key
+
+
+def _at_stack_depth(extra, call):
+    """call() from extra more Python frames than the caller's."""
+    return call() if extra == 0 else _at_stack_depth(extra - 1, call)
+
+
+@pytest.mark.parametrize("extra", [0, 40, 80])
+def test_no_compose_nesting_ends_in_exit_three(tmp_path, capsys, extra):
+    # past 49 nested compose blocks the loader refuses the document, and past
+    # the JSON decoder's depth it is a parse error: exit 2 and nothing
+    # written, whatever the caller's stack; below the limit it runs
+    doc = json.loads(open(bundled_scenario_path("hilbert_samuel_xy")).read())
+    doc["box"] = {"lo": [1], "hi": [2], "shell": 1}
+    doc["tasks"] = [{"task": "stabilization", "observable": "lambda"}]
+    codes = {}
+    for depth in [3, 45] + list(range(440, 521, 10)) + [600, 1500]:
+        leaf = json.dumps({"builder": "hom", "module": "M"})
+        nested = '{"builder": "compose", "parts": [' * depth + leaf + "]}" * depth
+        path = tmp_path / ("deep%d.scn" % depth)
+        path.write_text(json.dumps(dict(doc, functor="NESTED")).replace('"NESTED"', nested))
+        out = tmp_path / ("out%d" % depth)
+        argv = ["run", str(path), "--out", str(out), "--no-cache"]
+        codes[depth] = _at_stack_depth(extra, lambda: main(argv))
+        if codes[depth] == 2:
+            assert not out.exists() or os.listdir(out) == [], depth
+    capsys.readouterr()
+    assert codes[3] == codes[45] == 0
+    assert set(codes.values()) == {0, 2}, codes
 
 
 def test_given_degree_cap_skips_the_default(tmp_path, monkeypatch):

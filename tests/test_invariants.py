@@ -21,7 +21,7 @@ import random
 import pytest
 
 from functorlab import fpmodule, invariants
-from functorlab.errors import ContractViolation, StrategyExhausted
+from functorlab.errors import ConfigurationError, ContractViolation, StrategyExhausted
 from functorlab.fpmodule import FPModule, hom_ext_tor
 from functorlab.groebner import LiftSolver, spans_terms
 from functorlab.invariants import (
@@ -88,6 +88,17 @@ def test_is_associated_direct():
     assert is_associated(m, ideal(R, ["x"]))
     assert is_associated(m, ideal(R, ["x", "y"]))
     assert not is_associated(m, ideal(R, ["y"]))
+
+
+def test_is_associated_refuses_a_variable_ideal_that_is_not_prime():
+    # over k[x,y,z]/(xy), R/(z) = k[x,y]/(xy) and (z) is not prime: the
+    # localised route answered False, the annihilator criterion True
+    Q = quotient_ring(PolyRing(("x", "y", "z")), ["x*y"])
+    with pytest.raises(ConfigurationError, match=r"variable ideal \(z\) is not prime"):
+        is_associated(cyclic("z", ring=Q), ideal(Q, ["z"]))
+    # xy - z^2 lies in (x, z), which stays prime in k[x,y,z]/(xy - z^2)
+    Q = quotient_ring(PolyRing(("x", "y", "z")), ["x*y - z^2"])
+    assert is_associated(cyclic("x", "z", ring=Q), ideal(Q, ["x", "z"]))
 
 
 def test_non_fine_module_uses_ext_ladder():

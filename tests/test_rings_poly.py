@@ -7,6 +7,7 @@ layer refuses.
 """
 
 import random
+import time
 from fractions import Fraction
 from operator import mul, neg
 
@@ -26,7 +27,7 @@ from functorlab.poly import (
     truncate_vec,
 )
 from functorlab.groebner import buchberger, reduce_vec, term_basis
-from functorlab.rings import MAX_DEGREE, PolyRing, TermOrder
+from functorlab.rings import MAX_DEGREE, PolyRing, TermOrder, _is_prime
 
 
 def test_char_p_arithmetic_wraps_and_inverts():
@@ -47,6 +48,32 @@ def test_char_zero_is_exact_fractions():
 def test_characteristic_must_be_prime_or_zero():
     with pytest.raises(ConfigurationError):
         PolyRing(("x",), char=6)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division_below_20000():
+    assert [n for n in range(20000) if _is_prime(n) != _trial_division(n)] == []
+
+
+@pytest.mark.parametrize("char", [561, 41041, 3215031751])
+def test_strong_pseudoprimes_are_refused(char):
+    # Carmichael numbers, and the least strong pseudoprime to bases 2, 3, 5, 7
+    assert not _is_prime(char)
+    with pytest.raises(ConfigurationError, match="must be 0 or prime"):
+        PolyRing(("x",), char=char)
+
+
+def test_large_characteristics_are_decided_at_once():
+    assert PolyRing(("x",), char=2 ** 61 - 1).char == 2 ** 61 - 1
+    started = time.monotonic()
+    with pytest.raises(ConfigurationError, match="must be 0 or prime"):
+        PolyRing(("x",), char=1000000007 * 1000000009)
+    assert time.monotonic() - started < 1.0
+    with pytest.raises(ConfigurationError, match=r"below 2\^64"):
+        PolyRing(("x",), char=2 ** 64 + 13)
 
 
 def test_parse_respects_precedence_and_rationals():

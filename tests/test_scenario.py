@@ -34,6 +34,22 @@ def test_json_parse_error_reports_position():
         load_scenario_text('{"format": "scn/1",\n  "label": oops}')
 
 
+def test_a_document_nesting_past_the_limit_is_refused():
+    functor = {"builder": "hom", "module": "M"}
+    for _ in range(49):
+        functor = {"builder": "compose", "parts": [functor]}
+    build_scenario(_minimal(functor=functor))
+    functor = {"builder": "compose", "parts": [functor]}
+    with pytest.raises(ConfigurationError, match="nests deeper than 100 levels"):
+        build_scenario(_minimal(functor=functor))
+    # any value counts, not only compose blocks: expect_value may hold anything
+    value = []
+    for _ in range(98):
+        value = [value]
+    with pytest.raises(ConfigurationError, match="nests deeper than 100 levels"):
+        build_scenario(_minimal(tasks=[{"task": "stabilization", "expect_value": value}]))
+
+
 def test_format_tag_required():
     with pytest.raises(ConfigurationError, match="format"):
         build_scenario(_minimal(format="scn/0"))

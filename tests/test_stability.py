@@ -9,6 +9,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from functorlab import (
 )
 from functorlab.corpus import ass_keys, component_corpus
 from functorlab.errors import CapExceeded, ConfigurationError, ContractViolation
+from functorlab.fitting import FittedPolynomial
 from functorlab.fpmodule import FPModule
 from functorlab.functors import (
     CoherentFunctor,
@@ -36,14 +38,13 @@ from functorlab.invariants import (
 from functorlab.rings import PolyRing
 from functorlab.poly import Poly, Vec, parse_vec, quotient_ring
 from functorlab.runner import run_scenario_object
-from functorlab.scenario import bundled_scenario_path, load_scenario, load_scenario_text
+from functorlab.scenario import (
+    build_scenario, bundled_scenario_path, load_scenario, load_scenario_text,
+)
 from functorlab.stability import (
     FamilySpec,
-    betti_bass_asymptotics,
-    component_track,
     degree_bound_check,
     detect_stabilization,
-    grade_asymptotics,
     grid_evaluate,
     normal_form,
 )
@@ -70,6 +71,42 @@ def _mxy(ring):
 def _spec(module, family):
     """The quotient family module / I^n module, I the family's ideal."""
     return FamilySpec.quotient(module, unit_ideal(module.ring), family)
+
+
+def _grade_shell(J, spec, box):
+    """The grade((J), member) table over the box and its shell verdict."""
+    obs = grid_evaluate(None, spec, box, ("grade",), grade_ideal=J)
+    table = {p: row["grade"] for p, row in obs.items()}
+    return table, detect_stabilization(table, box)
+
+
+def _xy_tasks(family, box, tasks, functor=None):
+    """The report entries of tasks run over k[x,y], with the ideal m = (x, y),
+    the free module F and k = R/m declared."""
+    doc = {
+        "format": "scn/1",
+        "label": "xy lab",
+        "ring": {"variables": ["x", "y"]},
+        "ideals": {"m": ["x", "y"]},
+        "modules": {"F": {"type": "free", "twists": [0]},
+                    "k": {"type": "cyclic", "polys": ["x", "y"]}},
+        "family": family,
+        "box": box,
+        "tasks": tasks,
+    }
+    if functor is not None:
+        doc["functor"] = functor
+    _code, report, _meta = run_scenario_object(build_scenario(doc))
+    return report["tasks"]
+
+
+def _fitted(payload):
+    """The FittedPolynomial a report's fit payload describes."""
+    coeffs = {
+        tuple(c["exponents"]): Fraction(c["numerator"], c["denominator"])
+        for c in payload["coefficients"]
+    }
+    return FittedPolynomial(payload["variables"], coeffs, payload["onset"])
 
 
 def test_quotient_member_powers(ring):
@@ -160,36 +197,40 @@ def test_grade_asymptotics_finite_and_infinite(ring):
     box = GridBox((1,), (5,), shell=2)
     # grade((x,y), R/(x,y)^n) = 0: the maximal ideal consists of zerodivisors
     spec = FamilySpec.quotient(free, unit_ideal(ring), fam)
-    rep = grade_asymptotics(ideal(ring, [x, y]), None, spec, box)
-    assert rep["verdict"]["stable"] is True
-    assert rep["verdict"]["value"] == 0
+    _table, verdict = _grade_shell(ideal(ring, [x, y]), spec, box)
+    assert verdict["stable"] is True
+    assert verdict["value"] == 0
     # grade((y), R/(x^n)) = 1: y is regular and the quotient by it is finite
     fam_x = IdealFamily([ideal(ring, [x])])
     spec_x = FamilySpec.quotient(free, unit_ideal(ring), fam_x)
-    rep = grade_asymptotics(ideal(ring, [y]), None, spec_x, box)
-    assert rep["verdict"]["value"] == 1
+    _table, verdict = _grade_shell(ideal(ring, [y]), spec_x, box)
+    assert verdict["value"] == 1
     # JX = X forces grade infinity: J = (y) on members killed by y shifts
     fam_y = IdealFamily([ideal(ring, [y])])
     zero = zero_submodule(ring, 1, (0,))
     spec_zero = FamilySpec.quotient(FPModule.cyclic(ring, ("1",)), zero, fam_y)
-    rep = grade_asymptotics(ideal(ring, [y]), None, spec_zero, box)
-    assert rep["verdict"]["value"] == float("inf")
+    _table, verdict = _grade_shell(ideal(ring, [y]), spec_zero, box)
+    assert verdict["value"] == float("inf")
 
 
 def test_betti_bass_fits_and_dimensions(ring):
-    spec = FamilySpec.quotient(_free(ring), unit_ideal(ring), _mxy(ring))
-    box = GridBox((1,), (6,), shell=2)
-    rep = betti_bass_asymptotics(None, spec, box, i_max=3)
-    b0, b1, b2 = rep["fits"]["betti_0"], rep["fits"]["betti_1"], rep["fits"]["betti_2"]
+    (entry,) = _xy_tasks(
+        {"kind": "quotient", "module": "F", "ideals": ["m"]},
+        {"lo": [1], "hi": [6], "shell": 2},
+        [{"task": "betti_bass", "i_max": 3}],
+    )
+    assert entry["status"] == "PASS"
+    fits = {name: _fitted(payload) for name, payload in entry["fits"].items()}
+    b0, b1, b2 = fits["betti_0"], fits["betti_1"], fits["betti_2"]
     assert b0.total_degree == 0 and b0.evaluate((9,)) == 1
     assert b1.evaluate((9,)) == 10 and b1.total_degree == 1
     assert b2.evaluate((9,)) == 9
-    assert rep["fits"]["betti_3"].evaluate((9,)) == 0
-    assert rep["verdicts"]["pd"]["stable"] is True
-    assert rep["verdicts"]["pd"]["value"] == 2
-    assert rep["verdicts"]["id"]["value"] == 2
+    assert fits["betti_3"].evaluate((9,)) == 0
+    assert entry["verdicts"]["pd"]["stable"] is True
+    assert entry["verdicts"]["pd"]["value"] == 2
+    assert entry["verdicts"]["id"]["value"] == 2
     for name in ("betti_0", "betti_1", "betti_2"):
-        assert rep["bounds"][name]["verdict"] == "PASS"
+        assert entry["bounds"][name]["verdict"] == "PASS"
 
 
 def test_degree_bound_identity_functor(ring):
@@ -318,19 +359,19 @@ def test_normal_form_two_ideal_family(ring):
 
 
 def test_component_track_rees_strands(ring):
-    fam = _mxy(ring)
-    free = _free(ring)
-    mg = FamilySpec.component(free, fam)
-    box = GridBox((1,), (6,), shell=2)
-    k_mod = FPModule.cyclic(ring, ("x", "y"))
-    expr = functor_from_tensor(k_mod)
-    rep = component_track(mg, expr, box, observables=("lambda",))
-    fit = rep["fits"]["lambda"]
+    # k tensor m^n along the strands of R(m, R), and the strands themselves
+    lengths, ass = _xy_tasks(
+        {"kind": "component", "module": "F", "ideals": ["m"]},
+        {"lo": [1], "hi": [6], "shell": 2},
+        [{"task": "component_track", "observables": ["lambda"]},
+         {"task": "component_track", "observables": ["ass"], "identity": True}],
+        functor={"builder": "tensor", "module": "k"},
+    )
+    fit = _fitted(lengths["fits"]["lambda"])
     assert fit.total_degree == 1
     assert fit.evaluate((9,)) == 10
-    rep_ass = component_track(mg, None, box, observables=("ass",))
-    assert rep_ass["verdicts"]["ass"]["stable"] is True
-    assert rep_ass["verdicts"]["ass"]["value"] == [()]
+    assert ass["verdicts"]["ass"]["stable"] is True
+    assert ass["verdicts"]["ass"]["value"] == [[]]
 
 
 COMPONENT_CASES = component_corpus()
@@ -373,11 +414,17 @@ def test_component_corpus_covers_its_axes():
 
 
 def test_component_track_infinite_lengths_refused(ring):
-    mg = FamilySpec.component(_free(ring), _mxy(ring))
-    box = GridBox((1,), (5,), shell=1)
-    rep = component_track(mg, None, box, observables=("lambda",))
-    assert isinstance(rep["fits"]["lambda"], dict)
-    assert "error" in rep["fits"]["lambda"]
+    # m^n has infinite length: the fit is refused with a note, and the task
+    # fails
+    (entry,) = _xy_tasks(
+        {"kind": "component", "module": "F", "ideals": ["m"]},
+        {"lo": [1], "hi": [5], "shell": 1},
+        [{"task": "component_track", "observables": ["lambda"]}],
+    )
+    assert "error" in entry["fits"]["lambda"]
+    assert entry["notes"] == ["lambda fit refused: %s" % entry["fits"]["lambda"]["error"]]
+    assert entry["status"] == "FAIL"
+    assert entry["failures"] == ["lambda fit did not validate on the strand family"]
 
 
 # -- one resolution per observed module ------------------------------------------
@@ -490,11 +537,11 @@ def test_grade_grid_resolves_r_mod_j_once(monkeypatch):
     spec = FamilySpec.quotient(_free(R), unit_ideal(R), fam)
     box = GridBox((1,), (5,), shell=1)
     resolved = _count_resolutions(monkeypatch)
-    rep = grade_asymptotics(J, None, spec, box)
+    table, _verdict = _grade_shell(J, spec, box)
     assert len(resolved) == 1
     assert resolved[0].rels_sub().equals(J)
     monkeypatch.undo()
-    for p, value in rep["table"].items():
+    for p, value in table.items():
         assert value == invariants.grade(J, spec.member(p)), p
 
 
