@@ -23,7 +23,6 @@ So does a sealed entry whose value the caller's decoder rejects.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -34,6 +33,8 @@ def _canonical_json(value):
 
 
 def _digest(text):
+    import hashlib  # here, not at import: it loads OpenSSL, and only entries need it
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -30,11 +30,16 @@ presentation keeps one solver, so Presentation.coeffs_of writes vectors
 over the presentation generators without a second solve. Free
 resolutions prune to minimal generators at every stage, which over a
 graded-local base makes the differentials unit-free, so Betti numbers are
-literal ranks. A module keeps its resolution like its presentation and
-Hilbert numerator: FPModule.resolution(length) returns the one complex,
-grown in place from its kept syzygy columns when a longer one is asked for,
-so every reader (Hom/Ext/Tor, Betti and Bass numbers, pd, Ass) shares it
-and no stage is built twice.
+literal ranks. A resolution is handed the module's Hilbert numerator, so
+the series of each syzygy module is known, by the Euler characteristic,
+before it is solved for (GradedComplex): a syzygy module of series 0 ends
+the complex with no solve, and kernel generators whose free module has the
+kernel's series are kept with no pruning run, so a finite resolution ends
+without its last two Buchberger loops. A module keeps its resolution like
+its presentation and Hilbert numerator: FPModule.resolution(length)
+returns the one complex, grown in place from its kept syzygy columns when
+a longer one is asked for, so every reader (Hom/Ext/Tor, Betti and Bass
+numbers, pd, Ass) shares it and no stage is built twice.
 
 This module is also the one home of block modules and of maps. A map is
 a Poly matrix, column-major with one column per source generator. Hom,
@@ -57,6 +62,7 @@ from .hilbert import (
     length_value,
     module_numerator,
     numer_add,
+    numer_shift,
     series_window,
 )
 from .poly import Vec
@@ -226,12 +232,16 @@ class FPModule:
         has a unit-monomial term and the base is a polynomial ring: then no
         generator lies in the span of the others and the relations, and the
         kernel of R^gens -> ambient / rels is the relation span itself."""
-        ring = self.ring
-        if ring.relations or len(self.gens) != self.rank:
-            return False
-        if any(g != Vec.unit(ring, c) for c, g in enumerate(self.gens)):
+        if self.ring.relations or not self.gens_are_units():
             return False
         return all(any(m) for w in self.rels for (_c, m) in w.terms)
+
+    def gens_are_units(self):
+        """Whether gens are the ambient unit vectors, in order."""
+        ring = self.ring
+        return len(self.gens) == self.rank and all(
+            g == Vec.unit(ring, c) for c, g in enumerate(self.gens)
+        )
 
     def resolution(self, length):
         """The module's minimal free resolution, at least length stages long
@@ -295,16 +305,42 @@ class GradedComplex:
     generators. pending holds the minimal generators of the kernel of the
     last differential, the columns of the next one; the complex is exhausted
     when there are none, and grow resumes from them.
+
+    numer, when given, is the Hilbert numerator of the module M the complex
+    resolves. Along 0 -> Z_k -> F_k -> ... -> F_0 -> M -> 0 the series of
+    each syzygy module Z_k is then known before Z_k is computed:
+    numer(Z_k) = numer(F_k) - numer(Z_(k-1)), numer(Z_(-1)) = numer(M)
+    (Traverso, "Hilbert functions and the Buchberger algorithm", JSC 22,
+    1996, drives Buchberger with the same fact). grow uses it twice. A
+    kernel whose numerator is empty is 0, so the complex ends with no solve.
+    Kernel generators whose free module R^m(-deg) has the kernel's series
+    map onto it isomorphically, so none lies in the span of the others and
+    they are its minimal generators with no pruning run. Without numer
+    every kernel is solved for and pruned.
     """
 
-    def __init__(self, modules, maps, pending=()):
+    def __init__(self, modules, maps, pending=(), numer=None):
         self.modules = list(modules)
         self.maps = list(maps)
         self.pending = list(pending)
+        self._kernel_numer = None  # numer(Z_k), k = len(maps), when known
+        if numer is not None:
+            self._unit_numer = FPModule.free(self.modules[0].ring, (0,)).numerator()
+            kernel = numer
+            for stage in self.modules:
+                kernel = numer_add(self._free_numer(stage.twists), kernel, sign=-1)
+            self._kernel_numer = kernel
 
     @property
     def exhausted(self):
         return not self.pending
+
+    def _free_numer(self, twists):
+        """numer of (+)_t R(-t), from the base ring's numerator read once."""
+        out = {}
+        for t in twists:
+            out = numer_add(out, numer_shift(self._unit_numer, t))
+        return out
 
     def grow(self, length):
         """Extend to length differentials, or until the syzygies run out."""
@@ -315,9 +351,23 @@ class GradedComplex:
             col_twists = tuple(c.degree(twists) for c in columns)
             self.maps.append(tuple(tuple(c.components(len(twists))) for c in columns))
             self.modules.append(FPModule.free(ring, col_twists))
-            kern = Submodule(ring, len(twists), twists, columns, check=False).syzygies()
-            self.pending = list(kern.minimal_generators().gens)
+            image = Submodule(ring, len(twists), twists, columns, check=False)
+            self.pending = self._kernel_generators(image)
         return self
+
+    def _kernel_generators(self, image):
+        """Minimal generators of the syzygies of image's generators, the
+        kernel of the differential just appended."""
+        if self._kernel_numer is None:
+            return list(image.syzygies().minimal_generators().gens)
+        numer = numer_add(self._free_numer(self.modules[-1].twists), self._kernel_numer, sign=-1)
+        self._kernel_numer = numer
+        if not numer:
+            return []
+        kern = image.syzygies()
+        if self._free_numer(kern.gen_degrees()) == numer:
+            return kern.candidates()
+        return list(kern.minimal_generators().gens)
 
     def ranks(self):
         return [len(m.gens) for m in self.modules]
@@ -331,13 +381,15 @@ def free_resolution(module, length_cap):
 
     Over the graded-local base this makes every differential unit-free, so
     ranks are Betti numbers. Stops early when the syzygies run out; the
-    exhausted flag records whether the end was reached before the cap.
+    exhausted flag records whether the end was reached before the cap. The
+    complex is handed the module's Hilbert numerator, so it knows the
+    series of every syzygy module before solving for it (GradedComplex).
     """
     if length_cap < 0:
         raise ContractViolation("length_cap must be nonnegative")
     pres = module.presentation()
     stage0 = FPModule.free(module.ring, pres.gen_twists)
-    return GradedComplex([stage0], [], pres.columns).grow(length_cap)
+    return GradedComplex([stage0], [], pres.columns, module.numerator()).grow(length_cap)
 
 
 # -- Hom / Ext / Tor -----------------------------------------------------------

@@ -29,7 +29,10 @@ and its reduced basis is its minimal terms, made monic and sorted by lead
 from (component, monomial) terms, building a vector only for each term it
 keeps.
 Submodule.groebner asks spans_terms first, so a term module never builds a
-cache key or reaches buchberger at all.
+cache key or reaches buchberger at all, and Submodule.minimal_generators
+asks it too: on term input a candidate reduces to zero exactly when an
+entered term divides it, so the terms it keeps are found by divisibility
+with no run of _run.
 
 LiftSolver is the workhorse behind syzygies, kernels, preimages, and lifts:
 it tags each target with a fresh component that sorts below every main

@@ -203,11 +203,16 @@ def _rees_relations(alg, module, n_gens):
 def rees_module(family, module):
     """R(M) = sum of I^n M as an FPModule over R[y]/Q: M's generators as
     unit vectors twisted by their degrees (the free module's span, whose
-    basis comes preset), presented by _rees_relations."""
+    basis comes preset), presented by _rees_relations.
+
+    A free M, generated by its ambient unit vectors with no relations, has
+    R(M) = (+)_i S(-d_i), S = R[y]/Q: its only relations are Q times each
+    generator, which the ring already holds, so it gets no relations and
+    no elimination is run."""
     alg = rees_algebra(family)
     if module.ring.signature() != alg.base.signature():
         raise ContractViolation("module and family live over different rings")
-    rels = _rees_relations(alg, module, ())
+    rels = [] if not module.rels and module.gens_are_units() else _rees_relations(alg, module, ())
     for rel in rels:
         alg.vec_mdeg(rel)  # multihomogeneity tripwire
     free = FPModule.free(alg.aq, module.gen_degrees())

@@ -8,7 +8,7 @@ four kinds are GF(p), Q, weights (1,2) (all in x, y) and k[x,y,z]/(y^2, xz).
   suite                    identity                                bases
   buchberger_s_vectors     reduced bases, S-vectors reduce to 0    four kinds, xy-z^2, k[x,y,z]
   syzygy_vs_brute_kernels  syzygies absorb brute strand kernels    four kinds
-  euler_characteristic     grown resolutions balance Hilbert       GF(p), Q, weights (1,2)
+  euler_characteristic     grown resolutions balance Hilbert       four kinds
   tor_balance              Tor_i(M, N) = Tor_i(N, M), i = 0, 1     four kinds
   bass_koszul_duality      mu^i = beta_(n-i) = length Ext^i(k,M)   GF(p), Q, weights (1,2)
   route_equivalence        evaluate = evaluate_via_diagram         four kinds
@@ -16,7 +16,7 @@ four kinds are GF(p), Q, weights (1,2) (all in x, y) and k[x,y,z]/(y^2, xz).
   fit_exactness            quadratic recovered, 2^n refused        none
   cache_robustness         bad entries recomputed, never trusted   GF(p)
   term_kernels             term colons, intersections, numerators  four kinds, k[x,y,z]
-  fast_path_routes         fast paths = LiftSolver route           GF(p), Q, weights (1,2), xy-z^2
+  fast_path_routes         fast paths = plain routes               GF(p), Q, weights (1,2), xy-z^2
   component_strands        I^n M = Rees strand (series, Ass)       four kinds
 
 Here xy-z^2 is k[x,y,z]/(xy - z^2), over which fast_path_routes checks
@@ -43,13 +43,29 @@ from .corpus import (
 )
 from .errors import ConfigurationError, FunctorLabError
 from .fitting import fit_polynomial
-from .fpmodule import FPModule, hom_ext_tor
+from .fpmodule import FPModule, free_resolution, hom_ext_tor
 from .functors import evaluate, evaluate_via_diagram
 from .grid import GridBox
-from .groebner import LiftSolver, buchberger, make_lead_index, reduce_vec, s_vector, spans_terms
+from .groebner import (
+    LiftSolver,
+    _run,
+    base_relation_vectors,
+    buchberger,
+    make_lead_index,
+    reduce_vec,
+    s_vector,
+    spans_terms,
+)
 from .hilbert import ideal_numerator, series_window
 from .invariants import bass_profile, ext_bass_profile
-from .multigraded import artin_rees_exponent, artin_rees_window, graded_component, rees_module
+from .multigraded import (
+    _rees_relations,
+    artin_rees_exponent,
+    artin_rees_window,
+    graded_component,
+    rees_algebra,
+    rees_module,
+)
 from .oracles import brute_kernel, monomials_of_degree
 from .poly import Vec, parse_vec
 from .stability import FamilySpec
@@ -69,7 +85,7 @@ def per_base(kinds, what, seed=None):
     """Make a suite of check(ring, inputs, rng, *args), run on the base of
     each kind with its corpus inputs and the one Random(seed) of seeded; the
     check returns its count, and its failure, a failed identity or an engine
-    error, is named with the base."""
+    error, is named with the base. The suite's kinds attribute lists them."""
     def suite(check):
         def run(*args):
             counts = {}
@@ -81,6 +97,7 @@ def per_base(kinds, what, seed=None):
                 except FunctorLabError as exc:
                     raise Broken("%s over %s" % (_engine_error(exc), kind)) from None
             return per_kind(what, counts)
+        run.kinds = tuple(kinds)
         return run
     return suite
 
@@ -212,23 +229,31 @@ def suite_syzygy(ring, inputs, _rng):
     return checked
 
 
-@per_base(POLYNOMIAL_KINDS, "grown resolutions balanced")
+@per_base(KINDS, "grown resolutions balanced")
 def suite_euler(ring, _inputs, _rng):
     """The alternating sum of the Hilbert functions of a resolution is the
     module's. Each resolution is grown in two steps, one stage and then to
-    six, so the grown complex is checked."""
+    six, so the grown complex is checked. The identity is the truncated one,
+    HS(M) = sum_(i<=k) (-1)^i HS(F_i) + (-1)^(k+1) HS(Z_k) for the last
+    stage k, Z_k the kernel of the last differential. HS(Z_k) is read off
+    the Groebner basis of the span of the pending columns, not off the
+    complex's own syzygy numerators. Over a polynomial base every
+    resolution ends by stage 6, where Z_k = 0; over a quotient base it need
+    not end."""
     window = range(-1, 7)
     modules = module_corpus(ring)
     for module in modules:
         module.resolution(1)
         res = module.resolution(6)
+        if not ring.relations and not res.exhausted:
+            raise Broken("resolution of %r did not end by stage 6" % (module,))
+        last = res.modules[-1]
+        kernel = FPModule(ring, last.rank, last.twists, res.pending, [], check=False)
         acc = [0] * len(window)
-        for k, frees in enumerate(res.modules):
-            values = frees.hilbert_function(window)
+        for k, stage in enumerate(res.modules + [kernel]):
+            values = stage.hilbert_function(window)
             sign = 1 if k % 2 == 0 else -1
             acc = [a + sign * v for a, v in zip(acc, values)]
-        if not res.exhausted:
-            raise Broken("resolution of %r did not end by stage 6" % (module,))
         if acc != list(module.hilbert_function(window)):
             raise Broken("Euler identity fails for %r" % (module,))
     return len(modules)
@@ -408,20 +433,82 @@ def _seeded_vector(rng, ring, twists, degree):
     return Vec(ring, terms)
 
 
+def _loop_minimal_generators(sub, modulo=()):
+    """sub.minimal_generators(modulo) by one groebner._run over modulo, the
+    base relations and the candidates, with no shortcut for terms."""
+    ring, rank = sub.ring, sub.rank
+    fixed = [v for v in modulo if v] + base_relation_vectors(ring, rank)
+    inputs = fixed + sub.candidates(modulo)
+    _elements, entered = _run(inputs, ring=ring, rank=rank, twists=sub.twists, bound=sub.bound)
+    return [inputs[k] for k in entered if k >= len(fixed)]
+
+
+def _check_pruning(sub, modulo):
+    """minimal_generators of the term module sub against the _run route."""
+    kept = list(sub.minimal_generators(modulo=modulo).gens)
+    if kept != _loop_minimal_generators(sub, modulo):
+        raise Broken("term pruning of %r modulo %r differs from the loop's" % (sub, modulo))
+
+
+def _check_resolution(module, length):
+    """free_resolution(module, length) against the plain stage loop: the
+    syzygies of the last columns and a _run pruning at every stage, with no
+    syzygy series. Equal twists, maps and pending columns."""
+    pres = module.presentation()
+    twists, maps, columns = [pres.gen_twists], [], list(pres.columns)
+    while len(maps) < length and columns:
+        maps.append(tuple(tuple(c.components(len(twists[-1]))) for c in columns))
+        image = Submodule(module.ring, len(twists[-1]), twists[-1], columns, check=False)
+        twists.append(image.gen_degrees())
+        columns = _loop_minimal_generators(image.syzygies())
+    res = free_resolution(module, length)
+    if (res.twist_table(), res.maps, res.pending) != (twists, maps, columns):
+        raise Broken("resolution of %r differs from the plain stage loop" % (module,))
+
+
+def _check_free_rees(ring, texts):
+    """R(M) of the free M = R + R(-1) under the family (texts), which has no
+    relations, against R(M) presented by _rees_relations: one Hilbert
+    series, and one series on the strands n = 0, 1, 2."""
+    family = IdealFamily([ideal(ring, texts)])
+    free = FPModule.free(ring, (0, 1))
+    rees, alg = rees_module(family, free), rees_algebra(family)
+    if rees.rels:
+        raise Broken("R(M) of a free M under %s kept relations" % (texts,))
+    rels = Submodule(alg.aq, rees.rank, rees.twists, _rees_relations(alg, free, ()), check=False)
+    solved = FPModule.of(rees.gens_sub(), rels)
+    if not rees.hilbert_equal(solved):
+        raise Broken("R(M) of a free M under %s differs from the elimination route" % (texts,))
+    for n in range(3):
+        if not graded_component(family, rees, (n,)).hilbert_equal(
+                graded_component(family, solved, (n,))):
+            raise Broken("strand %d of R(M) under %s differs from the elimination route"
+                         % (n, texts))
+
+
 @per_base(POLYNOMIAL_KINDS + ("k[x,y,z]/(xy - z^2)",),
-          "syzygy modules and presentations agree with the solver route", seed=20261019)
-def suite_fast_path_routes(ring, _inputs, rng):
+          "fast paths agree with the plain routes", seed=20261019)
+def suite_fast_path_routes(ring, inputs, rng):
     """The lcm syzygies of single terms and the solver-free presentation of
     a cokernel of the free module agree with the LiftSolver route on six
     seeded draws over a polynomial base: equal spans (Submodule.equals) and
-    equal pruned generators. For a relation with a unit-monomial term, and
-    over a quotient base, the solver route is taken and still agrees."""
+    equal pruned generators. On the same draws the term pruning of
+    minimal_generators, with and without a modulo term, keeps what one
+    groebner._run keeps, and the resolutions of both cokernels, ended and
+    pruned by their syzygy series, equal the plain stage loop. For a
+    relation with a unit-monomial term, and over a quotient base, the
+    solver route is taken and still agrees, and the resolution of R/(x)
+    equals the plain stage loop for three stages. On every base R(M) of a
+    free M, which skips the elimination, has the series and the strands of
+    the elimination route."""
+    _check_free_rees(ring, inputs.ideals[1])
     if ring.relations:
         terms = Submodule(ring, 1, (0,), [parse_vec(ring, ["x"]), parse_vec(ring, ["z"])])
         if not terms.syzygies().equals(_solver_syzygies(terms)):
             raise Broken("syzygies of terms differ from the solver's")
         _check_presentation(FPModule.cyclic(ring, ("x",)), solver=True)
-        return 2
+        _check_resolution(FPModule.cyclic(ring, ("x",)), 3)
+        return 4
     for _ in range(6):
         twists = rng.choice([(0,), (0, 1), (0, 0), (1, 0)])
         gens = []
@@ -439,11 +526,16 @@ def suite_fast_path_routes(ring, _inputs, rng):
             raise Broken("syzygies of %r did not take the lcm route" % (sub,))
         if not syz.equals(_solver_syzygies(sub)):
             raise Broken("lcm syzygies of %r differ from the solver's" % (sub,))
+        for modulo in ((), sub.gens[:1]):
+            _check_pruning(sub, modulo)
         rels = [_seeded_vector(rng, ring, twists, max(twists) + rng.randint(1, 3))
                 for _ in range(rng.randint(1, 3))]
-        _check_presentation(FPModule.from_cokernel(ring, twists, [w for w in rels if w]), False)
+        cokernel = FPModule.from_cokernel(ring, twists, [w for w in rels if w])
+        _check_presentation(cokernel, False)
+        for module in (cokernel, FPModule.from_cokernel(ring, twists, gens)):
+            _check_resolution(module, ring.nvars + 2)
     _check_presentation(module_corpus(ring)[-1], solver=True)  # the unit relation
-    return 13
+    return 38
 
 
 def suite_component_strands():

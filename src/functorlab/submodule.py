@@ -27,7 +27,9 @@ I cap J by the pairwise lcms (Cox-Little-O'Shea, Ideals, Varieties, and
 Algorithms, 2.4 and 4.4). Every other input goes through one LiftSolver.
 So do syzygies, except those of single terms over a polynomial base,
 which are the pairwise lcm syzygies (Eisenbud, Commutative Algebra,
-Lemma 15.1).
+Lemma 15.1). minimal_generators of terms modulo terms runs no Buchberger
+loop: a candidate is kept unless a modulo term, a base-relation term or an
+earlier kept term of its component divides it.
 
 On the term path each monomial set is minimised once. A product keeps
 the minimal exponent sums (term_basis) and builds a vector only for
@@ -42,7 +44,7 @@ back a module whose generators already are its basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, is_
+from operator import add, is_, le
 
 from . import cache
 from .errors import ContractViolation, HomogeneityError
@@ -167,6 +169,23 @@ def _lcm_syzygies(ring, gens):
                     (j, ring.mono_div(lcm, mj)): ring.neg(ring.inv(fj)),
                 }))
     return out
+
+
+def _keep_terms(candidates, fixed):
+    """The single-term candidates, in order, that no (component, monomial)
+    term of fixed and no earlier kept candidate of the same component
+    divides."""
+    held = {}
+    for c, m in fixed:
+        held.setdefault(c, []).append(m)
+    kept = []
+    for g in candidates:
+        (c, m), = g.terms
+        monos = held.setdefault(c, [])
+        if not any(all(map(le, p, m)) for p in monos):
+            monos.append(m)
+            kept.append(g)
+    return kept
 
 
 def candidate_key(twists, rank):
@@ -509,6 +528,18 @@ class Submodule:
             out._gb = gens
         return out
 
+    def gen_degrees(self):
+        return tuple(g.degree(self.twists) for g in self.gens)
+
+    def candidates(self, modulo=()):
+        """gens in candidate_key order, the order minimal_generators takes
+        them in. Every generator and every modulo vector must be
+        homogeneous; else ContractViolation."""
+        for v in self.gens + tuple(modulo):
+            if not v.is_homogeneous(self.twists):
+                raise ContractViolation("minimal generators need homogeneous input, got %r" % v)
+        return sorted(self.gens, key=candidate_key(self.twists, self.rank))
+
     def minimal_generators(self, modulo=()):
         """A subset of gens minimally generating (self + span(modulo)) / span(modulo).
 
@@ -526,14 +557,20 @@ class Submodule:
         (R_0 is the field), the kept ones plus modulo span self +
         span(modulo) and none of them lies in the span of the others plus
         modulo.
+
+        Term input (spans_terms of gens and modulo) never enters the loop:
+        S-vectors of terms vanish, and a term reduces to zero only by an
+        entered term that divides it. So a candidate is kept unless a
+        modulo term, a base-relation term or an earlier kept term of its
+        component divides it, which is what the loop keeps.
         """
         ring, rank, twists = self.ring, self.rank, self.twists
         modulo = [v for v in modulo if v]
-        for v in self.gens + tuple(modulo):
-            if not v.is_homogeneous(twists):
-                raise ContractViolation("minimal generators need homogeneous input, got %r" % v)
+        candidates = self.candidates(modulo)
+        if spans_terms(self.gens + tuple(modulo), ring):
+            fixed = [t for v in modulo for t in v.terms] + base_relation_terms(ring, rank)
+            return Submodule(ring, rank, twists, _keep_terms(candidates, fixed), check=False)
         fixed = modulo + base_relation_vectors(ring, rank)
-        candidates = sorted(self.gens, key=candidate_key(twists, rank))
         inputs = fixed + candidates  # at equal degree, position puts fixed first
         _elements, entered = _run(inputs, ring=ring, rank=rank, twists=twists, bound=self.bound)
         gens = [inputs[k] for k in entered if k >= len(fixed)]

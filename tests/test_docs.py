@@ -37,3 +37,33 @@ def test_every_public_name_resolves():
     missing = [name for name in functorlab.__all__ if not hasattr(functorlab, name)]
     assert missing == []
     assert len(set(functorlab.__all__)) == len(functorlab.__all__)
+
+
+def _selftest_table():
+    """{suite: cells after the name} of the README's selftest table, and its
+    header cells."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(next(line for line in lines if line.startswith("| suite |")))
+    header = [cell.strip() for cell in lines[start].strip("|").split("|")]
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[1:]
+    return header, rows
+
+
+def test_readme_selftest_table_matches_the_suites():
+    # one row per suite, no other rows, and the base-kind columns marked
+    # for a suite made by per_base are the kinds it runs over
+    from functorlab.corpus import KINDS
+    from functorlab.selftest import SUITES
+
+    header, rows = _selftest_table()
+    assert list(rows) == [name for name, _suite in SUITES]
+    assert header[2:2 + len(KINDS)] == list(KINDS)
+    for name, suite in SUITES:
+        marked = {kind for kind, cell in zip(KINDS, rows[name][1:]) if cell == "✓"}
+        if hasattr(suite, "kinds"):
+            assert marked == set(KINDS) & set(suite.kinds), name

@@ -16,7 +16,7 @@ import pytest
 
 from functorlab import cache, fpmodule
 from functorlab import submodule as submodule_mod
-from functorlab.corpus import ORACLE_BASES, POLYNOMIAL_KINDS, base
+from functorlab.corpus import KINDS, ORACLE_BASES, POLYNOMIAL_KINDS, base
 from functorlab.errors import ContractViolation
 from functorlab.fpmodule import (
     FPModule,
@@ -529,3 +529,66 @@ def test_grown_resolution_equals_a_fresh_one(monkeypatch, case):
         assert len(syzygies) == built, m
     assert len(residue.resolution(0).maps) == (5 if ring.relations else ring.nvars)
     assert residue.resolution(0).exhausted == (not ring.relations)
+
+
+def reference_keep(sub):
+    """sub's generators in (degree, text) order, each kept when the ones
+    kept before it do not span it, their span rebuilt after each keep."""
+    kept = []
+    span = Submodule(sub.ring, sub.rank, sub.twists, [], check=False)
+    for g in sorted(sub.gens, key=lambda g: (g.degree(sub.twists), str(g.to_strings(sub.rank)))):
+        if not span.contains(g):
+            kept.append(g)
+            span = Submodule(sub.ring, sub.rank, sub.twists, kept, check=False)
+    return kept
+
+
+def plain_stage_loop(module, length):
+    """(twist table, maps, pending) of module's resolution grown stage by
+    stage with no syzygy series: the syzygies of the last columns, pruned
+    by reference_keep, at every stage."""
+    pres = module.presentation()
+    twists, maps, columns = [pres.gen_twists], [], list(pres.columns)
+    while len(maps) < length and columns:
+        maps.append(tuple(tuple(c.components(len(twists[-1]))) for c in columns))
+        image = Submodule(module.ring, len(twists[-1]), twists[-1], columns, check=False)
+        twists.append(tuple(c.degree(twists[-1]) for c in columns))
+        columns = reference_keep(image.syzygies())
+    return twists, maps, columns
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_resolution_equals_the_plain_stage_loop(kind):
+    # the complex ends where its syzygy series is empty and takes kernel
+    # generators whose free series is the kernel's without pruning them;
+    # the plain loop solves and prunes every stage, and both give the same
+    # ranks, twists, maps and pending columns, over a quotient base too,
+    # where the series vanishes at t = 1 and the resolutions need not end
+    ring = base(kind)
+    rng = random.Random("plain-stages/%s" % kind)
+    modules = [FPModule.cyclic(ring, ring.names[:2]), FPModule.cyclic(ring, ("x^2", "x*y"))]
+    for _ in range(3):
+        modules += route_corpus(ring, rng)
+    for m in modules:
+        res = free_resolution(m, 4)
+        twists, maps, pending = plain_stage_loop(m, 4)
+        assert res.ranks() == [len(t) for t in twists], m
+        assert res.twist_table() == twists, m
+        assert res.maps == maps, m
+        assert res.pending == pending, m
+
+
+def test_finite_resolution_skips_its_last_two_loops(monkeypatch):
+    # 0 -> R(-2) -> R(-1)^2 -> R -> k -> 0 over k[x,y]: Z_1 is free, so its
+    # one lcm syzygy is taken with no pruning run, and Z_2 has series 0, so
+    # it is never solved for
+    k_mod = cyclic("x", "y")
+    k_mod.presentation()
+    calls = []
+    for name in ("syzygies", "minimal_generators"):
+        real = getattr(Submodule, name)
+        monkeypatch.setattr(
+            Submodule, name, lambda self, *a, _n=name, _r=real: calls.append(_n) or _r(self, *a))
+    res = free_resolution(k_mod, 5)
+    assert res.ranks() == [1, 2, 1] and res.exhausted
+    assert calls == ["syzygies"]

@@ -441,6 +441,45 @@ def test_minimal_generators_equal_the_keep_loop(case, with_modulo, seed, no_cach
     assert [g.terms for g in kept] == [g.terms for g in reference_keep_loop(sub, modulo)]
 
 
+TERM_MINGEN_CASES = {
+    # name: (ring, twists)
+    "gf_rank1": (lambda: _xyz(), (0,)),
+    "q_rank2": (lambda: _xyz(char=0), (0, 1)),
+    "weights_1_2_1": (lambda: _xyz(weights=(1, 2, 1)), (0, 0)),
+    "monomial_quotient": (lambda: _xyz(relations=["y^2", "x*z"]), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(TERM_MINGEN_CASES))
+def test_term_minimal_generators_equal_the_keep_loop(case, seed, no_cache, monkeypatch):
+    # seeded single terms with repeats (the same term, and a scalar multiple
+    # of one) and term multiples, against modulo terms and, over the
+    # monomial quotient, the base-relation terms: the kept candidates are
+    # the keep loop's, and no Buchberger run prunes them
+    make_ring, twists = TERM_MINGEN_CASES[case]
+    R = make_ring()
+    rng = random.Random("term-mingen/%s/%d" % (case, seed))
+
+    def term(degree):
+        c = rng.randrange(len(twists))
+        mono = rng.choice(monomials_of_degree(R, max(degree - twists[c], 0)))
+        return Vec(R, {(c, mono): R.coeff(rng.randint(1, 5))})
+
+    gens = [term(rng.randint(1, 3)) for _ in range(7)]
+    gens += [gens[0], gens[1].scale(R.coeff(-2))]
+    gens += [g.mul_term(R.one, R.var_mono(rng.randrange(R.nvars), 1)) for g in gens[2:4]]
+    rng.shuffle(gens)
+    sub = Submodule(R, len(twists), twists, gens)
+    loops = []
+    real = submodule_mod._run
+    monkeypatch.setattr(submodule_mod, "_run", lambda *a, **k: loops.append(1) or real(*a, **k))
+    for modulo in ([], [term(2), term(1)]):
+        kept = list(sub.minimal_generators(modulo=modulo).gens)
+        assert [g.terms for g in kept] == [g.terms for g in reference_keep_loop(sub, modulo)]
+    assert not loops
+
+
 def test_minimal_generators_finish_lower_pairs_before_an_input():
     # the S-pair of x^2 - y^2 and x*y gives y^3, of degree 3, so y^3 lies in
     # the span of the quadrics; taken before that pair, it would be kept
