@@ -154,7 +154,7 @@ class FPModule:
         return self._rels_sub
 
     def gen_degrees(self):
-        return tuple(g.degree(self.twists) for g in self.gens)
+        return self._gens_sub.gen_degrees()
 
     def numerator(self):
         if self._numer is None:

@@ -490,7 +490,7 @@ class Submodule:
         not pruned. Every other input goes through one LiftSolver.
         """
         ring, gens = self.ring, self.gens
-        degs = tuple(g.degree(self.twists) for g in gens)
+        degs = self.gen_degrees()
         if not ring.relations and all(len(g.terms) == 1 for g in gens):
             return Submodule(ring, len(gens), degs, _lcm_syzygies(ring, gens), check=False)
         solver = LiftSolver(ring, self.rank, self.twists, list(gens))
