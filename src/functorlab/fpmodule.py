@@ -25,7 +25,8 @@ sorted, not pruned again (hilbert.module_numerator). Presentations and
 kernels go through LiftSolver, except where the answer is known: a
 cokernel of a free module over a polynomial base, with no unit entry in
 its relations, is presented by its relations' minimal generators, and the
-syzygies of single terms are their pairwise lcm syzygies. The
+syzygies of single terms are their pairwise lcm syzygies, already pruned
+to minimal generators on the lcm lattice (Submodule.syzygies). The
 presentation keeps one solver, so Presentation.coeffs_of writes vectors
 over the presentation generators without a second solve. Free
 resolutions prune to minimal generators at every stage, which over a
@@ -306,30 +307,27 @@ class GradedComplex:
     last differential, the columns of the next one; the complex is exhausted
     when there are none, and grow resumes from them.
 
-    numer, when given, is the Hilbert numerator of the module M the complex
-    resolves. Along 0 -> Z_k -> F_k -> ... -> F_0 -> M -> 0 the series of
-    each syzygy module Z_k is then known before Z_k is computed:
+    numer is the Hilbert numerator of the module M the complex resolves.
+    Along 0 -> Z_k -> F_k -> ... -> F_0 -> M -> 0 the series of each
+    syzygy module Z_k is then known before Z_k is computed:
     numer(Z_k) = numer(F_k) - numer(Z_(k-1)), numer(Z_(-1)) = numer(M)
     (Traverso, "Hilbert functions and the Buchberger algorithm", JSC 22,
     1996, drives Buchberger with the same fact). grow uses it twice. A
     kernel whose numerator is empty is 0, so the complex ends with no solve.
     Kernel generators whose free module R^m(-deg) has the kernel's series
     map onto it isomorphically, so none lies in the span of the others and
-    they are its minimal generators with no pruning run. Without numer
-    every kernel is solved for and pruned.
+    they are its minimal generators with no pruning run.
     """
 
-    def __init__(self, modules, maps, pending=(), numer=None):
+    def __init__(self, modules, maps, pending, numer):
         self.modules = list(modules)
         self.maps = list(maps)
         self.pending = list(pending)
-        self._kernel_numer = None  # numer(Z_k), k = len(maps), when known
-        if numer is not None:
-            self._unit_numer = FPModule.free(self.modules[0].ring, (0,)).numerator()
-            kernel = numer
-            for stage in self.modules:
-                kernel = numer_add(self._free_numer(stage.twists), kernel, sign=-1)
-            self._kernel_numer = kernel
+        self._unit_numer = FPModule.free(self.modules[0].ring, (0,)).numerator()
+        kernel = numer
+        for stage in self.modules:
+            kernel = numer_add(self._free_numer(stage.twists), kernel, sign=-1)
+        self._kernel_numer = kernel  # numer(Z_k), k = len(maps)
 
     @property
     def exhausted(self):
@@ -358,8 +356,6 @@ class GradedComplex:
     def _kernel_generators(self, image):
         """Minimal generators of the syzygies of image's generators, the
         kernel of the differential just appended."""
-        if self._kernel_numer is None:
-            return list(image.syzygies().minimal_generators().gens)
         numer = numer_add(self._free_numer(self.modules[-1].twists), self._kernel_numer, sign=-1)
         self._kernel_numer = numer
         if not numer:

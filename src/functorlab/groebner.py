@@ -32,7 +32,9 @@ Submodule.groebner asks spans_terms first, so a term module never builds a
 cache key or reaches buchberger at all, and Submodule.minimal_generators
 asks it too: on term input a candidate reduces to zero exactly when an
 entered term divides it, so the terms it keeps are found by divisibility
-with no run of _run.
+with no run of _run. Nor does it run for the pairwise lcm syzygies of
+terms, which Submodule.syzygies prunes on the lcm lattice as it builds
+them.
 
 LiftSolver is the workhorse behind syzygies, kernels, preimages, and lifts:
 it tags each target with a fresh component that sorts below every main

@@ -27,9 +27,10 @@ I cap J by the pairwise lcms (Cox-Little-O'Shea, Ideals, Varieties, and
 Algorithms, 2.4 and 4.4). Every other input goes through one LiftSolver.
 So do syzygies, except those of single terms over a polynomial base,
 which are the pairwise lcm syzygies (Eisenbud, Commutative Algebra,
-Lemma 15.1). minimal_generators of terms modulo terms runs no Buchberger
-loop: a candidate is kept unless a modulo term, a base-relation term or an
-earlier kept term of its component divides it.
+Lemma 15.1), pruned on the lcm lattice to minimal generators with no
+Buchberger loop. minimal_generators of terms modulo terms runs none
+either: a candidate is kept unless a modulo term, a base-relation term or
+an earlier kept term of its component divides it.
 
 On the term path each monomial set is minimised once. A product keeps
 the minimal exponent sums (term_basis) and builds a vector only for
@@ -171,6 +172,45 @@ def _lcm_syzygies(ring, gens):
     return out
 
 
+def _minimal_lcm_syzygies(ring, gens, degs):
+    """The lcm syzygies of the single-term vectors gens that
+    minimal_generators keeps, in candidate_key order, with no Buchberger
+    loop. The syzygy of a pair i, j of component c lives in the multidegree
+    (c, L), L the lcm of their monomials. There, modulo the syzygies of
+    lower degree (those whose lcm strictly divides L; the weights are
+    positive), it is u_i - u_j, u_k the unit-scaled basis vector of each
+    term k of component c dividing L. So it lies in the span of the
+    candidates before it exactly when i and j are joined by the pairs whose
+    lcm strictly divides L and the pairs of lcm L kept before it: a
+    spanning forest per multidegree, grown in candidate order."""
+    terms = [next(iter(g.terms)) for g in gens]
+    forests = {}  # (c, L) -> union-find parents over the terms dividing L
+    kept = []
+    for v in sorted(_lcm_syzygies(ring, gens), key=candidate_key(degs, len(gens))):
+        (i, _), (j, _) = sorted(v.terms)
+        c = terms[i][0]
+        lcm = ring.mono_lcm(terms[i][1], terms[j][1])
+        parent = forests.get((c, lcm))
+        if parent is None:
+            below = [k for k, (ck, m) in enumerate(terms) if ck == c and all(map(le, m, lcm))]
+            parent = forests[(c, lcm)] = {k: k for k in below}
+            for a in below:
+                for b in below:
+                    if a < b and ring.mono_lcm(terms[a][1], terms[b][1]) != lcm:
+                        parent[_root(parent, a)] = _root(parent, b)
+        ri, rj = _root(parent, i), _root(parent, j)
+        if ri != rj:
+            parent[ri] = rj
+            kept.append(v)
+    return kept
+
+
+def _root(parent, k):
+    while parent[k] != k:
+        k = parent[k]
+    return k
+
+
 def _keep_terms(candidates, fixed):
     """The single-term candidates, in order, that no (component, monomial)
     term of fixed and no earlier kept candidate of the same component
@@ -210,7 +250,7 @@ def _term_submodule(ring, twists, per_component):
 
 
 class Submodule:
-    __slots__ = ("ring", "rank", "twists", "gens", "_bound", "_gb", "_leads")
+    __slots__ = ("ring", "rank", "twists", "gens", "_bound", "_gb", "_leads", "_minimal")
 
     def __init__(self, ring, rank, twists, gens, check=True):
         self.ring = ring
@@ -228,6 +268,7 @@ class Submodule:
         self._bound = None
         self._gb = None
         self._leads = None
+        self._minimal = False  # gens are their own minimal generators, in order
 
     # -- plumbing --------------------------------------------------------
 
@@ -486,13 +527,18 @@ class Submodule:
         When every generator is a single term and the base is a polynomial
         ring, the syzygies are generated by the pairwise lcm syzygies
         (m_ij / g_i) e_i - (m_ij / g_j) e_j, m_ij the lcm of two terms in
-        one component (Eisenbud, Commutative Algebra, Lemma 15.1); they are
-        not pruned. Every other input goes through one LiftSolver.
+        one component (Eisenbud, Commutative Algebra, Lemma 15.1). They come
+        pruned on the lcm lattice to the ones minimal_generators would keep
+        (_minimal_lcm_syzygies), which it then hands back as they are.
+        Every other input goes through one LiftSolver.
         """
         ring, gens = self.ring, self.gens
         degs = self.gen_degrees()
         if not ring.relations and all(len(g.terms) == 1 for g in gens):
-            return Submodule(ring, len(gens), degs, _lcm_syzygies(ring, gens), check=False)
+            out = Submodule(ring, len(gens), degs, _minimal_lcm_syzygies(ring, gens, degs),
+                            check=False)
+            out._minimal = True
+            return out
         solver = LiftSolver(ring, self.rank, self.twists, list(gens))
         return Submodule(ring, len(gens), degs, solver.kernel_vectors(), check=False)
 
@@ -562,10 +608,14 @@ class Submodule:
         S-vectors of terms vanish, and a term reduces to zero only by an
         entered term that divides it. So a candidate is kept unless a
         modulo term, a base-relation term or an earlier kept term of its
-        component divides it, which is what the loop keeps.
+        component divides it, which is what the loop keeps. The lcm
+        syzygies of terms (syzygies) are kept whole, in their order: they
+        were pruned as they were built.
         """
         ring, rank, twists = self.ring, self.rank, self.twists
         modulo = [v for v in modulo if v]
+        if self._minimal and not modulo:
+            return self
         candidates = self.candidates(modulo)
         if spans_terms(self.gens + tuple(modulo), ring):
             fixed = [t for v in modulo for t in v.terms] + base_relation_terms(ring, rank)

@@ -253,7 +253,8 @@ def test_homology_requires_zero_composite(monkeypatch):
     # resolution, it is refused when the homology is built
     x = p("x")
     planted = GradedComplex(
-        [FPModule.free(R, (t,)) for t in (0, 1, 2)], [((x,),), ((x,),)]
+        [FPModule.free(R, (t,)) for t in (0, 1, 2)], [((x,),), ((x,),)], (),
+        cyclic("x").numerator(),
     )
     monkeypatch.setattr(fpmodule, "free_resolution", lambda module, length_cap: planted)
     for which in ("Ext", "Tor"):
@@ -543,17 +544,27 @@ def reference_keep(sub):
     return kept
 
 
+def unpruned_syzygies(image):
+    """image's syzygies with none dropped: every pairwise lcm syzygy of
+    single terms over a polynomial base, else the LiftSolver's."""
+    ring, gens = image.ring, image.gens
+    if ring.relations or any(len(g.terms) != 1 for g in gens):
+        return image.syzygies()
+    syz = submodule_mod._lcm_syzygies(ring, gens)
+    return Submodule(ring, len(gens), image.gen_degrees(), syz, check=False)
+
+
 def plain_stage_loop(module, length):
     """(twist table, maps, pending) of module's resolution grown stage by
-    stage with no syzygy series: the syzygies of the last columns, pruned
-    by reference_keep, at every stage."""
+    stage with no syzygy series: the unpruned syzygies of the last columns,
+    pruned by reference_keep, at every stage."""
     pres = module.presentation()
     twists, maps, columns = [pres.gen_twists], [], list(pres.columns)
     while len(maps) < length and columns:
         maps.append(tuple(tuple(c.components(len(twists[-1]))) for c in columns))
         image = Submodule(module.ring, len(twists[-1]), twists[-1], columns, check=False)
         twists.append(tuple(c.degree(twists[-1]) for c in columns))
-        columns = reference_keep(image.syzygies())
+        columns = reference_keep(unpruned_syzygies(image))
     return twists, maps, columns
 
 

@@ -480,6 +480,41 @@ def test_term_minimal_generators_equal_the_keep_loop(case, seed, no_cache, monke
     assert not loops
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", ["gf_rank1", "q_rank2", "weights_1_2_1"])
+def test_term_syzygies_are_what_the_keep_loop_keeps_of_every_pair(case, seed, no_cache,
+                                                                  monkeypatch):
+    # seeded single terms with repeats (the same term, and a scalar multiple
+    # of one), plus x*y, x*z, y*z, whose three pairs share the lcm x*y*z:
+    # the syzygies come pruned to the pairwise lcm syzygies the keep loop
+    # keeps, in its order, with no Buchberger run, and minimal_generators
+    # hands them back whole, or drops the ones a modulo vector spans
+    make_ring, twists = TERM_MINGEN_CASES[case]
+    R = make_ring()
+    rng = random.Random("term-syzygies/%s/%d" % (case, seed))
+
+    def term(degree):
+        c = rng.randrange(len(twists))
+        mono = rng.choice(monomials_of_degree(R, max(degree - twists[c], 0)))
+        return Vec(R, {(c, mono): R.coeff(rng.randint(1, 5))})
+
+    gens = [term(rng.randint(1, 3)) for _ in range(6)]
+    gens += [gens[0], gens[1].scale(R.coeff(-2))]
+    gens += [parse_vec(R, [t] + ["0"] * (len(twists) - 1)) for t in ("x*y", "x*z", "y*z")]
+    rng.shuffle(gens)
+    sub = Submodule(R, len(twists), twists, gens)
+    every_pair = Submodule(R, len(gens), sub.gen_degrees(),
+                           submodule_mod._lcm_syzygies(R, sub.gens), check=False)
+    loops = []
+    real = submodule_mod._run
+    monkeypatch.setattr(submodule_mod, "_run", lambda *a, **k: loops.append(1) or real(*a, **k))
+    syz = sub.syzygies()
+    assert syz.minimal_generators() is syz
+    assert not loops
+    assert [g.terms for g in syz.gens] == [g.terms for g in reference_keep_loop(every_pair)]
+    assert syz.minimal_generators(modulo=syz.gens[:1]).gens == syz.gens[1:]
+
+
 def test_minimal_generators_finish_lower_pairs_before_an_input():
     # the S-pair of x^2 - y^2 and x*y gives y^3, of degree 3, so y^3 lies in
     # the span of the quadrics; taken before that pair, it would be kept
