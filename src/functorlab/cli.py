@@ -21,6 +21,7 @@ from .scenario import (
     bundled_scenario_path,
     bundled_scenarios,
     load_scenario,
+    names_a_path,
 )
 from .stability import OBSERVABLE_NAMES
 
@@ -80,7 +81,7 @@ def _emit(line):
 def _cmd_run(args):
     cache.configure(directory=os.environ.get("FUNCTORLAB_CACHE_DIR"), enabled=not args.no_cache)
     target = args.scenario
-    if not os.path.exists(target):
+    if not names_a_path(target) and not os.path.exists(target):
         target = bundled_scenario_path(target)
     scn = load_scenario(target, char_override=args.char)
     _prepare_out_dir(args.out, artifact_names(scn.output_stem, scn.tasks))

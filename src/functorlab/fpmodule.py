@@ -35,12 +35,16 @@ literal ranks. A resolution is handed the module's Hilbert numerator, so
 the series of each syzygy module is known, by the Euler characteristic,
 before it is solved for (GradedComplex): a syzygy module of series 0 ends
 the complex with no solve, and kernel generators whose free module has the
-kernel's series are kept with no pruning run, so a finite resolution ends
-without its last two Buchberger loops. A module keeps its resolution like
-its presentation and Hilbert numerator: FPModule.resolution(length)
-returns the one complex, grown in place from its kept syzygy columns when
-a longer one is asked for, so every reader (Hom/Ext/Tor, Betti and Bass
-numbers, pd, Ass) shares it and no stage is built twice.
+kernel's series are kept with no pruning run. Over a polynomial base in n
+variables the kernel Z_(n-1) of F_(n-1) -> F_(n-2) is free (Hilbert's
+syzygy theorem), so its series gives its rank and twists: it is solved for
+only when the maps or the pending columns are read, and until then Betti
+and Bass numbers, pd and id run no solve past Z_(n-2). A module keeps its
+resolution like its presentation and Hilbert numerator:
+FPModule.resolution(length) returns the one complex, grown in place from
+its kept syzygy columns when a longer one is asked for, so every reader
+(Hom/Ext/Tor, Betti and Bass numbers, pd, Ass) shares it and no stage is
+built twice.
 
 This module is also the one home of block modules and of maps. A map is
 a Poly matrix, column-major with one column per source generator. Hom,
@@ -312,26 +316,43 @@ class GradedComplex:
     syzygy module Z_k is then known before Z_k is computed:
     numer(Z_k) = numer(F_k) - numer(Z_(k-1)), numer(Z_(-1)) = numer(M)
     (Traverso, "Hilbert functions and the Buchberger algorithm", JSC 22,
-    1996, drives Buchberger with the same fact). grow uses it twice. A
-    kernel whose numerator is empty is 0, so the complex ends with no solve.
-    Kernel generators whose free module R^m(-deg) has the kernel's series
-    map onto it isomorphically, so none lies in the span of the others and
-    they are its minimal generators with no pruning run.
+    1996, drives Buchberger with the same fact). grow uses it three times.
+    A kernel whose numerator is empty is 0, so the complex ends with no
+    solve. Kernel generators whose free module R^m(-deg) has the kernel's
+    series map onto it isomorphically, so none lies in the span of the
+    others and they are its minimal generators with no pruning run. Over a
+    polynomial base in n variables Z_k is free once k >= n - 1 (Hilbert's
+    syzygy theorem; Eisenbud, Commutative Algebra, Cor. 19.7) and
+    numer(R) = 1, so c t^d in numer(Z_k) is c generators of degree d.
+    F_(k+1) takes those degrees, Z_(k+1) has series 0 and the complex ends;
+    Z_k is solved only when maps or pending is first read, and its columns
+    must then have those degrees.
     """
 
     def __init__(self, modules, maps, pending, numer):
         self.modules = list(modules)
-        self.maps = list(maps)
-        self.pending = list(pending)
+        self._maps = list(maps)
+        self._pending = list(pending)  # None while the free Z_k is deferred
+        self._deferred = None  # (image, twists): Z_k, the syzygies of image, unsolved
         self._unit_numer = FPModule.free(self.modules[0].ring, (0,)).numerator()
         kernel = numer
         for stage in self.modules:
             kernel = numer_add(self._free_numer(stage.twists), kernel, sign=-1)
-        self._kernel_numer = kernel  # numer(Z_k), k = len(maps)
+        self._kernel_numer = kernel  # numer(Z_k), k = len(modules) - 1
+
+    @property
+    def maps(self):
+        self._solve_deferred()
+        return self._maps
+
+    @property
+    def pending(self):
+        self._solve_deferred()
+        return self._pending
 
     @property
     def exhausted(self):
-        return not self.pending
+        return self._pending is not None and not self._pending
 
     def _free_numer(self, twists):
         """numer of (+)_t R(-t), from the base ring's numerator read once."""
@@ -340,36 +361,78 @@ class GradedComplex:
             out = numer_add(out, numer_shift(self._unit_numer, t))
         return out
 
+    def _next_kernel_numer(self):
+        """numer(Z_k) for the stage F_k just appended, kept for the next."""
+        self._kernel_numer = numer_add(
+            self._free_numer(self.modules[-1].twists), self._kernel_numer, sign=-1)
+        return self._kernel_numer
+
     def grow(self, length):
         """Extend to length differentials, or until the syzygies run out."""
-        while len(self.maps) < length and self.pending:
-            columns = self.pending
-            twists = self.modules[-1].twists
+        while len(self.modules) <= length and not self.exhausted:
             ring = self.modules[-1].ring
-            col_twists = tuple(c.degree(twists) for c in columns)
-            self.maps.append(tuple(tuple(c.components(len(twists))) for c in columns))
-            self.modules.append(FPModule.free(ring, col_twists))
+            if self._pending is None:
+                # F_(k+1) maps onto the free Z_k isomorphically
+                self.modules.append(FPModule.free(ring, self._deferred[1]))
+                if self._next_kernel_numer():
+                    raise ContractViolation("a free syzygy module's cover has a nonzero kernel")
+                self._pending = []
+                continue
+            columns = self._pending
+            twists = self.modules[-1].twists
+            self._maps.append(_matrix(columns, len(twists)))
+            self.modules.append(FPModule.free(ring, tuple(c.degree(twists) for c in columns)))
             image = Submodule(ring, len(twists), twists, columns, check=False)
-            self.pending = self._kernel_generators(image)
+            self._pending = self._kernel_generators(image)
         return self
 
     def _kernel_generators(self, image):
         """Minimal generators of the syzygies of image's generators, the
-        kernel of the differential just appended."""
-        numer = numer_add(self._free_numer(self.modules[-1].twists), self._kernel_numer, sign=-1)
-        self._kernel_numer = numer
+        kernel Z_k of the differential just appended; None, with Z_k
+        deferred, when the syzygy theorem makes it free."""
+        numer = self._next_kernel_numer()
         if not numer:
             return []
+        ring = image.ring
+        if not ring.relations and len(self.modules) >= ring.nvars:
+            if any(c < 0 for c in numer.values()):
+                raise ContractViolation("a free syzygy module has a negative series coefficient")
+            self._deferred = (image, tuple(d for d in sorted(numer) for _ in range(numer[d])))
+            return None
+        return self._minimal_syzygies(image, numer)
+
+    def _minimal_syzygies(self, image, numer):
         kern = image.syzygies()
         if self._free_numer(kern.gen_degrees()) == numer:
             return kern.candidates()
         return list(kern.minimal_generators().gens)
+
+    def _solve_deferred(self):
+        """Solve the deferred free Z_k: its columns become pending, or the
+        last map when the complex has grown past it."""
+        if self._deferred is None:
+            return
+        image, twists = self._deferred
+        columns = self._minimal_syzygies(image, self._free_numer(twists))
+        degrees = image.gen_degrees()
+        if tuple(c.degree(degrees) for c in columns) != twists:
+            raise ContractViolation("a free syzygy module's generators differ from its series")
+        self._deferred = None
+        if self._pending is None:
+            self._pending = columns
+        else:
+            self._maps.append(_matrix(columns, len(degrees)))
 
     def ranks(self):
         return [len(m.gens) for m in self.modules]
 
     def twist_table(self):
         return [m.twists for m in self.modules]
+
+
+def _matrix(columns, height):
+    """Vectors of R^height as a column-major Poly matrix."""
+    return tuple(tuple(c.components(height)) for c in columns)
 
 
 def free_resolution(module, length_cap):

@@ -198,7 +198,15 @@ def bundled_scenarios():
     return tuple(sorted(f for f in os.listdir(root) if f.endswith(".scn")))
 
 
+def names_a_path(arg):
+    """Whether a scenario argument holds a path separator, and so names a
+    file rather than a bundled scenario."""
+    return any(sep and sep in arg for sep in (os.sep, os.altsep))
+
+
 def bundled_scenario_path(name):
+    if names_a_path(name):
+        raise ConfigurationError("bundled scenario names hold no path separator: %r" % name)
     if not name.endswith(".scn"):
         name += ".scn"
     path = os.path.join(os.path.dirname(__file__), "scenarios", name)

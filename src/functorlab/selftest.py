@@ -462,7 +462,10 @@ def _check_pruning(sub, modulo):
 def _check_resolution(module, length):
     """free_resolution(module, length) against the plain stage loop: the
     unpruned syzygies of the last columns and a _run pruning at every
-    stage, with no syzygy series. Equal twists, maps and pending columns."""
+    stage, with no syzygy series. Equal twists, maps and pending columns.
+    The twist table is read before maps, so a free syzygy module's twists
+    come off its series; they must be the degrees of the columns solved
+    when maps is read."""
     pres = module.presentation()
     twists, maps, columns = [pres.gen_twists], [], list(pres.columns)
     while len(maps) < length and columns:
@@ -471,7 +474,12 @@ def _check_resolution(module, length):
         twists.append(image.gen_degrees())
         columns = _loop_minimal_generators(_plain_syzygies(image))
     res = free_resolution(module, length)
-    if (res.twist_table(), res.maps, res.pending) != (twists, maps, columns):
+    deferred = res.twist_table()
+    solved = [tuple(Vec.from_polys(col).degree(deferred[k]) for col in cols)
+              for k, cols in enumerate(res.maps)]
+    if solved != deferred[1:]:
+        raise Broken("series twists of %r differ from its solved columns" % (module,))
+    if (deferred, res.maps, res.pending) != (twists, maps, columns):
         raise Broken("resolution of %r differs from the plain stage loop" % (module,))
 
 
@@ -505,7 +513,9 @@ def suite_fast_path_routes(ring, inputs, rng):
     are the ones one groebner._run keeps of every pair. On the same draws the term pruning of
     minimal_generators, with and without a modulo term, keeps what one
     groebner._run keeps, and the resolutions of both cokernels, ended and
-    pruned by their syzygy series, equal the plain stage loop. For a
+    pruned by their syzygy series, equal the plain stage loop, with the
+    twists of their free last syzygy modules, read off the series before
+    the solve, equal to the degrees of the solved columns. For a
     relation with a unit-monomial term, and over a quotient base, the
     solver route is taken and still agrees, and the resolution of R/(x)
     equals the plain stage loop for three stages. On every base R(M) of a
@@ -541,7 +551,7 @@ def suite_fast_path_routes(ring, inputs, rng):
         for module in (cokernel, FPModule.from_cokernel(ring, twists, gens)):
             _check_resolution(module, ring.nvars + 2)
     _check_presentation(module_corpus(ring)[-1], solver=True)  # the unit relation
-    return 38
+    return 50
 
 
 def suite_component_strands():

@@ -94,6 +94,18 @@ def test_missing_scenario_file_exits_two(tmp_path, capsys):
     assert "no bundled scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["relative", "absolute"])
+def test_missing_scenario_path_exits_two(tmp_path, capsys, monkeypatch, where):
+    # an argument with a path separator names a file, never a bundled
+    # scenario, even when its last part is a bundled name
+    monkeypatch.chdir(tmp_path)
+    target = os.path.join("." if where == "relative" else str(tmp_path), "hilbert_samuel_xy.scn")
+    code, out = _run(tmp_path, target)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "cannot read scenario %s: " % target in err and "bundled" not in err
+
+
 @pytest.mark.parametrize("where", ["file", "under_file"])
 def test_unusable_out_exits_two_before_any_task(tmp_path, capsys, monkeypatch, where):
     blocker = tmp_path / "blocker"

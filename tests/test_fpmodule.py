@@ -29,6 +29,12 @@ from functorlab.fpmodule import (
     transpose_columns,
 )
 from functorlab.groebner import LiftSolver, buchberger
+from functorlab.invariants import (
+    bass_profile,
+    betti_number,
+    injective_dimension,
+    projective_dimension,
+)
 from functorlab.multigraded import rees_algebra
 from functorlab.oracles import monomials_of_degree
 from functorlab.poly import Poly, Vec, parse_poly, parse_vec
@@ -517,6 +523,7 @@ def test_grown_resolution_equals_a_fresh_one(monkeypatch, case):
         m.presentation()
         del syzygies[:]
         fresh = free_resolution(m, 5)
+        fresh.maps, fresh.pending  # solve a stage deferred by the syzygy theorem
         built = len(syzygies)
         del syzygies[:]
         reached = 0
@@ -590,9 +597,10 @@ def test_resolution_equals_the_plain_stage_loop(kind):
 
 
 def test_finite_resolution_skips_its_last_two_loops(monkeypatch):
-    # 0 -> R(-2) -> R(-1)^2 -> R -> k -> 0 over k[x,y]: Z_1 is free, so its
-    # one lcm syzygy is taken with no pruning run, and Z_2 has series 0, so
-    # it is never solved for
+    # 0 -> R(-2) -> R(-1)^2 -> R -> k -> 0 over k[x,y]: Z_1 is free by the
+    # syzygy theorem, so its twists are read off its series and it is not
+    # solved for until maps is read; its one lcm syzygy is then taken with
+    # no pruning run. Z_2 has series 0, so it is never solved for
     k_mod = cyclic("x", "y")
     k_mod.presentation()
     calls = []
@@ -602,4 +610,98 @@ def test_finite_resolution_skips_its_last_two_loops(monkeypatch):
             Submodule, name, lambda self, *a, _n=name, _r=real: calls.append(_n) or _r(self, *a))
     res = free_resolution(k_mod, 5)
     assert res.ranks() == [1, 2, 1] and res.exhausted
+    assert calls == []
+    res.maps
     assert calls == ["syzygies"]
+
+
+# Over a polynomial base in n variables Z_(n-1) is free and is not solved
+# for until maps or pending is read; its twists come off its series
+FREE_LAST_RINGS = {
+    "gf_xy": lambda: PolyRing(("x", "y")),
+    "q_xyz": lambda: PolyRing(("x", "y", "z"), char=0),
+    "weights_1_2": lambda: PolyRing(("x", "y"), weights=(1, 2)),
+    "gf_xyzw": lambda: PolyRing(("x", "y", "z", "w")),
+}
+
+
+def free_last_corpus(name):
+    """k and R/(squares of the variables), whose resolutions reach the free
+    Z_(n-1), and seeded nonzero cyclic and subquotient modules."""
+    ring = FREE_LAST_RINGS[name]()
+    rng = random.Random("free-last-syzygies/%s" % name)
+    modules = [FPModule.cyclic(ring, ring.names),
+               FPModule.cyclic(ring, [v + "^2" for v in ring.names])]
+    for _ in range(2):
+        modules += route_corpus(ring, rng)[1:]
+    return ring, [m for m in modules if not m.is_zero()]
+
+
+def counted_syzygies(monkeypatch):
+    calls = []
+    real = Submodule.syzygies
+    monkeypatch.setattr(Submodule, "syzygies", lambda self: calls.append(self) or real(self))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(FREE_LAST_RINGS))
+def test_free_last_syzygies_read_on_demand_equal_the_plain_stage_loop(name):
+    ring, modules = free_last_corpus(name)
+    for m in modules:
+        res = free_resolution(m, ring.nvars + 1)
+        twists, maps, pending = plain_stage_loop(m, ring.nvars + 1)
+        assert res.twist_table() == twists and res.exhausted, m  # read before the solve
+        assert (res.maps, res.pending) == (maps, pending), m
+
+
+@pytest.mark.parametrize("name", sorted(FREE_LAST_RINGS))
+def test_invariants_solve_no_free_last_syzygy_module(monkeypatch, name):
+    # Z_1 .. Z_(n-2) are solved while the resolution grows; Z_(n-1), nonzero
+    # exactly when pd = n, is solved by the first read of maps or pending
+    ring, modules = free_last_corpus(name)
+    n = ring.nvars
+    calls = counted_syzygies(monkeypatch)
+    deferred = 0
+    for index, m in enumerate(modules):
+        m.presentation()
+        del calls[:]
+        betti = [betti_number(m, i) for i in range(n + 1)]
+        assert bass_profile(m, n + 1) == betti[::-1], m
+        pd = projective_dimension(m)
+        assert injective_dimension(m) == n, m
+        solved = max(0, min(pd - 1, n - 2))
+        assert len(calls) == solved, m
+        res = m.resolution(0)
+        getattr(res, ("maps", "pending")[index % 2])
+        assert len(calls) == solved + (pd == n), m
+        res.maps, res.pending
+        assert len(calls) == solved + (pd == n), m
+        deferred += pd == n
+    assert deferred >= 2
+
+
+def test_quotient_base_defers_no_syzygy_module(monkeypatch):
+    ring = base("k[x,y,z]/(y^2, xz)")
+    rng = random.Random("free-last-syzygies/quotient")
+    modules = [FPModule.cyclic(ring, ring.names)] + route_corpus(ring, rng)[1:]
+    calls = counted_syzygies(monkeypatch)
+    for m in modules:
+        res = free_resolution(m, ring.nvars + 1)
+        built = len(calls)
+        res.maps, res.pending
+        assert len(calls) == built, m
+
+
+def test_free_last_syzygy_series_is_checked():
+    # k over k[x,y] has numerator (1 - t)^2 and Z_1 = R(-2); a planted
+    # numerator that makes Z_1 read R(-3) is refused when Z_1 is solved, one
+    # that gives it a negative coefficient when Z_1 is reached
+    pres = cyclic("x", "y").presentation()
+    stage0 = [FPModule.free(R, pres.gen_twists)]
+    wrong = GradedComplex(stage0, [], pres.columns, {0: 1, 1: -2, 3: 1}).grow(3)
+    assert wrong.twist_table() == [(0,), (1, 1), (3,)]
+    with pytest.raises(ContractViolation):
+        wrong.maps
+    negative = GradedComplex(stage0, [], pres.columns, {0: 1, 1: -2, 2: -1})
+    with pytest.raises(ContractViolation):
+        negative.grow(3)

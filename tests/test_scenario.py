@@ -250,6 +250,12 @@ def test_bundled_lookup_rejects_unknown_name():
         bundled_scenario_path("missing_thing")
 
 
+@pytest.mark.parametrize("name", ["./hilbert_samuel_xy", "../scenarios/hilbert_samuel_xy.scn"])
+def test_bundled_lookup_rejects_a_path(name):
+    with pytest.raises(ConfigurationError, match="no path separator"):
+        bundled_scenario_path(name)
+
+
 def test_scenario_keeps_raw_document():
     data = _minimal()
     scn = build_scenario(data)
